@@ -16,10 +16,9 @@
 // docs/OBSERVABILITY.md).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <map>
 #include <string>
-#include <utility>
 #include <vector>
 
 namespace routesync::obs {
@@ -39,16 +38,15 @@ public:
     [[nodiscard]] std::vector<Edge> edges() const;
 
     [[nodiscard]] std::size_t edge_count() const noexcept {
-        return weights_.size();
+        return edges_.size();
     }
     /// Sum of all edge weights == number of attributed resets.
     [[nodiscard]] std::uint64_t total_weight() const noexcept { return total_; }
     /// Distinct routers appearing as a source or destination.
     [[nodiscard]] std::size_t node_count() const;
 
-    [[nodiscard]] bool operator==(const CouplingGraph& other) const {
-        return weights_ == other.weights_;
-    }
+    /// Same edges with the same weights, whatever the insertion order.
+    [[nodiscard]] bool operator==(const CouplingGraph& other) const;
 
     /// Graphviz DOT document: one `src -> dst [label="w" weight=w];` line
     /// per edge in (src, dst) order.
@@ -58,7 +56,18 @@ public:
     [[nodiscard]] std::string to_json() const;
 
 private:
-    std::map<std::pair<int, int>, std::uint64_t> weights_;
+    /// Slot of (src, dst) in slots_, or of the empty slot it would take.
+    [[nodiscard]] std::size_t probe(int src, int dst) const noexcept;
+    /// Doubles slots_ (16 on first use) and re-indexes every edge.
+    void grow();
+
+    // Edges in insertion order, indexed by an open-addressing table of
+    // edge positions (+1; 0 marks an empty slot) hashed on the packed
+    // (src, dst) pair and kept at most half full. Nothing is allocated
+    // until the first edge; sorting happens only on export.
+    std::vector<Edge> edges_;
+    std::vector<std::uint32_t> slots_;
+    int shift_ = 64; ///< 64 - log2(slots_.size()), for Fibonacci hashing
     std::uint64_t total_ = 0;
 };
 

@@ -47,7 +47,6 @@ SyncMonitor::SyncMonitor(const SyncMonitorConfig& config, Tracer* tracer)
     const auto n = static_cast<std::size_t>(config_.n);
     phasor_re_.assign(n, 0.0);
     phasor_im_.assign(n, 0.0);
-    armed_.assign(n, false);
     inv_n_ = 1.0 / static_cast<double>(config_.n);
     inv_period_ = 1.0 / config_.period_sec;
 
@@ -59,20 +58,16 @@ SyncMonitor::SyncMonitor(const SyncMonitorConfig& config, Tracer* tracer)
 }
 
 void SyncMonitor::update_order_parameter(int node, sim::SimTime t) {
-    double off = std::fmod(t.sec(), config_.period_sec);
-    if (off < 0.0) {
-        off += config_.period_sec;
-    }
+    const double off =
+        t.mod(sim::SimTime::seconds(config_.period_sec)).sec();
     const double theta = 2.0 * std::numbers::pi * (off * inv_period_);
     const double re = std::cos(theta);
     const double im = std::sin(theta);
     const auto idx = static_cast<std::size_t>(node);
-    if (armed_[idx]) {
-        sum_re_ -= phasor_re_[idx];
-        sum_im_ -= phasor_im_[idx];
-    } else {
-        armed_[idx] = true;
-    }
+    // An unarmed node's phasor is +0.0, and x - (+0.0) is x for every x
+    // (-0.0 included), so the first re-arm needs no special case.
+    sum_re_ -= phasor_re_[idx];
+    sum_im_ -= phasor_im_[idx];
     phasor_re_[idx] = re;
     phasor_im_[idx] = im;
     sum_re_ += re;
@@ -153,16 +148,26 @@ void SyncMonitor::close_round() {
     if (round_sizes_.empty()) {
         return; // before the first completed group
     }
+    // Only the last closed round's entropy is reported, so keep its
+    // sizes and leave the logarithms to finish().
+    last_round_sizes_.swap(round_sizes_);
+    ++report_.rounds_closed;
+}
+
+void SyncMonitor::settle_last_round() {
+    if (last_round_sizes_.empty()) {
+        return; // no round ever closed
+    }
     double total = 0.0;
     int largest = 0;
-    for (const int s : round_sizes_) {
+    for (const int s : last_round_sizes_) {
         total += static_cast<double>(s);
         if (s > largest) {
             largest = s;
         }
     }
     double entropy = 0.0;
-    for (const int s : round_sizes_) {
+    for (const int s : last_round_sizes_) {
         const double p = static_cast<double>(s) / total;
         entropy -= p * std::log(p);
     }
@@ -171,7 +176,6 @@ void SyncMonitor::close_round() {
                       : 0.0;
     report_.largest_fraction_last =
         static_cast<double>(largest) * inv_n_;
-    ++report_.rounds_closed;
 }
 
 void SyncMonitor::on_timer_set(int node, sim::SimTime t) {
@@ -202,6 +206,7 @@ void SyncMonitor::finish(sim::SimTime at) {
     }
     close_round();
     round_sizes_.clear();
+    settle_last_round();
     report_.r_last = r_;
     report_.in_sync = in_sync_;
     if (tracer_ != nullptr) {

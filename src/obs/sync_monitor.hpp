@@ -16,7 +16,9 @@
 //     using the ClusterTracker's grouping rule (events within the
 //     tolerance of the previous event share a cluster; a round is N
 //     re-arms; a group counts toward the round it started in, and a
-//     group straddling the boundary seeds the next round too).
+//     group straddling the boundary seeds the next round too). Only the
+//     last closed round is reported, so its group sizes are kept and
+//     both values are computed once, in finish().
 //   * an online time-to-sync / changepoint detector: r crossing a
 //     configurable threshold (with hysteresis on the way down) flips the
 //     in-sync state, emits a `sync_transition` trace event, and records
@@ -68,11 +70,13 @@ struct SyncReport {
     std::uint64_t rearms = 0;        ///< re-arms fed to the monitor
     std::uint64_t transmissions = 0; ///< transmissions fed to the monitor
     std::uint64_t transitions = 0;   ///< detector crossings (both ways)
-    std::uint64_t rounds_closed = 0; ///< rounds with entropy computed
+    std::uint64_t rounds_closed = 0; ///< closed rounds (the last one's entropy is reported)
     double r_last = 0.0;
     double r_max = 0.0;
-    double entropy_last = 0.0;          ///< last closed round, in [0, 1]
-    double largest_fraction_last = 0.0; ///< last closed round's max / n
+    /// Last closed round's normalized entropy, in [0, 1]; set by finish().
+    double entropy_last = 0.0;
+    /// Last closed round's largest group / n; set by finish().
+    double largest_fraction_last = 0.0;
     bool in_sync = false;               ///< detector state at finish
     double time_to_sync_sec = -1.0;     ///< first up-crossing; < 0 = never
 };
@@ -119,6 +123,7 @@ private:
     void update_clusters(sim::SimTime t);
     void finalize_group();
     void close_round();
+    void settle_last_round();
 
     SyncMonitorConfig config_;
     Tracer* tracer_ = nullptr;
@@ -126,8 +131,7 @@ private:
     double inv_period_ = 0.0;
 
     // Order parameter: per-node phasors + running complex sum.
-    std::vector<double> phasor_re_, phasor_im_;
-    std::vector<bool> armed_;
+    std::vector<double> phasor_re_, phasor_im_; ///< +0.0 until armed
     double sum_re_ = 0.0, sum_im_ = 0.0;
     double r_ = 0.0;
 
@@ -150,6 +154,7 @@ private:
     int idx_in_round_ = 0;
     std::uint64_t current_round_ = 0;
     std::vector<int> round_sizes_;
+    std::vector<int> last_round_sizes_; ///< settled into the report at finish()
     int spill_size_ = 0; ///< straddling group seeds the next round
 
     bool finished_ = false;

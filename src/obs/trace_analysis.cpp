@@ -1,7 +1,6 @@
 #include "obs/trace_analysis.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 
 #include "obs/json.hpp"
@@ -35,10 +34,9 @@ TraceSummary summarize(const std::vector<TraceEvent>& events,
         case TraceEventType::UpdateTx: {
             ++s.tx_by_node[e.node];
             if (!s.tx_phase_hist.empty()) {
-                double offset = std::fmod(t, options.round_length);
-                if (offset < 0.0) {
-                    offset += options.round_length;
-                }
+                const double offset =
+                    e.time.mod(sim::SimTime::seconds(options.round_length))
+                        .sec();
                 auto bin = static_cast<std::size_t>(
                     offset / options.round_length *
                     static_cast<double>(s.tx_phase_hist.size()));

@@ -1,5 +1,6 @@
 #include "obs/trace_sink.hpp"
 
+#include <array>
 #include <bit>
 #include <stdexcept>
 
@@ -22,14 +23,48 @@ void RingBufferSink::on_event(const TraceEvent& event) {
     events_.push_back(event);
 }
 
+namespace {
+
+constexpr std::uint64_t kFnvPrime = 1099511628211ULL; // FNV-1a 64-bit prime
+
+/// An encoded event is 45 bytes, so at most 45 zero bytes in a row.
+constexpr std::size_t kEventBytes = 8 + 8 + 1 + 4 + 8 + 8 + 8;
+
+/// kPrimePow[k] = prime^k (mod 2^64): folding a zero byte is h ^= 0,
+/// h *= prime, so a run of k zero bytes is one multiply by prime^k.
+constexpr auto kPrimePow = [] {
+    std::array<std::uint64_t, kEventBytes + 1> pow{};
+    pow[0] = 1;
+    for (std::size_t k = 1; k < pow.size(); ++k) {
+        pow[k] = pow[k - 1] * kFnvPrime;
+    }
+    return pow;
+}();
+
+} // namespace
+
 void HashingSink::on_event(const TraceEvent& event) {
     ++seen_;
+    // Byte for byte the serial FNV-1a fold of the encoding, except that
+    // zero bytes at either end of a field are only counted: each run of
+    // them (runs may span fields) costs one multiply, made just before
+    // the next nonzero byte or at the end of the event.
     std::uint64_t h = hash_;
-    const auto fold = [&h](std::uint64_t word, int bytes) {
-        for (int i = 0; i < bytes; ++i) {
-            h ^= (word >> (8 * i)) & 0xffU;
-            h *= 1099511628211ULL; // FNV-1a 64-bit prime
+    int zeros = 0; // zero bytes folded but not yet multiplied in
+    const auto fold = [&h, &zeros](std::uint64_t word, int bytes) {
+        if (word == 0) {
+            zeros += bytes;
+            return;
         }
+        const int lo = std::countr_zero(word) / 8;
+        // One past the top nonzero byte.
+        const int hi = (static_cast<int>(std::bit_width(word)) + 7) / 8;
+        h *= kPrimePow[static_cast<std::size_t>(zeros + lo)];
+        for (int i = lo; i < hi; ++i) {
+            h ^= (word >> (8 * i)) & 0xffU;
+            h *= kFnvPrime;
+        }
+        zeros = bytes - hi;
     };
     fold(event.seq, 8);
     fold(std::bit_cast<std::uint64_t>(event.time.sec()), 8);
@@ -38,7 +73,7 @@ void HashingSink::on_event(const TraceEvent& event) {
     fold(static_cast<std::uint64_t>(event.a), 8);
     fold(std::bit_cast<std::uint64_t>(event.b), 8);
     fold(std::bit_cast<std::uint64_t>(event.x), 8);
-    hash_ = h;
+    hash_ = h * kPrimePow[static_cast<std::size_t>(zeros)];
 }
 
 std::string trace_event_jsonl(const TraceEvent& event) {

@@ -72,7 +72,28 @@ public:
     friend constexpr SimTime operator-(SimTime a) noexcept { return SimTime{-a.s_}; }
 
     /// a mod b, in [0, b) for b > 0 — used for phase offsets within a round.
+    /// The one phase reduction in the code; its bits are std::fmod's plus
+    /// the negative wrap, for every input.
+    ///
+    /// Fast path (t > 0, quotient q = t/L in (0, 2^52), which forces L
+    /// positive and finite): let n = floor(t/L) be the true quotient.
+    /// Division rounds monotonically and n, n + 1 are representable, so
+    /// n <= q <= n + 1 and k = trunc(q) is n or n + 1. The remainder
+    /// t - nL is exactly representable (the fact that makes fmod exact),
+    /// so for k == n the single rounding of the fma returns fmod's bits.
+    /// For k == n + 1 the exact t - kL lies in [-L, 0) and rounds below
+    /// zero, which one decrement fixes. Every other input (-0.0,
+    /// negatives, inf, NaN, huge quotients) takes fmod.
     [[nodiscard]] SimTime mod(SimTime period) const noexcept {
+        const double q = s_ / period.s_;
+        if (s_ > 0.0 && q > 0.0 && q < 0x1p52) {
+            const double k = static_cast<double>(static_cast<std::int64_t>(q));
+            double r = std::fma(-k, period.s_, s_);
+            if (r < 0.0) {
+                r = std::fma(1.0 - k, period.s_, s_);
+            }
+            return SimTime{r};
+        }
         double r = std::fmod(s_, period.s_);
         if (r < 0) {
             r += period.s_;

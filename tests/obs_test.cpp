@@ -3,8 +3,13 @@
 // merge_trial_metrics.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
+#include <limits>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -55,6 +60,126 @@ TEST(RingBufferSink, NoDropsBelowCapacity) {
     }
     EXPECT_EQ(sink.dropped(), 0U);
     EXPECT_EQ(sink.events().size(), 8U);
+}
+
+// Byte-serial FNV-1a over an event's canonical 45-byte encoding: the
+// definition HashingSink::digest() must reproduce, written out the slow
+// way (every byte of every field, lowest byte first).
+std::uint64_t serial_fnv_fold(std::uint64_t h, const obs::TraceEvent& e) {
+    const auto fold = [&h](std::uint64_t word, int bytes) {
+        for (int i = 0; i < bytes; ++i) {
+            h ^= (word >> (8 * i)) & 0xffU;
+            h *= 1099511628211ULL;
+        }
+    };
+    fold(e.seq, 8);
+    fold(std::bit_cast<std::uint64_t>(e.time.sec()), 8);
+    fold(static_cast<std::uint64_t>(e.type), 1);
+    fold(static_cast<std::uint32_t>(e.node), 4);
+    fold(static_cast<std::uint64_t>(e.a), 8);
+    fold(std::bit_cast<std::uint64_t>(e.b), 8);
+    fold(std::bit_cast<std::uint64_t>(e.x), 8);
+    return h;
+}
+
+constexpr std::uint64_t kFnvOffsetBasis = 14695981039346656037ULL;
+constexpr int kTraceEventTypes =
+    static_cast<int>(obs::TraceEventType::CouplingEdge) + 1;
+
+/// A random word with about half its bytes zeroed, so zero runs start
+/// and end at every byte position and span field boundaries.
+std::uint64_t sparse_word(std::mt19937_64& gen) {
+    std::uint64_t w = gen();
+    const std::uint64_t keep = gen();
+    for (int i = 0; i < 8; ++i) {
+        if (((keep >> i) & 1U) == 0) {
+            w &= ~(0xffULL << (8 * i));
+        }
+    }
+    return w;
+}
+
+double special_or_sparse_double(std::mt19937_64& gen) {
+    constexpr double kSpecial[] = {
+        0.0, -0.0, 1.0, -2.5, 121.11, 1e-310, -1e-310,
+        std::numeric_limits<double>::denorm_min(),
+        std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::max()};
+    const std::uint64_t pick = gen() % 16;
+    if (pick < std::size(kSpecial)) {
+        return kSpecial[pick];
+    }
+    return std::bit_cast<double>(sparse_word(gen));
+}
+
+obs::TraceEvent random_event(std::mt19937_64& gen, std::uint64_t i) {
+    obs::TraceEvent e;
+    // Small counters, and seq >= 2^56 (bit 56..63 forced on).
+    e.seq = i % 3 == 0 ? i : sparse_word(gen) | (1ULL << 56 << (gen() % 8));
+    // A full-mantissa simulation time in [0, 1e4) or an edge value.
+    const double uniform = std::ldexp(static_cast<double>(gen() >> 11), -53);
+    e.time = sim::SimTime::seconds(i % 2 == 0 ? 1e4 * uniform
+                                              : special_or_sparse_double(gen));
+    e.type = static_cast<obs::TraceEventType>(gen() % kTraceEventTypes);
+    e.node = gen() % 4 == 0 ? -1 : static_cast<std::int32_t>(sparse_word(gen));
+    e.a = static_cast<std::int64_t>(sparse_word(gen));
+    e.b = special_or_sparse_double(gen);
+    e.x = special_or_sparse_double(gen);
+    return e;
+}
+
+TEST(HashingSink, MatchesByteSerialFnv1aReference) {
+    obs::HashingSink sink;
+    EXPECT_EQ(sink.digest(), kFnvOffsetBasis);
+    std::mt19937_64 gen{20260417};
+    std::uint64_t expect = kFnvOffsetBasis;
+    for (std::uint64_t i = 0; i < 10000; ++i) {
+        const obs::TraceEvent e = random_event(gen, i);
+        sink.on_event(e);
+        expect = serial_fnv_fold(expect, e);
+        ASSERT_EQ(sink.digest(), expect) << "event " << i << ": "
+                                         << obs::trace_event_jsonl(e);
+    }
+    EXPECT_EQ(sink.events_seen(), 10000U);
+}
+
+// Sixteen fixed events, one per TraceEventType, covering the encodings a
+// zero-run fold can get wrong: all-zero and all-ones fields, node -1,
+// negative a, seq >= 2^56, +-0.0, +-inf, NaN and subnormal scalars. The
+// digest is frozen, so a change to both the sink and the reference
+// above still fails here.
+TEST(HashingSink, GoldenDigestOfFixedTrace) {
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double sub = std::numeric_limits<double>::denorm_min();
+    const obs::TraceEvent events[] = {
+        {0, sim::SimTime::zero(), obs::TraceEventType::TimerSet, 0, 0, 0.0, 0.0},
+        {1, sim::SimTime::seconds(121.11), obs::TraceEventType::TimerFire, 19, 1, 121.11, 0.0},
+        {2, sim::SimTime::seconds(-0.0), obs::TraceEventType::TimerReset, -1, -1, -0.0, -0.0},
+        {3, sim::SimTime::seconds(1e-300), obs::TraceEventType::PacketEnqueue, 7, 1LL << 40, 64.0, 0.5},
+        {0x0100000000000000ULL, sim::SimTime::seconds(2.0), obs::TraceEventType::PacketDrop, 2147483647, -4096, 1500.0, sub},
+        {0xffffffffffffffffULL, sim::SimTime::seconds(3.0), obs::TraceEventType::PacketDeliver, -2147483647 - 1, std::numeric_limits<std::int64_t>::min(), inf, -inf},
+        {6, sim::SimTime::infinity(), obs::TraceEventType::UpdateTx, 3, 25, 1.0, nan},
+        {7, sim::SimTime::seconds(1e5), obs::TraceEventType::UpdateRx, 4, 25, 3.0, 0.0},
+        {8, sim::SimTime::seconds(12345.678), obs::TraceEventType::CpuBusyBegin, 5, 0, 0.11, 0.0},
+        {9, sim::SimTime::seconds(12345.789), obs::TraceEventType::CpuBusyEnd, 5, 0, 0.0, 0.0},
+        {10, sim::SimTime::seconds(1e-6), obs::TraceEventType::ClusterChange, -1, 20, -sub, 0.0},
+        {11, sim::SimTime::seconds(0.25), obs::TraceEventType::MetricSample, 255, 256, 1e-310, 0.3},
+        {0x00ff000000000000ULL, sim::SimTime::seconds(4e9), obs::TraceEventType::ResourceSample, 65536, 65535, 4096.0, 8192.0},
+        {13, sim::SimTime::zero(), obs::TraceEventType::SyncConfig, -1, 20000, 121.105, 0.95},
+        {14, sim::SimTime::seconds(8765.4321), obs::TraceEventType::SyncTransition, -1, 1, 0.9734, 0.95},
+        {15, sim::SimTime::seconds(1e5), obs::TraceEventType::CouplingEdge, 11, 12, 907.0, 0.0},
+    };
+    obs::HashingSink sink;
+    std::uint64_t expect = kFnvOffsetBasis;
+    for (const obs::TraceEvent& e : events) {
+        sink.on_event(e);
+        expect = serial_fnv_fold(expect, e);
+    }
+    EXPECT_EQ(sink.digest(), expect);
+    EXPECT_EQ(sink.digest(), 0x56b67ff252ef8be9ULL);
 }
 
 TEST(TraceEventJsonl, EncodesEveryField) {
@@ -135,7 +260,8 @@ TEST(MetricsSnapshot, DistributionsWelfordMerge) {
     obs::MetricsSnapshot merged = a.snapshot();
     merged.merge(b.snapshot());
     const auto& m = merged.distributions.at("x");
-    const auto& w = whole.snapshot().distributions.at("x");
+    const obs::MetricsSnapshot whole_snapshot = whole.snapshot();
+    const auto& w = whole_snapshot.distributions.at("x");
     EXPECT_EQ(m.count(), w.count());
     EXPECT_DOUBLE_EQ(m.mean(), w.mean());
     EXPECT_NEAR(m.variance(), w.variance(), 1e-9);

@@ -11,13 +11,20 @@
 //     --batch settings.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <climits>
 #include <cmath>
 #include <cstdint>
+#include <map>
+#include <random>
+#include <set>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/core.hpp"
+#include "obs/json.hpp"
 #include "obs/run_context.hpp"
 #include "obs/sync_monitor.hpp"
 #include "obs/trace_sink.hpp"
@@ -176,6 +183,151 @@ TEST(CouplingGraphTest, DotAndJsonExports) {
     const std::string json = g.to_json();
     EXPECT_NE(json.find("\"total_weight\": 9"), std::string::npos);
     EXPECT_NE(json.find("\"src\": 0"), std::string::npos);
+}
+
+// The ordered-map graph the flat table replaced, with its exports
+// spelled out: the reference every CouplingGraph query must match.
+struct MapCouplingGraph {
+    std::map<std::pair<int, int>, std::uint64_t> weights;
+    std::uint64_t total = 0;
+
+    void add_edge(int src, int dst, std::uint64_t weight) {
+        weights[{src, dst}] += weight;
+        total += weight;
+    }
+
+    [[nodiscard]] std::size_t node_count() const {
+        std::set<int> nodes;
+        for (const auto& [key, w] : weights) {
+            nodes.insert(key.first);
+            nodes.insert(key.second);
+        }
+        return nodes.size();
+    }
+
+    [[nodiscard]] std::string to_dot() const {
+        std::string out = "digraph coupling {\n";
+        for (const auto& [key, w] : weights) {
+            out += "  n" + std::to_string(key.first) + " -> n" +
+                   std::to_string(key.second) + " [label=\"" +
+                   std::to_string(w) + "\" weight=" + std::to_string(w) +
+                   "];\n";
+        }
+        return out + "}\n";
+    }
+
+    [[nodiscard]] std::string to_json() const {
+        obs::JsonWriter w;
+        w.begin_object();
+        w.key("nodes");
+        w.value(static_cast<std::uint64_t>(node_count()));
+        w.key("edges");
+        w.begin_array();
+        for (const auto& [key, weight] : weights) {
+            w.begin_object();
+            w.key("src");
+            w.value(static_cast<std::int64_t>(key.first));
+            w.key("dst");
+            w.value(static_cast<std::int64_t>(key.second));
+            w.key("weight");
+            w.value(weight);
+            w.end_object();
+        }
+        w.end_array();
+        w.key("total_weight");
+        w.value(total);
+        w.end_object();
+        return w.str();
+    }
+};
+
+void expect_graph_matches(const obs::CouplingGraph& g,
+                          const MapCouplingGraph& ref, std::size_t step) {
+    ASSERT_EQ(g.edge_count(), ref.weights.size()) << "step " << step;
+    EXPECT_EQ(g.total_weight(), ref.total) << "step " << step;
+    EXPECT_EQ(g.node_count(), ref.node_count()) << "step " << step;
+    const auto edges = g.edges();
+    std::size_t i = 0;
+    for (const auto& [key, w] : ref.weights) {
+        EXPECT_EQ(edges[i].src, key.first) << "step " << step << " edge " << i;
+        EXPECT_EQ(edges[i].dst, key.second) << "step " << step << " edge " << i;
+        EXPECT_EQ(edges[i].weight, w) << "step " << step << " edge " << i;
+        ++i;
+    }
+    EXPECT_EQ(g.to_dot(), ref.to_dot()) << "step " << step;
+    EXPECT_EQ(g.to_json(), ref.to_json()) << "step " << step;
+}
+
+TEST(CouplingGraphTest, FlatTableMatchesOrderedMapReference) {
+    struct Add {
+        int src;
+        int dst;
+        std::uint64_t weight;
+    };
+    std::mt19937_64 gen{93};
+    for (int trial = 0; trial < 20; ++trial) {
+        // Mostly a dense block of router ids (many repeats, several
+        // table growths), with negative and extreme ids, which must
+        // still hash apart and sort as signed (src, dst) pairs.
+        const int span = 2 + trial * 7;
+        std::vector<Add> adds;
+        for (int i = 0; i < 3000; ++i) {
+            const auto id = [&] {
+                const std::uint64_t roll = gen() % 100;
+                if (roll == 0) {
+                    return gen() % 2 == 0 ? INT_MIN : INT_MAX;
+                }
+                if (roll < 5) {
+                    return -static_cast<int>(gen() % 5) - 1;
+                }
+                return static_cast<int>(gen() % static_cast<std::uint64_t>(span));
+            };
+            const int src = id();
+            const int dst = id();
+            const std::uint64_t weight = gen() % 10 == 0 ? 0 : 1 + gen() % 3;
+            adds.push_back(Add{src, dst, weight});
+        }
+        adds.push_back(Add{INT_MIN, INT_MAX, 1});
+        adds.push_back(Add{INT_MAX, INT_MIN, 2});
+
+        obs::CouplingGraph g;
+        MapCouplingGraph ref;
+        EXPECT_EQ(g.edge_count(), 0U);
+        EXPECT_EQ(g.to_json(), ref.to_json());
+        for (std::size_t i = 0; i < adds.size(); ++i) {
+            g.add_edge(adds[i].src, adds[i].dst, adds[i].weight);
+            ref.add_edge(adds[i].src, adds[i].dst, adds[i].weight);
+            if (i % 500 == 0) {
+                expect_graph_matches(g, ref, i);
+            }
+        }
+        expect_graph_matches(g, ref, adds.size());
+
+        // Equality ignores insertion order and how weight was split.
+        std::vector<Add> shuffled = adds;
+        std::shuffle(shuffled.begin(), shuffled.end(), gen);
+        obs::CouplingGraph h;
+        for (const Add& a : shuffled) {
+            h.add_edge(a.src, a.dst, a.weight);
+        }
+        EXPECT_TRUE(g == h);
+        EXPECT_TRUE(h == g);
+        obs::CouplingGraph folded;
+        for (const auto& [key, w] : ref.weights) {
+            folded.add_edge(key.first, key.second, w);
+        }
+        EXPECT_TRUE(folded == g);
+
+        // One more unit of weight on one edge, or one new zero-weight
+        // edge, breaks equality.
+        obs::CouplingGraph heavier = h;
+        heavier.add_edge(adds[0].src, adds[0].dst, 1);
+        EXPECT_FALSE(heavier == g);
+        obs::CouplingGraph wider = h;
+        wider.add_edge(span + 1, span + 1, 0);
+        EXPECT_FALSE(wider == g);
+        EXPECT_FALSE(g == wider);
+    }
 }
 
 TEST(SyncMonitorTest, CouplingAttributesToLastTransmitter) {
