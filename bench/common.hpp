@@ -51,9 +51,10 @@ inline int g_failed_checks = 0;
 
 struct Options {
     std::size_t jobs = parallel::hardware_jobs();
-    /// Trials per batched-kernel claim in parallel sweeps (0 = auto-tune
-    /// from the sweep shape; 1 = scalar per-trial execution). Forwarded
-    /// to SweepSchedulerOptions::batch; pure performance, never results.
+    /// Trials per claim in parallel sweeps, run as the lanes of one PM
+    /// kernel (0 = auto-tune from the sweep shape; 1 = one lane per
+    /// kernel). Forwarded to SweepSchedulerOptions::batch; pure
+    /// performance, never results.
     std::size_t batch = 0;
     std::uint64_t seed = 0;
     bool seed_set = false;

@@ -4,13 +4,12 @@
 // single simulated trial, on the packed-lane PM kernel.
 //
 // Each N rung is one SweepScheduler run (--jobs applies; the batch size
-// is pinned to 1 so every trial runs the scalar kernel — the batched
-// kernel's per-lane layout is leaner but different, and the auto-batcher's
-// lane grouping depends on the worker count, which would make the memory
-// column scheduling-dependent), timed wall-clock, and reported as:
+// is pinned to 1 so every trial runs as a one-lane kernel and the rung's
+// wall time is per trial whatever the worker count — the auto-batcher's
+// lane grouping depends on --jobs), timed wall-clock, and reported as:
 //   * frac_unsync        rounds whose largest cluster was 1 / closed rounds
 //   * ns/router-round    wall nanoseconds per (router x closed round)
-//   * bytes/router       kernel state high-water (SoA lanes + calendar
+//   * bytes/router       kernel state high-water (SoA node slices + event
 //                        queue) divided by N — the number that decides
 //                        whether 1e6 routers fit in memory
 // plus the process peak RSS after the largest rung.
@@ -82,9 +81,9 @@ Rung run_rung(int n, int trials, double sim_seconds, std::uint64_t base_seed,
     }
 
     const auto t0 = std::chrono::steady_clock::now();
-    // batch pinned to 1: every trial runs the scalar kernel, so the memory
-    // column reports one consistent state layout at every rung and --jobs
-    // cannot change it (see the header comment).
+    // batch pinned to 1: every trial runs as a one-lane kernel, so no
+    // rung's wall time depends on how --jobs groups lanes (see the header
+    // comment).
     const auto results =
         parallel::SweepScheduler{{.jobs = jobs, .batch = 1}}.run_all(configs);
     const auto t1 = std::chrono::steady_clock::now();

@@ -11,14 +11,10 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
-#include <deque>
 #include <fstream>
 #include <functional>
-#include <map>
 #include <memory>
-#include <queue>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "bench/common.hpp"
@@ -34,161 +30,6 @@
 using namespace routesync;
 
 namespace {
-
-// The seed EventQueue implementation (std::priority_queue over fat
-// entries, pending_/cancelled_ unordered_sets, std::function callbacks),
-// kept verbatim as an in-binary baseline so BM_EventQueueLegacy_* vs
-// BM_EventQueue_* is an honest before/after under identical conditions.
-class LegacyEventQueue {
-public:
-    using Callback = std::function<void()>;
-
-    struct Handle {
-        std::uint64_t id = 0;
-    };
-
-    Handle push(sim::SimTime t, Callback cb) {
-        const std::uint64_t id = next_id_++;
-        heap_.push(Entry{t, id, id, std::move(cb)});
-        pending_.insert(id);
-        ++live_;
-        return Handle{id};
-    }
-
-    bool cancel(Handle h) {
-        const auto it = pending_.find(h.id);
-        if (it == pending_.end()) {
-            return false;
-        }
-        pending_.erase(it);
-        cancelled_.insert(h.id);
-        --live_;
-        return true;
-    }
-
-    [[nodiscard]] bool empty() const noexcept { return live_ == 0; }
-
-    struct Popped {
-        sim::SimTime time;
-        Callback callback;
-    };
-    Popped pop() {
-        skip_cancelled();
-        auto& top = const_cast<Entry&>(heap_.top());
-        Popped out{top.time, std::move(top.callback)};
-        pending_.erase(top.id);
-        heap_.pop();
-        --live_;
-        return out;
-    }
-
-private:
-    struct Entry {
-        sim::SimTime time;
-        std::uint64_t seq;
-        std::uint64_t id;
-        Callback callback;
-    };
-    struct Later {
-        bool operator()(const Entry& a, const Entry& b) const noexcept {
-            if (a.time != b.time) {
-                return a.time > b.time;
-            }
-            return a.seq > b.seq;
-        }
-    };
-
-    void skip_cancelled() {
-        while (!heap_.empty()) {
-            const auto it = cancelled_.find(heap_.top().id);
-            if (it == cancelled_.end()) {
-                return;
-            }
-            cancelled_.erase(it);
-            heap_.pop();
-        }
-    }
-
-    std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
-    std::unordered_set<std::uint64_t> pending_;
-    std::unordered_set<std::uint64_t> cancelled_;
-    std::uint64_t next_id_ = 1;
-    std::size_t live_ = 0;
-};
-
-// The seed packet path, kept as an in-binary baseline so the
-// BM_PacketPath* pairs are an honest before/after: packets are fat value
-// types dragging a shared_ptr payload (atomic refcounts, one heap
-// allocation per update built), the delivery capture overflows the event
-// queue's 48-byte inline budget (one heap allocation per hop), and
-// drop-tail queues shuffle whole packets.
-struct LegacyPayload {
-    int sender = -1;
-    bool triggered = false;
-    std::vector<net::RouteEntry> entries;
-    int filler_routes = 0;
-};
-
-struct LegacyPacket {
-    net::PacketType type = net::PacketType::Data;
-    net::NodeId src = -1;
-    net::NodeId dst = -1;
-    std::uint32_t size_bytes = 0;
-    std::uint64_t seq = 0;
-    sim::SimTime sent_at;
-    std::shared_ptr<const LegacyPayload> update;
-    int ttl = 64;
-};
-
-class LegacyLink {
-public:
-    LegacyLink(sim::Engine& engine, double rate_bps, sim::SimTime prop_delay,
-               std::size_t queue_packets, std::function<void(LegacyPacket)> deliver)
-        : engine_{engine},
-          rate_bps_{rate_bps},
-          prop_delay_{prop_delay},
-          queue_limit_{queue_packets},
-          deliver_{std::move(deliver)} {}
-
-    void send(LegacyPacket p) {
-        if (transmitting_) {
-            if (queue_.size() < queue_limit_) {
-                queue_.push_back(std::move(p));
-            }
-            return;
-        }
-        start_transmission(std::move(p));
-    }
-
-private:
-    void start_transmission(LegacyPacket p) {
-        transmitting_ = true;
-        const sim::SimTime tx =
-            rate_bps_ <= 0.0
-                ? sim::SimTime::zero()
-                : sim::SimTime::seconds(static_cast<double>(p.size_bytes) * 8.0 /
-                                        rate_bps_);
-        engine_.schedule_after(
-            tx + prop_delay_,
-            [this, pkt = std::move(p)]() mutable { deliver_(std::move(pkt)); });
-        engine_.schedule_after(tx, [this] {
-            transmitting_ = false;
-            if (!queue_.empty()) {
-                LegacyPacket next = std::move(queue_.front());
-                queue_.pop_front();
-                start_transmission(std::move(next));
-            }
-        });
-    }
-
-    sim::Engine& engine_;
-    double rate_bps_;
-    sim::SimTime prop_delay_;
-    std::size_t queue_limit_;
-    std::function<void(LegacyPacket)> deliver_;
-    std::deque<LegacyPacket> queue_;
-    bool transmitting_ = false;
-};
 
 void BM_MinStd(benchmark::State& state) {
     rng::MinStd gen{12345};
@@ -224,22 +65,6 @@ void BM_EventQueue_PushPop(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueue_PushPop)->Arg(64)->Arg(1024)->Arg(16384);
 
-void BM_EventQueueLegacy_PushPop(benchmark::State& state) {
-    const auto batch = static_cast<int>(state.range(0));
-    LegacyEventQueue q;
-    rng::Xoshiro256ss gen{1};
-    for (auto _ : state) {
-        for (int i = 0; i < batch; ++i) {
-            q.push(sim::SimTime::seconds(rng::uniform01(gen)), [] {});
-        }
-        while (!q.empty()) {
-            benchmark::DoNotOptimize(q.pop().time);
-        }
-    }
-    state.SetItemsProcessed(state.iterations() * batch);
-}
-BENCHMARK(BM_EventQueueLegacy_PushPop)->Arg(64)->Arg(1024)->Arg(16384);
-
 void BM_EventQueue_PushCancel(benchmark::State& state) {
     // The reschedule-before-firing pattern: every event is cancelled and
     // replaced. Exercises O(1) cancel plus the tombstone compaction.
@@ -259,29 +84,6 @@ void BM_EventQueue_PushCancel(benchmark::State& state) {
     state.SetItemsProcessed(state.iterations() * batch);
 }
 BENCHMARK(BM_EventQueue_PushCancel)->Arg(1024)->Arg(16384);
-
-void BM_EventQueueLegacy_PushCancel(benchmark::State& state) {
-    const auto batch = static_cast<int>(state.range(0));
-    LegacyEventQueue q;
-    rng::Xoshiro256ss gen{1};
-    std::vector<LegacyEventQueue::Handle> handles(static_cast<std::size_t>(batch));
-    for (auto _ : state) {
-        for (int i = 0; i < batch; ++i) {
-            handles[static_cast<std::size_t>(i)] =
-                q.push(sim::SimTime::seconds(rng::uniform01(gen)), [] {});
-        }
-        for (int i = 0; i < batch; ++i) {
-            benchmark::DoNotOptimize(q.cancel(handles[static_cast<std::size_t>(i)]));
-        }
-        // Drain the tombstones so the legacy heap doesn't grow without
-        // bound across iterations (its lazy scheme never compacts).
-        while (!q.empty()) {
-            benchmark::DoNotOptimize(q.pop().time);
-        }
-    }
-    state.SetItemsProcessed(state.iterations() * batch);
-}
-BENCHMARK(BM_EventQueueLegacy_PushCancel)->Arg(1024)->Arg(16384);
 
 void BM_TrialRunner(benchmark::State& state) {
     // A fixed batch of independent trials fanned over state.range(0)
@@ -320,25 +122,10 @@ core::ExperimentConfig kernel_trial_config(core::ExperimentBackend backend) {
     return cfg;
 }
 
-void BM_PMKernel_Trial(benchmark::State& state) {
-    // One full experiment trial on the fused PM fast path (SoA state,
-    // calendar queue, O(1) shared-busy broadcast). Compare against
-    // BM_PMKernelLegacy_Trial: identical simulation, generic engine.
-    const auto cfg = kernel_trial_config(core::ExperimentBackend::FastKernel);
-    std::uint64_t events = 0;
-    for (auto _ : state) {
-        const auto r = core::run_experiment(cfg);
-        events = r.events_processed;
-        benchmark::DoNotOptimize(r.total_transmissions);
-    }
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<std::int64_t>(events));
-}
-BENCHMARK(BM_PMKernel_Trial);
-
 void BM_PMKernelLegacy_Trial(benchmark::State& state) {
-    // The same trial, forced onto the generic DES engine +
-    // PeriodicMessagesModel — the in-binary baseline for the kernel.
+    // One kernel trial forced onto the generic DES engine +
+    // PeriodicMessagesModel — the in-binary baseline (and test oracle)
+    // for BM_PMKernel_Lanes/1.
     const auto cfg = kernel_trial_config(core::ExperimentBackend::Engine);
     std::uint64_t events = 0;
     for (auto _ : state) {
@@ -351,12 +138,13 @@ void BM_PMKernelLegacy_Trial(benchmark::State& state) {
 }
 BENCHMARK(BM_PMKernelLegacy_Trial);
 
-void BM_PMKernelBatched(benchmark::State& state) {
-    // B copies of the kernel trial (distinct seeds) advanced lock-step
-    // through PmKernelBatch's SoA lanes. items/sec counts events across
-    // all lanes, so it is directly comparable to BM_PMKernel_Trial's
-    // events/sec: the ratio at B=8/32 is the batching win, and B=1 shows
-    // the batch driver's overhead over the plain scalar call.
+void BM_PMKernel_Lanes(benchmark::State& state) {
+    // B copies of the kernel trial (distinct seeds) as the lanes of one
+    // PmKernel (SoA node slices, sorted-run queues at n = 20, O(1)
+    // shared-busy broadcast). items/sec counts events across all lanes,
+    // so B = 1 against BM_PMKernelLegacy_Trial (the same trial on the
+    // generic engine) is the kernel's win, and B = 8/32 against B = 1 is
+    // the lane-batching win.
     const std::size_t lanes = static_cast<std::size_t>(state.range(0));
     std::vector<core::ExperimentConfig> configs;
     for (std::size_t i = 0; i < lanes; ++i) {
@@ -376,7 +164,7 @@ void BM_PMKernelBatched(benchmark::State& state) {
     state.SetItemsProcessed(state.iterations() *
                             static_cast<std::int64_t>(events));
 }
-BENCHMARK(BM_PMKernelBatched)->Arg(1)->Arg(8)->Arg(32);
+BENCHMARK(BM_PMKernel_Lanes)->Arg(1)->Arg(8)->Arg(32);
 
 void BM_SweepScheduler(benchmark::State& state) {
     // BM_TrialRunner's batch through the global work-stealing scheduler:
@@ -617,38 +405,8 @@ void BM_PacketPath_EnqueueDeliver_TracedRing(benchmark::State& state) {
 }
 BENCHMARK(BM_PacketPath_EnqueueDeliver_TracedRing);
 
-void BM_PacketPathLegacy_EnqueueDeliver(benchmark::State& state) {
-    sim::Engine engine;
-    std::uint64_t delivered = 0;
-    LegacyLink link{engine, 0.0, sim::SimTime::micros(1), 512,
-                    [&delivered](LegacyPacket) { ++delivered; }};
-    std::uint64_t seq = 0;
-    for (auto _ : state) {
-        for (int i = 0; i < kBurst; ++i) {
-            LegacyPacket p;
-            p.type = net::PacketType::RoutingUpdate;
-            p.src = 0;
-            p.dst = 1;
-            p.size_bytes = 524;
-            p.seq = seq++;
-            auto payload = std::make_shared<LegacyPayload>();
-            payload->sender = 0;
-            for (int e = 0; e < kEntriesPerUpdate; ++e) {
-                payload->entries.push_back({e, e % 15});
-            }
-            p.update = std::move(payload);
-            link.send(std::move(p));
-        }
-        engine.run();
-        benchmark::DoNotOptimize(delivered);
-    }
-    state.SetItemsProcessed(state.iterations() * kBurst);
-}
-BENCHMARK(BM_PacketPathLegacy_EnqueueDeliver);
-
 /// The broadcast variant (split horizon off): one payload fanned out as
-/// 4 packet copies — the new path shares one pooled slot, the legacy
-/// path bumps an atomic shared_ptr per copy.
+/// 4 packet copies that share one pooled slot.
 void packet_path_broadcast(benchmark::State& state,
                            net::elements::DispatchMode dispatch) {
     sim::Engine engine;
@@ -704,42 +462,6 @@ void BM_PacketPathFast_Broadcast(benchmark::State& state) {
     packet_path_broadcast(state, net::elements::DispatchMode::Fast);
 }
 BENCHMARK(BM_PacketPathFast_Broadcast);
-
-void BM_PacketPathLegacy_Broadcast(benchmark::State& state) {
-    sim::Engine engine;
-    std::uint64_t delivered = 0;
-    std::vector<std::unique_ptr<LegacyLink>> links;
-    for (int i = 0; i < kFanOut; ++i) {
-        links.push_back(std::make_unique<LegacyLink>(
-            engine, 0.0, sim::SimTime::micros(1), 512,
-            [&delivered](LegacyPacket) { ++delivered; }));
-    }
-    std::uint64_t seq = 0;
-    for (auto _ : state) {
-        for (int i = 0; i < kBurst; ++i) {
-            LegacyPacket p;
-            p.type = net::PacketType::RoutingUpdate;
-            p.src = 0;
-            p.size_bytes = 524;
-            p.seq = seq++;
-            auto payload = std::make_shared<LegacyPayload>();
-            payload->sender = 0;
-            for (int e = 0; e < kEntriesPerUpdate; ++e) {
-                payload->entries.push_back({e, e % 15});
-            }
-            p.update = std::move(payload);
-            for (int iface = 0; iface < kFanOut; ++iface) {
-                LegacyPacket copy = p; // shared_ptr atomic bump per copy
-                copy.dst = iface;
-                links[static_cast<std::size_t>(iface)]->send(std::move(copy));
-            }
-        }
-        engine.run();
-        benchmark::DoNotOptimize(delivered);
-    }
-    state.SetItemsProcessed(state.iterations() * kBurst * kFanOut);
-}
-BENCHMARK(BM_PacketPathLegacy_Broadcast);
 
 /// Multi-hop forwarding context: the same update packets relayed down an
 /// 8-hop link chain, where shared event-engine cost dominates and the
@@ -803,49 +525,8 @@ void BM_PacketPathFast_ForwardChain(benchmark::State& state) {
 }
 BENCHMARK(BM_PacketPathFast_ForwardChain);
 
-void BM_PacketPathLegacy_ForwardChain(benchmark::State& state) {
-    sim::Engine engine;
-    std::uint64_t delivered = 0;
-    std::vector<std::unique_ptr<LegacyLink>> chain(kChainHops);
-    for (int hop = kChainHops - 1; hop >= 0; --hop) {
-        std::function<void(LegacyPacket)> deliver;
-        if (hop == kChainHops - 1) {
-            deliver = [&delivered](LegacyPacket) { ++delivered; };
-        } else {
-            deliver = [&chain, hop](LegacyPacket p) {
-                chain[static_cast<std::size_t>(hop + 1)]->send(std::move(p));
-            };
-        }
-        chain[static_cast<std::size_t>(hop)] = std::make_unique<LegacyLink>(
-            engine, 0.0, sim::SimTime::micros(1), 512, std::move(deliver));
-    }
-    std::uint64_t seq = 0;
-    for (auto _ : state) {
-        for (int i = 0; i < kBurst; ++i) {
-            LegacyPacket p;
-            p.type = net::PacketType::RoutingUpdate;
-            p.src = 0;
-            p.dst = 1;
-            p.size_bytes = 524;
-            p.seq = seq++;
-            auto payload = std::make_shared<LegacyPayload>();
-            payload->sender = 0;
-            for (int e = 0; e < kEntriesPerUpdate; ++e) {
-                payload->entries.push_back({e, e % 15});
-            }
-            p.update = std::move(payload);
-            chain[0]->send(std::move(p));
-        }
-        engine.run();
-        benchmark::DoNotOptimize(delivered);
-    }
-    state.SetItemsProcessed(state.iterations() * kBurst * kChainHops);
-}
-BENCHMARK(BM_PacketPathLegacy_ForwardChain);
-
 /// Building one update payload and handing it to a packet — the pooled
-/// slot recycles its entry-vector capacity; the legacy path pays a
-/// make_shared plus vector growth every time.
+/// slot recycles its entry-vector capacity.
 void BM_UpdatePayload_Pooled(benchmark::State& state) {
     net::PayloadPool pool;
     for (auto _ : state) {
@@ -863,21 +544,6 @@ void BM_UpdatePayload_Pooled(benchmark::State& state) {
 }
 BENCHMARK(BM_UpdatePayload_Pooled);
 
-void BM_UpdatePayloadLegacy_Heap(benchmark::State& state) {
-    for (auto _ : state) {
-        auto payload = std::make_shared<LegacyPayload>();
-        payload->sender = 3;
-        for (int e = 0; e < kEntriesPerUpdate; ++e) {
-            payload->entries.push_back({e, 1});
-        }
-        LegacyPacket p;
-        p.update = std::move(payload);
-        benchmark::DoNotOptimize(p.update->entries.size());
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_UpdatePayloadLegacy_Heap);
-
 // -------------------------------------------------------- routing table
 
 constexpr int kTableRoutes = 256;
@@ -893,21 +559,9 @@ routing::RoutingTable make_flat_table() {
     return table;
 }
 
-std::map<net::NodeId, routing::Route> make_map_table() {
-    std::map<net::NodeId, routing::Route> table;
-    for (int d = 0; d < kTableRoutes; ++d) {
-        routing::Route r{};
-        r.dest = d * 2;
-        r.metric = d % 15;
-        table[r.dest] = r;
-    }
-    return table;
-}
-
 /// Full-table walk — what the DV agent does every period to build its
 /// updates, and what the expiry pass scans. The dominant table access in
-/// steady state: a contiguous scan for the flat table, node-chasing for
-/// the map.
+/// steady state: a contiguous scan of the flat table.
 void BM_RoutingTable_Flat_Walk(benchmark::State& state) {
     const auto table = make_flat_table();
     for (auto _ : state) {
@@ -920,19 +574,6 @@ void BM_RoutingTable_Flat_Walk(benchmark::State& state) {
     state.SetItemsProcessed(state.iterations() * kTableRoutes);
 }
 BENCHMARK(BM_RoutingTable_Flat_Walk);
-
-void BM_RoutingTableLegacy_Map_Walk(benchmark::State& state) {
-    const auto table = make_map_table();
-    for (auto _ : state) {
-        std::int64_t sum = 0;
-        for (const auto& [dest, route] : table) {
-            sum += route.metric + route.dest;
-        }
-        benchmark::DoNotOptimize(sum);
-    }
-    state.SetItemsProcessed(state.iterations() * kTableRoutes);
-}
-BENCHMARK(BM_RoutingTableLegacy_Map_Walk);
 
 /// Point lookups, half the probes missing — the receive-path access.
 void BM_RoutingTable_Flat_Find(benchmark::State& state) {
@@ -948,20 +589,6 @@ void BM_RoutingTable_Flat_Find(benchmark::State& state) {
     state.SetItemsProcessed(state.iterations() * 2 * kTableRoutes);
 }
 BENCHMARK(BM_RoutingTable_Flat_Find);
-
-void BM_RoutingTableLegacy_Map_Find(benchmark::State& state) {
-    auto table = make_map_table();
-    for (auto _ : state) {
-        std::int64_t sum = 0;
-        for (int d = 0; d < 2 * kTableRoutes; ++d) {
-            const auto it = table.find(d);
-            sum += it != table.end() ? it->second.metric : 0;
-        }
-        benchmark::DoNotOptimize(sum);
-    }
-    state.SetItemsProcessed(state.iterations() * 2 * kTableRoutes);
-}
-BENCHMARK(BM_RoutingTableLegacy_Map_Find);
 
 // ------------------------------------------------------- spectral paths
 

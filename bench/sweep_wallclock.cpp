@@ -6,12 +6,12 @@
 // Seven timed passes over the identical grid (each best-of-3 to shed
 // scheduler noise):
 //   engine   --jobs 1            generic DES engine + PeriodicMessagesModel
-//   kernel   --jobs 1 --batch 1  fused PM kernel, one trial at a time
-//   kernel   --jobs 4 --batch 1  scalar kernel + work stealing
-//   kernel   --jobs 8 --batch 1  scalar kernel + work stealing
-//   batched  --jobs 1            PmKernelBatch, auto batch size (SoA lanes)
-//   batched  --jobs 4            batched lanes + work stealing
-//   batched  --jobs 8            batched lanes + work stealing
+//   kernel   --jobs 1 --batch 1  PM kernel, one lane (one trial) per kernel
+//   kernel   --jobs 4 --batch 1  one-lane kernels + work stealing
+//   kernel   --jobs 8 --batch 1  one-lane kernels + work stealing
+//   batched  --jobs 1            PM kernel, auto batch size (16 lanes)
+//   batched  --jobs 4            multi-lane kernels + work stealing
+//   batched  --jobs 8            multi-lane kernels + work stealing
 //
 // Then the end-to-end figure reproduction suite: the fig07..fig15
 // binaries (built next to this one) each run once with their default
@@ -21,7 +21,7 @@
 // Writes the "sweep_wallclock" section of BENCH_sweep.json (or
 // --bench-out PATH; bench/metroscale_sweep owns the "metroscale" section
 // of the same file): per-pass wall milliseconds, kernel-vs-engine and
-// batched-vs-scalar speedups at one thread, 1->4 / 1->8 scaling,
+// batched-vs-one-lane speedups at one thread, 1->4 / 1->8 scaling,
 // per-figure suite times, peak RSS, a representative N = 30 kernel
 // state footprint in bytes/router, and the hardware_concurrency of the
 // machine that produced the numbers — thread scaling is only meaningful
@@ -133,7 +133,7 @@ int main(int argc, char** argv) {
     spec.extra = {"bench-out"};
     spec.tool = "sweep_wallclock";
     spec.description = "fig13 N x Tc simulation grid wall clock: engine vs "
-                       "scalar vs batched PM kernel, SweepScheduler at "
+                       "one-lane vs batched PM kernel, SweepScheduler at "
                        "1/4/8 jobs, plus the fig07..fig15 suite";
     const Options& options = parse_options(argc, argv, spec);
     header("Sweep wall clock",
@@ -172,7 +172,7 @@ int main(int argc, char** argv) {
     const unsigned hw = std::thread::hardware_concurrency();
     section("summary");
     std::printf("kernel vs engine   (jobs 1): %.2fx\n", speedup_kernel);
-    std::printf("batched vs scalar  (jobs 1): %.2fx\n", speedup_batched);
+    std::printf("batched vs one-lane (jobs 1): %.2fx\n", speedup_batched);
     std::printf("kernel scaling  1 -> 4     : %.2fx\n", scale_4);
     std::printf("kernel scaling  1 -> 8     : %.2fx\n", scale_8);
     std::printf("batched scaling 1 -> 4     : %.2fx\n", batched_scale_4);
@@ -189,11 +189,11 @@ int main(int argc, char** argv) {
     check(passes[4].transmissions == passes[1].transmissions &&
               passes[5].transmissions == passes[1].transmissions &&
               passes[6].transmissions == passes[1].transmissions,
-          "batched passes reproduce the scalar pass transmission-for-"
+          "batched passes reproduce the one-lane pass transmission-for-"
           "transmission (lane bit-identity)");
     check(speedup_kernel > 1.0, "the fast-path kernel beats the engine");
     check(speedup_batched >= 2.0,
-          "batched lanes at least double scalar single-thread throughput");
+          "batched lanes at least double one-lane single-thread throughput");
 
     // End-to-end figure reproduction: every simulation-bearing figure
     // binary at its defaults. This is the wall time a user pays for the
@@ -225,8 +225,8 @@ int main(int argc, char** argv) {
     std::printf("%26s %12.1f ms\n", "total", suite_ms);
     check(suite_ok, "every figure binary in the suite exits 0");
 
-    // Representative per-router state footprint: one N = 30 grid point on
-    // the scalar kernel (the largest N the fig13 grid reaches). The
+    // Representative per-router state footprint: one N = 30 grid point as
+    // a one-lane kernel (the largest N the fig13 grid reaches). The
     // metroscale section carries the same number up to N = 1e5.
     std::uint64_t n30_state_bytes = 0;
     {

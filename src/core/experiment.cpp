@@ -1,10 +1,10 @@
 #include "core/experiment.hpp"
 
+#include <deque>
 #include <optional>
 #include <utility>
 
 #include "core/pm_kernel.hpp"
-#include "core/pm_kernel_batch.hpp"
 #include "obs/resource_sampler.hpp"
 #include "obs/run_context.hpp"
 #include "obs/tracer.hpp"
@@ -13,142 +13,39 @@ namespace routesync::core {
 
 namespace {
 
-// The two simulation cores behind run_experiment, reduced to the one
-// surface the driver needs. Bit-identity between them is the PmKernel
-// contract (tests/pm_kernel_test.cpp), so the driver below is written
-// once and templated over the adapter.
+obs::Tracer* tracer_of(const ExperimentConfig& config) {
+    return config.obs != nullptr ? config.obs->tracer() : nullptr;
+}
 
-struct EngineSim {
-    sim::Engine& engine;
-    PeriodicMessagesModel& model;
+bool sampled(const ExperimentConfig& config) {
+    return config.sample_every > 0.0 && config.obs != nullptr;
+}
 
-    template <typename F> void set_on_transmit(F&& f) {
-        model.on_transmit = std::forward<F>(f);
-    }
-    template <typename F> void set_on_timer_set(F&& f) {
-        model.on_timer_set = std::forward<F>(f);
-    }
-    void set_tracker_sink(ClusterTracker& tracker) {
-        // The generic engine path has no direct sink; forward through
-        // the model's std::function (this is not the fast path anyway).
-        model.on_timer_set = [t = &tracker](int node, sim::SimTime at) {
-            t->on_timer_set(node, at);
-        };
-    }
-    [[nodiscard]] sim::SimTime round_length() const {
-        return model.round_length();
-    }
-    [[nodiscard]] sim::SimTime offset_of(sim::SimTime t) const {
-        return model.offset_of(t);
-    }
-    void schedule_trigger_all(sim::SimTime t) {
-        engine.schedule_at(t, [m = &model] { m->trigger_update_all(); });
-    }
-    void stop() { engine.stop(); }
-    void run_until(sim::SimTime t) { engine.run_until(t); }
-    [[nodiscard]] sim::SimTime now() const { return engine.now(); }
-    [[nodiscard]] std::uint64_t events_processed() const {
-        return engine.events_processed();
-    }
-    [[nodiscard]] std::uint64_t total_transmissions() const {
-        return model.total_transmissions();
-    }
-    [[nodiscard]] std::uint64_t state_bytes() const {
-        return 0; // the type-erased engine has no comparable accounting
-    }
-    void setup_sampler(std::optional<obs::ResourceSampler>& sampler,
-                       obs::RunContext& ctx, sim::SimTime cadence) {
-        sampler.emplace(engine, ctx, cadence);
-        sampler->watch_engine_queue();
-    }
-};
+/// The generic engine runs explicit Engine-backend configs and, under
+/// Auto, sampled ones (the ResourceSampler then probes the engine's
+/// queue); everything else runs as a PmKernel lane.
+bool uses_engine(const ExperimentConfig& config) {
+    return config.backend == ExperimentBackend::Engine ||
+           (config.backend == ExperimentBackend::Auto && sampled(config));
+}
 
-struct KernelSim {
-    PmKernel& kernel;
-
-    template <typename F> void set_on_transmit(F&& f) {
-        kernel.on_transmit = std::forward<F>(f);
+/// Pooled per-thread trackers, one slot per lane: reset() reuses their
+/// buffers, so sweep workers and figure benches stop paying per-trial
+/// tracker allocations after their first trial. Safe because a thread
+/// runs one batch at a time and Trial re-sets the record flags and
+/// callbacks after every reset.
+ClusterTracker& pooled_tracker(std::size_t slot, int n, sim::SimTime round_length) {
+    thread_local std::vector<std::unique_ptr<ClusterTracker>> pool;
+    if (pool.size() <= slot) {
+        pool.resize(slot + 1);
     }
-    template <typename F> void set_on_timer_set(F&& f) {
-        kernel.on_timer_set = std::forward<F>(f);
+    std::unique_ptr<ClusterTracker>& tracker = pool[slot];
+    if (tracker == nullptr) {
+        tracker = std::make_unique<ClusterTracker>(n, round_length);
+    } else {
+        tracker->reset(n, round_length);
     }
-    void set_tracker_sink(ClusterTracker& tracker) {
-        kernel.tracker_sink = &tracker;
-    }
-    [[nodiscard]] sim::SimTime round_length() const {
-        return kernel.round_length();
-    }
-    [[nodiscard]] sim::SimTime offset_of(sim::SimTime t) const {
-        return kernel.offset_of(t);
-    }
-    void schedule_trigger_all(sim::SimTime t) {
-        kernel.schedule_trigger_all(t);
-    }
-    void stop() { kernel.stop(); }
-    void run_until(sim::SimTime t) { kernel.run_until(t); }
-    [[nodiscard]] sim::SimTime now() const { return kernel.now(); }
-    [[nodiscard]] std::uint64_t events_processed() const {
-        return kernel.events_processed();
-    }
-    [[nodiscard]] std::uint64_t total_transmissions() const {
-        return kernel.total_transmissions();
-    }
-    [[nodiscard]] std::uint64_t state_bytes() const {
-        return kernel.state_bytes();
-    }
-    void setup_sampler(std::optional<obs::ResourceSampler>& sampler,
-                       obs::RunContext& ctx, sim::SimTime cadence) {
-        // Tick on the kernel's own event loop and probe its memory: the
-        // rs.pm_kernel.* gauges show node-state + queue bytes over
-        // virtual time (the metro-scale question --sample-every answers).
-        PmKernel* k = &kernel;
-        sampler.emplace(
-            [k](sim::SimTime delay, std::function<void()> fn) {
-                k->schedule_hook(k->now() + delay, std::move(fn));
-            },
-            [k] { return k->now(); }, ctx, cadence);
-        sampler->add_source("pm_kernel.state_bytes", -1, [k] {
-            return obs::ResourceSampler::Sample{
-                static_cast<double>(k->state_bytes()), 0.0};
-        });
-        sampler->add_source("pm_kernel.queue.live", -1, [k] {
-            return obs::ResourceSampler::Sample{
-                static_cast<double>(k->queue_size()), 0.0};
-        });
-    }
-};
-
-/// Copies everything the ClusterTracker learned into the result — the
-/// shared tail of the scalar and batched drivers.
-void assemble_tracker_results(const ExperimentConfig& config,
-                              const ClusterTracker& tracker,
-                              ExperimentResult& result) {
-    if (const auto t = tracker.full_sync_time()) {
-        result.full_sync_time_sec = t->sec();
-    }
-    if (config.stop_on_breakup_threshold > 0) {
-        if (const auto t = tracker.first_round_largest_at_most(
-                config.stop_on_breakup_threshold)) {
-            result.breakup_time_sec = t->sec();
-        }
-    }
-
-    const int n = config.params.n;
-    result.first_hit_up.resize(static_cast<std::size_t>(n) + 1);
-    result.first_hit_down.resize(static_cast<std::size_t>(n) + 1);
-    for (int s = 1; s <= n; ++s) {
-        if (const auto t = tracker.first_time_size_at_least(s)) {
-            result.first_hit_up[static_cast<std::size_t>(s)] = t->sec();
-        }
-        if (const auto t = tracker.first_round_largest_at_most(s)) {
-            result.first_hit_down[static_cast<std::size_t>(s)] = t->sec();
-        }
-    }
-
-    result.cluster_events = tracker.events();
-    result.rounds = tracker.rounds();
-    result.rounds_closed = tracker.rounds_closed();
-    result.rounds_unsynchronized = tracker.rounds_with_largest_at_most(1);
+    return *tracker;
 }
 
 /// Builds the per-trial metrics snapshot (identical key order on every
@@ -188,382 +85,320 @@ void finalize_metrics(const ExperimentConfig& config, ExperimentResult& result) 
     }
 }
 
-/// The backend-independent experiment body. `tracer` is the run's tracer
-/// (null when not tracing).
-template <typename Sim>
-ExperimentResult run_with(const ExperimentConfig& config, Sim& sim,
-                          obs::Tracer* tracer) {
-    // Pooled per-thread tracker: reset() reuses its buffers, so figure
-    // benches running one trial per grid point stop paying the per-trial
-    // tracker allocations (the same pattern as run_experiment_batch's
-    // lane pool). Safe because a thread runs one trial at a time and the
-    // record flags/callbacks are re-set below after every reset.
-    thread_local std::unique_ptr<ClusterTracker> tracker_pool;
-    if (tracker_pool == nullptr) {
-        tracker_pool = std::make_unique<ClusterTracker>(config.params.n,
-                                                        sim.round_length());
-    } else {
-        tracker_pool->reset(config.params.n, sim.round_length());
-    }
-    ClusterTracker& tracker = *tracker_pool;
-    tracker.record_events(config.record_cluster_events);
-    tracker.record_rounds(config.record_rounds);
+/// Everything one trial adds around its simulation core, written once
+/// for the engine path and every kernel lane: the pooled tracker, the
+/// monitor, the transmit stride, the stop conditions, cluster-change
+/// tracing, and result assembly. `stop` halts this trial's core.
+class Trial {
+public:
+    Trial(const ExperimentConfig& config, ExperimentResult& result,
+          std::size_t slot, sim::SimTime round_length,
+          std::function<void()> stop)
+        : config_{config},
+          result_{result},
+          tracker_{pooled_tracker(slot, config.params.n, round_length)},
+          round_length_{round_length},
+          stop_{std::move(stop)} {
+        tracker_.record_events(config.record_cluster_events);
+        tracker_.record_rounds(config.record_rounds);
+        result_.round_length_sec = round_length.sec();
 
-    ExperimentResult result;
-    result.round_length_sec = sim.round_length().sec();
-
-    // The monitor observes the same callback streams the tracker does;
-    // when it is off the wiring below is exactly the pre-monitor code
-    // (direct tracker sink, no std::function hop on the re-arm path).
-    std::optional<obs::SyncMonitor> monitor;
-    if (config.monitor) {
-        monitor.emplace(
-            obs::SyncMonitorConfig{.n = config.params.n,
-                                   .period_sec = sim.round_length().sec(),
-                                   .threshold = config.sync_threshold,
-                                   .hysteresis = config.sync_hysteresis},
-            tracer);
-    }
-    obs::SyncMonitor* mon = monitor.has_value() ? &*monitor : nullptr;
-
-    if (config.transmit_stride > 0) {
-        sim.set_on_transmit([&, mon, stride = config.transmit_stride,
-                             count = std::uint64_t{0}](int node,
-                                                       sim::SimTime t) mutable {
-            if (mon != nullptr) {
-                mon->on_transmit(node, t);
-            }
-            if (count++ % static_cast<std::uint64_t>(stride) == 0) {
-                result.transmits.push_back(
-                    TransmitRecord{node, t.sec(), sim.offset_of(t).sec()});
-            }
-        });
-    } else if (mon != nullptr) {
-        sim.set_on_transmit(
-            [mon](int node, sim::SimTime t) { mon->on_transmit(node, t); });
-    }
-
-    if (mon != nullptr) {
-        sim.set_on_timer_set(
-            [t = &tracker, mon](int node, sim::SimTime at) {
-                t->on_timer_set(node, at);
-                mon->on_timer_set(node, at);
-            });
-    } else {
-        sim.set_tracker_sink(tracker);
-    }
-
-    if (config.stop_on_full_sync) {
-        tracker.on_full_sync = [&sim](sim::SimTime) { sim.stop(); };
-    }
-    if (config.stop_on_cluster_size > 0) {
-        tracker.on_size_first_reached = [&sim, limit = config.stop_on_cluster_size](
-                                            int size, sim::SimTime) {
-            if (size >= limit) {
-                sim.stop();
-            }
-        };
-    }
-    if (config.stop_on_breakup_threshold > 0) {
-        tracker.on_round_closed = [&sim,
-                                   limit = config.stop_on_breakup_threshold](
-                                      const RoundLargest& r) {
-            if (r.largest <= limit) {
-                sim.stop();
-            }
-        };
-    }
-
-    if (tracer != nullptr) {
-        // Trace cluster growth: the first time any cluster reaches a new
-        // size. Chained in front of the stop condition (if one is set).
-        auto prev = std::move(tracker.on_size_first_reached);
-        tracker.on_size_first_reached = [tracer, prev = std::move(prev)](
-                                            int size, sim::SimTime t) {
-            tracer->emit(obs::TraceEventType::ClusterChange, t, -1, size);
-            if (prev) {
-                prev(size, t);
-            }
-        };
-    }
-
-    if (config.trigger_all_at.has_value()) {
-        sim.schedule_trigger_all(*config.trigger_all_at);
-    }
-
-    std::optional<obs::ResourceSampler> sampler;
-    if (config.sample_every > 0.0 && config.obs != nullptr) {
-        sim.setup_sampler(sampler, *config.obs,
-                          sim::SimTime::seconds(config.sample_every));
-        sampler->start();
-    }
-
-    {
-        OBS_PROF_SCOPE("experiment.run");
-        sim.run_until(config.max_time);
-        tracker.finish();
-    }
-
-    if (mon != nullptr) {
-        // Finish at the run's end time so the coupling_edge events keep
-        // the trace's time monotone past any later-emitted samples.
-        mon->finish(sim.now());
-        result.sync = mon->report();
-        result.sync_coupling = mon->coupling();
-    }
-
-    assemble_tracker_results(config, tracker, result);
-    result.total_transmissions = sim.total_transmissions();
-    result.events_processed = sim.events_processed();
-    result.end_time_sec = sim.now().sec();
-    result.kernel_state_bytes = sim.state_bytes();
-    return result;
-}
-
-} // namespace
-
-ExperimentResult run_experiment(const ExperimentConfig& config) {
-    // Per-trial profiler: thread-locals don't propagate to worker
-    // threads, so each trial installs its own and the snapshot is merged
-    // back in submission order (like metrics). No-op when profiling is
-    // off process-wide.
-    obs::Profiler trial_profiler;
-    std::optional<obs::ScopedProfilerInstall> prof_install;
-    if (obs::Profiler::process_enabled()) {
-        prof_install.emplace(trial_profiler);
-    }
-
-    // The fast kernel covers the full model; only the ResourceSampler
-    // (which probes an Engine's event queue) forces the generic engine.
-    const bool use_engine =
-        config.backend == ExperimentBackend::Engine ||
-        (config.backend == ExperimentBackend::Auto &&
-         config.sample_every > 0.0 && config.obs != nullptr);
-
-    ExperimentResult result;
-    if (use_engine) {
-        sim::Engine engine;
-        if (config.obs != nullptr) {
-            // Attach before the model exists so the initial timer schedule
-            // is traced too.
-            config.obs->attach(engine);
-        }
-        auto policy = config.make_policy ? config.make_policy() : nullptr;
-        PeriodicMessagesModel model{engine, config.params, std::move(policy)};
-        EngineSim sim{engine, model};
-        result = run_with(config, sim, engine.tracer());
-    } else {
-        obs::Tracer* tracer =
-            config.obs != nullptr ? config.obs->tracer() : nullptr;
-        auto policy = config.make_policy ? config.make_policy() : nullptr;
-        PmKernel kernel{config.params, std::move(policy), tracer};
-        KernelSim sim{kernel};
-        result = run_with(config, sim, tracer);
-    }
-
-    finalize_metrics(config, result);
-    prof_install.reset(); // restore the caller's profiler before merging
-    result.profile = trial_profiler.snapshot();
-    if (config.obs != nullptr && !result.profile.empty()) {
-        config.obs->merge_profile(result.profile);
-    }
-    return result;
-}
-
-bool batch_eligible(const ExperimentConfig& config) {
-    // Mirrors run_experiment's backend selection: whatever would pick
-    // the generic engine cannot batch, and a sampled run stays on its
-    // own scalar core regardless of backend (the sampler ticks one
-    // simulation loop — lanes interleave). Per-trial profiling stays
-    // scalar too — one profiler could not keep interleaved trials'
-    // scope counts separable.
-    const bool use_engine = config.backend == ExperimentBackend::Engine;
-    const bool sampled = config.sample_every > 0.0 && config.obs != nullptr;
-    return !use_engine && !sampled && !obs::Profiler::process_enabled() &&
-           config.params.n < PmKernelBatch::kMaxNodes;
-}
-
-std::vector<ExperimentResult>
-run_experiment_batch(std::span<const ExperimentConfig> configs) {
-    std::vector<ExperimentResult> results(configs.size());
-
-    // Ineligible configs run scalar, in input order; eligible ones pool
-    // into one batch. Results are bit-identical either way, so the split
-    // never shows in the output.
-    std::vector<std::size_t> lane_of;
-    lane_of.reserve(configs.size());
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-        if (batch_eligible(configs[i])) {
-            lane_of.push_back(i);
-        } else {
-            results[i] = run_experiment(configs[i]);
-        }
-    }
-    if (lane_of.size() == 1) {
-        // B = 1 degenerates to the scalar kernel — same results, and the
-        // scalar calendar queue is the tuned single-trial path.
-        results[lane_of[0]] = run_experiment(configs[lane_of[0]]);
-        return results;
-    }
-    if (lane_of.empty()) {
-        return results;
-    }
-
-    const std::size_t lanes = lane_of.size();
-    std::vector<PmLaneSpec> specs;
-    specs.reserve(lanes);
-    for (const std::size_t i : lane_of) {
-        const ExperimentConfig& config = configs[i];
-        specs.push_back(PmLaneSpec{
-            config.params,
-            config.make_policy ? config.make_policy() : nullptr,
-            config.obs != nullptr ? config.obs->tracer() : nullptr});
-    }
-    PmKernelBatch batch{std::move(specs)};
-
-    // Lane trackers come from a thread-local pool: reset() reuses their
-    // scratch buffers, so a sweep worker stops paying per-trial tracker
-    // allocations after its first batch.
-    thread_local std::vector<std::unique_ptr<ClusterTracker>> tracker_pool;
-    while (tracker_pool.size() < lanes) {
-        tracker_pool.push_back(nullptr);
-    }
-
-    struct LaneDriver {
-        ClusterTracker* tracker = nullptr;
-        obs::SyncMonitor* monitor = nullptr;
-        ExperimentResult* result = nullptr;
-        int stride = 0;
-        std::uint64_t tx_seen = 0;
-    };
-    std::vector<LaneDriver> drivers(lanes);
-    std::vector<ClusterTracker*> sinks(lanes, nullptr);
-    std::vector<std::unique_ptr<obs::SyncMonitor>> monitors(lanes);
-    bool any_stride = false;
-    bool any_monitor = false;
-
-    for (std::size_t l = 0; l < lanes; ++l) {
-        const ExperimentConfig& config = configs[lane_of[l]];
-        ExperimentResult& result = results[lane_of[l]];
-        auto& slot = tracker_pool[l];
-        if (slot == nullptr) {
-            slot = std::make_unique<ClusterTracker>(config.params.n,
-                                                    batch.round_length(l));
-        } else {
-            slot->reset(config.params.n, batch.round_length(l));
-        }
-        ClusterTracker& tracker = *slot;
-        tracker.record_events(config.record_cluster_events);
-        tracker.record_rounds(config.record_rounds);
-
-        drivers[l] =
-            LaneDriver{&tracker, nullptr, &result, config.transmit_stride, 0};
-        sinks[l] = &tracker;
-        any_stride = any_stride || config.transmit_stride > 0;
-        result.round_length_sec = batch.round_length(l).sec();
+        obs::Tracer* tracer = tracer_of(config);
         if (config.monitor) {
-            // A monitored lane routes its re-arms through the
-            // on_timer_set fallback (sink left null) so tracker and
-            // monitor both see the stream — same callback order as the
-            // scalar path's combined lambda.
-            monitors[l] = std::make_unique<obs::SyncMonitor>(
-                obs::SyncMonitorConfig{
-                    .n = config.params.n,
-                    .period_sec = batch.round_length(l).sec(),
-                    .threshold = config.sync_threshold,
-                    .hysteresis = config.sync_hysteresis},
-                config.obs != nullptr ? config.obs->tracer() : nullptr);
-            drivers[l].monitor = monitors[l].get();
-            sinks[l] = nullptr;
-            any_monitor = true;
+            monitor_.emplace(
+                obs::SyncMonitorConfig{.n = config.params.n,
+                                       .period_sec = round_length.sec(),
+                                       .threshold = config.sync_threshold,
+                                       .hysteresis = config.sync_hysteresis},
+                tracer);
         }
 
         if (config.stop_on_full_sync) {
-            tracker.on_full_sync = [&batch, l](sim::SimTime) { batch.stop(l); };
+            tracker_.on_full_sync = [this](sim::SimTime) { stop_(); };
         }
         if (config.stop_on_cluster_size > 0) {
-            tracker.on_size_first_reached =
-                [&batch, l, limit = config.stop_on_cluster_size](
-                    int size, sim::SimTime) {
+            tracker_.on_size_first_reached =
+                [this, limit = config.stop_on_cluster_size](int size, sim::SimTime) {
                     if (size >= limit) {
-                        batch.stop(l);
+                        stop_();
                     }
                 };
         }
         if (config.stop_on_breakup_threshold > 0) {
-            tracker.on_round_closed =
-                [&batch, l, limit = config.stop_on_breakup_threshold](
-                    const RoundLargest& r) {
-                    if (r.largest <= limit) {
-                        batch.stop(l);
-                    }
-                };
+            tracker_.on_round_closed = [this, limit = config.stop_on_breakup_threshold](
+                                           const RoundLargest& r) {
+                if (r.largest <= limit) {
+                    stop_();
+                }
+            };
         }
-        obs::Tracer* tracer =
-            config.obs != nullptr ? config.obs->tracer() : nullptr;
         if (tracer != nullptr) {
-            auto prev = std::move(tracker.on_size_first_reached);
-            tracker.on_size_first_reached = [tracer, prev = std::move(prev)](
-                                                int size, sim::SimTime t) {
+            // Trace cluster growth: the first time any cluster reaches a
+            // new size. Chained in front of the stop condition (if set).
+            auto prev = std::move(tracker_.on_size_first_reached);
+            tracker_.on_size_first_reached = [tracer, prev = std::move(prev)](
+                                                 int size, sim::SimTime t) {
                 tracer->emit(obs::TraceEventType::ClusterChange, t, -1, size);
                 if (prev) {
                     prev(size, t);
                 }
             };
         }
-        if (config.trigger_all_at.has_value()) {
-            batch.schedule_trigger_all(l, *config.trigger_all_at);
+    }
+
+    Trial(const Trial&) = delete;
+    Trial& operator=(const Trial&) = delete;
+
+    /// True when transmissions feed this trial (stride records or the
+    /// monitor); otherwise the core may skip its on_transmit hop.
+    [[nodiscard]] bool observes_transmits() const noexcept {
+        return config_.transmit_stride > 0 || monitor_.has_value();
+    }
+    /// The tracker itself when it is the only re-arm consumer — the
+    /// direct sink the kernel feeds without a std::function hop — or
+    /// null when re-arms must go through on_timer_set.
+    [[nodiscard]] ClusterTracker* direct_sink() noexcept {
+        return monitor_.has_value() ? nullptr : &tracker_;
+    }
+
+    void on_transmit(int node, sim::SimTime t) {
+        if (monitor_.has_value()) {
+            monitor_->on_transmit(node, t);
+        }
+        const int stride = config_.transmit_stride;
+        if (stride > 0 && tx_seen_++ % static_cast<std::uint64_t>(stride) == 0) {
+            result_.transmits.push_back(
+                TransmitRecord{node, t.sec(), t.mod(round_length_).sec()});
+        }
+    }
+    void on_timer_set(int node, sim::SimTime t) {
+        tracker_.on_timer_set(node, t);
+        if (monitor_.has_value()) {
+            monitor_->on_timer_set(node, t);
         }
     }
 
-    if (any_stride || any_monitor) {
-        batch.on_transmit = [&batch, &drivers](std::size_t l, int node,
-                                               sim::SimTime t) {
-            LaneDriver& d = drivers[l];
-            if (d.monitor != nullptr) {
-                d.monitor->on_transmit(node, t);
+    /// Flushes the tracker's last group and round, then copies everything
+    /// the run learned into the result. `end` is the core's final clock.
+    void finish(sim::SimTime end, std::uint64_t transmissions,
+                std::uint64_t events, std::uint64_t state_bytes) {
+        tracker_.finish();
+        if (monitor_.has_value()) {
+            // Finish at the run's end time so the coupling_edge events
+            // keep the trace's time monotone past any later samples.
+            monitor_->finish(end);
+            result_.sync = monitor_->report();
+            result_.sync_coupling = monitor_->coupling();
+        }
+        if (const auto t = tracker_.full_sync_time()) {
+            result_.full_sync_time_sec = t->sec();
+        }
+        if (config_.stop_on_breakup_threshold > 0) {
+            if (const auto t = tracker_.first_round_largest_at_most(
+                    config_.stop_on_breakup_threshold)) {
+                result_.breakup_time_sec = t->sec();
             }
-            if (d.stride > 0 &&
-                d.tx_seen++ % static_cast<std::uint64_t>(d.stride) == 0) {
-                d.result->transmits.push_back(TransmitRecord{
-                    node, t.sec(), batch.offset_of(l, t).sec()});
+        }
+        const int n = config_.params.n;
+        result_.first_hit_up.resize(static_cast<std::size_t>(n) + 1);
+        result_.first_hit_down.resize(static_cast<std::size_t>(n) + 1);
+        for (int s = 1; s <= n; ++s) {
+            if (const auto t = tracker_.first_time_size_at_least(s)) {
+                result_.first_hit_up[static_cast<std::size_t>(s)] = t->sec();
             }
-        };
+            if (const auto t = tracker_.first_round_largest_at_most(s)) {
+                result_.first_hit_down[static_cast<std::size_t>(s)] = t->sec();
+            }
+        }
+        result_.cluster_events = tracker_.events();
+        result_.rounds = tracker_.rounds();
+        result_.rounds_closed = tracker_.rounds_closed();
+        result_.rounds_unsynchronized = tracker_.rounds_with_largest_at_most(1);
+        result_.total_transmissions = transmissions;
+        result_.events_processed = events;
+        result_.end_time_sec = end.sec();
+        result_.kernel_state_bytes = state_bytes;
+        finalize_metrics(config_, result_);
     }
-    if (any_monitor) {
-        // Fires only for lanes whose sink is null — i.e. monitored ones.
-        batch.on_timer_set = [&drivers](std::size_t l, int node,
-                                        sim::SimTime t) {
-            LaneDriver& d = drivers[l];
-            d.tracker->on_timer_set(node, t);
-            d.monitor->on_timer_set(node, t);
-        };
-    }
-    batch.tracker_sinks = sinks.data(); // alive through run_all_until below
 
+private:
+    const ExperimentConfig& config_;
+    ExperimentResult& result_;
+    ClusterTracker& tracker_;
+    sim::SimTime round_length_;
+    std::function<void()> stop_;
+    std::optional<obs::SyncMonitor> monitor_;
+    std::uint64_t tx_seen_ = 0;
+};
+
+void run_on_engine(const ExperimentConfig& config, ExperimentResult& result) {
+    sim::Engine engine;
+    if (config.obs != nullptr) {
+        // Attach before the model exists so the initial timer schedule is
+        // traced too.
+        config.obs->attach(engine);
+    }
+    PeriodicMessagesModel model{engine, config.params,
+                                config.make_policy ? config.make_policy() : nullptr};
+    Trial trial{config, result, 0, model.round_length(), [&engine] { engine.stop(); }};
+    if (trial.observes_transmits()) {
+        model.on_transmit = [&trial](int node, sim::SimTime t) {
+            trial.on_transmit(node, t);
+        };
+    }
+    model.on_timer_set = [&trial](int node, sim::SimTime t) {
+        trial.on_timer_set(node, t);
+    };
+    if (config.trigger_all_at.has_value()) {
+        engine.schedule_at(*config.trigger_all_at,
+                           [&model] { model.trigger_update_all(); });
+    }
+    std::optional<obs::ResourceSampler> sampler;
+    if (sampled(config)) {
+        sampler.emplace(engine, *config.obs,
+                        sim::SimTime::seconds(config.sample_every));
+        sampler->watch_engine_queue();
+        sampler->start();
+    }
+    {
+        OBS_PROF_SCOPE("experiment.run");
+        engine.run_until(config.max_time);
+    }
+    trial.finish(engine.now(), model.total_transmissions(),
+                 engine.events_processed(), 0);
+}
+
+/// Runs configs[which[l]] as lane l of one PmKernel, writing
+/// results[which[l]]. A sampled config must run as the only lane: the
+/// sampler ticks one lane's event loop.
+void run_on_kernel(std::span<const ExperimentConfig> configs,
+                   std::span<const std::size_t> which,
+                   std::vector<ExperimentResult>& results) {
+    std::vector<PmLaneSpec> specs;
+    specs.reserve(which.size());
+    for (const std::size_t i : which) {
+        const ExperimentConfig& config = configs[i];
+        specs.push_back(PmLaneSpec{
+            config.params, config.make_policy ? config.make_policy() : nullptr,
+            tracer_of(config)});
+    }
+    PmKernel kernel{std::move(specs)};
+
+    std::deque<Trial> trials; // stable addresses: the wiring points at them
+    bool any_transmits = false;
+    bool any_rearm_hop = false;
     std::vector<sim::SimTime> targets;
-    targets.reserve(lanes);
-    for (const std::size_t i : lane_of) {
-        targets.push_back(configs[i].max_time);
-    }
-    batch.run_all_until(targets);
-
-    for (std::size_t l = 0; l < lanes; ++l) {
-        const ExperimentConfig& config = configs[lane_of[l]];
-        ExperimentResult& result = results[lane_of[l]];
-        ClusterTracker& tracker = *drivers[l].tracker;
-        tracker.finish();
-        if (drivers[l].monitor != nullptr) {
-            drivers[l].monitor->finish(batch.now(l));
-            result.sync = drivers[l].monitor->report();
-            result.sync_coupling = drivers[l].monitor->coupling();
+    targets.reserve(which.size());
+    for (std::size_t l = 0; l < which.size(); ++l) {
+        const ExperimentConfig& config = configs[which[l]];
+        Trial& trial = trials.emplace_back(config, results[which[l]], l,
+                                           kernel.round_length(l),
+                                           [&kernel, l] { kernel.stop(l); });
+        kernel.set_tracker_sink(l, trial.direct_sink());
+        any_transmits = any_transmits || trial.observes_transmits();
+        any_rearm_hop = any_rearm_hop || trial.direct_sink() == nullptr;
+        if (config.trigger_all_at.has_value()) {
+            kernel.schedule_trigger_all(l, *config.trigger_all_at);
         }
-        assemble_tracker_results(config, tracker, result);
-        result.total_transmissions = batch.total_transmissions(l);
-        result.events_processed = batch.events_processed(l);
-        result.end_time_sec = batch.now(l).sec();
-        result.kernel_state_bytes = batch.lane_state_bytes(l);
-        finalize_metrics(config, result);
+        targets.push_back(config.max_time);
+    }
+    if (any_transmits) {
+        kernel.on_transmit = [&trials](std::size_t l, int node, sim::SimTime t) {
+            trials[l].on_transmit(node, t);
+        };
+    }
+    if (any_rearm_hop) {
+        // Fires only for lanes without a direct sink — monitored ones.
+        kernel.on_timer_set = [&trials](std::size_t l, int node, sim::SimTime t) {
+            trials[l].on_timer_set(node, t);
+        };
+    }
+
+    std::optional<obs::ResourceSampler> sampler;
+    if (sampled(configs[which[0]])) {
+        // Tick on the lane's own event loop and probe its memory: the
+        // rs.pm_kernel.* gauges show node-state + queue bytes over
+        // virtual time (the metro-scale question --sample-every answers).
+        const ExperimentConfig& config = configs[which[0]];
+        sampler.emplace(
+            [&kernel](sim::SimTime delay, std::function<void()> fn) {
+                kernel.schedule_hook(0, kernel.now(0) + delay, std::move(fn));
+            },
+            [&kernel] { return kernel.now(0); }, *config.obs,
+            sim::SimTime::seconds(config.sample_every));
+        sampler->add_source("pm_kernel.state_bytes", -1, [&kernel] {
+            return obs::ResourceSampler::Sample{
+                static_cast<double>(kernel.state_bytes(0)), 0.0};
+        });
+        sampler->add_source("pm_kernel.queue.live", -1, [&kernel] {
+            return obs::ResourceSampler::Sample{
+                static_cast<double>(kernel.queue_size(0)), 0.0};
+        });
+        sampler->start();
+    }
+
+    {
+        OBS_PROF_SCOPE("experiment.run");
+        kernel.run_all_until(targets);
+    }
+    for (std::size_t l = 0; l < which.size(); ++l) {
+        trials[l].finish(kernel.now(l), kernel.total_transmissions(l),
+                         kernel.events_processed(l), kernel.state_bytes(l));
+    }
+}
+
+/// Runs one config on its own core with its own profiler installed (a
+/// no-op when profiling is off process-wide). Thread-locals don't
+/// propagate to worker threads, so each trial installs its own and the
+/// snapshot is merged back in submission order (like metrics).
+void run_alone(std::span<const ExperimentConfig> configs, std::size_t i,
+               std::vector<ExperimentResult>& results) {
+    obs::Profiler trial_profiler;
+    std::optional<obs::ScopedProfilerInstall> prof_install;
+    if (obs::Profiler::process_enabled()) {
+        prof_install.emplace(trial_profiler);
+    }
+    if (uses_engine(configs[i])) {
+        run_on_engine(configs[i], results[i]);
+    } else {
+        const std::size_t which[] = {i};
+        run_on_kernel(configs, which, results);
+    }
+    prof_install.reset(); // restore the caller's profiler before merging
+    ExperimentResult& result = results[i];
+    result.profile = trial_profiler.snapshot();
+    if (configs[i].obs != nullptr && !result.profile.empty()) {
+        configs[i].obs->merge_profile(result.profile);
+    }
+}
+
+} // namespace
+
+ExperimentResult run_experiment(const ExperimentConfig& config) {
+    return std::move(run_experiment_batch(std::span{&config, 1})[0]);
+}
+
+std::vector<ExperimentResult>
+run_experiment_batch(std::span<const ExperimentConfig> configs) {
+    std::vector<ExperimentResult> results(configs.size());
+
+    // Engine-backed, sampled and profiled configs run alone, in input
+    // order: the sampler ticks one core's event loop, and one profiler
+    // could not keep interleaved lanes' scope counts separable. The rest
+    // pool into one kernel. Every lane is bit-identical to a run alone,
+    // so the split never shows in the output.
+    const bool profiled = obs::Profiler::process_enabled();
+    std::vector<std::size_t> lanes;
+    lanes.reserve(configs.size());
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+        if (profiled || uses_engine(configs[i]) || sampled(configs[i])) {
+            run_alone(configs, i, results);
+        } else {
+            lanes.push_back(i);
+        }
+    }
+    if (!lanes.empty()) {
+        run_on_kernel(configs, lanes, results);
     }
     return results;
 }

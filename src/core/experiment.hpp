@@ -41,9 +41,10 @@ enum class ExperimentBackend {
     Auto,
     /// The generic DES engine + PeriodicMessagesModel.
     Engine,
-    /// The fused PM fast path (core/pm_kernel.hpp). If sampling is
-    /// requested, a ResourceSampler ticks on the kernel's own event loop
-    /// (PmKernel::schedule_hook) and reports rs.pm_kernel.* gauges —
+    /// A lane of the fused PM fast path (core/pm_kernel.hpp). If sampling
+    /// is requested, the trial runs as the kernel's only lane and a
+    /// ResourceSampler ticks on that lane's event loop
+    /// (PmKernel::schedule_hook), reporting rs.pm_kernel.* gauges —
     /// kernel state bytes and live queue depth over virtual time.
     FastKernel,
 };
@@ -91,8 +92,8 @@ struct ExperimentConfig {
     /// detector, and the causal coupling graph. Off by default — when
     /// off, the wiring is byte-for-byte what it was without the feature
     /// (the hot paths keep their direct ClusterTracker sink). Works on
-    /// all three backends (engine, PmKernel, PmKernelBatch) with
-    /// bit-identical results.
+    /// both backends (engine and every PmKernel lane) with bit-identical
+    /// results.
     bool monitor = false;
     /// Detector up-crossing level for r (monitor only).
     double sync_threshold = 0.95;
@@ -138,22 +139,16 @@ struct ExperimentResult {
     obs::ProfileSnapshot profile;
 };
 
-/// Runs one Periodic Messages experiment to completion.
+/// Runs one Periodic Messages experiment to completion: the one-config
+/// case of run_experiment_batch.
 [[nodiscard]] ExperimentResult run_experiment(const ExperimentConfig& config);
 
-/// True when `config` can run as a lane of the batched kernel
-/// (core/pm_kernel_batch.hpp): anything that forces the generic engine
-/// (explicit Engine backend, ResourceSampler) or per-trial profiling
-/// stays on the scalar path. Eligibility never changes results — both
-/// paths are bit-identical — only which core executes the trial.
-[[nodiscard]] bool batch_eligible(const ExperimentConfig& config);
-
-/// Runs a batch of experiments, advancing every batch-eligible config
-/// lock-step in the batched SoA kernel (ineligible configs fall back to
-/// run_experiment). Results are returned in input order and are
-/// byte-identical to calling run_experiment on each config one at a
-/// time — batching is pure performance. A one-element batch degenerates
-/// to run_experiment exactly.
+/// Runs a batch of experiments, advancing every config that may share a
+/// core as one lane of a single PmKernel (core/pm_kernel.hpp); configs on
+/// the Engine backend, sampled ones and, while the process-wide profiler
+/// is on, every config run alone instead. Results are returned in input
+/// order and are byte-identical to calling run_experiment on each config
+/// one at a time — batching is pure performance.
 [[nodiscard]] std::vector<ExperimentResult>
 run_experiment_batch(std::span<const ExperimentConfig> configs);
 

@@ -3,47 +3,47 @@
 // `PeriodicMessagesModel` runs on the generic DES engine: every timer is a
 // type-erased callback in a general-purpose priority queue, and every
 // transmission walks all N nodes to extend their busy periods. This kernel
-// is the same model compiled down to its actual physics:
+// is the same model compiled down to its actual physics, and it runs
+// B >= 1 independent trials ("lanes") at once:
 //
-//   * Struct-of-arrays node state — next-expiry, busy-until, pending-own
-//     counts, transmission counters live in flat vectors, not per-node
-//     objects holding engine handles. The metro-scale layout packs the
-//     flag/seq bookkeeping into two 4-byte lanes (see below): 24 B/router
-//     of fixed state in the default shared-busy model, reported exactly by
-//     state_bytes().
-//   * A dedicated two-level calendar queue (`PmCalendarQueue`) sized from
-//     Tp/Tc replaces the generic `EventQueue`: events are 24-byte PODs
-//     (time, FIFO seq, kind|node), pushes drop into a day bucket in O(1),
-//     and idle gaps of ~Tp are skipped with one bitmap scan instead of a
-//     log-n heap walk per event. No per-event allocation, no type erasure,
-//     no generation-counted handles.
+//   * Struct-of-arrays node state across lanes: next-expiry, transmission
+//     counters, timer generations and pending-own counts live in flat
+//     arrays, each lane owning one contiguous slice, so a batch's working
+//     set is contiguous and construction is a handful of allocations for
+//     any B. The fixed lanes are 24 B/router in the default shared-busy
+//     model (see node_state_bytes()).
+//   * One event type (`PmEvent`, 16 bytes, no callback) and two queues
+//     behind one push/peek/pop interface. Each lane picks its queue from
+//     its own n (kPmCalendarMinNodes): a `PmSortedRunQueue` for small n,
+//     where a re-armed timer lands at the queue maximum and a push is an
+//     append, and a `PmCalendarQueue` for large n, where a synchronized
+//     cluster re-arms n timers inside one +-Tr window in random order and
+//     a sorted run would pay O(n) per insert.
 //   * The paper's own Section 4 assumptions collapse the hot loop: under
 //     Notification::Immediate with a shared Tc, *every* node's busy period
 //     ends at the same instant at all times (all start idle; every
 //     transmission applies the same extend rule to all nodes at the same
-//     moment). The kernel therefore keeps ONE shared busy-until scalar and
+//     moment). A lane therefore keeps ONE shared busy-until scalar and
 //     turns the engine model's O(N) per-transmission broadcast into O(1).
 //     Per-node Tc or AfterPreparation notification fall back to a per-node
 //     busy array with the same event ordering.
+//   * Epoch lock-step: lanes advance in rotation through fixed simulated-
+//     time epochs (a few round lengths each), keeping the batch's arrays
+//     hot without ever coupling lane state.
 //
-// Fidelity contract: a kernel run is *bit-identical* to the engine-backed
-// model — same RNG draw order, same (time, FIFO) event execution order,
-// same `events_processed` count, same trace events (types, sequence
-// numbers, payloads) when tracing is on, and therefore the same
-// ClusterTracker series. The randomized differential test
-// (tests/pm_kernel_test.cpp) and the frozen traced-run golden hash in
-// determinism_test enforce this. Anything the kernel cannot replicate
-// exactly (currently: nothing in the model itself — only the
-// engine-attached ResourceSampler) stays on the engine path; see
-// ExperimentConfig::backend.
+// Fidelity contract: every lane is *bit-identical* to the engine-backed
+// model run of the same params — same RNG draw order, same (time, FIFO)
+// event execution order, same events_processed count, same trace events
+// (types, sequence numbers, payloads) when tracing is on, and therefore
+// the same ClusterTracker series. The randomized differentials in
+// tests/pm_kernel_test.cpp and the frozen traced-run golden hash in
+// determinism_test enforce this for every lane width and both queues.
 #pragma once
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 #include <cstdint>
 #include <functional>
-#include <limits>
 #include <memory>
 #include <span>
 #include <vector>
@@ -61,12 +61,12 @@ namespace routesync::core {
 
 class ClusterTracker;
 
-/// One pending kernel event: plain data, 24 bytes, no callback. `seq`
-/// mirrors the engine queue's FIFO push counter so ties at equal times
-/// break identically.
+/// One pending kernel event: plain data, 16 bytes, no callback. Events
+/// at equal times run in push order, as on the engine queue: every push
+/// carries the lane's FIFO push counter (`seq`), which the sorted run
+/// keeps implicitly by position and the calendar stores beside the event.
 struct PmEvent {
     double time = 0.0;
-    std::uint64_t seq = 0;
     std::uint32_t kind = 0; ///< packed: see kPmKindBits
     std::uint32_t node = 0;
 };
@@ -81,16 +81,120 @@ enum PmEventKind : std::uint32_t {
 
 /// PmEvent::kind packs the PmEventKind in the low 3 bits; for kPmTimer
 /// events the upper 29 bits carry the scheduling node's re-arm generation
-/// (timer_gen_, below) so a queued timer identifies itself as live or
-/// stale with one integer compare — no per-node 8-byte seq lane needed.
+/// (Lane::timer_gen, below) so a queued timer identifies itself as live
+/// or stale with one integer compare — no per-node 8-byte seq lane needed.
 inline constexpr std::uint32_t kPmKindBits = 3;
 inline constexpr std::uint32_t kPmKindMask = (1U << kPmKindBits) - 1;
 inline constexpr std::uint32_t kPmGenMask = 0xFFFFFFFFU >> kPmKindBits;
+
+/// A lane with at least this many routers keeps its events in a
+/// PmCalendarQueue; smaller lanes use a PmSortedRunQueue. The value is
+/// the measured crossover of one bare lane on each queue at the metro
+/// shapes (docs/PERFORMANCE.md, "One PM kernel"): below it the sorted
+/// run's append-mostly pushes win (2.7x at n = 30); above it a
+/// synchronized cluster's random-order re-arms make every sorted-run
+/// round O(n^2) (2.8x slower at n = 1000, 35x at n = 30 000).
+inline constexpr int kPmCalendarMinNodes = 300;
 
 /// Calendar buckets keep their storage across days (steady-state rounds
 /// reuse it allocation-free) up to this many events; a drained bucket
 /// above the threshold returns its storage — see pop_min.
 inline constexpr std::size_t kPmBucketRetainEvents = 256;
+
+/// Sorted-run timer queue for PmEvents: the pending events sit in one
+/// flat array in ascending (time, seq) order, consumed through a head
+/// cursor, with a one-slot hold buffer fusing the ubiquitous
+/// push-then-pop cycle (a re-armed timer is usually the next event
+/// served). The model makes this degenerate-fast at small n: a re-armed
+/// timer lands at now + Tp +- jitter, which is (almost) the queue MAXIMUM,
+/// so a push is an append with a rarely-iterating backward bubble and a
+/// pop is a cursor bump — no heap sift on either side.
+///
+/// FIFO among equal times needs no stored seq: pushes arrive in seq
+/// order, an insert lands behind every queued event of the same time, and
+/// the hold (always the newest event) is served only at a STRICTLY
+/// earlier time than the run's head.
+class PmSortedRunQueue {
+public:
+    /// `seq` is the kernel's push counter, increasing from push to push;
+    /// the run keeps its order by position.
+    void push(double time, [[maybe_unused]] std::uint64_t seq,
+              std::uint32_t kind, std::uint32_t node) {
+        if (has_hold_) {
+            insert(hold_);
+        }
+        hold_ = PmEvent{time, kind, node};
+        has_hold_ = true;
+    }
+
+    [[nodiscard]] bool empty() const noexcept { return !has_hold_ && drained(); }
+    [[nodiscard]] std::size_t size() const noexcept {
+        return run_.size() - head_ + (has_hold_ ? 1U : 0U);
+    }
+
+    /// Locates the earliest event (by time, then push order) without
+    /// removing it. Precondition: !empty().
+    [[nodiscard]] const PmEvent& peek_min() noexcept {
+        assert(!empty());
+        peek_from_hold_ = has_hold_ && (drained() || hold_.time < run_[head_].time);
+        return peek_from_hold_ ? hold_ : run_[head_];
+    }
+
+    /// Removes the event peek_min() returned. Must follow a peek_min()
+    /// with no intervening push.
+    void pop_min() {
+        if (peek_from_hold_) {
+            has_hold_ = false;
+            return;
+        }
+        // O(1): consume by cursor. The dead prefix is recycled wholesale —
+        // either free (run drained) or one small memmove of the live
+        // window (at most n + a few events) every kCompactAt pops.
+        constexpr std::size_t kCompactAt = 64;
+        ++head_;
+        if (drained()) {
+            run_.clear();
+            head_ = 0;
+        } else if (head_ >= kCompactAt) {
+            run_.erase(run_.begin(),
+                       run_.begin() + static_cast<std::ptrdiff_t>(head_));
+            head_ = 0;
+        }
+    }
+
+    /// Bytes retained by the run's storage (capacity, not size).
+    [[nodiscard]] std::size_t memory_bytes() const noexcept {
+        return run_.capacity() * sizeof(PmEvent);
+    }
+
+private:
+    /// True when the run holds no unconsumed event. Compares positions
+    /// rather than size(), which would divide by sizeof(PmEvent) = 24.
+    [[nodiscard]] bool drained() const noexcept {
+        return run_.begin() + static_cast<std::ptrdiff_t>(head_) == run_.end();
+    }
+    /// Appends, then bubbles backward past every strictly later event:
+    /// zero iterations in the dominant case (a re-armed timer is the queue
+    /// maximum; only cluster-mates re-arming under the same jitter window
+    /// bubble a few slots, and the near-minimum busy checks are absorbed
+    /// by the hold).
+    void insert(const PmEvent& e) {
+        run_.push_back(e);
+        PmEvent* const first = run_.data() + head_;
+        PmEvent* slot = &run_.back();
+        while (slot > first && e.time < slot[-1].time) {
+            *slot = slot[-1];
+            --slot;
+        }
+        *slot = e;
+    }
+
+    std::vector<PmEvent> run_; ///< live window is [head_, size())
+    std::size_t head_ = 0;
+    PmEvent hold_{};           ///< the most recent push, outside the run
+    bool has_hold_ = false;
+    bool peek_from_hold_ = false; ///< which source the last peek chose
+};
 
 /// Two-level calendar/bucket timer queue for PmEvents.
 ///
@@ -133,13 +237,14 @@ public:
 
     void push(double time, std::uint64_t seq, std::uint32_t kind,
               std::uint32_t node) {
+        const Entry entry{PmEvent{time, kind, node}, seq};
         const std::int64_t d = day_of(time);
         assert(d >= day_ && "push into the past breaks the day cursor");
         if (d >= day_ + static_cast<std::int64_t>(bucket_count_)) {
             if (overflow_.empty() || d < overflow_min_day_) {
                 overflow_min_day_ = d;
             }
-            overflow_.push_back(PmEvent{time, seq, kind, node});
+            overflow_.push_back(entry);
         } else {
             const std::size_t b = static_cast<std::size_t>(d) & bucket_mask_;
             if (cursor_sorted_ && b == cursor_b_) {
@@ -149,10 +254,10 @@ public:
                 // late arrivals heap into the spill lane. Re-armed timers
                 // carry fresh (monotone) seqs at now+Tp-ish times, so the
                 // typical sift terminates immediately.
-                spill_.push_back(PmEvent{time, seq, kind, node});
+                spill_.push_back(entry);
                 std::push_heap(spill_.begin(), spill_.end(), after);
             } else {
-                buckets_[b].push_back(PmEvent{time, seq, kind, node});
+                buckets_[b].push_back(entry);
                 occupied_[b >> 6] |= std::uint64_t{1} << (b & 63U);
             }
         }
@@ -162,9 +267,9 @@ public:
     [[nodiscard]] bool empty() const noexcept { return live_ == 0; }
     [[nodiscard]] std::size_t size() const noexcept { return live_; }
 
-    /// Locates the earliest (time, seq) event without removing it.
-    /// Precondition: !empty(). Advances the internal day cursor over idle
-    /// gaps as a side effect (monotone, so repeated peeks are cheap).
+    /// Locates the earliest event (by time, then seq) without removing
+    /// it. Precondition: !empty(). Advances the internal day cursor over
+    /// idle gaps as a side effect (monotone, so repeated peeks are cheap).
     [[nodiscard]] const PmEvent& peek_min() {
         assert(live_ > 0);
         for (;;) {
@@ -173,7 +278,7 @@ public:
                     day_ + static_cast<std::int64_t>(bucket_count_)) {
                 flush_overflow();
             }
-            std::vector<PmEvent>& bucket = buckets_[cursor_b_];
+            std::vector<Entry>& bucket = buckets_[cursor_b_];
             if (!cursor_sorted_ && !bucket.empty()) {
                 std::sort(bucket.begin(), bucket.end(), before);
                 cursor_sorted_ = true;
@@ -183,14 +288,14 @@ public:
             if (have_run || !spill_.empty()) {
                 if (!have_run) {
                     peek_from_spill_ = true;
-                    return spill_.front();
+                    return spill_.front().event;
                 }
                 if (!spill_.empty() && before(spill_.front(), bucket[cursor_pos_])) {
                     peek_from_spill_ = true;
-                    return spill_.front();
+                    return spill_.front().event;
                 }
                 peek_from_spill_ = false;
-                return bucket[cursor_pos_];
+                return bucket[cursor_pos_].event;
             }
             advance_to_next_bucket();
         }
@@ -199,7 +304,7 @@ public:
     /// Removes the event peek_min() returned. Must follow a peek_min()
     /// with no intervening push.
     void pop_min() {
-        std::vector<PmEvent>& bucket = buckets_[cursor_b_];
+        std::vector<Entry>& bucket = buckets_[cursor_b_];
         assert(cursor_sorted_ && "pop_min without a preceding peek_min");
         if (peek_from_spill_) {
             assert(!spill_.empty());
@@ -223,7 +328,7 @@ public:
                 // by ~24*N bytes per round. Oversized runs are rare (one
                 // per cluster round), so one free/realloc cycle per round
                 // is noise next to the O(N log N) sort that consumed it.
-                std::vector<PmEvent>{}.swap(bucket);
+                std::vector<Entry>{}.swap(bucket);
             }
             occupied_[cursor_b_ >> 6] &=
                 ~(std::uint64_t{1} << (cursor_b_ & 63U));
@@ -237,16 +342,23 @@ public:
     [[nodiscard]] std::size_t memory_bytes() const noexcept;
 
 private:
+    /// A queued event and its push counter: buckets are filled out of
+    /// push order (overflow folds, spills), so the calendar orders by the
+    /// stored seq. 24 bytes.
+    struct Entry {
+        PmEvent event;
+        std::uint64_t seq;
+    };
+
     void flush_overflow();
     void advance_to_next_bucket();
 
-    [[nodiscard]] static bool before(const PmEvent& a,
-                                     const PmEvent& b) noexcept {
-        return a.time < b.time || (a.time == b.time && a.seq < b.seq);
+    [[nodiscard]] static bool before(const Entry& a, const Entry& b) noexcept {
+        return a.event.time < b.event.time ||
+               (a.event.time == b.event.time && a.seq < b.seq);
     }
     /// std::*_heap comparator for a MIN-heap on (time, seq).
-    [[nodiscard]] static bool after(const PmEvent& a,
-                                    const PmEvent& b) noexcept {
+    [[nodiscard]] static bool after(const Entry& a, const Entry& b) noexcept {
         return before(b, a);
     }
 
@@ -261,9 +373,9 @@ private:
     std::int64_t day_ = 0; ///< current day cursor (buckets before it are empty)
     std::size_t cursor_b_ = 0; ///< cached day_ & bucket_mask_
     std::size_t live_ = 0;
-    std::vector<std::vector<PmEvent>> buckets_;
+    std::vector<std::vector<Entry>> buckets_;
     std::vector<std::uint64_t> occupied_; ///< bitmap over buckets
-    std::vector<PmEvent> overflow_;       ///< events with day >= day_ + B
+    std::vector<Entry> overflow_;         ///< events with day >= day_ + B
     std::int64_t overflow_min_day_ = 0;   ///< valid when !overflow_.empty()
     /// True when the cursor-day bucket has been sorted into its
     /// consumption run. Invariants: cursor_pos_ > 0 and spill_ non-empty
@@ -271,176 +383,195 @@ private:
     bool cursor_sorted_ = false;
     bool peek_from_spill_ = false; ///< which source the last peek chose
     std::size_t cursor_pos_ = 0;   ///< next unconsumed index in the run
-    std::vector<PmEvent> spill_;   ///< min-heap of post-sort same-day pushes
+    std::vector<Entry> spill_;     ///< min-heap of post-sort same-day pushes
 };
 
-/// The fused engine+model fast path. Mirrors the externally observable
-/// API of (sim::Engine, PeriodicMessagesModel) so `run_experiment` can
-/// drive either interchangeably.
+/// Everything one lane needs: the engine model's constructor surface.
+struct PmLaneSpec {
+    ModelParams params;
+    std::unique_ptr<TimerPolicy> policy; ///< null -> UniformJitter(tp, tr)
+    obs::Tracer* tracer = nullptr;       ///< per-lane; may be null
+};
+
+/// The fused engine+model fast path: runs B >= 1 independent Periodic
+/// Messages trials, each lane with its own RNG, event queue and clock,
+/// and mirrors the externally observable API of (sim::Engine,
+/// PeriodicMessagesModel) per lane.
 class PmKernel {
 public:
-    /// Same contract as PeriodicMessagesModel: validates params, draws
-    /// each node's first expiry (consuming the RNG in node order), and
-    /// schedules the initial timers. `tracer` may be null (tracing off).
-    explicit PmKernel(const ModelParams& params,
-                      std::unique_ptr<TimerPolicy> policy = nullptr,
-                      obs::Tracer* tracer = nullptr);
+    /// Same contract as PeriodicMessagesModel, lane by lane: validates
+    /// every lane's params (same checks and messages, in lane order),
+    /// then draws each lane's first expiries in node order and schedules
+    /// the initial timers — each lane's RNG consumption matches an engine
+    /// construction of the same params.
+    explicit PmKernel(std::vector<PmLaneSpec> specs);
 
     PmKernel(const PmKernel&) = delete;
     PmKernel& operator=(const PmKernel&) = delete;
 
     /// Fires when a node's timer expires and it begins transmitting.
-    std::function<void(int node, sim::SimTime t)> on_transmit;
-    /// Fires when a node completes its busy period and re-arms its timer.
-    std::function<void(int node, sim::SimTime t)> on_timer_set;
-    /// Direct ClusterTracker feed for timer re-arms. When set it takes
-    /// the place of `on_timer_set`: the experiment driver's only use of
-    /// that callback is forwarding to a tracker, and the re-arm site is
-    /// hot enough that skipping the std::function hop is measurable.
-    ClusterTracker* tracker_sink = nullptr;
-
-    /// Schedules a triggered update on every node at absolute time `t`
-    /// (the ExperimentConfig::trigger_all_at path). Must be scheduled in
-    /// the same relative push order as the engine path: after
-    /// construction, before running.
-    void schedule_trigger_all(sim::SimTime t);
-
-    /// Schedules `fn` to run once at absolute time `t` as a kernel event
-    /// (it advances now() and counts in events_processed(), matching an
-    /// Engine-scheduled callback). This is the hook the ResourceSampler
-    /// uses to tick over virtual time on the kernel path.
-    void schedule_hook(sim::SimTime t, std::function<void()> fn);
-
-    /// Immediate triggered update (parity with the model's API).
-    void trigger_update(std::span<const int> nodes);
-    void trigger_update_all();
-
-    /// Runs every event with timestamp <= `t`, then advances now() to `t`.
-    /// Returns early (leaving now() at the last event) if stop() is
-    /// called from a callback — exactly sim::Engine::run_until semantics.
-    /// Inline so the queue's peek/pop fold into the loop.
-    void run_until(sim::SimTime t) {
-        const double t_sec = t.sec();
-        while (!stopped_) {
-            // Discard stale (cancelled) timers before the boundary check —
-            // EventQueue::next_time() does the same tombstone skip, so the
-            // engine's loop condition only ever sees live events. A timer
-            // is live iff the generation packed into its kind field still
-            // matches the node's current (odd = pending) generation.
-            const PmEvent* head = nullptr;
-            while (!queue_.empty()) {
-                const PmEvent& e = queue_.peek_min();
-                if ((e.kind & kPmKindMask) == kPmTimer) {
-                    const auto idx = static_cast<std::size_t>(e.node);
-                    if ((e.kind >> kPmKindBits) !=
-                        (timer_gen_[idx] & kPmGenMask)) {
-                        queue_.pop_min();
-                        continue;
-                    }
-                }
-                head = &e;
-                break;
-            }
-            if (head == nullptr || head->time > t_sec) {
-                break;
-            }
-            const PmEvent e = *head;
-            queue_.pop_min();
-            now_ = sim::SimTime::seconds(e.time);
-            ++processed_;
-            dispatch(e);
-        }
-        if (!stopped_ && now_ < t) {
-            now_ = t;
-        }
+    std::function<void(std::size_t lane, int node, sim::SimTime t)> on_transmit;
+    /// Fires when a node completes its busy period and re-arms its timer,
+    /// for lanes without a tracker sink.
+    std::function<void(std::size_t lane, int node, sim::SimTime t)> on_timer_set;
+    /// Direct ClusterTracker feed for `lane`'s timer re-arms. When set it
+    /// takes the place of `on_timer_set` for that lane: the experiment
+    /// driver's only use of that callback is forwarding to the lane's
+    /// tracker, and the re-arm site is hot enough that skipping the
+    /// std::function hop is measurable.
+    void set_tracker_sink(std::size_t lane, ClusterTracker* tracker) noexcept {
+        lanes_[lane].tracker = tracker;
     }
 
-    void stop() noexcept { stopped_ = true; }
-    void clear_stop() noexcept { stopped_ = false; }
-    [[nodiscard]] bool stop_requested() const noexcept { return stopped_; }
+    [[nodiscard]] std::size_t lanes() const noexcept { return lanes_.size(); }
 
-    [[nodiscard]] sim::SimTime now() const noexcept { return now_; }
+    /// Schedules a triggered update on every node of `lane` at absolute
+    /// time `t` (the ExperimentConfig::trigger_all_at path). Must be
+    /// scheduled in the same relative push order as the engine path:
+    /// after construction, before running.
+    void schedule_trigger_all(std::size_t lane, sim::SimTime t);
+
+    /// Schedules `fn` to run once at absolute time `t` as an event of
+    /// `lane` (it advances now(lane) and counts in events_processed(lane),
+    /// matching an Engine-scheduled callback). This is the hook the
+    /// ResourceSampler uses to tick over virtual time on the kernel path.
+    void schedule_hook(std::size_t lane, sim::SimTime t, std::function<void()> fn);
+
+    /// Runs every lane until its own target time (targets.size() must
+    /// equal lanes()), advancing lanes in epoch-sized rotation. Each lane
+    /// observes exactly sim::Engine::run_until(target) semantics: stop()
+    /// leaves the lane's clock at its last event; otherwise the clock
+    /// lands on the target.
+    void run_all_until(std::span<const sim::SimTime> targets);
+
+    void stop(std::size_t lane) noexcept { lanes_[lane].stopped = true; }
+    void clear_stop(std::size_t lane) noexcept { lanes_[lane].stopped = false; }
+    [[nodiscard]] bool stop_requested(std::size_t lane) const noexcept {
+        return lanes_[lane].stopped;
+    }
+
+    [[nodiscard]] sim::SimTime now(std::size_t lane) const noexcept {
+        return lanes_[lane].now;
+    }
     /// Callbacks executed so far — matches Engine::events_processed()
     /// step for step (cancelled timers never execute or count).
-    [[nodiscard]] std::uint64_t events_processed() const noexcept {
-        return processed_;
+    [[nodiscard]] std::uint64_t events_processed(std::size_t lane) const noexcept {
+        return lanes_[lane].processed;
+    }
+    [[nodiscard]] std::uint64_t total_transmissions(std::size_t lane) const noexcept {
+        return lanes_[lane].tx_count;
+    }
+    [[nodiscard]] int n(std::size_t lane) const noexcept {
+        return lanes_[lane].params.n;
+    }
+    [[nodiscard]] const ModelParams& params(std::size_t lane) const noexcept {
+        return lanes_[lane].params;
+    }
+    [[nodiscard]] sim::SimTime round_length(std::size_t lane) const noexcept;
+    [[nodiscard]] NodeView node(std::size_t lane, int i) const;
+
+    /// True when every node of `lane` shares one busy-until scalar
+    /// (Immediate notification, uniform Tc) — the O(1)-per-transmission
+    /// fast variant.
+    [[nodiscard]] bool shared_busy(std::size_t lane) const noexcept {
+        return lanes_[lane].shared_busy;
+    }
+    /// True when `lane` keeps its events in a PmCalendarQueue (n >=
+    /// kPmCalendarMinNodes), false for a PmSortedRunQueue.
+    [[nodiscard]] bool calendar_queue(std::size_t lane) const noexcept {
+        return lanes_[lane].calendar != nullptr;
     }
 
-    [[nodiscard]] int n() const noexcept { return params_.n; }
-    [[nodiscard]] const ModelParams& params() const noexcept { return params_; }
-    [[nodiscard]] sim::SimTime round_length() const noexcept;
-    [[nodiscard]] sim::SimTime offset_of(sim::SimTime t) const noexcept;
-    [[nodiscard]] NodeView node(int i) const;
-    [[nodiscard]] std::uint64_t total_transmissions() const noexcept {
-        return tx_count_;
-    }
-
-    /// True when every node shares one busy-until scalar (Immediate
-    /// notification, uniform Tc) — the O(1)-per-transmission fast variant.
-    [[nodiscard]] bool shared_busy() const noexcept { return shared_busy_; }
-
-    /// Bytes of kernel state currently retained: the SoA node lanes plus
-    /// the calendar queue's bucket storage (capacities, not sizes). Divide
-    /// by n() for the bytes/router a metro-scale memory budget needs. In
-    /// the default shared-busy model the fixed lanes are 24 B/router:
-    /// next_expiry (8) + transmissions (8) + timer_gen (4) +
-    /// pending_state (4).
-    [[nodiscard]] std::size_t state_bytes() const noexcept;
-    /// Live events in the calendar queue (for rs.* gauges).
-    [[nodiscard]] std::size_t queue_size() const noexcept {
-        return queue_.size();
-    }
+    /// Bytes of `lane`'s slice of the SoA node arrays. In the default
+    /// shared-busy model that is 24 B/router: next_expiry (8) +
+    /// transmissions (8) + timer_gen (4) + pending_state (4).
+    [[nodiscard]] std::size_t node_state_bytes(std::size_t lane) const noexcept;
+    /// Bytes of kernel state `lane` retains: its node slice plus its event
+    /// queue's storage (capacities, not sizes). Divide by n(lane) for the
+    /// bytes/router a metro-scale memory budget needs.
+    [[nodiscard]] std::size_t state_bytes(std::size_t lane) const noexcept;
+    /// Live events in `lane`'s queue (for rs.* gauges).
+    [[nodiscard]] std::size_t queue_size(std::size_t lane) const noexcept;
 
 private:
-    [[nodiscard]] sim::SimTime draw_interval(int i);
-    void schedule_timer(int i, sim::SimTime at);
-    void push_event(sim::SimTime at, std::uint32_t kind, std::uint32_t node);
-    void dispatch(const PmEvent& e);
-    void timer_expired(int i);
-    void begin_transmission(int i);
-    void deliver_from(int i);
-    void busy_check(int i);
-    void fire_trigger_all();
-    void extend_busy(int i, sim::SimTime t);
-    [[nodiscard]] sim::SimTime busy_end(int i) const noexcept {
-        return shared_busy_ ? shared_busy_end_
-                            : busy_end_[static_cast<std::size_t>(i)];
+    /// Per-lane control state plus views of the lane's node slices.
+    struct Lane {
+        ModelParams params;
+        std::unique_ptr<TimerPolicy> policy;
+        obs::Tracer* tracer = nullptr;
+        ClusterTracker* tracker = nullptr;
+        rng::DefaultEngine gen{0};
+        std::size_t id = 0;
+
+        // Node state, index = node id: slices of the kernel's SoA arrays.
+        // timer_gen is bumped on every schedule/fire/cancel, so odd =
+        // pending, and its truncated value is compared against the
+        // generation packed into a surfacing timer event (a stale event
+        // can outlive at most a few transitions, so 29 bits cannot
+        // alias). pending_state fuses the pending-own count and the
+        // busy-check flag into one word (bit 31 = a busy-check event is
+        // queued; low 31 bits = own transmissions awaiting re-arm) and
+        // exists only for !reset_at_expiry lanes; busy_end only for lanes
+        // without a shared busy scalar.
+        sim::SimTime* next_expiry = nullptr;
+        std::uint64_t* transmissions = nullptr;
+        std::uint32_t* timer_gen = nullptr;
+        std::uint32_t* pending_state = nullptr;
+        sim::SimTime* busy_end = nullptr;
+
+        PmSortedRunQueue run;                      ///< n < kPmCalendarMinNodes
+        std::unique_ptr<PmCalendarQueue> calendar; ///< n >= kPmCalendarMinNodes
+        std::vector<std::function<void()>> hooks;  ///< kPmHook slots
+        std::vector<std::uint32_t> free_hooks;     ///< recycled hook slots
+
+        std::uint64_t next_seq = 0; ///< mirrors the engine queue's push counter
+        std::uint64_t processed = 0;
+        std::uint64_t tx_count = 0;
+        sim::SimTime now = sim::SimTime::zero();
+        sim::SimTime shared_busy_end = -sim::SimTime::seconds(1.0);
+        double draw_lo = 0.0;   ///< uniform-jitter fast path: lo constant
+        double draw_span = 0.0; ///< uniform-jitter fast path: hi - lo
+        bool fast_draw = false; ///< UniformJitter and no per-node Tp
+        bool shared_busy = true;
+        bool reset_at_expiry = false;
+        bool immediate = true;
+        bool can_cancel = false; ///< a timer may have been cancelled
+        bool stopped = false;
+    };
+
+    void push_event(Lane& lane, sim::SimTime at, std::uint32_t kind,
+                    std::uint32_t node);
+    [[nodiscard]] sim::SimTime draw_interval(Lane& lane, int i);
+    void schedule_timer(Lane& lane, int i, sim::SimTime at);
+    void timer_set(Lane& lane, int i);
+    void trigger_node(Lane& lane, int i);
+    void timer_expired(Lane& lane, int i);
+    void begin_transmission(Lane& lane, int i);
+    void deliver_from(Lane& lane, int i);
+    void busy_check(Lane& lane, int i);
+    void extend_busy(Lane& lane, int i, sim::SimTime t);
+    [[nodiscard]] static sim::SimTime busy_end(const Lane& lane, int i) noexcept {
+        return lane.shared_busy ? lane.shared_busy_end
+                                : lane.busy_end[static_cast<std::size_t>(i)];
     }
+    void dispatch(Lane& lane, const PmEvent& e);
+    /// Advances one lane to min(epoch bound, its target). Returns true
+    /// while the lane still has work before its target.
+    template <typename Queue>
+    [[nodiscard]] bool advance(Lane& lane, Queue& queue, double bound_sec,
+                               sim::SimTime target);
 
-    ModelParams params_;
-    std::unique_ptr<TimerPolicy> policy_;
-    rng::DefaultEngine gen_;
-    obs::Tracer* tracer_ = nullptr;
+    std::vector<Lane> lanes_;
+    /// A profiler was installed when run_all_until started: the
+    /// pm.timer_fire and pm.begin_transmission scopes are recorded.
+    bool profiled_ = false;
 
-    bool shared_busy_ = true;
-    sim::SimTime shared_busy_end_ = -sim::SimTime::seconds(1.0);
-
-    // Struct-of-arrays node state (index = node id), packed to the
-    // metro-scale minimum. timer_gen_ fuses the old pending flag + 8-byte
-    // live-seq lane: the count is bumped on every schedule/fire/cancel,
-    // so odd = pending, and the truncated value is compared against the
-    // generation packed into a surfacing timer event (a stale event can
-    // outlive at most a calendar horizon — a handful of transitions —
-    // so 29 bits cannot alias). pending_state_ fuses the old
-    // pending-own count + busy-check flag into one word (bit 31 = a
-    // busy-check event is queued; low 31 bits = own transmissions awaiting
-    // re-arm) and is allocated only for the model variant that uses it.
+    // SoA node state across lanes; each lane views its own slices.
     std::vector<sim::SimTime> next_expiry_;
-    std::vector<sim::SimTime> busy_end_; ///< per-node variant only
     std::vector<std::uint64_t> transmissions_;
     std::vector<std::uint32_t> timer_gen_;
-    std::vector<std::uint32_t> pending_state_; ///< !reset_at_expiry only
-
-    PmCalendarQueue queue_;
-    std::uint64_t next_seq_ = 0; ///< mirrors the engine queue's push counter
-    std::uint64_t processed_ = 0;
-    sim::SimTime now_ = sim::SimTime::zero();
-    bool stopped_ = false;
-    std::uint64_t tx_count_ = 0;
-
-    std::vector<int> trigger_scratch_; ///< trigger_update_all's node list
-    std::vector<std::function<void()>> hooks_; ///< kPmHook slots
-    std::vector<std::uint32_t> free_hooks_;    ///< recycled hook slots
+    std::vector<std::uint32_t> pending_state_; ///< !reset_at_expiry lanes
+    std::vector<sim::SimTime> busy_end_;       ///< per-node-busy lanes
 };
 
 } // namespace routesync::core

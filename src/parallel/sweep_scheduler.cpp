@@ -16,10 +16,11 @@ std::size_t SweepScheduler::effective_batch(std::size_t count) const noexcept {
     if (batch_ != 0) {
         return batch_;
     }
-    // Auto: 16 lanes is the measured sweet spot of the batched kernel
-    // (bench/sweep_wallclock). Under multiple workers, cap the chunk so
-    // every worker still gets a few claims — stealing needs granularity
-    // to rebalance the sweep's long tail.
+    // Auto: 16 lanes per kernel. Lane batching is throughput-neutral at
+    // fig13 sizes (BM_PMKernel_Lanes in bench/perf_microbench), so this
+    // mostly sets the claim size. Under multiple workers, cap the chunk
+    // so every worker still gets a few claims — stealing needs
+    // granularity to rebalance the sweep's long tail.
     constexpr std::size_t kPreferred = 16;
     if (pool_.jobs() <= 1) {
         return kPreferred;
@@ -65,20 +66,15 @@ std::vector<core::ExperimentResult> SweepScheduler::run() {
     const std::size_t count = count_;
     std::vector<core::ExperimentResult> results(count);
 
-    // A chunk of tasks runs lock-step in the batched kernel; len == 1
-    // takes the scalar path. Both are bit-identical per task, so chunk
-    // boundaries (and therefore --batch) never show in the results.
+    // A chunk of tasks runs as the lanes of one kernel. Every lane is
+    // bit-identical to a run alone, so chunk boundaries (and therefore
+    // --batch) never show in the results.
     const auto run_chunk = [&](std::size_t lo, std::size_t len) {
-        if (len == 1) {
-            core::ExperimentConfig config = materialize(lo);
-            config.obs = nullptr; // a RunContext is not safe across workers
-            results[lo] = core::run_experiment(config);
-            return;
-        }
         std::vector<core::ExperimentConfig> configs;
         configs.reserve(len);
         for (std::size_t i = lo; i < lo + len; ++i) {
             configs.push_back(materialize(i));
+            // A RunContext is not safe across workers.
             configs.back().obs = nullptr;
         }
         std::vector<core::ExperimentResult> chunk =

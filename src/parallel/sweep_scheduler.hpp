@@ -13,7 +13,8 @@
 // Scheduling is delegated to parallel::TaskPool (contiguous per-worker
 // ranges, steal-back-half-of-largest, one global mutex — see
 // task_pool.hpp); this class owns what is sweep-specific: lazy config
-// materialization, the batched-kernel chunk body, and result assembly.
+// materialization, the chunk body (one run_experiment_batch call per
+// claim), and result assembly.
 //
 // Determinism contract (same as TrialRunner, sweep-wide):
 //   * a task's config is a pure function of its submission index;
@@ -43,12 +44,12 @@ struct SweepSchedulerOptions {
     /// Worker threads. 0 = hardware concurrency; 1 = run inline, no
     /// threads.
     std::size_t jobs = 0;
-    /// Tasks per claim, executed lock-step in the batched SoA kernel
+    /// Tasks per claim, executed lock-step as the lanes of one PmKernel
     /// (core::run_experiment_batch). 0 = auto-tune from the sweep shape;
-    /// 1 = per-trial scalar execution (the pre-batching behavior). Since
-    /// every batch size produces bit-identical per-task results, this is
-    /// a pure performance knob — the determinism contract above holds
-    /// for every (jobs, batch) pair.
+    /// 1 = one single-lane kernel per trial. Since every batch size
+    /// produces bit-identical per-task results, this is a pure
+    /// performance knob — the determinism contract above holds for every
+    /// (jobs, batch) pair.
     std::size_t batch = 0;
 };
 

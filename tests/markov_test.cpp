@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "core/core.hpp"
 #include "markov/markov.hpp"
@@ -383,10 +384,18 @@ TEST(FJChain, RejectsInvalidParameters) {
 //     same conservatism that makes the chain over-predict g(1) in
 //     Figure 11. The simulation must land at or below the prediction,
 //     never far above.
+//
+// gtest names each case by the bytes of its parameter. Bytes 4-7 of
+// BreakupCase used to be padding, so the case names followed whatever
+// the stack held at registration and shifted with unrelated edits to the
+// libraries this test links. `name_bytes` fills that gap explicitly and
+// keeps each case under the name it was first registered with.
 struct BreakupCase {
     int i;
+    std::uint32_t name_bytes;
     double tr;
 };
+static_assert(sizeof(BreakupCase) == 16);
 class EquationOne : public ::testing::TestWithParam<BreakupCase> {};
 
 namespace {
@@ -415,7 +424,8 @@ double mean_rounds_to_first_break(int i, double tr) {
 } // namespace
 
 TEST_P(EquationOne, MeanRoundsToFirstBreakMatchesOrUndershoots) {
-    const auto [i, tr] = GetParam();
+    const int i = GetParam().i;
+    const double tr = GetParam().tr;
     const double p = std::pow(1.0 - 0.11 / (2.0 * tr), i);
     const double predicted = 1.0 / p;
     const double mean = mean_rounds_to_first_break(i, tr);
@@ -431,12 +441,12 @@ TEST_P(EquationOne, MeanRoundsToFirstBreakMatchesOrUndershoots) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Cases, EquationOne,
-                         ::testing::Values(BreakupCase{2, 0.11},
-                                           BreakupCase{2, 0.25},
-                                           BreakupCase{2, 0.4},
-                                           BreakupCase{3, 0.2},
-                                           BreakupCase{5, 0.25},
-                                           BreakupCase{8, 0.3}));
+                         ::testing::Values(BreakupCase{2, 0, 0.11},
+                                           BreakupCase{2, 0, 0.25},
+                                           BreakupCase{2, 0x00091E03, 0.4},
+                                           BreakupCase{3, 0xCAD00000, 0.2},
+                                           BreakupCase{5, 0, 0.25},
+                                           BreakupCase{8, 0, 0.3}));
 
 // -------------------------------------------------------- f2 estimator
 

@@ -52,8 +52,8 @@ TEST(SweepScheduler, ResultsIdenticalAcrossWorkerCounts) {
 }
 
 TEST(SweepScheduler, ResultsIdenticalAcrossJobsAndBatchSizes) {
-    // The batched kernel is a pure performance knob: every (jobs, batch)
-    // combination must reproduce the jobs=1 batch=1 scalar pass exactly,
+    // Lane batching is a pure performance knob: every (jobs, batch)
+    // combination must reproduce the jobs=1 batch=1 one-lane pass exactly,
     // including per-trial metrics snapshots. 22 tasks with batch 3 and 16
     // exercises truncated tails in both the chunk claim and the lanes.
     std::vector<core::ExperimentConfig> configs;

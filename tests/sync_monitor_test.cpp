@@ -3,8 +3,8 @@
 // parameter, detector, entropy, and coupling graph — plus the headline
 // determinism contracts:
 //
-//   * engine vs PmKernel vs PmKernelBatch produce bit-identical sync
-//     reports over randomized configs;
+//   * the engine and PmKernel lanes at widths 1 and 100 produce
+//     bit-identical sync reports over randomized configs;
 //   * replay_sync over a run's own trace reproduces the live monitor
 //     exactly (r series endpoints, transitions, coupling graph);
 //   * merged sync.* metrics are byte-identical across --jobs and
@@ -354,7 +354,7 @@ TEST(SyncMonitorTest, CouplingAttributesToLastTransmitter) {
     EXPECT_EQ(mon.coupling().total_weight(), mon.report().rearms);
 }
 
-// ---- differential: engine vs PmKernel vs PmKernelBatch -------------------
+// ---- differential: engine vs PmKernel lanes ------------------------------
 
 core::ExperimentConfig random_monitored_config(std::uint64_t seed_base,
                                                std::size_t i) {
@@ -408,7 +408,7 @@ TEST(SyncMonitorDifferentialTest, BackendsAgreeOnRandomizedConfigs) {
         configs.push_back(random_monitored_config(2026, i));
     }
 
-    // The batched kernel advances all lanes lock-step in one pass.
+    // Width 100: every config as a lane of one kernel.
     std::vector<core::ExperimentResult> batched =
         core::run_experiment_batch(configs);
     ASSERT_EQ(batched.size(), kConfigs);
@@ -419,12 +419,13 @@ TEST(SyncMonitorDifferentialTest, BackendsAgreeOnRandomizedConfigs) {
         engine_cfg.backend = core::ExperimentBackend::Engine;
         const core::ExperimentResult engine_r = core::run_experiment(engine_cfg);
 
+        // Width 1: the config as a one-lane kernel.
         core::ExperimentConfig kernel_cfg = configs[i];
         kernel_cfg.backend = core::ExperimentBackend::FastKernel;
         const core::ExperimentResult kernel_r = core::run_experiment(kernel_cfg);
 
-        expect_sync_identical(engine_r, kernel_r, "engine vs kernel");
-        expect_sync_identical(engine_r, batched[i], "engine vs batch");
+        expect_sync_identical(engine_r, kernel_r, "engine vs kernel width 1");
+        expect_sync_identical(engine_r, batched[i], "engine vs kernel width 100");
         transitions_seen += engine_r.sync->transitions;
     }
     // The randomized thresholds must actually exercise the detector —

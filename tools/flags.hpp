@@ -100,7 +100,8 @@ inline int flag_trials(const Flags& flags, int fallback) {
     return static_cast<int>(n);
 }
 
-/// Parses `--batch`: trials per batched-kernel claim in parallel sweeps.
+/// Parses `--batch`: trials per claim in parallel sweeps, run as the
+/// lanes of one PM kernel.
 /// Absent -> `fallback`; `--batch 0` stays 0 ("auto-tune from the sweep
 /// shape" — unlike --jobs, 0 is a meaningful value the scheduler
 /// resolves itself). Negatives and non-numeric junk throw.

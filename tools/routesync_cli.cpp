@@ -195,8 +195,9 @@ int cmd_sweep(const Flags& flags) {
     const double to = flag_d(flags, "to", 3.0);
     const double step = flag_d(flags, "step", 0.05);
     const std::size_t jobs = flag_jobs(flags, parallel::hardware_jobs());
-    // --batch B: trials per batched-kernel claim (0 = auto). Like --jobs,
-    // it never changes the CSV — batching is pure performance.
+    // --batch B: trials per sweep claim, run as the lanes of one PM kernel
+    // (0 = auto). Like --jobs, it never changes the CSV — batching is pure
+    // performance.
     const std::size_t batch = cli::flag_batch(flags, 0);
     // --sim-trials T (> 0) runs T Periodic Messages simulations per grid
     // point alongside the chain and appends a sim_frac_unsync column: the
@@ -770,8 +771,9 @@ void usage() {
                  "  --jobs N  worker threads for parallel sweeps (default and\n"
                  "            N = 0: hardware concurrency). Results are\n"
                  "            byte-identical for every N.\n"
-                 "  --batch B trials per batched-kernel claim in sweeps (0 =\n"
-                 "            auto). Results are byte-identical for every B.\n");
+                 "  --batch B trials per sweep claim, run as the lanes of one\n"
+                 "            PM kernel (0 = auto). Results are byte-identical\n"
+                 "            for every B.\n");
 }
 
 } // namespace
