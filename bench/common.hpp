@@ -51,11 +51,6 @@ inline int g_failed_checks = 0;
 
 struct Options {
     std::size_t jobs = parallel::hardware_jobs();
-    /// Trials per claim in parallel sweeps, run as the lanes of one PM
-    /// kernel (0 = auto-tune from the sweep shape; 1 = one lane per
-    /// kernel). Forwarded to SweepSchedulerOptions::batch; pure
-    /// performance, never results.
-    std::size_t batch = 0;
     std::uint64_t seed = 0;
     bool seed_set = false;
     bool json = false;
@@ -110,7 +105,7 @@ namespace detail {
 
 [[noreturn]] inline void usage(const char* argv0, const OptionsSpec& spec) {
     std::fprintf(stderr,
-                 "usage: %s [--jobs N] [--batch N] [--seed S] [--json] [--quiet]"
+                 "usage: %s [--jobs N] [--seed S] [--json] [--quiet]"
                  " [--trace FILE] [--out FILE] [--sample-every SEC] [--profile]"
                  " [--monitor]",
                  argv0);
@@ -160,10 +155,9 @@ inline Options& parse_options(int argc, char** argv, const OptionsSpec& spec = {
         }
         const bool is_bool = name == "json" || name == "quiet" ||
                              name == "profile" || name == "monitor";
-        const bool is_known = is_bool || name == "jobs" || name == "batch" ||
-                              name == "seed" || name == "trace" ||
-                              name == "out" || name == "sample-every" ||
-                              is_extra(name);
+        const bool is_known = is_bool || name == "jobs" || name == "seed" ||
+                              name == "trace" || name == "out" ||
+                              name == "sample-every" || is_extra(name);
         if (!is_known) {
             if (spec.allow_unknown) {
                 o.passthrough.push_back(std::move(arg));
@@ -214,22 +208,6 @@ inline Options& parse_options(int argc, char** argv, const OptionsSpec& spec = {
             // 0 = auto-detect the hardware concurrency.
             o.jobs = n == 0 ? parallel::hardware_jobs()
                             : static_cast<std::size_t>(n);
-        } else if (name == "batch") {
-            if (!has_value) {
-                // Bare --batch: auto-tune, same as the default.
-                o.batch = 0;
-                continue;
-            }
-            char* end = nullptr;
-            const long n = std::strtol(value.c_str(), &end, 10);
-            if (end == value.c_str() || *end != '\0' || n < 0) {
-                std::fprintf(stderr,
-                             "error: --batch must be a non-negative integer"
-                             " (0 = auto), got '%s'\n",
-                             value.c_str());
-                std::exit(2);
-            }
-            o.batch = static_cast<std::size_t>(n);
         } else if (name == "seed") {
             char* end = nullptr;
             const unsigned long long s = std::strtoull(value.c_str(), &end, 10);

@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
         }
     }
     const auto results =
-        parallel::SweepScheduler{{.jobs = jobs, .batch = options.batch}}.run_all(configs);
+        parallel::SweepScheduler{{.jobs = jobs}}.run_all(configs);
     parallel::merge_sweep_into(opts().ctx, results);
 
     std::vector<double> breakup_means;

@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
 
     const int kSims = 20;
     std::vector<stats::RunningStats> hit(21);
-    const auto results = parallel::SweepScheduler{{.jobs = jobs, .batch = options.batch}}.run_generated(
+    const auto results = parallel::SweepScheduler{{.jobs = jobs}}.run_generated(
         static_cast<std::size_t>(kSims), [](std::size_t i) {
             core::ExperimentConfig cfg;
             cfg.params.n = 20;

@@ -101,7 +101,7 @@ int main(int argc, char** argv) {
         sync_time_config(0.6 * tc, 11), sync_time_config(1.0 * tc, 11),
         breakup_time_config(2.5 * tc, 13), breakup_time_config(2.8 * tc, 13)};
     const auto marks =
-        parallel::SweepScheduler{{.jobs = jobs, .batch = options.batch}}.run_all(mark_configs);
+        parallel::SweepScheduler{{.jobs = jobs}}.run_all(mark_configs);
     parallel::merge_sweep_into(opts().ctx, marks);
     std::printf("x  Tr=%.2f*Tc  time_to_sync  = %.4g s\n", 0.6,
                 marks[0].full_sync_time_sec.value_or(1e7));

@@ -1,15 +1,13 @@
 // Metro-scale phase-transition sweep: the Figure 15 experiment — fraction
 // of time unsynchronized vs N at Tp = 121 s, Tc = 0.11 s, Tr = 0.3 s —
 // pushed from the paper's N = 5..32 axis up to N = 1e5 routers in a
-// single simulated trial, on the packed-lane PM kernel.
+// single simulated trial, on the PM kernel.
 //
-// Each N rung is one SweepScheduler run (--jobs applies; the batch size
-// is pinned to 1 so every trial runs as a one-lane kernel and the rung's
-// wall time is per trial whatever the worker count — the auto-batcher's
-// lane grouping depends on --jobs), timed wall-clock, and reported as:
+// Each N rung is one SweepScheduler run (--jobs applies), timed
+// wall-clock, and reported as:
 //   * frac_unsync        rounds whose largest cluster was 1 / closed rounds
 //   * ns/router-round    wall nanoseconds per (router x closed round)
-//   * bytes/router       kernel state high-water (SoA node slices + event
+//   * bytes/router       kernel state high-water (SoA node arrays + event
 //                        queue) divided by N — the number that decides
 //                        whether 1e6 routers fit in memory
 // plus the process peak RSS after the largest rung.
@@ -81,11 +79,7 @@ Rung run_rung(int n, int trials, double sim_seconds, std::uint64_t base_seed,
     }
 
     const auto t0 = std::chrono::steady_clock::now();
-    // batch pinned to 1: every trial runs as a one-lane kernel, so no
-    // rung's wall time depends on how --jobs groups lanes (see the header
-    // comment).
-    const auto results =
-        parallel::SweepScheduler{{.jobs = jobs, .batch = 1}}.run_all(configs);
+    const auto results = parallel::SweepScheduler{{.jobs = jobs}}.run_all(configs);
     const auto t1 = std::chrono::steady_clock::now();
 
     Rung rung;
@@ -121,7 +115,7 @@ int main(int argc, char** argv) {
     spec.extra = {"max-n", "sim-time", "trials", "bench-out"};
     spec.tool = "metroscale_sweep";
     spec.description = "fig15 phase transition in N pushed to metro scale "
-                       "(N up to 1e5) on the packed-lane PM kernel; reports "
+                       "(N up to 1e5) on the PM kernel; reports "
                        "frac unsync, ns/router-round, bytes/router, peak RSS";
     const Options& options = parse_options(argc, argv, spec);
     const int max_n = cli::flag_i(options.extra, "max-n", 100000);

@@ -85,31 +85,6 @@ void BM_EventQueue_PushCancel(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueue_PushCancel)->Arg(1024)->Arg(16384);
 
-void BM_TrialRunner(benchmark::State& state) {
-    // A fixed batch of independent trials fanned over state.range(0)
-    // worker threads. On multi-core hardware items/sec should scale
-    // near-linearly up to the physical core count (UseRealTime: wall
-    // clock is what parallelism buys).
-    const std::size_t jobs = static_cast<std::size_t>(state.range(0));
-    const parallel::TrialRunner runner{{.jobs = jobs}};
-    const int kTrials = 8;
-    for (auto _ : state) {
-        const auto results = runner.run_generated(kTrials, [](std::size_t i) {
-            core::ExperimentConfig cfg;
-            cfg.params.n = 20;
-            cfg.params.tp = sim::SimTime::seconds(121);
-            cfg.params.tc = sim::SimTime::seconds(0.11);
-            cfg.params.tr = sim::SimTime::seconds(0.11);
-            cfg.params.seed = parallel::derive_seed(42, i);
-            cfg.max_time = sim::SimTime::seconds(2e4);
-            return cfg;
-        });
-        benchmark::DoNotOptimize(results.size());
-    }
-    state.SetItemsProcessed(state.iterations() * kTrials);
-}
-BENCHMARK(BM_TrialRunner)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
-
 core::ExperimentConfig kernel_trial_config(core::ExperimentBackend backend) {
     core::ExperimentConfig cfg;
     cfg.params.n = 20;
@@ -125,7 +100,7 @@ core::ExperimentConfig kernel_trial_config(core::ExperimentBackend backend) {
 void BM_PMKernelLegacy_Trial(benchmark::State& state) {
     // One kernel trial forced onto the generic DES engine +
     // PeriodicMessagesModel — the in-binary baseline (and test oracle)
-    // for BM_PMKernel_Lanes/1.
+    // for BM_PMKernel_Trial.
     const auto cfg = kernel_trial_config(core::ExperimentBackend::Engine);
     std::uint64_t events = 0;
     for (auto _ : state) {
@@ -138,38 +113,27 @@ void BM_PMKernelLegacy_Trial(benchmark::State& state) {
 }
 BENCHMARK(BM_PMKernelLegacy_Trial);
 
-void BM_PMKernel_Lanes(benchmark::State& state) {
-    // B copies of the kernel trial (distinct seeds) as the lanes of one
-    // PmKernel (SoA node slices, sorted-run queues at n = 20, O(1)
-    // shared-busy broadcast). items/sec counts events across all lanes,
-    // so B = 1 against BM_PMKernelLegacy_Trial (the same trial on the
-    // generic engine) is the kernel's win, and B = 8/32 against B = 1 is
-    // the lane-batching win.
-    const std::size_t lanes = static_cast<std::size_t>(state.range(0));
-    std::vector<core::ExperimentConfig> configs;
-    for (std::size_t i = 0; i < lanes; ++i) {
-        auto cfg = kernel_trial_config(core::ExperimentBackend::FastKernel);
-        cfg.params.seed = parallel::derive_seed(42, i);
-        configs.push_back(cfg);
-    }
+void BM_PMKernel_Trial(benchmark::State& state) {
+    // BM_PMKernelLegacy_Trial's config on the PM kernel (sorted-run queue
+    // at n = 20, O(1) shared-busy broadcast): the ratio of the two is the
+    // kernel's win on the same trial.
+    const auto cfg = kernel_trial_config(core::ExperimentBackend::FastKernel);
     std::uint64_t events = 0;
     for (auto _ : state) {
-        const auto results = core::run_experiment_batch(configs);
-        events = 0;
-        for (const auto& r : results) {
-            events += r.events_processed;
-        }
-        benchmark::DoNotOptimize(events);
+        const auto r = core::run_experiment(cfg);
+        events = r.events_processed;
+        benchmark::DoNotOptimize(r.total_transmissions);
     }
     state.SetItemsProcessed(state.iterations() *
                             static_cast<std::int64_t>(events));
 }
-BENCHMARK(BM_PMKernel_Lanes)->Arg(1)->Arg(8)->Arg(32);
+BENCHMARK(BM_PMKernel_Trial);
 
 void BM_SweepScheduler(benchmark::State& state) {
-    // BM_TrialRunner's batch through the global work-stealing scheduler:
-    // one pooled task set instead of a per-batch barrier. items/sec are
-    // trials per wall-clock second (UseRealTime).
+    // A fixed set of independent trials fanned over state.range(0)
+    // workers of the global work-stealing scheduler. On multi-core
+    // hardware items/sec (trials per wall-clock second, UseRealTime)
+    // should scale near-linearly up to the physical core count.
     const std::size_t jobs = static_cast<std::size_t>(state.range(0));
     const int kTrials = 8;
     for (auto _ : state) {

@@ -3,15 +3,12 @@
 // Tc in {0.01, 0.11} s, Tr/Tc from 0.6 to 8.0 in steps of 0.4), every
 // (grid point x trial) task pooled into one SweepScheduler run.
 //
-// Seven timed passes over the identical grid (each best-of-3 to shed
+// Four timed passes over the identical grid (each best-of-3 to shed
 // scheduler noise):
-//   engine   --jobs 1            generic DES engine + PeriodicMessagesModel
-//   kernel   --jobs 1 --batch 1  PM kernel, one lane (one trial) per kernel
-//   kernel   --jobs 4 --batch 1  one-lane kernels + work stealing
-//   kernel   --jobs 8 --batch 1  one-lane kernels + work stealing
-//   batched  --jobs 1            PM kernel, auto batch size (16 lanes)
-//   batched  --jobs 4            multi-lane kernels + work stealing
-//   batched  --jobs 8            multi-lane kernels + work stealing
+//   engine   --jobs 1   generic DES engine + PeriodicMessagesModel
+//   kernel   --jobs 1   PM kernel, one trial per kernel
+//   kernel   --jobs 4   PM kernels + work stealing
+//   kernel   --jobs 8   PM kernels + work stealing
 //
 // Then the end-to-end figure reproduction suite: the fig07..fig15
 // binaries (built next to this one) each run once with their default
@@ -20,13 +17,12 @@
 //
 // Writes the "sweep_wallclock" section of BENCH_sweep.json (or
 // --bench-out PATH; bench/metroscale_sweep owns the "metroscale" section
-// of the same file): per-pass wall milliseconds, kernel-vs-engine and
-// batched-vs-one-lane speedups at one thread, 1->4 / 1->8 scaling,
-// per-figure suite times, peak RSS, a representative N = 30 kernel
-// state footprint in bytes/router, and the hardware_concurrency of the
-// machine that produced the numbers — thread scaling is only meaningful
-// with that context (a 1-core container shows ~1.0x regardless of the
-// scheduler).
+// of the same file): per-pass wall milliseconds, the kernel-vs-engine
+// speedup at one thread, 1->4 / 1->8 scaling, per-figure suite times,
+// peak RSS, a representative N = 30 kernel state footprint in
+// bytes/router, and the hardware_concurrency of the machine that
+// produced the numbers — thread scaling is only meaningful with that
+// context (a 1-core container shows ~1.0x regardless of the scheduler).
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -80,16 +76,14 @@ struct Pass {
 /// the OS stays out of the way". The runs are deterministic, so the
 /// transmission checksum is taken from the first (all three agree).
 Pass time_pass(const std::string& name, core::ExperimentBackend backend,
-               std::size_t jobs, std::size_t batch) {
+               std::size_t jobs) {
     constexpr int kReps = 3;
     const auto configs = make_grid(backend);
     Pass pass;
     pass.name = name;
     for (int rep = 0; rep < kReps; ++rep) {
         const auto t0 = std::chrono::steady_clock::now();
-        const auto results =
-            parallel::SweepScheduler{{.jobs = jobs, .batch = batch}}.run_all(
-                configs);
+        const auto results = parallel::SweepScheduler{{.jobs = jobs}}.run_all(configs);
         const auto t1 = std::chrono::steady_clock::now();
         const double ms =
             std::chrono::duration<double, std::milli>(t1 - t0).count();
@@ -133,28 +127,18 @@ int main(int argc, char** argv) {
     spec.extra = {"bench-out"};
     spec.tool = "sweep_wallclock";
     spec.description = "fig13 N x Tc simulation grid wall clock: engine vs "
-                       "one-lane vs batched PM kernel, SweepScheduler at "
-                       "1/4/8 jobs, plus the fig07..fig15 suite";
+                       "PM kernel, SweepScheduler at 1/4/8 jobs, plus the "
+                       "fig07..fig15 suite";
     const Options& options = parse_options(argc, argv, spec);
     header("Sweep wall clock",
-           "fig13 N x Tc grid (114 sims, 5000 s each) — engine vs kernel "
-           "vs batched lanes, jobs scaling, figure-suite total");
+           "fig13 N x Tc grid (114 sims, 5000 s each) — engine vs kernel, "
+           "jobs scaling, figure-suite total");
 
     std::vector<Pass> passes;
-    passes.push_back(
-        time_pass("engine_jobs1", core::ExperimentBackend::Engine, 1, 1));
-    passes.push_back(
-        time_pass("kernel_jobs1", core::ExperimentBackend::FastKernel, 1, 1));
-    passes.push_back(
-        time_pass("kernel_jobs4", core::ExperimentBackend::FastKernel, 4, 1));
-    passes.push_back(
-        time_pass("kernel_jobs8", core::ExperimentBackend::FastKernel, 8, 1));
-    passes.push_back(
-        time_pass("batched_jobs1", core::ExperimentBackend::FastKernel, 1, 0));
-    passes.push_back(
-        time_pass("batched_jobs4", core::ExperimentBackend::FastKernel, 4, 0));
-    passes.push_back(
-        time_pass("batched_jobs8", core::ExperimentBackend::FastKernel, 8, 0));
+    passes.push_back(time_pass("engine_jobs1", core::ExperimentBackend::Engine, 1));
+    passes.push_back(time_pass("kernel_jobs1", core::ExperimentBackend::FastKernel, 1));
+    passes.push_back(time_pass("kernel_jobs4", core::ExperimentBackend::FastKernel, 4));
+    passes.push_back(time_pass("kernel_jobs8", core::ExperimentBackend::FastKernel, 8));
 
     section("wall clock");
     std::printf("%14s %12s %16s\n", "pass", "wall_ms", "transmissions");
@@ -164,19 +148,13 @@ int main(int argc, char** argv) {
     }
 
     const double speedup_kernel = passes[0].wall_ms / passes[1].wall_ms;
-    const double speedup_batched = passes[1].wall_ms / passes[4].wall_ms;
     const double scale_4 = passes[1].wall_ms / passes[2].wall_ms;
     const double scale_8 = passes[1].wall_ms / passes[3].wall_ms;
-    const double batched_scale_4 = passes[4].wall_ms / passes[5].wall_ms;
-    const double batched_scale_8 = passes[4].wall_ms / passes[6].wall_ms;
     const unsigned hw = std::thread::hardware_concurrency();
     section("summary");
     std::printf("kernel vs engine   (jobs 1): %.2fx\n", speedup_kernel);
-    std::printf("batched vs one-lane (jobs 1): %.2fx\n", speedup_batched);
     std::printf("kernel scaling  1 -> 4     : %.2fx\n", scale_4);
     std::printf("kernel scaling  1 -> 8     : %.2fx\n", scale_8);
-    std::printf("batched scaling 1 -> 4     : %.2fx\n", batched_scale_4);
-    std::printf("batched scaling 1 -> 8     : %.2fx\n", batched_scale_8);
     std::printf("hardware_concurrency       : %u\n", hw);
 
     check(passes[1].transmissions == passes[0].transmissions,
@@ -186,14 +164,7 @@ int main(int argc, char** argv) {
               passes[3].transmissions == passes[1].transmissions,
           "jobs 4/8 passes byte-identical to jobs 1 (deterministic "
           "scheduler)");
-    check(passes[4].transmissions == passes[1].transmissions &&
-              passes[5].transmissions == passes[1].transmissions &&
-              passes[6].transmissions == passes[1].transmissions,
-          "batched passes reproduce the one-lane pass transmission-for-"
-          "transmission (lane bit-identity)");
     check(speedup_kernel > 1.0, "the fast-path kernel beats the engine");
-    check(speedup_batched >= 2.0,
-          "batched lanes at least double one-lane single-thread throughput");
 
     // End-to-end figure reproduction: every simulation-bearing figure
     // binary at its defaults. This is the wall time a user pays for the
@@ -225,8 +196,8 @@ int main(int argc, char** argv) {
     std::printf("%26s %12.1f ms\n", "total", suite_ms);
     check(suite_ok, "every figure binary in the suite exits 0");
 
-    // Representative per-router state footprint: one N = 30 grid point as
-    // a one-lane kernel (the largest N the fig13 grid reaches). The
+    // Representative per-router state footprint: one N = 30 grid point on
+    // the kernel (the largest N the fig13 grid reaches). The
     // metroscale section carries the same number up to N = 1e5.
     std::uint64_t n30_state_bytes = 0;
     {
@@ -262,12 +233,8 @@ int main(int argc, char** argv) {
     }
     out << "    ],\n";
     out << "    \"speedup_kernel_vs_engine_jobs1\": " << speedup_kernel << ",\n";
-    out << "    \"speedup_batched_vs_scalar_jobs1\": " << speedup_batched
-        << ",\n";
     out << "    \"scaling_jobs_1_to_4\": " << scale_4 << ",\n";
     out << "    \"scaling_jobs_1_to_8\": " << scale_8 << ",\n";
-    out << "    \"batched_scaling_jobs_1_to_4\": " << batched_scale_4 << ",\n";
-    out << "    \"batched_scaling_jobs_1_to_8\": " << batched_scale_8 << ",\n";
     out << "    \"kernel_state_bytes_n30\": " << n30_state_bytes << ",\n";
     out << "    \"bytes_per_router_n30\": "
         << static_cast<double>(n30_state_bytes) / 30.0 << ",\n";

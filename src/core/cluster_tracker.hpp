@@ -65,7 +65,7 @@ public:
     /// Reconfigures the tracker for a fresh run without releasing its
     /// scratch buffers: the event/round vectors keep their capacity and
     /// the per-size arrays are overwritten in place, so a pooled tracker
-    /// (e.g. one per batch lane, reused across batches) costs no
+    /// (e.g. one per worker thread, reused across trials) costs no
     /// allocations after warm-up. Same validation as the constructor;
     /// callbacks and record flags revert to their defaults. A reset
     /// tracker is indistinguishable from a freshly constructed one.

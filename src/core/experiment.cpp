@@ -1,6 +1,5 @@
 #include "core/experiment.hpp"
 
-#include <deque>
 #include <optional>
 #include <utility>
 
@@ -23,23 +22,19 @@ bool sampled(const ExperimentConfig& config) {
 
 /// The generic engine runs explicit Engine-backend configs and, under
 /// Auto, sampled ones (the ResourceSampler then probes the engine's
-/// queue); everything else runs as a PmKernel lane.
+/// queue); everything else runs on a PmKernel.
 bool uses_engine(const ExperimentConfig& config) {
     return config.backend == ExperimentBackend::Engine ||
            (config.backend == ExperimentBackend::Auto && sampled(config));
 }
 
-/// Pooled per-thread trackers, one slot per lane: reset() reuses their
-/// buffers, so sweep workers and figure benches stop paying per-trial
-/// tracker allocations after their first trial. Safe because a thread
-/// runs one batch at a time and Trial re-sets the record flags and
-/// callbacks after every reset.
-ClusterTracker& pooled_tracker(std::size_t slot, int n, sim::SimTime round_length) {
-    thread_local std::vector<std::unique_ptr<ClusterTracker>> pool;
-    if (pool.size() <= slot) {
-        pool.resize(slot + 1);
-    }
-    std::unique_ptr<ClusterTracker>& tracker = pool[slot];
+/// One pooled tracker per thread: reset() reuses its buffers, so sweep
+/// workers and figure benches stop paying per-trial tracker allocations
+/// after their first trial. Safe because a thread runs one trial at a
+/// time and Trial re-sets the record flags and callbacks after every
+/// reset.
+ClusterTracker& pooled_tracker(int n, sim::SimTime round_length) {
+    thread_local std::unique_ptr<ClusterTracker> tracker;
     if (tracker == nullptr) {
         tracker = std::make_unique<ClusterTracker>(n, round_length);
     } else {
@@ -86,17 +81,16 @@ void finalize_metrics(const ExperimentConfig& config, ExperimentResult& result) 
 }
 
 /// Everything one trial adds around its simulation core, written once
-/// for the engine path and every kernel lane: the pooled tracker, the
+/// for the engine and the kernel path: the pooled tracker, the
 /// monitor, the transmit stride, the stop conditions, cluster-change
 /// tracing, and result assembly. `stop` halts this trial's core.
 class Trial {
 public:
     Trial(const ExperimentConfig& config, ExperimentResult& result,
-          std::size_t slot, sim::SimTime round_length,
-          std::function<void()> stop)
+          sim::SimTime round_length, std::function<void()> stop)
         : config_{config},
           result_{result},
-          tracker_{pooled_tracker(slot, config.params.n, round_length)},
+          tracker_{pooled_tracker(config.params.n, round_length)},
           round_length_{round_length},
           stop_{std::move(stop)} {
         tracker_.record_events(config.record_cluster_events);
@@ -240,7 +234,7 @@ void run_on_engine(const ExperimentConfig& config, ExperimentResult& result) {
     }
     PeriodicMessagesModel model{engine, config.params,
                                 config.make_policy ? config.make_policy() : nullptr};
-    Trial trial{config, result, 0, model.round_length(), [&engine] { engine.stop(); }};
+    Trial trial{config, result, model.round_length(), [&engine] { engine.stop(); }};
     if (trial.observes_transmits()) {
         model.on_transmit = [&trial](int node, sim::SimTime t) {
             trial.on_transmit(node, t);
@@ -268,137 +262,88 @@ void run_on_engine(const ExperimentConfig& config, ExperimentResult& result) {
                  engine.events_processed(), 0);
 }
 
-/// Runs configs[which[l]] as lane l of one PmKernel, writing
-/// results[which[l]]. A sampled config must run as the only lane: the
-/// sampler ticks one lane's event loop.
-void run_on_kernel(std::span<const ExperimentConfig> configs,
-                   std::span<const std::size_t> which,
-                   std::vector<ExperimentResult>& results) {
-    std::vector<PmLaneSpec> specs;
-    specs.reserve(which.size());
-    for (const std::size_t i : which) {
-        const ExperimentConfig& config = configs[i];
-        specs.push_back(PmLaneSpec{
-            config.params, config.make_policy ? config.make_policy() : nullptr,
-            tracer_of(config)});
-    }
-    PmKernel kernel{std::move(specs)};
-
-    std::deque<Trial> trials; // stable addresses: the wiring points at them
-    bool any_transmits = false;
-    bool any_rearm_hop = false;
-    std::vector<sim::SimTime> targets;
-    targets.reserve(which.size());
-    for (std::size_t l = 0; l < which.size(); ++l) {
-        const ExperimentConfig& config = configs[which[l]];
-        Trial& trial = trials.emplace_back(config, results[which[l]], l,
-                                           kernel.round_length(l),
-                                           [&kernel, l] { kernel.stop(l); });
-        kernel.set_tracker_sink(l, trial.direct_sink());
-        any_transmits = any_transmits || trial.observes_transmits();
-        any_rearm_hop = any_rearm_hop || trial.direct_sink() == nullptr;
-        if (config.trigger_all_at.has_value()) {
-            kernel.schedule_trigger_all(l, *config.trigger_all_at);
-        }
-        targets.push_back(config.max_time);
-    }
-    if (any_transmits) {
-        kernel.on_transmit = [&trials](std::size_t l, int node, sim::SimTime t) {
-            trials[l].on_transmit(node, t);
+void run_on_kernel(const ExperimentConfig& config, ExperimentResult& result) {
+    PmKernel kernel{config.params, config.make_policy ? config.make_policy() : nullptr,
+                    tracer_of(config)};
+    Trial trial{config, result, kernel.round_length(), [&kernel] { kernel.stop(); }};
+    kernel.set_tracker_sink(trial.direct_sink());
+    if (trial.observes_transmits()) {
+        kernel.on_transmit = [&trial](int node, sim::SimTime t) {
+            trial.on_transmit(node, t);
         };
     }
-    if (any_rearm_hop) {
-        // Fires only for lanes without a direct sink — monitored ones.
-        kernel.on_timer_set = [&trials](std::size_t l, int node, sim::SimTime t) {
-            trials[l].on_timer_set(node, t);
+    if (trial.direct_sink() == nullptr) {
+        // Monitored trials: re-arms feed the tracker and the monitor.
+        kernel.on_timer_set = [&trial](int node, sim::SimTime t) {
+            trial.on_timer_set(node, t);
         };
+    }
+    if (config.trigger_all_at.has_value()) {
+        kernel.schedule_trigger_all(*config.trigger_all_at);
     }
 
     std::optional<obs::ResourceSampler> sampler;
-    if (sampled(configs[which[0]])) {
-        // Tick on the lane's own event loop and probe its memory: the
+    if (sampled(config)) {
+        // Tick on the kernel's own event loop and probe its memory: the
         // rs.pm_kernel.* gauges show node-state + queue bytes over
         // virtual time (the metro-scale question --sample-every answers).
-        const ExperimentConfig& config = configs[which[0]];
         sampler.emplace(
             [&kernel](sim::SimTime delay, std::function<void()> fn) {
-                kernel.schedule_hook(0, kernel.now(0) + delay, std::move(fn));
+                kernel.schedule_hook(kernel.now() + delay, std::move(fn));
             },
-            [&kernel] { return kernel.now(0); }, *config.obs,
+            [&kernel] { return kernel.now(); }, *config.obs,
             sim::SimTime::seconds(config.sample_every));
         sampler->add_source("pm_kernel.state_bytes", -1, [&kernel] {
             return obs::ResourceSampler::Sample{
-                static_cast<double>(kernel.state_bytes(0)), 0.0};
+                static_cast<double>(kernel.state_bytes()), 0.0};
         });
         sampler->add_source("pm_kernel.queue.live", -1, [&kernel] {
             return obs::ResourceSampler::Sample{
-                static_cast<double>(kernel.queue_size(0)), 0.0};
+                static_cast<double>(kernel.queue_size()), 0.0};
         });
         sampler->start();
     }
 
     {
         OBS_PROF_SCOPE("experiment.run");
-        kernel.run_all_until(targets);
+        kernel.run_until(config.max_time);
     }
-    for (std::size_t l = 0; l < which.size(); ++l) {
-        trials[l].finish(kernel.now(l), kernel.total_transmissions(l),
-                         kernel.events_processed(l), kernel.state_bytes(l));
-    }
-}
-
-/// Runs one config on its own core with its own profiler installed (a
-/// no-op when profiling is off process-wide). Thread-locals don't
-/// propagate to worker threads, so each trial installs its own and the
-/// snapshot is merged back in submission order (like metrics).
-void run_alone(std::span<const ExperimentConfig> configs, std::size_t i,
-               std::vector<ExperimentResult>& results) {
-    obs::Profiler trial_profiler;
-    std::optional<obs::ScopedProfilerInstall> prof_install;
-    if (obs::Profiler::process_enabled()) {
-        prof_install.emplace(trial_profiler);
-    }
-    if (uses_engine(configs[i])) {
-        run_on_engine(configs[i], results[i]);
-    } else {
-        const std::size_t which[] = {i};
-        run_on_kernel(configs, which, results);
-    }
-    prof_install.reset(); // restore the caller's profiler before merging
-    ExperimentResult& result = results[i];
-    result.profile = trial_profiler.snapshot();
-    if (configs[i].obs != nullptr && !result.profile.empty()) {
-        configs[i].obs->merge_profile(result.profile);
-    }
+    trial.finish(kernel.now(), kernel.total_transmissions(),
+                 kernel.events_processed(), kernel.state_bytes());
 }
 
 } // namespace
 
 ExperimentResult run_experiment(const ExperimentConfig& config) {
-    return std::move(run_experiment_batch(std::span{&config, 1})[0]);
+    // Each trial installs its own profiler (a no-op when profiling is off
+    // process-wide): thread-locals don't propagate to worker threads, so
+    // sweeps merge the per-trial snapshots back in submission order, like
+    // metrics.
+    ExperimentResult result;
+    obs::Profiler trial_profiler;
+    std::optional<obs::ScopedProfilerInstall> prof_install;
+    if (obs::Profiler::process_enabled()) {
+        prof_install.emplace(trial_profiler);
+    }
+    if (uses_engine(config)) {
+        run_on_engine(config, result);
+    } else {
+        run_on_kernel(config, result);
+    }
+    prof_install.reset(); // restore the caller's profiler before merging
+    result.profile = trial_profiler.snapshot();
+    if (config.obs != nullptr && !result.profile.empty()) {
+        config.obs->merge_profile(result.profile);
+    }
+    return result;
 }
 
 std::vector<ExperimentResult>
 run_experiment_batch(std::span<const ExperimentConfig> configs) {
-    std::vector<ExperimentResult> results(configs.size());
-
-    // Engine-backed, sampled and profiled configs run alone, in input
-    // order: the sampler ticks one core's event loop, and one profiler
-    // could not keep interleaved lanes' scope counts separable. The rest
-    // pool into one kernel. Every lane is bit-identical to a run alone,
-    // so the split never shows in the output.
-    const bool profiled = obs::Profiler::process_enabled();
-    std::vector<std::size_t> lanes;
-    lanes.reserve(configs.size());
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-        if (profiled || uses_engine(configs[i]) || sampled(configs[i])) {
-            run_alone(configs, i, results);
-        } else {
-            lanes.push_back(i);
-        }
-    }
-    if (!lanes.empty()) {
-        run_on_kernel(configs, lanes, results);
+    std::vector<ExperimentResult> results;
+    results.reserve(configs.size());
+    for (const ExperimentConfig& config : configs) {
+        results.push_back(run_experiment(config));
     }
     return results;
 }

@@ -41,9 +41,8 @@ enum class ExperimentBackend {
     Auto,
     /// The generic DES engine + PeriodicMessagesModel.
     Engine,
-    /// A lane of the fused PM fast path (core/pm_kernel.hpp). If sampling
-    /// is requested, the trial runs as the kernel's only lane and a
-    /// ResourceSampler ticks on that lane's event loop
+    /// The fused PM fast path (core/pm_kernel.hpp). If sampling is
+    /// requested, a ResourceSampler ticks on the kernel's event loop
     /// (PmKernel::schedule_hook), reporting rs.pm_kernel.* gauges —
     /// kernel state bytes and live queue depth over virtual time.
     FastKernel,
@@ -92,8 +91,7 @@ struct ExperimentConfig {
     /// detector, and the causal coupling graph. Off by default — when
     /// off, the wiring is byte-for-byte what it was without the feature
     /// (the hot paths keep their direct ClusterTracker sink). Works on
-    /// both backends (engine and every PmKernel lane) with bit-identical
-    /// results.
+    /// both backends (engine and PmKernel) with bit-identical results.
     bool monitor = false;
     /// Detector up-crossing level for r (monitor only).
     double sync_threshold = 0.95;
@@ -118,9 +116,9 @@ struct ExperimentResult {
     std::uint64_t events_processed = 0;
     double end_time_sec = 0.0;
     double round_length_sec = 0.0;
-    /// Bytes of simulation-core state the trial retained (SoA node lanes
+    /// Bytes of simulation-core state the trial retained (SoA node arrays
     /// + timer-queue storage); divide by params.n for bytes/router. Filled
-    /// by the kernel paths, 0 on the generic engine (whose type-erased
+    /// by the kernel path, 0 on the generic engine (whose type-erased
     /// queue has no comparable accounting). Deliberately NOT a metric:
     /// metrics blocks are bit-identical across backends by contract, and
     /// this number is backend-specific by nature.
@@ -129,8 +127,8 @@ struct ExperimentResult {
     std::optional<obs::SyncReport> sync;
     /// Who-reset-whom graph (empty unless config.monitor was on).
     obs::CouplingGraph sync_coupling;
-    /// Per-trial metric snapshot (always populated; cheap). TrialRunner
-    /// merges these deterministically across trials — see
+    /// Per-trial metric snapshot (always populated; cheap). Sweeps merge
+    /// these deterministically across trials — see
     /// parallel::merge_trial_metrics.
     obs::MetricsSnapshot metrics;
     /// Per-trial profiler snapshot; empty unless the process-wide
@@ -139,16 +137,13 @@ struct ExperimentResult {
     obs::ProfileSnapshot profile;
 };
 
-/// Runs one Periodic Messages experiment to completion: the one-config
-/// case of run_experiment_batch.
+/// Runs one Periodic Messages experiment to completion on the backend
+/// the config picks, with its own profiler while the process-wide
+/// profiler is on.
 [[nodiscard]] ExperimentResult run_experiment(const ExperimentConfig& config);
 
-/// Runs a batch of experiments, advancing every config that may share a
-/// core as one lane of a single PmKernel (core/pm_kernel.hpp); configs on
-/// the Engine backend, sampled ones and, while the process-wide profiler
-/// is on, every config run alone instead. Results are returned in input
-/// order and are byte-identical to calling run_experiment on each config
-/// one at a time — batching is pure performance.
+/// run_experiment on each config in turn; results in input order. Kept
+/// only because benchmark/workloads.cpp calls it.
 [[nodiscard]] std::vector<ExperimentResult>
 run_experiment_batch(std::span<const ExperimentConfig> configs);
 

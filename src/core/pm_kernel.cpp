@@ -16,7 +16,7 @@ namespace {
 
 constexpr std::size_t kBuckets = 1024; // power of two
 
-/// Lane::pending_state layout: bit 31 = a kPmBusyCheck event is queued
+/// PmKernel::pending_state_ layout: bit 31 = a kPmBusyCheck event is queued
 /// for the node; bits 0..30 = own transmissions awaiting the busy-period
 /// re-arm.
 constexpr std::uint32_t kBusyCheckQueued = 0x80000000U;
@@ -44,7 +44,8 @@ double horizon_hint(const ModelParams& p, const TimerPolicy& policy) {
 
 /// PeriodicMessagesModel's parameter checks, with its exact messages —
 /// callers switching backends must not see a different contract.
-void validate(const ModelParams& p) {
+/// Returns `p`, so the kernel validates in its member initializer.
+ModelParams validated(ModelParams p) {
     if (p.n < 1) {
         throw std::invalid_argument{"PeriodicMessagesModel: need at least one node"};
     }
@@ -64,6 +65,7 @@ void validate(const ModelParams& p) {
         throw std::invalid_argument{
             "PeriodicMessagesModel: per_node_tc size must equal n"};
     }
+    return p;
 }
 
 /// Runs `step` under the profiler scope `label` (a string literal) when
@@ -173,286 +175,232 @@ std::size_t PmCalendarQueue::memory_bytes() const noexcept {
 // ---------------------------------------------------------------------------
 // PmKernel: construction and introspection
 
-PmKernel::PmKernel(std::vector<PmLaneSpec> specs) {
-    lanes_.reserve(specs.size());
-    std::size_t nodes = 0;
-    std::size_t pending_nodes = 0;
-    std::size_t busy_nodes = 0;
-    for (PmLaneSpec& spec : specs) {
-        validate(spec.params);
-        Lane lane;
-        lane.params = std::move(spec.params);
-        lane.policy = spec.policy
-                          ? std::move(spec.policy)
-                          : std::make_unique<UniformJitter>(lane.params.tp,
-                                                            lane.params.tr);
-        lane.tracer = spec.tracer;
-        lane.id = lanes_.size();
-        lane.reset_at_expiry = lane.params.reset_at_expiry;
-        lane.immediate = lane.params.notification == Notification::Immediate;
-        lane.shared_busy = lane.immediate && lane.params.per_node_tc.empty();
-        if (lane.params.per_node_tp.empty()) {
-            if (const auto* uj =
-                    dynamic_cast<const UniformJitter*>(lane.policy.get())) {
-                lane.draw_lo = (uj->tp() - uj->tr()).sec();
-                lane.draw_span = (uj->tp() + uj->tr()).sec() - lane.draw_lo;
-                lane.fast_draw = true;
-            }
-        }
-        if (lane.params.n >= kPmCalendarMinNodes) {
-            lane.calendar = std::make_unique<PmCalendarQueue>(
-                horizon_hint(lane.params, *lane.policy));
-        }
-        const auto n = static_cast<std::size_t>(lane.params.n);
-        nodes += n;
-        pending_nodes += lane.reset_at_expiry ? 0 : n;
-        busy_nodes += lane.shared_busy ? 0 : n;
-        lanes_.push_back(std::move(lane));
-    }
-
-    // One exact-size allocation per array (nothing grows later), then
-    // each lane takes its slices in lane order.
-    next_expiry_.assign(nodes, sim::SimTime::infinity());
-    transmissions_.assign(nodes, 0);
-    timer_gen_.assign(nodes, 0);
-    pending_state_.assign(pending_nodes, 0);
-    busy_end_.assign(busy_nodes, -sim::SimTime::seconds(1.0));
-    std::size_t base = 0;
-    std::size_t pending_base = 0;
-    std::size_t busy_base = 0;
-    for (Lane& lane : lanes_) {
-        const auto n = static_cast<std::size_t>(lane.params.n);
-        lane.next_expiry = next_expiry_.data() + base;
-        lane.transmissions = transmissions_.data() + base;
-        lane.timer_gen = timer_gen_.data() + base;
-        base += n;
-        if (!lane.reset_at_expiry) {
-            lane.pending_state = pending_state_.data() + pending_base;
-            pending_base += n;
-        }
-        if (!lane.shared_busy) {
-            lane.busy_end = busy_end_.data() + busy_base;
-            busy_base += n;
+PmKernel::PmKernel(ModelParams params, std::unique_ptr<TimerPolicy> policy,
+                   obs::Tracer* tracer)
+    : params_{validated(std::move(params))},
+      policy_{policy ? std::move(policy)
+                     : std::make_unique<UniformJitter>(params_.tp, params_.tr)},
+      tracer_{tracer},
+      gen_{params_.seed},
+      reset_at_expiry_{params_.reset_at_expiry},
+      immediate_{params_.notification == Notification::Immediate} {
+    shared_busy_ = immediate_ && params_.per_node_tc.empty();
+    if (params_.per_node_tp.empty()) {
+        if (const auto* uj = dynamic_cast<const UniformJitter*>(policy_.get())) {
+            draw_lo_ = (uj->tp() - uj->tr()).sec();
+            draw_span_ = (uj->tp() + uj->tr()).sec() - draw_lo_;
+            fast_draw_ = true;
         }
     }
+    if (params_.n >= kPmCalendarMinNodes) {
+        calendar_ = std::make_unique<PmCalendarQueue>(horizon_hint(params_, *policy_));
+    }
+    const auto n = static_cast<std::size_t>(params_.n);
+    next_expiry_.assign(n, sim::SimTime::infinity());
+    transmissions_.assign(n, 0);
+    timer_gen_.assign(n, 0);
+    if (!reset_at_expiry_) {
+        pending_state_.assign(n, 0);
+    }
+    if (!shared_busy_) {
+        busy_end_.assign(n, -sim::SimTime::seconds(1.0));
+    }
 
-    // Seed and schedule lane by lane, nodes in order — each lane's RNG
-    // consumption replays an engine construction of the same params.
-    for (Lane& lane : lanes_) {
-        lane.gen = rng::DefaultEngine{lane.params.seed};
-        for (int i = 0; i < lane.params.n; ++i) {
-            sim::SimTime first;
-            if (!lane.params.initial_phases.empty()) {
-                first = sim::SimTime::seconds(
-                    lane.params.initial_phases[static_cast<std::size_t>(i)]);
-            } else if (lane.params.start == StartCondition::Synchronized) {
-                first = sim::SimTime::zero();
-            } else {
-                first = sim::SimTime::seconds(
-                    rng::uniform_real(lane.gen, 0.0, lane.params.tp.sec()));
-            }
-            schedule_timer(lane, i, lane.now + first);
+    // Nodes in order — the RNG consumption replays an engine construction
+    // of the same params.
+    for (int i = 0; i < params_.n; ++i) {
+        sim::SimTime first;
+        if (!params_.initial_phases.empty()) {
+            first = sim::SimTime::seconds(
+                params_.initial_phases[static_cast<std::size_t>(i)]);
+        } else if (params_.start == StartCondition::Synchronized) {
+            first = sim::SimTime::zero();
+        } else {
+            first = sim::SimTime::seconds(
+                rng::uniform_real(gen_, 0.0, params_.tp.sec()));
         }
+        schedule_timer(i, now_ + first);
     }
 }
 
-sim::SimTime PmKernel::round_length(std::size_t lane) const noexcept {
-    const Lane& l = lanes_[lane];
-    return l.policy->mean_interval() + l.params.tc;
+sim::SimTime PmKernel::round_length() const noexcept {
+    return policy_->mean_interval() + params_.tc;
 }
 
-NodeView PmKernel::node(std::size_t lane, int i) const {
-    const Lane& l = lanes_[lane];
-    if (i < 0 || i >= l.params.n) {
+NodeView PmKernel::node(int i) const {
+    if (i < 0 || i >= params_.n) {
         throw std::out_of_range{"PmKernel::node: index out of range"};
     }
     const auto idx = static_cast<std::size_t>(i);
-    const sim::SimTime be = busy_end(l, i);
+    const sim::SimTime be = busy_end(i);
     return NodeView{
-        .next_expiry = (l.timer_gen[idx] & 1U) != 0 ? l.next_expiry[idx]
-                                                    : sim::SimTime::infinity(),
+        .next_expiry = (timer_gen_[idx] & 1U) != 0 ? next_expiry_[idx]
+                                                   : sim::SimTime::infinity(),
         .busy_until = be,
-        .busy = be > l.now,
-        .transmissions = l.transmissions[idx],
+        .busy = be > now_,
+        .transmissions = transmissions_[idx],
     };
 }
 
-std::size_t PmKernel::node_state_bytes(std::size_t lane) const noexcept {
-    const Lane& l = lanes_[lane];
-    std::size_t per_node = sizeof(sim::SimTime) + sizeof(std::uint64_t) +
-                           sizeof(std::uint32_t);
-    if (l.pending_state != nullptr) {
-        per_node += sizeof(std::uint32_t);
-    }
-    if (l.busy_end != nullptr) {
-        per_node += sizeof(sim::SimTime);
-    }
-    return static_cast<std::size_t>(l.params.n) * per_node;
+std::size_t PmKernel::node_state_bytes() const noexcept {
+    return next_expiry_.size() * sizeof(sim::SimTime) +
+           transmissions_.size() * sizeof(std::uint64_t) +
+           timer_gen_.size() * sizeof(std::uint32_t) +
+           pending_state_.size() * sizeof(std::uint32_t) +
+           busy_end_.size() * sizeof(sim::SimTime);
 }
 
-std::size_t PmKernel::state_bytes(std::size_t lane) const noexcept {
-    const Lane& l = lanes_[lane];
-    return node_state_bytes(lane) +
-           (l.calendar ? l.calendar->memory_bytes() : l.run.memory_bytes());
+std::size_t PmKernel::state_bytes() const noexcept {
+    return node_state_bytes() +
+           (calendar_ ? calendar_->memory_bytes() : run_.memory_bytes());
 }
 
-std::size_t PmKernel::queue_size(std::size_t lane) const noexcept {
-    const Lane& l = lanes_[lane];
-    return l.calendar ? l.calendar->size() : l.run.size();
+std::size_t PmKernel::queue_size() const noexcept {
+    return calendar_ ? calendar_->size() : run_.size();
 }
 
 // ---------------------------------------------------------------------------
 // Scheduling from outside the run loop
 
-void PmKernel::schedule_trigger_all(std::size_t lane, sim::SimTime t) {
-    Lane& l = lanes_[lane];
-    if (t < l.now) {
+void PmKernel::schedule_trigger_all(sim::SimTime t) {
+    if (t < now_) {
         throw std::logic_error{"Engine::schedule_at: time is in the past"};
     }
-    push_event(l, t, kPmTrigger, 0);
+    push_event(t, kPmTrigger, 0);
 }
 
-void PmKernel::schedule_hook(std::size_t lane, sim::SimTime t,
-                             std::function<void()> fn) {
-    Lane& l = lanes_[lane];
-    if (t < l.now) {
+void PmKernel::schedule_hook(sim::SimTime t, std::function<void()> fn) {
+    if (t < now_) {
         throw std::logic_error{"Engine::schedule_at: time is in the past"};
     }
     std::uint32_t slot;
-    if (!l.free_hooks.empty()) {
-        slot = l.free_hooks.back();
-        l.free_hooks.pop_back();
-        l.hooks[slot] = std::move(fn);
+    if (!free_hooks_.empty()) {
+        slot = free_hooks_.back();
+        free_hooks_.pop_back();
+        hooks_[slot] = std::move(fn);
     } else {
-        slot = static_cast<std::uint32_t>(l.hooks.size());
-        l.hooks.push_back(std::move(fn));
+        slot = static_cast<std::uint32_t>(hooks_.size());
+        hooks_.push_back(std::move(fn));
     }
-    push_event(l, t, kPmHook, slot);
+    push_event(t, kPmHook, slot);
 }
 
 // ---------------------------------------------------------------------------
 // Model steps
 
-void PmKernel::push_event(Lane& lane, sim::SimTime at, std::uint32_t kind,
-                          std::uint32_t node) {
-    if (lane.calendar) {
-        lane.calendar->push(at.sec(), lane.next_seq++, kind, node);
+void PmKernel::push_event(sim::SimTime at, std::uint32_t kind, std::uint32_t node) {
+    if (calendar_) {
+        calendar_->push(at.sec(), next_seq_++, kind, node);
     } else {
-        lane.run.push(at.sec(), lane.next_seq++, kind, node);
+        run_.push(at.sec(), next_seq_++, kind, node);
     }
 }
 
-sim::SimTime PmKernel::draw_interval(Lane& lane, int i) {
-    if (!lane.params.per_node_tp.empty()) {
-        const double tp_i = lane.params.per_node_tp[static_cast<std::size_t>(i)];
+sim::SimTime PmKernel::draw_interval(int i) {
+    if (!params_.per_node_tp.empty()) {
+        const double tp_i = params_.per_node_tp[static_cast<std::size_t>(i)];
         return sim::SimTime::seconds(rng::uniform_real(
-            lane.gen, tp_i - lane.params.tr.sec(), tp_i + lane.params.tr.sec()));
+            gen_, tp_i - params_.tr.sec(), tp_i + params_.tr.sec()));
     }
-    if (lane.fast_draw) {
+    if (fast_draw_) {
         // lo + span*u01 with span = hi - lo hoisted: bit-identical to
         // rng::uniform_real(gen, lo, hi), which UniformJitter calls.
-        return sim::SimTime::seconds(lane.draw_lo +
-                                     lane.draw_span * rng::uniform01(lane.gen));
+        return sim::SimTime::seconds(draw_lo_ + draw_span_ * rng::uniform01(gen_));
     }
-    return lane.policy->next_interval(lane.gen);
+    return policy_->next_interval(gen_);
 }
 
-void PmKernel::schedule_timer(Lane& lane, int i, sim::SimTime at) {
+void PmKernel::schedule_timer(int i, sim::SimTime at) {
     const auto idx = static_cast<std::size_t>(i);
-    assert((lane.timer_gen[idx] & 1U) == 0 && "node already has a pending timer");
-    const std::uint32_t gen = ++lane.timer_gen[idx]; // odd = pending
-    push_event(lane, at, ((gen & kPmGenMask) << kPmKindBits) | kPmTimer,
+    assert((timer_gen_[idx] & 1U) == 0 && "node already has a pending timer");
+    const std::uint32_t gen = ++timer_gen_[idx]; // odd = pending
+    push_event(at, ((gen & kPmGenMask) << kPmKindBits) | kPmTimer,
                static_cast<std::uint32_t>(i));
-    lane.next_expiry[idx] = at;
-    if (lane.tracer != nullptr) {
-        lane.tracer->emit(obs::TraceEventType::TimerSet, lane.now, i, 0,
-                          (at - lane.now).sec());
+    next_expiry_[idx] = at;
+    if (tracer_ != nullptr) {
+        tracer_->emit(obs::TraceEventType::TimerSet, now_, i, 0, (at - now_).sec());
     }
 }
 
-void PmKernel::timer_set(Lane& lane, int i) {
-    schedule_timer(lane, i, lane.now + draw_interval(lane, i));
-    if (lane.tracker != nullptr) {
-        lane.tracker->on_timer_set(i, lane.now);
+void PmKernel::timer_set(int i) {
+    schedule_timer(i, now_ + draw_interval(i));
+    if (tracker_ != nullptr) {
+        tracker_->on_timer_set(i, now_);
     } else if (on_timer_set) {
-        on_timer_set(lane.id, i, lane.now);
+        on_timer_set(i, now_);
     }
 }
 
-void PmKernel::trigger_node(Lane& lane, int i) {
+void PmKernel::trigger_node(int i) {
     const auto idx = static_cast<std::size_t>(i);
-    if (!lane.reset_at_expiry && (lane.timer_gen[idx] & 1U) != 0) {
+    if (!reset_at_expiry_ && (timer_gen_[idx] & 1U) != 0) {
         // Cancel: bumping the generation (odd -> even) makes the queued
         // event stale; the run loop discards it on surfacing, exactly like
         // an EventQueue tombstone (never executed, never counted).
-        ++lane.timer_gen[idx];
-        lane.can_cancel = true;
-        if (lane.tracer != nullptr) {
-            lane.tracer->emit(obs::TraceEventType::TimerReset, lane.now, i);
+        ++timer_gen_[idx];
+        can_cancel_ = true;
+        if (tracer_ != nullptr) {
+            tracer_->emit(obs::TraceEventType::TimerReset, now_, i);
         }
     }
-    profiled_step(profiled_, "pm.begin_transmission",
-                  [&] { begin_transmission(lane, i); });
+    profiled_step(profiled_, "pm.begin_transmission", [&] { begin_transmission(i); });
 }
 
-void PmKernel::extend_busy(Lane& lane, int i, sim::SimTime t) {
-    if (lane.shared_busy) {
-        if (lane.shared_busy_end > t) {
-            lane.shared_busy_end += lane.params.tc;
+void PmKernel::extend_busy(int i, sim::SimTime t) {
+    if (shared_busy_) {
+        if (shared_busy_end_ > t) {
+            shared_busy_end_ += params_.tc;
         } else {
-            lane.shared_busy_end = t + lane.params.tc;
+            shared_busy_end_ = t + params_.tc;
         }
         return;
     }
     const auto idx = static_cast<std::size_t>(i);
-    const sim::SimTime tc = lane.params.per_node_tc.empty()
-                                ? lane.params.tc
-                                : sim::SimTime::seconds(lane.params.per_node_tc[idx]);
-    if (lane.busy_end[idx] > t) {
-        lane.busy_end[idx] += tc;
+    const sim::SimTime tc = params_.per_node_tc.empty()
+                                ? params_.tc
+                                : sim::SimTime::seconds(params_.per_node_tc[idx]);
+    if (busy_end_[idx] > t) {
+        busy_end_[idx] += tc;
     } else {
-        lane.busy_end[idx] = t + tc;
+        busy_end_[idx] = t + tc;
     }
 }
 
-void PmKernel::timer_expired(Lane& lane, int i) {
-    ++lane.timer_gen[static_cast<std::size_t>(i)]; // odd -> even: none pending
-    if (lane.tracer != nullptr) {
-        lane.tracer->emit(obs::TraceEventType::TimerFire, lane.now, i);
+void PmKernel::timer_expired(int i) {
+    ++timer_gen_[static_cast<std::size_t>(i)]; // odd -> even: none pending
+    if (tracer_ != nullptr) {
+        tracer_->emit(obs::TraceEventType::TimerFire, now_, i);
     }
-    if (lane.reset_at_expiry) {
-        timer_set(lane, i);
+    if (reset_at_expiry_) {
+        timer_set(i);
     }
-    profiled_step(profiled_, "pm.begin_transmission",
-                  [&] { begin_transmission(lane, i); });
+    profiled_step(profiled_, "pm.begin_transmission", [&] { begin_transmission(i); });
 }
 
-void PmKernel::begin_transmission(Lane& lane, int i) {
-    const sim::SimTime now = lane.now;
+void PmKernel::begin_transmission(int i) {
+    const sim::SimTime now = now_;
     const auto idx = static_cast<std::size_t>(i);
 
-    ++lane.transmissions[idx];
-    ++lane.tx_count;
+    ++transmissions_[idx];
+    ++tx_count_;
     if (on_transmit) {
-        on_transmit(lane.id, i, now);
+        on_transmit(i, now);
     }
-    if (lane.tracer != nullptr) {
-        lane.tracer->emit(obs::TraceEventType::UpdateTx, now, i,
-                          static_cast<std::int64_t>(lane.transmissions[idx]));
-    }
-
-    if (!lane.reset_at_expiry) {
-        ++lane.pending_state[idx]; // own-transmission count (low bits)
-    }
-    extend_busy(lane, i, now);
-    if (!lane.reset_at_expiry &&
-        (lane.pending_state[idx] & kBusyCheckQueued) == 0) {
-        lane.pending_state[idx] |= kBusyCheckQueued;
-        push_event(lane, busy_end(lane, i), kPmBusyCheck,
-                   static_cast<std::uint32_t>(i));
+    if (tracer_ != nullptr) {
+        tracer_->emit(obs::TraceEventType::UpdateTx, now, i,
+                      static_cast<std::int64_t>(transmissions_[idx]));
     }
 
-    if (lane.immediate) {
+    if (!reset_at_expiry_) {
+        ++pending_state_[idx]; // own-transmission count (low bits)
+    }
+    extend_busy(i, now);
+    if (!reset_at_expiry_ && (pending_state_[idx] & kBusyCheckQueued) == 0) {
+        pending_state_[idx] |= kBusyCheckQueued;
+        push_event(busy_end(i), kPmBusyCheck, static_cast<std::uint32_t>(i));
+    }
+
+    if (immediate_) {
         // Shared-busy mode: the broadcast is already done. In the engine
         // model every node applies the same extend rule to its own copy
         // of the same prior value at the same instant, so all n copies
@@ -460,63 +408,62 @@ void PmKernel::begin_transmission(Lane& lane, int i) {
         // just computed on the shared scalar. O(1) per transmission
         // instead of O(n), bit-identical by induction on "all copies
         // equal".
-        if (!lane.shared_busy) {
-            for (int j = 0; j < lane.params.n; ++j) {
+        if (!shared_busy_) {
+            for (int j = 0; j < params_.n; ++j) {
                 if (j != i) {
-                    extend_busy(lane, j, now);
+                    extend_busy(j, now);
                 }
             }
         }
     } else {
-        push_event(lane, now + lane.params.tc, kPmDeliver,
-                   static_cast<std::uint32_t>(i));
+        push_event(now + params_.tc, kPmDeliver, static_cast<std::uint32_t>(i));
     }
 }
 
-void PmKernel::deliver_from(Lane& lane, int i) {
-    for (int j = 0; j < lane.params.n; ++j) {
+void PmKernel::deliver_from(int i) {
+    for (int j = 0; j < params_.n; ++j) {
         if (j != i) {
-            extend_busy(lane, j, lane.now);
+            extend_busy(j, now_);
         }
     }
 }
 
-void PmKernel::busy_check(Lane& lane, int i) {
-    const sim::SimTime be = busy_end(lane, i);
-    if (be > lane.now) {
+void PmKernel::busy_check(int i) {
+    const sim::SimTime be = busy_end(i);
+    if (be > now_) {
         // Extended after this check was scheduled; re-arm at the new end
         // (lazy revalidation, queued flag stays set).
-        push_event(lane, be, kPmBusyCheck, static_cast<std::uint32_t>(i));
+        push_event(be, kPmBusyCheck, static_cast<std::uint32_t>(i));
         return;
     }
-    std::uint32_t& ps = lane.pending_state[static_cast<std::size_t>(i)];
+    std::uint32_t& ps = pending_state_[static_cast<std::size_t>(i)];
     ps &= ~kBusyCheckQueued;
     if (ps != 0) { // own transmissions occurred: re-arm
         ps = 0;
-        timer_set(lane, i);
+        timer_set(i);
     }
 }
 
-void PmKernel::dispatch(Lane& lane, const PmEvent& e) {
+void PmKernel::dispatch(const PmEvent& e) {
     const auto i = static_cast<int>(e.node);
     switch (e.kind & kPmKindMask) {
     case kPmTimer:
-        profiled_step(profiled_, "pm.timer_fire", [&] { timer_expired(lane, i); });
+        profiled_step(profiled_, "pm.timer_fire", [&] { timer_expired(i); });
         break;
     case kPmBusyCheck:
-        busy_check(lane, i);
+        busy_check(i);
         break;
     case kPmDeliver:
-        deliver_from(lane, i);
+        deliver_from(i);
         break;
     case kPmTrigger:
-        for (int j = 0; j < lane.params.n; ++j) {
-            trigger_node(lane, j);
+        for (int j = 0; j < params_.n; ++j) {
+            trigger_node(j);
         }
         break;
     case kPmHook: {
-        auto fn = std::move(lane.hooks[e.node]);
-        lane.free_hooks.push_back(e.node);
+        auto fn = std::move(hooks_[e.node]);
+        free_hooks_.push_back(e.node);
         fn();
         break;
     }
@@ -529,11 +476,9 @@ void PmKernel::dispatch(Lane& lane, const PmEvent& e) {
 // Run loop
 
 template <typename Queue>
-bool PmKernel::advance(Lane& lane, Queue& queue, double bound_sec,
-                       sim::SimTime target) {
+void PmKernel::run_loop(Queue& queue, sim::SimTime target) {
     const double target_sec = target.sec();
-    const double stop_at = bound_sec < target_sec ? bound_sec : target_sec;
-    while (!lane.stopped) {
+    while (!stopped_) {
         // Discard stale (cancelled) timers before the boundary check —
         // EventQueue::next_time() does the same tombstone skip, so the
         // engine's loop condition only ever sees live events. A timer is
@@ -543,64 +488,35 @@ bool PmKernel::advance(Lane& lane, Queue& queue, double bound_sec,
         const PmEvent* head = nullptr;
         while (!queue.empty()) {
             const PmEvent& e = queue.peek_min();
-            if (lane.can_cancel && (e.kind & kPmKindMask) == kPmTimer &&
-                (e.kind >> kPmKindBits) !=
-                    (lane.timer_gen[e.node] & kPmGenMask)) {
+            if (can_cancel_ && (e.kind & kPmKindMask) == kPmTimer &&
+                (e.kind >> kPmKindBits) != (timer_gen_[e.node] & kPmGenMask)) {
                 queue.pop_min();
                 continue;
             }
             head = &e;
             break;
         }
-        // One boundary compare on the hot path: stop_at <= target, so the
-        // drain test only runs once an event crosses the epoch bound.
-        if (head == nullptr || head->time > stop_at) {
-            if (head != nullptr && head->time <= target_sec) {
-                return true; // still live; resume next epoch
+        if (head == nullptr || head->time > target_sec) {
+            if (now_ < target) {
+                now_ = target;
             }
-            if (lane.now < target) {
-                lane.now = target;
-            }
-            return false; // drained (or nothing left before the target)
+            return; // drained (or nothing left before the target)
         }
         const PmEvent e = *head;
         queue.pop_min();
-        lane.now = sim::SimTime::seconds(e.time);
-        ++lane.processed;
-        dispatch(lane, e);
+        now_ = sim::SimTime::seconds(e.time);
+        ++processed_;
+        dispatch(e);
     }
-    return false; // stopped: clock stays at the last event
+    // stopped: the clock stays at the last event
 }
 
-void PmKernel::run_all_until(std::span<const sim::SimTime> targets) {
-    assert(targets.size() == lanes_.size() && "one target time per lane required");
+void PmKernel::run_until(sim::SimTime target) {
     profiled_ = obs::Profiler::current() != nullptr;
-
-    // Epoch: a few round lengths — long enough to amortize the rotation,
-    // short enough that every lane's working set stays warm. A lone lane
-    // needs no rotation and runs straight to its target.
-    double epoch = 0.0;
-    double start = std::numeric_limits<double>::infinity();
-    std::vector<std::size_t> live;
-    for (std::size_t l = 0; l < lanes_.size(); ++l) {
-        if (!lanes_[l].stopped) {
-            epoch = std::max(epoch, round_length(l).sec());
-            start = std::min(start, lanes_[l].now.sec());
-            live.push_back(l);
-        }
-    }
-    epoch = lanes_.size() == 1 ? std::numeric_limits<double>::infinity()
-            : epoch > 1e-9     ? 8.0 * epoch
-                               : 1.0;
-
-    for (double bound = start + epoch; !live.empty(); bound += epoch) {
-        std::erase_if(live, [&](std::size_t l) {
-            Lane& lane = lanes_[l];
-            const bool more =
-                lane.calendar ? advance(lane, *lane.calendar, bound, targets[l])
-                              : advance(lane, lane.run, bound, targets[l]);
-            return !more;
-        });
+    if (calendar_) {
+        run_loop(*calendar_, target);
+    } else {
+        run_loop(run_, target);
     }
 }
 

@@ -3,41 +3,36 @@
 // `PeriodicMessagesModel` runs on the generic DES engine: every timer is a
 // type-erased callback in a general-purpose priority queue, and every
 // transmission walks all N nodes to extend their busy periods. This kernel
-// is the same model compiled down to its actual physics, and it runs
-// B >= 1 independent trials ("lanes") at once:
+// is the same model compiled down to its actual physics, one trial per
+// kernel:
 //
-//   * Struct-of-arrays node state across lanes: next-expiry, transmission
-//     counters, timer generations and pending-own counts live in flat
-//     arrays, each lane owning one contiguous slice, so a batch's working
-//     set is contiguous and construction is a handful of allocations for
-//     any B. The fixed lanes are 24 B/router in the default shared-busy
-//     model (see node_state_bytes()).
+//   * Struct-of-arrays node state: next-expiry, transmission counters,
+//     timer generations and pending-own counts live in flat arrays, one
+//     exact-size allocation each. The fixed arrays are 24 B/router in the
+//     default shared-busy model (see node_state_bytes()).
 //   * One event type (`PmEvent`, 16 bytes, no callback) and two queues
-//     behind one push/peek/pop interface. Each lane picks its queue from
-//     its own n (kPmCalendarMinNodes): a `PmSortedRunQueue` for small n,
-//     where a re-armed timer lands at the queue maximum and a push is an
-//     append, and a `PmCalendarQueue` for large n, where a synchronized
-//     cluster re-arms n timers inside one +-Tr window in random order and
-//     a sorted run would pay O(n) per insert.
+//     behind one push/peek/pop interface, picked from n
+//     (kPmCalendarMinNodes): a `PmSortedRunQueue` for small n, where a
+//     re-armed timer lands at the queue maximum and a push is an append,
+//     and a `PmCalendarQueue` for large n, where a synchronized cluster
+//     re-arms n timers inside one +-Tr window in random order and a
+//     sorted run would pay O(n) per insert.
 //   * The paper's own Section 4 assumptions collapse the hot loop: under
 //     Notification::Immediate with a shared Tc, *every* node's busy period
 //     ends at the same instant at all times (all start idle; every
 //     transmission applies the same extend rule to all nodes at the same
-//     moment). A lane therefore keeps ONE shared busy-until scalar and
+//     moment). The kernel therefore keeps ONE shared busy-until scalar and
 //     turns the engine model's O(N) per-transmission broadcast into O(1).
 //     Per-node Tc or AfterPreparation notification fall back to a per-node
 //     busy array with the same event ordering.
-//   * Epoch lock-step: lanes advance in rotation through fixed simulated-
-//     time epochs (a few round lengths each), keeping the batch's arrays
-//     hot without ever coupling lane state.
 //
-// Fidelity contract: every lane is *bit-identical* to the engine-backed
+// Fidelity contract: a kernel run is *bit-identical* to the engine-backed
 // model run of the same params — same RNG draw order, same (time, FIFO)
 // event execution order, same events_processed count, same trace events
 // (types, sequence numbers, payloads) when tracing is on, and therefore
 // the same ClusterTracker series. The randomized differentials in
 // tests/pm_kernel_test.cpp and the frozen traced-run golden hash in
-// determinism_test enforce this for every lane width and both queues.
+// determinism_test enforce this on both queues.
 #pragma once
 
 #include <algorithm>
@@ -45,7 +40,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "core/periodic_messages.hpp"
@@ -63,7 +57,7 @@ class ClusterTracker;
 
 /// One pending kernel event: plain data, 16 bytes, no callback. Events
 /// at equal times run in push order, as on the engine queue: every push
-/// carries the lane's FIFO push counter (`seq`), which the sorted run
+/// carries the kernel's FIFO push counter (`seq`), which the sorted run
 /// keeps implicitly by position and the calendar stores beside the event.
 struct PmEvent {
     double time = 0.0;
@@ -81,15 +75,15 @@ enum PmEventKind : std::uint32_t {
 
 /// PmEvent::kind packs the PmEventKind in the low 3 bits; for kPmTimer
 /// events the upper 29 bits carry the scheduling node's re-arm generation
-/// (Lane::timer_gen, below) so a queued timer identifies itself as live
-/// or stale with one integer compare — no per-node 8-byte seq lane needed.
+/// (PmKernel::timer_gen_, below) so a queued timer identifies itself as
+/// live or stale with one integer compare — no per-node 8-byte seq needed.
 inline constexpr std::uint32_t kPmKindBits = 3;
 inline constexpr std::uint32_t kPmKindMask = (1U << kPmKindBits) - 1;
 inline constexpr std::uint32_t kPmGenMask = 0xFFFFFFFFU >> kPmKindBits;
 
-/// A lane with at least this many routers keeps its events in a
-/// PmCalendarQueue; smaller lanes use a PmSortedRunQueue. The value is
-/// the measured crossover of one bare lane on each queue at the metro
+/// A kernel with at least this many routers keeps its events in a
+/// PmCalendarQueue; smaller ones use a PmSortedRunQueue. The value is
+/// the measured crossover of one bare kernel on each queue at the metro
 /// shapes (docs/PERFORMANCE.md, "One PM kernel"): below it the sorted
 /// run's append-mostly pushes win (2.7x at n = 30); above it a
 /// synchronized cluster's random-order re-arms make every sorted-run
@@ -386,192 +380,145 @@ private:
     std::vector<Entry> spill_;     ///< min-heap of post-sort same-day pushes
 };
 
-/// Everything one lane needs: the engine model's constructor surface.
-struct PmLaneSpec {
-    ModelParams params;
-    std::unique_ptr<TimerPolicy> policy; ///< null -> UniformJitter(tp, tr)
-    obs::Tracer* tracer = nullptr;       ///< per-lane; may be null
-};
-
-/// The fused engine+model fast path: runs B >= 1 independent Periodic
-/// Messages trials, each lane with its own RNG, event queue and clock,
-/// and mirrors the externally observable API of (sim::Engine,
-/// PeriodicMessagesModel) per lane.
+/// The fused engine+model fast path: runs one Periodic Messages trial
+/// with its own RNG, event queue and clock, and mirrors the externally
+/// observable API of (sim::Engine, PeriodicMessagesModel).
 class PmKernel {
 public:
-    /// Same contract as PeriodicMessagesModel, lane by lane: validates
-    /// every lane's params (same checks and messages, in lane order),
-    /// then draws each lane's first expiries in node order and schedules
-    /// the initial timers — each lane's RNG consumption matches an engine
-    /// construction of the same params.
-    explicit PmKernel(std::vector<PmLaneSpec> specs);
+    /// Same contract as PeriodicMessagesModel: validates `params` (same
+    /// checks and messages), then draws the first expiries in node order
+    /// and schedules the initial timers — the RNG consumption matches an
+    /// engine construction of the same params. A null `policy` means
+    /// UniformJitter(tp, tr); `tracer` may be null.
+    explicit PmKernel(ModelParams params,
+                      std::unique_ptr<TimerPolicy> policy = nullptr,
+                      obs::Tracer* tracer = nullptr);
 
     PmKernel(const PmKernel&) = delete;
     PmKernel& operator=(const PmKernel&) = delete;
 
     /// Fires when a node's timer expires and it begins transmitting.
-    std::function<void(std::size_t lane, int node, sim::SimTime t)> on_transmit;
+    std::function<void(int node, sim::SimTime t)> on_transmit;
     /// Fires when a node completes its busy period and re-arms its timer,
-    /// for lanes without a tracker sink.
-    std::function<void(std::size_t lane, int node, sim::SimTime t)> on_timer_set;
-    /// Direct ClusterTracker feed for `lane`'s timer re-arms. When set it
-    /// takes the place of `on_timer_set` for that lane: the experiment
-    /// driver's only use of that callback is forwarding to the lane's
-    /// tracker, and the re-arm site is hot enough that skipping the
-    /// std::function hop is measurable.
-    void set_tracker_sink(std::size_t lane, ClusterTracker* tracker) noexcept {
-        lanes_[lane].tracker = tracker;
-    }
+    /// unless a tracker sink is set.
+    std::function<void(int node, sim::SimTime t)> on_timer_set;
+    /// Direct ClusterTracker feed for timer re-arms. When set it takes the
+    /// place of `on_timer_set`: the experiment driver's only use of that
+    /// callback is forwarding to the trial's tracker, and the re-arm site
+    /// is hot enough that skipping the std::function hop is measurable.
+    void set_tracker_sink(ClusterTracker* tracker) noexcept { tracker_ = tracker; }
 
-    [[nodiscard]] std::size_t lanes() const noexcept { return lanes_.size(); }
+    /// Schedules a triggered update on every node at absolute time `t`
+    /// (the ExperimentConfig::trigger_all_at path). Must be scheduled in
+    /// the same relative push order as the engine path: after
+    /// construction, before running.
+    void schedule_trigger_all(sim::SimTime t);
 
-    /// Schedules a triggered update on every node of `lane` at absolute
-    /// time `t` (the ExperimentConfig::trigger_all_at path). Must be
-    /// scheduled in the same relative push order as the engine path:
-    /// after construction, before running.
-    void schedule_trigger_all(std::size_t lane, sim::SimTime t);
+    /// Schedules `fn` to run once at absolute time `t` as a kernel event
+    /// (it advances now() and counts in events_processed(), matching an
+    /// Engine-scheduled callback). This is the hook the ResourceSampler
+    /// uses to tick over virtual time on the kernel path.
+    void schedule_hook(sim::SimTime t, std::function<void()> fn);
 
-    /// Schedules `fn` to run once at absolute time `t` as an event of
-    /// `lane` (it advances now(lane) and counts in events_processed(lane),
-    /// matching an Engine-scheduled callback). This is the hook the
-    /// ResourceSampler uses to tick over virtual time on the kernel path.
-    void schedule_hook(std::size_t lane, sim::SimTime t, std::function<void()> fn);
+    /// sim::Engine::run_until(target) semantics: stop() leaves the clock
+    /// at the last event; otherwise the clock lands on the target.
+    void run_until(sim::SimTime target);
 
-    /// Runs every lane until its own target time (targets.size() must
-    /// equal lanes()), advancing lanes in epoch-sized rotation. Each lane
-    /// observes exactly sim::Engine::run_until(target) semantics: stop()
-    /// leaves the lane's clock at its last event; otherwise the clock
-    /// lands on the target.
-    void run_all_until(std::span<const sim::SimTime> targets);
+    void stop() noexcept { stopped_ = true; }
+    void clear_stop() noexcept { stopped_ = false; }
+    [[nodiscard]] bool stop_requested() const noexcept { return stopped_; }
 
-    void stop(std::size_t lane) noexcept { lanes_[lane].stopped = true; }
-    void clear_stop(std::size_t lane) noexcept { lanes_[lane].stopped = false; }
-    [[nodiscard]] bool stop_requested(std::size_t lane) const noexcept {
-        return lanes_[lane].stopped;
-    }
-
-    [[nodiscard]] sim::SimTime now(std::size_t lane) const noexcept {
-        return lanes_[lane].now;
-    }
+    [[nodiscard]] sim::SimTime now() const noexcept { return now_; }
     /// Callbacks executed so far — matches Engine::events_processed()
     /// step for step (cancelled timers never execute or count).
-    [[nodiscard]] std::uint64_t events_processed(std::size_t lane) const noexcept {
-        return lanes_[lane].processed;
+    [[nodiscard]] std::uint64_t events_processed() const noexcept {
+        return processed_;
     }
-    [[nodiscard]] std::uint64_t total_transmissions(std::size_t lane) const noexcept {
-        return lanes_[lane].tx_count;
+    [[nodiscard]] std::uint64_t total_transmissions() const noexcept {
+        return tx_count_;
     }
-    [[nodiscard]] int n(std::size_t lane) const noexcept {
-        return lanes_[lane].params.n;
-    }
-    [[nodiscard]] const ModelParams& params(std::size_t lane) const noexcept {
-        return lanes_[lane].params;
-    }
-    [[nodiscard]] sim::SimTime round_length(std::size_t lane) const noexcept;
-    [[nodiscard]] NodeView node(std::size_t lane, int i) const;
+    [[nodiscard]] sim::SimTime round_length() const noexcept;
+    [[nodiscard]] NodeView node(int i) const;
 
-    /// True when every node of `lane` shares one busy-until scalar
-    /// (Immediate notification, uniform Tc) — the O(1)-per-transmission
-    /// fast variant.
-    [[nodiscard]] bool shared_busy(std::size_t lane) const noexcept {
-        return lanes_[lane].shared_busy;
-    }
-    /// True when `lane` keeps its events in a PmCalendarQueue (n >=
+    /// True when every node shares one busy-until scalar (Immediate
+    /// notification, uniform Tc) — the O(1)-per-transmission fast variant.
+    [[nodiscard]] bool shared_busy() const noexcept { return shared_busy_; }
+    /// True when the events live in a PmCalendarQueue (n >=
     /// kPmCalendarMinNodes), false for a PmSortedRunQueue.
-    [[nodiscard]] bool calendar_queue(std::size_t lane) const noexcept {
-        return lanes_[lane].calendar != nullptr;
-    }
+    [[nodiscard]] bool calendar_queue() const noexcept { return calendar_ != nullptr; }
 
-    /// Bytes of `lane`'s slice of the SoA node arrays. In the default
-    /// shared-busy model that is 24 B/router: next_expiry (8) +
-    /// transmissions (8) + timer_gen (4) + pending_state (4).
-    [[nodiscard]] std::size_t node_state_bytes(std::size_t lane) const noexcept;
-    /// Bytes of kernel state `lane` retains: its node slice plus its event
-    /// queue's storage (capacities, not sizes). Divide by n(lane) for the
+    /// Bytes of the SoA node arrays. In the default shared-busy model that
+    /// is 24 B/router: next_expiry (8) + transmissions (8) + timer_gen (4)
+    /// + pending_state (4).
+    [[nodiscard]] std::size_t node_state_bytes() const noexcept;
+    /// Bytes of kernel state retained: the node arrays plus the event
+    /// queue's storage (capacities, not sizes). Divide by n for the
     /// bytes/router a metro-scale memory budget needs.
-    [[nodiscard]] std::size_t state_bytes(std::size_t lane) const noexcept;
-    /// Live events in `lane`'s queue (for rs.* gauges).
-    [[nodiscard]] std::size_t queue_size(std::size_t lane) const noexcept;
+    [[nodiscard]] std::size_t state_bytes() const noexcept;
+    /// Live events in the queue (for rs.* gauges).
+    [[nodiscard]] std::size_t queue_size() const noexcept;
 
 private:
-    /// Per-lane control state plus views of the lane's node slices.
-    struct Lane {
-        ModelParams params;
-        std::unique_ptr<TimerPolicy> policy;
-        obs::Tracer* tracer = nullptr;
-        ClusterTracker* tracker = nullptr;
-        rng::DefaultEngine gen{0};
-        std::size_t id = 0;
-
-        // Node state, index = node id: slices of the kernel's SoA arrays.
-        // timer_gen is bumped on every schedule/fire/cancel, so odd =
-        // pending, and its truncated value is compared against the
-        // generation packed into a surfacing timer event (a stale event
-        // can outlive at most a few transitions, so 29 bits cannot
-        // alias). pending_state fuses the pending-own count and the
-        // busy-check flag into one word (bit 31 = a busy-check event is
-        // queued; low 31 bits = own transmissions awaiting re-arm) and
-        // exists only for !reset_at_expiry lanes; busy_end only for lanes
-        // without a shared busy scalar.
-        sim::SimTime* next_expiry = nullptr;
-        std::uint64_t* transmissions = nullptr;
-        std::uint32_t* timer_gen = nullptr;
-        std::uint32_t* pending_state = nullptr;
-        sim::SimTime* busy_end = nullptr;
-
-        PmSortedRunQueue run;                      ///< n < kPmCalendarMinNodes
-        std::unique_ptr<PmCalendarQueue> calendar; ///< n >= kPmCalendarMinNodes
-        std::vector<std::function<void()>> hooks;  ///< kPmHook slots
-        std::vector<std::uint32_t> free_hooks;     ///< recycled hook slots
-
-        std::uint64_t next_seq = 0; ///< mirrors the engine queue's push counter
-        std::uint64_t processed = 0;
-        std::uint64_t tx_count = 0;
-        sim::SimTime now = sim::SimTime::zero();
-        sim::SimTime shared_busy_end = -sim::SimTime::seconds(1.0);
-        double draw_lo = 0.0;   ///< uniform-jitter fast path: lo constant
-        double draw_span = 0.0; ///< uniform-jitter fast path: hi - lo
-        bool fast_draw = false; ///< UniformJitter and no per-node Tp
-        bool shared_busy = true;
-        bool reset_at_expiry = false;
-        bool immediate = true;
-        bool can_cancel = false; ///< a timer may have been cancelled
-        bool stopped = false;
-    };
-
-    void push_event(Lane& lane, sim::SimTime at, std::uint32_t kind,
-                    std::uint32_t node);
-    [[nodiscard]] sim::SimTime draw_interval(Lane& lane, int i);
-    void schedule_timer(Lane& lane, int i, sim::SimTime at);
-    void timer_set(Lane& lane, int i);
-    void trigger_node(Lane& lane, int i);
-    void timer_expired(Lane& lane, int i);
-    void begin_transmission(Lane& lane, int i);
-    void deliver_from(Lane& lane, int i);
-    void busy_check(Lane& lane, int i);
-    void extend_busy(Lane& lane, int i, sim::SimTime t);
-    [[nodiscard]] static sim::SimTime busy_end(const Lane& lane, int i) noexcept {
-        return lane.shared_busy ? lane.shared_busy_end
-                                : lane.busy_end[static_cast<std::size_t>(i)];
+    void push_event(sim::SimTime at, std::uint32_t kind, std::uint32_t node);
+    [[nodiscard]] sim::SimTime draw_interval(int i);
+    void schedule_timer(int i, sim::SimTime at);
+    void timer_set(int i);
+    void trigger_node(int i);
+    void timer_expired(int i);
+    void begin_transmission(int i);
+    void deliver_from(int i);
+    void busy_check(int i);
+    void extend_busy(int i, sim::SimTime t);
+    [[nodiscard]] sim::SimTime busy_end(int i) const noexcept {
+        return shared_busy_ ? shared_busy_end_
+                            : busy_end_[static_cast<std::size_t>(i)];
     }
-    void dispatch(Lane& lane, const PmEvent& e);
-    /// Advances one lane to min(epoch bound, its target). Returns true
-    /// while the lane still has work before its target.
+    void dispatch(const PmEvent& e);
     template <typename Queue>
-    [[nodiscard]] bool advance(Lane& lane, Queue& queue, double bound_sec,
-                               sim::SimTime target);
+    void run_loop(Queue& queue, sim::SimTime target);
 
-    std::vector<Lane> lanes_;
-    /// A profiler was installed when run_all_until started: the
-    /// pm.timer_fire and pm.begin_transmission scopes are recorded.
-    bool profiled_ = false;
+    ModelParams params_;
+    std::unique_ptr<TimerPolicy> policy_;
+    obs::Tracer* tracer_ = nullptr;
+    ClusterTracker* tracker_ = nullptr;
+    rng::DefaultEngine gen_{0};
 
-    // SoA node state across lanes; each lane views its own slices.
+    // SoA node state, index = node id. timer_gen is bumped on every
+    // schedule/fire/cancel, so odd = pending, and its truncated value is
+    // compared against the generation packed into a surfacing timer event
+    // (a stale event can outlive at most a few transitions, so 29 bits
+    // cannot alias). pending_state fuses the pending-own count and the
+    // busy-check flag into one word (bit 31 = a busy-check event is
+    // queued; low 31 bits = own transmissions awaiting re-arm) and is
+    // sized n only when !reset_at_expiry; busy_end only without a shared
+    // busy scalar. Each is one exact-size allocation that never grows.
     std::vector<sim::SimTime> next_expiry_;
     std::vector<std::uint64_t> transmissions_;
     std::vector<std::uint32_t> timer_gen_;
-    std::vector<std::uint32_t> pending_state_; ///< !reset_at_expiry lanes
-    std::vector<sim::SimTime> busy_end_;       ///< per-node-busy lanes
+    std::vector<std::uint32_t> pending_state_;
+    std::vector<sim::SimTime> busy_end_;
+
+    PmSortedRunQueue run_;                      ///< n < kPmCalendarMinNodes
+    std::unique_ptr<PmCalendarQueue> calendar_; ///< n >= kPmCalendarMinNodes
+    std::vector<std::function<void()>> hooks_;  ///< kPmHook slots
+    std::vector<std::uint32_t> free_hooks_;     ///< recycled hook slots
+
+    std::uint64_t next_seq_ = 0; ///< mirrors the engine queue's push counter
+    std::uint64_t processed_ = 0;
+    std::uint64_t tx_count_ = 0;
+    sim::SimTime now_ = sim::SimTime::zero();
+    sim::SimTime shared_busy_end_ = -sim::SimTime::seconds(1.0);
+    double draw_lo_ = 0.0;   ///< uniform-jitter fast path: lo constant
+    double draw_span_ = 0.0; ///< uniform-jitter fast path: hi - lo
+    bool fast_draw_ = false; ///< UniformJitter and no per-node Tp
+    bool shared_busy_ = true;
+    bool reset_at_expiry_ = false;
+    bool immediate_ = true;
+    bool can_cancel_ = false; ///< a timer may have been cancelled
+    bool stopped_ = false;
+    /// A profiler was installed when run_until started: the
+    /// pm.timer_fire and pm.begin_transmission scopes are recorded.
+    bool profiled_ = false;
 };
 
 } // namespace routesync::core

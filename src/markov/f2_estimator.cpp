@@ -3,7 +3,7 @@
 #include <stdexcept>
 
 #include "core/experiment.hpp"
-#include "parallel/trial_runner.hpp"
+#include "parallel/sweep_scheduler.hpp"
 
 namespace routesync::markov {
 
@@ -14,8 +14,8 @@ F2Estimate estimate_f2(const ChainParams& params, int reps, std::uint64_t seed,
     }
     const double round_sec = params.tp_sec + params.tc_sec;
 
-    const parallel::TrialRunner runner{{.jobs = jobs}};
-    const auto results = runner.run_generated(
+    parallel::SweepScheduler scheduler{{.jobs = jobs}};
+    const auto results = scheduler.run_generated(
         static_cast<std::size_t>(reps), [&](std::size_t rep) {
             core::ExperimentConfig config;
             config.params.n = params.n;

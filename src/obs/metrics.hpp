@@ -3,12 +3,12 @@
 //
 // The registry is the accumulation side (cheap increments during a run);
 // MetricsSnapshot is the exchange format: what run manifests embed and
-// what parallel::TrialRunner merges across trials. Merging is defined so
-// that the result is a pure function of the snapshot *sequence* — sum
-// for counters, Welford-merge for distributions (reusing
-// stats::RunningStats), bin-wise sum for histograms, last-writer-wins
-// for gauges — so a sweep merged in submission order produces identical
-// output for every --jobs value.
+// what parallel::merge_trial_metrics merges across trials. Merging is
+// defined so that the result is a pure function of the snapshot
+// *sequence* — sum for counters, Welford-merge for distributions
+// (reusing stats::RunningStats), bin-wise sum for histograms,
+// last-writer-wins for gauges — so a sweep merged in submission order
+// produces identical output for every --jobs value.
 //
 // Names sort lexicographically in snapshots (std::map), so serialized
 // metric blocks are diffable across runs and builds.
@@ -52,8 +52,8 @@ struct MetricsSnapshot {
     [[nodiscard]] std::string to_json() const;
 };
 
-/// Folds snapshots left to right — the deterministic reduction
-/// TrialRunner applies in trial-submission order.
+/// Folds snapshots left to right — the deterministic reduction sweeps
+/// apply in trial-submission order.
 [[nodiscard]] MetricsSnapshot merge_snapshots(const std::vector<MetricsSnapshot>& parts);
 
 class MetricsRegistry {

@@ -8,8 +8,6 @@
 
 namespace routesync::obs {
 
-thread_local Profiler* Profiler::current_ = nullptr;
-
 namespace {
 std::atomic<bool> g_process_enabled{false};
 } // namespace

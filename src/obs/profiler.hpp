@@ -86,7 +86,9 @@ public:
     [[nodiscard]] static bool process_enabled() noexcept;
 
 private:
-    static thread_local Profiler* current_;
+    // constinit: constant-initialized, so no TLS wrapper or init function
+    // is emitted and every access is a plain thread-local load.
+    static constinit inline thread_local Profiler* current_ = nullptr;
     std::map<std::string, ProfileEntry> entries_;
 };
 

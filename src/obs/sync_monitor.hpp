@@ -32,7 +32,7 @@
 // of floating-point operations on the *same* double values — trace times
 // serialize via %.17g and round-trip exactly — so r(t), every transition
 // (time, direction, r), and the coupling graph are bit-identical between
-// the live run, any `--jobs`/`--batch` configuration (per-lane monitors,
+// the live run, any `--jobs` configuration (one monitor per trial,
 // submission-order merge), and an offline recompute from the trace.
 #pragma once
 

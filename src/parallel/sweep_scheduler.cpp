@@ -5,9 +5,17 @@
 #include <utility>
 
 #include "obs/run_context.hpp"
-#include "parallel/trial_runner.hpp"
+#include "rng/splitmix64.hpp"
 
 namespace routesync::parallel {
+
+std::uint64_t derive_seed(std::uint64_t base, std::uint64_t index) noexcept {
+    // Offset the base along the SplitMix64 Weyl constant, then run one
+    // splitmix output step. Distinct indices land in distinct, well-mixed
+    // positions of the splitmix sequence even for base = 0.
+    rng::SplitMix64 mix{base + index * 0x9e3779b97f4a7c15ULL};
+    return mix();
+}
 
 SweepScheduler::SweepScheduler(SweepSchedulerOptions options)
     : pool_{TaskPoolOptions{options.jobs}}, batch_{options.batch} {}
@@ -16,11 +24,9 @@ std::size_t SweepScheduler::effective_batch(std::size_t count) const noexcept {
     if (batch_ != 0) {
         return batch_;
     }
-    // Auto: 16 lanes per kernel. Lane batching is throughput-neutral at
-    // fig13 sizes (BM_PMKernel_Lanes in bench/perf_microbench), so this
-    // mostly sets the claim size. Under multiple workers, cap the chunk
-    // so every worker still gets a few claims — stealing needs
-    // granularity to rebalance the sweep's long tail.
+    // Auto: 16 tasks per claim. Under multiple workers, cap the claim so
+    // every worker still gets a few — stealing needs granularity to
+    // rebalance the sweep's long tail.
     constexpr std::size_t kPreferred = 16;
     if (pool_.jobs() <= 1) {
         return kPreferred;
@@ -66,21 +72,11 @@ std::vector<core::ExperimentResult> SweepScheduler::run() {
     const std::size_t count = count_;
     std::vector<core::ExperimentResult> results(count);
 
-    // A chunk of tasks runs as the lanes of one kernel. Every lane is
-    // bit-identical to a run alone, so chunk boundaries (and therefore
-    // --batch) never show in the results.
     const auto run_chunk = [&](std::size_t lo, std::size_t len) {
-        std::vector<core::ExperimentConfig> configs;
-        configs.reserve(len);
         for (std::size_t i = lo; i < lo + len; ++i) {
-            configs.push_back(materialize(i));
-            // A RunContext is not safe across workers.
-            configs.back().obs = nullptr;
-        }
-        std::vector<core::ExperimentResult> chunk =
-            core::run_experiment_batch(configs);
-        for (std::size_t i = 0; i < len; ++i) {
-            results[lo + i] = std::move(chunk[i]);
+            core::ExperimentConfig config = materialize(i);
+            config.obs = nullptr; // a RunContext is not safe across workers
+            results[i] = core::run_experiment(config);
         }
     };
 
@@ -113,6 +109,24 @@ std::vector<core::ExperimentResult> SweepScheduler::run_generated(
     const std::function<core::ExperimentConfig(std::size_t)>& make_config) {
     (void)submit_generated(count, make_config);
     return run();
+}
+
+obs::MetricsSnapshot
+merge_trial_metrics(const std::vector<core::ExperimentResult>& results) {
+    obs::MetricsSnapshot merged;
+    for (const core::ExperimentResult& result : results) {
+        merged.merge(result.metrics);
+    }
+    return merged;
+}
+
+obs::ProfileSnapshot
+merge_trial_profiles(const std::vector<core::ExperimentResult>& results) {
+    obs::ProfileSnapshot merged;
+    for (const core::ExperimentResult& result : results) {
+        merged.merge(result.profile);
+    }
+    return merged;
 }
 
 void merge_sweep_into(obs::RunContext& ctx,

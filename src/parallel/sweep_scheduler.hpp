@@ -1,23 +1,26 @@
 // SweepScheduler: one work-stealing pool for a whole parameter sweep.
 //
-// TrialRunner parallelizes the trials *inside* one grid point and then
-// joins — a barrier per point. That wastes cores precisely where sweeps
-// hurt: near the phase transition one point's trials run to max_time
-// (minutes) while its neighbours' finish in milliseconds, so every round
-// of the sweep ends with most workers idle behind the slowest point. The
-// scheduler instead pools ALL (grid point x trial) tasks of the sweep up
-// front and lets idle workers steal from whoever still has work, so the
-// long tail of a hard grid point is shared by the whole machine instead
-// of serializing it.
+// Every paper figure is a sweep of independent run_experiment() trials
+// over seeds and parameter grids. Each trial builds its own core, model
+// and RNG from its ExperimentConfig, so trials share no mutable state and
+// parallelize embarrassingly. The scheduler pools ALL (grid point x
+// trial) tasks of a sweep up front and lets idle workers steal from
+// whoever still has work: near the phase transition one point's trials
+// run to max_time (minutes) while its neighbours' finish in
+// milliseconds, and a barrier per point would leave most workers idle
+// behind the slowest one.
 //
 // Scheduling is delegated to parallel::TaskPool (contiguous per-worker
 // ranges, steal-back-half-of-largest, one global mutex — see
 // task_pool.hpp); this class owns what is sweep-specific: lazy config
-// materialization, the chunk body (one run_experiment_batch call per
-// claim), and result assembly.
+// materialization, the task body (one run_experiment call per task), and
+// result assembly.
 //
-// Determinism contract (same as TrialRunner, sweep-wide):
-//   * a task's config is a pure function of its submission index;
+// Determinism contract:
+//   * a task's config is a pure function of its submission index — a
+//     trial's RNG stream must never depend on thread identity or
+//     execution order. derive_seed() gives well-spread per-index seeds
+//     from one base seed (any other index-only rule works too);
 //   * results land in a pre-sized slot addressed by submission index;
 //   * each task runs with obs = nullptr (per-task metrics/profiles come
 //     back in the result; merge_sweep_into folds them in submission
@@ -25,9 +28,13 @@
 // Therefore --jobs N output is byte-identical to --jobs 1 for every N —
 // stealing changes who computes a task, never what the task computes or
 // where its result goes.
+//
+// Caution: ExperimentConfig::make_policy is invoked from worker threads;
+// factories must be safe to call concurrently (stateless factories are).
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <vector>
 
@@ -40,16 +47,21 @@ class RunContext;
 
 namespace routesync::parallel {
 
+/// Derives the seed for trial `index` from a single base seed, using a
+/// SplitMix64 step over Weyl-sequence increments. Adjacent indices get
+/// statistically independent streams (this is the standard splitmix
+/// stream-derivation trick), and the mapping is a pure function of
+/// (base, index) — the cornerstone of run-order independence.
+[[nodiscard]] std::uint64_t derive_seed(std::uint64_t base,
+                                        std::uint64_t index) noexcept;
+
 struct SweepSchedulerOptions {
     /// Worker threads. 0 = hardware concurrency; 1 = run inline, no
     /// threads.
     std::size_t jobs = 0;
-    /// Tasks per claim, executed lock-step as the lanes of one PmKernel
-    /// (core::run_experiment_batch). 0 = auto-tune from the sweep shape;
-    /// 1 = one single-lane kernel per trial. Since every batch size
-    /// produces bit-identical per-task results, this is a pure
-    /// performance knob — the determinism contract above holds for every
-    /// (jobs, batch) pair.
+    /// Tasks per TaskPool claim. 0 = auto-tune from the sweep shape. It
+    /// never changes a result. Kept for benchmark/workloads.cpp, which
+    /// sizes its chunks with it.
     std::size_t batch = 0;
 };
 
@@ -60,8 +72,9 @@ public:
     /// Effective worker count (never 0).
     [[nodiscard]] std::size_t jobs() const noexcept { return pool_.jobs(); }
 
-    /// Batch size a run of `count` tasks would use (resolves the auto
-    /// setting; never 0).
+    /// Claim size a run of `count` tasks would use (resolves the auto
+    /// setting; never 0). Public only because benchmark/workloads.cpp
+    /// sizes its chunks with it.
     [[nodiscard]] std::size_t effective_batch(std::size_t count) const noexcept;
 
     /// Queues one task; returns its submission index. The config is
@@ -84,7 +97,8 @@ public:
     /// is rethrown after all workers join.
     [[nodiscard]] std::vector<core::ExperimentResult> run();
 
-    /// Convenience one-shots mirroring TrialRunner's API.
+    /// One-shots: queue the configs (or `count` generated ones), then
+    /// run().
     [[nodiscard]] std::vector<core::ExperimentResult>
     run_all(const std::vector<core::ExperimentConfig>& configs);
     [[nodiscard]] std::vector<core::ExperimentResult> run_generated(
@@ -111,9 +125,21 @@ private:
     std::size_t steals_ = 0;
 };
 
+/// Folds every trial's per-run metric snapshot (ExperimentResult::metrics)
+/// in submission order. Because the fold order is the submission order —
+/// not the completion order — the merged snapshot is byte-identical for
+/// every --jobs value.
+[[nodiscard]] obs::MetricsSnapshot
+merge_trial_metrics(const std::vector<core::ExperimentResult>& results);
+
+/// Same fold for the per-trial profiler snapshots. Labels and counts are
+/// --jobs invariant (each trial's profiler sees exactly that trial's
+/// scopes); wall-clock totals are genuinely nondeterministic.
+[[nodiscard]] obs::ProfileSnapshot
+merge_trial_profiles(const std::vector<core::ExperimentResult>& results);
+
 /// Folds every task's metrics (and non-empty profiles) into `ctx` in
-/// submission order — the deterministic sweep-level counterpart of
-/// merge_trial_metrics/merge_trial_profiles.
+/// submission order: merge_trial_metrics and merge_trial_profiles.
 void merge_sweep_into(obs::RunContext& ctx,
                       const std::vector<core::ExperimentResult>& results);
 

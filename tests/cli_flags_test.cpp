@@ -1,6 +1,8 @@
 // Tests for the CLI flag parser.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "tools/flags.hpp"
@@ -113,39 +115,50 @@ TEST(CliFlags, JobsErrorMessageNamesTheFlag) {
     }
 }
 
-TEST(CliFlags, BatchDefaultsToFallbackWhenAbsent) {
-    EXPECT_EQ(flag_batch(parse({}), 0), 0U);
-    EXPECT_EQ(flag_batch(parse({}), 7), 7U);
-}
-
-TEST(CliFlags, BatchParsesPositiveIntegersAndEqualsForm) {
-    EXPECT_EQ(flag_batch(parse({"--batch", "4"}), 0), 4U);
-    EXPECT_EQ(flag_batch(parse({"--batch", "1"}), 8), 1U);
-    EXPECT_EQ(flag_batch(parse({"--batch=16"}), 0), 16U);
-}
-
-TEST(CliFlags, BatchZeroStaysZeroMeaningAuto) {
-    // Unlike --jobs (where 0 falls back to hardware concurrency), 0 is a
-    // meaningful value: the SweepScheduler auto-tunes the batch size.
-    EXPECT_EQ(flag_batch(parse({"--batch", "0"}), 6), 0U);
-    EXPECT_EQ(flag_batch(parse({"--batch=0"}), 6), 0U);
-}
-
-TEST(CliFlags, BatchRejectsNegativesAndJunk) {
-    EXPECT_THROW(flag_batch(parse({"--batch", "-2"}), 0), std::invalid_argument);
-    EXPECT_THROW(flag_batch(parse({"--batch", "four"}), 0), std::invalid_argument);
-    EXPECT_THROW(flag_batch(parse({"--batch", "4x"}), 0), std::invalid_argument);
-    EXPECT_THROW(flag_batch(parse({"--batch", ""}), 0), std::invalid_argument);
-}
-
-TEST(CliFlags, BatchErrorMessageNamesTheFlag) {
+TEST(CliFlags, RejectUnknownFlagsNamesTheFirstUnknownFlag) {
+    constexpr std::string_view known[] = {"n", "from"};
+    EXPECT_NO_THROW(reject_unknown_flags(parse({}), known));
+    EXPECT_NO_THROW(reject_unknown_flags(parse({"--n", "5", "--from=1"}), known));
     try {
-        flag_batch(parse({"--batch", "-1"}), 0);
+        reject_unknown_flags(parse({"--zeta", "1", "--n", "5", "--bogus", "3"}),
+                             known);
         FAIL() << "expected std::invalid_argument";
     } catch (const std::invalid_argument& e) {
-        EXPECT_NE(std::string{e.what()}.find("--batch"), std::string::npos);
-        EXPECT_NE(std::string{e.what()}.find("auto"), std::string::npos);
+        // Flags are checked in name order: --bogus sorts before --zeta.
+        EXPECT_EQ(std::string{e.what()}, "unknown flag --bogus");
     }
+}
+
+TEST(CliFlags, SweepRejectsBatchAndUnknownFlags) {
+    // --batch is retired: a sweep that still passes it must fail, not
+    // silently run with the flag dropped.
+    EXPECT_THROW(reject_unknown_flags(parse({"--n", "5", "--batch", "4"}),
+                                      kSweepFlags),
+                 std::invalid_argument);
+    EXPECT_THROW(reject_unknown_flags(parse({"--n", "5", "--from", "1", "--to",
+                                             "1.2", "--step", "0.2", "--bogus",
+                                             "3"}),
+                                      kSweepFlags),
+                 std::invalid_argument);
+}
+
+TEST(CliFlags, SweepAcceptsEveryDocumentedFlag) {
+    // The tsan_sweep_smoke ctest entry.
+    EXPECT_NO_THROW(reject_unknown_flags(
+        parse({"--n", "20", "--tp", "121", "--tc", "0.11", "--from", "0.6",
+               "--to", "3.0", "--step", "0.2", "--sim-trials", "2",
+               "--sim-max-time", "2000", "--jobs", "8"}),
+        kSweepFlags));
+    // README.md and docs/OBSERVABILITY.md.
+    EXPECT_NO_THROW(reject_unknown_flags(
+        parse({"--n", "20", "--tp", "121", "--tc", "0.11", "--from", "0.5",
+               "--to", "3", "--step", "0.05", "--trace", "sweep.jsonl", "--out",
+               "sweep.manifest.json"}),
+        kSweepFlags));
+    // The rest of the usage line, and the chain parameters it shares
+    // with `chain`.
+    EXPECT_NO_THROW(reject_unknown_flags(
+        parse({"--seed", "3", "--tr", "0.11", "--f2", "19"}), kSweepFlags));
 }
 
 TEST(CliFlags, TrialsDefaultsToFallbackWhenAbsent) {

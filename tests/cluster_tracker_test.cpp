@@ -212,8 +212,8 @@ TEST(ClusterTracker, FinishIsIdempotent) {
 }
 
 TEST(ClusterTracker, ResetReplaysIdenticalSeries) {
-    // reset() reuses the tracker's scratch buffers (the batched sweep
-    // path pools trackers across lanes); a reset tracker fed the same
+    // reset() reuses the tracker's scratch buffers (the experiment
+    // driver pools one tracker per thread); a reset tracker fed the same
     // event stream must reproduce the exact ClusterEvent / RoundLargest
     // series and every derived statistic of a fresh one.
     auto feed = [](ClusterTracker& t) {

@@ -2,8 +2,8 @@
 // driver, the scale ctest runs on every build (the full 10^5..10^6 rungs
 // live in bench/metroscale_sweep). Pins down what the metro-scale work
 // promises: the trial completes, the packed kernel state stays small per
-// router, the tracker's per-size tables answer consistently at this
-// width, and a two-lane kernel agrees bit for bit with single lanes.
+// router, and the tracker's per-size tables answer consistently at this
+// width.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -43,7 +43,7 @@ TEST(MetroScale, TenThousandRouterTrialCompletesWithinBudget) {
     EXPECT_EQ(r.rounds_unsynchronized, 0U);
 
     // The per-router state budget that makes 1e6 routers feasible:
-    // packed lanes + calendar queue, well under 256 B/router (the fixed
+    // packed node arrays + calendar queue, well under 256 B/router (the fixed
     // 1024-bucket calendar overhead is amortized at this n).
     ASSERT_GT(r.kernel_state_bytes, 0U);
     EXPECT_LT(r.kernel_state_bytes,
@@ -66,33 +66,6 @@ TEST(MetroScale, TenThousandRouterTrialCompletesWithinBudget) {
     // unless explicitly requested — 1e5-round runs must not accumulate
     // per-round records by default.
     EXPECT_TRUE(r.rounds.empty());
-}
-
-TEST(MetroScale, BatchedLanesMatchScalarAtTenThousandRouters) {
-    // run_experiment_batch on two metro lanes vs each config as a
-    // single-lane kernel: identical summaries at a width where every
-    // expiry burst goes through the calendar queue's sorted-run path.
-    auto cfg_a = metro_config();
-    auto cfg_b = metro_config();
-    cfg_b.params.seed = 0xfe71;
-    const std::vector<core::ExperimentConfig> configs{cfg_a, cfg_b};
-
-    const auto batched = core::run_experiment_batch(configs);
-    ASSERT_EQ(batched.size(), 2U);
-    const auto single_a = core::run_experiment(cfg_a);
-    const auto single_b = core::run_experiment(cfg_b);
-
-    EXPECT_EQ(batched[0].total_transmissions, single_a.total_transmissions);
-    EXPECT_EQ(batched[0].events_processed, single_a.events_processed);
-    EXPECT_EQ(batched[0].rounds_closed, single_a.rounds_closed);
-    EXPECT_EQ(batched[1].total_transmissions, single_b.total_transmissions);
-    EXPECT_EQ(batched[1].events_processed, single_b.events_processed);
-    EXPECT_EQ(batched[1].rounds_closed, single_b.rounds_closed);
-    // Every lane owns the same node slices and its own queue, so a lane's
-    // footprint does not depend on its neighbours.
-    EXPECT_GT(single_a.kernel_state_bytes, 0U);
-    EXPECT_EQ(batched[0].kernel_state_bytes, single_a.kernel_state_bytes);
-    EXPECT_EQ(batched[1].kernel_state_bytes, single_b.kernel_state_bytes);
 }
 
 } // namespace

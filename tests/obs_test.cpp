@@ -319,8 +319,8 @@ std::vector<core::ExperimentConfig> small_sweep() {
 
 TEST(TrialMetrics, MergedSnapshotIdenticalForJobs1And8) {
     const auto configs = small_sweep();
-    const parallel::TrialRunner serial{{.jobs = 1}};
-    const parallel::TrialRunner wide{{.jobs = 8}};
+    parallel::SweepScheduler serial{{.jobs = 1}};
+    parallel::SweepScheduler wide{{.jobs = 8}};
     const auto r1 = serial.run_all(configs);
     const auto r8 = wide.run_all(configs);
     const obs::MetricsSnapshot m1 = parallel::merge_trial_metrics(r1);
@@ -332,14 +332,14 @@ TEST(TrialMetrics, MergedSnapshotIdenticalForJobs1And8) {
 }
 
 TEST(TrialMetrics, SharedRunContextIsNotHandedToWorkerThreads) {
-    // config.obs is per-run state; the runner must strip it from the
+    // config.obs is per-run state; the scheduler must strip it from the
     // copies it hands to workers (the caller merges via result.metrics).
     obs::RunContext ctx;
     auto configs = small_sweep();
     for (auto& cfg : configs) {
         cfg.obs = &ctx;
     }
-    const parallel::TrialRunner wide{{.jobs = 4}};
+    parallel::SweepScheduler wide{{.jobs = 4}};
     const auto results = wide.run_all(configs);
     ASSERT_EQ(results.size(), configs.size());
     // The shared context saw none of the trials' merges...

@@ -1,6 +1,6 @@
-// Tests for routesync::parallel — the fork-join primitives and the
-// deterministic TrialRunner. The headline property (and ISSUE-level
-// acceptance criterion): running the same sweep with jobs=1 and jobs=4
+// Tests for routesync::parallel — the fork-join primitives, seed
+// derivation, and the SweepScheduler's full-result determinism. The
+// headline property: running the same sweep with jobs=1 and jobs=4
 // yields identical ExperimentResult fields for every trial.
 #include <gtest/gtest.h>
 
@@ -16,8 +16,8 @@
 #include "parallel/parallel.hpp"
 
 using namespace routesync;
-using parallel::TrialRunner;
-using parallel::TrialRunnerOptions;
+using parallel::SweepScheduler;
+using parallel::SweepSchedulerOptions;
 
 namespace {
 
@@ -79,10 +79,10 @@ void expect_identical(const core::ExperimentResult& a, const core::ExperimentRes
     }
 }
 
-TEST(TrialRunner, Jobs4MatchesJobs1Exactly) {
+TEST(SweepScheduler, Jobs4MatchesJobs1Exactly) {
     const auto configs = sweep_configs();
-    const auto serial = TrialRunner{{.jobs = 1}}.run_all(configs);
-    const auto parallel4 = TrialRunner{{.jobs = 4}}.run_all(configs);
+    const auto serial = SweepScheduler{{.jobs = 1}}.run_all(configs);
+    const auto parallel4 = SweepScheduler{{.jobs = 4}}.run_all(configs);
     ASSERT_EQ(serial.size(), configs.size());
     ASSERT_EQ(parallel4.size(), configs.size());
     for (std::size_t i = 0; i < configs.size(); ++i) {
@@ -91,9 +91,9 @@ TEST(TrialRunner, Jobs4MatchesJobs1Exactly) {
     }
 }
 
-TEST(TrialRunner, RunAllMatchesDirectRunExperiment) {
+TEST(SweepScheduler, RunAllMatchesDirectRunExperiment) {
     const auto configs = sweep_configs();
-    const auto results = TrialRunner{{.jobs = 3}}.run_all(configs);
+    const auto results = SweepScheduler{{.jobs = 3}}.run_all(configs);
     // Submission order: result i is exactly run_experiment(configs[i]).
     for (std::size_t i = 0; i < configs.size(); ++i) {
         SCOPED_TRACE("trial " + std::to_string(i));
@@ -101,10 +101,10 @@ TEST(TrialRunner, RunAllMatchesDirectRunExperiment) {
     }
 }
 
-TEST(TrialRunner, GeneratorFormMatchesMaterializedConfigs) {
+TEST(SweepScheduler, GeneratorFormMatchesMaterializedConfigs) {
     const auto configs = sweep_configs();
-    const auto from_vector = TrialRunner{{.jobs = 1}}.run_all(configs);
-    const auto generated = TrialRunner{{.jobs = 4}}.run_generated(
+    const auto from_vector = SweepScheduler{{.jobs = 1}}.run_all(configs);
+    const auto generated = SweepScheduler{{.jobs = 4}}.run_generated(
         configs.size(), [&](std::size_t i) { return configs[i]; });
     ASSERT_EQ(generated.size(), from_vector.size());
     for (std::size_t i = 0; i < configs.size(); ++i) {
@@ -113,16 +113,16 @@ TEST(TrialRunner, GeneratorFormMatchesMaterializedConfigs) {
     }
 }
 
-TEST(TrialRunner, JobsZeroMeansHardwareConcurrency) {
-    EXPECT_EQ(TrialRunner{}.jobs(), parallel::hardware_jobs());
-    EXPECT_EQ((TrialRunner{TrialRunnerOptions{.jobs = 0}}.jobs()),
+TEST(SweepScheduler, JobsZeroMeansHardwareConcurrency) {
+    EXPECT_EQ(SweepScheduler{}.jobs(), parallel::hardware_jobs());
+    EXPECT_EQ((SweepScheduler{SweepSchedulerOptions{.jobs = 0}}.jobs()),
               parallel::hardware_jobs());
-    EXPECT_EQ((TrialRunner{TrialRunnerOptions{.jobs = 3}}.jobs()), 3u);
+    EXPECT_EQ((SweepScheduler{SweepSchedulerOptions{.jobs = 3}}.jobs()), 3u);
     EXPECT_GE(parallel::hardware_jobs(), 1u);
 }
 
-TEST(TrialRunner, EmptyConfigListYieldsEmptyResults) {
-    EXPECT_TRUE(TrialRunner{{.jobs = 4}}.run_all({}).empty());
+TEST(SweepScheduler, EmptyConfigListYieldsEmptyResults) {
+    EXPECT_TRUE(SweepScheduler{{.jobs = 4}}.run_all({}).empty());
 }
 
 TEST(DeriveSeed, IsPureAndWellSpread) {

@@ -1,16 +1,16 @@
 // Tests for the PM fast-path kernel (core/pm_kernel.hpp).
 //
-// The kernel's contract is *bit-identity per lane* with the engine-backed
+// The kernel's contract is *bit-identity* with the engine-backed
 // PeriodicMessagesModel: same RNG draw order, same (time, FIFO) event
 // execution order, same events_processed count, same callback and trace
-// streams, and the same final node state — for every lane of every batch
-// width and on both event queues. The tests here enforce that over a
-// randomized sample of the whole parameter space (N, Tp, Tr, Tc, start
-// condition, notification mode, reset-at-expiry, per-node periods and
-// costs, explicit phases, timer policies, triggered updates, scheduled
-// hooks), then again at the run_experiment_batch level where the
-// ClusterTracker series and metrics snapshots must agree field for
-// field, and fuzz both queues against a reference ordering.
+// streams, and the same final node state — on both event queues. The
+// tests here enforce that over a randomized sample of the whole
+// parameter space (N, Tp, Tr, Tc, start condition, notification mode,
+// reset-at-expiry, per-node periods and costs, explicit phases, timer
+// policies, triggered updates, scheduled hooks), then again at the
+// run_experiment level where the ClusterTracker series and metrics
+// snapshots must agree field for field, and fuzz both queues against a
+// reference ordering.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -313,7 +313,7 @@ TEST(PmSortedRunQueue, SameTimeBurstDrainsInFifoOrder) {
 }
 
 // ---------------------------------------------------------------------------
-// Randomized differential: kernel lanes vs the engine-backed model.
+// Randomized differential: the kernel vs the engine-backed model.
 
 std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
     for (int i = 0; i < 8; ++i) {
@@ -466,7 +466,7 @@ TrialSpec metro_trial(int n, std::uint64_t seed, bool synchronized) {
     return spec;
 }
 
-/// Everything a lane (or its engine twin) exposes at the end of a run.
+/// Everything a kernel (or its engine twin) exposes at the end of a run.
 struct TrialDigest {
     std::uint64_t stream = 0;
     std::uint64_t trace = 0;
@@ -515,66 +515,40 @@ TrialDigest run_engine(const TrialSpec& spec) {
     return d;
 }
 
-/// Runs `specs` as the lanes of one kernel and returns each lane's digest.
-std::vector<TrialDigest> run_lanes(const std::vector<TrialSpec>& specs) {
-    const std::size_t lanes = specs.size();
-    std::vector<HashSink> sinks(lanes);
-    std::vector<std::unique_ptr<obs::Tracer>> tracers(lanes);
-    std::vector<core::PmLaneSpec> lane_specs;
-    for (std::size_t l = 0; l < lanes; ++l) {
-        obs::Tracer* tracer = nullptr;
-        if (specs[l].trace) {
-            tracers[l] = std::make_unique<obs::Tracer>(sinks[l]);
-            tracer = tracers[l].get();
-        }
-        lane_specs.push_back(
-            core::PmLaneSpec{specs[l].params, make_policy(specs[l]), tracer});
+TrialDigest run_kernel(const TrialSpec& spec) {
+    StreamHash stream;
+    HashSink sink;
+    obs::Tracer tracer{sink};
+    core::PmKernel kernel{spec.params, make_policy(spec),
+                          spec.trace ? &tracer : nullptr};
+    kernel.on_transmit = [&](int node, sim::SimTime t) { stream.transmit(node, t); };
+    kernel.on_timer_set = [&](int node, sim::SimTime t) { stream.timer_set(node, t); };
+    if (spec.trigger) {
+        kernel.schedule_trigger_all(spec.trig_at);
     }
-    core::PmKernel kernel{std::move(lane_specs)};
-
-    std::vector<StreamHash> streams(lanes);
-    kernel.on_transmit = [&](std::size_t l, int node, sim::SimTime t) {
-        streams[l].transmit(node, t);
+    int hooks_left = spec.hooks;
+    std::function<void()> hook = [&] {
+        stream.hook(kernel.now());
+        if (--hooks_left > 0) {
+            kernel.schedule_hook(kernel.now() + spec.hook_every, hook);
+        }
     };
-    kernel.on_timer_set = [&](std::size_t l, int node, sim::SimTime t) {
-        streams[l].timer_set(node, t);
-    };
-    std::vector<int> hooks_left(lanes);
-    std::vector<std::function<void()>> hooks(lanes);
-    std::vector<sim::SimTime> targets;
-    for (std::size_t l = 0; l < lanes; ++l) {
-        const TrialSpec& spec = specs[l];
-        if (spec.trigger) {
-            kernel.schedule_trigger_all(l, spec.trig_at);
-        }
-        hooks_left[l] = spec.hooks;
-        hooks[l] = [&, l] {
-            streams[l].hook(kernel.now(l));
-            if (--hooks_left[l] > 0) {
-                kernel.schedule_hook(l, kernel.now(l) + specs[l].hook_every, hooks[l]);
-            }
-        };
-        if (spec.hooks > 0) {
-            kernel.schedule_hook(l, spec.hook_every, hooks[l]);
-        }
-        targets.push_back(spec.horizon);
+    if (spec.hooks > 0) {
+        kernel.schedule_hook(spec.hook_every, hook);
     }
-    kernel.run_all_until(targets);
+    kernel.run_until(spec.horizon);
 
-    std::vector<TrialDigest> out(lanes);
-    for (std::size_t l = 0; l < lanes; ++l) {
-        TrialDigest& d = out[l];
-        d.stream = streams[l].h;
-        d.trace = sinks[l].h;
-        d.events = kernel.events_processed(l);
-        d.transmissions = kernel.total_transmissions(l);
-        d.now_sec = kernel.now(l).sec();
-        d.state = 1469598103934665603ULL;
-        for (int i = 0; i < specs[l].params.n; ++i) {
-            d.state = node_state_hash(d.state, kernel.node(l, i));
-        }
+    TrialDigest d;
+    d.stream = stream.h;
+    d.trace = sink.h;
+    d.events = kernel.events_processed();
+    d.transmissions = kernel.total_transmissions();
+    d.now_sec = kernel.now().sec();
+    d.state = 1469598103934665603ULL;
+    for (int i = 0; i < spec.params.n; ++i) {
+        d.state = node_state_hash(d.state, kernel.node(i));
     }
-    return out;
+    return d;
 }
 
 void expect_same_digest(const TrialDigest& got, const TrialDigest& want,
@@ -591,9 +565,8 @@ TEST(PmKernelDifferential, MatchesEngineOnRandomizedParameterSweep) {
     std::mt19937_64 rng{0xf10d5ULL};
     for (int point = 0; point < 200; ++point) {
         const TrialSpec spec = sample_trial(rng);
-        const std::vector<TrialDigest> got = run_lanes({spec});
         ASSERT_NO_FATAL_FAILURE(expect_same_digest(
-            got[0], run_engine(spec),
+            run_kernel(spec), run_engine(spec),
             "point " + std::to_string(point) + " (n=" +
                 std::to_string(spec.params.n) + " seed=" +
                 std::to_string(spec.params.seed) + ")"));
@@ -619,76 +592,29 @@ TEST(PmKernelDifferential, MatchesEngineAtLargeNSynchronizedRounds) {
         // Covers the initial collapse (n * Tc = 165 s busy chain at
         // n = 1500) plus the first fully synchronized re-arm round.
         spec.horizon = sim::SimTime::seconds(450.0);
-        const std::vector<TrialDigest> got = run_lanes({spec});
         const TrialDigest want = run_engine(spec);
         ASSERT_NO_FATAL_FAILURE(
-            expect_same_digest(got[0], want, "n=" + std::to_string(c.n)));
+            expect_same_digest(run_kernel(spec), want, "n=" + std::to_string(c.n)));
         EXPECT_GT(want.transmissions, 0U);
     }
-}
 
-TEST(PmKernelDifferential, LanesMatchEngineAcrossBatchSizes) {
-    std::mt19937_64 rng{0xba7c4ULL};
-    constexpr int kTrials = 212; // lands mid-batch: forces a truncated tail
-    std::vector<TrialSpec> specs;
-    specs.reserve(kTrials);
-    for (int i = 0; i < kTrials; ++i) {
-        specs.push_back(sample_trial(rng));
-    }
-    // Lanes on the calendar side of the queue threshold, riding in
-    // batches with small sorted-run lanes; one carries a hook chain and
-    // one the per-node busy variant.
+    // At the queue threshold itself: a synchronized start under a chain
+    // of scheduled hooks, an unsynchronized start, and the per-node busy
+    // variant (AfterPreparation notification).
     const int big = core::kPmCalendarMinNodes;
-    specs[5] = metro_trial(big, 0xca1, true);
-    specs[5].hooks = 4;
-    specs[5].hook_every = sim::SimTime::seconds(37.0);
-    specs[21] = metro_trial(big + 7, 0xca2, false);
-    specs[60] = metro_trial(big, 0xca3, true);
-    specs[60].params.notification = core::Notification::AfterPreparation;
-    specs[60].horizon = sim::SimTime::seconds(250.0);
-
-    // Batch sizes cycle {1, 3, 8} with every fifth batch widened by 2;
-    // 212 falls strictly inside the final requested batch, so the tail
-    // truncates (verified below) — the non-divisible-remainder case.
-    const std::size_t sizes[] = {1, 3, 8};
-    std::size_t next = 0;
-    std::size_t size_i = 0;
-    int batches = 0;
-    int mixed_batches = 0;
-    bool saw_truncated_tail = false;
-    while (next < specs.size()) {
-        const std::size_t want = sizes[size_i % 3] + (size_i % 5 == 4 ? 2 : 0);
-        ++size_i;
-        const std::size_t lanes = std::min(want, specs.size() - next);
-        saw_truncated_tail = saw_truncated_tail || lanes != want;
-        ++batches;
-
-        const std::vector<TrialSpec> batch(
-            specs.begin() + static_cast<std::ptrdiff_t>(next),
-            specs.begin() + static_cast<std::ptrdiff_t>(next + lanes));
-        int calendar_lanes = 0;
-        for (const TrialSpec& spec : batch) {
-            calendar_lanes += spec.params.n >= core::kPmCalendarMinNodes ? 1 : 0;
-        }
-        if (calendar_lanes > 0 && calendar_lanes < static_cast<int>(lanes)) {
-            ++mixed_batches;
-        }
-        const std::vector<TrialDigest> got = run_lanes(batch);
-        for (std::size_t l = 0; l < lanes; ++l) {
-            const TrialSpec& spec = batch[l];
-            ASSERT_NO_FATAL_FAILURE(expect_same_digest(
-                got[l], run_engine(spec),
-                "trial " + std::to_string(next + l) + " (lane " +
-                    std::to_string(l) + " of " + std::to_string(lanes) +
-                    ", n=" + std::to_string(spec.params.n) +
-                    " seed=" + std::to_string(spec.params.seed) + ")"));
-        }
-        next += lanes;
+    TrialSpec hooked = metro_trial(big, 0xca1, true);
+    hooked.hooks = 4;
+    hooked.hook_every = sim::SimTime::seconds(37.0);
+    TrialSpec unsynced = metro_trial(big + 7, 0xca2, false);
+    TrialSpec after = metro_trial(big, 0xca3, true);
+    after.params.notification = core::Notification::AfterPreparation;
+    after.horizon = sim::SimTime::seconds(250.0);
+    for (const TrialSpec& spec : {hooked, unsynced, after}) {
+        ASSERT_NO_FATAL_FAILURE(expect_same_digest(
+            run_kernel(spec), run_engine(spec),
+            "n=" + std::to_string(spec.params.n) +
+                " seed=" + std::to_string(spec.params.seed)));
     }
-    EXPECT_GE(batches, 40);
-    EXPECT_GE(mixed_batches, 2) << "no batch mixed the two queues";
-    EXPECT_TRUE(saw_truncated_tail)
-        << "size pattern never produced a truncated tail batch";
 }
 
 void expect_same_experiment(const core::ExperimentResult& got,
@@ -768,11 +694,11 @@ TEST(PmKernelDifferential, ExperimentBackendsAgreeOnClusterSeries) {
 }
 
 TEST(PmKernelDifferential, RunExperimentBatchAgreesWithEngine) {
-    // One level up: run_experiment_batch's lanes vs per-config engine
-    // runs, comparing the ClusterTracker-derived series, the stop
+    // One level up: run_experiment_batch's kernel runs vs per-config
+    // engine runs, comparing the ClusterTracker-derived series, the stop
     // conditions, and the metrics snapshot. A few configs ask for the
-    // engine themselves and must run alone without disturbing their
-    // neighbours; one metro-sized lane rides on the calendar queue.
+    // engine themselves; one metro-sized config rides on the calendar
+    // queue.
     std::mt19937_64 rng{0xbead5ULL};
     std::vector<core::ExperimentConfig> configs;
     for (int point = 0; point < 36; ++point) {
@@ -800,68 +726,50 @@ TEST(PmKernelDifferential, RunExperimentBatchAgreesWithEngine) {
 // ---------------------------------------------------------------------------
 // Targeted behaviour.
 
-/// One default-policy, untraced lane per params entry.
-std::vector<core::PmLaneSpec>
-lanes_of(std::initializer_list<core::ModelParams> params) {
-    std::vector<core::PmLaneSpec> specs;
-    for (const core::ModelParams& p : params) {
-        specs.push_back(core::PmLaneSpec{p, nullptr, nullptr});
-    }
-    return specs;
-}
-
 TEST(PmKernel, SharedBusyFastVariantSelection) {
     core::ModelParams p;
     p.n = 4;
-    EXPECT_TRUE(core::PmKernel{lanes_of({p})}.shared_busy(0));
+    EXPECT_TRUE(core::PmKernel{p}.shared_busy());
 
     core::ModelParams after = p;
     after.notification = core::Notification::AfterPreparation;
-    EXPECT_FALSE(core::PmKernel{lanes_of({after})}.shared_busy(0));
+    EXPECT_FALSE(core::PmKernel{after}.shared_busy());
 
     core::ModelParams mixed = p;
     mixed.per_node_tc = {0.1, 0.2, 0.1, 0.1};
-    EXPECT_FALSE(core::PmKernel{lanes_of({mixed})}.shared_busy(0));
+    EXPECT_FALSE(core::PmKernel{mixed}.shared_busy());
 }
 
-TEST(PmKernel, QueueFollowsLaneSize) {
+TEST(PmKernel, QueueFollowsRouterCount) {
     core::ModelParams small;
     small.n = core::kPmCalendarMinNodes - 1;
     core::ModelParams big = small;
     big.n = core::kPmCalendarMinNodes;
-    const core::PmKernel kernel{lanes_of({small, big})};
-    EXPECT_FALSE(kernel.calendar_queue(0));
-    EXPECT_TRUE(kernel.calendar_queue(1));
+    EXPECT_FALSE(core::PmKernel{small}.calendar_queue());
+    EXPECT_TRUE(core::PmKernel{big}.calendar_queue());
 }
 
-TEST(PmKernel, DefaultModelNodeStateIs24BytesPerRouterAtEveryWidth) {
+TEST(PmKernel, DefaultModelNodeStateIs24BytesPerRouter) {
     // next_expiry (8) + transmissions (8) + timer_gen (4) +
-    // pending_state (4), on both queues and at every lane width; the
-    // variants that need more state say so.
-    for (const std::size_t width : {std::size_t{1}, std::size_t{2}, std::size_t{16}}) {
-        std::vector<core::PmLaneSpec> specs;
-        for (std::size_t l = 0; l < width; ++l) {
-            core::ModelParams p;
-            p.n = l == 1 ? core::kPmCalendarMinNodes : 3 + static_cast<int>(l);
-            p.seed = l;
-            specs.push_back(core::PmLaneSpec{p, nullptr, nullptr});
-        }
-        const core::PmKernel kernel{std::move(specs)};
-        for (std::size_t l = 0; l < width; ++l) {
-            const auto n = static_cast<std::size_t>(kernel.n(l));
-            EXPECT_EQ(kernel.node_state_bytes(l), 24U * n)
-                << "width " << width << " lane " << l;
-            EXPECT_GT(kernel.state_bytes(l), kernel.node_state_bytes(l));
-        }
+    // pending_state (4), on both queues; the variants that need more
+    // state say so.
+    for (const int n : {3, 18, core::kPmCalendarMinNodes}) {
+        core::ModelParams p;
+        p.n = n;
+        p.seed = static_cast<std::uint64_t>(n);
+        const core::PmKernel kernel{p};
+        EXPECT_EQ(kernel.node_state_bytes(), 24U * static_cast<std::size_t>(n))
+            << "n " << n;
+        EXPECT_GT(kernel.state_bytes(), kernel.node_state_bytes());
     }
     core::ModelParams rfc;
     rfc.n = 5;
     rfc.reset_at_expiry = true; // no pending-own bookkeeping
-    EXPECT_EQ(core::PmKernel{lanes_of({rfc})}.node_state_bytes(0), 20U * 5U);
+    EXPECT_EQ(core::PmKernel{rfc}.node_state_bytes(), 20U * 5U);
     core::ModelParams after;
     after.n = 5;
     after.notification = core::Notification::AfterPreparation; // per-node busy
-    EXPECT_EQ(core::PmKernel{lanes_of({after})}.node_state_bytes(0), 32U * 5U);
+    EXPECT_EQ(core::PmKernel{after}.node_state_bytes(), 32U * 5U);
 }
 
 TEST(PmKernel, ProfilerScopesCountLikeTheEngine) {
@@ -919,24 +827,10 @@ TEST(PmKernel, ValidationMatchesEngineModel) {
     // callers switching backends must not see a different contract.
     for (const core::ModelParams& p : invalid_params()) {
         const std::string engine_msg = engine_model_message(p);
-        const std::string kernel_msg = invalid_argument_message(
-            [&] { core::PmKernel kernel{lanes_of({p})}; });
+        const std::string kernel_msg =
+            invalid_argument_message([&] { core::PmKernel kernel{p}; });
         EXPECT_FALSE(engine_msg.empty());
         EXPECT_EQ(kernel_msg, engine_msg);
-    }
-}
-
-TEST(PmKernel, ValidationCoversEveryLane) {
-    // The bad lane rides second behind a good one — validation must cover
-    // every lane, not just the first, and report the model's message.
-    core::ModelParams good;
-    good.n = 2;
-    for (const core::ModelParams& p : invalid_params()) {
-        const std::string engine_msg = engine_model_message(p);
-        const std::string second_lane_msg = invalid_argument_message(
-            [&] { core::PmKernel kernel{lanes_of({good, p})}; });
-        EXPECT_FALSE(engine_msg.empty());
-        EXPECT_EQ(second_lane_msg, engine_msg);
     }
 }
 
@@ -944,51 +838,22 @@ TEST(PmKernel, StopHaltsInsideRun) {
     core::ModelParams p;
     p.n = 5;
     p.seed = 9;
-    core::PmKernel kernel{lanes_of({p})};
+    core::PmKernel kernel{p};
     int fires = 0;
-    kernel.on_transmit = [&](std::size_t lane, int, sim::SimTime) {
+    kernel.on_transmit = [&](int, sim::SimTime) {
         if (++fires == 3) {
-            kernel.stop(lane);
+            kernel.stop();
         }
     };
-    const std::vector<sim::SimTime> target{sim::SimTime::seconds(1e6)};
-    kernel.run_all_until(target);
+    const sim::SimTime target = sim::SimTime::seconds(1e6);
+    kernel.run_until(target);
     EXPECT_EQ(fires, 3);
-    EXPECT_TRUE(kernel.stop_requested(0));
-    EXPECT_LT(kernel.now(0).sec(), 1e6);
-    kernel.clear_stop(0);
-    kernel.run_all_until(target);
+    EXPECT_TRUE(kernel.stop_requested());
+    EXPECT_LT(kernel.now().sec(), 1e6);
+    kernel.clear_stop();
+    kernel.run_until(target);
     EXPECT_GT(fires, 3);
-    EXPECT_EQ(kernel.now(0).sec(), 1e6);
-}
-
-TEST(PmKernel, StopHaltsOneLaneOnly) {
-    core::ModelParams p;
-    p.n = 5;
-    p.seed = 9;
-    core::ModelParams q = p;
-    q.seed = 10;
-    core::PmKernel kernel{lanes_of({p, q})};
-    int fires = 0;
-    kernel.on_transmit = [&](std::size_t lane, int, sim::SimTime) {
-        if (lane == 0 && ++fires == 3) {
-            kernel.stop(0);
-        }
-    };
-    const sim::SimTime horizon = sim::SimTime::seconds(1e5);
-    const std::vector<sim::SimTime> targets{horizon, horizon};
-    kernel.run_all_until(targets);
-    EXPECT_EQ(fires, 3);
-    EXPECT_TRUE(kernel.stop_requested(0));
-    EXPECT_FALSE(kernel.stop_requested(1));
-    EXPECT_LT(kernel.now(0).sec(), 1e5);
-    EXPECT_EQ(kernel.now(1).sec(), 1e5);
-
-    // clear_stop + rerun finishes lane 0 — Engine clear_stop semantics.
-    kernel.clear_stop(0);
-    kernel.run_all_until(targets);
-    EXPECT_GT(fires, 3);
-    EXPECT_EQ(kernel.now(0).sec(), 1e5);
+    EXPECT_EQ(kernel.now().sec(), 1e6);
 }
 
 } // namespace

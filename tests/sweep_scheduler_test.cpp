@@ -52,15 +52,15 @@ TEST(SweepScheduler, ResultsIdenticalAcrossWorkerCounts) {
 }
 
 TEST(SweepScheduler, ResultsIdenticalAcrossJobsAndBatchSizes) {
-    // Lane batching is a pure performance knob: every (jobs, batch)
-    // combination must reproduce the jobs=1 batch=1 one-lane pass exactly,
+    // The claim size never shows in the results: every (jobs, batch)
+    // combination must reproduce the jobs=1 batch=1 pass exactly,
     // including per-trial metrics snapshots. 22 tasks with batch 3 and 16
-    // exercises truncated tails in both the chunk claim and the lanes.
+    // exercises truncated tails in the chunk claims.
     std::vector<core::ExperimentConfig> configs;
     for (std::uint64_t s = 1; s <= 22; ++s) {
         auto cfg = small_config(s, 4 + static_cast<int>(s % 5));
         if (s % 4 == 0) {
-            cfg.stop_on_full_sync = true; // per-lane stop in a shared batch
+            cfg.stop_on_full_sync = true; // a stop inside a multi-task claim
         }
         configs.push_back(cfg);
     }

@@ -3,12 +3,11 @@
 // parameter, detector, entropy, and coupling graph — plus the headline
 // determinism contracts:
 //
-//   * the engine and PmKernel lanes at widths 1 and 100 produce
-//     bit-identical sync reports over randomized configs;
+//   * the engine and the PmKernel produce bit-identical sync reports
+//     over randomized configs;
 //   * replay_sync over a run's own trace reproduces the live monitor
 //     exactly (r series endpoints, transitions, coupling graph);
-//   * merged sync.* metrics are byte-identical across --jobs and
-//     --batch settings.
+//   * merged sync.* metrics are byte-identical across --jobs settings.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,7 +17,6 @@
 #include <map>
 #include <random>
 #include <set>
-#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -354,7 +352,7 @@ TEST(SyncMonitorTest, CouplingAttributesToLastTransmitter) {
     EXPECT_EQ(mon.coupling().total_weight(), mon.report().rearms);
 }
 
-// ---- differential: engine vs PmKernel lanes ------------------------------
+// ---- differential: engine vs PmKernel ------------------------------------
 
 core::ExperimentConfig random_monitored_config(std::uint64_t seed_base,
                                                std::size_t i) {
@@ -408,7 +406,7 @@ TEST(SyncMonitorDifferentialTest, BackendsAgreeOnRandomizedConfigs) {
         configs.push_back(random_monitored_config(2026, i));
     }
 
-    // Width 100: every config as a lane of one kernel.
+    // The same configs through run_experiment_batch, in one call.
     std::vector<core::ExperimentResult> batched =
         core::run_experiment_batch(configs);
     ASSERT_EQ(batched.size(), kConfigs);
@@ -419,13 +417,12 @@ TEST(SyncMonitorDifferentialTest, BackendsAgreeOnRandomizedConfigs) {
         engine_cfg.backend = core::ExperimentBackend::Engine;
         const core::ExperimentResult engine_r = core::run_experiment(engine_cfg);
 
-        // Width 1: the config as a one-lane kernel.
         core::ExperimentConfig kernel_cfg = configs[i];
         kernel_cfg.backend = core::ExperimentBackend::FastKernel;
         const core::ExperimentResult kernel_r = core::run_experiment(kernel_cfg);
 
-        expect_sync_identical(engine_r, kernel_r, "engine vs kernel width 1");
-        expect_sync_identical(engine_r, batched[i], "engine vs kernel width 100");
+        expect_sync_identical(engine_r, kernel_r, "engine vs kernel");
+        expect_sync_identical(engine_r, batched[i], "engine vs batch call");
         transitions_seen += engine_r.sync->transitions;
     }
     // The randomized thresholds must actually exercise the detector —
@@ -482,44 +479,21 @@ TEST(SyncMonitorDifferentialTest, ReplayFromTraceMatchesLiveExactly) {
     }
 }
 
-// ---- determinism: merged sync.* metrics across --jobs and --batch --------
+// ---- determinism: merged sync.* metrics across --jobs --------------------
 
 TEST(SyncMonitorDifferentialTest, MergedSyncMetricsAreJobsInvariant) {
     std::vector<core::ExperimentConfig> configs;
     for (std::size_t i = 0; i < 12; ++i) {
         configs.push_back(random_monitored_config(31, i));
     }
-    const parallel::TrialRunner serial{parallel::TrialRunnerOptions{.jobs = 1}};
-    const parallel::TrialRunner wide{parallel::TrialRunnerOptions{.jobs = 8}};
+    parallel::SweepScheduler serial{parallel::SweepSchedulerOptions{.jobs = 1}};
+    parallel::SweepScheduler wide{parallel::SweepSchedulerOptions{.jobs = 8}};
     const auto r1 = serial.run_all(configs);
     const auto r8 = wide.run_all(configs);
     const obs::MetricsSnapshot m1 = parallel::merge_trial_metrics(r1);
     const obs::MetricsSnapshot m8 = parallel::merge_trial_metrics(r8);
     EXPECT_EQ(m1.to_json(), m8.to_json());
     EXPECT_NE(m1.to_json().find("sync.rearms"), std::string::npos);
-}
-
-TEST(SyncMonitorDifferentialTest, BatchWidthDoesNotChangeSyncResults) {
-    std::vector<core::ExperimentConfig> configs;
-    for (std::size_t i = 0; i < 16; ++i) {
-        configs.push_back(random_monitored_config(59, i));
-    }
-    // Width 16 in one call vs width 1 sixteen times.
-    const std::vector<core::ExperimentResult> wide =
-        core::run_experiment_batch(configs);
-    std::vector<core::ExperimentResult> narrow;
-    for (const core::ExperimentConfig& cfg : configs) {
-        narrow.push_back(core::run_experiment_batch(std::span{&cfg, 1})[0]);
-    }
-    ASSERT_EQ(wide.size(), narrow.size());
-    std::vector<obs::MetricsSnapshot> wide_parts, narrow_parts;
-    for (std::size_t i = 0; i < wide.size(); ++i) {
-        expect_sync_identical(wide[i], narrow[i], "batch 16 vs 1");
-        wide_parts.push_back(wide[i].metrics);
-        narrow_parts.push_back(narrow[i].metrics);
-    }
-    EXPECT_EQ(obs::merge_snapshots(wide_parts).to_json(),
-              obs::merge_snapshots(narrow_parts).to_json());
 }
 
 // ---- scenario: the element-graph workload carries the same observatory ---

@@ -500,8 +500,8 @@ TEST(Profiler, MergedLabelsAndCountsIdenticalForJobs1And8) {
         configs.push_back(cfg);
     }
     obs::Profiler::set_process_enabled(true);
-    const parallel::TrialRunner serial{{.jobs = 1}};
-    const parallel::TrialRunner wide{{.jobs = 8}};
+    parallel::SweepScheduler serial{{.jobs = 1}};
+    parallel::SweepScheduler wide{{.jobs = 8}};
     const auto r1 = serial.run_all(configs);
     const auto r8 = wide.run_all(configs);
     obs::Profiler::set_process_enabled(false);

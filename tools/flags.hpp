@@ -2,11 +2,14 @@
 // Separated from the binary so the parsing rules are unit-testable.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdlib>
 #include <map>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace routesync::cli {
 
@@ -100,25 +103,22 @@ inline int flag_trials(const Flags& flags, int fallback) {
     return static_cast<int>(n);
 }
 
-/// Parses `--batch`: trials per claim in parallel sweeps, run as the
-/// lanes of one PM kernel.
-/// Absent -> `fallback`; `--batch 0` stays 0 ("auto-tune from the sweep
-/// shape" — unlike --jobs, 0 is a meaningful value the scheduler
-/// resolves itself). Negatives and non-numeric junk throw.
-inline std::size_t flag_batch(const Flags& flags, std::size_t fallback) {
-    const auto it = flags.find("batch");
-    if (it == flags.end()) {
-        return fallback;
+/// Throws std::invalid_argument naming the first flag in `flags` (in
+/// name order) that is not in `known` — a command that checks this
+/// cannot drop a typo or a retired flag without a word.
+inline void reject_unknown_flags(const Flags& flags,
+                                 std::span<const std::string_view> known) {
+    for (const auto& entry : flags) {
+        if (std::find(known.begin(), known.end(), entry.first) == known.end()) {
+            throw std::invalid_argument{"unknown flag --" + entry.first};
+        }
     }
-    const std::string& value = it->second;
-    char* end = nullptr;
-    const long n = std::strtol(value.c_str(), &end, 10);
-    if (end == value.c_str() || *end != '\0' || n < 0) {
-        throw std::invalid_argument{
-            "--batch must be a non-negative integer (0 = auto), got '" +
-            value + "'"};
-    }
-    return static_cast<std::size_t>(n);
 }
+
+/// Every flag `routesync sweep` reads, those of its chain parameters
+/// (--n --tp --tr --tc --f2) included.
+inline constexpr std::string_view kSweepFlags[] = {
+    "n",    "tp",   "tr",         "tc",           "f2",   "from",  "to",
+    "step", "jobs", "sim-trials", "sim-max-time", "seed", "trace", "out"};
 
 } // namespace routesync::cli

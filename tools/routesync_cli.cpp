@@ -190,15 +190,12 @@ int cmd_chain(const Flags& flags) {
 }
 
 int cmd_sweep(const Flags& flags) {
+    cli::reject_unknown_flags(flags, cli::kSweepFlags);
     markov::ChainParams base = chain_params(flags);
     const double from = flag_d(flags, "from", 0.5); // in units of Tc
     const double to = flag_d(flags, "to", 3.0);
     const double step = flag_d(flags, "step", 0.05);
     const std::size_t jobs = flag_jobs(flags, parallel::hardware_jobs());
-    // --batch B: trials per sweep claim, run as the lanes of one PM kernel
-    // (0 = auto). Like --jobs, it never changes the CSV — batching is pure
-    // performance.
-    const std::size_t batch = cli::flag_batch(flags, 0);
     // --sim-trials T (> 0) runs T Periodic Messages simulations per grid
     // point alongside the chain and appends a sim_frac_unsync column: the
     // mean fraction of closed rounds that were fully unsynchronized,
@@ -235,7 +232,7 @@ int cmd_sweep(const Flags& flags) {
     std::vector<double> sim_frac(grid.size(), 0.0);
     if (sim_trials > 0) {
         const auto trials = static_cast<std::size_t>(sim_trials);
-        parallel::SweepScheduler scheduler{{.jobs = jobs, .batch = batch}};
+        parallel::SweepScheduler scheduler{{.jobs = jobs}};
         const auto sims = scheduler.run_generated(
             grid.size() * trials, [&](std::size_t task) {
                 core::ExperimentConfig cfg;
@@ -736,9 +733,9 @@ void usage() {
                  "            [--trace FILE] [--out MANIFEST] [--sample-every SEC]\n"
                  "  chain     --n --tp --tr --tc [--f2 rounds]\n"
                  "  sweep     --n --tp --tc --from --to --step [--jobs N]\n"
-                 "            [--batch B] [--sim-trials T [--sim-max-time SEC]\n"
-                 "            [--seed S]]\n"
-                 "            [--trace FILE] [--out MANIFEST] (Tr in units of Tc)\n"
+                 "            [--sim-trials T [--sim-max-time SEC] [--seed S]]\n"
+                 "            [--trace FILE] [--out MANIFEST] (Tr in units of Tc;\n"
+                 "            unknown flags are an error)\n"
                  "  threshold --n --tp --tc [--n-max]\n"
                  "  f2        --n --tp --tr --tc [--reps] [--seed] [--jobs N]\n"
                  "  trace     <summary|filter|export-chrome|replay-check> --in FILE\n"
@@ -770,10 +767,7 @@ void usage() {
                  "\n"
                  "  --jobs N  worker threads for parallel sweeps (default and\n"
                  "            N = 0: hardware concurrency). Results are\n"
-                 "            byte-identical for every N.\n"
-                 "  --batch B trials per sweep claim, run as the lanes of one\n"
-                 "            PM kernel (0 = auto). Results are byte-identical\n"
-                 "            for every B.\n");
+                 "            byte-identical for every N.\n");
 }
 
 } // namespace
