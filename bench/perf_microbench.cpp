@@ -129,6 +129,31 @@ void BM_PMKernel_Trial(benchmark::State& state) {
 }
 BENCHMARK(BM_PMKernel_Trial);
 
+void BM_PMKernel_Metro(benchmark::State& state) {
+    // One Figure 15 trial past the cliff (Tp = 121 s, Tc = 0.11 s,
+    // Tr = 0.3 s, unsynchronized start, 2e4 simulated seconds) at
+    // N = state.range(0), on the calendar queue: every round re-arms N
+    // timers at one instant and queues N busy checks behind one busy
+    // period. The shape the benchmark's pm_metro workload times.
+    core::ExperimentConfig cfg;
+    cfg.params.n = static_cast<int>(state.range(0));
+    cfg.params.tp = sim::SimTime::seconds(121);
+    cfg.params.tc = sim::SimTime::seconds(0.11);
+    cfg.params.tr = sim::SimTime::seconds(0.3);
+    cfg.params.seed = 42;
+    cfg.max_time = sim::SimTime::seconds(2e4);
+    cfg.backend = core::ExperimentBackend::FastKernel;
+    std::uint64_t events = 0;
+    for (auto _ : state) {
+        const auto r = core::run_experiment(cfg);
+        events = r.events_processed;
+        benchmark::DoNotOptimize(r.total_transmissions);
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(events));
+}
+BENCHMARK(BM_PMKernel_Metro)->Arg(300)->Arg(3000)->Arg(30000);
+
 void BM_SweepScheduler(benchmark::State& state) {
     // A fixed set of independent trials fanned over state.range(0)
     // workers of the global work-stealing scheduler. On multi-core

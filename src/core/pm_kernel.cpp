@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 #include <utility>
@@ -109,7 +110,7 @@ void PmCalendarQueue::flush_overflow() {
                 // possible when the cursor jumped straight to the
                 // overflow's min day): spill, like any post-sort push.
                 spill_.push_back(e);
-                std::push_heap(spill_.begin(), spill_.end(), after);
+                std::push_heap(spill_.begin(), spill_.end(), After{});
             } else {
                 buckets_[b].push_back(e);
                 occupied_[b >> 6] |= std::uint64_t{1} << (b & 63U);
@@ -123,15 +124,24 @@ void PmCalendarQueue::flush_overflow() {
     overflow_min_day_ = new_min;
 }
 
-void PmCalendarQueue::advance_to_next_bucket() {
+void PmCalendarQueue::advance_day() {
     assert(spill_.empty() && "spill events belong to the current day");
-    // Circular bitmap scan for the next occupied bucket strictly after the
-    // current day's. Within the window each bucket holds events of exactly
-    // one day, and day -> bucket is an order-preserving circular map, so
-    // the first hit is the minimum day.
+    // The next day to serve is the earliest of: the next occupied bucket,
+    // the lane head's day and the overflow's min day. Scan the bitmap
+    // circularly for the next occupied bucket strictly after the current
+    // day's, but no farther than the lane head's day. Within the window
+    // each bucket holds events of exactly one day, and day -> bucket is an
+    // order-preserving circular map, so the first hit is the minimum day.
+    std::int64_t next = std::numeric_limits<std::int64_t>::max();
+    std::size_t remaining = bucket_mask_; // every bucket except the cursor's
+    if (lane_size_ > 0) {
+        next = day_of(lane_[lane_head_].event.time);
+        assert(next > day_ && "a lane event on the cursor day is served first");
+        remaining = static_cast<std::size_t>(
+            std::min<std::int64_t>(next - day_, static_cast<std::int64_t>(remaining)));
+    }
     const std::size_t b = cursor_b_;
     std::size_t pos = (b + 1) & bucket_mask_;
-    std::size_t remaining = bucket_mask_; // every bucket except b itself
     while (remaining > 0) {
         const std::size_t off = pos & 63U;
         const std::uint64_t word = occupied_[pos >> 6] >> off;
@@ -140,32 +150,131 @@ void PmCalendarQueue::advance_to_next_bucket() {
             const auto tz = static_cast<std::size_t>(std::countr_zero(word));
             if (tz < span) {
                 const std::size_t hit = pos + tz; // within the word, no wrap
-                day_ += static_cast<std::int64_t>((hit - b) & bucket_mask_);
-                cursor_b_ = static_cast<std::size_t>(day_) & bucket_mask_;
-                cursor_sorted_ = false;
-                cursor_pos_ = 0;
-                return;
+                next = day_ + static_cast<std::int64_t>((hit - b) & bucket_mask_);
+                break;
             }
         }
         pos = (pos + span) & bucket_mask_;
         remaining -= span;
     }
-    // Every bucket is empty; only overflow remains (caller guarantees
-    // live_ > 0). Jump straight to the earliest overflow day and fold it
-    // in — peek_min's outer loop rescans.
-    assert(!overflow_.empty());
-    day_ = overflow_min_day_;
+    // Without a bucket hit the overflow's min day may come first
+    // (peek_min's outer loop folds it in once the cursor reaches it); a
+    // hit never loses to it, as every overflow day inside the window was
+    // folded before this call.
+    if (!overflow_.empty() && overflow_min_day_ < next) {
+        next = overflow_min_day_;
+    }
+    assert(next != std::numeric_limits<std::int64_t>::max());
+    day_ = next;
     cursor_b_ = static_cast<std::size_t>(day_) & bucket_mask_;
     cursor_sorted_ = false;
     cursor_pos_ = 0;
-    flush_overflow();
+}
+
+void PmCalendarQueue::grow_lane() {
+    // Unroll the ring into a buffer twice the size, head first.
+    std::vector<Entry> grown(std::max<std::size_t>(16, 2 * lane_.size()));
+    for (std::size_t i = 0; i < lane_size_; ++i) {
+        grown[i] = lane_[(lane_head_ + i) & (lane_.size() - 1)];
+    }
+    lane_.swap(grown);
+    lane_head_ = 0;
+}
+
+void PmCalendarQueue::sort_day(std::vector<Entry>& day) {
+    constexpr std::size_t kInsertionMax = 32;
+    const Before before;
+    // (time, seq) insertion sort of [first, last): linear on a run that is
+    // already nearly ordered, and the cheapest sort for a few events.
+    const auto insertion_sort = [&before](Entry* first, Entry* last) {
+        for (Entry* i = first + 1; i < last; ++i) {
+            if (!before(*i, i[-1])) {
+                continue;
+            }
+            const Entry e = *i;
+            Entry* j = i;
+            do {
+                *j = j[-1];
+                --j;
+            } while (j > first && before(e, j[-1]));
+            *j = e;
+        }
+    };
+    // Sorts one slot (or the whole day when it cannot be distributed).
+    const auto sort_range = [&](Entry* first, Entry* last) {
+        if (static_cast<std::size_t>(last - first) <= kInsertionMax) {
+            insertion_sort(first, last);
+        } else {
+            std::sort(first, last, before);
+        }
+    };
+
+    const std::size_t k = day.size();
+    Entry* const data = day.data();
+    double lo = data[0].event.time;
+    double hi = lo;
+    bool ordered = true;
+    for (std::size_t i = 1; i < k; ++i) {
+        const double t = data[i].event.time;
+        ordered = ordered && !before(data[i], data[i - 1]);
+        lo = std::min(lo, t);
+        hi = std::max(hi, t);
+    }
+    if (ordered) {
+        return; // an equal-time burst, pushed in seq order
+    }
+    const std::size_t slots = k / 2;
+    const double span = hi - lo;
+    const bool spread = k > kInsertionMax && span > 0.0 && std::isfinite(span);
+    const double scale = spread ? static_cast<double>(slots) / span : 0.0;
+    if (!spread || !std::isfinite(scale)) {
+        sort_range(data, data + k);
+        return;
+    }
+
+    // Distribute in place over `slots` slots keyed on (t - lo) * scale.
+    // The key is monotone in t (subtraction, scaling by a positive factor
+    // and truncation all preserve order), so a lower slot always holds
+    // earlier times and only ties within a slot need the per-slot sort.
+    const auto slot_of = [lo, scale, slots](const Entry& e) {
+        const auto s = static_cast<std::size_t>((e.event.time - lo) * scale);
+        return s < slots ? s : slots - 1;
+    };
+    slot_start_.assign(slots + 1, 0);
+    for (std::size_t i = 0; i < k; ++i) {
+        ++slot_start_[slot_of(data[i]) + 1];
+    }
+    for (std::size_t s = 1; s <= slots; ++s) {
+        slot_start_[s] += slot_start_[s - 1];
+    }
+    slot_fill_.assign(slot_start_.begin(), slot_start_.end() - 1);
+    // Cycle leader: carry each misplaced event to its slot's fill cursor
+    // and pick up the event it displaces, until one belongs here.
+    for (std::size_t s = 0; s < slots; ++s) {
+        const std::uint32_t end = slot_start_[s + 1];
+        while (slot_fill_[s] < end) {
+            Entry e = data[slot_fill_[s]];
+            for (std::size_t d = slot_of(e); d != s; d = slot_of(e)) {
+                std::swap(e, data[slot_fill_[d]++]);
+            }
+            data[slot_fill_[s]++] = e;
+        }
+    }
+    for (std::size_t s = 0; s < slots; ++s) {
+        if (slot_start_[s + 1] - slot_start_[s] > 1) {
+            sort_range(data + slot_start_[s], data + slot_start_[s + 1]);
+        }
+    }
 }
 
 std::size_t PmCalendarQueue::memory_bytes() const noexcept {
     std::size_t bytes = buckets_.capacity() * sizeof(std::vector<Entry>) +
                         occupied_.capacity() * sizeof(std::uint64_t) +
                         overflow_.capacity() * sizeof(Entry) +
-                        spill_.capacity() * sizeof(Entry);
+                        spill_.capacity() * sizeof(Entry) +
+                        lane_.capacity() * sizeof(Entry) +
+                        (slot_start_.capacity() + slot_fill_.capacity()) *
+                            sizeof(std::uint32_t);
     for (const std::vector<Entry>& b : buckets_) {
         bytes += b.capacity() * sizeof(Entry);
     }

@@ -90,10 +90,12 @@ inline constexpr std::uint32_t kPmGenMask = 0xFFFFFFFFU >> kPmKindBits;
 /// round O(n^2) (2.8x slower at n = 1000, 35x at n = 30 000).
 inline constexpr int kPmCalendarMinNodes = 300;
 
-/// Calendar buckets keep their storage across days (steady-state rounds
-/// reuse it allocation-free) up to this many events; a drained bucket
-/// above the threshold returns its storage — see pop_min.
-inline constexpr std::size_t kPmBucketRetainEvents = 256;
+/// A drained calendar bucket keeps its storage for its next day up to this
+/// many events and returns anything larger — see pop_min. Busy checks ride
+/// the calendar's FIFO lane, so the buckets hold timers: a few stragglers
+/// per day, or one cluster's whole membership, which is re-grown each round
+/// rather than left behind in every ring slot the cluster visits.
+inline constexpr std::size_t kPmBucketRetainEvents = 16;
 
 /// Sorted-run timer queue for PmEvents: the pending events sit in one
 /// flat array in ascending (time, seq) order, consumed through a head
@@ -190,7 +192,7 @@ private:
     bool peek_from_hold_ = false; ///< which source the last peek chose
 };
 
-/// Two-level calendar/bucket timer queue for PmEvents.
+/// Two-level calendar/bucket timer queue for PmEvents, plus a FIFO lane.
 ///
 /// Level 1: `bucket_count` (power of two) day buckets of width
 /// `bucket_width` seconds; an event lands in bucket floor(t/w) mod B.
@@ -205,18 +207,27 @@ private:
 ///
 /// Batched expiry: when the day cursor reaches a bucket, the bucket is
 /// sorted ONCE into an ascending (time, seq) run and consumed by bumping a
-/// cursor — no per-event heap sift. At metro scale a synchronized cluster
-/// drops 10^5+ equal-time timers into one bucket; draining them costs one
-/// O(k log k) sort plus k pointer bumps instead of k * O(log k)
-/// sift-downs over a k-wide heap (and the sorted run is scanned
-/// sequentially, not hopped through heap levels). Events pushed into the
-/// *current* bucket after its sort (re-armed timers landing in the same
-/// day, busy-check re-arms) go to a small `spill` min-heap; peek serves
-/// whichever of run-head/spill-top is earlier, which preserves the exact
-/// global order because both sources are themselves (time, seq)-ordered.
+/// cursor — no per-event heap sift. The day sort is exact and linear in
+/// expected time with no per-event scratch (sort_day): an ordered day
+/// (an equal-time burst) is left as it is, a small day is insertion-sorted,
+/// and a large one is distributed in place over ~k/2 slots by its position
+/// between the day's earliest and latest time, then each slot is sorted.
+/// Events pushed into the *current* bucket after its sort (re-armed timers
+/// landing in the same day) go to a small `spill` min-heap.
 ///
-/// Ordering is strictly (time, seq) — identical to sim::EventQueue's
-/// FIFO-among-equal-times contract.
+/// FIFO lane: a busy check whose time is not before the last busy check
+/// in the lane is appended to a ring instead of a bucket. In the
+/// shared-busy model every check qualifies, because the shared busy end
+/// never decreases; with per-node busy periods an earlier check falls back
+/// to the buckets. The kernel keeps at most one check per node queued, so
+/// the ring never holds more than n events. The day cursor never advances
+/// past the lane head's day, so a push landing between the lane head and
+/// the next bucketed event still lands at or after the cursor.
+///
+/// peek serves the earliest of run head, spill top and lane head. Each
+/// source is itself (time, seq)-ordered, so ordering is strictly
+/// (time, seq) — identical to sim::EventQueue's FIFO-among-equal-times
+/// contract.
 class PmCalendarQueue {
 public:
     /// `horizon_hint`: an upper estimate of how far ahead of `now` events
@@ -232,8 +243,19 @@ public:
     void push(double time, std::uint64_t seq, std::uint32_t kind,
               std::uint32_t node) {
         const Entry entry{PmEvent{time, kind, node}, seq};
+        assert(day_of(time) >= day_ && "push into the past breaks the day cursor");
+        ++live_;
+        if ((kind & kPmKindMask) == kPmBusyCheck &&
+            (lane_size_ == 0 || time >= lane_tail_)) {
+            if (lane_size_ == lane_.size()) {
+                grow_lane();
+            }
+            lane_[(lane_head_ + lane_size_) & (lane_.size() - 1)] = entry;
+            ++lane_size_;
+            lane_tail_ = time;
+            return;
+        }
         const std::int64_t d = day_of(time);
-        assert(d >= day_ && "push into the past breaks the day cursor");
         if (d >= day_ + static_cast<std::int64_t>(bucket_count_)) {
             if (overflow_.empty() || d < overflow_min_day_) {
                 overflow_min_day_ = d;
@@ -245,17 +267,16 @@ public:
                 // In-window pushes to the cursor index are always
                 // cursor-day events (an aliasing day would be >= day_ + B,
                 // i.e. overflow). The sorted run must not be disturbed, so
-                // late arrivals heap into the spill lane. Re-armed timers
+                // late arrivals heap into the spill. Re-armed timers
                 // carry fresh (monotone) seqs at now+Tp-ish times, so the
                 // typical sift terminates immediately.
                 spill_.push_back(entry);
-                std::push_heap(spill_.begin(), spill_.end(), after);
+                std::push_heap(spill_.begin(), spill_.end(), After{});
             } else {
                 buckets_[b].push_back(entry);
                 occupied_[b >> 6] |= std::uint64_t{1} << (b & 63U);
             }
         }
-        ++live_;
     }
 
     [[nodiscard]] bool empty() const noexcept { return live_ == 0; }
@@ -274,41 +295,57 @@ public:
             }
             std::vector<Entry>& bucket = buckets_[cursor_b_];
             if (!cursor_sorted_ && !bucket.empty()) {
-                std::sort(bucket.begin(), bucket.end(), before);
+                sort_day(bucket);
                 cursor_sorted_ = true;
                 cursor_pos_ = 0;
             }
-            const bool have_run = cursor_sorted_ && cursor_pos_ < bucket.size();
-            if (have_run || !spill_.empty()) {
-                if (!have_run) {
-                    peek_from_spill_ = true;
-                    return spill_.front().event;
-                }
-                if (!spill_.empty() && before(spill_.front(), bucket[cursor_pos_])) {
-                    peek_from_spill_ = true;
-                    return spill_.front().event;
-                }
-                peek_from_spill_ = false;
-                return bucket[cursor_pos_].event;
+            const Entry* best = nullptr;
+            if (cursor_sorted_ && cursor_pos_ < bucket.size()) {
+                best = &bucket[cursor_pos_];
+                peek_from_ = Source::Run;
             }
-            advance_to_next_bucket();
+            if (!spill_.empty() && (best == nullptr || Before{}(spill_.front(), *best))) {
+                best = &spill_.front();
+                peek_from_ = Source::Spill;
+            }
+            if (lane_size_ > 0) {
+                // Every lane event is on the cursor day or later, so with
+                // nothing else left today the head is due exactly when it
+                // is on the cursor day.
+                const Entry& head = lane_[lane_head_];
+                if (best != nullptr ? Before{}(head, *best)
+                                    : day_of(head.event.time) == day_) {
+                    peek_from_ = Source::Lane;
+                    return head.event;
+                }
+            }
+            if (best != nullptr) {
+                return best->event;
+            }
+            advance_day();
         }
     }
 
     /// Removes the event peek_min() returned. Must follow a peek_min()
     /// with no intervening push.
     void pop_min() {
+        --live_;
+        if (peek_from_ == Source::Lane) {
+            assert(lane_size_ > 0);
+            lane_head_ = (lane_head_ + 1) & (lane_.size() - 1);
+            --lane_size_;
+            return;
+        }
         std::vector<Entry>& bucket = buckets_[cursor_b_];
         assert(cursor_sorted_ && "pop_min without a preceding peek_min");
-        if (peek_from_spill_) {
+        if (peek_from_ == Source::Spill) {
             assert(!spill_.empty());
-            std::pop_heap(spill_.begin(), spill_.end(), after);
+            std::pop_heap(spill_.begin(), spill_.end(), After{});
             spill_.pop_back();
         } else {
             assert(cursor_pos_ < bucket.size());
             ++cursor_pos_;
         }
-        --live_;
         if (cursor_pos_ >= bucket.size() && spill_.empty()) {
             // Day fully drained: release the run in one shot and return
             // the bucket to append-only mode for its next day.
@@ -318,10 +355,10 @@ public:
                 // one day — a different ring slot every round, since the
                 // cluster period is not a multiple of the horizon. Left
                 // alone, each visited slot would keep that high-water
-                // capacity forever and the queue's footprint would grow
-                // by ~24*N bytes per round. Oversized runs are rare (one
-                // per cluster round), so one free/realloc cycle per round
-                // is noise next to the O(N log N) sort that consumed it.
+                // capacity and the queue would hold ~24*N bytes per slot
+                // the cluster ever visited. Oversized runs come once per
+                // cluster round, so re-growing one is noise next to the
+                // sort that consumes it.
                 std::vector<Entry>{}.swap(bucket);
             }
             occupied_[cursor_b_ >> 6] &=
@@ -331,8 +368,9 @@ public:
         }
     }
 
-    /// Bytes retained by bucket/overflow/spill storage (capacity, not
-    /// size) — the queue's share of a kernel memory report.
+    /// Bytes retained by bucket/overflow/spill/lane storage and the day
+    /// sort's slot tables (capacity, not size) — the queue's share of a
+    /// kernel memory report.
     [[nodiscard]] std::size_t memory_bytes() const noexcept;
 
 private:
@@ -344,17 +382,27 @@ private:
         std::uint64_t seq;
     };
 
-    void flush_overflow();
-    void advance_to_next_bucket();
-
-    [[nodiscard]] static bool before(const Entry& a, const Entry& b) noexcept {
-        return a.event.time < b.event.time ||
-               (a.event.time == b.event.time && a.seq < b.seq);
-    }
+    /// Strict (time, seq) order, as a function object so std::sort and
+    /// the std::*_heap calls inline it.
+    struct Before {
+        bool operator()(const Entry& a, const Entry& b) const noexcept {
+            return a.event.time < b.event.time ||
+                   (a.event.time == b.event.time && a.seq < b.seq);
+        }
+    };
     /// std::*_heap comparator for a MIN-heap on (time, seq).
-    [[nodiscard]] static bool after(const Entry& a, const Entry& b) noexcept {
-        return before(b, a);
-    }
+    struct After {
+        bool operator()(const Entry& a, const Entry& b) const noexcept {
+            return Before{}(b, a);
+        }
+    };
+
+    enum class Source : std::uint8_t { Run, Spill, Lane };
+
+    void flush_overflow();
+    void advance_day();
+    void grow_lane();
+    void sort_day(std::vector<Entry>& day);
 
     [[nodiscard]] std::int64_t day_of(double t) const noexcept {
         return static_cast<std::int64_t>(t * inv_width_);
@@ -375,9 +423,19 @@ private:
     /// consumption run. Invariants: cursor_pos_ > 0 and spill_ non-empty
     /// only while cursor_sorted_; spill_ holds only cursor-day events.
     bool cursor_sorted_ = false;
-    bool peek_from_spill_ = false; ///< which source the last peek chose
-    std::size_t cursor_pos_ = 0;   ///< next unconsumed index in the run
-    std::vector<Entry> spill_;     ///< min-heap of post-sort same-day pushes
+    Source peek_from_ = Source::Run; ///< which source the last peek chose
+    std::size_t cursor_pos_ = 0;     ///< next unconsumed index in the run
+    std::vector<Entry> spill_;       ///< min-heap of post-sort same-day pushes
+    /// The FIFO lane: a ring of lane_.size() (a power of two, or 0) slots
+    /// whose live window is lane_size_ events from lane_head_, in
+    /// (time, seq) order. lane_tail_ is the newest lane event's time.
+    std::vector<Entry> lane_;
+    std::size_t lane_head_ = 0;
+    std::size_t lane_size_ = 0;
+    double lane_tail_ = 0.0;
+    /// sort_day's slot tables: start offsets and fill cursors.
+    std::vector<std::uint32_t> slot_start_;
+    std::vector<std::uint32_t> slot_fill_;
 };
 
 /// The fused engine+model fast path: runs one Periodic Messages trial

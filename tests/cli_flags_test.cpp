@@ -1,8 +1,11 @@
 // Tests for the CLI flag parser.
 #include <gtest/gtest.h>
 
+#include <span>
+#include <stdexcept>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "tools/flags.hpp"
@@ -159,6 +162,62 @@ TEST(CliFlags, SweepAcceptsEveryDocumentedFlag) {
     // with `chain`.
     EXPECT_NO_THROW(reject_unknown_flags(
         parse({"--seed", "3", "--tr", "0.11", "--f2", "19"}), kSweepFlags));
+}
+
+/// The message reject_unknown_flags throws for `args` against `known`,
+/// or "" when every flag is known.
+std::string rejection(std::vector<const char*> args,
+                      std::span<const std::string_view> known) {
+    try {
+        reject_unknown_flags(parse(std::move(args)), known);
+    } catch (const std::invalid_argument& e) {
+        return e.what();
+    }
+    return {};
+}
+
+TEST(CliFlags, PmChainThresholdAndF2RejectAndNameUnknownFlags) {
+    // `pm --maxtime 2000` used to run the default 1e5 s without a word.
+    EXPECT_EQ(rejection({"--n", "20", "--maxtime", "2000"}, kPmFlags),
+              "unknown flag --maxtime");
+    EXPECT_EQ(rejection({"--n", "20", "--bogus", "1"}, kChainFlags),
+              "unknown flag --bogus");
+    EXPECT_EQ(rejection({"--n", "20", "--bogus", "1"}, kThresholdFlags),
+              "unknown flag --bogus");
+    EXPECT_EQ(rejection({"--n", "20", "--bogus", "1"}, kF2Flags),
+              "unknown flag --bogus");
+    // Flags of one command are not silently taken by another: f2
+    // estimates f(2) by simulation, and chain runs no simulation.
+    EXPECT_EQ(rejection({"--f2", "19"}, kF2Flags), "unknown flag --f2");
+    EXPECT_EQ(rejection({"--seed", "3"}, kChainFlags), "unknown flag --seed");
+    EXPECT_EQ(rejection({"--max-time", "10"}, kThresholdFlags),
+              "unknown flag --max-time");
+}
+
+TEST(CliFlags, EveryCommandAcceptsItsUsageFlags) {
+    // Every flag of each command's usage line (tools/routesync_cli.cpp).
+    EXPECT_EQ(rejection({"--n", "20", "--tp", "121", "--tr", "0.1", "--tc", "0.11",
+                         "--seed", "3", "--max-time", "1e5", "--sync-start",
+                         "--reset-at-expiry", "--half-period", "--delta", "0.5",
+                         "--stop-on-sync", "--stop-on-breakup", "2", "--rounds",
+                         "--transmits", "--stride", "4", "--monitor",
+                         "--sync-threshold", "0.9", "--sync-hysteresis", "0.05",
+                         "--trace", "pm.jsonl", "--out", "pm.manifest.json",
+                         "--sample-every", "100"},
+                        kPmFlags),
+              "");
+    EXPECT_EQ(rejection({"--n", "20", "--tp", "121", "--tr", "0.11", "--tc", "0.11",
+                         "--f2", "19"},
+                        kChainFlags),
+              "");
+    EXPECT_EQ(rejection({"--n", "20", "--tp", "30", "--tr", "0.11", "--tc", "0.3",
+                         "--f2", "19", "--n-max", "100"},
+                        kThresholdFlags),
+              "");
+    EXPECT_EQ(rejection({"--n", "20", "--tp", "121", "--tr", "0.1", "--tc", "0.11",
+                         "--reps", "20", "--seed", "3", "--jobs", "4"},
+                        kF2Flags),
+              "");
 }
 
 TEST(CliFlags, TrialsDefaultsToFallbackWhenAbsent) {

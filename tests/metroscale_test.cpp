@@ -16,23 +16,25 @@ namespace {
 
 using namespace routesync;
 
-core::ExperimentConfig metro_config() {
+/// One Figure 15 trial (Tp = 121 s, Tc = 0.11 s, Tr = 0.3 s, unsynchronized
+/// start) on the PM kernel.
+core::ExperimentConfig metro_config(int n, double max_time_sec) {
     core::ExperimentConfig cfg;
-    cfg.params.n = 10000;
+    cfg.params.n = n;
     cfg.params.tp = sim::SimTime::seconds(121.0);
     cfg.params.tc = sim::SimTime::seconds(0.11);
     cfg.params.tr = sim::SimTime::seconds(0.3);
     cfg.params.start = core::StartCondition::Unsynchronized;
     cfg.params.seed = 0xfe70;
-    // ~3 synchronized cycles: the collapse (n * Tc = 1100 s busy chain)
-    // plus two full re-arm rounds. Runs in well under a second.
-    cfg.max_time = sim::SimTime::seconds(4000.0);
+    cfg.max_time = sim::SimTime::seconds(max_time_sec);
     cfg.backend = core::ExperimentBackend::FastKernel;
     return cfg;
 }
 
 TEST(MetroScale, TenThousandRouterTrialCompletesWithinBudget) {
-    const auto cfg = metro_config();
+    // ~3 synchronized cycles: the collapse (n * Tc = 1100 s busy chain)
+    // plus two full re-arm rounds. Runs in well under a second.
+    const auto cfg = metro_config(10000, 4000.0);
     const auto r = core::run_experiment(cfg);
 
     EXPECT_GT(r.rounds_closed, 0U);
@@ -66,6 +68,21 @@ TEST(MetroScale, TenThousandRouterTrialCompletesWithinBudget) {
     // unless explicitly requested — 1e5-round runs must not accumulate
     // per-round records by default.
     EXPECT_TRUE(r.rounds.empty());
+}
+
+TEST(MetroScale, CalendarStateStaysUnder512BytesPerRouterJustPastTheCliff) {
+    // The calendar's smallest rungs, over the whole metroscale_sweep
+    // window: a cluster of a few hundred routers re-arms into a different
+    // ring slot every round, and no slot may keep that cluster's storage
+    // once its day has drained.
+    for (const int n : {core::kPmCalendarMinNodes, 1000}) {
+        const auto cfg = metro_config(n, 2e4);
+        const auto r = core::run_experiment(cfg);
+        EXPECT_GT(r.rounds_closed, 50U) << "n " << n;
+        EXPECT_EQ(r.rounds_unsynchronized, 0U) << "n " << n;
+        EXPECT_LT(r.kernel_state_bytes, 512U * static_cast<std::uint64_t>(n))
+            << "n " << n;
+    }
 }
 
 } // namespace

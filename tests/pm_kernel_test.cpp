@@ -131,7 +131,7 @@ TEST(PmCalendarQueue, SameDayBurstDrainsWithInterleavedPushes) {
     // The batched-expiry regime: thousands of (often equal-time) events
     // land in ONE calendar day, the bucket is sorted once into a run, and
     // pushes keep arriving for the same day while the run drains — the
-    // spill lane must interleave them in exact (time, seq) order. This is
+    // spill heap must interleave them in exact (time, seq) order. This is
     // what a synchronized metro-scale cluster does to the queue every
     // round.
     std::mt19937_64 rng{0xb0c1e7ULL};
@@ -179,14 +179,10 @@ TEST(PmCalendarQueue, SameDayBurstDrainsWithInterleavedPushes) {
     EXPECT_EQ(pops, seq);
 }
 
-// ---------------------------------------------------------------------------
-// PmSortedRunQueue: the same reference order, with the kernel's push
-// discipline (increasing seqs, times never before the last pop). The run
-// keeps no seq, so each push's node field carries its seq.
-
-/// Pops one event from `q` and checks it against the reference minimum.
-void expect_pop_matches(core::PmSortedRunQueue& q, std::vector<RefEvent>& ref,
-                        double& now) {
+/// Pops one event from `q` (either queue) and checks it against the
+/// reference minimum.
+template <typename Queue>
+void expect_pop_matches(Queue& q, std::vector<RefEvent>& ref, double& now) {
     const auto it = std::min_element(ref.begin(), ref.end(), ref_before);
     ASSERT_FALSE(q.empty());
     ASSERT_EQ(q.size(), ref.size());
@@ -198,6 +194,209 @@ void expect_pop_matches(core::PmSortedRunQueue& q, std::vector<RefEvent>& ref,
     q.pop_min();
     ref.erase(it);
 }
+
+// ---------------------------------------------------------------------------
+// PmCalendarQueue paths one at a time: the busy-check lane, the cursor
+// bound and the day sort, each against the reference (time, seq) order.
+
+/// A calendar queue and its reference, pushed in step. Each push's node
+/// field carries its seq, so every pop names exactly which push it served.
+struct CalendarHarness {
+    core::PmCalendarQueue q;
+    std::vector<RefEvent> ref;
+    std::uint64_t seq = 0;
+
+    explicit CalendarHarness(double horizon) : q{horizon} {}
+
+    /// Pushes with an explicit seq (the buckets order by the stored seq,
+    /// whatever the push order; the lane needs increasing seqs).
+    void push_as(double t, std::uint32_t kind, std::uint64_t s) {
+        const auto node = static_cast<std::uint32_t>(s);
+        q.push(t, s, kind, node);
+        ref.push_back({t, s, kind, node});
+    }
+    void push(double t, std::uint32_t kind) { push_as(t, kind, seq++); }
+    void push_timer(double t) { push(t, core::kPmTimer); }
+    void push_check(double t) { push(t, core::kPmBusyCheck); }
+
+    void expect_pop() {
+        double now = 0.0;
+        expect_pop_matches(q, ref, now);
+    }
+
+    /// Pops everything left with no pushes in between (the reference is
+    /// sorted once, so large days stay cheap) and checks the order.
+    void expect_drain() {
+        std::sort(ref.begin(), ref.end(), ref_before);
+        for (std::size_t i = 0; i < ref.size(); ++i) {
+            ASSERT_FALSE(q.empty()) << "pop " << i;
+            const core::PmEvent& e = q.peek_min();
+            ASSERT_EQ(e.time, ref[i].time) << "pop " << i;
+            ASSERT_EQ(e.node, ref[i].node) << "pop " << i << " at t = " << ref[i].time;
+            q.pop_min();
+        }
+        ref.clear();
+        EXPECT_TRUE(q.empty());
+    }
+};
+
+TEST(PmCalendarQueue, LaneCheckTiesBucketedTimerInPushOrder) {
+    // Equal times across the lane and a bucket: seq decides, whichever
+    // was pushed first. Covered on an unsorted day, on the sorted cursor
+    // day (the timer then rides the spill) and with the lane already
+    // holding an earlier check.
+    for (const bool check_first : {true, false}) {
+        CalendarHarness h{100.0};
+        const auto tie = [&](double t) {
+            if (check_first) {
+                h.push_check(t);
+                h.push_timer(t);
+            } else {
+                h.push_timer(t);
+                h.push_check(t);
+            }
+        };
+        tie(5.0);
+        ASSERT_NO_FATAL_FAILURE(h.expect_pop());
+        tie(5.0); // if the first pop left the day sorted, timers spill
+        h.push_timer(5.0);
+        ASSERT_NO_FATAL_FAILURE(h.expect_pop());
+        tie(40.0);
+        while (!h.ref.empty()) {
+            ASSERT_NO_FATAL_FAILURE(h.expect_pop()) << "check_first " << check_first;
+        }
+        EXPECT_TRUE(h.q.empty());
+    }
+}
+
+TEST(PmCalendarQueue, CheckBeforeLaneTailIsServedFromBuckets) {
+    // With per-node busy periods a check can be due before the newest
+    // queued one; it falls back to the buckets and still pops in order,
+    // and the lane keeps taking checks at or after its tail.
+    CalendarHarness h{100.0};
+    h.push_check(10.0);
+    h.push_check(7.0);  // before the lane tail: bucket
+    h.push_timer(8.0);
+    h.push_check(10.0); // equal to the tail: lane, behind the first
+    h.push_check(9.5);  // bucket again
+    h.push_check(12.0);
+    h.push_timer(10.0);
+    ASSERT_NO_FATAL_FAILURE(h.expect_pop()); // t = 7
+    h.push_check(7.01);                      // bucket, on the cursor day
+    while (!h.ref.empty()) {
+        ASSERT_NO_FATAL_FAILURE(h.expect_pop());
+    }
+    EXPECT_TRUE(h.q.empty());
+}
+
+TEST(PmCalendarQueue, CursorStopsAtLaneHeadDay) {
+    // The lane head is due long before the next bucketed event. Serving
+    // it must not move the day cursor past it: a push that lands between
+    // the two has to come out before the bucketed event.
+    CalendarHarness h{100.0}; // day width ~0.1 s, window ~100 s
+    h.push_timer(90.0);
+    h.push_check(1.0);
+    ASSERT_NO_FATAL_FAILURE(h.expect_pop()); // the check, t = 1
+    h.push_timer(50.0);                      // between the two
+    h.push_check(60.0);
+    h.push_timer(55.0);
+    for (int i = 0; i < 4; ++i) {
+        ASSERT_NO_FATAL_FAILURE(h.expect_pop()) << "pop " << i;
+    }
+    EXPECT_TRUE(h.q.empty());
+}
+
+/// Pushes `times` as timers (all inside one calendar day of a queue with
+/// a 1 s day width) and checks that the day drains in (time, seq) order.
+void expect_day_drains_in_order(const std::vector<double>& times) {
+    CalendarHarness h{1024.0};
+    for (const double t : times) {
+        h.push_timer(t);
+    }
+    ASSERT_NO_FATAL_FAILURE(h.expect_drain()) << times.size() << " events";
+}
+
+TEST(PmCalendarQueue, LargeDaysSortExactly) {
+    std::mt19937_64 rng{0xda75ULL};
+    std::uniform_real_distribution<double> in_day{500.0, 501.0};
+    for (const std::size_t k : {std::size_t{33}, std::size_t{1000}, std::size_t{30000}}) {
+        std::vector<double> uniform(k);
+        for (double& t : uniform) {
+            t = in_day(rng);
+        }
+        ASSERT_NO_FATAL_FAILURE(expect_day_drains_in_order(uniform));
+    }
+
+    // Two tight clusters at the ends of the day: nearly every event lands
+    // in the first or the last slot.
+    std::uniform_real_distribution<double> tight{0.0, 1e-9};
+    std::vector<double> clusters(2000);
+    for (std::size_t i = 0; i < clusters.size(); ++i) {
+        clusters[i] = (i % 2 == 0 ? 500.01 : 500.99) + tight(rng);
+    }
+    ASSERT_NO_FATAL_FAILURE(expect_day_drains_in_order(clusters));
+
+    // Ulp-adjacent times, shuffled, some repeated: a span of a few
+    // hundred ulps over ~k/2 slots.
+    std::vector<double> ulps;
+    double t = 500.25;
+    for (int i = 0; i < 700; ++i) {
+        ulps.push_back(t);
+        if (i % 3 == 0) {
+            ulps.push_back(t);
+        }
+        t = std::nextafter(t, 501.0);
+    }
+    std::shuffle(ulps.begin(), ulps.end(), rng);
+    ASSERT_NO_FATAL_FAILURE(expect_day_drains_in_order(ulps));
+
+    // Equal-time runs: 1000 events over 20 distinct times, in random
+    // order, so every slot holds ties that only seq can order.
+    std::vector<double> runs(1000);
+    for (double& r : runs) {
+        r = 500.0 + 0.05 * static_cast<double>(rng() % 20);
+    }
+    ASSERT_NO_FATAL_FAILURE(expect_day_drains_in_order(runs));
+
+    // An equal-time burst in push order (the re-arm burst shape) and one
+    // with a single straggler ahead of it.
+    std::vector<double> burst(5000, 500.5);
+    ASSERT_NO_FATAL_FAILURE(expect_day_drains_in_order(burst));
+    burst.push_back(500.25);
+    ASSERT_NO_FATAL_FAILURE(expect_day_drains_in_order(burst));
+
+    // A day whose bucket holds its ties in descending seq.
+    CalendarHarness reversed{1024.0};
+    for (std::uint64_t s = 0; s < 1000; ++s) {
+        reversed.push_as(500.0 + 0.1 * static_cast<double>(s % 7), core::kPmTimer,
+                         1000 - s);
+    }
+    ASSERT_NO_FATAL_FAILURE(reversed.expect_drain());
+}
+
+TEST(PmCalendarQueue, OverflowFoldedDaySortsTiesBySeq) {
+    // Events pushed beyond the horizon wait in the overflow and are folded
+    // into their day's bucket when the cursor comes within a horizon of
+    // them; later pushes for the same day then land directly behind them.
+    // Half of each batch shares one time, so the day's ties span the fold
+    // and the direct pushes, and only seq can order them.
+    std::mt19937_64 rng{0xf01dULL};
+    CalendarHarness h{1024.0}; // day width 1 s, window 1024 s
+    for (int i = 0; i < 600; ++i) {
+        h.push_timer(i % 2 == 0 ? 2000.5 : 2000.0 + 0.001 * static_cast<double>(rng() % 997));
+    }
+    h.push_timer(1000.0);
+    ASSERT_NO_FATAL_FAILURE(h.expect_pop()); // cursor -> day 1000
+    for (int i = 0; i < 600; ++i) {
+        h.push_timer(i % 2 == 0 ? 2000.5 : 2000.0 + 0.001 * static_cast<double>(rng() % 997));
+    }
+    ASSERT_NO_FATAL_FAILURE(h.expect_drain());
+}
+
+// ---------------------------------------------------------------------------
+// PmSortedRunQueue: the same reference order, with the kernel's push
+// discipline (increasing seqs, times never before the last pop). The run
+// keeps no seq, so each push's node field carries its seq.
 
 TEST(PmSortedRunQueue, HoldServesOnlyStrictlyEarlierTimes) {
     // The hold slot carries the newest (largest-seq) push. At an equal
@@ -600,7 +799,8 @@ TEST(PmKernelDifferential, MatchesEngineAtLargeNSynchronizedRounds) {
 
     // At the queue threshold itself: a synchronized start under a chain
     // of scheduled hooks, an unsynchronized start, and the per-node busy
-    // variant (AfterPreparation notification).
+    // variants (AfterPreparation notification; per-node Tc, whose busy
+    // checks come due out of push order and leave the calendar's lane).
     const int big = core::kPmCalendarMinNodes;
     TrialSpec hooked = metro_trial(big, 0xca1, true);
     hooked.hooks = 4;
@@ -609,7 +809,14 @@ TEST(PmKernelDifferential, MatchesEngineAtLargeNSynchronizedRounds) {
     TrialSpec after = metro_trial(big, 0xca3, true);
     after.params.notification = core::Notification::AfterPreparation;
     after.horizon = sim::SimTime::seconds(250.0);
-    for (const TrialSpec& spec : {hooked, unsynced, after}) {
+    TrialSpec per_node_tc = metro_trial(big, 0xca4, true);
+    std::mt19937_64 tc_rng{0xca4};
+    std::uniform_real_distribution<double> tc_scale{0.5, 1.5};
+    per_node_tc.params.per_node_tc.resize(static_cast<std::size_t>(big));
+    for (double& tc : per_node_tc.params.per_node_tc) {
+        tc = per_node_tc.params.tc.sec() * tc_scale(tc_rng);
+    }
+    for (const TrialSpec& spec : {hooked, unsynced, after, per_node_tc}) {
         ASSERT_NO_FATAL_FAILURE(expect_same_digest(
             run_kernel(spec), run_engine(spec),
             "n=" + std::to_string(spec.params.n) +

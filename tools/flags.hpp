@@ -115,10 +115,32 @@ inline void reject_unknown_flags(const Flags& flags,
     }
 }
 
-/// Every flag `routesync sweep` reads, those of its chain parameters
-/// (--n --tp --tr --tc --f2) included.
+// The flags each `routesync` command reads; the command rejects any
+// other (reject_unknown_flags).
+
+/// `routesync pm`: the model, the run, its outputs and the monitor.
+inline constexpr std::string_view kPmFlags[] = {
+    "n", "tp", "tr", "tc", "seed", "max-time", "sync-start", "reset-at-expiry",
+    "half-period", "delta", "stop-on-sync", "stop-on-breakup", "rounds",
+    "transmits", "stride", "monitor", "sync-threshold", "sync-hysteresis",
+    "trace", "out", "sample-every"};
+
+/// `routesync chain`: the chain parameters (--n --tp --tr --tc --f2).
+inline constexpr std::string_view kChainFlags[] = {"n", "tp", "tr", "tc", "f2"};
+
+/// `routesync sweep`: the chain parameters, the Tr grid and the optional
+/// simulation column.
 inline constexpr std::string_view kSweepFlags[] = {
     "n",    "tp",   "tr",         "tc",           "f2",   "from",  "to",
     "step", "jobs", "sim-trials", "sim-max-time", "seed", "trace", "out"};
+
+/// `routesync threshold`: the chain parameters and the N search bound.
+inline constexpr std::string_view kThresholdFlags[] = {"n",  "tp", "tr",
+                                                       "tc", "f2", "n-max"};
+
+/// `routesync f2`: the model parameters and the estimate's repetitions.
+/// It simulates f(2) rather than taking it, so --f2 is not among them.
+inline constexpr std::string_view kF2Flags[] = {"n",    "tp",   "tr", "tc",
+                                                "reps", "seed", "jobs"};
 
 } // namespace routesync::cli

@@ -73,6 +73,7 @@ markov::ChainParams chain_params(const Flags& flags) {
 }
 
 int cmd_pm(const Flags& flags) {
+    cli::reject_unknown_flags(flags, cli::kPmFlags);
     core::ExperimentConfig cfg;
     cfg.params.n = flag_i(flags, "n", 20);
     cfg.params.tp = sim::SimTime::seconds(flag_d(flags, "tp", 121.0));
@@ -174,6 +175,7 @@ int cmd_pm(const Flags& flags) {
 }
 
 int cmd_chain(const Flags& flags) {
+    cli::reject_unknown_flags(flags, cli::kChainFlags);
     const markov::FJChain chain{chain_params(flags)};
     const auto f = chain.f_rounds();
     const auto g = chain.g_rounds();
@@ -304,6 +306,7 @@ int cmd_sweep(const Flags& flags) {
 }
 
 int cmd_threshold(const Flags& flags) {
+    cli::reject_unknown_flags(flags, cli::kThresholdFlags);
     const markov::ChainParams p = chain_params(flags);
     const double tr_star = markov::critical_tr_seconds(p);
     std::printf("critical_tr_s,%.6g\n", tr_star);
@@ -315,6 +318,7 @@ int cmd_threshold(const Flags& flags) {
 }
 
 int cmd_f2(const Flags& flags) {
+    cli::reject_unknown_flags(flags, cli::kF2Flags);
     const markov::ChainParams p = chain_params(flags);
     const auto est = markov::estimate_f2(
         p, flag_i(flags, "reps", 20),
@@ -734,10 +738,11 @@ void usage() {
                  "  chain     --n --tp --tr --tc [--f2 rounds]\n"
                  "  sweep     --n --tp --tc --from --to --step [--jobs N]\n"
                  "            [--sim-trials T [--sim-max-time SEC] [--seed S]]\n"
-                 "            [--trace FILE] [--out MANIFEST] (Tr in units of Tc;\n"
-                 "            unknown flags are an error)\n"
-                 "  threshold --n --tp --tc [--n-max]\n"
+                 "            [--trace FILE] [--out MANIFEST] (Tr in units of Tc)\n"
+                 "  threshold --n --tp --tr --tc [--f2 rounds] [--n-max N]\n"
                  "  f2        --n --tp --tr --tc [--reps] [--seed] [--jobs N]\n"
+                 "  (pm, chain, sweep, threshold and f2 exit 1 on a flag they\n"
+                 "  do not read)\n"
                  "  trace     <summary|filter|export-chrome|replay-check> --in FILE\n"
                  "            summary:       [--round SEC] [--bins N]\n"
                  "            filter:        [--type a,b] [--node N] [--from T]\n"
