@@ -1,6 +1,5 @@
 #include "core/cluster_tracker.hpp"
 
-#include <cassert>
 #include <cmath>
 #include <stdexcept>
 
@@ -78,70 +77,8 @@ void ClusterTracker::reset(int n, sim::SimTime round_length,
     rounds_by_largest_.assign(static_cast<std::size_t>(n) + 1, 0);
 }
 
-void ClusterTracker::on_timer_set(int /*node*/, sim::SimTime t) {
-    assert(!finished_ && "tracker already finished");
-    if (group_open_ && t < group_last_) {
-        throw std::logic_error{"ClusterTracker: events out of order"};
-    }
-    if (group_open_ && t - group_last_ <= tolerance_) {
-        ++group_size_;
-        group_last_ = t;
-    } else {
-        if (group_open_) {
-            finalize_group();
-        }
-        group_open_ = true;
-        group_start_ = t;
-        group_last_ = t;
-        group_size_ = 1;
-        group_round_ = event_round_;
-    }
-    group_last_round_ = event_round_;
-    ++events_seen_;
-    if (++idx_in_round_ == n_) {
-        idx_in_round_ = 0;
-        ++event_round_;
-    }
-
-    // Record the earliest time each cluster size was *reached*, live, so a
-    // run can be stopped the instant full synchronization occurs. Groups
-    // grow one event at a time, so first_up_ is filled for exactly the
-    // sizes up to max_size_seen_ — one int compare replaces the optional
-    // load on the hot path.
-    if (group_size_ > max_size_seen_) {
-        max_size_seen_ = group_size_;
-        first_up_[static_cast<std::size_t>(group_size_)] = group_start_;
-        if (on_size_first_reached) {
-            on_size_first_reached(group_size_, group_start_);
-        }
-        if (group_size_ == n_ && on_full_sync) {
-            on_full_sync(group_start_);
-        }
-    }
-}
-
-void ClusterTracker::finalize_group() {
-    const std::uint64_t round = group_round_;
-    if (round > current_round_) {
-        close_current_round();
-        current_round_ = round;
-        // A group that straddled the boundary counts towards this round too.
-        current_round_largest_ = spill_largest_;
-        spill_largest_ = 0;
-    }
-
-    if (record_events_) {
-        events_.push_back(ClusterEvent{group_start_, group_size_});
-    }
-    if (group_size_ > current_round_largest_) {
-        current_round_largest_ = group_size_;
-    }
-    if (group_last_round_ > round && group_size_ > spill_largest_) {
-        spill_largest_ = group_size_;
-    }
-    round_end_time_ = group_last_;
-    group_open_ = false;
-    group_size_ = 0;
+void ClusterTracker::throw_out_of_order() {
+    throw std::logic_error{"ClusterTracker: events out of order"};
 }
 
 void ClusterTracker::close_current_round() {

@@ -23,6 +23,7 @@
 // amortized.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -73,7 +74,49 @@ public:
                sim::SimTime tolerance = sim::SimTime::micros(1.0));
 
     /// Feed: call for every timer-set event, in nondecreasing time order.
-    void on_timer_set(int node, sim::SimTime t);
+    /// Forced inline, with finalize_group, so a simulation core's re-arm
+    /// step compiles it in rather than calling it once per re-arm.
+    [[gnu::always_inline]] void on_timer_set(int /*node*/, sim::SimTime t) {
+        assert(!finished_ && "tracker already finished");
+        if (group_open_ && t < group_last_) {
+            throw_out_of_order();
+        }
+        if (group_open_ && t - group_last_ <= tolerance_) {
+            ++group_size_;
+            group_last_ = t;
+        } else {
+            if (group_open_) {
+                finalize_group();
+            }
+            group_open_ = true;
+            group_start_ = t;
+            group_last_ = t;
+            group_size_ = 1;
+            group_round_ = event_round_;
+        }
+        group_last_round_ = event_round_;
+        ++events_seen_;
+        if (++idx_in_round_ == n_) {
+            idx_in_round_ = 0;
+            ++event_round_;
+        }
+
+        // Record the earliest time each cluster size was *reached*, live,
+        // so a run can be stopped the instant full synchronization occurs.
+        // Groups grow one event at a time, so first_up_ is filled for
+        // exactly the sizes up to max_size_seen_ — one int compare
+        // replaces the optional load on the hot path.
+        if (group_size_ > max_size_seen_) {
+            max_size_seen_ = group_size_;
+            first_up_[static_cast<std::size_t>(group_size_)] = group_start_;
+            if (on_size_first_reached) {
+                on_size_first_reached(group_size_, group_start_);
+            }
+            if (group_size_ == n_ && on_full_sync) {
+                on_full_sync(group_start_);
+            }
+        }
+    }
 
     /// Flushes the final group and closes the last round. Call once after
     /// the simulation stops; the tracker then becomes read-only.
@@ -122,8 +165,34 @@ public:
     [[nodiscard]] std::size_t state_bytes() const noexcept;
 
 private:
-    void finalize_group();
+    [[gnu::always_inline]] void finalize_group() {
+        const std::uint64_t round = group_round_;
+        if (round > current_round_) {
+            close_current_round();
+            current_round_ = round;
+            // A group that straddled the boundary counts towards this
+            // round too.
+            current_round_largest_ = spill_largest_;
+            spill_largest_ = 0;
+        }
+
+        if (record_events_) {
+            events_.push_back(ClusterEvent{group_start_, group_size_});
+        }
+        if (group_size_ > current_round_largest_) {
+            current_round_largest_ = group_size_;
+        }
+        if (group_last_round_ > round && group_size_ > spill_largest_) {
+            spill_largest_ = group_size_;
+        }
+        round_end_time_ = group_last_;
+        group_open_ = false;
+        group_size_ = 0;
+    }
     void close_current_round();
+    /// Throws the std::logic_error for a timer-set event earlier than the
+    /// open group's last; out of line, off the feed's hot path.
+    [[noreturn]] static void throw_out_of_order();
 
     int n_;
     sim::SimTime round_length_;

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -69,18 +70,20 @@ ModelParams validated(ModelParams p) {
     return p;
 }
 
-/// Runs `step` under the profiler scope `label` (a string literal) when
-/// the kernel found a profiler installed at run start. An unprofiled run
-/// skips the scope's thread-local lookup on the per-event path.
-template <typename Step>
-void profiled_step(bool profiled, const char* label, Step&& step) {
-    if (profiled) {
-        const obs::ScopedProfile scope{label};
-        step();
-    } else {
-        step();
+/// The profiler scope `label` (a string literal) when the kernel found a
+/// profiler installed at run start, and nothing otherwise: an unprofiled
+/// run skips the scope's thread-local lookup on the per-event path.
+class ProfiledStep {
+public:
+    ProfiledStep(bool profiled, const char* label) noexcept {
+        if (profiled) {
+            scope_.emplace(label);
+        }
     }
-}
+
+private:
+    std::optional<obs::ScopedProfile> scope_;
+};
 
 } // namespace
 
@@ -282,6 +285,156 @@ std::size_t PmCalendarQueue::memory_bytes() const noexcept {
 }
 
 // ---------------------------------------------------------------------------
+// PmKernel: the per-event steps
+//
+// A timer fire and its busy check run these steps and nothing else. They
+// are forced inline so run_loop compiles them into its body; left to its
+// own heuristics the compiler kept them as separate functions, about a
+// dozen calls per transmission.
+
+[[gnu::always_inline]] inline void PmKernel::push_event(sim::SimTime at,
+                                                        std::uint32_t kind,
+                                                        std::uint32_t node) {
+    if (calendar_) {
+        calendar_->push(at.sec(), next_seq_++, kind, node);
+    } else {
+        run_.push(at.sec(), next_seq_++, kind, node);
+    }
+}
+
+[[gnu::always_inline]] inline sim::SimTime PmKernel::draw_interval(int i) {
+    if (!params_.per_node_tp.empty()) {
+        const double tp_i = params_.per_node_tp[static_cast<std::size_t>(i)];
+        return sim::SimTime::seconds(rng::uniform_real(
+            gen_, tp_i - params_.tr.sec(), tp_i + params_.tr.sec()));
+    }
+    if (fast_draw_) {
+        // lo + span*u01 with span = hi - lo hoisted: bit-identical to
+        // rng::uniform_real(gen, lo, hi), which UniformJitter calls.
+        return sim::SimTime::seconds(draw_lo_ + draw_span_ * rng::uniform01(gen_));
+    }
+    return policy_->next_interval(gen_);
+}
+
+[[gnu::always_inline]] inline void PmKernel::schedule_timer(int i, sim::SimTime at) {
+    const auto idx = static_cast<std::size_t>(i);
+    assert((timer_gen_[idx] & 1U) == 0 && "node already has a pending timer");
+    const std::uint32_t gen = ++timer_gen_[idx]; // odd = pending
+    push_event(at, ((gen & kPmGenMask) << kPmKindBits) | kPmTimer,
+               static_cast<std::uint32_t>(i));
+    next_expiry_[idx] = at;
+    if (tracer_ != nullptr) {
+        tracer_->emit(obs::TraceEventType::TimerSet, now_, i, 0, (at - now_).sec());
+    }
+}
+
+[[gnu::always_inline]] inline void PmKernel::timer_set(int i) {
+    schedule_timer(i, now_ + draw_interval(i));
+    if (tracker_ != nullptr) {
+        tracker_->on_timer_set(i, now_);
+    } else if (on_timer_set) {
+        on_timer_set(i, now_);
+    }
+}
+
+[[gnu::always_inline]] inline void PmKernel::extend_busy(int i, sim::SimTime t) {
+    if (shared_busy_) {
+        if (shared_busy_end_ > t) {
+            shared_busy_end_ += params_.tc;
+        } else {
+            shared_busy_end_ = t + params_.tc;
+        }
+        return;
+    }
+    const auto idx = static_cast<std::size_t>(i);
+    const sim::SimTime tc = params_.per_node_tc.empty()
+                                ? params_.tc
+                                : sim::SimTime::seconds(params_.per_node_tc[idx]);
+    if (busy_end_[idx] > t) {
+        busy_end_[idx] += tc;
+    } else {
+        busy_end_[idx] = t + tc;
+    }
+}
+
+[[gnu::always_inline]] inline bool PmKernel::begin_transmission(int i) {
+    const sim::SimTime now = now_;
+    const auto idx = static_cast<std::size_t>(i);
+
+    ++transmissions_[idx];
+    ++tx_count_;
+    if (on_transmit) {
+        on_transmit(i, now);
+    }
+    if (tracer_ != nullptr) {
+        tracer_->emit(obs::TraceEventType::UpdateTx, now, i,
+                      static_cast<std::int64_t>(transmissions_[idx]));
+    }
+
+    if (!reset_at_expiry_) {
+        ++pending_state_[idx]; // own-transmission count (low bits)
+    }
+    extend_busy(i, now);
+    const bool check_owed =
+        !reset_at_expiry_ && (pending_state_[idx] & kBusyCheckQueued) == 0;
+    if (check_owed) {
+        pending_state_[idx] |= kBusyCheckQueued;
+    }
+
+    if (immediate_) {
+        // Shared-busy mode: the broadcast is already done. In the engine
+        // model every node applies the same extend rule to its own copy
+        // of the same prior value at the same instant, so all n copies
+        // land on one new value — which the sender's extend_busy above
+        // just computed on the shared scalar. O(1) per transmission
+        // instead of O(n), bit-identical by induction on "all copies
+        // equal". The other nodes' busy ends do not move busy_end(i), so
+        // the caller's check push lands exactly as the engine's does.
+        if (!shared_busy_) {
+            for (int j = 0; j < params_.n; ++j) {
+                if (j != i) {
+                    extend_busy(j, now);
+                }
+            }
+        }
+        return check_owed;
+    }
+    if (check_owed) {
+        push_event(busy_end(i), kPmBusyCheck, static_cast<std::uint32_t>(i));
+    }
+    push_event(now + params_.tc, kPmDeliver, static_cast<std::uint32_t>(i));
+    return false;
+}
+
+[[gnu::always_inline]] inline bool PmKernel::timer_expired(int i) {
+    ++timer_gen_[static_cast<std::size_t>(i)]; // odd -> even: none pending
+    if (tracer_ != nullptr) {
+        tracer_->emit(obs::TraceEventType::TimerFire, now_, i);
+    }
+    if (reset_at_expiry_) {
+        timer_set(i);
+    }
+    const ProfiledStep step{profiled_, "pm.begin_transmission"};
+    return begin_transmission(i);
+}
+
+[[gnu::always_inline]] inline void PmKernel::busy_check(int i) {
+    const sim::SimTime be = busy_end(i);
+    if (be > now_) {
+        // Extended after this check was scheduled; re-arm at the new end
+        // (lazy revalidation, queued flag stays set).
+        push_event(be, kPmBusyCheck, static_cast<std::uint32_t>(i));
+        return;
+    }
+    std::uint32_t& ps = pending_state_[static_cast<std::size_t>(i)];
+    ps &= ~kBusyCheckQueued;
+    if (ps != 0) { // own transmissions occurred: re-arm
+        ps = 0;
+        timer_set(i);
+    }
+}
+
+// ---------------------------------------------------------------------------
 // PmKernel: construction and introspection
 
 PmKernel::PmKernel(ModelParams params, std::unique_ptr<TimerPolicy> policy,
@@ -395,50 +548,7 @@ void PmKernel::schedule_hook(sim::SimTime t, std::function<void()> fn) {
 }
 
 // ---------------------------------------------------------------------------
-// Model steps
-
-void PmKernel::push_event(sim::SimTime at, std::uint32_t kind, std::uint32_t node) {
-    if (calendar_) {
-        calendar_->push(at.sec(), next_seq_++, kind, node);
-    } else {
-        run_.push(at.sec(), next_seq_++, kind, node);
-    }
-}
-
-sim::SimTime PmKernel::draw_interval(int i) {
-    if (!params_.per_node_tp.empty()) {
-        const double tp_i = params_.per_node_tp[static_cast<std::size_t>(i)];
-        return sim::SimTime::seconds(rng::uniform_real(
-            gen_, tp_i - params_.tr.sec(), tp_i + params_.tr.sec()));
-    }
-    if (fast_draw_) {
-        // lo + span*u01 with span = hi - lo hoisted: bit-identical to
-        // rng::uniform_real(gen, lo, hi), which UniformJitter calls.
-        return sim::SimTime::seconds(draw_lo_ + draw_span_ * rng::uniform01(gen_));
-    }
-    return policy_->next_interval(gen_);
-}
-
-void PmKernel::schedule_timer(int i, sim::SimTime at) {
-    const auto idx = static_cast<std::size_t>(i);
-    assert((timer_gen_[idx] & 1U) == 0 && "node already has a pending timer");
-    const std::uint32_t gen = ++timer_gen_[idx]; // odd = pending
-    push_event(at, ((gen & kPmGenMask) << kPmKindBits) | kPmTimer,
-               static_cast<std::uint32_t>(i));
-    next_expiry_[idx] = at;
-    if (tracer_ != nullptr) {
-        tracer_->emit(obs::TraceEventType::TimerSet, now_, i, 0, (at - now_).sec());
-    }
-}
-
-void PmKernel::timer_set(int i) {
-    schedule_timer(i, now_ + draw_interval(i));
-    if (tracker_ != nullptr) {
-        tracker_->on_timer_set(i, now_);
-    } else if (on_timer_set) {
-        on_timer_set(i, now_);
-    }
-}
+// Trigger waves and delayed delivery (off the hot path)
 
 void PmKernel::trigger_node(int i) {
     const auto idx = static_cast<std::size_t>(i);
@@ -452,80 +562,9 @@ void PmKernel::trigger_node(int i) {
             tracer_->emit(obs::TraceEventType::TimerReset, now_, i);
         }
     }
-    profiled_step(profiled_, "pm.begin_transmission", [&] { begin_transmission(i); });
-}
-
-void PmKernel::extend_busy(int i, sim::SimTime t) {
-    if (shared_busy_) {
-        if (shared_busy_end_ > t) {
-            shared_busy_end_ += params_.tc;
-        } else {
-            shared_busy_end_ = t + params_.tc;
-        }
-        return;
-    }
-    const auto idx = static_cast<std::size_t>(i);
-    const sim::SimTime tc = params_.per_node_tc.empty()
-                                ? params_.tc
-                                : sim::SimTime::seconds(params_.per_node_tc[idx]);
-    if (busy_end_[idx] > t) {
-        busy_end_[idx] += tc;
-    } else {
-        busy_end_[idx] = t + tc;
-    }
-}
-
-void PmKernel::timer_expired(int i) {
-    ++timer_gen_[static_cast<std::size_t>(i)]; // odd -> even: none pending
-    if (tracer_ != nullptr) {
-        tracer_->emit(obs::TraceEventType::TimerFire, now_, i);
-    }
-    if (reset_at_expiry_) {
-        timer_set(i);
-    }
-    profiled_step(profiled_, "pm.begin_transmission", [&] { begin_transmission(i); });
-}
-
-void PmKernel::begin_transmission(int i) {
-    const sim::SimTime now = now_;
-    const auto idx = static_cast<std::size_t>(i);
-
-    ++transmissions_[idx];
-    ++tx_count_;
-    if (on_transmit) {
-        on_transmit(i, now);
-    }
-    if (tracer_ != nullptr) {
-        tracer_->emit(obs::TraceEventType::UpdateTx, now, i,
-                      static_cast<std::int64_t>(transmissions_[idx]));
-    }
-
-    if (!reset_at_expiry_) {
-        ++pending_state_[idx]; // own-transmission count (low bits)
-    }
-    extend_busy(i, now);
-    if (!reset_at_expiry_ && (pending_state_[idx] & kBusyCheckQueued) == 0) {
-        pending_state_[idx] |= kBusyCheckQueued;
+    const ProfiledStep step{profiled_, "pm.begin_transmission"};
+    if (begin_transmission(i)) {
         push_event(busy_end(i), kPmBusyCheck, static_cast<std::uint32_t>(i));
-    }
-
-    if (immediate_) {
-        // Shared-busy mode: the broadcast is already done. In the engine
-        // model every node applies the same extend rule to its own copy
-        // of the same prior value at the same instant, so all n copies
-        // land on one new value — which the sender's extend_busy above
-        // just computed on the shared scalar. O(1) per transmission
-        // instead of O(n), bit-identical by induction on "all copies
-        // equal".
-        if (!shared_busy_) {
-            for (int j = 0; j < params_.n; ++j) {
-                if (j != i) {
-                    extend_busy(j, now);
-                }
-            }
-        }
-    } else {
-        push_event(now + params_.tc, kPmDeliver, static_cast<std::uint32_t>(i));
     }
 }
 
@@ -534,50 +573,6 @@ void PmKernel::deliver_from(int i) {
         if (j != i) {
             extend_busy(j, now_);
         }
-    }
-}
-
-void PmKernel::busy_check(int i) {
-    const sim::SimTime be = busy_end(i);
-    if (be > now_) {
-        // Extended after this check was scheduled; re-arm at the new end
-        // (lazy revalidation, queued flag stays set).
-        push_event(be, kPmBusyCheck, static_cast<std::uint32_t>(i));
-        return;
-    }
-    std::uint32_t& ps = pending_state_[static_cast<std::size_t>(i)];
-    ps &= ~kBusyCheckQueued;
-    if (ps != 0) { // own transmissions occurred: re-arm
-        ps = 0;
-        timer_set(i);
-    }
-}
-
-void PmKernel::dispatch(const PmEvent& e) {
-    const auto i = static_cast<int>(e.node);
-    switch (e.kind & kPmKindMask) {
-    case kPmTimer:
-        profiled_step(profiled_, "pm.timer_fire", [&] { timer_expired(i); });
-        break;
-    case kPmBusyCheck:
-        busy_check(i);
-        break;
-    case kPmDeliver:
-        deliver_from(i);
-        break;
-    case kPmTrigger:
-        for (int j = 0; j < params_.n; ++j) {
-            trigger_node(j);
-        }
-        break;
-    case kPmHook: {
-        auto fn = std::move(hooks_[e.node]);
-        free_hooks_.push_back(e.node);
-        fn();
-        break;
-    }
-    default:
-        assert(false && "unknown PmEvent kind");
     }
 }
 
@@ -615,7 +610,51 @@ void PmKernel::run_loop(Queue& queue, sim::SimTime target) {
         queue.pop_min();
         now_ = sim::SimTime::seconds(e.time);
         ++processed_;
-        dispatch(e);
+        const auto i = static_cast<int>(e.node);
+        switch (e.kind & kPmKindMask) {
+        case kPmTimer: {
+            bool check_owed = false;
+            {
+                const ProfiledStep step{profiled_, "pm.timer_fire"};
+                check_owed = timer_expired(i);
+            }
+            if (!check_owed) {
+                break;
+            }
+            // The check is the fire's last push. When every queued event
+            // is strictly later, the queue would serve it next: run it now
+            // as that event instead of a push/peek/pop round trip. A check
+            // past the target, or a stop requested during the fire, leaves
+            // it queued, as on the engine.
+            const sim::SimTime be = busy_end(i);
+            if (stopped_ || be.sec() > target_sec || !queue.all_later_than(be.sec())) {
+                push_event(be, kPmBusyCheck, static_cast<std::uint32_t>(i));
+                break;
+            }
+            now_ = be;
+            ++processed_;
+            [[fallthrough]];
+        }
+        case kPmBusyCheck:
+            busy_check(i);
+            break;
+        case kPmDeliver:
+            deliver_from(i);
+            break;
+        case kPmTrigger:
+            for (int j = 0; j < params_.n; ++j) {
+                trigger_node(j);
+            }
+            break;
+        case kPmHook: {
+            auto fn = std::move(hooks_[e.node]);
+            free_hooks_.push_back(e.node);
+            fn();
+            break;
+        }
+        default:
+            assert(false && "unknown PmEvent kind");
+        }
     }
     // stopped: the clock stays at the last event
 }

@@ -25,6 +25,11 @@
 //     turns the engine model's O(N) per-transmission broadcast into O(1).
 //     Per-node Tc or AfterPreparation notification fall back to a per-node
 //     busy array with the same event ordering.
+//   * A busy check that is provably the next event runs inline: when a
+//     timer fire's check would be served straight after it (every queued
+//     event is strictly later), the run loop runs it as that event without
+//     queueing it. In the unsynchronized regime that is almost every
+//     transmission.
 //
 // Fidelity contract: a kernel run is *bit-identical* to the engine-backed
 // model run of the same params — same RNG draw order, same (time, FIFO)
@@ -99,12 +104,13 @@ inline constexpr std::size_t kPmBucketRetainEvents = 16;
 
 /// Sorted-run timer queue for PmEvents: the pending events sit in one
 /// flat array in ascending (time, seq) order, consumed through a head
-/// cursor, with a one-slot hold buffer fusing the ubiquitous
-/// push-then-pop cycle (a re-armed timer is usually the next event
-/// served). The model makes this degenerate-fast at small n: a re-armed
-/// timer lands at now + Tp +- jitter, which is (almost) the queue MAXIMUM,
-/// so a push is an append with a rarely-iterating backward bubble and a
-/// pop is a cursor bump — no heap sift on either side.
+/// cursor, with a one-slot hold buffer for the newest push. The model
+/// makes this degenerate-fast at small n: a re-armed timer lands at
+/// now + Tp +- jitter, which is (almost) the queue MAXIMUM, so a push is an
+/// append with a rarely-iterating backward bubble and a pop is a cursor
+/// bump — no heap sift on either side. The hold fuses push-then-pop for
+/// the near-minimum pushes: a queued busy check lands at now + Tc and is
+/// usually the next event served, straight from the hold.
 ///
 /// FIFO among equal times needs no stored seq: pushes arrive in seq
 /// order, an insert lands behind every queued event of the same time, and
@@ -113,9 +119,10 @@ inline constexpr std::size_t kPmBucketRetainEvents = 16;
 class PmSortedRunQueue {
 public:
     /// `seq` is the kernel's push counter, increasing from push to push;
-    /// the run keeps its order by position.
-    void push(double time, [[maybe_unused]] std::uint64_t seq,
-              std::uint32_t kind, std::uint32_t node) {
+    /// the run keeps its order by position. Forced inline, with insert: a
+    /// timer re-arm pushes once per transmission.
+    [[gnu::always_inline]] void push(double time, [[maybe_unused]] std::uint64_t seq,
+                                     std::uint32_t kind, std::uint32_t node) {
         if (has_hold_) {
             insert(hold_);
         }
@@ -126,6 +133,12 @@ public:
     [[nodiscard]] bool empty() const noexcept { return !has_hold_ && drained(); }
     [[nodiscard]] std::size_t size() const noexcept {
         return run_.size() - head_ + (has_hold_ ? 1U : 0U);
+    }
+
+    /// True when every queued event is strictly later than `t`, read from
+    /// the hold and the run's head; no side effects.
+    [[nodiscard]] bool all_later_than(double t) const noexcept {
+        return (!has_hold_ || hold_.time > t) && (drained() || run_[head_].time > t);
     }
 
     /// Locates the earliest event (by time, then push order) without
@@ -174,7 +187,7 @@ private:
     /// maximum; only cluster-mates re-arming under the same jitter window
     /// bubble a few slots, and the near-minimum busy checks are absorbed
     /// by the hold).
-    void insert(const PmEvent& e) {
+    [[gnu::always_inline]] void insert(const PmEvent& e) {
         run_.push_back(e);
         PmEvent* const first = run_.data() + head_;
         PmEvent* slot = &run_.back();
@@ -281,6 +294,28 @@ public:
 
     [[nodiscard]] bool empty() const noexcept { return live_ == 0; }
     [[nodiscard]] std::size_t size() const noexcept { return live_; }
+
+    /// True when every queued event is strictly later than `t`, decided
+    /// from the cursor day alone: run cursor, spill top and lane head. Any
+    /// other event sits on a later day, so it is later than a `t` on the
+    /// cursor day. Answers false whenever that state cannot decide: `t`
+    /// past the cursor day, or a cursor bucket not yet sorted. It never
+    /// moves the cursor; the caller's next pushes land at or after `t`.
+    [[nodiscard]] bool all_later_than(double t) const noexcept {
+        if (day_of(t) != day_) {
+            return false;
+        }
+        const std::vector<Entry>& bucket = buckets_[cursor_b_];
+        if (cursor_sorted_ ? cursor_pos_ < bucket.size() &&
+                                 bucket[cursor_pos_].event.time <= t
+                           : !bucket.empty()) {
+            return false;
+        }
+        if (!spill_.empty() && spill_.front().event.time <= t) {
+            return false;
+        }
+        return lane_size_ == 0 || lane_[lane_head_].event.time > t;
+    }
 
     /// Locates the earliest event (by time, then seq) without removing
     /// it. Precondition: !empty(). Advances the internal day cursor over
@@ -495,6 +530,10 @@ public:
     [[nodiscard]] std::uint64_t total_transmissions() const noexcept {
         return tx_count_;
     }
+    /// Events pushed onto the queue so far. A busy check the run loop
+    /// serves inline is never pushed, so this is events_processed() minus
+    /// the inline checks, plus whatever is still queued or was discarded.
+    [[nodiscard]] std::uint64_t queue_pushes() const noexcept { return next_seq_; }
     [[nodiscard]] sim::SimTime round_length() const noexcept;
     [[nodiscard]] NodeView node(int i) const;
 
@@ -517,13 +556,22 @@ public:
     [[nodiscard]] std::size_t queue_size() const noexcept;
 
 private:
+    // The per-event steps. pm_kernel.cpp compiles the ones a timer fire and
+    // its busy check run into run_loop, so an isolated transmission makes
+    // no out-of-line call.
     void push_event(sim::SimTime at, std::uint32_t kind, std::uint32_t node);
     [[nodiscard]] sim::SimTime draw_interval(int i);
     void schedule_timer(int i, sim::SimTime at);
     void timer_set(int i);
     void trigger_node(int i);
-    void timer_expired(int i);
-    void begin_transmission(int i);
+    /// The timer-fire step; returns begin_transmission's answer.
+    [[nodiscard]] bool timer_expired(int i);
+    /// Starts node i's transmission at now(). Returns true when the node
+    /// now owes a busy check at busy_end(i) that the caller queues or runs:
+    /// under Immediate notification the check is the transmission's last
+    /// push. Under AfterPreparation it queues the check itself, ahead of
+    /// the delivery event, and returns false.
+    [[nodiscard]] bool begin_transmission(int i);
     void deliver_from(int i);
     void busy_check(int i);
     void extend_busy(int i, sim::SimTime t);
@@ -531,7 +579,6 @@ private:
         return shared_busy_ ? shared_busy_end_
                             : busy_end_[static_cast<std::size_t>(i)];
     }
-    void dispatch(const PmEvent& e);
     template <typename Queue>
     void run_loop(Queue& queue, sim::SimTime target);
 
@@ -561,7 +608,10 @@ private:
     std::vector<std::function<void()>> hooks_;  ///< kPmHook slots
     std::vector<std::uint32_t> free_hooks_;     ///< recycled hook slots
 
-    std::uint64_t next_seq_ = 0; ///< mirrors the engine queue's push counter
+    /// The queue's push counter: the seq of the next push. Queued events
+    /// keep the engine queue's relative order; an inline busy check takes
+    /// no seq (see queue_pushes()).
+    std::uint64_t next_seq_ = 0;
     std::uint64_t processed_ = 0;
     std::uint64_t tx_count_ = 0;
     sim::SimTime now_ = sim::SimTime::zero();

@@ -3,33 +3,12 @@
 #include "rng/splitmix64.hpp"
 
 namespace routesync::rng {
-namespace {
-
-constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
-    return (x << k) | (x >> (64 - k));
-}
-
-} // namespace
 
 Xoshiro256ss::Xoshiro256ss(std::uint64_t seed) noexcept {
     SplitMix64 mixer{seed};
     for (auto& word : s_) {
         word = mixer();
     }
-}
-
-Xoshiro256ss::result_type Xoshiro256ss::operator()() noexcept {
-    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-    const std::uint64_t t = s_[1] << 17;
-
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
-
-    return result;
 }
 
 void Xoshiro256ss::long_jump() noexcept {

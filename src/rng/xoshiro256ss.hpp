@@ -7,6 +7,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
 
 namespace routesync::rng {
@@ -22,7 +23,21 @@ public:
     static constexpr result_type min() noexcept { return 0; }
     static constexpr result_type max() noexcept { return ~std::uint64_t{0}; }
 
-    result_type operator()() noexcept;
+    /// One step. Defined here so the simulation loops that draw on every
+    /// event compile it in.
+    result_type operator()() noexcept {
+        const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+        const std::uint64_t t = s_[1] << 17;
+
+        s_[2] ^= s_[0];
+        s_[3] ^= s_[1];
+        s_[1] ^= s_[2];
+        s_[0] ^= s_[3];
+        s_[2] ^= t;
+        s_[3] = std::rotl(s_[3], 45);
+
+        return result;
+    }
 
     /// Equivalent to 2^128 calls of operator(); yields a stream that never
     /// overlaps the original. Used to derive independent per-node streams.

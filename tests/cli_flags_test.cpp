@@ -194,6 +194,31 @@ TEST(CliFlags, PmChainThresholdAndF2RejectAndNameUnknownFlags) {
               "unknown flag --max-time");
 }
 
+TEST(CliFlags, TraceAndAnalyzeRejectAndNameUnknownFlags) {
+    // `trace replay-check --tolerence 1` used to exit 0 with the default
+    // 1e-6 s tolerance.
+    EXPECT_EQ(rejection({"--in", "t.jsonl", "--tolerence", "1"},
+                        kTraceReplayCheckFlags),
+              "unknown flag --tolerence");
+    EXPECT_EQ(rejection({"--in", "t.jsonl", "--bin", "10"}, kTraceSummaryFlags),
+              "unknown flag --bin");
+    EXPECT_EQ(rejection({"--in", "t.jsonl", "--types", "update_tx"},
+                        kTraceFilterFlags),
+              "unknown flag --types");
+    EXPECT_EQ(rejection({"--in", "t.jsonl", "--output", "c.json"},
+                        kTraceExportChromeFlags),
+              "unknown flag --output");
+    EXPECT_EQ(rejection({"--in", "t.jsonl", "--rounds", "121.11"},
+                        kAnalyzeCouplingFlags),
+              "unknown flag --rounds");
+    // One action's flags are not taken by another.
+    EXPECT_EQ(rejection({"--in", "t.jsonl", "--out", "x"}, kTraceSummaryFlags),
+              "unknown flag --out");
+    EXPECT_EQ(rejection({"--in", "t.jsonl", "--tolerance", "1e-6"},
+                        kAnalyzeCouplingFlags),
+              "unknown flag --tolerance");
+}
+
 TEST(CliFlags, EveryCommandAcceptsItsUsageFlags) {
     // Every flag of each command's usage line (tools/routesync_cli.cpp).
     EXPECT_EQ(rejection({"--n", "20", "--tp", "121", "--tr", "0.1", "--tc", "0.11",
@@ -217,6 +242,25 @@ TEST(CliFlags, EveryCommandAcceptsItsUsageFlags) {
     EXPECT_EQ(rejection({"--n", "20", "--tp", "121", "--tr", "0.1", "--tc", "0.11",
                          "--reps", "20", "--seed", "3", "--jobs", "4"},
                         kF2Flags),
+              "");
+    EXPECT_EQ(rejection({"--in", "t.jsonl", "--round", "121.11", "--bins", "20"},
+                        kTraceSummaryFlags),
+              "");
+    EXPECT_EQ(rejection({"--in", "t.jsonl", "--type", "update_tx,timer_set",
+                         "--node", "3", "--from", "10", "--to", "20", "--out",
+                         "f.jsonl"},
+                        kTraceFilterFlags),
+              "");
+    EXPECT_EQ(rejection({"--in", "t.jsonl", "--out", "c.json"},
+                        kTraceExportChromeFlags),
+              "");
+    EXPECT_EQ(rejection({"--in", "t.jsonl", "--tolerance", "1e-6", "--expect",
+                         "clusters.txt", "--print"},
+                        kTraceReplayCheckFlags),
+              "");
+    EXPECT_EQ(rejection({"--in", "t.jsonl", "--round", "121.11", "--dot", "g.dot",
+                         "--json", "g.json", "--print"},
+                        kAnalyzeCouplingFlags),
               "");
 }
 

@@ -23,6 +23,7 @@
 #include <random>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/core.hpp"
@@ -511,6 +512,59 @@ TEST(PmSortedRunQueue, SameTimeBurstDrainsInFifoOrder) {
     EXPECT_EQ(pops, seq);
 }
 
+TEST(PmSortedRunQueue, AllLaterThanReadsHoldAndHead) {
+    core::PmSortedRunQueue q;
+    EXPECT_TRUE(q.all_later_than(0.0)); // empty
+    q.push(5.0, 0, core::kPmTimer, 0);  // the hold
+    EXPECT_TRUE(q.all_later_than(4.9));
+    EXPECT_FALSE(q.all_later_than(5.0)); // strictly later only
+    q.push(7.0, 1, core::kPmTimer, 1); // 5.0 moves into the run
+    EXPECT_TRUE(q.all_later_than(4.9));
+    EXPECT_FALSE(q.all_later_than(5.0));
+    q.push(3.0, 2, core::kPmBusyCheck, 2); // the hold is the minimum
+    EXPECT_TRUE(q.all_later_than(2.9));
+    EXPECT_FALSE(q.all_later_than(3.0));
+    // No side effects: the queue still serves 3, 5, 7.
+    for (const double want : {3.0, 5.0, 7.0}) {
+        ASSERT_FALSE(q.empty());
+        EXPECT_EQ(q.peek_min().time, want);
+        q.pop_min();
+    }
+    EXPECT_TRUE(q.empty());
+}
+
+TEST(PmCalendarQueue, AllLaterThanDecidesOnlyOnTheCursorDay) {
+    core::PmCalendarQueue q{1024.0}; // 1 s days
+    q.push(0.5, 0, core::kPmTimer, 0);
+    q.push(0.8, 1, core::kPmTimer, 1);
+    // The cursor day is not sorted yet: no answer.
+    EXPECT_FALSE(q.all_later_than(0.1));
+    EXPECT_EQ(q.peek_min().time, 0.5);
+    q.pop_min(); // the cursor day is now a sorted run at 0.8
+    EXPECT_TRUE(q.all_later_than(0.6));
+    EXPECT_FALSE(q.all_later_than(0.8));
+    // A later day is never decided, even when every event is later.
+    q.push(5.0, 2, core::kPmTimer, 2);
+    EXPECT_FALSE(q.all_later_than(1.5));
+    // The lane head and the spill top count on the cursor day.
+    q.push(0.7, 3, core::kPmBusyCheck, 3); // lane
+    EXPECT_TRUE(q.all_later_than(0.65));
+    EXPECT_FALSE(q.all_later_than(0.7));
+    q.push(0.75, 4, core::kPmTimer, 4); // spill: the day is already sorted
+    EXPECT_TRUE(q.all_later_than(0.65));
+    EXPECT_EQ(q.peek_min().time, 0.7);
+    q.pop_min();
+    EXPECT_TRUE(q.all_later_than(0.72));
+    EXPECT_FALSE(q.all_later_than(0.75));
+    // No side effects: the queue still serves 0.75, 0.8, 5.
+    for (const double want : {0.75, 0.8, 5.0}) {
+        ASSERT_FALSE(q.empty());
+        EXPECT_EQ(q.peek_min().time, want);
+        q.pop_min();
+    }
+    EXPECT_TRUE(q.empty());
+}
+
 // ---------------------------------------------------------------------------
 // Randomized differential: the kernel vs the engine-backed model.
 
@@ -526,20 +580,35 @@ std::uint64_t hash_bits(std::uint64_t h, double d) {
     return fnv1a(h, std::bit_cast<std::uint64_t>(d));
 }
 
+/// One callback of a run, as StreamHash logs it when asked to.
+struct StreamEvent {
+    bool transmit; ///< on_transmit (a fire); false: on_timer_set (a re-arm)
+    int node;
+    sim::SimTime t;
+};
+
 /// Callback stream digest: every on_transmit / on_timer_set / hook event,
 /// in order, folded into one hash. Any reordering, drop, or changed
-/// timestamp diverges the digest.
+/// timestamp diverges the digest. With `log` set, the transmit and re-arm
+/// events are also recorded there.
 struct StreamHash {
     std::uint64_t h = 1469598103934665603ULL;
+    std::vector<StreamEvent>* log = nullptr;
     void transmit(int node, sim::SimTime t) {
         h = fnv1a(h, 0x11);
         h = fnv1a(h, static_cast<std::uint64_t>(node));
         h = hash_bits(h, t.sec());
+        if (log != nullptr) {
+            log->push_back(StreamEvent{true, node, t});
+        }
     }
     void timer_set(int node, sim::SimTime t) {
         h = fnv1a(h, 0x22);
         h = fnv1a(h, static_cast<std::uint64_t>(node));
         h = hash_bits(h, t.sec());
+        if (log != nullptr) {
+            log->push_back(StreamEvent{false, node, t});
+        }
     }
     void hook(sim::SimTime t) {
         h = fnv1a(h, 0x33);
@@ -617,6 +686,8 @@ struct TrialSpec {
     bool trace = false;
     int hooks = 0; ///< chain length; each hook schedules the next
     sim::SimTime hook_every = sim::SimTime::zero();
+    /// run_until targets before the horizon, ascending; empty = one call.
+    std::vector<sim::SimTime> stops;
 };
 
 std::unique_ptr<core::TimerPolicy> make_policy(const TrialSpec& spec) {
@@ -665,7 +736,8 @@ TrialSpec metro_trial(int n, std::uint64_t seed, bool synchronized) {
     return spec;
 }
 
-/// Everything a kernel (or its engine twin) exposes at the end of a run.
+/// Everything a kernel (or its engine twin) exposes at the end of a run,
+/// plus what it exposed after each earlier run_until call.
 struct TrialDigest {
     std::uint64_t stream = 0;
     std::uint64_t trace = 0;
@@ -673,10 +745,38 @@ struct TrialDigest {
     std::uint64_t transmissions = 0;
     double now_sec = 0.0;
     std::uint64_t state = 0;
+    /// now(), events_processed() and node state after every run_until
+    /// call before the last, folded; unchanged by a one-call run.
+    std::uint64_t stops = 1469598103934665603ULL;
 };
 
-TrialDigest run_engine(const TrialSpec& spec) {
+template <typename View>
+std::uint64_t nodes_hash(int n, const View& view) {
+    std::uint64_t h = 1469598103934665603ULL;
+    for (int i = 0; i < n; ++i) {
+        h = node_state_hash(h, view(i));
+    }
+    return h;
+}
+
+/// Runs a simulation through spec.stops and then to the horizon, folding
+/// its state after each stop into d.stops.
+template <typename RunUntil, typename View>
+void run_through_stops(const TrialSpec& spec, TrialDigest& d, RunUntil&& run_until,
+                       const View& view) {
+    for (const sim::SimTime stop : spec.stops) {
+        const auto [now, events] = run_until(stop);
+        d.stops = hash_bits(d.stops, now.sec());
+        d.stops = fnv1a(d.stops, events);
+        d.stops = fnv1a(d.stops, nodes_hash(spec.params.n, view));
+    }
+    run_until(spec.horizon);
+}
+
+TrialDigest run_engine(const TrialSpec& spec,
+                       std::vector<StreamEvent>* log = nullptr) {
     StreamHash stream;
+    stream.log = log;
     HashSink sink;
     obs::Tracer tracer{sink};
     sim::Engine engine;
@@ -699,18 +799,22 @@ TrialDigest run_engine(const TrialSpec& spec) {
     if (spec.hooks > 0) {
         engine.schedule_at(spec.hook_every, hook);
     }
-    engine.run_until(spec.horizon);
-
     TrialDigest d;
+    const auto view = [&model](int i) { return model.node(i); };
+    run_through_stops(
+        spec, d,
+        [&engine](sim::SimTime t) {
+            engine.run_until(t);
+            return std::pair{engine.now(), engine.events_processed()};
+        },
+        view);
+
     d.stream = stream.h;
     d.trace = sink.h;
     d.events = engine.events_processed();
     d.transmissions = model.total_transmissions();
     d.now_sec = engine.now().sec();
-    d.state = 1469598103934665603ULL;
-    for (int i = 0; i < spec.params.n; ++i) {
-        d.state = node_state_hash(d.state, model.node(i));
-    }
+    d.state = nodes_hash(spec.params.n, view);
     return d;
 }
 
@@ -735,23 +839,29 @@ TrialDigest run_kernel(const TrialSpec& spec) {
     if (spec.hooks > 0) {
         kernel.schedule_hook(spec.hook_every, hook);
     }
-    kernel.run_until(spec.horizon);
-
     TrialDigest d;
+    const auto view = [&kernel](int i) { return kernel.node(i); };
+    run_through_stops(
+        spec, d,
+        [&kernel](sim::SimTime t) {
+            kernel.run_until(t);
+            return std::pair{kernel.now(), kernel.events_processed()};
+        },
+        view);
+
     d.stream = stream.h;
     d.trace = sink.h;
     d.events = kernel.events_processed();
     d.transmissions = kernel.total_transmissions();
     d.now_sec = kernel.now().sec();
-    d.state = 1469598103934665603ULL;
-    for (int i = 0; i < spec.params.n; ++i) {
-        d.state = node_state_hash(d.state, kernel.node(i));
-    }
+    d.state = nodes_hash(spec.params.n, view);
     return d;
 }
 
-void expect_same_digest(const TrialDigest& got, const TrialDigest& want,
-                        const std::string& where) {
+/// The end of the run only: a run split over several run_until calls must
+/// end exactly where one call does.
+void expect_same_end(const TrialDigest& got, const TrialDigest& want,
+                     const std::string& where) {
     ASSERT_EQ(got.stream, want.stream) << "callback stream diverged at " << where;
     ASSERT_EQ(got.trace, want.trace) << "trace stream diverged at " << where;
     ASSERT_EQ(got.events, want.events) << "event count diverged at " << where;
@@ -760,16 +870,75 @@ void expect_same_digest(const TrialDigest& got, const TrialDigest& want,
     ASSERT_EQ(got.state, want.state) << "final node state diverged at " << where;
 }
 
-TEST(PmKernelDifferential, MatchesEngineOnRandomizedParameterSweep) {
-    std::mt19937_64 rng{0xf10d5ULL};
-    for (int point = 0; point < 200; ++point) {
-        const TrialSpec spec = sample_trial(rng);
-        ASSERT_NO_FATAL_FAILURE(expect_same_digest(
-            run_kernel(spec), run_engine(spec),
-            "point " + std::to_string(point) + " (n=" +
-                std::to_string(spec.params.n) + " seed=" +
-                std::to_string(spec.params.seed) + ")"));
+void expect_same_digest(const TrialDigest& got, const TrialDigest& want,
+                        const std::string& where) {
+    ASSERT_NO_FATAL_FAILURE(expect_same_end(got, want, where));
+    ASSERT_EQ(got.stops, want.stops)
+        << "clock, event count or node state diverged at a run_until stop at "
+        << where;
+}
+
+/// Up to six run_until targets inside a run whose callbacks are `log`:
+/// some exactly on a re-arm (a busy check's time), and some strictly
+/// between a node's fire and its next re-arm, where the check is still
+/// ahead of the target.
+std::vector<sim::SimTime> split_targets(const std::vector<StreamEvent>& log, int n,
+                                        std::mt19937_64& rng) {
+    std::vector<sim::SimTime> on_check;
+    std::vector<sim::SimTime> before_check;
+    std::vector<sim::SimTime> fired(static_cast<std::size_t>(n),
+                                    -sim::SimTime::seconds(1.0));
+    for (const StreamEvent& e : log) {
+        sim::SimTime& f = fired[static_cast<std::size_t>(e.node)];
+        if (e.transmit) {
+            f = e.t;
+            continue;
+        }
+        on_check.push_back(e.t);
+        const sim::SimTime mid = sim::SimTime::seconds(f.sec() + 0.5 * (e.t - f).sec());
+        if (f >= sim::SimTime::zero() && f < mid && mid < e.t) {
+            before_check.push_back(mid);
+        }
     }
+    std::vector<sim::SimTime> stops;
+    for (const auto* pool : {&on_check, &before_check}) {
+        for (int k = 0; k < 3 && !pool->empty(); ++k) {
+            stops.push_back((*pool)[rng() % pool->size()]);
+        }
+    }
+    std::sort(stops.begin(), stops.end());
+    stops.erase(std::unique(stops.begin(), stops.end()), stops.end());
+    return stops;
+}
+
+TEST(PmKernelDifferential, MatchesEngineOnRandomizedParameterSweep) {
+    // Each point runs once in one run_until call, and again split over
+    // several: on re-arm times and between fires and their checks. Split
+    // or not, the kernel must match the engine at every stop, and the
+    // split run must end exactly where the one-call run does.
+    std::mt19937_64 rng{0xf10d5ULL};
+    std::mt19937_64 stop_rng{0x5709ULL};
+    int split_points = 0;
+    for (int point = 0; point < 200; ++point) {
+        TrialSpec spec = sample_trial(rng);
+        const std::string where = "point " + std::to_string(point) + " (n=" +
+                                  std::to_string(spec.params.n) + " seed=" +
+                                  std::to_string(spec.params.seed) + ")";
+        std::vector<StreamEvent> log;
+        const TrialDigest one_call = run_engine(spec, &log);
+        ASSERT_NO_FATAL_FAILURE(expect_same_digest(run_kernel(spec), one_call, where));
+
+        spec.stops = split_targets(log, spec.params.n, stop_rng);
+        if (spec.stops.empty()) {
+            continue;
+        }
+        ++split_points;
+        const TrialDigest split = run_engine(spec);
+        ASSERT_NO_FATAL_FAILURE(expect_same_end(split, one_call, where + " split"));
+        ASSERT_NO_FATAL_FAILURE(
+            expect_same_digest(run_kernel(spec), split, where + " split"));
+    }
+    EXPECT_GT(split_points, 150);
 }
 
 TEST(PmKernelDifferential, MatchesEngineAtLargeNSynchronizedRounds) {
@@ -1061,6 +1230,235 @@ TEST(PmKernel, StopHaltsInsideRun) {
     kernel.run_until(target);
     EXPECT_GT(fires, 3);
     EXPECT_EQ(kernel.now().sec(), 1e6);
+}
+
+// ---------------------------------------------------------------------------
+// The inline busy check: a timer fire's check skips the queue only when it
+// is provably the next event, and every observable stays the engine's.
+
+/// An engine model and a kernel of the same params, each with its own
+/// callback digest and trace digest, compared after every step.
+struct Twins {
+    explicit Twins(const core::ModelParams& p)
+        : params{p}, engine_tracer{engine_sink}, kernel_tracer{kernel_sink} {
+        engine.set_tracer(&engine_tracer);
+        model = std::make_unique<core::PeriodicMessagesModel>(engine, p);
+        kernel = std::make_unique<core::PmKernel>(p, nullptr, &kernel_tracer);
+        model->on_transmit = [this](int node, sim::SimTime t) {
+            engine_stream.transmit(node, t);
+        };
+        model->on_timer_set = [this](int node, sim::SimTime t) {
+            engine_stream.timer_set(node, t);
+        };
+        kernel->on_transmit = [this](int node, sim::SimTime t) {
+            kernel_stream.transmit(node, t);
+        };
+        kernel->on_timer_set = [this](int node, sim::SimTime t) {
+            kernel_stream.timer_set(node, t);
+        };
+    }
+    Twins(const Twins&) = delete;
+    Twins& operator=(const Twins&) = delete;
+
+    void run_until(sim::SimTime t) {
+        engine.run_until(t);
+        kernel->run_until(t);
+    }
+    /// A hook at `t` on both, folding the clock, the event count and node
+    /// 0's state into the callback digest when it runs.
+    void schedule_probe(sim::SimTime t) {
+        engine.schedule_at(t, [this] {
+            engine_stream.hook(engine.now());
+            engine_stream.h = fnv1a(engine_stream.h, engine.events_processed());
+            engine_stream.h = node_state_hash(engine_stream.h, model->node(0));
+        });
+        kernel->schedule_hook(t, [this] {
+            kernel_stream.hook(kernel->now());
+            kernel_stream.h = fnv1a(kernel_stream.h, kernel->events_processed());
+            kernel_stream.h = node_state_hash(kernel_stream.h, kernel->node(0));
+        });
+    }
+
+    void expect_agree(const std::string& where) const {
+        ASSERT_EQ(kernel_stream.h, engine_stream.h) << "callback stream at " << where;
+        ASSERT_EQ(kernel_sink.h, engine_sink.h) << "trace stream at " << where;
+        ASSERT_EQ(kernel->events_processed(), engine.events_processed()) << where;
+        ASSERT_EQ(kernel->now().sec(), engine.now().sec()) << where;
+        ASSERT_EQ(nodes_hash(params.n, [this](int i) { return kernel->node(i); }),
+                  nodes_hash(params.n, [this](int i) { return model->node(i); }))
+            << "node state at " << where;
+    }
+
+    core::ModelParams params;
+    StreamHash engine_stream;
+    StreamHash kernel_stream;
+    HashSink engine_sink;
+    HashSink kernel_sink;
+    obs::Tracer engine_tracer;
+    obs::Tracer kernel_tracer;
+    sim::Engine engine;
+    std::unique_ptr<core::PeriodicMessagesModel> model;
+    std::unique_ptr<core::PmKernel> kernel;
+};
+
+/// n routers: node 0 fires at `first`, node 1 at `second`, the rest at
+/// least a second later and spread over the period. Tc = 0.11 s.
+core::ModelParams phased_params(int n, double first, double second) {
+    core::ModelParams p;
+    p.n = n;
+    p.seed = 0x1c0de + static_cast<std::uint64_t>(n);
+    p.initial_phases.resize(static_cast<std::size_t>(n));
+    p.initial_phases[0] = first;
+    if (n > 1) {
+        p.initial_phases[1] = second;
+    }
+    for (int i = 2; i < n; ++i) {
+        p.initial_phases[static_cast<std::size_t>(i)] = first + 1.0 + 0.37 * i;
+    }
+    return p;
+}
+
+TEST(PmKernelInlineCheck, TimerDueAtTheCheckTimeRunsFirst) {
+    // Node 1's timer is queued for exactly node 0's check time, t + Tc,
+    // with an earlier push seq: the check must go through the queue and
+    // run after that timer, as on the engine. On both queues; the first
+    // day of the calendar holds t .. t + 2Tc.
+    const double t = 10.0;
+    const sim::SimTime check = sim::SimTime::seconds(t) + sim::SimTime::seconds(0.11);
+    for (const int n : {2, core::kPmCalendarMinNodes}) {
+        const std::string where = "n=" + std::to_string(n);
+        Twins twins{phased_params(n, t, check.sec())};
+        twins.run_until(check);
+        ASSERT_NO_FATAL_FAILURE(twins.expect_agree(where + " at t + Tc"));
+        // Checks: node 0's, queued at t and re-queued when node 1 fires,
+        // and node 1's; both re-arm at t + 2Tc.
+        EXPECT_EQ(twins.kernel->queue_pushes(), static_cast<std::uint64_t>(n) + 3)
+            << where;
+        twins.run_until(sim::SimTime::seconds(400.0));
+        ASSERT_NO_FATAL_FAILURE(twins.expect_agree(where + " at 400 s"));
+
+        // Control: with node 1 a second later, node 0's check runs inline
+        // (its re-arm is the only push), so the case above is decided by
+        // the queue's answer, not by a day boundary.
+        Twins control{phased_params(n, t, t + 1.0)};
+        control.run_until(check);
+        ASSERT_NO_FATAL_FAILURE(control.expect_agree(where + " control"));
+        EXPECT_EQ(control.kernel->queue_pushes(), static_cast<std::uint64_t>(n) + 1)
+            << where;
+    }
+}
+
+TEST(PmKernelInlineCheck, HookDueAtTheCheckTimeRunsFirst) {
+    // A hook queued for exactly t + Tc runs before the check it ties with:
+    // it must see node 0 unarmed and the engine's event count.
+    const double t = 10.0;
+    const sim::SimTime check = sim::SimTime::seconds(t) + sim::SimTime::seconds(0.11);
+    for (const int n : {2, core::kPmCalendarMinNodes}) {
+        const std::string where = "n=" + std::to_string(n);
+        Twins twins{phased_params(n, t, t + 1.0)};
+        twins.schedule_probe(check);
+        twins.run_until(check);
+        ASSERT_NO_FATAL_FAILURE(twins.expect_agree(where + " at t + Tc"));
+        EXPECT_EQ(twins.kernel->queue_pushes(), static_cast<std::uint64_t>(n) + 3)
+            << where; // the hook, the queued check, node 0's re-arm
+        twins.run_until(sim::SimTime::seconds(400.0));
+        ASSERT_NO_FATAL_FAILURE(twins.expect_agree(where + " at 400 s"));
+    }
+}
+
+TEST(PmKernelInlineCheck, StopFromOnTransmitLeavesTheCheckQueued) {
+    // stop() inside the third fire: the engine stops with that fire's
+    // check still queued, so the kernel may not run it inline. Resuming
+    // after clear_stop() must continue exactly like the engine.
+    core::ModelParams p;
+    p.n = 5;
+    p.seed = 9;
+    p.initial_phases = {1.0, 20.0, 40.0, 60.0, 80.0};
+    Twins twins{p};
+    int engine_fires = 0;
+    int kernel_fires = 0;
+    twins.model->on_transmit = [&](int node, sim::SimTime t) {
+        twins.engine_stream.transmit(node, t);
+        if (++engine_fires == 3) {
+            twins.engine.stop();
+        }
+    };
+    twins.kernel->on_transmit = [&](int node, sim::SimTime t) {
+        twins.kernel_stream.transmit(node, t);
+        if (++kernel_fires == 3) {
+            twins.kernel->stop();
+        }
+    };
+    const sim::SimTime target = sim::SimTime::seconds(1e4);
+    twins.run_until(target);
+    ASSERT_NO_FATAL_FAILURE(twins.expect_agree("at the stop"));
+    EXPECT_TRUE(twins.kernel->stop_requested());
+    EXPECT_EQ(twins.kernel->now().sec(), 40.0);
+    EXPECT_EQ(twins.kernel->queue_size(), twins.engine.pending_events());
+
+    twins.engine.clear_stop();
+    twins.kernel->clear_stop();
+    twins.run_until(target);
+    ASSERT_NO_FATAL_FAILURE(twins.expect_agree("after clear_stop"));
+    EXPECT_EQ(twins.kernel->now(), target);
+    EXPECT_GT(kernel_fires, 3);
+}
+
+TEST(PmKernelInlineCheck, FullSyncStopDuringAnInlineRearm) {
+    // Tc = 0.1 us and fires 0.4 us apart: each fire's check runs inline
+    // and each re-arm lands within the tracker's 1 us tolerance of the
+    // last, so the third inline re-arm completes a cluster of all three
+    // and on_full_sync stops the run inside it.
+    core::ModelParams p;
+    p.n = 3;
+    p.tc = sim::SimTime::seconds(1e-7);
+    p.initial_phases = {5.0, 5.0000004, 5.0000008};
+    sim::Engine engine;
+    core::PeriodicMessagesModel model{engine, p};
+    core::ClusterTracker engine_tracker{p.n, model.round_length()};
+    model.on_timer_set = [&](int node, sim::SimTime t) {
+        engine_tracker.on_timer_set(node, t);
+    };
+    engine_tracker.on_full_sync = [&](sim::SimTime) { engine.stop(); };
+    core::PmKernel kernel{p};
+    core::ClusterTracker kernel_tracker{p.n, kernel.round_length()};
+    kernel.set_tracker_sink(&kernel_tracker);
+    kernel_tracker.on_full_sync = [&](sim::SimTime) { kernel.stop(); };
+
+    const sim::SimTime target = sim::SimTime::seconds(1e3);
+    engine.run_until(target);
+    kernel.run_until(target);
+    EXPECT_TRUE(kernel.stop_requested());
+    EXPECT_EQ(kernel.now().sec(), engine.now().sec());
+    EXPECT_EQ(kernel.now().sec(), (sim::SimTime::seconds(5.0000008) + p.tc).sec());
+    EXPECT_EQ(kernel.events_processed(), engine.events_processed());
+    EXPECT_EQ(kernel.events_processed(), 6U);
+    EXPECT_EQ(kernel.queue_pushes(), 6U); // three arms, three re-arms: no check
+    ASSERT_TRUE(kernel_tracker.full_sync_time().has_value());
+    EXPECT_EQ(kernel_tracker.full_sync_time(), engine_tracker.full_sync_time());
+}
+
+TEST(PmKernelInlineCheck, Fig13PointPushCountIsPinned) {
+    // N = 20, Tc = 0.11 s, Tr = Tc, 10^5 s: a Figure 13 grid point in the
+    // unsynchronized regime. The event count is the engine's; the push
+    // count pins how many busy checks ran inline (events - pushes +
+    // queued, as no timer is ever cancelled here).
+    core::ModelParams p;
+    p.n = 20;
+    p.tr = sim::SimTime::seconds(0.11);
+    p.seed = 1;
+    core::PmKernel kernel{p};
+    kernel.run_until(sim::SimTime::seconds(1e5));
+    sim::Engine engine;
+    core::PeriodicMessagesModel model{engine, p};
+    engine.run_until(sim::SimTime::seconds(1e5));
+    EXPECT_EQ(kernel.events_processed(), engine.events_processed());
+    EXPECT_EQ(kernel.events_processed(), 33590U);
+    EXPECT_EQ(kernel.total_transmissions(), 16513U);
+    // 15 422 busy checks (93 % of the transmissions) ran inline: events
+    // + queued - pushes. The 20 queued events are the next timers.
+    EXPECT_EQ(kernel.queue_pushes(), 18188U);
+    EXPECT_EQ(kernel.queue_size(), 20U);
 }
 
 } // namespace

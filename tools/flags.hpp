@@ -143,4 +143,24 @@ inline constexpr std::string_view kThresholdFlags[] = {"n",  "tp", "tr",
 inline constexpr std::string_view kF2Flags[] = {"n",    "tp",   "tr", "tc",
                                                 "reps", "seed", "jobs"};
 
+/// `routesync trace summary`: the trace and the phase histogram.
+inline constexpr std::string_view kTraceSummaryFlags[] = {"in", "round", "bins"};
+
+/// `routesync trace filter`: the trace, the selection and the output.
+inline constexpr std::string_view kTraceFilterFlags[] = {"in",   "type", "node",
+                                                         "from", "to",   "out"};
+
+/// `routesync trace export-chrome`: the trace and the output.
+inline constexpr std::string_view kTraceExportChromeFlags[] = {"in", "out"};
+
+/// `routesync trace replay-check`: the trace, the grouping tolerance and
+/// the series to compare with or print.
+inline constexpr std::string_view kTraceReplayCheckFlags[] = {"in", "tolerance",
+                                                              "expect", "print"};
+
+/// `routesync analyze coupling`: the trace, the phase modulus and the
+/// exports.
+inline constexpr std::string_view kAnalyzeCouplingFlags[] = {"in",   "round", "dot",
+                                                             "json", "print"};
+
 } // namespace routesync::cli

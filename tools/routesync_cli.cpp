@@ -375,6 +375,7 @@ bool has_sync_config(const std::vector<obs::TraceEvent>& events) {
 }
 
 int cmd_trace_summary(const Flags& flags) {
+    cli::reject_unknown_flags(flags, cli::kTraceSummaryFlags);
     const auto events = load_trace(flags);
     obs::SummaryOptions options;
     options.round_length = flag_d(flags, "round", 0.0);
@@ -404,6 +405,7 @@ int cmd_trace_summary(const Flags& flags) {
 }
 
 int cmd_trace_filter(const Flags& flags) {
+    cli::reject_unknown_flags(flags, cli::kTraceFilterFlags);
     const auto events = load_trace(flags);
     obs::FilterOptions options;
     // --type a,b,c — comma-separated wire names.
@@ -438,11 +440,13 @@ int cmd_trace_filter(const Flags& flags) {
 }
 
 int cmd_trace_export_chrome(const Flags& flags) {
+    cli::reject_unknown_flags(flags, cli::kTraceExportChromeFlags);
     emit_text(flags, obs::export_chrome(load_trace(flags)));
     return 0;
 }
 
 int cmd_trace_replay_check(const Flags& flags) {
+    cli::reject_unknown_flags(flags, cli::kTraceReplayCheckFlags);
     const auto events = load_trace(flags);
     const auto replay = core::replay_cluster_series(
         events,
@@ -560,6 +564,7 @@ int cmd_trace_replay_check(const Flags& flags) {
 // equal the number of re-arms fed, and when the trace carries recorded
 // coupling_edge events the recomputed graph must match them exactly.
 int cmd_analyze_coupling(const Flags& flags) {
+    cli::reject_unknown_flags(flags, cli::kAnalyzeCouplingFlags);
     const auto events = load_trace(flags);
     obs::SyncReplayOverrides overrides;
     overrides.period_sec = flag_d(flags, "round", 0.0);
@@ -742,7 +747,7 @@ void usage() {
                  "  threshold --n --tp --tr --tc [--f2 rounds] [--n-max N]\n"
                  "  f2        --n --tp --tr --tc [--reps] [--seed] [--jobs N]\n"
                  "  (pm, chain, sweep, threshold and f2 exit 1 on a flag they\n"
-                 "  do not read)\n"
+                 "  do not read; trace and analyze exit 2)\n"
                  "  trace     <summary|filter|export-chrome|replay-check> --in FILE\n"
                  "            summary:       [--round SEC] [--bins N]\n"
                  "            filter:        [--type a,b] [--node N] [--from T]\n"
