@@ -197,6 +197,40 @@ void BM_Engine_SelfSchedulingChain(benchmark::State& state) {
 }
 BENCHMARK(BM_Engine_SelfSchedulingChain);
 
+/// One step of a cascade whose every event schedules the next a moment
+/// later (a CSMA/CD station seizing the channel, its transmission-done,
+/// the next frame's contention).
+struct NearFutureCascade {
+    sim::Engine* engine;
+    int remaining;
+    void step() {
+        if (--remaining > 0) {
+            engine->schedule_after(sim::SimTime::micros(100), [this] { step(); });
+        }
+    }
+};
+
+void BM_Engine_NearFutureCascade(benchmark::State& state) {
+    // The near-future shape, next to the random-time ones above: a backlog
+    // of range(0) timers pending far ahead, and a cascade of 10 000 events
+    // each scheduled earlier than everything queued — the event the queue
+    // serves next, straight after it was pushed.
+    const auto backlog = static_cast<int>(state.range(0));
+    sim::Engine engine;
+    rng::Xoshiro256ss gen{5};
+    for (int i = 0; i < backlog; ++i) {
+        engine.schedule_at(sim::SimTime::seconds(1e9 + rng::uniform01(gen)), [] {});
+    }
+    for (auto _ : state) {
+        NearFutureCascade cascade{&engine, 10000};
+        engine.schedule_after(sim::SimTime::zero(), [&cascade] { cascade.step(); });
+        engine.run_until(engine.now() + sim::SimTime::seconds(1.0));
+        benchmark::DoNotOptimize(engine.events_processed());
+    }
+    state.SetItemsProcessed(state.iterations() * 10000);
+}
+BENCHMARK(BM_Engine_NearFutureCascade)->Arg(64)->Arg(1024)->Arg(16384);
+
 void BM_PeriodicMessages_SimSecond(benchmark::State& state) {
     const int n = static_cast<int>(state.range(0));
     sim::Engine engine;

@@ -87,8 +87,7 @@ void DelayLink::start_transmission(PooledPacket p) {
 }
 
 void DelayLink::deliver_head() {
-    PooledPacket pkt = std::move(in_flight_.front());
-    in_flight_.pop_front();
+    PooledPacket pkt = in_flight_.pop_front();
     if (obs::Tracer* tr = engine().tracer()) {
         tr->emit(obs::TraceEventType::PacketDeliver, engine().now(), pkt->dst,
                  static_cast<std::int64_t>(pkt->seq), pkt->size_bytes);

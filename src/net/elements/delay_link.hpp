@@ -40,12 +40,12 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "net/elements/element.hpp"
+#include "net/packet_ring.hpp"
 #include "sim/time.hpp"
 
 namespace routesync::net::elements {
@@ -114,7 +114,7 @@ private:
     std::vector<PacketBatch*> free_batches_;
     /// Fast-mode in-flight packets, delivered front-first (see
     /// start_transmission).
-    std::deque<PooledPacket> in_flight_;
+    PacketRing<> in_flight_;
 };
 
 } // namespace routesync::net::elements

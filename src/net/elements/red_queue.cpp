@@ -1,5 +1,6 @@
 #include "net/elements/red_queue.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace routesync::net::elements {
@@ -10,6 +11,7 @@ RedQueue::RedQueue(sim::Engine& engine, std::string name,
       max_packets_{max_packets},
       tuning_{tuning},
       gen_{tuning.seed} {
+    items_.reserve(std::min(max_packets, kRingReservePackets));
     if (tuning_.min_th < 0.0 || tuning_.max_th <= tuning_.min_th) {
         throw std::invalid_argument{"RedQueue: need 0 <= min_th < max_th"};
     }
@@ -90,8 +92,7 @@ PooledPacket RedQueue::dequeue() {
     if (items_.empty()) {
         return {};
     }
-    PooledPacket p = std::move(items_.front());
-    items_.pop_front();
+    PooledPacket p = items_.pop_front();
     bytes_ -= p->size_bytes;
     ++stats_.dequeued;
     return p;

@@ -16,6 +16,7 @@
 #include <utility>
 
 #include "net/elements/queue_element.hpp"
+#include "net/packet_ring.hpp"
 
 namespace routesync::net::elements {
 
@@ -80,7 +81,7 @@ private:
 
     std::size_t max_packets_;
     RedTuning tuning_;
-    std::deque<PooledPacket> items_;
+    PacketRing<> items_;
     std::uint64_t bytes_ = 0;
     QueueStats stats_;
     double avg_ = 0.0;

@@ -16,7 +16,9 @@
 #pragma once
 
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <utility>
 #include <vector>
 
@@ -33,6 +35,46 @@ enum class PacketType : std::uint8_t {
     PingReply,     ///< echo reply
     Audio,         ///< CBR audio (apps::CbrSource)
     RoutingUpdate, ///< distance-vector full-table update
+};
+
+/// The number of PacketType enumerators.
+inline constexpr std::size_t kPacketTypeCount = 5;
+static_assert(static_cast<std::size_t>(PacketType::RoutingUpdate) + 1 ==
+                  kPacketTypeCount,
+              "kPacketTypeCount must count every PacketType");
+
+/// A set of PacketTypes, one bit per type: the frame types a SharedLan
+/// station hears (SharedLan::attach).
+class PacketTypeSet {
+public:
+    /// The empty set.
+    constexpr PacketTypeSet() noexcept = default;
+    constexpr PacketTypeSet(std::initializer_list<PacketType> types) noexcept {
+        for (const PacketType t : types) {
+            bits_ = static_cast<std::uint8_t>(bits_ | bit(t));
+        }
+    }
+
+    /// Every type.
+    [[nodiscard]] static constexpr PacketTypeSet all() noexcept {
+        PacketTypeSet set;
+        set.bits_ = static_cast<std::uint8_t>((1U << kPacketTypeCount) - 1U);
+        return set;
+    }
+
+    [[nodiscard]] constexpr bool contains(PacketType t) const noexcept {
+        return (bits_ & bit(t)) != 0;
+    }
+
+    friend constexpr bool operator==(PacketTypeSet, PacketTypeSet) = default;
+
+private:
+    static constexpr std::uint8_t bit(PacketType t) noexcept {
+        return static_cast<std::uint8_t>(1U << static_cast<unsigned>(t));
+    }
+
+    static_assert(kPacketTypeCount <= 8, "PacketTypeSet holds 8 types");
+    std::uint8_t bits_ = 0;
 };
 
 /// A distance-vector route advertisement entry.

@@ -1,12 +1,14 @@
 // Drop-tail FIFO packet queue with byte and packet capacity limits and
-// drop/enqueue accounting. Holds pooled packet handles, so queueing a
-// packet moves 16 bytes and never copies or allocates.
+// drop/enqueue accounting. Holds pooled packet handles in a PacketRing,
+// so queueing a packet moves 16 bytes and, once the ring has reached the
+// queue's high-water mark, never copies or allocates.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <deque>
 
 #include "net/packet_pool.hpp"
+#include "net/packet_ring.hpp"
 
 namespace routesync::net {
 
@@ -21,7 +23,9 @@ public:
     /// `max_packets` — capacity in packets; `max_bytes` — 0 disables the
     /// byte limit.
     explicit DropTailQueue(std::size_t max_packets = 64, std::uint64_t max_bytes = 0)
-        : max_packets_{max_packets}, max_bytes_{max_bytes} {}
+        : max_packets_{max_packets}, max_bytes_{max_bytes} {
+        items_.reserve(std::min(max_packets, kRingReservePackets));
+    }
 
     /// Returns false (and counts a drop, releasing the handle) when the
     /// packet does not fit.
@@ -44,7 +48,7 @@ public:
 private:
     std::size_t max_packets_;
     std::uint64_t max_bytes_;
-    std::deque<PooledPacket> items_;
+    PacketRing<> items_;
     std::uint64_t bytes_ = 0;
     QueueStats stats_;
 };
@@ -66,8 +70,7 @@ inline PooledPacket DropTailQueue::pop() {
     if (items_.empty()) {
         return {};
     }
-    PooledPacket p = std::move(items_.front());
-    items_.pop_front();
+    PooledPacket p = items_.pop_front();
     bytes_ -= p->size_bytes;
     ++stats_.dequeued;
     return p;

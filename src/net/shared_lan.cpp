@@ -24,7 +24,8 @@ SharedLan::SharedLan(sim::Engine& engine, const SharedLanConfig& config)
     }
 }
 
-int SharedLan::attach(std::function<void(const Packet&)> deliver) {
+int SharedLan::attach(std::function<void(const Packet&)> deliver,
+                      PacketTypeSet hears) {
     if (!deliver) {
         throw std::invalid_argument{"SharedLan: delivery callback required"};
     }
@@ -43,7 +44,12 @@ int SharedLan::attach(std::function<void(const Packet&)> deliver) {
     // Enqueue/drop trace events carry the station index (this medium's
     // node id space), not the frame's src field.
     queue->set_trace_node(station);
-    stations_.push_back(Station{std::move(deliver), queue, 0, false});
+    stations_.push_back(Station{std::move(deliver), queue, hears, 0, false});
+    for (std::size_t t = 0; t < kPacketTypeCount; ++t) {
+        if (hears.contains(static_cast<PacketType>(t))) {
+            ++listeners_[t];
+        }
+    }
     return station;
 }
 
@@ -206,17 +212,21 @@ void SharedLan::transmission_done() {
                  static_cast<std::int64_t>(frame->seq), frame->size_bytes);
     }
 
-    // Broadcast: everyone else hears the frame after the propagation
-    // delay.
+    // Broadcast: every other station that hears the frame's type gets it
+    // after the propagation delay.
+    const PacketType type = frame->type;
     if (fast_) {
         // Fused fan-out: ONE event delivers to every receiver in station
         // order. Equivalent to the per-receiver events below: those all
         // carry the same timestamp and consecutive sequence numbers, so
         // nothing can pop between them — the receiver call order is the
         // same either way. The frame parks in broadcasts_ so the capture
-        // is {this}, trivially copyable. Only the engine's event count
-        // differs.
-        if (stations_.size() > 1) {
+        // is {this}, trivially copyable. A frame no other station hears
+        // gets no event at all and is released here. Only the engine's
+        // event count differs.
+        const std::size_t receivers = listeners_[static_cast<std::size_t>(type)] -
+                                      (st.hears.contains(type) ? 1U : 0U);
+        if (receivers > 0) {
             broadcasts_.push_back(
                 PendingBroadcast{owner, stations_.size(), std::move(frame)});
             engine_.schedule_after(config_.prop_delay,
@@ -227,7 +237,7 @@ void SharedLan::transmission_done() {
         // {this, i, 16-byte handle}, so the fan-out neither copies the
         // frame nor allocates.
         for (std::size_t i = 0; i < stations_.size(); ++i) {
-            if (static_cast<int>(i) == owner) {
+            if (static_cast<int>(i) == owner || !stations_[i].hears.contains(type)) {
                 continue;
             }
             engine_.schedule_after(config_.prop_delay,
@@ -241,10 +251,10 @@ void SharedLan::transmission_done() {
 }
 
 void SharedLan::deliver_broadcast() {
-    PendingBroadcast b = std::move(broadcasts_.front());
-    broadcasts_.pop_front();
+    const PendingBroadcast b = broadcasts_.pop_front();
+    const PacketType type = b.frame->type;
     for (std::size_t i = 0; i < b.count; ++i) {
-        if (static_cast<int>(i) == b.owner) {
+        if (static_cast<int>(i) == b.owner || !stations_[i].hears.contains(type)) {
             continue;
         }
         stations_[i].deliver(*b.frame);

@@ -10,8 +10,16 @@
 //
 // Simplifications relative to real 802.3: a single collision domain with
 // one propagation delay for all station pairs, and no capture effect.
+//
+// Listener sets: a station names the frame types it hears when it is
+// attached (every type by default), and its delivery callback sees only
+// those. This states what a receiver consumes, and it is what lets the
+// medium skip work nobody observes: a frame that no other station hears
+// still contends, occupies the wire and is counted as delivered, but
+// costs no fan-out.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -21,6 +29,7 @@
 #include "net/elements/queue_element.hpp"
 #include "net/elements/red_queue.hpp"
 #include "net/packet_pool.hpp"
+#include "net/packet_ring.hpp"
 #include "rng/rng.hpp"
 #include "sim/engine.hpp"
 
@@ -62,11 +71,12 @@ public:
     SharedLan(const SharedLan&) = delete;
     SharedLan& operator=(const SharedLan&) = delete;
 
-    /// Attaches a station; `deliver` receives every frame other stations
-    /// transmit successfully. All receivers observe the *same* pooled
-    /// frame (one slot, N reads — no per-receiver copies). Returns the
-    /// station index.
-    int attach(std::function<void(const Packet&)> deliver);
+    /// Attaches a station; `deliver` receives every frame of a type in
+    /// `hears` that other stations transmit successfully, and no other
+    /// frame. All receivers observe the *same* pooled frame (one slot,
+    /// N reads — no per-receiver copies). Returns the station index.
+    int attach(std::function<void(const Packet&)> deliver,
+               PacketTypeSet hears = PacketTypeSet::all());
 
     /// Queues a frame for transmission from `station` (broadcast to all
     /// other stations).
@@ -108,6 +118,7 @@ private:
     struct Station {
         std::function<void(const Packet&)> deliver;
         elements::QueueElement* queue; ///< owned by graph_
+        PacketTypeSet hears;  ///< frame types `deliver` receives
         int attempts = 0;   ///< collisions suffered by the head frame
         bool pending = false; ///< head frame is scheduled/contending
     };
@@ -121,7 +132,8 @@ private:
     void schedule_backoff(int station);
     void station_next(int station);
     /// Fast-mode fused fan-out: delivers the oldest pending broadcast to
-    /// every receiver in station order (see transmission_done).
+    /// every station that hears it, in station order (see
+    /// transmission_done).
     void deliver_broadcast();
 
     // Fast-mode devirtualized station-queue calls: the discipline is
@@ -137,8 +149,8 @@ private:
     /// attached mid-propagation does not hear it (matching the virtual
     /// path's per-receiver events).
     struct PendingBroadcast {
-        int owner;
-        std::size_t count;
+        int owner = -1;
+        std::size_t count = 0;
         PooledPacket frame;
     };
 
@@ -147,10 +159,12 @@ private:
     rng::DefaultEngine gen_;
     elements::ElementGraph graph_; ///< owns the station queue elements
     std::deque<Station> stations_; ///< deque: grows without relocating stations
+    /// Stations hearing each PacketType, indexed by the type's value.
+    std::array<std::size_t, kPacketTypeCount> listeners_{};
     bool fast_;                    ///< config_.dispatch == DispatchMode::Fast
     /// Broadcasts in flight, delivered front-first: the propagation delay
     /// is constant, so fan-out events fire in schedule order.
-    std::deque<PendingBroadcast> broadcasts_;
+    PacketRing<PendingBroadcast> broadcasts_;
 
     // Channel state.
     bool transmitting_ = false;

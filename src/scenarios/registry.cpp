@@ -376,11 +376,13 @@ int run_shared_lan_trials(const ScenarioFlags& flags,
 
 ScenarioEntry builtin(std::string name, std::string summary,
                       std::string flags_help,
+                      std::span<const std::string_view> flags,
                       std::function<int(const ScenarioFlags&)> run) {
     ScenarioEntry e;
     e.name = std::move(name);
     e.summary = std::move(summary);
     e.flags_help = std::move(flags_help);
+    e.flags = flags;
     e.run = std::move(run);
     return e;
 }
@@ -547,12 +549,12 @@ void register_builtin_scenarios() {
         "Fig 1/2 testbed: pings through synchronized IGRP core routers",
         "--core-routers --filler-routes --period --jitter --pings "
         "--max-time --seed [--non-blocking] [--incremental]",
-        run_nearnet));
+        kNearnetFlags, run_nearnet));
     reg.add(builtin(
         "audiocast",
         "Fig 3 testbed: audio outages under synchronized RIP storms",
         "--core-routers --jitter --bg-pps --max-time --seed",
-        run_audiocast));
+        kAudiocastFlags, run_audiocast));
     reg.add(builtin(
         "shared_lan",
         "periodic updates on a congested CSMA/CD LAN; RED vs drop-tail "
@@ -562,7 +564,7 @@ void register_builtin_scenarios() {
         "--max-time --seed [--trials K [--jobs N]] [--dispatch fast|virtual] "
         "[--monitor [--sync-threshold R] [--sync-hysteresis H]] "
         "[--out MANIFEST]",
-        run_shared_lan));
+        kSharedLanFlags, run_shared_lan));
     // The standalone paper figures and examples, addressable through the
     // same table (resolved against --bin-dir, default ".": run from the
     // build directory).

@@ -20,7 +20,9 @@
 
 #include <functional>
 #include <map>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace routesync::scenarios {
@@ -29,11 +31,41 @@ namespace routesync::scenarios {
 /// produces (boolean flags carry the value "1").
 using ScenarioFlags = std::map<std::string, std::string>;
 
+// The flags each builtin runner reads; `routesync scenario run|sweep`
+// rejects any other (cli::reject_unknown_flags). External entries have
+// no list: their flags pass through to the binary.
+
+/// `nearnet`: the testbed, the probe and the horizon.
+inline constexpr std::string_view kNearnetFlags[] = {
+    "core-routers", "filler-routes", "period", "jitter", "pings",
+    "max-time", "seed", "non-blocking", "incremental"};
+
+/// `audiocast`: the testbed, the cross traffic and the horizon.
+inline constexpr std::string_view kAudiocastFlags[] = {
+    "core-routers", "jitter", "bg-pps", "max-time", "seed"};
+
+/// `shared_lan`: the scenario config, the trials and the manifest.
+inline constexpr std::string_view kSharedLanFlags[] = {
+    "queue", "n", "tp", "tr", "tc", "queue-cap", "red-min", "red-max",
+    "red-maxp", "red-weight", "bg-burst", "bg-period", "max-time", "seed",
+    "trials", "jobs", "dispatch", "monitor", "sync-threshold",
+    "sync-hysteresis", "out"};
+
+/// `scenario sweep shared_lan`: the shared_lan flags plus the grid axes.
+inline constexpr std::string_view kSharedLanSweepFlags[] = {
+    "queue", "n", "tp", "tr", "tc", "queue-cap", "red-min", "red-max",
+    "red-maxp", "red-weight", "bg-burst", "bg-period", "max-time", "seed",
+    "trials", "jobs", "dispatch", "monitor", "sync-threshold",
+    "sync-hysteresis", "out", "buffers", "loads"};
+
 struct ScenarioEntry {
     std::string name;
     std::string summary;
     /// One-line flag cheat-sheet shown by `scenario list` (builtins only).
     std::string flags_help;
+    /// Every flag the builtin reads (one of the k*Flags lists above);
+    /// empty for external entries.
+    std::span<const std::string_view> flags;
     /// In-process runner; null for external entries.
     std::function<int(const ScenarioFlags&)> run;
     /// Binary path relative to --bin-dir; empty for builtins.

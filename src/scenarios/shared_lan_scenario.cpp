@@ -1,6 +1,7 @@
 #include "scenarios/shared_lan_scenario.hpp"
 
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -60,6 +61,14 @@ private:
 
 SharedLanScenarioResult run_shared_lan_scenario(
     const SharedLanScenarioConfig& config) {
+    if (config.bg_burst > 0 && config.bg_period <= sim::SimTime::zero()) {
+        // The burst source would reschedule itself at one instant forever.
+        throw std::invalid_argument{
+            "shared_lan: bg_period must be positive when bg_burst > 0"};
+    }
+    if (config.max_time < sim::SimTime::zero()) {
+        throw std::invalid_argument{"shared_lan: max_time must be >= 0"};
+    }
     sim::Engine engine;
     if (config.tracer != nullptr) {
         engine.set_tracer(config.tracer);
@@ -77,6 +86,9 @@ SharedLanScenarioResult run_shared_lan_scenario(
     net::elements::ElementGraph graph{engine};
     core::ClusterTracker tracker{config.n, config.tp + config.tc,
                                  sim::SimTime::millis(50)};
+    // The result reads the tracker's hitting times, never its per-round
+    // records: keeping them would allocate as the run goes on.
+    tracker.record_rounds(false);
 
     // The observatory rides the same re-arm stream the tracker sees
     // (agent start() never fires on_timer_set, so — exactly like the
@@ -107,11 +119,9 @@ SharedLanScenarioResult run_shared_lan_scenario(
             "agent" + std::to_string(i), ac);
         // Only routing updates reach the agent's ear: the background Data
         // frames share the queues and the medium, not the processing cost.
-        const int station = lan.attach([&agent](const net::Packet& p) {
-            if (p.type == net::PacketType::RoutingUpdate) {
-                agent.hear(p);
-            }
-        });
+        const int station =
+            lan.attach([&agent](const net::Packet& p) { agent.hear(p); },
+                       {net::PacketType::RoutingUpdate});
         // The sink sees every update the agent offers (pre-queue, sender
         // side) — the transmit stream the monitor samples.
         graph.add<net::elements::CallbackSink>(
@@ -148,7 +158,12 @@ SharedLanScenarioResult run_shared_lan_scenario(
     tracker.on_full_sync = [&engine](sim::SimTime) { engine.stop(); };
 
     BackgroundBursts bg{engine, lan, config};
-    bg.start(sim::SimTime::zero());
+    if (config.bg_period > sim::SimTime::zero()) {
+        // With bg_period <= 0 the bursts are empty (checked above), and a
+        // source that reschedules itself at one instant would never let
+        // the run advance.
+        bg.start(sim::SimTime::zero());
+    }
 
     engine.run_until(config.max_time);
     tracker.finish();
@@ -161,6 +176,7 @@ SharedLanScenarioResult run_shared_lan_scenario(
                                   ? std::optional<double>{tracker.full_sync_time()->sec()}
                                   : std::nullopt;
     result.end_time_s = engine.now().sec();
+    result.events_processed = engine.events_processed();
 
     const net::SharedLanStats& ls = lan.stats();
     result.frames_offered = ls.frames_offered;

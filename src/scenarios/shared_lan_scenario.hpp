@@ -95,6 +95,9 @@ struct SharedLanScenarioResult {
     std::optional<double> largest_cluster_time_s; ///< first reach of largest
     std::optional<double> full_sync_time_s;
     double end_time_s = 0.0;
+    /// Events the run's engine executed (library only: no CLI table or
+    /// manifest prints it).
+    std::uint64_t events_processed = 0;
     // Synchronization observatory (present when config.monitor was set).
     std::optional<obs::SyncReport> sync;
     obs::CouplingGraph sync_coupling;
@@ -104,7 +107,9 @@ struct SharedLanScenarioResult {
 };
 
 /// Runs the scenario to full synchronization or `max_time`, whichever
-/// comes first. Deterministic for a fixed config.
+/// comes first. Deterministic for a fixed config. Throws
+/// std::invalid_argument when bg_burst > 0 and bg_period <= 0 (the run
+/// would never advance) or when max_time < 0.
 SharedLanScenarioResult run_shared_lan_scenario(const SharedLanScenarioConfig& config);
 
 } // namespace routesync::scenarios

@@ -19,13 +19,13 @@ EventHandle Engine::schedule_after(SimTime dt, Callback cb) {
 }
 
 bool Engine::step() {
-    if (queue_.empty()) {
+    EventQueue::Popped event = queue_.pop_until(SimTime::infinity());
+    if (!event.callback) {
         return false;
     }
-    auto [time, callback] = queue_.pop();
-    now_ = time;
+    now_ = event.time;
     ++processed_;
-    callback();
+    event.callback();
     return true;
 }
 
@@ -35,8 +35,16 @@ void Engine::run() {
 }
 
 void Engine::run_until(SimTime t) {
-    while (!stopped_ && !queue_.empty() && queue_.next_time() <= t) {
-        step();
+    // One queue call per event; each callback is destroyed as soon as it
+    // has run (the loop body's scope), not when the next pop replaces it.
+    while (!stopped_) {
+        EventQueue::Popped event = queue_.pop_until(t);
+        if (!event.callback) {
+            break;
+        }
+        now_ = event.time;
+        ++processed_;
+        event.callback();
     }
     if (!stopped_ && now_ < t) {
         now_ = t;

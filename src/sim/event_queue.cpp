@@ -144,6 +144,10 @@ void EventQueue::drop_root() noexcept {
 }
 
 void EventQueue::materialize_chains() {
+    if (has_hold()) {
+        heap_.push_back(hold_);
+        hold_ = kNoHold;
+    }
     const std::size_t n = heap_.size();
     for (std::size_t i = 0; i < n; ++i) {
         const Entry time = heap_[i] >> 64 << 64;
@@ -202,8 +206,21 @@ EventHandle EventQueue::push(SimTime t, Callback cb) {
             return make_handle(slot, s.gen);
         }
     }
-    heap_.push_back((Entry{tb} << 64) | (s.seq << kSlotBits) | slot);
-    sift_up(heap_.size() - 1);
+    const Entry e = (Entry{tb} << 64) | (s.seq << kSlotBits) | slot;
+    // An empty hold compares above every entry, so the first test fails
+    // only when an earlier entry is held.
+    if (e < hold_ && (has_hold() || heap_.empty() || e < heap_.front())) {
+        // Earlier than everything queued: the entry takes the hold, and
+        // the entry it displaces joins the heap (file comment).
+        if (has_hold()) {
+            heap_.push_back(hold_);
+            sift_up(heap_.size() - 1);
+        }
+        hold_ = e;
+    } else {
+        heap_.push_back(e);
+        sift_up(heap_.size() - 1);
+    }
     // This entry opens a chain for its timestamp, evicting the
     // least-recently-used way.
     way_mru_ = static_cast<std::uint8_t>(1 - way_mru_);
@@ -255,43 +272,55 @@ void EventQueue::compact() {
     tombstones_ = 0;
 }
 
-void EventQueue::skip_cancelled() {
-    while (!heap_.empty() &&
-           slots_[slot_of(heap_.front())].state == SlotState::Cancelled) {
-        const std::uint32_t slot = slot_of(heap_.front());
+inline void EventQueue::skip_cancelled() {
+    // tombstones_ counts every cancelled entry still queued, so a queue
+    // without any skips the slot lookup.
+    while (tombstones_ > 0) {
+        Entry& min = min_entry();
+        const std::uint32_t slot = slot_of(min);
+        if (slots_[slot].state != SlotState::Cancelled) {
+            return;
+        }
         const std::uint32_t next = slots_[slot].next;
         release_slot(slot);
-        if (next != kNoChain) {
-            advance_chain_root(next);
-        } else {
-            drop_root();
-        }
+        remove_min(min, next);
         --tombstones_;
     }
 }
 
+inline EventQueue::Popped EventQueue::take_min(Entry& min) {
+    const std::uint32_t slot = slot_of(min);
+    Popped out{entry_time(min), std::move(slots_[slot].callback)};
+    const std::uint32_t next = slots_[slot].next;
+    release_slot(slot);
+    // O(1) when the entry is the hold or has a chain successor.
+    remove_min(min, next);
+    --live_;
+    return out;
+}
+
 SimTime EventQueue::next_time() {
     skip_cancelled();
-    assert(!heap_.empty() && "next_time() on empty queue");
-    return entry_time(heap_.front());
+    assert(!empty() && "next_time() on empty queue");
+    return entry_time(min_entry());
 }
 
 EventQueue::Popped EventQueue::pop() {
     skip_cancelled();
-    assert(!heap_.empty() && "pop() on empty queue");
-    const Entry top = heap_.front();
-    const std::uint32_t slot = slot_of(top);
-    Popped out{entry_time(top), std::move(slots_[slot].callback)};
-    const std::uint32_t next = slots_[slot].next;
-    release_slot(slot);
-    if (next != kNoChain) {
-        // O(1): the next chain member takes the root in place.
-        advance_chain_root(next);
-    } else {
-        drop_root();
+    assert(!empty() && "pop() on empty queue");
+    return take_min(min_entry());
+}
+
+EventQueue::Popped EventQueue::pop_until(SimTime limit) {
+    if (live_ == 0) {
+        return {};
     }
-    --live_;
-    return out;
+    skip_cancelled();
+    Entry& min = min_entry();
+    if (static_cast<std::uint64_t>(min >> 64) > time_bits(limit)) {
+        return {};
+    }
+    return take_min(min);
 }
 
 } // namespace routesync::sim

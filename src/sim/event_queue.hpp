@@ -61,6 +61,23 @@
 // Entries at T left over from an evicted chain all carry smaller
 // sequence numbers and surface first through the normal heap path.
 //
+// Hold slot: in a discrete-event simulation most events are scheduled
+// a moment ahead and are the very next one served — a CSMA/CD station
+// seizing the channel, a frame's transmission-done, a propagation
+// delay. Each such event would pay a sift on push and a sift on pop for
+// nothing. So the queue keeps its minimum entry outside the heap, in a
+// one-entry hold: a push earlier than every queued entry takes the hold
+// (the entry it displaces, if any, goes into the heap), and a pop serves
+// the hold without touching the heap. While the hold is occupied it is
+// the minimum; when it is empty the heap root is. The hold is one more
+// place an entry can sit, seen by everything that walks entries: it can
+// open a duplicate-time chain (popping it then advances the hold in
+// place, as for the heap root), a cancelled hold is a tombstone like any
+// other, next_time_bound() reads it, and compact()/renumber() move it
+// into the heap first (materialize_chains). Entries leave in exactly
+// the order they would without the hold. (PmSortedRunQueue keeps a
+// one-event hold too, for the newest push.)
+//
 // Capacity limits: at most 2^22 - 1 (≈4.2M) events may be pending at
 // once (push throws std::length_error beyond). The packed sequence
 // counter holds 2^42 pushes; when it saturates, push renumbers all
@@ -91,7 +108,7 @@ struct EventHandle {
 /// ResourceSampler and tests read.
 struct EventQueueStats {
     std::size_t live = 0;        ///< pending, non-cancelled events
-    std::size_t tombstones = 0;  ///< cancelled entries still in the heap
+    std::size_t tombstones = 0;  ///< cancelled entries still queued
     std::size_t heap_entries = 0; ///< live + tombstones
 };
 
@@ -113,13 +130,14 @@ public:
     [[nodiscard]] std::size_t size() const noexcept { return live_; }
 
     /// Entries currently held (live + not-yet-reclaimed tombstones,
-    /// whether they sit in the heap proper or on a duplicate-time
-    /// chain). Exposed so tests can observe the compaction policy.
+    /// whether they sit in the hold, the heap proper or on a
+    /// duplicate-time chain). Exposed so tests can observe the
+    /// compaction policy.
     [[nodiscard]] std::size_t heap_entries() const noexcept {
         return live_ + tombstones_;
     }
 
-    /// Cancelled entries still occupying heap slots.
+    /// Cancelled entries still queued (hold, heap or chain).
     [[nodiscard]] std::size_t tombstones() const noexcept { return tombstones_; }
 
     [[nodiscard]] EventQueueStats stats() const noexcept {
@@ -129,11 +147,11 @@ public:
     /// Timestamp of the earliest live event. Precondition: !empty().
     [[nodiscard]] SimTime next_time();
 
-    /// O(1) lower bound on next_time(): the root entry's timestamp,
-    /// tombstones included (a cancelled root can make this earlier than
-    /// next_time(), never later). Precondition: !empty().
+    /// O(1) lower bound on next_time(): the minimum entry's timestamp,
+    /// tombstones included (a cancelled minimum can make this earlier
+    /// than next_time(), never later). Precondition: !empty().
     [[nodiscard]] SimTime next_time_bound() const noexcept {
-        return entry_time(heap_.front());
+        return entry_time(has_hold() ? hold_ : heap_.front());
     }
 
     /// Removes and returns the earliest live event. Precondition: !empty().
@@ -142,6 +160,13 @@ public:
         Callback callback;
     };
     Popped pop();
+
+    /// Removes and returns the earliest live event if its time is
+    /// <= `limit`. Otherwise — nothing live, or the earliest live event
+    /// is later — returns an empty callback and leaves every live event
+    /// queued. One call does what `!empty() && next_time() <= limit`
+    /// followed by pop() does, skipping tombstones once.
+    Popped pop_until(SimTime limit);
 
 private:
     static constexpr std::size_t kArity = 4;
@@ -187,6 +212,10 @@ private:
     /// chained at all).
     static constexpr std::uint32_t kNoChain = 0xffffffffU;
 
+    /// The empty hold: above every real entry (its time bits would be a
+    /// NaN), so `e < hold_` holds for any entry while the hold is empty.
+    static constexpr Entry kNoHold = ~Entry{0};
+
     enum class SlotState : std::uint8_t { Live, Cancelled };
     struct Slot {
         Callback callback;
@@ -217,20 +246,46 @@ private:
     /// problem).
     void drop_root() noexcept;
 
-    /// Drops cancelled entries from the top of the heap.
-    void skip_cancelled();
+    [[nodiscard]] bool has_hold() const noexcept { return hold_ != kNoHold; }
 
-    /// Replaces the root's key in place with chain member `next` (same
-    /// time, that member's seq). See the chaining invariant in the file
-    /// comment for why no sift is needed.
-    void advance_chain_root(std::uint32_t next) noexcept {
-        heap_.front() = (heap_.front() >> 64 << 64) |
-                        (Entry{slots_[next].seq} << kSlotBits) | next;
+    /// The minimum entry: the hold when occupied, else the heap root.
+    /// Precondition: an entry is queued (live or tombstone).
+    [[nodiscard]] Entry& min_entry() noexcept {
+        return has_hold() ? hold_ : heap_.front();
     }
 
-    /// Expands every duplicate-time chain into explicit heap entries and
-    /// invalidates the cache. Leaves heap_ UNORDERED — callers (compact,
-    /// renumber) rebuild it.
+    /// Removes the minimum entry, whose slot the caller has released:
+    /// its chain's next member takes its place in the hold or at the
+    /// root, else the hold empties or the root is dropped.
+    void remove_min(Entry& min, std::uint32_t next) noexcept {
+        if (next != kNoChain) {
+            advance_chain(min, next);
+        } else if (&min == &hold_) {
+            hold_ = kNoHold;
+        } else {
+            drop_root();
+        }
+    }
+
+    /// Drops cancelled entries from the front of the queue. This and
+    /// take_min() are forced inline into pop(), next_time() and
+    /// pop_until(), so the engine's one queue call per event does not
+    /// call out again to skip or to take.
+    [[gnu::always_inline]] void skip_cancelled();
+
+    /// Removes the minimum entry, which is live, and returns its event.
+    [[gnu::always_inline]] Popped take_min(Entry& min);
+
+    /// Replaces a minimum entry's key in place with chain member `next`
+    /// (same time, that member's seq). See the chaining invariant in the
+    /// file comment for why it stays the minimum.
+    void advance_chain(Entry& min, std::uint32_t next) noexcept {
+        min = (min >> 64 << 64) | (Entry{slots_[next].seq} << kSlotBits) | next;
+    }
+
+    /// Moves the hold into the heap, expands every duplicate-time chain
+    /// into explicit heap entries and invalidates the cache. Leaves heap_
+    /// UNORDERED — callers (compact, renumber) rebuild it.
     void materialize_chains();
 
     /// Rebuilds the heap without its tombstones (see policy above).
@@ -240,6 +295,7 @@ private:
     /// their relative order. Slow path, hit once per 2^42 pushes.
     void renumber();
 
+    Entry hold_ = kNoHold;    // the minimum entry, outside the heap
     std::vector<Entry> heap_; // 4-ary min-heap over the 128-bit key
     std::vector<Slot> slots_;
     std::vector<std::uint32_t> free_slots_;
@@ -247,7 +303,11 @@ private:
     std::uint8_t way_mru_ = 0;
     std::uint64_t next_seq_ = 1;
     std::size_t live_ = 0;
-    std::size_t tombstones_ = 0; // cancelled entries, heap or chained
+    std::size_t tombstones_ = 0; // cancelled entries, hold, heap or chained
+
+    /// Tests reach the hold and the sequence counter (renumber() needs
+    /// 2^42 pushes otherwise) through this.
+    friend struct EventQueueTestPeer;
 };
 
 } // namespace routesync::sim

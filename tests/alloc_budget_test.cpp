@@ -1,9 +1,13 @@
-// Allocation budget of a PM kernel trial on the sorted-run queue.
+// Allocation budgets of a PM kernel trial on the sorted-run queue and of
+// a shared-LAN scenario run.
 //
 // Once a small-n trial has reached its working size, its steady state —
 // timer fires, busy checks (queued or run inline), re-arms and the
-// ClusterTracker feed — must not touch the heap. This binary replaces the
-// global operator new with a counting one, so it is its own executable.
+// ClusterTracker feed — must not touch the heap. Likewise a shared-LAN
+// run allocates only while it is built: its packet FIFOs are PacketRings
+// sized at construction, and its engine, packet pool and tracker keep
+// what they reach. This binary replaces the global operator new with a
+// counting one, so it is its own executable.
 //
 // Not covered: the calendar queue (n >= kPmCalendarMinNodes). A drained
 // bucket larger than kPmBucketRetainEvents is returned and re-grown the
@@ -18,6 +22,9 @@
 #include <string>
 
 #include "core/core.hpp"
+#include "obs/trace_sink.hpp"
+#include "obs/tracer.hpp"
+#include "scenarios/shared_lan_scenario.hpp"
 
 namespace {
 
@@ -84,6 +91,56 @@ TEST(AllocBudget, SortedRunTrialAllocatesNothingPastWarmUp) {
 
                 EXPECT_EQ(allocations, 0U) << where;
                 EXPECT_GT(kernel.total_transmissions(), tx_before + 1000) << where;
+            }
+        }
+    }
+}
+
+/// Allocations made by one traced shared-LAN run of `cfg` to `seconds`.
+std::uint64_t shared_lan_allocations(scenarios::SharedLanScenarioConfig cfg,
+                                     double seconds,
+                                     scenarios::SharedLanScenarioResult& result) {
+    obs::HashingSink sink;
+    obs::Tracer tracer{sink};
+    cfg.tracer = &tracer;
+    cfg.max_time = sim::SimTime::seconds(seconds);
+    const std::uint64_t before = g_allocations.load();
+    result = scenarios::run_shared_lan_scenario(cfg);
+    return g_allocations.load() - before;
+}
+
+TEST(AllocBudget, SharedLanRunAllocatesNothingPastSetUp) {
+    // Both disciplines, buffers 4 and 32, loads 0.8 and 1.2 (background
+    // bursts of 8 and 12 frames), traced, seed 7: a 300 s run makes
+    // exactly the allocations of a 100 s run — those of building the
+    // scenario. (With std::deque FIFOs a RED run at buffer 4, load 0.8
+    // read 1 037 vs 2 543.) The packet and payload pools are per thread
+    // and keep their slots, so one run first brings them to size.
+    scenarios::SharedLanScenarioConfig base;
+    base.seed = 7;
+    scenarios::SharedLanScenarioResult warm;
+    (void)shared_lan_allocations(base, 300.0, warm);
+    for (const auto disc : {net::elements::QueueDisc::DropTail,
+                            net::elements::QueueDisc::Red}) {
+        for (const std::size_t buffer : {std::size_t{4}, std::size_t{32}}) {
+            for (const int burst : {8, 12}) {
+                scenarios::SharedLanScenarioConfig cfg = base;
+                cfg.queue_disc = disc;
+                cfg.queue_packets = buffer;
+                cfg.bg_burst = burst;
+                const std::string where =
+                    std::string{net::elements::queue_disc_name(disc)} +
+                    " buffer=" + std::to_string(buffer) +
+                    " burst=" + std::to_string(burst);
+                scenarios::SharedLanScenarioResult short_run;
+                scenarios::SharedLanScenarioResult long_run;
+                const std::uint64_t at_100 = shared_lan_allocations(cfg, 100.0, short_run);
+                const std::uint64_t at_300 = shared_lan_allocations(cfg, 300.0, long_run);
+                EXPECT_EQ(at_300, at_100) << where;
+                EXPECT_GT(at_100, 0U) << where; // the counter sees the set-up
+                ASSERT_EQ(long_run.end_time_s, 300.0) << where;
+                EXPECT_GT(long_run.frames_delivered, 2 * short_run.frames_delivered)
+                    << where;
             }
         }
     }

@@ -1,6 +1,7 @@
 // Tests for the CLI flag parser.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -8,11 +9,13 @@
 #include <utility>
 #include <vector>
 
+#include "scenarios/registry.hpp"
 #include "tools/flags.hpp"
 
 namespace {
 
 using namespace routesync::cli;
+namespace scenarios = routesync::scenarios;
 
 Flags parse(std::vector<const char*> args) {
     args.insert(args.begin(), "prog");
@@ -262,6 +265,106 @@ TEST(CliFlags, EveryCommandAcceptsItsUsageFlags) {
                          "--json", "g.json", "--print"},
                         kAnalyzeCouplingFlags),
               "");
+    // `scenario run` for each builtin (scenarios/registry.cpp's flag
+    // cheat-sheets) and `scenario sweep shared_lan`.
+    EXPECT_EQ(rejection({"--core-routers", "5", "--filler-routes", "300", "--period",
+                         "90", "--jitter", "0.1", "--pings", "100", "--max-time",
+                         "900", "--seed", "2", "--non-blocking", "--incremental"},
+                        scenarios::kNearnetFlags),
+              "");
+    EXPECT_EQ(rejection({"--core-routers", "5", "--jitter", "0.1", "--bg-pps", "200",
+                         "--max-time", "600", "--seed", "2"},
+                        scenarios::kAudiocastFlags),
+              "");
+    const std::vector<const char*> shared_lan{
+        "--queue", "red", "--n", "10", "--tp", "30", "--tr", "0.05", "--tc", "0.2",
+        "--queue-cap", "8", "--red-min", "2", "--red-max", "6", "--red-maxp", "0.1",
+        "--red-weight", "0.1", "--bg-burst", "10", "--bg-period", "0.05",
+        "--max-time", "500", "--seed", "2", "--trials", "2", "--jobs", "2",
+        "--dispatch", "virtual", "--monitor", "--sync-threshold", "0.9",
+        "--sync-hysteresis", "0.05", "--out", "lan.manifest.json"};
+    EXPECT_EQ(rejection(shared_lan, scenarios::kSharedLanFlags), "");
+    std::vector<const char*> sweep = shared_lan;
+    for (const char* extra : {"--buffers", "4..16", "--loads", "0.8,1.2"}) {
+        sweep.push_back(extra);
+    }
+    EXPECT_EQ(rejection(sweep, scenarios::kSharedLanSweepFlags), "");
+}
+
+TEST(CliFlags, BuiltinScenarioFlagListsMatchTheirCheatSheets) {
+    // `scenario list` prints flags_help; the command accepts entry.flags.
+    // The two name the same flags, so the cheat-sheet cannot advertise a
+    // flag the command rejects, nor hide one it reads.
+    scenarios::register_builtin_scenarios();
+    int builtins = 0;
+    for (const scenarios::ScenarioEntry& e :
+         scenarios::ScenarioRegistry::instance().entries()) {
+        if (!e.is_builtin()) {
+            EXPECT_TRUE(e.flags.empty()) << e.name;
+            continue;
+        }
+        ++builtins;
+        std::vector<std::string> help;
+        for (std::size_t at = e.flags_help.find("--"); at != std::string::npos;
+             at = e.flags_help.find("--", at + 2)) {
+            const std::size_t end = e.flags_help.find_first_of(" ]", at);
+            help.push_back(e.flags_help.substr(at + 2, end - at - 2));
+        }
+        std::vector<std::string> known(e.flags.begin(), e.flags.end());
+        std::sort(help.begin(), help.end());
+        std::sort(known.begin(), known.end());
+        EXPECT_EQ(help, known) << e.name;
+    }
+    EXPECT_EQ(builtins, 3);
+    // The sweep reads every shared_lan flag, plus its grid axes.
+    for (const std::string_view flag : scenarios::kSharedLanFlags) {
+        EXPECT_NE(std::find(std::begin(scenarios::kSharedLanSweepFlags),
+                            std::end(scenarios::kSharedLanSweepFlags), flag),
+                  std::end(scenarios::kSharedLanSweepFlags))
+            << flag;
+    }
+    EXPECT_EQ(std::size(scenarios::kSharedLanSweepFlags),
+              std::size(scenarios::kSharedLanFlags) + 2);
+}
+
+TEST(CliFlags, BuiltinScenariosRejectAndNameUnknownFlags) {
+    // `scenario run shared_lan --qeueu red` used to run drop-tail, and
+    // `scenario sweep shared_lan --bogus 3` to exit 0.
+    EXPECT_EQ(rejection({"--qeueu", "red"}, scenarios::kSharedLanFlags),
+              "unknown flag --qeueu");
+    EXPECT_EQ(rejection({"--bogus", "3"}, scenarios::kSharedLanSweepFlags),
+              "unknown flag --bogus");
+    EXPECT_EQ(rejection({"--jiter", "0.1"}, scenarios::kNearnetFlags),
+              "unknown flag --jiter");
+    EXPECT_EQ(rejection({"--bg-ppps", "200"}, scenarios::kAudiocastFlags),
+              "unknown flag --bg-ppps");
+    // The grid axes belong to the sweep, and one testbed's knobs are not
+    // another's.
+    EXPECT_EQ(rejection({"--buffers", "4..16"}, scenarios::kSharedLanFlags),
+              "unknown flag --buffers");
+    EXPECT_EQ(rejection({"--pings", "10"}, scenarios::kAudiocastFlags),
+              "unknown flag --pings");
+    EXPECT_EQ(rejection({"--trials", "2"}, scenarios::kNearnetFlags),
+              "unknown flag --trials");
+}
+
+TEST(CliFlags, SharedLanRejectsABackgroundSourceThatCannotAdvance) {
+    // `scenario run shared_lan --bg-period 0` and the sweep with it hung;
+    // `--max-time -5` ran nothing and exited 0. Each now throws, which
+    // the CLI reports with exit 2.
+    scenarios::register_builtin_scenarios();
+    const auto& registry = scenarios::ScenarioRegistry::instance();
+    EXPECT_THROW(registry.run("shared_lan", {{"bg-period", "0"}}),
+                 std::invalid_argument);
+    EXPECT_THROW(registry.run("shared_lan", {{"bg-period", "0"}, {"trials", "2"}}),
+                 std::invalid_argument);
+    EXPECT_THROW(registry.run("shared_lan", {{"max-time", "-5"}}),
+                 std::invalid_argument);
+    EXPECT_THROW(scenarios::run_shared_lan_sweep(
+                     {{"bg-period", "0"}, {"loads", "0.8,1.2"}, {"max-time", "10"}}),
+                 std::invalid_argument);
+    EXPECT_THROW(scenarios::run_shared_lan_sweep({{"max-time", "-5"}}),
+                 std::invalid_argument);
 }
 
 TEST(CliFlags, TrialsDefaultsToFallbackWhenAbsent) {

@@ -12,7 +12,8 @@
 // vs finite link rate (the coalesced drain cascade), drop-tail vs RED
 // (the devirtualized queue thunks and the RED lottery), tiny queues
 // (overflow drops), carrier flaps (down-drops mid-run), multi-hop chains
-// (batched handoff), and CSMA/CD LANs (the fused broadcast fan-out).
+// (batched handoff), and CSMA/CD LANs (the fused broadcast fan-out,
+// with random listener sets and frame types).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -134,6 +135,8 @@ struct LanCase {
     std::uint32_t max_bytes = 1000;
     double window_ms = 20.0;
     std::uint64_t seed = 1;
+    /// Station i's listener set; stations past the end hear every type.
+    std::vector<PacketTypeSet> hears;
 };
 
 RunRecord run_lan_case(const LanCase& c, DispatchMode mode) {
@@ -155,20 +158,25 @@ RunRecord run_lan_case(const LanCase& c, DispatchMode mode) {
 
     RunRecord rec;
     for (int s = 0; s < c.stations; ++s) {
-        (void)lan.attach([&rec, &engine, s](const Packet& p) {
-            rec.deliveries.push_back(std::to_string(s) + ":" +
-                                     std::to_string(p.seq) + "@" +
-                                     std::to_string(engine.now().sec()));
-        });
+        const auto i = static_cast<std::size_t>(s);
+        (void)lan.attach(
+            [&rec, &engine, s](const Packet& p) {
+                rec.deliveries.push_back(std::to_string(s) + ":" +
+                                         std::to_string(p.seq) + "@" +
+                                         std::to_string(engine.now().sec()));
+            },
+            i < c.hears.size() ? c.hears[i] : PacketTypeSet::all());
     }
 
     std::mt19937_64 rng{c.seed};
     std::uniform_real_distribution<double> when{0.0, c.window_ms};
     std::uniform_int_distribution<int> which{0, c.stations - 1};
     std::uniform_int_distribution<std::uint32_t> bytes{64, c.max_bytes};
+    constexpr PacketType kTypes[] = {PacketType::Data, PacketType::RoutingUpdate,
+                                     PacketType::Audio};
     for (int i = 0; i < c.frames; ++i) {
         Packet p;
-        p.type = PacketType::Data;
+        p.type = kTypes[rng() % 3];
         p.src = which(rng);
         p.dst = -1;
         p.seq = static_cast<std::uint64_t>(i);
@@ -235,6 +243,17 @@ TEST(ElementFastPath, RandomizedLanConfigsMatchVirtual) {
         c.max_bytes = 200 + static_cast<std::uint32_t>(gen() % 1300);
         c.window_ms = 5.0 + static_cast<double>(gen() % 40);
         c.seed = gen();
+        // Listener sets: everything, one type, two types or nothing.
+        const PacketTypeSet menu[] = {
+            PacketTypeSet::all(),
+            {PacketType::RoutingUpdate},
+            {PacketType::Data},
+            {PacketType::Data, PacketType::RoutingUpdate},
+            {PacketType::Audio, PacketType::PingRequest},
+            {}};
+        for (int s = 0; s < c.stations; ++s) {
+            c.hears.push_back(menu[gen() % std::size(menu)]);
+        }
 
         const RunRecord fast = run_lan_case(c, DispatchMode::Fast);
         const RunRecord virt = run_lan_case(c, DispatchMode::Virtual);

@@ -119,4 +119,63 @@ TEST(Engine, SelfPerpetuatingChainRunsToHorizon) {
     EXPECT_EQ(ticks, 101); // t = 0..100
 }
 
+/// Counts live copies of a callback's capture.
+struct LiveCapture {
+    int* live;
+    explicit LiveCapture(int* counter) : live{counter} { ++*live; }
+    LiveCapture(LiveCapture&& other) noexcept : live{other.live} { other.live = nullptr; }
+    LiveCapture(const LiveCapture&) = delete;
+    LiveCapture& operator=(const LiveCapture&) = delete;
+    LiveCapture& operator=(LiveCapture&&) = delete;
+    ~LiveCapture() {
+        if (live != nullptr) {
+            --*live;
+        }
+    }
+};
+
+TEST(Engine, EachCallbackIsDestroyedRightAfterItRuns) {
+    // A callback's captures are released as soon as it has run — before
+    // the next event runs, whether the engine is driven by run_until(),
+    // run() or step().
+    for (int way = 0; way < 3; ++way) {
+        Engine e;
+        int live = 0;
+        std::vector<int> seen;
+        e.schedule_at(1_sec, [c = LiveCapture{&live}] {});
+        e.schedule_at(2_sec, [&live, &seen] { seen.push_back(live); });
+        e.schedule_at(3_sec, [c = LiveCapture{&live}] {});
+        e.schedule_at(4_sec, [&live, &seen] { seen.push_back(live); });
+        EXPECT_EQ(live, 2);
+        if (way == 0) {
+            e.run_until(10_sec);
+        } else if (way == 1) {
+            e.run();
+        } else {
+            while (e.step()) {
+            }
+        }
+        EXPECT_EQ(seen, (std::vector<int>{1, 0})) << "way " << way;
+        EXPECT_EQ(live, 0);
+    }
+}
+
+TEST(Engine, RunUntilLeavesLaterAndCancelledEventsAlone) {
+    Engine e;
+    std::vector<int> order;
+    const auto dead = e.schedule_at(1_sec, [&] { order.push_back(1); });
+    e.schedule_at(2_sec, [&] { order.push_back(2); });
+    e.schedule_at(3_sec, [&] { order.push_back(3); });
+    ASSERT_TRUE(e.cancel(dead));
+    e.run_until(2.5_sec);
+    EXPECT_EQ(order, std::vector<int>{2});
+    EXPECT_EQ(e.now(), 2.5_sec);
+    EXPECT_EQ(e.pending_events(), 1U);
+    EXPECT_EQ(e.events_processed(), 1U);
+    EXPECT_TRUE(e.step());
+    EXPECT_EQ(e.now(), 3_sec);
+    EXPECT_FALSE(e.step());
+    EXPECT_EQ(order, (std::vector<int>{2, 3}));
+}
+
 } // namespace

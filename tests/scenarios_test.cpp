@@ -2,6 +2,8 @@
 // covered in integration_test.cpp; these check construction invariants).
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "scenarios/scenarios.hpp"
 
 namespace {
@@ -94,6 +96,50 @@ TEST(AudiocastScenario, PathsExistForAudioAndBackground) {
     engine.run_until(1_sec);
     EXPECT_EQ(audio, 1);
     EXPECT_EQ(bg, 1);
+}
+
+TEST(SharedLanScenario, RejectsABackgroundSourceThatCannotAdvance) {
+    // A positive burst every 0 s rescheduled itself at one instant
+    // forever: the run hung instead of failing.
+    scenarios::SharedLanScenarioConfig cfg;
+    cfg.max_time = 10_sec;
+    cfg.bg_period = sim::SimTime::zero();
+    EXPECT_THROW(scenarios::run_shared_lan_scenario(cfg), std::invalid_argument);
+    cfg.bg_period = sim::SimTime::seconds(-0.05);
+    EXPECT_THROW(scenarios::run_shared_lan_scenario(cfg), std::invalid_argument);
+    // With no bursts there is nothing to send: the run completes.
+    cfg.bg_burst = 0;
+    cfg.bg_period = sim::SimTime::zero();
+    const auto r = scenarios::run_shared_lan_scenario(cfg);
+    EXPECT_DOUBLE_EQ(r.end_time_s, 10.0);
+    EXPECT_GT(r.updates_sent, 0U);
+}
+
+TEST(SharedLanScenario, RejectsANegativeHorizon) {
+    scenarios::SharedLanScenarioConfig cfg;
+    cfg.max_time = sim::SimTime::seconds(-5);
+    EXPECT_THROW(scenarios::run_shared_lan_scenario(cfg), std::invalid_argument);
+    cfg.max_time = sim::SimTime::zero();
+    EXPECT_DOUBLE_EQ(scenarios::run_shared_lan_scenario(cfg).end_time_s, 0.0);
+}
+
+TEST(SharedLanScenario, EventCountOfOneRedCell) {
+    // The agents hear routing updates only, so the Data frames that make
+    // up most of the traffic cost no fan-out event: the engine runs one
+    // event fewer per delivered Data frame than when every station heard
+    // every frame. Pinned for one RED cell (buffer 8, load 1, seed 3,
+    // 300 s); every other counter is unchanged by that.
+    scenarios::SharedLanScenarioConfig cfg;
+    cfg.queue_disc = net::elements::QueueDisc::Red;
+    cfg.seed = 3;
+    cfg.max_time = sim::SimTime::seconds(300);
+    const auto r = scenarios::run_shared_lan_scenario(cfg);
+    EXPECT_EQ(r.frames_offered, 60099U);
+    EXPECT_EQ(r.frames_delivered, 47913U);
+    EXPECT_EQ(r.updates_sent, 99U);
+    EXPECT_EQ(r.updates_heard, 720U); // 80 updates on the wire x 9 agents
+    // 144 511 when every station heard all 47 833 delivered Data frames.
+    EXPECT_EQ(r.events_processed, 96678U);
 }
 
 } // namespace

@@ -674,12 +674,20 @@ int cmd_scenario(int argc, char** argv) {
         }
         const std::string name = argv[3];
         Flags flags = cli::parse_flags(argc, argv, 4);
+        const scenarios::ScenarioEntry* entry = registry.find(name);
+        const bool builtin = entry != nullptr && entry->is_builtin();
+        if (builtin) {
+            // A builtin reads only its own flags: a typo must not run the
+            // defaults. --bin-dir is the dispatch's, and builtins ignore it.
+            flags.erase("bin-dir");
+            cli::reject_unknown_flags(flags, entry->flags);
+        }
         // Junk-reject the parallel knobs up front (the registry's lenient
         // atoi parsing would read "--jobs 8x" as 8): a typo'd worker or
         // trial count must be an error, not a silently different run.
         (void)cli::flag_trials(flags, 1);
         (void)cli::flag_jobs(flags, 1);
-        if (!flags.contains("bin-dir")) {
+        if (!builtin && !flags.contains("bin-dir")) {
             // argv[0] is <build>/tools/routesync; the figure and example
             // binaries live in <build>/bench and <build>/examples.
             std::string self = argv[0];
@@ -702,6 +710,7 @@ int cmd_scenario(int argc, char** argv) {
                 "'"};
         }
         const Flags flags = cli::parse_flags(argc, argv, 4);
+        cli::reject_unknown_flags(flags, scenarios::kSharedLanSweepFlags);
         (void)cli::flag_trials(flags, 1);
         (void)cli::flag_jobs(flags, 1);
         return scenarios::run_shared_lan_sweep(flags);
@@ -747,7 +756,8 @@ void usage() {
                  "  threshold --n --tp --tr --tc [--f2 rounds] [--n-max N]\n"
                  "  f2        --n --tp --tr --tc [--reps] [--seed] [--jobs N]\n"
                  "  (pm, chain, sweep, threshold and f2 exit 1 on a flag they\n"
-                 "  do not read; trace and analyze exit 2)\n"
+                 "  do not read; trace, analyze and the builtin scenarios\n"
+                 "  exit 2)\n"
                  "  trace     <summary|filter|export-chrome|replay-check> --in FILE\n"
                  "            summary:       [--round SEC] [--bins N]\n"
                  "            filter:        [--type a,b] [--node N] [--from T]\n"
