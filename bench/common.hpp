@@ -37,13 +37,14 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "cli/flags.hpp"
 #include "obs/run_context.hpp"
-#include "parallel/parallel_for.hpp"
-#include "tools/flags.hpp"
+#include "parallel/task_pool.hpp"
 
 namespace routesync::bench {
 
@@ -196,18 +197,13 @@ inline Options& parse_options(int argc, char** argv, const OptionsSpec& spec = {
                 o.jobs = parallel::hardware_jobs();
                 continue;
             }
-            char* end = nullptr;
-            const long n = std::strtol(value.c_str(), &end, 10);
-            if (end == value.c_str() || *end != '\0' || n < 0) {
-                std::fprintf(stderr,
-                             "error: --jobs must be a non-negative integer"
-                             " (0 = auto-detect), got '%s'\n",
-                             value.c_str());
+            try {
+                // 0 = auto-detect the hardware concurrency.
+                o.jobs = cli::flag_jobs({{"jobs", value}}, parallel::hardware_jobs());
+            } catch (const std::invalid_argument& e) {
+                std::fprintf(stderr, "error: %s\n", e.what());
                 std::exit(2);
             }
-            // 0 = auto-detect the hardware concurrency.
-            o.jobs = n == 0 ? parallel::hardware_jobs()
-                            : static_cast<std::size_t>(n);
         } else if (name == "seed") {
             char* end = nullptr;
             const unsigned long long s = std::strtoull(value.c_str(), &end, 10);

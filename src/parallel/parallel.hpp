@@ -1,7 +1,8 @@
-// Umbrella header for the routesync::parallel subsystem: deterministic
-// fork-join primitives (parallel_for.hpp) and the sweep-wide
-// work-stealing scheduler (sweep_scheduler.hpp).
+// Umbrella header for the routesync::parallel subsystem: the
+// work-stealing TaskPool with its index-ordered map_index
+// (task_pool.hpp), and the PM-trial sweep on top of it
+// (sweep_scheduler.hpp).
 #pragma once
 
-#include "parallel/parallel_for.hpp"    // IWYU pragma: export
 #include "parallel/sweep_scheduler.hpp" // IWYU pragma: export
+#include "parallel/task_pool.hpp"       // IWYU pragma: export

@@ -1,9 +1,5 @@
 #include "parallel/sweep_scheduler.hpp"
 
-#include <algorithm>
-#include <cassert>
-#include <utility>
-
 #include "obs/run_context.hpp"
 #include "rng/splitmix64.hpp"
 
@@ -18,7 +14,7 @@ std::uint64_t derive_seed(std::uint64_t base, std::uint64_t index) noexcept {
 }
 
 SweepScheduler::SweepScheduler(SweepSchedulerOptions options)
-    : pool_{TaskPoolOptions{options.jobs}}, batch_{options.batch} {}
+    : pool_{options.jobs}, batch_{options.batch} {}
 
 std::size_t SweepScheduler::effective_batch(std::size_t count) const noexcept {
     if (batch_ != 0) {
@@ -36,79 +32,26 @@ std::size_t SweepScheduler::effective_batch(std::size_t count) const noexcept {
     return cap < kPreferred ? cap : kPreferred;
 }
 
-std::size_t SweepScheduler::submit(core::ExperimentConfig config) {
-    const std::size_t index = count_;
-    batches_.push_back(Batch{
-        index, 1,
-        [config = std::move(config)](std::size_t) { return config; }});
-    ++count_;
-    return index;
-}
-
-std::size_t SweepScheduler::submit_generated(
-    std::size_t count,
-    std::function<core::ExperimentConfig(std::size_t)> make_config) {
-    const std::size_t index = count_;
-    if (count == 0) {
-        return index;
-    }
-    batches_.push_back(Batch{index, count, std::move(make_config)});
-    count_ += count;
-    return index;
-}
-
-core::ExperimentConfig SweepScheduler::materialize(std::size_t index) const {
-    // Find the batch containing `index`: last batch with first <= index.
-    const auto it = std::upper_bound(
-        batches_.begin(), batches_.end(), index,
-        [](std::size_t i, const Batch& b) { return i < b.first; });
-    assert(it != batches_.begin());
-    const Batch& batch = *std::prev(it);
-    assert(index >= batch.first && index < batch.first + batch.count);
-    return batch.make(index - batch.first);
-}
-
-std::vector<core::ExperimentResult> SweepScheduler::run() {
-    const std::size_t count = count_;
-    std::vector<core::ExperimentResult> results(count);
-
-    const auto run_chunk = [&](std::size_t lo, std::size_t len) {
-        for (std::size_t i = lo; i < lo + len; ++i) {
-            core::ExperimentConfig config = materialize(i);
-            config.obs = nullptr; // a RunContext is not safe across workers
-            results[i] = core::run_experiment(config);
-        }
-    };
-
-    // The pool clears our queue even if a chunk threw: the surviving
-    // tasks already ran (independent experiments), so a rethrowing run()
-    // must not leave them queued for a retry.
-    struct ClearQueue {
-        SweepScheduler* self;
-        ~ClearQueue() {
-            self->batches_.clear();
-            self->count_ = 0;
-        }
-    } clear_queue{this};
-
-    steals_ = 0;
-    steals_ = pool_.run(count, effective_batch(count), run_chunk);
-    return results;
-}
-
 std::vector<core::ExperimentResult>
 SweepScheduler::run_all(const std::vector<core::ExperimentConfig>& configs) {
-    for (const core::ExperimentConfig& config : configs) {
-        (void)submit(config);
-    }
-    return run();
+    return run_generated(configs.size(),
+                         [&configs](std::size_t i) { return configs[i]; });
 }
 
 std::vector<core::ExperimentResult> SweepScheduler::run_generated(
     std::size_t count,
     const std::function<core::ExperimentConfig(std::size_t)>& make_config) {
-    (void)submit_generated(count, make_config);
-    return run();
+    std::vector<core::ExperimentResult> results(count);
+    const auto run_chunk = [&](std::size_t lo, std::size_t len) {
+        for (std::size_t i = lo; i < lo + len; ++i) {
+            core::ExperimentConfig config = make_config(i);
+            config.obs = nullptr; // a RunContext is not safe across workers
+            results[i] = core::run_experiment(config);
+        }
+    };
+    steals_ = 0;
+    steals_ = pool_.run(count, effective_batch(count), run_chunk);
+    return results;
 }
 
 obs::MetricsSnapshot

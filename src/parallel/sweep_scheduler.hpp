@@ -12,9 +12,8 @@
 //
 // Scheduling is delegated to parallel::TaskPool (contiguous per-worker
 // ranges, steal-back-half-of-largest, one global mutex — see
-// task_pool.hpp); this class owns what is sweep-specific: lazy config
-// materialization, the task body (one run_experiment call per task), and
-// result assembly.
+// task_pool.hpp); this class owns what is sweep-specific: the task body
+// (one run_experiment call per task) and the result slots.
 //
 // Determinism contract:
 //   * a task's config is a pure function of its submission index — a
@@ -77,51 +76,26 @@ public:
     /// sizes its chunks with it.
     [[nodiscard]] std::size_t effective_batch(std::size_t count) const noexcept;
 
-    /// Queues one task; returns its submission index. The config is
-    /// materialized now (copied), so callers may reuse their local.
-    std::size_t submit(core::ExperimentConfig config);
-
-    /// Queues `count` tasks whose configs are built on the claiming
-    /// worker: `make_config(i)` receives the batch-local index i in
-    /// [0, count). Must be a pure function of i (called concurrently,
-    /// possibly never for tasks a failed run abandons).
-    std::size_t submit_generated(
-        std::size_t count,
-        std::function<core::ExperimentConfig(std::size_t)> make_config);
-
-    /// Number of tasks currently queued.
-    [[nodiscard]] std::size_t pending() const noexcept { return count_; }
-
-    /// Runs every queued task; returns results in submission order and
-    /// clears the queue (the scheduler is reusable). First task exception
-    /// is rethrown after all workers join.
-    [[nodiscard]] std::vector<core::ExperimentResult> run();
-
-    /// One-shots: queue the configs (or `count` generated ones), then
-    /// run().
+    /// Runs one task per config; returns results in config order.
     [[nodiscard]] std::vector<core::ExperimentResult>
     run_all(const std::vector<core::ExperimentConfig>& configs);
+
+    /// Runs `count` tasks whose configs are built on the claiming worker:
+    /// `make_config(i)` receives the task index i in [0, count) and must
+    /// be a pure function of it (called concurrently, possibly never for
+    /// tasks a failed run abandons). Results come back in index order;
+    /// the first task exception is rethrown after all workers join.
     [[nodiscard]] std::vector<core::ExperimentResult> run_generated(
         std::size_t count,
         const std::function<core::ExperimentConfig(std::size_t)>& make_config);
 
-    /// Steals performed by the last run() — observability for tests and
-    /// the bench footers. 0 under jobs = 1.
+    /// Steals performed by the last run_all or run_generated —
+    /// observability for tests and the bench footers. 0 under jobs = 1.
     [[nodiscard]] std::size_t steals() const noexcept { return steals_; }
 
 private:
-    struct Batch {
-        std::size_t first = 0;
-        std::size_t count = 0;
-        std::function<core::ExperimentConfig(std::size_t)> make;
-    };
-
-    [[nodiscard]] core::ExperimentConfig materialize(std::size_t index) const;
-
     TaskPool pool_;
     std::size_t batch_;
-    std::size_t count_ = 0;
-    std::vector<Batch> batches_;
     std::size_t steals_ = 0;
 };
 

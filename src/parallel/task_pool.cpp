@@ -4,12 +4,15 @@
 #include <exception>
 #include <thread>
 
-#include "parallel/parallel_for.hpp"
-
 namespace routesync::parallel {
 
-TaskPool::TaskPool(TaskPoolOptions options)
-    : jobs_{options.jobs == 0 ? hardware_jobs() : options.jobs} {}
+std::size_t hardware_jobs() noexcept {
+    const unsigned hw = std::thread::hardware_concurrency();
+    return hw == 0 ? 1 : static_cast<std::size_t>(hw);
+}
+
+TaskPool::TaskPool(std::size_t jobs)
+    : jobs_{jobs == 0 ? hardware_jobs() : jobs} {}
 
 bool TaskPool::claim(std::size_t worker, std::size_t max_len,
                      std::size_t& out_lo, std::size_t& out_len) {

@@ -1,11 +1,12 @@
-// TaskPool: the work-stealing index pool behind every parallel fan-out.
+// TaskPool: the work-stealing index pool behind every parallel fan-out,
+// and map_index, the submission-ordered map over it.
 //
-// SweepScheduler grew this scheduling core for PM parameter sweeps; the
-// packet-level scenario sweeps need the identical discipline over a
-// different task body, so the pool lives here on its own. It schedules
-// *indices*, nothing else: run(count, chunk, body) partitions [0, count)
-// into contiguous chunks of at most `chunk` indices and invokes
-// `body(lo, len)` for each, across `jobs` workers.
+// The pool schedules *indices*, nothing else: run(count, chunk, body)
+// partitions [0, count) into contiguous chunks of at most `chunk` indices
+// and invokes `body(lo, len)` for each, across `jobs` workers. It is the
+// only place that starts worker threads; SweepScheduler (PM trials) and
+// run_scenario_sweep (shared-LAN cells) call it directly because they
+// report steals, everything else goes through map_index.
 //
 // Scheduling: each worker owns a contiguous index range. A worker
 // consumes its range front to back; when empty it steals the back half
@@ -18,7 +19,9 @@
 // never what the chunk computes. Callers that (a) derive each task's
 // inputs purely from its index and (b) write each result to a slot
 // addressed by its index get byte-identical output for every jobs
-// value — stealing changes the thread, not the task.
+// value — stealing changes the thread, not the task. map_index is that
+// pattern packaged: it is what lets higher layers promise "--jobs N
+// output is byte-identical to --jobs 1".
 //
 // Exceptions: with jobs <= 1 the inline loop propagates immediately.
 // With workers, the first chunk exception is captured and rethrown
@@ -29,19 +32,20 @@
 #include <cstddef>
 #include <functional>
 #include <mutex>
+#include <type_traits>
 #include <vector>
 
 namespace routesync::parallel {
 
-struct TaskPoolOptions {
-    /// Worker threads. 0 = hardware concurrency; 1 = run inline, no
-    /// threads.
-    std::size_t jobs = 0;
-};
+/// Default worker count: the hardware concurrency, or 1 when the runtime
+/// cannot tell (hardware_concurrency() may legitimately return 0).
+[[nodiscard]] std::size_t hardware_jobs() noexcept;
 
 class TaskPool {
 public:
-    explicit TaskPool(TaskPoolOptions options = {});
+    /// `jobs` worker threads. 0 = hardware concurrency; 1 = run inline
+    /// on the calling thread, no threads.
+    explicit TaskPool(std::size_t jobs);
 
     /// Effective worker count (never 0).
     [[nodiscard]] std::size_t jobs() const noexcept { return jobs_; }
@@ -72,5 +76,24 @@ private:
     std::vector<Range> ranges_;
     std::size_t steals_ = 0;
 };
+
+/// Maps `fn` over [0, count) on a TaskPool of `jobs` workers (0 =
+/// hardware concurrency), one index per claim, and returns the results
+/// **in index order**, regardless of which thread computed which index.
+/// R must be default-constructible (elements are pre-sized, then
+/// assigned in place).
+template <typename R, typename F>
+[[nodiscard]] std::vector<R> map_index(std::size_t count, std::size_t jobs, F&& fn) {
+    static_assert(std::is_convertible_v<std::invoke_result_t<F&, std::size_t>, R>,
+                  "map_index callable must return a value convertible to R");
+    std::vector<R> out(count);
+    TaskPool pool{jobs};
+    (void)pool.run(count, 1, [&](std::size_t lo, std::size_t len) {
+        for (std::size_t i = lo; i < lo + len; ++i) {
+            out[i] = fn(i);
+        }
+    });
+    return out;
+}
 
 } // namespace routesync::parallel

@@ -5,7 +5,10 @@
 #include <stdexcept>
 #include <string>
 
+#include <sys/wait.h>
+
 #include "apps/apps.hpp"
+#include "cli/flags.hpp"
 #include "net/elements/queue_element.hpp"
 #include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
@@ -18,21 +21,14 @@ namespace routesync::scenarios {
 
 namespace {
 
-double flag_d(const ScenarioFlags& flags, const std::string& key,
-              double fallback) {
-    const auto it = flags.find(key);
-    return it == flags.end() ? fallback : std::atof(it->second.c_str());
-}
+using cli::flag_d;
+using cli::flag_i;
+using cli::flag_s;
 
-int flag_i(const ScenarioFlags& flags, const std::string& key, int fallback) {
-    const auto it = flags.find(key);
-    return it == flags.end() ? fallback : std::atoi(it->second.c_str());
-}
-
-std::string flag_s(const ScenarioFlags& flags, const std::string& key,
-                   const std::string& fallback = {}) {
-    const auto it = flags.find(key);
-    return it == flags.end() ? fallback : it->second;
+/// `--jobs` for the shared-LAN runs: absent is 1 (one cell at a time),
+/// 0 the hardware concurrency (the TaskPool's auto setting).
+std::size_t shared_lan_jobs(const ScenarioFlags& flags) {
+    return flags.contains("jobs") ? cli::flag_jobs(flags, 0) : 1;
 }
 
 // ---- builtin: nearnet ---------------------------------------------------
@@ -169,16 +165,15 @@ void set_shared_lan_manifest_config(obs::Manifest& m,
 }
 
 int run_shared_lan_trials(const ScenarioFlags& flags,
-                          const SharedLanScenarioConfig& cfg, int trials);
+                          const SharedLanScenarioConfig& cfg, int trials,
+                          std::size_t jobs);
 
 int run_shared_lan(const ScenarioFlags& flags) {
     SharedLanScenarioConfig cfg = parse_shared_lan_config(flags);
-    const int trials = flag_i(flags, "trials", 1);
-    if (trials < 1) {
-        throw std::invalid_argument{"shared_lan: --trials must be >= 1"};
-    }
+    const int trials = cli::flag_trials(flags, 1);
+    const std::size_t jobs = shared_lan_jobs(flags);
     if (trials > 1) {
-        return run_shared_lan_trials(flags, cfg, trials);
+        return run_shared_lan_trials(flags, cfg, trials, jobs);
     }
 
     const SharedLanScenarioResult r = run_shared_lan_scenario(cfg);
@@ -316,13 +311,14 @@ void print_cell_row(const ScenarioSweepCell& cell) {
 }
 
 int run_shared_lan_trials(const ScenarioFlags& flags,
-                          const SharedLanScenarioConfig& cfg, int trials) {
+                          const SharedLanScenarioConfig& cfg, int trials,
+                          std::size_t jobs) {
     ScenarioSweepConfig sc;
     sc.base = cfg;
     sc.buffers = {cfg.queue_packets};
     sc.loads = {1.0};
     sc.trials = trials;
-    sc.jobs = static_cast<std::size_t>(flag_i(flags, "jobs", 1));
+    sc.jobs = jobs;
     const ScenarioSweepResult sweep = run_scenario_sweep(sc);
 
     // Stdout carries no jobs/steals: `--jobs N` must be byte-identical
@@ -404,12 +400,8 @@ int run_shared_lan_sweep(const ScenarioFlags& flags) {
     sc.buffers = parse_buffer_list(
         flag_s(flags, "buffers", std::to_string(sc.base.queue_packets)));
     sc.loads = parse_load_list(flag_s(flags, "loads", "1"));
-    sc.trials = flag_i(flags, "trials", 1);
-    if (sc.trials < 1) {
-        throw std::invalid_argument{
-            "scenario sweep: --trials must be >= 1"};
-    }
-    sc.jobs = static_cast<std::size_t>(flag_i(flags, "jobs", 1));
+    sc.trials = cli::flag_trials(flags, 1);
+    sc.jobs = shared_lan_jobs(flags);
     const ScenarioSweepResult sweep = run_scenario_sweep(sc);
 
     // Stdout carries no jobs/steals: `--jobs N` must be byte-identical
@@ -536,7 +528,9 @@ int ScenarioRegistry::run(const std::string& name,
     if (status < 0) {
         throw std::runtime_error{"scenario run: failed to exec " + cmd};
     }
-    return status == 0 ? 0 : 1;
+    // The binary's own exit status (2 for a flag it rejects); 1 if a
+    // signal ended it.
+    return WIFEXITED(status) ? WEXITSTATUS(status) : 1;
 }
 
 void register_builtin_scenarios() {

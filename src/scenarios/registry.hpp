@@ -5,10 +5,9 @@
 // single answer. Entries come in two kinds:
 //
 //   * builtin  — a std::function runner linked into this library. It
-//     receives the parsed --flag map (the same shape as cli::Flags; the
-//     registry deliberately takes std::map<std::string, std::string>
-//     rather than including tools/flags.hpp, so the library keeps zero
-//     dependency on the CLI layer) and returns a process exit code.
+//     receives the parsed --flag map (cli::Flags, read with the same
+//     header-only readers as the CLI: src/cli/flags.hpp) and returns a
+//     process exit code.
 //   * external — a relative path to a standalone binary (the figures and
 //     examples keep their own main()s). run() resolves the path against
 //     the --bin-dir flag and executes it, forwarding the remaining
@@ -93,8 +92,8 @@ public:
 
     /// Dispatches to the named entry. Builtins run in-process; external
     /// entries exec "<bin-dir>/<binary>" (bin-dir from `flags`, default
-    /// ".") with the remaining flags forwarded. Throws
-    /// std::invalid_argument for an unknown name.
+    /// ".") with the remaining flags forwarded and return its exit
+    /// status. Throws std::invalid_argument for an unknown name.
     int run(const std::string& name, const ScenarioFlags& flags) const;
 
 private:

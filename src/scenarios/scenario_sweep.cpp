@@ -50,7 +50,7 @@ ScenarioSweepResult run_scenario_sweep(const ScenarioSweepConfig& config) {
     // One cell = one chunk: cells are whole simulations (seconds, not
     // microseconds), so per-cell claims give the stealing its finest
     // granularity.
-    parallel::TaskPool pool{parallel::TaskPoolOptions{config.jobs}};
+    parallel::TaskPool pool{config.jobs};
     sweep.jobs = pool.jobs();
     sweep.steals = pool.run(count, 1, [&](std::size_t lo, std::size_t len) {
         for (std::size_t i = lo; i < lo + len; ++i) {

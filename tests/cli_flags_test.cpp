@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -367,6 +369,79 @@ TEST(CliFlags, SharedLanRejectsABackgroundSourceThatCannotAdvance) {
                  std::invalid_argument);
 }
 
+TEST(CliFlags, SharedLanRejectsJunkJobsAndTrialsBeforeAnyCellRuns) {
+    // The shared-LAN runners read --jobs and --trials with atoi: `--jobs
+    // -1` started one thread per cell, and `--jobs 2x --trials 2x` ran 2
+    // cells on 2 workers. Both now use the CLI's strict readers and
+    // throw before a cell runs, so nothing reaches stdout.
+    scenarios::register_builtin_scenarios();
+    const auto& registry = scenarios::ScenarioRegistry::instance();
+    const std::vector<scenarios::ScenarioFlags> junk{
+        {{"jobs", "-1"}, {"trials", "2"}, {"max-time", "1"}},
+        {{"jobs", "2x"}, {"trials", "2"}, {"max-time", "1"}},
+        {{"trials", "2x"}, {"max-time", "1"}},
+        {{"trials", "0"}, {"max-time", "1"}},
+    };
+    for (const scenarios::ScenarioFlags& flags : junk) {
+        const std::string what =
+            flags.contains("jobs") ? "--jobs " + flags.at("jobs")
+                                   : "--trials " + flags.at("trials");
+        testing::internal::CaptureStdout();
+        EXPECT_THROW(scenarios::run_shared_lan_sweep(flags),
+                     std::invalid_argument)
+            << what;
+        EXPECT_THROW(registry.run("shared_lan", flags), std::invalid_argument)
+            << what;
+        EXPECT_EQ(testing::internal::GetCapturedStdout(), "") << what;
+    }
+    // A single-trial run reads --jobs too: a junk worker count is an
+    // error even where only one cell runs.
+    EXPECT_THROW(registry.run("shared_lan", {{"jobs", "-1"}, {"max-time", "1"}}),
+                 std::invalid_argument);
+}
+
+TEST(CliFlags, SweepGridRejectsAStepThatCannotAdvance) {
+    // `routesync sweep --step 0` (or --step abc, which atof reads as 0)
+    // appended to the grid until allocation failed.
+    EXPECT_THROW(sweep_grid(0.5, 3.0, 0.0), std::invalid_argument);
+    EXPECT_THROW(sweep_grid(0.5, 3.0, -0.05), std::invalid_argument);
+    EXPECT_THROW(sweep_grid(0.5, 3.0, std::nan("")), std::invalid_argument);
+    EXPECT_THROW(sweep_grid(0.5, 3.0, std::numeric_limits<double>::infinity()),
+                 std::invalid_argument);
+    // A positive step below the spacing of doubles near --from never
+    // moves it; the point cap ends the loop.
+    EXPECT_THROW(sweep_grid(0.5, 3.0, 1e-17), std::invalid_argument);
+    EXPECT_THROW(sweep_grid(0.0, static_cast<double>(kMaxSweepPoints), 1.0),
+                 std::invalid_argument);
+    EXPECT_EQ(sweep_grid(0.0, static_cast<double>(kMaxSweepPoints - 1), 1.0).size(),
+              kMaxSweepPoints);
+}
+
+TEST(CliFlags, SweepGridAccumulatesOneStepAtATime) {
+    // The default grid, built exactly as the CLI always built it: the
+    // rounding that accumulates over 50 steps stays in every value.
+    const std::vector<double> grid = sweep_grid(0.5, 3.0, 0.05);
+    ASSERT_EQ(grid.size(), 51U);
+    double x = 0.5;
+    for (const double value : grid) {
+        EXPECT_EQ(value, x);
+        x += 0.05;
+    }
+    EXPECT_EQ(sweep_grid(1.0, 1.0, 0.2), (std::vector<double>{1.0}));
+    EXPECT_TRUE(sweep_grid(2.0, 1.0, 0.2).empty());
+}
+
+TEST(CliFlags, SimTrialsRejectsNegativesAndJunk) {
+    // `sweep --sim-trials -3` exited 0 without the simulation column.
+    EXPECT_EQ(flag_count(parse({}), "sim-trials", 0, 0), 0);
+    EXPECT_EQ(flag_count(parse({"--sim-trials", "0"}), "sim-trials", 0, 0), 0);
+    EXPECT_EQ(flag_count(parse({"--sim-trials", "2"}), "sim-trials", 0, 0), 2);
+    EXPECT_THROW(flag_count(parse({"--sim-trials", "-3"}), "sim-trials", 0, 0),
+                 std::invalid_argument);
+    EXPECT_THROW(flag_count(parse({"--sim-trials", "2x"}), "sim-trials", 0, 0),
+                 std::invalid_argument);
+}
+
 TEST(CliFlags, TrialsDefaultsToFallbackWhenAbsent) {
     EXPECT_EQ(flag_trials(parse({}), 1), 1);
     EXPECT_EQ(flag_trials(parse({}), 5), 5);
@@ -390,6 +465,9 @@ TEST(CliFlags, TrialsRejectsZeroNegativesAndJunk) {
     EXPECT_THROW(flag_trials(parse({"--trials", "2x"}), 1),
                  std::invalid_argument);
     EXPECT_THROW(flag_trials(parse({"--trials", ""}), 1),
+                 std::invalid_argument);
+    // Beyond int: 2^32 + 1 used to wrap to 1.
+    EXPECT_THROW(flag_trials(parse({"--trials", "4294967297"}), 1),
                  std::invalid_argument);
 }
 

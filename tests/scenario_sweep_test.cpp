@@ -6,13 +6,10 @@
 // witness.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstddef>
-#include <mutex>
 #include <stdexcept>
 #include <vector>
 
-#include "parallel/task_pool.hpp"
 #include "scenarios/scenario_sweep.hpp"
 
 namespace {
@@ -137,62 +134,6 @@ TEST(ScenarioSweep, JobsOneVsEightAreIdentical) {
         EXPECT_EQ(a.result.full_sync_time_s, b.result.full_sync_time_s);
         EXPECT_EQ(a.result.end_time_s, b.result.end_time_s);
     }
-}
-
-// ---- TaskPool (the extracted scheduling core) ---------------------------
-
-TEST(TaskPool, CoversEveryIndexExactlyOnce) {
-    parallel::TaskPool pool{parallel::TaskPoolOptions{8}};
-    constexpr std::size_t kCount = 1000;
-    std::vector<int> hits(kCount, 0);
-    std::mutex m;
-    (void)pool.run(kCount, 7, [&](std::size_t lo, std::size_t len) {
-        const std::lock_guard<std::mutex> lock{m};
-        for (std::size_t i = lo; i < lo + len; ++i) {
-            hits[i] += 1;
-        }
-    });
-    for (std::size_t i = 0; i < kCount; ++i) {
-        ASSERT_EQ(hits[i], 1) << "index " << i;
-    }
-}
-
-TEST(TaskPool, InlinePathRunsInOrderAndPropagates) {
-    parallel::TaskPool pool{parallel::TaskPoolOptions{1}};
-    std::vector<std::size_t> order;
-    const std::size_t steals =
-        pool.run(10, 3, [&](std::size_t lo, std::size_t len) {
-            for (std::size_t i = lo; i < lo + len; ++i) {
-                order.push_back(i);
-            }
-        });
-    EXPECT_EQ(steals, 0U);
-    ASSERT_EQ(order.size(), 10U);
-    for (std::size_t i = 0; i < order.size(); ++i) {
-        EXPECT_EQ(order[i], i);
-    }
-    EXPECT_THROW(
-        (void)pool.run(3, 1,
-                       [](std::size_t, std::size_t) {
-                           throw std::runtime_error{"boom"};
-                       }),
-        std::runtime_error);
-}
-
-TEST(TaskPool, WorkerExceptionIsRethrownAfterDrain) {
-    parallel::TaskPool pool{parallel::TaskPoolOptions{4}};
-    std::atomic<int> ran{0};
-    EXPECT_THROW(
-        (void)pool.run(64, 1,
-                       [&](std::size_t lo, std::size_t) {
-                           ran.fetch_add(1);
-                           if (lo == 13) {
-                               throw std::runtime_error{"boom"};
-                           }
-                       }),
-        std::runtime_error);
-    // Independent tasks keep running; only the failing chunk is lost.
-    EXPECT_EQ(ran.load(), 64);
 }
 
 } // namespace

@@ -197,12 +197,13 @@ int cmd_sweep(const Flags& flags) {
     const double from = flag_d(flags, "from", 0.5); // in units of Tc
     const double to = flag_d(flags, "to", 3.0);
     const double step = flag_d(flags, "step", 0.05);
+    const std::vector<double> grid = cli::sweep_grid(from, to, step);
     const std::size_t jobs = flag_jobs(flags, parallel::hardware_jobs());
     // --sim-trials T (> 0) runs T Periodic Messages simulations per grid
     // point alongside the chain and appends a sim_frac_unsync column: the
     // mean fraction of closed rounds that were fully unsynchronized,
     // measured over --sim-max-time seconds. Default output is unchanged.
-    const int sim_trials = flag_i(flags, "sim-trials", 0);
+    const int sim_trials = cli::flag_count(flags, "sim-trials", 0, 0);
     const double sim_max_time = flag_d(flags, "sim-max-time", 1e4);
     const auto sim_seed = static_cast<std::uint64_t>(flag_i(flags, "seed", 1));
     obs::RunContext ctx;
@@ -210,10 +211,6 @@ int cmd_sweep(const Flags& flags) {
     const std::string out = flag_s(flags, "out");
     if (!trace.empty()) {
         ctx.trace_to_file(trace);
-    }
-    std::vector<double> grid;
-    for (double x = from; x <= to + 1e-12; x += step) {
-        grid.push_back(x);
     }
     struct Row {
         double tr_s, frac, fn_s, g1_s;
@@ -682,11 +679,6 @@ int cmd_scenario(int argc, char** argv) {
             flags.erase("bin-dir");
             cli::reject_unknown_flags(flags, entry->flags);
         }
-        // Junk-reject the parallel knobs up front (the registry's lenient
-        // atoi parsing would read "--jobs 8x" as 8): a typo'd worker or
-        // trial count must be an error, not a silently different run.
-        (void)cli::flag_trials(flags, 1);
-        (void)cli::flag_jobs(flags, 1);
         if (!builtin && !flags.contains("bin-dir")) {
             // argv[0] is <build>/tools/routesync; the figure and example
             // binaries live in <build>/bench and <build>/examples.
@@ -711,8 +703,6 @@ int cmd_scenario(int argc, char** argv) {
         }
         const Flags flags = cli::parse_flags(argc, argv, 4);
         cli::reject_unknown_flags(flags, scenarios::kSharedLanSweepFlags);
-        (void)cli::flag_trials(flags, 1);
-        (void)cli::flag_jobs(flags, 1);
         return scenarios::run_shared_lan_sweep(flags);
     }
     throw std::invalid_argument{"scenario: unknown action '" + action + "'"};
@@ -755,9 +745,8 @@ void usage() {
                  "            [--trace FILE] [--out MANIFEST] (Tr in units of Tc)\n"
                  "  threshold --n --tp --tr --tc [--f2 rounds] [--n-max N]\n"
                  "  f2        --n --tp --tr --tc [--reps] [--seed] [--jobs N]\n"
-                 "  (pm, chain, sweep, threshold and f2 exit 1 on a flag they\n"
-                 "  do not read; trace, analyze and the builtin scenarios\n"
-                 "  exit 2)\n"
+                 "  (every command exits 2 on a flag it does not read or a\n"
+                 "  malformed value)\n"
                  "  trace     <summary|filter|export-chrome|replay-check> --in FILE\n"
                  "            summary:       [--round SEC] [--bins N]\n"
                  "            filter:        [--type a,b] [--node N] [--from T]\n"
@@ -834,6 +823,10 @@ int main(int argc, char** argv) {
         if (cmd == "f2") {
             return cmd_f2(flags);
         }
+    } catch (const std::invalid_argument& e) {
+        // A rejected flag or value is a usage error, as for every command.
+        std::fprintf(stderr, "error: %s\n", e.what());
+        return 2;
     } catch (const std::exception& e) {
         std::fprintf(stderr, "error: %s\n", e.what());
         return 1;
