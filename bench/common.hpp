@@ -254,6 +254,19 @@ inline Options& parse_options(int argc, char** argv, const std::string& descript
     return parse_options(argc, argv, spec);
 }
 
+/// Runs `read`, a cli:: reader of an extra flag (cli::flag_i(
+/// options.extra, ...)); a malformed value is a usage error and exits 2,
+/// like the common flags above.
+template <typename Read>
+auto read_extra(Read read) {
+    try {
+        return read();
+    } catch (const std::invalid_argument& e) {
+        std::fprintf(stderr, "error: %s\n", e.what());
+        std::exit(2);
+    }
+}
+
 /// Stream for human-facing output: stdout normally, stderr under --json
 /// (stdout then carries machine rows only), null under --quiet.
 inline FILE* chatter() {

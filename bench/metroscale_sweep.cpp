@@ -134,9 +134,12 @@ int main(int argc, char** argv) {
                        "frac unsync, ns/router-round, ns/tx, setup_ms, "
                        "bytes/router, peak RSS";
     const Options& options = parse_options(argc, argv, spec);
-    const int max_n = cli::flag_i(options.extra, "max-n", 100000);
-    const double sim_seconds = cli::flag_d(options.extra, "sim-time", 20000.0);
-    const int trials_small = cli::flag_i(options.extra, "trials", 3);
+    const int max_n =
+        read_extra([&] { return cli::flag_i(options.extra, "max-n", 100000); });
+    const double sim_seconds =
+        read_extra([&] { return cli::flag_d(options.extra, "sim-time", 20000.0); });
+    const int trials_small =
+        read_extra([&] { return cli::flag_i(options.extra, "trials", 3); });
     const std::uint64_t base_seed = options.seed_or(1993);
 
     header("Metro-scale sweep",

@@ -69,8 +69,9 @@ int main(int argc, char** argv) {
                        "load x trial grid) timed at --jobs 1/4/8; every "
                        "pass must agree on transmissions and trace digest";
     const Options& options = parse_options(argc, argv, spec);
-    const double max_time = cli::flag_d(options.extra, "max-time", 300.0);
-    const int trials = cli::flag_trials(options.extra, 3);
+    const double max_time =
+        read_extra([&] { return cli::flag_d(options.extra, "max-time", 300.0); });
+    const int trials = read_extra([&] { return cli::flag_trials(options.extra, 3); });
 
     scenarios::ScenarioSweepConfig sweep_cfg;
     sweep_cfg.base.queue_disc = net::elements::QueueDisc::Red;

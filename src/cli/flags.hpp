@@ -6,6 +6,8 @@
 #pragma once
 
 #include <algorithm>
+#include <cerrno>
+#include <cmath>
 #include <cstddef>
 #include <cstdlib>
 #include <limits>
@@ -48,16 +50,6 @@ inline Flags parse_flags(int argc, char** argv, int first) {
     return flags;
 }
 
-inline double flag_d(const Flags& flags, const std::string& key, double fallback) {
-    const auto it = flags.find(key);
-    return it == flags.end() ? fallback : std::atof(it->second.c_str());
-}
-
-inline int flag_i(const Flags& flags, const std::string& key, int fallback) {
-    const auto it = flags.find(key);
-    return it == flags.end() ? fallback : std::atoi(it->second.c_str());
-}
-
 inline bool flag_b(const Flags& flags, const std::string& key) {
     return flags.contains(key);
 }
@@ -68,17 +60,70 @@ inline std::string flag_s(const Flags& flags, const std::string& key,
     return it == flags.end() ? fallback : it->second;
 }
 
-/// `value` as a base-10 integer in [min, max]; nullopt for non-numeric
-/// junk and for a value out of range. The integer rule behind flag_jobs
-/// and flag_count.
+/// `value` as a base-10 integer in [min, max]; nullopt for an empty
+/// value, non-numeric junk (trailing junk included) and a value out of
+/// range. The integer rule behind flag_i, flag_jobs and flag_count.
 inline std::optional<long> parse_integer(const std::string& value, long min,
                                          long max) {
     char* end = nullptr;
+    errno = 0;
     const long n = std::strtol(value.c_str(), &end, 10);
-    if (end == value.c_str() || *end != '\0' || n < min || n > max) {
+    if (end == value.c_str() || *end != '\0' || errno == ERANGE || n < min ||
+        n > max) {
         return std::nullopt;
     }
     return n;
+}
+
+/// `value` as a finite real number (strtod syntax: "0.11", "1e5");
+/// nullopt for an empty value, trailing junk, a value beyond double's
+/// range, inf and nan. The rule behind flag_d.
+inline std::optional<double> parse_real(const std::string& value) {
+    char* end = nullptr;
+    errno = 0;
+    const double x = std::strtod(value.c_str(), &end);
+    if (end == value.c_str() || *end != '\0' || errno == ERANGE ||
+        !std::isfinite(x)) {
+        return std::nullopt;
+    }
+    return x;
+}
+
+/// Parses an integer flag `--key`: absent -> `fallback`. A value that is
+/// not an int (empty, junk such as "5x", out of range) throws, like
+/// --jobs: a run with a silently truncated value would be worse than an
+/// error.
+inline int flag_i(const Flags& flags, const std::string& key, int fallback) {
+    const auto it = flags.find(key);
+    if (it == flags.end()) {
+        return fallback;
+    }
+    const auto n = parse_integer(it->second, std::numeric_limits<int>::min(),
+                                 std::numeric_limits<int>::max());
+    if (!n) {
+        throw std::invalid_argument{"--" + key + " must be an integer in [" +
+                                    std::to_string(std::numeric_limits<int>::min()) +
+                                    ", " +
+                                    std::to_string(std::numeric_limits<int>::max()) +
+                                    "], got '" + it->second + "'"};
+    }
+    return static_cast<int>(*n);
+}
+
+/// Parses a real-number flag `--key`: absent -> `fallback`. A value that
+/// is not a finite number (empty, junk such as "0.1abc", out of range)
+/// throws.
+inline double flag_d(const Flags& flags, const std::string& key, double fallback) {
+    const auto it = flags.find(key);
+    if (it == flags.end()) {
+        return fallback;
+    }
+    const auto x = parse_real(it->second);
+    if (!x) {
+        throw std::invalid_argument{"--" + key + " must be a number, got '" +
+                                    it->second + "'"};
+    }
+    return *x;
 }
 
 /// Parses `--jobs`: worker-thread count for parallel sweeps. Absent or

@@ -175,7 +175,8 @@ public:
     /// Flushes the tracker's last group and round, then copies everything
     /// the run learned into the result. `end` is the core's final clock.
     void finish(sim::SimTime end, std::uint64_t transmissions,
-                std::uint64_t events, std::uint64_t state_bytes) {
+                std::uint64_t events, std::uint64_t pushes,
+                std::uint64_t state_bytes) {
         tracker_.finish();
         if (monitor_.has_value()) {
             // Finish at the run's end time so the coupling_edge events
@@ -210,6 +211,7 @@ public:
         result_.rounds_unsynchronized = tracker_.rounds_with_largest_at_most(1);
         result_.total_transmissions = transmissions;
         result_.events_processed = events;
+        result_.queue_pushes = pushes;
         result_.end_time_sec = end.sec();
         result_.kernel_state_bytes = state_bytes;
         finalize_metrics(config_, result_);
@@ -259,7 +261,7 @@ void run_on_engine(const ExperimentConfig& config, ExperimentResult& result) {
         engine.run_until(config.max_time);
     }
     trial.finish(engine.now(), model.total_transmissions(),
-                 engine.events_processed(), 0);
+                 engine.events_processed(), engine.queue_pushes(), 0);
 }
 
 void run_on_kernel(const ExperimentConfig& config, ExperimentResult& result) {
@@ -309,7 +311,8 @@ void run_on_kernel(const ExperimentConfig& config, ExperimentResult& result) {
         kernel.run_until(config.max_time);
     }
     trial.finish(kernel.now(), kernel.total_transmissions(),
-                 kernel.events_processed(), kernel.state_bytes());
+                 kernel.events_processed(), kernel.queue_pushes(),
+                 kernel.state_bytes());
 }
 
 } // namespace

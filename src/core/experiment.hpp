@@ -123,6 +123,11 @@ struct ExperimentResult {
     /// metrics blocks are bit-identical across backends by contract, and
     /// this number is backend-specific by nature.
     std::uint64_t kernel_state_bytes = 0;
+    /// Events the run pushed onto its event queue: PmKernel::queue_pushes()
+    /// on the kernel path (a busy check served inline is never pushed),
+    /// Engine::queue_pushes() on the engine path. Backend-specific like
+    /// kernel_state_bytes, so deliberately NOT a metric either.
+    std::uint64_t queue_pushes = 0;
     /// Synchronization analytics (set iff config.monitor was on).
     std::optional<obs::SyncReport> sync;
     /// Who-reset-whom graph (empty unless config.monitor was on).

@@ -116,15 +116,45 @@ void SharedLan::send(int station, PooledPacket p) {
     if (!st.pending) {
         st.pending = true;
         st.attempts = 0;
-        contend(station);
+        // Never in place: the caller may have more to do at this instant
+        // (a burst source queues the rest of its burst after this frame).
+        schedule(contend(station));
     }
 }
 
-void SharedLan::contend(int station) {
+// The frame-cycle trampoline. A grant is asked for only here, after the
+// step that handed `next` on has returned, so every push that step made
+// is already queued and a granted step runs exactly where its queued
+// copy would have.
+void SharedLan::run_steps(Step next) {
+    while (next.kind != Step::Kind::None) {
+        if (!fast_ || !engine_.run_inline_at(next.at)) {
+            schedule(next);
+            return;
+        }
+        next = next.kind == Step::Kind::Contend ? contend(next.station)
+                                                : transmission_done();
+    }
+}
+
+void SharedLan::schedule(Step step) {
+    if (step.kind == Step::Kind::Contend) {
+        schedule_contend(step.station, step.at);
+    } else if (step.kind == Step::Kind::TransmissionDone) {
+        tx_end_event_ = engine_.schedule_at(
+            step.at, [this] { run_steps(transmission_done()); });
+    }
+}
+
+void SharedLan::schedule_contend(int station, sim::SimTime at) {
+    engine_.schedule_at(at, [this, station] { run_steps(contend(station)); });
+}
+
+SharedLan::Step SharedLan::contend(int station) {
     auto& st = stations_[static_cast<std::size_t>(station)];
     if (q_empty(st)) {
         st.pending = false;
-        return;
+        return {};
     }
     const sim::SimTime now = engine_.now();
 
@@ -135,14 +165,14 @@ void SharedLan::contend(int station) {
             collide(station);
         } else {
             // Carrier sensed: defer, 1-persistent.
-            engine_.schedule_at(channel_free_at_, [this, station] { contend(station); });
+            schedule_contend(station, channel_free_at_);
         }
-        return;
+        return {};
     }
     if (now < channel_free_at_) {
         // Inter-frame gap / jam still on the wire.
-        engine_.schedule_at(channel_free_at_, [this, station] { contend(station); });
-        return;
+        schedule_contend(station, channel_free_at_);
+        return {};
     }
 
     // Channel idle: seize it.
@@ -153,8 +183,7 @@ void SharedLan::contend(int station) {
         static_cast<double>(q_peek(st)->size_bytes) * 8.0 /
         config_.rate_bps);
     channel_free_at_ = now + duration + config_.inter_frame_gap;
-    tx_end_event_ =
-        engine_.schedule_after(duration, [this] { transmission_done(); });
+    return {Step::Kind::TransmissionDone, station, now + duration};
 }
 
 void SharedLan::collide(int second_station) {
@@ -195,10 +224,10 @@ void SharedLan::schedule_backoff(int station) {
         rng::uniform_u64(gen_, 0, (std::uint64_t{1} << exponent) - 1);
     const sim::SimTime wait =
         config_.jam_time + config_.slot_time * static_cast<double>(slots);
-    engine_.schedule_after(wait, [this, station] { contend(station); });
+    schedule_contend(station, engine_.now() + wait);
 }
 
-void SharedLan::transmission_done() {
+SharedLan::Step SharedLan::transmission_done() {
     const int owner = current_owner_;
     transmitting_ = false;
     current_owner_ = -1;
@@ -247,7 +276,11 @@ void SharedLan::transmission_done() {
         }
     }
 
-    station_next(owner);
+    if (q_empty(st)) {
+        st.pending = false;
+        return {};
+    }
+    return {Step::Kind::Contend, owner, channel_free_at_};
 }
 
 void SharedLan::deliver_broadcast() {
@@ -259,15 +292,6 @@ void SharedLan::deliver_broadcast() {
         }
         stations_[i].deliver(*b.frame);
     }
-}
-
-void SharedLan::station_next(int station) {
-    auto& st = stations_[static_cast<std::size_t>(station)];
-    if (q_empty(st)) {
-        st.pending = false;
-        return;
-    }
-    engine_.schedule_at(channel_free_at_, [this, station] { contend(station); });
 }
 
 } // namespace routesync::net

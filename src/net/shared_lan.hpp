@@ -17,6 +17,18 @@
 // medium skip work nobody observes: a frame that no other station hears
 // still contends, occupies the wire and is counted as delivered, but
 // costs no fan-out.
+//
+// The frame cycle in place: a backlogged station's life is contend ->
+// transmission end -> contend at channel_free_at_ -> ... . Each of the
+// two steps hands the next one back to a small loop (run_steps) instead
+// of scheduling it, and in Fast dispatch the loop runs it in place
+// whenever sim::Engine::run_inline_at proves it is the engine's next
+// event; otherwise it is scheduled as before. The loop is a trampoline,
+// so a backlog of k frames never nests k calls deep. send(), which other
+// components call from inside their own callbacks, only ever schedules.
+// Execution order, RNG draws, trace events and counters are those of the
+// queued path (Virtual dispatch keeps every step queued as the
+// reference); only the engine's queue pushes fall.
 #pragma once
 
 #include <array>
@@ -123,14 +135,32 @@ private:
         bool pending = false; ///< head frame is scheduled/contending
     };
 
+    /// The step of a station's frame cycle that a step hands on: the
+    /// owner's next contend after a transmission end, or the transmission
+    /// end after a seize. Kind::None when the cycle pauses (queue empty,
+    /// deferral, collision), having scheduled whatever comes next itself.
+    struct Step {
+        enum class Kind : std::uint8_t { None, Contend, TransmissionDone };
+        Kind kind = Kind::None;
+        int station = -1;
+        sim::SimTime at;
+    };
+
     /// Station tries to seize the channel now (after carrier sense).
-    void contend(int station);
-    /// The in-flight transmission completed without collision.
-    void transmission_done();
+    /// Returns the transmission end when it seized the channel.
+    Step contend(int station);
+    /// The in-flight transmission completed without collision. Returns
+    /// the owner's next contend when its queue holds another frame.
+    Step transmission_done();
     /// A second transmitter appeared inside the collision window.
     void collide(int second_station);
     void schedule_backoff(int station);
-    void station_next(int station);
+    /// Runs `next` and the steps it hands on in place for as long as the
+    /// engine grants each (Fast dispatch only), then schedules the first
+    /// one it does not grant. Every frame-cycle event runs through here.
+    void run_steps(Step next);
+    void schedule(Step step);
+    void schedule_contend(int station, sim::SimTime at);
     /// Fast-mode fused fan-out: delivers the oldest pending broadcast to
     /// every station that hears it, in station order (see
     /// transmission_done).
@@ -171,6 +201,9 @@ private:
     int current_owner_ = -1;
     sim::SimTime tx_start_ = sim::SimTime::zero();
     sim::SimTime channel_free_at_ = sim::SimTime::zero();
+    /// The queued transmission end, which a collision cancels. A
+    /// transmission end run in place needs none: it runs straight after
+    /// the seize, so no contender can reach it.
     sim::EventHandle tx_end_event_{};
 
     SharedLanStats stats_;

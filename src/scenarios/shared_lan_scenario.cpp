@@ -177,6 +177,7 @@ SharedLanScenarioResult run_shared_lan_scenario(
                                   : std::nullopt;
     result.end_time_s = engine.now().sec();
     result.events_processed = engine.events_processed();
+    result.queue_pushes = engine.queue_pushes();
 
     const net::SharedLanStats& ls = lan.stats();
     result.frames_offered = ls.frames_offered;

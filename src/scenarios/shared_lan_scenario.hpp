@@ -98,6 +98,10 @@ struct SharedLanScenarioResult {
     /// Events the run's engine executed (library only: no CLI table or
     /// manifest prints it).
     std::uint64_t events_processed = 0;
+    /// Events the run's engine pushed onto its queue (library only, like
+    /// events_processed). The frame-cycle steps SharedLan runs in place
+    /// are counted above but never pushed.
+    std::uint64_t queue_pushes = 0;
     // Synchronization observatory (present when config.monitor was set).
     std::optional<obs::SyncReport> sync;
     obs::CouplingGraph sync_coupling;

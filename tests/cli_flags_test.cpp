@@ -88,6 +88,51 @@ TEST(CliFlags, LastOccurrenceWins) {
     EXPECT_EQ(flag_i(f, "n", 0), 9);
 }
 
+TEST(CliFlags, IntegerAndRealFlagsRejectJunk) {
+    // flag_i and flag_d used atoi/atof: `pm --n 5x` ran N = 5 and
+    // `pm --tr 0.1abc` ran Tr = 0.1. Empty values, trailing junk and
+    // values out of range now throw, naming the flag.
+    for (const char* junk : {"5x", "", "five", "2.5", "99999999999", "0x10"}) {
+        EXPECT_THROW(flag_i(parse({"--n", junk}), "n", 0), std::invalid_argument)
+            << "'" << junk << "'";
+    }
+    for (const char* junk : {"0.1abc", "", "abc", "1e999", "nan", "inf", "1,5"}) {
+        EXPECT_THROW(flag_d(parse({"--tr", junk}), "tr", 0.0), std::invalid_argument)
+            << "'" << junk << "'";
+    }
+    EXPECT_EQ(flag_i(parse({"--n", "-7"}), "n", 0), -7);
+    EXPECT_EQ(flag_i(parse({"--n", "2147483647"}), "n", 0), 2147483647);
+    EXPECT_DOUBLE_EQ(flag_d(parse({"--tr", "-0.5"}), "tr", 0.0), -0.5);
+    EXPECT_DOUBLE_EQ(flag_d(parse({"--tr", ".25"}), "tr", 0.0), 0.25);
+    try {
+        (void)flag_d(parse({"--tr", "0.1abc"}), "tr", 0.0);
+        FAIL() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_EQ(std::string{e.what()}, "--tr must be a number, got '0.1abc'");
+    }
+    try {
+        (void)flag_i(parse({"--n", "5x"}), "n", 0);
+        FAIL() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_EQ(std::string{e.what()},
+                  "--n must be an integer in [-2147483648, 2147483647], got '5x'");
+    }
+}
+
+TEST(CliFlags, SharedLanRejectsJunkNumbersBeforeItRuns) {
+    scenarios::register_builtin_scenarios();
+    const auto& registry = scenarios::ScenarioRegistry::instance();
+    testing::internal::CaptureStdout();
+    EXPECT_THROW(registry.run("shared_lan", {{"n", "3x"}, {"max-time", "1"}}),
+                 std::invalid_argument);
+    EXPECT_THROW(registry.run("shared_lan", {{"max-time", "1s"}}),
+                 std::invalid_argument);
+    EXPECT_THROW(scenarios::run_shared_lan_sweep(
+                     {{"red-maxp", "0.1%"}, {"max-time", "1"}}),
+                 std::invalid_argument);
+    EXPECT_EQ(testing::internal::GetCapturedStdout(), "");
+}
+
 TEST(CliFlags, JobsDefaultsToFallbackWhenAbsent) {
     EXPECT_EQ(flag_jobs(parse({}), 7), 7U);
 }

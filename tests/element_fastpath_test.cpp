@@ -13,7 +13,9 @@
 // (the devirtualized queue thunks and the RED lottery), tiny queues
 // (overflow drops), carrier flaps (down-drops mid-run), multi-hop chains
 // (batched handoff), and CSMA/CD LANs (the fused broadcast fan-out,
-// with random listener sets and frame types).
+// with random listener sets and frame types, and the frame cycle run in
+// place: long backlogs, propagation below, at and above the inter-frame
+// gap).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -137,9 +139,21 @@ struct LanCase {
     std::uint64_t seed = 1;
     /// Station i's listener set; stations past the end hear every type.
     std::vector<PacketTypeSet> hears;
+    /// Propagation delay; the inter-frame gap is 9.6 us, so below it a
+    /// frame's fan-out precedes its owner's next contend, above it the
+    /// contend comes first, and at it the two tie.
+    double prop_delay_us = 10.0;
+    /// Bursts of `burst_frames` frames that one station sends in one
+    /// callback: long backlogs whose frame cycle runs in place.
+    int bursts = 0;
+    int burst_frames = 0;
 };
 
-RunRecord run_lan_case(const LanCase& c, DispatchMode mode) {
+/// Adds the run's engine events and queue pushes to `events` and
+/// `pushes` when given (not part of the record: Fast runs fewer of both).
+RunRecord run_lan_case(const LanCase& c, DispatchMode mode,
+                       std::uint64_t* events = nullptr,
+                       std::uint64_t* pushes = nullptr) {
     sim::Engine engine;
     obs::HashingSink sink;
     obs::Tracer tracer{sink};
@@ -153,6 +167,7 @@ RunRecord run_lan_case(const LanCase& c, DispatchMode mode) {
                         /*max_th=*/static_cast<double>(c.queue_packets) * 0.75,
                         /*max_p=*/0.3, /*weight=*/0.3, /*seed=*/5};
     cfg.seed = c.seed + 1;
+    cfg.prop_delay = sim::SimTime::micros(c.prop_delay_us);
     cfg.dispatch = mode;
     SharedLan lan{engine, cfg};
 
@@ -188,6 +203,25 @@ RunRecord run_lan_case(const LanCase& c, DispatchMode mode) {
                                lan.send(station, std::move(p));
                            });
     }
+    for (int b = 0; b < c.bursts; ++b) {
+        std::vector<Packet> burst;
+        const int station = which(rng);
+        for (int i = 0; i < c.burst_frames; ++i) {
+            Packet p;
+            p.type = kTypes[rng() % 3];
+            p.src = station;
+            p.dst = -1;
+            p.seq = static_cast<std::uint64_t>(c.frames + b * c.burst_frames + i);
+            p.size_bytes = bytes(rng);
+            burst.push_back(p);
+        }
+        engine.schedule_at(sim::SimTime::millis(when(rng)),
+                           [&lan, station, burst = std::move(burst)] {
+                               for (const Packet& p : burst) {
+                                   lan.send(station, p);
+                               }
+                           });
+    }
     engine.run();
 
     obs::MetricsRegistry reg;
@@ -195,6 +229,10 @@ RunRecord run_lan_case(const LanCase& c, DispatchMode mode) {
     rec.metrics_json = reg.snapshot().to_json();
     rec.trace_digest = sink.digest();
     rec.trace_events = sink.events_seen();
+    if (events != nullptr && pushes != nullptr) {
+        *events += engine.events_processed();
+        *pushes += engine.queue_pushes();
+    }
     return rec;
 }
 
@@ -234,6 +272,8 @@ TEST(ElementFastPath, RandomizedLinkConfigsMatchVirtual) {
 TEST(ElementFastPath, RandomizedLanConfigsMatchVirtual) {
     std::mt19937_64 gen{997};
     int checked = 0;
+    std::uint64_t fast_events = 0;
+    std::uint64_t fast_pushes = 0;
     for (int i = 0; i < 40; ++i) {
         LanCase c;
         c.stations = 2 + static_cast<int>(gen() % 4);
@@ -254,18 +294,32 @@ TEST(ElementFastPath, RandomizedLanConfigsMatchVirtual) {
         for (int s = 0; s < c.stations; ++s) {
             c.hears.push_back(menu[gen() % std::size(menu)]);
         }
+        // Propagation below, at and above the 9.6 us inter-frame gap.
+        const double props[] = {2.0, 9.6, 10.0, 40.0};
+        c.prop_delay_us = props[gen() % std::size(props)];
+        // Every other case adds long backlogs (and queues to hold them).
+        if (gen() % 2 == 0) {
+            c.bursts = 1 + static_cast<int>(gen() % 3);
+            c.burst_frames = 20 + static_cast<int>(gen() % 180);
+            c.queue_packets = 32 + gen() % 200;
+        }
 
-        const RunRecord fast = run_lan_case(c, DispatchMode::Fast);
+        const RunRecord fast =
+            run_lan_case(c, DispatchMode::Fast, &fast_events, &fast_pushes);
         const RunRecord virt = run_lan_case(c, DispatchMode::Virtual);
         ASSERT_EQ(fast, virt)
             << "lan case " << i << ": stations=" << c.stations
             << " queue=" << c.queue_packets
             << " disc=" << (c.disc == QueueDisc::Red ? "red" : "droptail")
-            << " seed=" << c.seed;
+            << " prop_us=" << c.prop_delay_us << " bursts=" << c.bursts
+            << "x" << c.burst_frames << " seed=" << c.seed;
         EXPECT_GT(fast.trace_events, 0U);
         ++checked;
     }
     EXPECT_EQ(checked, 40);
+    // The frame cycle ran in place: over a tenth of Fast's events (14 %
+    // with this generator) were never pushed.
+    EXPECT_LT(fast_pushes, fast_events - fast_events / 10);
 }
 
 // The empty-trace digest is the FNV offset basis and events fold

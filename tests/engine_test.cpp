@@ -1,6 +1,8 @@
 // Tests for the discrete-event engine.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <functional>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -176,6 +178,130 @@ TEST(Engine, RunUntilLeavesLaterAndCancelledEventsAlone) {
     EXPECT_EQ(e.now(), 3_sec);
     EXPECT_FALSE(e.step());
     EXPECT_EQ(order, (std::vector<int>{2, 3}));
+}
+
+// ---- in-place grants ---------------------------------------------------------
+
+TEST(Engine, QueuePushesCountsEverySchedule) {
+    Engine e;
+    e.schedule_at(1_sec, [] {});
+    e.schedule_after(2_sec, [] {});
+    const auto h = e.schedule_at(3_sec, [] {});
+    EXPECT_TRUE(e.cancel(h));
+    EXPECT_EQ(e.queue_pushes(), 3U);
+    e.run();
+    EXPECT_EQ(e.queue_pushes(), 3U);
+    EXPECT_EQ(e.events_processed(), 2U);
+}
+
+TEST(Engine, RunInlineAtGrantsNothingOutsideARun) {
+    Engine e;
+    EXPECT_FALSE(e.run_inline_at(1_sec));
+    e.run_until(2_sec);
+    EXPECT_FALSE(e.run_inline_at(3_sec));
+    e.run();
+    EXPECT_FALSE(e.run_inline_at(3_sec));
+    EXPECT_EQ(e.now(), 2_sec);
+    EXPECT_EQ(e.events_processed(), 0U);
+}
+
+TEST(Engine, RunGrantsAndCountsTheEvent) {
+    // Inside run() an event earlier than everything queued is granted:
+    // the clock moves to it and it counts as processed, but nothing is
+    // pushed.
+    Engine e;
+    std::vector<bool> grants;
+    std::vector<double> clocks;
+    e.schedule_at(1_sec, [&] {
+        grants.push_back(e.run_inline_at(1.5_sec));
+        clocks.push_back(e.now().sec());
+        grants.push_back(e.run_inline_at(1.5_sec)); // again, same instant
+        grants.push_back(e.run_inline_at(1.25_sec)); // the past
+        grants.push_back(e.run_inline_at(SimTime::seconds(std::nan(""))));
+    });
+    e.schedule_at(5_sec, [&] { clocks.push_back(e.now().sec()); });
+    e.run();
+    EXPECT_EQ(grants, (std::vector<bool>{true, true, false, false}));
+    EXPECT_EQ(clocks, (std::vector<double>{1.5, 5.0}));
+    EXPECT_EQ(e.events_processed(), 4U);
+    EXPECT_EQ(e.queue_pushes(), 2U);
+}
+
+TEST(Engine, GrantIsStrictlyBeforeEveryQueuedEvent) {
+    // A queued event at exactly t was pushed first and runs first, so t
+    // is refused; so is any t past it. While a live event is queued, a
+    // cancelled entry ahead of it still bounds the grant
+    // (next_time_bound counts tombstones): a refusal only forfeits the
+    // shortcut.
+    Engine e;
+    std::vector<bool> grants;
+    e.schedule_at(1_sec, [&] {
+        grants.push_back(e.run_inline_at(2_sec));
+        grants.push_back(e.run_inline_at(2.5_sec));
+        grants.push_back(e.run_inline_at(1.75_sec));
+    });
+    e.schedule_at(2_sec, [&] {
+        const auto dead = e.schedule_at(3_sec, [] {});
+        e.schedule_at(4_sec, [] {});
+        ASSERT_TRUE(e.cancel(dead));
+        grants.push_back(e.run_inline_at(3_sec));
+        grants.push_back(e.run_inline_at(2.9_sec));
+    });
+    e.run();
+    EXPECT_EQ(grants, (std::vector<bool>{false, false, true, false, true}));
+    EXPECT_EQ(e.now(), 4_sec);
+}
+
+TEST(Engine, RunUntilGrantsUpToItsTargetOnly) {
+    Engine e;
+    std::vector<bool> grants;
+    e.schedule_at(1_sec, [&] {
+        grants.push_back(e.run_inline_at(2.5_sec)); // past the target
+        grants.push_back(e.run_inline_at(2_sec));   // at the target
+    });
+    e.run_until(2_sec);
+    EXPECT_EQ(grants, (std::vector<bool>{false, true}));
+    EXPECT_EQ(e.now(), 2_sec);
+    // The next run brings its own target.
+    e.schedule_at(3_sec, [&] { grants.push_back(e.run_inline_at(3.5_sec)); });
+    e.run_until(4_sec);
+    EXPECT_EQ(grants, (std::vector<bool>{false, true, true}));
+    EXPECT_EQ(e.now(), 4_sec);
+}
+
+TEST(Engine, PendingStopRefusesTheGrant) {
+    Engine e;
+    std::vector<bool> grants;
+    e.schedule_at(1_sec, [&] {
+        e.stop();
+        grants.push_back(e.run_inline_at(1.5_sec));
+    });
+    e.schedule_at(2_sec, [&] { grants.push_back(e.run_inline_at(2.5_sec)); });
+    e.run();
+    EXPECT_EQ(grants, std::vector<bool>{false});
+    EXPECT_EQ(e.now(), 1_sec);
+    e.clear_stop();
+    e.run();
+    EXPECT_EQ(grants, (std::vector<bool>{false, true}));
+}
+
+TEST(Engine, StepRunsExactlyOneEventAndGrantsNothing) {
+    // step() runs one event, so it grants none — even when the caller is
+    // itself inside a run().
+    Engine e;
+    std::vector<bool> grants;
+    e.schedule_at(1_sec, [&] { grants.push_back(e.run_inline_at(1.5_sec)); });
+    EXPECT_TRUE(e.step());
+    EXPECT_EQ(e.now(), 1_sec);
+    EXPECT_EQ(e.events_processed(), 1U);
+    e.schedule_at(2_sec, [&] {
+        e.schedule_at(3_sec, [&] { grants.push_back(e.run_inline_at(3.5_sec)); });
+        EXPECT_TRUE(e.step());
+        grants.push_back(e.run_inline_at(4_sec));
+    });
+    e.run();
+    EXPECT_EQ(grants, (std::vector<bool>{false, false, true}));
+    EXPECT_EQ(e.now(), 4_sec);
 }
 
 } // namespace

@@ -1459,6 +1459,24 @@ TEST(PmKernelInlineCheck, Fig13PointPushCountIsPinned) {
     // + queued - pushes. The 20 queued events are the next timers.
     EXPECT_EQ(kernel.queue_pushes(), 18188U);
     EXPECT_EQ(kernel.queue_size(), 20U);
+
+    // The same counts through run_experiment, which carries the push
+    // count of whichever core ran. The engine queues every busy check:
+    // its pushes are its events plus the 20 queued timers.
+    core::ExperimentConfig cfg;
+    cfg.params = p;
+    cfg.max_time = sim::SimTime::seconds(1e5);
+    cfg.backend = core::ExperimentBackend::FastKernel;
+    const core::ExperimentResult on_kernel = core::run_experiment(cfg);
+    EXPECT_EQ(on_kernel.events_processed, 33590U);
+    EXPECT_EQ(on_kernel.queue_pushes, 18188U);
+    cfg.backend = core::ExperimentBackend::Engine;
+    const core::ExperimentResult on_engine = core::run_experiment(cfg);
+    EXPECT_EQ(on_engine.events_processed, 33590U);
+    EXPECT_EQ(on_engine.queue_pushes, engine.queue_pushes());
+    EXPECT_EQ(on_engine.queue_pushes, 33610U);
+    // Not a metric: the metrics blocks stay identical across backends.
+    EXPECT_EQ(on_kernel.metrics.to_json(), on_engine.metrics.to_json());
 }
 
 } // namespace

@@ -4,6 +4,8 @@
 
 #include <stdexcept>
 
+#include "obs/trace_sink.hpp"
+#include "obs/tracer.hpp"
 #include "scenarios/scenarios.hpp"
 
 namespace {
@@ -140,6 +142,41 @@ TEST(SharedLanScenario, EventCountOfOneRedCell) {
     EXPECT_EQ(r.updates_heard, 720U); // 80 updates on the wire x 9 agents
     // 144 511 when every station heard all 47 833 delivered Data frames.
     EXPECT_EQ(r.events_processed, 96678U);
+}
+
+TEST(SharedLanScenario, QueuePushesOfOneRedCell) {
+    // The same cell, traced and monitored: the frame cycle's contends and
+    // transmission ends run in place whenever the engine proves each is
+    // its next event, so the engine pushes far fewer events than it runs
+    // (96 860 pushes when every step was queued). Virtual dispatch queues
+    // every step: the same trace, medium and sync report, more events,
+    // no grant.
+    scenarios::SharedLanScenarioConfig cfg;
+    cfg.queue_disc = net::elements::QueueDisc::Red;
+    cfg.seed = 3;
+    cfg.max_time = sim::SimTime::seconds(300);
+    cfg.monitor = true;
+    obs::HashingSink fast_sink;
+    obs::Tracer fast_tracer{fast_sink};
+    cfg.tracer = &fast_tracer;
+    const auto fast = scenarios::run_shared_lan_scenario(cfg);
+    EXPECT_EQ(fast.events_processed, 96678U);
+    EXPECT_EQ(fast.queue_pushes, 13562U);
+
+    obs::HashingSink virt_sink;
+    obs::Tracer virt_tracer{virt_sink};
+    cfg.tracer = &virt_tracer;
+    cfg.dispatch = net::elements::DispatchMode::Virtual;
+    const auto virt = scenarios::run_shared_lan_scenario(cfg);
+    EXPECT_EQ(virt_sink.digest(), fast_sink.digest());
+    EXPECT_EQ(virt_sink.events_seen(), fast_sink.events_seen());
+    EXPECT_EQ(virt.frames_delivered, fast.frames_delivered);
+    EXPECT_EQ(virt.collisions, fast.collisions);
+    EXPECT_EQ(virt.updates_heard, fast.updates_heard);
+    ASSERT_TRUE(fast.sync.has_value() && virt.sync.has_value());
+    EXPECT_EQ(virt.sync->r_max, fast.sync->r_max);
+    EXPECT_EQ(virt.sync_coupling.edge_count(), fast.sync_coupling.edge_count());
+    EXPECT_GE(virt.queue_pushes, virt.events_processed);
 }
 
 } // namespace

@@ -1,12 +1,17 @@
 // Tests for the CSMA/CD shared medium.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <random>
 #include <string>
 #include <vector>
 
 #include "net/shared_lan.hpp"
+#include "obs/trace_sink.hpp"
+#include "obs/tracer.hpp"
 
 namespace {
 
@@ -336,6 +341,306 @@ TEST(SharedLanListeners, AFrameNoOtherStationHearsCostsNoFanOut) {
     const ListenerRun virt_all = run_listeners(everyone, frames, DispatchMode::Virtual);
     EXPECT_EQ(virt.deliveries, fast.deliveries);
     EXPECT_EQ(virt_all.events - virt.events, 10U * 2U + 1U);
+}
+
+// ---- the frame cycle in place ----------------------------------------------
+
+/// Folds every trace event into a HashingSink, then hands it to `hook`.
+class HookSink final : public obs::TraceSink {
+public:
+    void on_event(const obs::TraceEvent& e) override {
+        ++seen_;
+        hash.on_event(e);
+        if (hook) {
+            hook(e);
+        }
+    }
+
+    obs::HashingSink hash;
+    std::function<void(const obs::TraceEvent&)> hook;
+};
+
+/// Everything a cycle run exposes at one instant.
+struct CycleState {
+    std::string stats; ///< every SharedLanStats counter
+    std::uint64_t digest = 0;
+    std::uint64_t trace_events = 0;
+    std::uint64_t events = 0;
+    double now = 0.0;
+    std::size_t deliveries = 0;
+
+    bool operator==(const CycleState&) const = default;
+};
+
+/// A traced LAN whose stations hear `hears[i]`; deliveries are recorded
+/// as "station:seq@time".
+struct CycleRun {
+    sim::Engine engine;
+    HookSink sink;
+    obs::Tracer tracer{sink};
+    std::unique_ptr<SharedLan> lan;
+    std::vector<std::string> deliveries;
+
+    CycleRun(DispatchMode mode, const std::vector<PacketTypeSet>& hears,
+             SharedLanConfig cfg = {}) {
+        engine.set_tracer(&tracer);
+        cfg.dispatch = mode;
+        lan = std::make_unique<SharedLan>(engine, cfg);
+        for (std::size_t i = 0; i < hears.size(); ++i) {
+            lan->attach(
+                [this, i](const Packet& p) {
+                    deliveries.push_back(std::to_string(i) + ":" +
+                                         std::to_string(p.seq) + "@" +
+                                         std::to_string(engine.now().sec()));
+                },
+                hears[i]);
+        }
+    }
+
+    /// Schedules one callback at `t` that sends `frames` back to back
+    /// from `station`, as a burst source does.
+    void burst_at(double t, int station, int frames, PacketType type,
+                  std::uint64_t first_seq, std::uint32_t bytes = 600) {
+        engine.schedule_at(SimTime::seconds(t),
+                           [this, station, frames, type, first_seq, bytes] {
+                               for (int i = 0; i < frames; ++i) {
+                                   Packet p;
+                                   p.type = type;
+                                   p.src = station;
+                                   p.seq = first_seq + static_cast<std::uint64_t>(i);
+                                   p.size_bytes = bytes + 37U * static_cast<std::uint32_t>(i % 5);
+                                   lan->send(station, p);
+                               }
+                           });
+    }
+
+    [[nodiscard]] CycleState state() const {
+        const net::SharedLanStats& st = lan->stats();
+        return CycleState{std::to_string(st.frames_offered) + "/" +
+                              std::to_string(st.frames_delivered) + "/" +
+                              std::to_string(st.collisions) + "/" +
+                              std::to_string(st.drops_excessive_collisions) + "/" +
+                              std::to_string(st.drops_queue_full),
+                          sink.hash.digest(),
+                          sink.events_seen(),
+                          engine.events_processed(),
+                          engine.now().sec(),
+                          deliveries.size()};
+    }
+};
+
+/// Backlogs on stations 0 and 1, scattered frames from station 2 (which
+/// defer or collide), and routing updates among the Data.
+void offer_backlogs(CycleRun& run) {
+    run.burst_at(0.0, 0, 40, PacketType::Data, 0);
+    run.burst_at(0.0004, 1, 30, PacketType::Data, 100);
+    run.burst_at(0.0101, 0, 20, PacketType::RoutingUpdate, 200, 200);
+    for (int i = 0; i < 12; ++i) {
+        run.burst_at(0.0007 + 0.0031 * i, 2, 1, PacketType::Data,
+                     300 + static_cast<std::uint64_t>(i), 900);
+    }
+}
+
+SharedLanConfig backlog_config() {
+    SharedLanConfig cfg;
+    cfg.station_queue_packets = 128;
+    cfg.seed = 5;
+    return cfg;
+}
+
+TEST(SharedLanInPlace, SplitRunsMatchOneRun) {
+    // run_until stopping inside a backlog, at many targets, ends exactly
+    // where one call ends; at each target the clock sits on it and the
+    // medium has done what Virtual dispatch (every step queued) has done
+    // by then. Two listener layouts: everyone hears everything (fan-out
+    // events interleave with the cycle), and nobody hears Data (the
+    // cycle runs in place frame after frame).
+    const std::vector<std::vector<PacketTypeSet>> layouts{
+        std::vector<PacketTypeSet>(4, PacketTypeSet::all()),
+        std::vector<PacketTypeSet>(4, PacketTypeSet{PacketType::RoutingUpdate})};
+    const SimTime end = SimTime::seconds(0.2);
+    for (std::size_t l = 0; l < layouts.size(); ++l) {
+        CycleRun whole{DispatchMode::Fast, layouts[l], backlog_config()};
+        offer_backlogs(whole);
+        whole.engine.run_until(end);
+
+        CycleRun split{DispatchMode::Fast, layouts[l], backlog_config()};
+        CycleRun virt{DispatchMode::Virtual, layouts[l], backlog_config()};
+        offer_backlogs(split);
+        offer_backlogs(virt);
+        int inside = 0;
+        for (int k = 1; k <= 40; ++k) {
+            const SimTime target = SimTime::seconds(0.00137 * k);
+            split.engine.run_until(target);
+            virt.engine.run_until(target);
+            ASSERT_EQ(split.engine.now(), target) << "layout " << l << " k " << k;
+            const CycleState a = split.state();
+            const CycleState b = virt.state();
+            EXPECT_EQ(a.stats, b.stats) << "layout " << l << " k " << k;
+            EXPECT_EQ(a.digest, b.digest) << "layout " << l << " k " << k;
+            EXPECT_EQ(split.deliveries, virt.deliveries) << "layout " << l << " k " << k;
+            inside += split.lan->queued_frames() > 0 ? 1 : 0;
+        }
+        split.engine.run_until(end);
+        EXPECT_EQ(split.state(), whole.state()) << "layout " << l;
+        EXPECT_EQ(split.deliveries, whole.deliveries) << "layout " << l;
+        EXPECT_EQ(whole.engine.now(), end);
+        EXPECT_EQ(whole.lan->stats().frames_delivered + whole.lan->stats().drops_excessive_collisions,
+                  102U);
+        EXPECT_GT(inside, 30) << "targets must fall inside the backlog";
+        // The split run pushed what its cuts refused, the whole run less.
+        EXPECT_GE(split.engine.queue_pushes(), whole.engine.queue_pushes());
+    }
+}
+
+TEST(SharedLanInPlace, QueuedContendAtChannelFreeRunsFirst) {
+    // Station 1 senses station 0's carrier and defers to channel_free_at_;
+    // station 0 still has a frame, so its own next contend falls at that
+    // very instant. The deferred contend was queued first and must run
+    // first: station 1 seizes the channel and station 0 collides with it.
+    // Which station is "first" in the collision decides the order of the
+    // backoff draws, so a reordered tie shows in the delivery times.
+    int collided = 0;
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+        SharedLanConfig cfg;
+        cfg.seed = seed;
+        std::vector<std::string> fast_deliveries;
+        CycleState fast_state;
+        for (const DispatchMode mode : {DispatchMode::Fast, DispatchMode::Virtual}) {
+            CycleRun run{mode, std::vector<PacketTypeSet>(3, PacketTypeSet::all()), cfg};
+            run.burst_at(1.0, 0, 2, PacketType::Data, 0, 1000);
+            run.burst_at(1.0005, 1, 1, PacketType::Data, 10, 1000);
+            run.burst_at(2.0, 0, 3, PacketType::Data, 20, 700);
+            run.burst_at(2.0003, 1, 2, PacketType::Data, 30, 1200);
+            run.burst_at(2.0004, 2, 1, PacketType::Data, 40, 300);
+            run.engine.run();
+            if (mode == DispatchMode::Fast) {
+                fast_deliveries = run.deliveries;
+                fast_state = run.state();
+                collided += run.lan->stats().collisions > 0 ? 1 : 0;
+            } else {
+                EXPECT_EQ(fast_deliveries, run.deliveries) << "seed " << seed;
+                EXPECT_EQ(fast_state.stats, run.state().stats) << "seed " << seed;
+                EXPECT_EQ(fast_state.digest, run.state().digest) << "seed " << seed;
+            }
+        }
+    }
+    EXPECT_EQ(collided, 12);
+}
+
+TEST(SharedLanInPlace, StopInAStepRefusesTheNextGrant) {
+    // A stop requested while a transmission end runs (here by the trace
+    // sink) must end the run right there: the owner's next contend is
+    // queued, not run in place. Resuming reaches the uninterrupted run's
+    // end state.
+    const std::vector<PacketTypeSet> hears{PacketTypeSet::all(),
+                                           {PacketType::RoutingUpdate}};
+    SharedLanConfig cfg;
+    cfg.station_queue_packets = 64;
+    CycleRun whole{DispatchMode::Fast, hears, cfg};
+    whole.burst_at(0.5, 0, 50, PacketType::Data, 0);
+    whole.engine.run();
+
+    CycleRun stopped{DispatchMode::Fast, hears, cfg};
+    stopped.burst_at(0.5, 0, 50, PacketType::Data, 0);
+    int delivered = 0;
+    double stop_time = 0.0;
+    stopped.sink.hook = [&](const obs::TraceEvent& e) {
+        if (e.type == obs::TraceEventType::PacketDeliver && ++delivered == 10) {
+            stop_time = e.time.sec();
+            stopped.engine.stop();
+        }
+    };
+    stopped.engine.run();
+    EXPECT_TRUE(stopped.engine.stop_requested());
+    EXPECT_EQ(stopped.lan->stats().frames_delivered, 10U);
+    EXPECT_EQ(stopped.engine.now().sec(), stop_time);
+    EXPECT_EQ(stopped.engine.pending_events(), 1U); // the refused contend
+    stopped.engine.clear_stop();
+    stopped.engine.run();
+    EXPECT_EQ(stopped.state(), whole.state());
+    EXPECT_EQ(whole.lan->stats().frames_delivered, 50U);
+}
+
+TEST(SharedLanInPlace, StepRunsOneEventAndRunGrants) {
+    // Nobody hears the Data, so under run() the whole backlog runs in
+    // place from the first transmission end: two pushes (the burst and
+    // that transmission end) for 40 events (the burst, 20 transmission
+    // ends and 19 contends; the first contend runs inside send()).
+    // step() runs exactly one event per call and grants none, so every
+    // event is pushed.
+    const std::vector<PacketTypeSet> hears{PacketTypeSet::all(),
+                                           {PacketType::RoutingUpdate}};
+    CycleRun stepped{DispatchMode::Fast, hears};
+    stepped.burst_at(0.0, 0, 20, PacketType::Data, 0);
+    std::uint64_t steps = 0;
+    while (stepped.engine.step()) {
+        ++steps;
+        ASSERT_EQ(stepped.engine.events_processed(), steps);
+    }
+    CycleRun ran{DispatchMode::Fast, hears};
+    ran.burst_at(0.0, 0, 20, PacketType::Data, 0);
+    ran.engine.run();
+    EXPECT_EQ(stepped.state(), ran.state());
+    EXPECT_EQ(ran.engine.events_processed(), 40U);
+    EXPECT_EQ(stepped.engine.queue_pushes(), 40U);
+    EXPECT_EQ(ran.engine.queue_pushes(), 2U);
+}
+
+TEST(SharedLanInPlace, SendNeverRunsAStepInPlace) {
+    // A burst source sends its frames in one callback. The first frame
+    // seizes the idle channel, but its transmission end is queued: were
+    // it run inside send(), the clock would jump before the rest of the
+    // burst was queued.
+    const std::vector<PacketTypeSet> hears{PacketTypeSet::all(),
+                                           {PacketType::RoutingUpdate}};
+    CycleRun run{DispatchMode::Fast, hears};
+    std::vector<double> clocks;
+    std::uint64_t pushes_in_burst = 0;
+    run.engine.schedule_at(SimTime::seconds(3.0), [&] {
+        const std::uint64_t before = run.engine.queue_pushes();
+        for (int i = 0; i < 10; ++i) {
+            Packet p;
+            p.seq = static_cast<std::uint64_t>(i);
+            p.size_bytes = 500;
+            run.lan->send(0, p);
+            clocks.push_back(run.engine.now().sec());
+        }
+        pushes_in_burst = run.engine.queue_pushes() - before;
+    });
+    run.engine.run();
+    EXPECT_EQ(clocks, std::vector<double>(10, 3.0));
+    EXPECT_EQ(pushes_in_burst, 1U); // the first frame's transmission end
+    EXPECT_EQ(run.lan->stats().frames_delivered, 10U);
+}
+
+TEST(SharedLanInPlace, DeepBacklogRunsWithoutNesting) {
+    // 10^5 frames on one station and nothing else queued: every step
+    // after the first transmission end is granted, and the trampoline
+    // runs them all at one stack depth.
+    constexpr int kFrames = 100000;
+    SharedLanConfig cfg;
+    cfg.station_queue_packets = kFrames;
+    CycleRun run{DispatchMode::Fast, {PacketTypeSet::all()}, cfg};
+    run.burst_at(0.0, 0, kFrames, PacketType::Data, 0, 64);
+    std::uintptr_t lo = UINTPTR_MAX;
+    std::uintptr_t hi = 0;
+    run.sink.hook = [&](const obs::TraceEvent& e) {
+        if (e.type == obs::TraceEventType::PacketDeliver) {
+            const auto frame = reinterpret_cast<std::uintptr_t>(__builtin_frame_address(0));
+            lo = std::min(lo, frame);
+            hi = std::max(hi, frame);
+        }
+    };
+    run.engine.run();
+    EXPECT_EQ(run.lan->stats().frames_delivered, static_cast<std::uint64_t>(kFrames));
+    // The burst, kFrames transmission ends, kFrames - 1 contends.
+    EXPECT_EQ(run.engine.events_processed(), 2U * kFrames);
+    EXPECT_EQ(run.engine.queue_pushes(), 2U);
+    // The first transmission end runs from its event's callback, every
+    // later one from the trampoline's loop: at most two depths, a few
+    // hundred bytes apart. Nesting would take ~10^5 frames.
+    EXPECT_LT(hi - lo, 4096U) << "the frame cycle nested " << (hi - lo) << " bytes deep";
 }
 
 } // namespace
