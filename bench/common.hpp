@@ -205,14 +205,13 @@ inline Options& parse_options(int argc, char** argv, const OptionsSpec& spec = {
                 std::exit(2);
             }
         } else if (name == "seed") {
-            char* end = nullptr;
-            const unsigned long long s = std::strtoull(value.c_str(), &end, 10);
-            if (!has_value || end == value.c_str() || *end != '\0') {
-                std::fprintf(stderr, "error: --seed must be an integer, got '%s'\n",
-                             value.c_str());
+            // A bare --seed reads as the empty value, which flag_seed rejects.
+            try {
+                o.seed = cli::flag_seed({{"seed", value}}, 0);
+            } catch (const std::invalid_argument& e) {
+                std::fprintf(stderr, "error: %s\n", e.what());
                 std::exit(2);
             }
-            o.seed = s;
             o.seed_set = true;
         } else if (name == "trace") {
             if (!has_value || value.empty()) {

@@ -9,6 +9,7 @@
 #include <cerrno>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <cstdlib>
 #include <limits>
 #include <map>
@@ -87,6 +88,46 @@ inline std::optional<double> parse_real(const std::string& value) {
         return std::nullopt;
     }
     return x;
+}
+
+/// `value` as a 64-bit unsigned seed: decimal digits only, 0 to
+/// 2^64 - 1; nullopt for an empty value, a sign, junk and a value past
+/// 2^64 - 1. strtoull would read "-1" as 2^64 - 1, so it is not used.
+inline std::optional<std::uint64_t> parse_seed(const std::string& value) {
+    if (value.empty()) {
+        return std::nullopt;
+    }
+    constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+    std::uint64_t seed = 0;
+    for (const char c : value) {
+        if (c < '0' || c > '9') {
+            return std::nullopt;
+        }
+        const auto digit = static_cast<std::uint64_t>(c - '0');
+        if (seed > (kMax - digit) / 10) {
+            return std::nullopt;
+        }
+        seed = seed * 10 + digit;
+    }
+    return seed;
+}
+
+/// Parses `--seed`: absent -> `fallback`. Every seed field is 64-bit
+/// unsigned; a value parse_seed rejects throws rather than run a seed
+/// nobody asked for.
+inline std::uint64_t flag_seed(const Flags& flags, std::uint64_t fallback) {
+    const auto it = flags.find("seed");
+    if (it == flags.end()) {
+        return fallback;
+    }
+    const auto seed = parse_seed(it->second);
+    if (!seed) {
+        throw std::invalid_argument{
+            "--seed must be an integer in [0, " +
+            std::to_string(std::numeric_limits<std::uint64_t>::max()) + "], got '" +
+            it->second + "'"};
+    }
+    return *seed;
 }
 
 /// Parses an integer flag `--key`: absent -> `fallback`. A value that is

@@ -291,24 +291,27 @@ std::size_t PmCalendarQueue::memory_bytes() const noexcept {
 // are forced inline so run_loop compiles them into its body; left to its
 // own heuristics the compiler kept them as separate functions, about a
 // dozen calls per transmission.
+//
+// With `Plain` set (plain_run() held when run_until started) the model is
+// the default one and nothing watches single events, so each step drops
+// the tests whose answer that fixes: `Plain || x` folds to true and
+// `if constexpr (!Plain)` removes the block.
 
-[[gnu::always_inline]] inline void PmKernel::push_event(sim::SimTime at,
+template <typename Queue>
+[[gnu::always_inline]] inline void PmKernel::push_event(Queue& queue, sim::SimTime at,
                                                         std::uint32_t kind,
                                                         std::uint32_t node) {
-    if (calendar_) {
-        calendar_->push(at.sec(), next_seq_++, kind, node);
-    } else {
-        run_.push(at.sec(), next_seq_++, kind, node);
-    }
+    queue.push(at.sec(), next_seq_++, kind, node);
 }
 
+template <bool Plain>
 [[gnu::always_inline]] inline sim::SimTime PmKernel::draw_interval(int i) {
-    if (!params_.per_node_tp.empty()) {
+    if (!Plain && !params_.per_node_tp.empty()) {
         const double tp_i = params_.per_node_tp[static_cast<std::size_t>(i)];
         return sim::SimTime::seconds(rng::uniform_real(
             gen_, tp_i - params_.tr.sec(), tp_i + params_.tr.sec()));
     }
-    if (fast_draw_) {
+    if (Plain || fast_draw_) {
         // lo + span*u01 with span = hi - lo hoisted: bit-identical to
         // rng::uniform_real(gen, lo, hi), which UniformJitter calls.
         return sim::SimTime::seconds(draw_lo_ + draw_span_ * rng::uniform01(gen_));
@@ -316,29 +319,38 @@ std::size_t PmCalendarQueue::memory_bytes() const noexcept {
     return policy_->next_interval(gen_);
 }
 
-[[gnu::always_inline]] inline void PmKernel::schedule_timer(int i, sim::SimTime at) {
+template <bool Plain, typename Queue>
+[[gnu::always_inline]] inline void PmKernel::schedule_timer(Queue& queue, int i,
+                                                            sim::SimTime at) {
     const auto idx = static_cast<std::size_t>(i);
     assert((timer_gen_[idx] & 1U) == 0 && "node already has a pending timer");
     const std::uint32_t gen = ++timer_gen_[idx]; // odd = pending
-    push_event(at, ((gen & kPmGenMask) << kPmKindBits) | kPmTimer,
+    push_event(queue, at, ((gen & kPmGenMask) << kPmKindBits) | kPmTimer,
                static_cast<std::uint32_t>(i));
     next_expiry_[idx] = at;
-    if (tracer_ != nullptr) {
-        tracer_->emit(obs::TraceEventType::TimerSet, now_, i, 0, (at - now_).sec());
+    if constexpr (!Plain) {
+        if (tracer_ != nullptr) {
+            tracer_->emit(obs::TraceEventType::TimerSet, now_, i, 0,
+                          (at - now_).sec());
+        }
     }
 }
 
-[[gnu::always_inline]] inline void PmKernel::timer_set(int i) {
-    schedule_timer(i, now_ + draw_interval(i));
+template <bool Plain, typename Queue>
+[[gnu::always_inline]] inline void PmKernel::timer_set(Queue& queue, int i) {
+    schedule_timer<Plain>(queue, i, now_ + draw_interval<Plain>(i));
     if (tracker_ != nullptr) {
         tracker_->on_timer_set(i, now_);
-    } else if (on_timer_set) {
-        on_timer_set(i, now_);
+    } else if constexpr (!Plain) {
+        if (on_timer_set) {
+            on_timer_set(i, now_);
+        }
     }
 }
 
+template <bool Plain>
 [[gnu::always_inline]] inline void PmKernel::extend_busy(int i, sim::SimTime t) {
-    if (shared_busy_) {
+    if (Plain || shared_busy_) {
         if (shared_busy_end_ > t) {
             shared_busy_end_ += params_.tc;
         } else {
@@ -357,31 +369,35 @@ std::size_t PmCalendarQueue::memory_bytes() const noexcept {
     }
 }
 
-[[gnu::always_inline]] inline bool PmKernel::begin_transmission(int i) {
+template <bool Plain, typename Queue>
+[[gnu::always_inline]] inline bool PmKernel::begin_transmission(Queue& queue, int i) {
     const sim::SimTime now = now_;
     const auto idx = static_cast<std::size_t>(i);
 
     ++transmissions_[idx];
     ++tx_count_;
-    if (on_transmit) {
-        on_transmit(i, now);
-    }
-    if (tracer_ != nullptr) {
-        tracer_->emit(obs::TraceEventType::UpdateTx, now, i,
-                      static_cast<std::int64_t>(transmissions_[idx]));
+    if constexpr (!Plain) {
+        if (on_transmit) {
+            on_transmit(i, now);
+        }
+        if (tracer_ != nullptr) {
+            tracer_->emit(obs::TraceEventType::UpdateTx, now, i,
+                          static_cast<std::int64_t>(transmissions_[idx]));
+        }
     }
 
-    if (!reset_at_expiry_) {
+    const bool rearm_after_busy = Plain || !reset_at_expiry_;
+    if (rearm_after_busy) {
         ++pending_state_[idx]; // own-transmission count (low bits)
     }
-    extend_busy(i, now);
+    extend_busy<Plain>(i, now);
     const bool check_owed =
-        !reset_at_expiry_ && (pending_state_[idx] & kBusyCheckQueued) == 0;
+        rearm_after_busy && (pending_state_[idx] & kBusyCheckQueued) == 0;
     if (check_owed) {
         pending_state_[idx] |= kBusyCheckQueued;
     }
 
-    if (immediate_) {
+    if (Plain || immediate_) {
         // Shared-busy mode: the broadcast is already done. In the engine
         // model every node applies the same extend rule to its own copy
         // of the same prior value at the same instant, so all n copies
@@ -390,47 +406,60 @@ std::size_t PmCalendarQueue::memory_bytes() const noexcept {
         // instead of O(n), bit-identical by induction on "all copies
         // equal". The other nodes' busy ends do not move busy_end(i), so
         // the caller's check push lands exactly as the engine's does.
-        if (!shared_busy_) {
+        if (!Plain && !shared_busy_) {
             for (int j = 0; j < params_.n; ++j) {
                 if (j != i) {
-                    extend_busy(j, now);
+                    extend_busy<false>(j, now);
                 }
             }
         }
         return check_owed;
     }
     if (check_owed) {
-        push_event(busy_end(i), kPmBusyCheck, static_cast<std::uint32_t>(i));
+        push_event(queue, busy_end(i), kPmBusyCheck, static_cast<std::uint32_t>(i));
     }
-    push_event(now + params_.tc, kPmDeliver, static_cast<std::uint32_t>(i));
+    push_event(queue, now + params_.tc, kPmDeliver, static_cast<std::uint32_t>(i));
     return false;
 }
 
-[[gnu::always_inline]] inline bool PmKernel::timer_expired(int i) {
+template <bool Plain, typename Queue>
+[[gnu::always_inline]] inline bool PmKernel::timer_expired(Queue& queue, int i) {
     ++timer_gen_[static_cast<std::size_t>(i)]; // odd -> even: none pending
-    if (tracer_ != nullptr) {
-        tracer_->emit(obs::TraceEventType::TimerFire, now_, i);
+    if constexpr (!Plain) {
+        if (tracer_ != nullptr) {
+            tracer_->emit(obs::TraceEventType::TimerFire, now_, i);
+        }
+        if (reset_at_expiry_) {
+            timer_set<Plain>(queue, i);
+        }
     }
-    if (reset_at_expiry_) {
-        timer_set(i);
-    }
-    const ProfiledStep step{profiled_, "pm.begin_transmission"};
-    return begin_transmission(i);
+    const ProfiledStep step{!Plain && profiled_, "pm.begin_transmission"};
+    return begin_transmission<Plain>(queue, i);
 }
 
-[[gnu::always_inline]] inline void PmKernel::busy_check(int i) {
-    const sim::SimTime be = busy_end(i);
+template <bool Plain, typename Queue>
+[[gnu::always_inline]] inline void PmKernel::busy_check(Queue& queue, int i) {
+    const sim::SimTime be = busy_end<Plain>(i);
     if (be > now_) {
         // Extended after this check was scheduled; re-arm at the new end
         // (lazy revalidation, queued flag stays set).
-        push_event(be, kPmBusyCheck, static_cast<std::uint32_t>(i));
+        push_event(queue, be, kPmBusyCheck, static_cast<std::uint32_t>(i));
         return;
     }
     std::uint32_t& ps = pending_state_[static_cast<std::size_t>(i)];
     ps &= ~kBusyCheckQueued;
     if (ps != 0) { // own transmissions occurred: re-arm
         ps = 0;
-        timer_set(i);
+        timer_set<Plain>(queue, i);
+    }
+}
+
+template <typename Fn>
+void PmKernel::with_queue(Fn&& fn) {
+    if (calendar_) {
+        fn(*calendar_);
+    } else {
+        fn(run_);
     }
 }
 
@@ -470,19 +499,21 @@ PmKernel::PmKernel(ModelParams params, std::unique_ptr<TimerPolicy> policy,
 
     // Nodes in order — the RNG consumption replays an engine construction
     // of the same params.
-    for (int i = 0; i < params_.n; ++i) {
-        sim::SimTime first;
-        if (!params_.initial_phases.empty()) {
-            first = sim::SimTime::seconds(
-                params_.initial_phases[static_cast<std::size_t>(i)]);
-        } else if (params_.start == StartCondition::Synchronized) {
-            first = sim::SimTime::zero();
-        } else {
-            first = sim::SimTime::seconds(
-                rng::uniform_real(gen_, 0.0, params_.tp.sec()));
+    with_queue([this](auto& queue) {
+        for (int i = 0; i < params_.n; ++i) {
+            sim::SimTime first;
+            if (!params_.initial_phases.empty()) {
+                first = sim::SimTime::seconds(
+                    params_.initial_phases[static_cast<std::size_t>(i)]);
+            } else if (params_.start == StartCondition::Synchronized) {
+                first = sim::SimTime::zero();
+            } else {
+                first = sim::SimTime::seconds(
+                    rng::uniform_real(gen_, 0.0, params_.tp.sec()));
+            }
+            schedule_timer<false>(queue, i, now_ + first);
         }
-        schedule_timer(i, now_ + first);
-    }
+    });
 }
 
 sim::SimTime PmKernel::round_length() const noexcept {
@@ -528,7 +559,7 @@ void PmKernel::schedule_trigger_all(sim::SimTime t) {
     if (t < now_) {
         throw std::logic_error{"Engine::schedule_at: time is in the past"};
     }
-    push_event(t, kPmTrigger, 0);
+    with_queue([&](auto& queue) { push_event(queue, t, kPmTrigger, 0); });
 }
 
 void PmKernel::schedule_hook(sim::SimTime t, std::function<void()> fn) {
@@ -544,13 +575,14 @@ void PmKernel::schedule_hook(sim::SimTime t, std::function<void()> fn) {
         slot = static_cast<std::uint32_t>(hooks_.size());
         hooks_.push_back(std::move(fn));
     }
-    push_event(t, kPmHook, slot);
+    with_queue([&](auto& queue) { push_event(queue, t, kPmHook, slot); });
 }
 
 // ---------------------------------------------------------------------------
 // Trigger waves and delayed delivery (off the hot path)
 
-void PmKernel::trigger_node(int i) {
+template <typename Queue>
+void PmKernel::trigger_node(Queue& queue, int i) {
     const auto idx = static_cast<std::size_t>(i);
     if (!reset_at_expiry_ && (timer_gen_[idx] & 1U) != 0) {
         // Cancel: bumping the generation (odd -> even) makes the queued
@@ -563,15 +595,15 @@ void PmKernel::trigger_node(int i) {
         }
     }
     const ProfiledStep step{profiled_, "pm.begin_transmission"};
-    if (begin_transmission(i)) {
-        push_event(busy_end(i), kPmBusyCheck, static_cast<std::uint32_t>(i));
+    if (begin_transmission<false>(queue, i)) {
+        push_event(queue, busy_end(i), kPmBusyCheck, static_cast<std::uint32_t>(i));
     }
 }
 
 void PmKernel::deliver_from(int i) {
     for (int j = 0; j < params_.n; ++j) {
         if (j != i) {
-            extend_busy(j, now_);
+            extend_busy<false>(j, now_);
         }
     }
 }
@@ -579,7 +611,7 @@ void PmKernel::deliver_from(int i) {
 // ---------------------------------------------------------------------------
 // Run loop
 
-template <typename Queue>
+template <bool Plain, typename Queue>
 void PmKernel::run_loop(Queue& queue, sim::SimTime target) {
     const double target_sec = target.sec();
     while (!stopped_) {
@@ -615,8 +647,8 @@ void PmKernel::run_loop(Queue& queue, sim::SimTime target) {
         case kPmTimer: {
             bool check_owed = false;
             {
-                const ProfiledStep step{profiled_, "pm.timer_fire"};
-                check_owed = timer_expired(i);
+                const ProfiledStep step{!Plain && profiled_, "pm.timer_fire"};
+                check_owed = timer_expired<Plain>(queue, i);
             }
             if (!check_owed) {
                 break;
@@ -626,9 +658,9 @@ void PmKernel::run_loop(Queue& queue, sim::SimTime target) {
             // as that event instead of a push/peek/pop round trip. A check
             // past the target, or a stop requested during the fire, leaves
             // it queued, as on the engine.
-            const sim::SimTime be = busy_end(i);
+            const sim::SimTime be = busy_end<Plain>(i);
             if (stopped_ || be.sec() > target_sec || !queue.all_later_than(be.sec())) {
-                push_event(be, kPmBusyCheck, static_cast<std::uint32_t>(i));
+                push_event(queue, be, kPmBusyCheck, static_cast<std::uint32_t>(i));
                 break;
             }
             now_ = be;
@@ -636,14 +668,14 @@ void PmKernel::run_loop(Queue& queue, sim::SimTime target) {
             [[fallthrough]];
         }
         case kPmBusyCheck:
-            busy_check(i);
+            busy_check<Plain>(queue, i);
             break;
         case kPmDeliver:
             deliver_from(i);
             break;
         case kPmTrigger:
             for (int j = 0; j < params_.n; ++j) {
-                trigger_node(j);
+                trigger_node(queue, j);
             }
             break;
         case kPmHook: {
@@ -659,13 +691,27 @@ void PmKernel::run_loop(Queue& queue, sim::SimTime target) {
     // stopped: the clock stays at the last event
 }
 
+bool PmKernel::plain_run() const noexcept {
+    const bool default_model = shared_busy_ && !reset_at_expiry_ && fast_draw_;
+    const bool unwatched = tracer_ == nullptr && !on_transmit &&
+                           (tracker_ != nullptr || !on_timer_set) &&
+                           obs::Profiler::current() == nullptr &&
+                           hooks_.size() == free_hooks_.size();
+    return default_model && unwatched;
+}
+
 void PmKernel::run_until(sim::SimTime target) {
+    // The profiler and the loop's shape are read once per call: a callback
+    // set or cleared from inside the run takes effect at the next call.
     profiled_ = obs::Profiler::current() != nullptr;
-    if (calendar_) {
-        run_loop(*calendar_, target);
-    } else {
-        run_loop(run_, target);
-    }
+    const bool plain = plain_run();
+    with_queue([&](auto& queue) {
+        if (plain) {
+            run_loop<true>(queue, target);
+        } else {
+            run_loop<false>(queue, target);
+        }
+    });
 }
 
 } // namespace routesync::core

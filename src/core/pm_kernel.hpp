@@ -30,6 +30,13 @@
 //     event is strictly later), the run loop runs it as that event without
 //     queueing it. In the unsynchronized regime that is almost every
 //     transmission.
+//   * The run loop is compiled twice per queue. A *plain run* (the
+//     default model, with nothing watching single events; see
+//     plain_run()) takes an instantiation whose per-event steps carry no
+//     test of the tracer, the callbacks, the profiler or a model variant:
+//     those tests are constants for the whole run. Every other run takes
+//     the general instantiation. The steps are written once and drop the
+//     plain run's dead branches with `if constexpr`.
 //
 // Fidelity contract: a kernel run is *bit-identical* to the engine-backed
 // model run of the same params — same RNG draw order, same (time, FIFO)
@@ -250,11 +257,12 @@ public:
     explicit PmCalendarQueue(double horizon_hint);
 
     // The push/peek/pop trio runs once per simulated event; defined
-    // inline so the kernel's run loop compiles down to direct bucket and
-    // cursor operations with no cross-TU calls.
+    // inline and forced inline (GCC's heuristics kept all three as calls
+    // from the run loop) so the kernel's run loop compiles down to direct
+    // bucket and cursor operations with no call.
 
-    void push(double time, std::uint64_t seq, std::uint32_t kind,
-              std::uint32_t node) {
+    [[gnu::always_inline]] void push(double time, std::uint64_t seq,
+                                     std::uint32_t kind, std::uint32_t node) {
         const Entry entry{PmEvent{time, kind, node}, seq};
         assert(day_of(time) >= day_ && "push into the past breaks the day cursor");
         ++live_;
@@ -320,7 +328,7 @@ public:
     /// Locates the earliest event (by time, then seq) without removing
     /// it. Precondition: !empty(). Advances the internal day cursor over
     /// idle gaps as a side effect (monotone, so repeated peeks are cheap).
-    [[nodiscard]] const PmEvent& peek_min() {
+    [[nodiscard, gnu::always_inline]] const PmEvent& peek_min() {
         assert(live_ > 0);
         for (;;) {
             if (!overflow_.empty() &&
@@ -363,7 +371,7 @@ public:
 
     /// Removes the event peek_min() returned. Must follow a peek_min()
     /// with no intervening push.
-    void pop_min() {
+    [[gnu::always_inline]] void pop_min() {
         --live_;
         if (peek_from_ == Source::Lane) {
             assert(lane_size_ > 0);
@@ -491,9 +499,13 @@ public:
     PmKernel& operator=(const PmKernel&) = delete;
 
     /// Fires when a node's timer expires and it begins transmitting.
+    /// run_until reads both callbacks when it starts (see plain_run()): a
+    /// callback set or cleared from inside a run takes effect at the next
+    /// run_until call.
     std::function<void(int node, sim::SimTime t)> on_transmit;
     /// Fires when a node completes its busy period and re-arms its timer,
-    /// unless a tracker sink is set.
+    /// unless a tracker sink is set. Read when run_until starts, like
+    /// on_transmit.
     std::function<void(int node, sim::SimTime t)> on_timer_set;
     /// Direct ClusterTracker feed for timer re-arms. When set it takes the
     /// place of `on_timer_set`: the experiment driver's only use of that
@@ -543,6 +555,14 @@ public:
     /// True when the events live in a PmCalendarQueue (n >=
     /// kPmCalendarMinNodes), false for a PmSortedRunQueue.
     [[nodiscard]] bool calendar_queue() const noexcept { return calendar_ != nullptr; }
+    /// True when a run_until call made now runs the plain loop: the
+    /// paper's default model (shared busy period, re-arm after it ends,
+    /// UniformJitter with no per-node Tp) with nothing watching single
+    /// events — no tracer, no on_transmit, re-arms that feed at most the
+    /// tracker sink, no profiler installed and no scheduled hook pending.
+    /// Both loops produce the same run; the plain one tests none of these
+    /// per event.
+    [[nodiscard]] bool plain_run() const noexcept;
 
     /// Bytes of the SoA node arrays. In the default shared-busy model that
     /// is 24 B/router: next_expiry (8) + transmissions (8) + timer_gen (4)
@@ -558,28 +578,43 @@ public:
 private:
     // The per-event steps. pm_kernel.cpp compiles the ones a timer fire and
     // its busy check run into run_loop, so an isolated transmission makes
-    // no out-of-line call.
-    void push_event(sim::SimTime at, std::uint32_t kind, std::uint32_t node);
+    // no out-of-line call. `Plain` is the run_loop instantiation's shape
+    // (plain_run()); a step that pushes takes the loop's queue.
+    template <typename Queue>
+    void push_event(Queue& queue, sim::SimTime at, std::uint32_t kind,
+                    std::uint32_t node);
+    template <bool Plain>
     [[nodiscard]] sim::SimTime draw_interval(int i);
-    void schedule_timer(int i, sim::SimTime at);
-    void timer_set(int i);
-    void trigger_node(int i);
+    template <bool Plain, typename Queue>
+    void schedule_timer(Queue& queue, int i, sim::SimTime at);
+    template <bool Plain, typename Queue>
+    void timer_set(Queue& queue, int i);
+    template <typename Queue>
+    void trigger_node(Queue& queue, int i);
     /// The timer-fire step; returns begin_transmission's answer.
-    [[nodiscard]] bool timer_expired(int i);
+    template <bool Plain, typename Queue>
+    [[nodiscard]] bool timer_expired(Queue& queue, int i);
     /// Starts node i's transmission at now(). Returns true when the node
     /// now owes a busy check at busy_end(i) that the caller queues or runs:
     /// under Immediate notification the check is the transmission's last
     /// push. Under AfterPreparation it queues the check itself, ahead of
     /// the delivery event, and returns false.
-    [[nodiscard]] bool begin_transmission(int i);
+    template <bool Plain, typename Queue>
+    [[nodiscard]] bool begin_transmission(Queue& queue, int i);
     void deliver_from(int i);
-    void busy_check(int i);
+    template <bool Plain, typename Queue>
+    void busy_check(Queue& queue, int i);
+    template <bool Plain>
     void extend_busy(int i, sim::SimTime t);
+    template <bool Plain = false>
     [[nodiscard]] sim::SimTime busy_end(int i) const noexcept {
-        return shared_busy_ ? shared_busy_end_
-                            : busy_end_[static_cast<std::size_t>(i)];
+        return (Plain || shared_busy_) ? shared_busy_end_
+                                       : busy_end_[static_cast<std::size_t>(i)];
     }
-    template <typename Queue>
+    /// Calls `fn` with the kernel's queue as its concrete type.
+    template <typename Fn>
+    void with_queue(Fn&& fn);
+    template <bool Plain, typename Queue>
     void run_loop(Queue& queue, sim::SimTime target);
 
     ModelParams params_;
@@ -624,8 +659,8 @@ private:
     bool immediate_ = true;
     bool can_cancel_ = false; ///< a timer may have been cancelled
     bool stopped_ = false;
-    /// A profiler was installed when run_until started: the
-    /// pm.timer_fire and pm.begin_transmission scopes are recorded.
+    /// A profiler was installed when run_until started: the general loop
+    /// records the pm.timer_fire and pm.begin_transmission scopes.
     bool profiled_ = false;
 };
 

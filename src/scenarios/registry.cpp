@@ -24,6 +24,7 @@ namespace {
 using cli::flag_d;
 using cli::flag_i;
 using cli::flag_s;
+using cli::flag_seed;
 
 /// `--jobs` for the shared-LAN runs: absent is 1 (one cell at a time),
 /// 0 the hardware concurrency (the TaskPool's auto setting).
@@ -43,7 +44,7 @@ int run_nearnet(const ScenarioFlags& flags) {
     cfg.jitter_sec = flag_d(flags, "jitter", cfg.jitter_sec);
     cfg.blocking_cpu = !flags.contains("non-blocking");
     cfg.incremental_updates = flags.contains("incremental");
-    cfg.seed = static_cast<std::uint64_t>(flag_i(flags, "seed", 1));
+    cfg.seed = flag_seed(flags, 1);
     NearnetScenario s{cfg};
 
     apps::PingConfig pc;
@@ -70,7 +71,7 @@ int run_audiocast(const ScenarioFlags& flags) {
     cfg.core_routers = flag_i(flags, "core-routers", cfg.core_routers);
     cfg.jitter_sec = flag_d(flags, "jitter", cfg.jitter_sec);
     cfg.background_pps = flag_d(flags, "bg-pps", cfg.background_pps);
-    cfg.seed = static_cast<std::uint64_t>(flag_i(flags, "seed", 1));
+    cfg.seed = flag_seed(flags, 1);
     AudiocastScenario s{cfg};
 
     const double horizon = flag_d(flags, "max-time", 720.0);
@@ -131,7 +132,7 @@ SharedLanScenarioConfig parse_shared_lan_config(const ScenarioFlags& flags) {
         sim::SimTime::seconds(flag_d(flags, "bg-period", cfg.bg_period.sec()));
     cfg.max_time =
         sim::SimTime::seconds(flag_d(flags, "max-time", cfg.max_time.sec()));
-    cfg.seed = static_cast<std::uint64_t>(flag_i(flags, "seed", 1));
+    cfg.seed = flag_seed(flags, 1);
     cfg.monitor = flags.contains("monitor");
     cfg.sync_threshold = flag_d(flags, "sync-threshold", cfg.sync_threshold);
     cfg.sync_hysteresis = flag_d(flags, "sync-hysteresis", cfg.sync_hysteresis);

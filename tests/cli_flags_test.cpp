@@ -119,6 +119,37 @@ TEST(CliFlags, IntegerAndRealFlagsRejectJunk) {
     }
 }
 
+TEST(CliFlags, SeedTakesDecimalDigitsUpToTwoToThe64MinusOne) {
+    // Seeds used to be read as int and cast (`pm --seed -1` ran seed
+    // 2^64 - 1, `pm --seed 3000000000` was rejected), and the benches took
+    // strtoull's sign. Every seed field is 64-bit unsigned.
+    EXPECT_EQ(flag_seed(parse({}), 7), 7U);
+    EXPECT_EQ(flag_seed(parse({"--seed", "0"}), 7), 0U);
+    EXPECT_EQ(flag_seed(parse({"--seed", "3000000000"}), 7), 3000000000ULL);
+    EXPECT_EQ(flag_seed(parse({"--seed=18446744073709551615"}), 7),
+              std::numeric_limits<std::uint64_t>::max());
+    for (const char* junk : {"-1", "+1", "1x", "", "18446744073709551616", " 1", "1e3"}) {
+        EXPECT_THROW(flag_seed(parse({"--seed", junk}), 7), std::invalid_argument)
+            << "'" << junk << "'";
+    }
+    try {
+        (void)flag_seed(parse({"--seed", "-1"}), 7);
+        FAIL() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_EQ(std::string{e.what()},
+                  "--seed must be an integer in [0, 18446744073709551615], got '-1'");
+    }
+    scenarios::register_builtin_scenarios();
+    const auto& registry = scenarios::ScenarioRegistry::instance();
+    testing::internal::CaptureStdout();
+    for (const char* builtin : {"shared_lan", "nearnet", "audiocast"}) {
+        EXPECT_THROW(registry.run(builtin, {{"seed", "-1"}, {"max-time", "1"}}),
+                     std::invalid_argument)
+            << builtin;
+    }
+    EXPECT_EQ(testing::internal::GetCapturedStdout(), "");
+}
+
 TEST(CliFlags, SharedLanRejectsJunkNumbersBeforeItRuns) {
     scenarios::register_builtin_scenarios();
     const auto& registry = scenarios::ScenarioRegistry::instance();

@@ -3,11 +3,12 @@
 // The kernel's contract is *bit-identity* with the engine-backed
 // PeriodicMessagesModel: same RNG draw order, same (time, FIFO) event
 // execution order, same events_processed count, same callback and trace
-// streams, and the same final node state — on both event queues. The
-// tests here enforce that over a randomized sample of the whole
-// parameter space (N, Tp, Tr, Tc, start condition, notification mode,
-// reset-at-expiry, per-node periods and costs, explicit phases, timer
-// policies, triggered updates, scheduled hooks), then again at the
+// streams, and the same final node state — on both event queues and in
+// both run loops (plain and general). The tests here enforce that over a
+// randomized sample of the whole parameter space (N, Tp, Tr, Tc, start
+// condition, notification mode, reset-at-expiry, per-node periods and
+// costs, explicit phases, timer policies, triggered updates, scheduled
+// hooks), then again at the
 // run_experiment level where the ClusterTracker series and metrics
 // snapshots must agree field for field, and fuzz both queues against a
 // reference ordering.
@@ -19,6 +20,7 @@
 #include <functional>
 #include <initializer_list>
 #include <memory>
+#include <optional>
 #include <queue>
 #include <random>
 #include <stdexcept>
@@ -760,18 +762,22 @@ std::uint64_t nodes_hash(int n, const View& view) {
 }
 
 /// Runs a simulation through spec.stops and then to the horizon, folding
-/// its state after each stop into d.stops.
-template <typename RunUntil, typename View>
+/// its state after each stop into d.stops, with whatever digest `extra`
+/// returns.
+template <typename RunUntil, typename View, typename Extra>
 void run_through_stops(const TrialSpec& spec, TrialDigest& d, RunUntil&& run_until,
-                       const View& view) {
+                       const View& view, const Extra& extra) {
     for (const sim::SimTime stop : spec.stops) {
         const auto [now, events] = run_until(stop);
         d.stops = hash_bits(d.stops, now.sec());
         d.stops = fnv1a(d.stops, events);
         d.stops = fnv1a(d.stops, nodes_hash(spec.params.n, view));
+        d.stops = fnv1a(d.stops, extra());
     }
     run_until(spec.horizon);
 }
+
+std::uint64_t no_extra() { return 0; }
 
 TrialDigest run_engine(const TrialSpec& spec,
                        std::vector<StreamEvent>* log = nullptr) {
@@ -807,7 +813,7 @@ TrialDigest run_engine(const TrialSpec& spec,
             engine.run_until(t);
             return std::pair{engine.now(), engine.events_processed()};
         },
-        view);
+        view, no_extra);
 
     d.stream = stream.h;
     d.trace = sink.h;
@@ -847,10 +853,103 @@ TrialDigest run_kernel(const TrialSpec& spec) {
             kernel.run_until(t);
             return std::pair{kernel.now(), kernel.events_processed()};
         },
-        view);
+        view, no_extra);
 
     d.stream = stream.h;
     d.trace = sink.h;
+    d.events = kernel.events_processed();
+    d.transmissions = kernel.total_transmissions();
+    d.now_sec = kernel.now().sec();
+    d.state = nodes_hash(spec.params.n, view);
+    return d;
+}
+
+/// The paper's default model: a shared busy period, the re-arm after it
+/// and UniformJitter with no per-node Tp. A kernel of it with nothing
+/// watching single events runs the plain loop.
+bool default_model(const TrialSpec& spec) {
+    const core::ModelParams& p = spec.params;
+    return spec.policy_kind == 0 && !p.reset_at_expiry &&
+           p.notification == core::Notification::Immediate && p.per_node_tp.empty() &&
+           p.per_node_tc.empty();
+}
+
+std::uint64_t optional_time_hash(std::uint64_t h, std::optional<sim::SimTime> t) {
+    return t.has_value() ? hash_bits(fnv1a(h, 1), t->sec()) : fnv1a(h, 0);
+}
+
+/// Everything a ClusterTracker has learned: the closed rounds, both
+/// first-hit tables and the full-sync time.
+std::uint64_t tracker_hash(const core::ClusterTracker& tracker) {
+    std::uint64_t h = fnv1a(1469598103934665603ULL, tracker.rounds_closed());
+    for (const core::RoundLargest& r : tracker.rounds()) {
+        h = fnv1a(h, r.round);
+        h = fnv1a(h, static_cast<std::uint64_t>(r.largest));
+        h = hash_bits(h, r.end_time.sec());
+    }
+    for (int s = 1; s <= tracker.n(); ++s) {
+        h = optional_time_hash(h, tracker.first_time_size_at_least(s));
+        h = optional_time_hash(h, tracker.first_round_largest_at_most(s));
+    }
+    return optional_time_hash(h, tracker.full_sync_time());
+}
+
+/// A trial's tracked twin: the same params, trigger wave and run_until
+/// stops with no callback, tracer or hook, only a ClusterTracker fed by
+/// the re-arms. On the kernel that is a plain run. With `stop_on_sync`
+/// the tracker stops the run at full synchronization. d.stream holds the
+/// finished tracker's digest; d.stops folds the live one at each stop.
+TrialDigest run_tracked_engine(const TrialSpec& spec, bool stop_on_sync) {
+    sim::Engine engine;
+    core::PeriodicMessagesModel model{engine, spec.params};
+    core::ClusterTracker tracker{spec.params.n, model.round_length()};
+    model.on_timer_set = [&](int node, sim::SimTime t) { tracker.on_timer_set(node, t); };
+    if (stop_on_sync) {
+        tracker.on_full_sync = [&](sim::SimTime) { engine.stop(); };
+    }
+    if (spec.trigger) {
+        engine.schedule_at(spec.trig_at, [&] { model.trigger_update_all(); });
+    }
+    TrialDigest d;
+    const auto view = [&model](int i) { return model.node(i); };
+    run_through_stops(
+        spec, d,
+        [&engine](sim::SimTime t) {
+            engine.run_until(t);
+            return std::pair{engine.now(), engine.events_processed()};
+        },
+        view, [&tracker] { return tracker_hash(tracker); });
+    tracker.finish();
+    d.stream = tracker_hash(tracker);
+    d.events = engine.events_processed();
+    d.transmissions = model.total_transmissions();
+    d.now_sec = engine.now().sec();
+    d.state = nodes_hash(spec.params.n, view);
+    return d;
+}
+
+TrialDigest run_tracked_kernel(const TrialSpec& spec, bool stop_on_sync) {
+    core::PmKernel kernel{spec.params};
+    core::ClusterTracker tracker{spec.params.n, kernel.round_length()};
+    kernel.set_tracker_sink(&tracker);
+    if (stop_on_sync) {
+        tracker.on_full_sync = [&](sim::SimTime) { kernel.stop(); };
+    }
+    if (spec.trigger) {
+        kernel.schedule_trigger_all(spec.trig_at);
+    }
+    EXPECT_TRUE(kernel.plain_run()) << "the tracked twin must run the plain loop";
+    TrialDigest d;
+    const auto view = [&kernel](int i) { return kernel.node(i); };
+    run_through_stops(
+        spec, d,
+        [&kernel](sim::SimTime t) {
+            kernel.run_until(t);
+            return std::pair{kernel.now(), kernel.events_processed()};
+        },
+        view, [&tracker] { return tracker_hash(tracker); });
+    tracker.finish();
+    d.stream = tracker_hash(tracker);
     d.events = kernel.events_processed();
     d.transmissions = kernel.total_transmissions();
     d.now_sec = kernel.now().sec();
@@ -876,6 +975,31 @@ void expect_same_digest(const TrialDigest& got, const TrialDigest& want,
     ASSERT_EQ(got.stops, want.stops)
         << "clock, event count or node state diverged at a run_until stop at "
         << where;
+}
+
+/// Tracked twins (run_tracked_*) agree after each stop and at the end.
+void expect_same_tracked(const TrialDigest& got, const TrialDigest& want,
+                         const std::string& where) {
+    ASSERT_EQ(got.stream, want.stream) << "tracker series diverged at " << where;
+    ASSERT_EQ(got.events, want.events) << "event count diverged at " << where;
+    ASSERT_EQ(got.transmissions, want.transmissions) << where;
+    ASSERT_EQ(got.now_sec, want.now_sec) << where;
+    ASSERT_EQ(got.state, want.state) << "final node state diverged at " << where;
+    ASSERT_EQ(got.stops, want.stops)
+        << "clock, event count, node state or tracker diverged at a run_until "
+           "stop at "
+        << where;
+}
+
+/// Runs the tracked twins of `spec` and compares them; returns true when
+/// the tracker stopped the engine's run before the horizon.
+bool expect_tracked_twins_agree(const TrialSpec& spec, bool stop_on_sync,
+                                const std::string& where) {
+    const TrialDigest want = run_tracked_engine(spec, stop_on_sync);
+    const std::string tag = where + (stop_on_sync ? " tracked, stop on sync" : " tracked");
+    EXPECT_NO_FATAL_FAILURE(
+        expect_same_tracked(run_tracked_kernel(spec, stop_on_sync), want, tag));
+    return want.now_sec < spec.horizon.sec();
 }
 
 /// Up to six run_until targets inside a run whose callbacks are `log`:
@@ -916,9 +1040,16 @@ TEST(PmKernelDifferential, MatchesEngineOnRandomizedParameterSweep) {
     // several: on re-arm times and between fires and their checks. Split
     // or not, the kernel must match the engine at every stop, and the
     // split run must end exactly where the one-call run does.
+    //
+    // run_kernel attaches both callbacks, so it runs the general loop. A
+    // default-model point also runs its tracked twins, whose kernel runs
+    // the plain loop, one call and split; on every other such point the
+    // tracker stops both runs at full synchronization.
     std::mt19937_64 rng{0xf10d5ULL};
     std::mt19937_64 stop_rng{0x5709ULL};
     int split_points = 0;
+    int plain_points = 0;
+    int sync_stops = 0;
     for (int point = 0; point < 200; ++point) {
         TrialSpec spec = sample_trial(rng);
         const std::string where = "point " + std::to_string(point) + " (n=" +
@@ -927,6 +1058,13 @@ TEST(PmKernelDifferential, MatchesEngineOnRandomizedParameterSweep) {
         std::vector<StreamEvent> log;
         const TrialDigest one_call = run_engine(spec, &log);
         ASSERT_NO_FATAL_FAILURE(expect_same_digest(run_kernel(spec), one_call, where));
+        const bool plain = default_model(spec);
+        const bool stop_on_sync = plain_points % 2 == 1;
+        if (plain) {
+            ++plain_points;
+            sync_stops += expect_tracked_twins_agree(spec, stop_on_sync, where) ? 1 : 0;
+            ASSERT_FALSE(HasFatalFailure());
+        }
 
         spec.stops = split_targets(log, spec.params.n, stop_rng);
         if (spec.stops.empty()) {
@@ -937,8 +1075,14 @@ TEST(PmKernelDifferential, MatchesEngineOnRandomizedParameterSweep) {
         ASSERT_NO_FATAL_FAILURE(expect_same_end(split, one_call, where + " split"));
         ASSERT_NO_FATAL_FAILURE(
             expect_same_digest(run_kernel(spec), split, where + " split"));
+        if (plain) {
+            (void)expect_tracked_twins_agree(spec, stop_on_sync, where + " split");
+            ASSERT_FALSE(HasFatalFailure());
+        }
     }
     EXPECT_GT(split_points, 150);
+    EXPECT_GT(plain_points, 50);
+    EXPECT_GT(sync_stops, 5);
 }
 
 TEST(PmKernelDifferential, MatchesEngineAtLargeNSynchronizedRounds) {
@@ -948,6 +1092,8 @@ TEST(PmKernelDifferential, MatchesEngineAtLargeNSynchronizedRounds) {
     // with the Figure 15 parameters an unsynchronized start collapses
     // into one busy chain within the first round. The case just below
     // the queue threshold runs the same shape on the sorted-run queue.
+    // Each default-model spec at n >= kPmCalendarMinNodes also runs its
+    // tracked twins (the plain loop on the calendar), without its hooks.
     struct Case {
         int n;
         bool synchronized;
@@ -960,10 +1106,14 @@ TEST(PmKernelDifferential, MatchesEngineAtLargeNSynchronizedRounds) {
         // Covers the initial collapse (n * Tc = 165 s busy chain at
         // n = 1500) plus the first fully synchronized re-arm round.
         spec.horizon = sim::SimTime::seconds(450.0);
+        const std::string where = "n=" + std::to_string(c.n);
         const TrialDigest want = run_engine(spec);
-        ASSERT_NO_FATAL_FAILURE(
-            expect_same_digest(run_kernel(spec), want, "n=" + std::to_string(c.n)));
+        ASSERT_NO_FATAL_FAILURE(expect_same_digest(run_kernel(spec), want, where));
         EXPECT_GT(want.transmissions, 0U);
+        if (c.n >= core::kPmCalendarMinNodes) {
+            (void)expect_tracked_twins_agree(spec, false, where);
+            ASSERT_FALSE(HasFatalFailure());
+        }
     }
 
     // At the queue threshold itself: a synchronized start under a chain
@@ -986,10 +1136,19 @@ TEST(PmKernelDifferential, MatchesEngineAtLargeNSynchronizedRounds) {
         tc = per_node_tc.params.tc.sec() * tc_scale(tc_rng);
     }
     for (const TrialSpec& spec : {hooked, unsynced, after, per_node_tc}) {
-        ASSERT_NO_FATAL_FAILURE(expect_same_digest(
-            run_kernel(spec), run_engine(spec),
-            "n=" + std::to_string(spec.params.n) +
-                " seed=" + std::to_string(spec.params.seed)));
+        const std::string where = "n=" + std::to_string(spec.params.n) +
+                                  " seed=" + std::to_string(spec.params.seed);
+        ASSERT_NO_FATAL_FAILURE(
+            expect_same_digest(run_kernel(spec), run_engine(spec), where));
+        if (default_model(spec)) {
+            // The synchronized start reaches full sync in its first round:
+            // there the tracker stops both runs.
+            const bool stop_on_sync = spec.params.seed == hooked.params.seed;
+            EXPECT_EQ(expect_tracked_twins_agree(spec, stop_on_sync, where),
+                      stop_on_sync)
+                << where;
+            ASSERT_FALSE(HasFatalFailure());
+        }
     }
 }
 
@@ -1056,17 +1215,33 @@ core::ExperimentConfig sample_experiment(std::mt19937_64& rng) {
 TEST(PmKernelDifferential, ExperimentBackendsAgreeOnClusterSeries) {
     // The same differential through run_experiment: the full
     // ClusterTracker series (per-round largest, first-hit tables, cluster
-    // events) and the run summary must match field for field.
+    // events) and the run summary must match field for field. Each point
+    // runs again without transmit records: then nothing watches single
+    // events, and a default-model point runs the kernel's plain loop, its
+    // stop conditions included.
     std::mt19937_64 rng{0xc105e5ULL};
+    int plain_points = 0;
     for (int point = 0; point < 24; ++point) {
         core::ExperimentConfig cfg = sample_experiment(rng);
+        const std::string where = "point " + std::to_string(point);
         cfg.backend = core::ExperimentBackend::Engine;
         const core::ExperimentResult eng = core::run_experiment(cfg);
         cfg.backend = core::ExperimentBackend::FastKernel;
         const core::ExperimentResult ker = core::run_experiment(cfg);
-        ASSERT_NO_FATAL_FAILURE(
-            expect_same_experiment(ker, eng, "point " + std::to_string(point)));
+        ASSERT_NO_FATAL_FAILURE(expect_same_experiment(ker, eng, where));
+
+        cfg.transmit_stride = 0;
+        if (point % 3 == 1) {
+            cfg.stop_on_cluster_size = std::max(2, cfg.params.n / 2);
+        }
+        plain_points += core::PmKernel{cfg.params}.plain_run() ? 1 : 0;
+        cfg.backend = core::ExperimentBackend::Engine;
+        const core::ExperimentResult eng_unwatched = core::run_experiment(cfg);
+        cfg.backend = core::ExperimentBackend::FastKernel;
+        ASSERT_NO_FATAL_FAILURE(expect_same_experiment(
+            core::run_experiment(cfg), eng_unwatched, where + " unwatched"));
     }
+    EXPECT_GT(plain_points, 8);
 }
 
 TEST(PmKernelDifferential, RunExperimentBatchAgreesWithEngine) {
@@ -1114,6 +1289,57 @@ TEST(PmKernel, SharedBusyFastVariantSelection) {
     core::ModelParams mixed = p;
     mixed.per_node_tc = {0.1, 0.2, 0.1, 0.1};
     EXPECT_FALSE(core::PmKernel{mixed}.shared_busy());
+}
+
+TEST(PmKernel, PlainRunFollowsTheModelAndItsWatchers) {
+    // The default model with nothing watching single events runs the
+    // plain loop; a model variant or any watcher picks the general one.
+    core::ModelParams p;
+    p.n = 4;
+    EXPECT_TRUE(core::PmKernel{p}.plain_run());
+    {
+        core::ModelParams big = p;
+        big.n = core::kPmCalendarMinNodes;
+        EXPECT_TRUE(core::PmKernel{big}.plain_run());
+    }
+    for (const auto& vary : std::initializer_list<std::function<void(core::ModelParams&)>>{
+             [](core::ModelParams& v) { v.reset_at_expiry = true; },
+             [](core::ModelParams& v) {
+                 v.notification = core::Notification::AfterPreparation;
+             },
+             [](core::ModelParams& v) { v.per_node_tc = {0.1, 0.2, 0.1, 0.1}; },
+             [](core::ModelParams& v) { v.per_node_tp = {120.0, 121.0, 122.0, 121.0}; },
+         }) {
+        core::ModelParams variant = p;
+        vary(variant);
+        EXPECT_FALSE(core::PmKernel{variant}.plain_run());
+    }
+    EXPECT_FALSE((core::PmKernel{p, std::make_unique<core::HalfPeriodJitter>(p.tp)}
+                      .plain_run()));
+
+    HashSink sink;
+    obs::Tracer tracer{sink};
+    EXPECT_FALSE((core::PmKernel{p, nullptr, &tracer}.plain_run()));
+
+    core::PmKernel kernel{p};
+    core::ClusterTracker tracker{p.n, kernel.round_length()};
+    kernel.on_transmit = [](int, sim::SimTime) {};
+    EXPECT_FALSE(kernel.plain_run());
+    kernel.on_transmit = nullptr;
+    kernel.on_timer_set = [](int, sim::SimTime) {};
+    EXPECT_FALSE(kernel.plain_run());
+    kernel.set_tracker_sink(&tracker); // takes on_timer_set's place
+    EXPECT_TRUE(kernel.plain_run());
+    {
+        obs::Profiler profiler;
+        const obs::ScopedProfilerInstall install{profiler};
+        EXPECT_FALSE(kernel.plain_run());
+    }
+    EXPECT_TRUE(kernel.plain_run());
+    kernel.schedule_hook(sim::SimTime::seconds(10.0), [] {});
+    EXPECT_FALSE(kernel.plain_run());
+    kernel.run_until(sim::SimTime::seconds(20.0)); // the hook ran
+    EXPECT_TRUE(kernel.plain_run());
 }
 
 TEST(PmKernel, QueueFollowsRouterCount) {

@@ -59,6 +59,7 @@ using cli::flag_d;
 using cli::flag_i;
 using cli::flag_jobs;
 using cli::flag_s;
+using cli::flag_seed;
 using cli::Flags;
 
 markov::ChainParams chain_params(const Flags& flags) {
@@ -79,7 +80,7 @@ int cmd_pm(const Flags& flags) {
     cfg.params.tp = sim::SimTime::seconds(flag_d(flags, "tp", 121.0));
     cfg.params.tr = sim::SimTime::seconds(flag_d(flags, "tr", 0.11));
     cfg.params.tc = sim::SimTime::seconds(flag_d(flags, "tc", 0.11));
-    cfg.params.seed = static_cast<std::uint64_t>(flag_i(flags, "seed", 1));
+    cfg.params.seed = flag_seed(flags, 1);
     if (flag_b(flags, "sync-start")) {
         cfg.params.start = core::StartCondition::Synchronized;
     }
@@ -205,7 +206,7 @@ int cmd_sweep(const Flags& flags) {
     // measured over --sim-max-time seconds. Default output is unchanged.
     const int sim_trials = cli::flag_count(flags, "sim-trials", 0, 0);
     const double sim_max_time = flag_d(flags, "sim-max-time", 1e4);
-    const auto sim_seed = static_cast<std::uint64_t>(flag_i(flags, "seed", 1));
+    const auto sim_seed = flag_seed(flags, 1);
     obs::RunContext ctx;
     const std::string trace = flag_s(flags, "trace");
     const std::string out = flag_s(flags, "out");
@@ -319,7 +320,7 @@ int cmd_f2(const Flags& flags) {
     const markov::ChainParams p = chain_params(flags);
     const auto est = markov::estimate_f2(
         p, flag_i(flags, "reps", 20),
-        static_cast<std::uint64_t>(flag_i(flags, "seed", 1)),
+        flag_seed(flags, 1),
         /*max_rounds_per_rep=*/1e6,
         flag_jobs(flags, parallel::hardware_jobs()));
     std::printf("f2_rounds,%.4f\n", est.mean_rounds);
