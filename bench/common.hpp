@@ -6,11 +6,13 @@
 //   * SHAPE-CHECK lines asserting the qualitative result the paper reports
 //     (who wins, the period, the transition) — PASS/FAIL.
 //
-// Every bench binary accepts the same command line, parsed once by
-// parse_options():
+// Every bench binary and example parses its command line once, with
+// parse_options(): the nine flags of kBenchTable below plus the bench's
+// own OptionsSpec::extra table, through the one parser behind the CLI
+// (cli::parse, src/cli/flags.hpp):
 //
-//   --jobs N      worker threads for parallel sweeps; 0 or a bare --jobs
-//                 auto-detects the hardware concurrency (also the default)
+//   --jobs N      worker threads for parallel sweeps; 0 auto-detects the
+//                 hardware concurrency (also the default)
 //   --seed S      override the bench's base seed
 //   --json        machine-readable rows on stdout; human chatter -> stderr
 //   --quiet       suppress human chatter entirely (checks still counted)
@@ -20,9 +22,12 @@
 //                 (benches forward opts().sample_every to their configs)
 //   --profile     wall-clock self-profiler: per-label count/total/max in
 //                 the manifest's "profile" section + a table on exit
+//   --monitor     attach the synchronization monitor where the bench
+//                 wires one up
 //
-// Bench-specific flags are whitelisted through OptionsSpec::extra;
-// anything else is a usage error (exit 2). The returned Options owns the
+// A flag neither table declares, a value given to a boolean, a missing
+// value and a malformed one are usage errors (exit 2). The bench reads
+// its extra flags from Options::args. The returned Options owns the
 // bench's obs::RunContext — pass &opts().ctx to scenario builders or
 // ExperimentConfig::obs to trace, and footer() seals the manifest.
 //
@@ -66,12 +71,8 @@ struct Options {
     /// forward this to ExperimentConfig::monitor / scenario configs.
     /// Off by default with nil overhead.
     bool monitor = false;
-    /// Values of the OptionsSpec::extra flags that were present.
-    cli::Flags extra;
-    /// Unrecognised argv tokens, in order — only populated under
-    /// OptionsSpec::allow_unknown (perf_microbench forwards these to
-    /// google-benchmark).
-    std::vector<std::string> passthrough;
+    /// Every parsed flag; benches read their OptionsSpec::extra flags here.
+    cli::Args args;
     /// Simulated seconds covered by the run; benches set this before
     /// footer() so the manifest can record it.
     double sim_seconds = 0.0;
@@ -90,145 +91,48 @@ inline Options& opts() {
     return options;
 }
 
+/// The flags every bench and example accepts.
+inline constexpr cli::FlagSpec kBenchTable[] = {
+    cli::integer("jobs", "N", 0, cli::kUnbounded), cli::seed(),
+    cli::boolean("json"), cli::boolean("quiet"),
+    cli::text("trace", "FILE", /*non_empty=*/true),
+    cli::text("out", "FILE", /*non_empty=*/true),
+    cli::positive("sample-every", "SEC"), cli::boolean("profile"),
+    cli::boolean("monitor")};
+
 struct OptionsSpec {
-    /// Additional flag names this bench accepts (values land in
-    /// Options::extra; a flag without a value stores "1").
-    std::vector<std::string> extra;
-    /// Forward unrecognised tokens via Options::passthrough instead of
-    /// failing (for binaries wrapping another flag-parsing library).
-    bool allow_unknown = false;
+    /// The bench's own flags, read from Options::args.
+    cli::Table extra;
     /// Manifest identity; defaults to argv[0]'s basename.
     std::string tool;
     std::string description;
 };
 
-namespace detail {
-
-[[noreturn]] inline void usage(const char* argv0, const OptionsSpec& spec) {
-    std::fprintf(stderr,
-                 "usage: %s [--jobs N] [--seed S] [--json] [--quiet]"
-                 " [--trace FILE] [--out FILE] [--sample-every SEC] [--profile]"
-                 " [--monitor]",
-                 argv0);
-    for (const std::string& name : spec.extra) {
-        std::fprintf(stderr, " [--%s V]", name.c_str());
-    }
-    std::fprintf(stderr, "\n");
-    std::exit(2);
-}
-
-inline std::string basename_of(const char* argv0) {
-    const std::string path = argv0 != nullptr ? argv0 : "bench";
-    const auto slash = path.find_last_of('/');
-    return slash == std::string::npos ? path : path.substr(slash + 1);
-}
-
-} // namespace detail
-
 /// Parses the unified bench command line into opts(). Call once, first
-/// thing in main(). Exits with a usage message on malformed input.
+/// thing in main(). Exits 2 with a usage message on malformed input.
 inline Options& parse_options(int argc, char** argv, const OptionsSpec& spec = {}) {
     Options& o = opts();
-    const auto is_extra = [&spec](const std::string& name) {
-        for (const std::string& e : spec.extra) {
-            if (e == name) {
-                return true;
-            }
-        }
-        return false;
-    };
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg.rfind("--", 0) != 0) {
-            if (spec.allow_unknown) {
-                o.passthrough.push_back(std::move(arg));
-                continue;
-            }
-            detail::usage(argv[0], spec);
-        }
-        std::string name = arg.substr(2);
-        std::string value;
-        bool has_value = false;
-        if (const auto eq = name.find('='); eq != std::string::npos) {
-            value = name.substr(eq + 1);
-            name = name.substr(0, eq);
-            has_value = true;
-        }
-        const bool is_bool = name == "json" || name == "quiet" ||
-                             name == "profile" || name == "monitor";
-        const bool is_known = is_bool || name == "jobs" || name == "seed" ||
-                              name == "trace" || name == "out" ||
-                              name == "sample-every" || is_extra(name);
-        if (!is_known) {
-            if (spec.allow_unknown) {
-                o.passthrough.push_back(std::move(arg));
-                continue;
-            }
-            detail::usage(argv[0], spec);
-        }
-        if (!has_value && !is_bool && i + 1 < argc &&
-            std::string(argv[i + 1]).rfind("--", 0) != 0) {
-            value = argv[++i];
-            has_value = true;
-        }
-        if (name == "json") {
-            o.json = true;
-        } else if (name == "quiet") {
-            o.quiet = true;
-        } else if (name == "profile") {
-            o.profile = true;
-        } else if (name == "monitor") {
-            o.monitor = true;
-        } else if (name == "sample-every") {
-            char* end = nullptr;
-            const double sec = std::strtod(value.c_str(), &end);
-            if (!has_value || end == value.c_str() || *end != '\0' ||
-                !(sec > 0.0) || std::isinf(sec)) {
-                std::fprintf(stderr,
-                             "error: --sample-every must be a positive number of"
-                             " seconds, got '%s'\n",
-                             value.c_str());
-                std::exit(2);
-            }
-            o.sample_every = sec;
-        } else if (name == "jobs") {
-            if (!has_value) {
-                // Bare --jobs: auto-detect, same as the default.
-                o.jobs = parallel::hardware_jobs();
-                continue;
-            }
-            try {
-                // 0 = auto-detect the hardware concurrency.
-                o.jobs = cli::flag_jobs({{"jobs", value}}, parallel::hardware_jobs());
-            } catch (const std::invalid_argument& e) {
-                std::fprintf(stderr, "error: %s\n", e.what());
-                std::exit(2);
-            }
-        } else if (name == "seed") {
-            // A bare --seed reads as the empty value, which flag_seed rejects.
-            try {
-                o.seed = cli::flag_seed({{"seed", value}}, 0);
-            } catch (const std::invalid_argument& e) {
-                std::fprintf(stderr, "error: %s\n", e.what());
-                std::exit(2);
-            }
-            o.seed_set = true;
-        } else if (name == "trace") {
-            if (!has_value || value.empty()) {
-                std::fprintf(stderr, "error: --trace requires a file path\n");
-                std::exit(2);
-            }
-            o.trace = value;
-        } else if (name == "out") {
-            if (!has_value || value.empty()) {
-                std::fprintf(stderr, "error: --out requires a file path\n");
-                std::exit(2);
-            }
-            o.out = value;
-        } else {
-            o.extra[name] = has_value ? value : "1";
-        }
+    try {
+        o.args = cli::parse(std::vector<std::string>(argv + 1, argv + argc),
+                            {kBenchTable, spec.extra});
+    } catch (const std::invalid_argument& e) {
+        std::fprintf(stderr, "error: %s\nusage: %s\n  %s\n", e.what(), argv[0],
+                     cli::usage({kBenchTable, spec.extra}, 2).c_str());
+        std::exit(2);
     }
+    const cli::Args& a = o.args;
+    // 0 = auto-detect the hardware concurrency.
+    o.jobs = a.integer<std::size_t>("jobs", 0);
+    o.jobs = o.jobs == 0 ? parallel::hardware_jobs() : o.jobs;
+    o.seed_set = a.has("seed");
+    o.seed = a.seed("seed", 0);
+    o.json = a.flag("json");
+    o.quiet = a.flag("quiet");
+    o.trace = a.text("trace");
+    o.out = a.text("out");
+    o.sample_every = a.real("sample-every", 0.0);
+    o.profile = a.flag("profile");
+    o.monitor = a.flag("monitor");
     if (!o.trace.empty()) {
         o.ctx.trace_to_file(o.trace);
     }
@@ -236,7 +140,12 @@ inline Options& parse_options(int argc, char** argv, const OptionsSpec& spec = {
         o.ctx.enable_profiling();
     }
     obs::Manifest& m = o.ctx.manifest();
-    m.tool = !spec.tool.empty() ? spec.tool : detail::basename_of(argv[0]);
+    if (!spec.tool.empty()) {
+        m.tool = spec.tool;
+    } else {
+        const std::string path = argv[0] != nullptr ? argv[0] : "bench";
+        m.tool = path.substr(path.find_last_of('/') + 1);
+    }
     m.description = spec.description;
     m.jobs = o.jobs;
     if (o.seed_set) {
@@ -251,19 +160,6 @@ inline Options& parse_options(int argc, char** argv, const std::string& descript
     OptionsSpec spec;
     spec.description = description;
     return parse_options(argc, argv, spec);
-}
-
-/// Runs `read`, a cli:: reader of an extra flag (cli::flag_i(
-/// options.extra, ...)); a malformed value is a usage error and exits 2,
-/// like the common flags above.
-template <typename Read>
-auto read_extra(Read read) {
-    try {
-        return read();
-    } catch (const std::invalid_argument& e) {
-        std::fprintf(stderr, "error: %s\n", e.what());
-        std::exit(2);
-    }
 }
 
 /// Stream for human-facing output: stdout normally, stderr under --json

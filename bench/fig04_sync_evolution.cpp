@@ -19,7 +19,9 @@ int main(int argc, char** argv) {
     spec.description = "Figure 4: time-offset of every routing message";
     // --clusters-out FILE: the live cluster-size series ("time size" per
     // line) — the reference routesync trace replay-check --expect diffs.
-    spec.extra = {"clusters-out"};
+    static constexpr cli::FlagSpec kExtra[] = {
+        cli::text("clusters-out", "FILE", /*non_empty=*/true)};
+    spec.extra = kExtra;
     Options& options = parse_options(argc, argv, spec);
     header("Figure 4",
            "time-offset of every routing message; unsynchronized start, N=20, "
@@ -53,8 +55,7 @@ int main(int argc, char** argv) {
     const auto r = core::run_experiment(cfg);
     options.sim_seconds = r.end_time_sec;
 
-    if (const auto it = options.extra.find("clusters-out");
-        it != options.extra.end()) {
+    if (const std::string path = options.args.text("clusters-out"); !path.empty()) {
         // first_hit_up[s] is exactly the series the live ClusterTracker's
         // on_size_first_reached callback produced (groups grow one member
         // at a time, so sizes are first reached in increasing order).
@@ -66,9 +67,9 @@ int main(int argc, char** argv) {
                     core::ClusterEvent{sim::SimTime::seconds(*t), s});
             }
         }
-        std::ofstream f{it->second};
+        std::ofstream f{path};
         if (!f) {
-            std::fprintf(stderr, "error: cannot open %s\n", it->second.c_str());
+            std::fprintf(stderr, "error: cannot open %s\n", path.c_str());
             return 1;
         }
         f << core::format_cluster_series(series);

@@ -65,7 +65,9 @@ std::string fmt_sync(double t) {
 int main(int argc, char** argv) {
     OptionsSpec spec;
     spec.description = "Figure 13: f(N) and g(1) vs Tr/Tc over the N x Tc grid";
-    spec.extra = {"bench-out"}; // BENCH_sweep.json path override
+    static constexpr cli::FlagSpec kExtra[] = {
+        cli::text("bench-out", "FILE")}; // BENCH_sweep.json path override
+    spec.extra = kExtra;
     Options& options = parse_options(argc, argv, spec);
     const std::size_t jobs = options.jobs;
     header("Figure 13",
@@ -152,8 +154,7 @@ int main(int argc, char** argv) {
         out << "{\n    \"window_sec\": " << kSyncWindowSec
             << ",\n    \"threshold\": 0.95,\n    \"rows\": [\n"
             << json_rows.str() << "\n    ]\n  }";
-        const std::string path =
-            cli::flag_s(options.extra, "bench-out", "BENCH_sweep.json");
+        const std::string path = options.args.text("bench-out", "BENCH_sweep.json");
         write_json_section(path, "fig13_time_to_sync", out.str());
         if (FILE* f = chatter()) {
             std::fprintf(f, "\nwrote section \"fig13_time_to_sync\" of %s\n",

@@ -61,7 +61,9 @@ double measured_time_to_sync(int n, std::uint64_t seed) {
 int main(int argc, char** argv) {
     OptionsSpec spec;
     spec.description = "Figure 15: fraction of time unsynchronized vs N";
-    spec.extra = {"bench-out"}; // BENCH_sweep.json path override
+    static constexpr cli::FlagSpec kExtra[] = {
+        cli::text("bench-out", "FILE")}; // BENCH_sweep.json path override
+    spec.extra = kExtra;
     Options& options = parse_options(argc, argv, spec);
     const std::size_t jobs = options.jobs;
     header("Figure 15",
@@ -131,8 +133,7 @@ int main(int argc, char** argv) {
             << ",\n    \"threshold\": " << kSyncThreshold << ",\n    \"first_sim_sync_n\": "
             << first_sim_sync << ",\n    \"rows\": [\n" << json_rows.str()
             << "\n    ]\n  }";
-        const std::string path =
-            cli::flag_s(options.extra, "bench-out", "BENCH_sweep.json");
+        const std::string path = options.args.text("bench-out", "BENCH_sweep.json");
         write_json_section(path, "fig15_time_to_sync", out.str());
         if (FILE* f = chatter()) {
             std::fprintf(f, "wrote section \"fig15_time_to_sync\" of %s\n",

@@ -126,20 +126,20 @@ Rung run_rung(int n, int trials, double sim_seconds, std::uint64_t base_seed,
 } // namespace
 
 int main(int argc, char** argv) {
+    static constexpr cli::FlagSpec kExtra[] = {
+        cli::integer("max-n", "N"), cli::real("sim-time", "SEC"),
+        cli::integer("trials", "K"), cli::text("bench-out", "FILE")};
     OptionsSpec spec;
-    spec.extra = {"max-n", "sim-time", "trials", "bench-out"};
+    spec.extra = kExtra;
     spec.tool = "metroscale_sweep";
     spec.description = "fig15 phase transition in N pushed to metro scale "
                        "(N up to 1e5) on the PM kernel; reports "
                        "frac unsync, ns/router-round, ns/tx, setup_ms, "
                        "bytes/router, peak RSS";
     const Options& options = parse_options(argc, argv, spec);
-    const int max_n =
-        read_extra([&] { return cli::flag_i(options.extra, "max-n", 100000); });
-    const double sim_seconds =
-        read_extra([&] { return cli::flag_d(options.extra, "sim-time", 20000.0); });
-    const int trials_small =
-        read_extra([&] { return cli::flag_i(options.extra, "trials", 3); });
+    const int max_n = options.args.integer("max-n", 100000);
+    const double sim_seconds = options.args.real("sim-time", 20000.0);
+    const int trials_small = options.args.integer("trials", 3);
     const std::uint64_t base_seed = options.seed_or(1993);
 
     header("Metro-scale sweep",
@@ -245,8 +245,7 @@ int main(int argc, char** argv) {
               "at least 1e4 routers");
     }
 
-    const std::string path =
-        cli::flag_s(options.extra, "bench-out", "BENCH_sweep.json");
+    const std::string path = options.args.text("bench-out", "BENCH_sweep.json");
     std::ostringstream out;
     out << "{\n";
     out << "    \"params\": {\"tp_sec\": 121, \"tc_sec\": 0.11, \"tr_sec\": 0.3, "

@@ -772,21 +772,12 @@ private:
 } // namespace
 
 int main(int argc, char** argv) {
+    // google-benchmark takes its --benchmark_* flags out of argv first;
+    // what is left is the bench command line, parsed strictly.
+    benchmark::Initialize(&argc, argv);
     bench::OptionsSpec spec;
-    spec.allow_unknown = true; // google-benchmark owns --benchmark_* flags
     spec.description = "engine micro-benchmarks (performance floor)";
     bench::Options& options = bench::parse_options(argc, argv, spec);
-
-    std::vector<char*> args;
-    args.push_back(argv[0]);
-    for (std::string& passed : options.passthrough) {
-        args.push_back(passed.data());
-    }
-    int filtered_argc = static_cast<int>(args.size());
-    benchmark::Initialize(&filtered_argc, args.data());
-    if (benchmark::ReportUnrecognizedArguments(filtered_argc, args.data())) {
-        return 1;
-    }
     std::unique_ptr<benchmark::BenchmarkReporter> display{
         benchmark::CreateDefaultDisplayReporter()};
     if (!options.json) {

@@ -62,16 +62,18 @@ Pass run_pass(const scenarios::ScenarioSweepConfig& base, std::size_t jobs) {
 } // namespace
 
 int main(int argc, char** argv) {
+    static constexpr cli::FlagSpec kExtra[] = {cli::real("max-time", "SEC"),
+                                               cli::integer("trials", "K", 1),
+                                               cli::text("bench-out", "FILE")};
     OptionsSpec spec;
-    spec.extra = {"max-time", "trials", "bench-out"};
+    spec.extra = kExtra;
     spec.tool = "scenario_sweep_wallclock";
     spec.description = "packet-level shared-LAN scenario sweep (buffer x "
                        "load x trial grid) timed at --jobs 1/4/8; every "
                        "pass must agree on transmissions and trace digest";
     const Options& options = parse_options(argc, argv, spec);
-    const double max_time =
-        read_extra([&] { return cli::flag_d(options.extra, "max-time", 300.0); });
-    const int trials = read_extra([&] { return cli::flag_trials(options.extra, 3); });
+    const double max_time = options.args.real("max-time", 300.0);
+    const int trials = options.args.integer("trials", 3);
 
     scenarios::ScenarioSweepConfig sweep_cfg;
     sweep_cfg.base.queue_disc = net::elements::QueueDisc::Red;
@@ -121,8 +123,7 @@ int main(int argc, char** argv) {
     check(digests_agree,
           "combined trace digest is identical across --jobs 1/4/8");
 
-    const std::string path =
-        cli::flag_s(options.extra, "bench-out", "BENCH_sweep.json");
+    const std::string path = options.args.text("bench-out", "BENCH_sweep.json");
     std::ostringstream out;
     out << "{\n";
     out << "    \"grid\": {\"buffers\": [4, 8, 16, 32], \"loads\": [0.8, 1.2], "

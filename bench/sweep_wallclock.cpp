@@ -25,7 +25,6 @@
 // context (a 1-core container shows ~1.0x regardless of the scheduler).
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -36,6 +35,7 @@
 #include "bench/common.hpp"
 #include "core/core.hpp"
 #include "parallel/parallel.hpp"
+#include "scenarios/registry.hpp"
 
 using namespace routesync;
 using namespace routesync::bench;
@@ -111,20 +111,23 @@ struct FigureRun {
 FigureRun time_figure(const std::string& bin_dir, const std::string& name) {
     FigureRun run;
     run.name = name;
-    const std::string cmd = bin_dir + "/" + name + " > /dev/null 2>&1";
     const auto t0 = std::chrono::steady_clock::now();
-    const int rc = std::system(cmd.c_str());
+    try {
+        run.ok = scenarios::run_binary(bin_dir + "/" + name, {}, /*quiet=*/true) == 0;
+    } catch (const std::runtime_error&) {
+        // Not started: run.ok stays false.
+    }
     const auto t1 = std::chrono::steady_clock::now();
     run.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-    run.ok = rc == 0;
     return run;
 }
 
 } // namespace
 
 int main(int argc, char** argv) {
+    static constexpr cli::FlagSpec kExtra[] = {cli::text("bench-out", "FILE")};
     OptionsSpec spec;
-    spec.extra = {"bench-out"};
+    spec.extra = kExtra;
     spec.tool = "sweep_wallclock";
     spec.description = "fig13 N x Tc simulation grid wall clock: engine vs "
                        "PM kernel, SweepScheduler at 1/4/8 jobs, plus the "
@@ -217,8 +220,7 @@ int main(int argc, char** argv) {
     std::printf("peak RSS                   : %.1f MiB\n",
                 static_cast<double>(rss) / (1024.0 * 1024.0));
 
-    const std::string path =
-        cli::flag_s(options.extra, "bench-out", "BENCH_sweep.json");
+    const std::string path = options.args.text("bench-out", "BENCH_sweep.json");
     std::ostringstream out;
     out << "{\n";
     out << "    \"grid\": {\"n\": [10, 20, 30], \"tc_sec\": [0.01, 0.11], "

@@ -1,6 +1,6 @@
 // jitter_tuning: size the randomness for YOUR routing protocol.
 //
-//   $ ./examples/jitter_tuning [--n N] [--tp period_s] [--tc cost_s]
+//   $ ./examples/jitter_tuning [--n N>=2] [--tp period_s>0] [--tc cost_s>0]
 //
 // Given the number of routers sharing a network, their update period, and
 // the CPU cost of one update, this walks the paper's Section 5 analysis:
@@ -9,7 +9,6 @@
 //   * how fast an already-synchronized network recovers at that jitter,
 //   * the paper's two rules of thumb (10*Tc, and Tp/2).
 #include <cstdio>
-#include <cstdlib>
 
 #include "bench/common.hpp"
 #include "markov/markov.hpp"
@@ -17,24 +16,16 @@
 using namespace routesync;
 
 int main(int argc, char** argv) {
+    static constexpr cli::FlagSpec kExtra[] = {cli::integer("n", "N", 2),
+                                               cli::positive("tp", "SEC"),
+                                               cli::positive("tc", "SEC")};
     bench::OptionsSpec spec;
-    spec.extra = {"n", "tp", "tc"};
+    spec.extra = kExtra;
     spec.description = "size the update-timer randomness for your protocol";
     bench::Options& options = bench::parse_options(argc, argv, spec);
-    const int n = options.extra.count("n") != 0
-                      ? std::atoi(options.extra.at("n").c_str())
-                      : 20;
-    const double tp = options.extra.count("tp") != 0
-                          ? std::atof(options.extra.at("tp").c_str())
-                          : 30.0; // RIP default
-    const double tc = options.extra.count("tc") != 0
-                          ? std::atof(options.extra.at("tc").c_str())
-                          : 0.3; // 300 routes @ 1 ms
-    if (n < 2 || tp <= 0 || tc <= 0) {
-        std::fprintf(stderr, "usage: %s [--n N>=2] [--tp period_s>0] [--tc cost_s>0]\n",
-                     argv[0]);
-        return 1;
-    }
+    const int n = options.args.integer("n", 20);
+    const double tp = options.args.real("tp", 30.0); // RIP default
+    const double tc = options.args.real("tc", 0.3);  // 300 routes @ 1 ms
     obs::Manifest& manifest = options.ctx.manifest();
     manifest.set_config("n", n);
     manifest.set_config("tp_sec", tp);

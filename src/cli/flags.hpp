@@ -1,16 +1,28 @@
-// Minimal --flag/value command-line parsing: the one set of flag
-// readers behind the routesync CLI (tools/), the benches (bench/) and
-// the scenario registry's builtin runners (src/scenarios/). Header-only,
-// so the libraries reach it without depending on the CLI layer, and the
-// parsing rules are unit-testable.
+// Command-line flags: one typed table per command, and the one parser
+// behind the routesync CLI (tools/), the benches and examples
+// (bench/common.hpp) and the scenario registry (src/scenarios/).
+// Header-only, so the libraries reach it without depending on the CLI
+// layer, and the parsing rules are unit-testable.
+//
+// A command states its flags once, as a constexpr table:
+//
+//   inline constexpr cli::FlagSpec kTable[] = {
+//       cli::integer("n", "N"), cli::real("tp", "SEC"), cli::boolean("print")};
+//
+// cli::parse(tokens, {tables...}) checks every token against the tables
+// and returns the Args the command reads its values from; cli::usage()
+// prints the same tables as a flag list. A default is stated once, where
+// the value lands (`args.real("tp", 121.0)`): the tables hold none.
 #pragma once
 
 #include <algorithm>
 #include <cerrno>
 #include <cmath>
-#include <cstddef>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <functional>
+#include <initializer_list>
 #include <limits>
 #include <map>
 #include <optional>
@@ -18,52 +30,14 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 namespace routesync::cli {
 
-using Flags = std::map<std::string, std::string>;
-
-/// Parses `--name value` and `--name=value` flags starting at
-/// argv[first]. A flag followed by another flag (or by nothing) is
-/// boolean and gets the value "1". Non-flag tokens throw.
-inline Flags parse_flags(int argc, char** argv, int first) {
-    Flags flags;
-    for (int i = first; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg.rfind("--", 0) != 0) {
-            throw std::invalid_argument{"unexpected argument: " + arg};
-        }
-        arg.erase(0, 2);
-        if (arg.empty()) {
-            throw std::invalid_argument{"empty flag name"};
-        }
-        if (const auto eq = arg.find('='); eq != std::string::npos) {
-            if (eq == 0) {
-                throw std::invalid_argument{"empty flag name"};
-            }
-            flags[arg.substr(0, eq)] = arg.substr(eq + 1);
-        } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-            flags.insert_or_assign(arg, std::string{argv[++i]});
-        } else {
-            flags.insert_or_assign(arg, std::string{"1"});
-        }
-    }
-    return flags;
-}
-
-inline bool flag_b(const Flags& flags, const std::string& key) {
-    return flags.contains(key);
-}
-
-inline std::string flag_s(const Flags& flags, const std::string& key,
-                          const std::string& fallback = {}) {
-    const auto it = flags.find(key);
-    return it == flags.end() ? fallback : it->second;
-}
-
 /// `value` as a base-10 integer in [min, max]; nullopt for an empty
 /// value, non-numeric junk (trailing junk included) and a value out of
-/// range. The integer rule behind flag_i, flag_jobs and flag_count.
+/// range. The rule behind Kind::Int.
 inline std::optional<long> parse_integer(const std::string& value, long min,
                                          long max) {
     char* end = nullptr;
@@ -78,7 +52,7 @@ inline std::optional<long> parse_integer(const std::string& value, long min,
 
 /// `value` as a finite real number (strtod syntax: "0.11", "1e5");
 /// nullopt for an empty value, trailing junk, a value beyond double's
-/// range, inf and nan. The rule behind flag_d.
+/// range, inf and nan. The rule behind Kind::Real.
 inline std::optional<double> parse_real(const std::string& value) {
     char* end = nullptr;
     errno = 0;
@@ -93,6 +67,7 @@ inline std::optional<double> parse_real(const std::string& value) {
 /// `value` as a 64-bit unsigned seed: decimal digits only, 0 to
 /// 2^64 - 1; nullopt for an empty value, a sign, junk and a value past
 /// 2^64 - 1. strtoull would read "-1" as 2^64 - 1, so it is not used.
+/// The rule behind Kind::Seed.
 inline std::optional<std::uint64_t> parse_seed(const std::string& value) {
     if (value.empty()) {
         return std::nullopt;
@@ -112,116 +87,283 @@ inline std::optional<std::uint64_t> parse_seed(const std::string& value) {
     return seed;
 }
 
-/// Parses `--seed`: absent -> `fallback`. Every seed field is 64-bit
-/// unsigned; a value parse_seed rejects throws rather than run a seed
-/// nobody asked for.
-inline std::uint64_t flag_seed(const Flags& flags, std::uint64_t fallback) {
-    const auto it = flags.find("seed");
-    if (it == flags.end()) {
-        return fallback;
-    }
-    const auto seed = parse_seed(it->second);
-    if (!seed) {
-        throw std::invalid_argument{
-            "--seed must be an integer in [0, " +
-            std::to_string(std::numeric_limits<std::uint64_t>::max()) + "], got '" +
-            it->second + "'"};
-    }
-    return *seed;
+/// What a flag's value is.
+enum class Kind : std::uint8_t {
+    Bool,   ///< present or absent; never takes a value
+    Int,    ///< parse_integer, within the entry's bounds
+    Real,   ///< parse_real, within the entry's bounds
+    Seed,   ///< parse_seed
+    String, ///< any text
+    Enum,   ///< one of the '|'-separated choices in FlagSpec::value
+};
+
+inline constexpr double kUnbounded = std::numeric_limits<double>::infinity();
+
+/// One flag of a command's table. Build entries with the makers below.
+struct FlagSpec {
+    std::string_view name; ///< without the leading "--"
+    Kind kind;
+    /// The value's placeholder in usage() ("N", "SEC", "FILE"); an
+    /// Enum's choices, '|'-separated ("red|droptail").
+    std::string_view value;
+    /// Int and Real bounds; `above` makes `min` exclusive. A String with
+    /// min > 0 rejects the empty value.
+    double min;
+    double max;
+    bool above;
+};
+
+/// A table: every flag one command (or one part of it) declares.
+using Table = std::span<const FlagSpec>;
+
+// Table entries, one maker per kind.
+constexpr FlagSpec boolean(std::string_view name) {
+    return {name, Kind::Bool, {}, -kUnbounded, kUnbounded, false};
+}
+/// An integer flag, by default bounded by int's range.
+constexpr FlagSpec integer(std::string_view name, std::string_view value,
+                           double min = std::numeric_limits<int>::min(),
+                           double max = std::numeric_limits<int>::max()) {
+    return {name, Kind::Int, value, min, max, false};
+}
+constexpr FlagSpec real(std::string_view name, std::string_view value) {
+    return {name, Kind::Real, value, -kUnbounded, kUnbounded, false};
+}
+/// A real flag that must be > 0.
+constexpr FlagSpec positive(std::string_view name, std::string_view value) {
+    return {name, Kind::Real, value, 0.0, kUnbounded, true};
+}
+constexpr FlagSpec seed(std::string_view name = "seed") {
+    return {name, Kind::Seed, "S", 0.0, kUnbounded, false};
+}
+constexpr FlagSpec text(std::string_view name, std::string_view value,
+                        bool non_empty = false) {
+    return {name, Kind::String, value, non_empty ? 1.0 : 0.0, kUnbounded, false};
+}
+constexpr FlagSpec choice(std::string_view name, std::string_view choices) {
+    return {name, Kind::Enum, choices, -kUnbounded, kUnbounded, false};
 }
 
-/// Parses an integer flag `--key`: absent -> `fallback`. A value that is
-/// not an int (empty, junk such as "5x", out of range) throws, like
-/// --jobs: a run with a silently truncated value would be worse than an
-/// error.
-inline int flag_i(const Flags& flags, const std::string& key, int fallback) {
-    const auto it = flags.find(key);
-    if (it == flags.end()) {
-        return fallback;
+/// Whether `value` is one of `choices` ('|'-separated).
+inline bool is_choice(std::string_view choices, std::string_view value) {
+    for (std::size_t at = 0; at <= choices.size();) {
+        const std::size_t bar = std::min(choices.find('|', at), choices.size());
+        if (choices.substr(at, bar - at) == value) {
+            return true;
+        }
+        at = bar + 1;
     }
-    const auto n = parse_integer(it->second, std::numeric_limits<int>::min(),
-                                 std::numeric_limits<int>::max());
-    if (!n) {
-        throw std::invalid_argument{"--" + key + " must be an integer in [" +
-                                    std::to_string(std::numeric_limits<int>::min()) +
-                                    ", " +
-                                    std::to_string(std::numeric_limits<int>::max()) +
-                                    "], got '" + it->second + "'"};
-    }
-    return static_cast<int>(*n);
+    return false;
 }
 
-/// Parses a real-number flag `--key`: absent -> `fallback`. A value that
-/// is not a finite number (empty, junk such as "0.1abc", out of range)
-/// throws.
-inline double flag_d(const Flags& flags, const std::string& key, double fallback) {
-    const auto it = flags.find(key);
-    if (it == flags.end()) {
-        return fallback;
+/// Whether `value` is a valid value of `f` (a Bool takes none).
+inline bool valid(const FlagSpec& f, const std::string& value) {
+    switch (f.kind) {
+    case Kind::Bool:
+        return false;
+    case Kind::Int: {
+        const auto n = parse_integer(value, std::numeric_limits<long>::min(),
+                                     std::numeric_limits<long>::max());
+        return n && static_cast<double>(*n) >= f.min &&
+               static_cast<double>(*n) <= f.max;
     }
-    const auto x = parse_real(it->second);
-    if (!x) {
-        throw std::invalid_argument{"--" + key + " must be a number, got '" +
-                                    it->second + "'"};
+    case Kind::Real: {
+        const auto x = parse_real(value);
+        return x && *x >= f.min && *x <= f.max && !(f.above && *x == f.min);
     }
-    return *x;
+    case Kind::Seed:
+        return parse_seed(value).has_value();
+    case Kind::String:
+        return !value.empty() || f.min == 0.0;
+    case Kind::Enum:
+        return is_choice(f.value, value);
+    }
+    return false;
 }
 
-/// Parses `--jobs`: worker-thread count for parallel sweeps. Absent or
-/// `--jobs 0` -> `fallback` (callers typically pass
-/// parallel::hardware_jobs(), so 0 means "auto-detect"). Negatives and
-/// non-numeric junk throw with a clear message — a silently-serial or
-/// zero-thread run would be worse than an error.
-inline std::size_t flag_jobs(const Flags& flags, std::size_t fallback) {
-    const auto it = flags.find("jobs");
-    if (it == flags.end()) {
-        return fallback;
+/// What a valid value of `f` is, for error messages ("an integer >= 1").
+inline std::string describe(const FlagSpec& f) {
+    const auto num = [](double x) {
+        char buf[32];
+        std::snprintf(buf, sizeof buf, "%.17g", x);
+        return std::string{buf};
+    };
+    switch (f.kind) {
+    case Kind::Int:
+        return f.max == kUnbounded
+                   ? "an integer >= " + num(f.min)
+                   : "an integer in [" + num(f.min) + ", " + num(f.max) + "]";
+    case Kind::Real:
+        return f.above ? "a number > " + num(f.min) : "a number";
+    case Kind::Seed:
+        return "an integer in [0, " +
+               std::to_string(std::numeric_limits<std::uint64_t>::max()) + "]";
+    case Kind::Enum:
+        return "one of " + std::string{f.value};
+    default:
+        return "a non-empty value";
     }
-    const auto n = parse_integer(it->second, 0, std::numeric_limits<long>::max());
-    if (!n) {
-        throw std::invalid_argument{
-            "--jobs must be a non-negative integer (0 = auto-detect), got '" +
-            it->second + "'"};
-    }
-    return *n == 0 ? fallback : static_cast<std::size_t>(*n);
 }
 
-/// Parses an integer count flag `--key`: absent -> `fallback`. A value
-/// below `min` (0 or 1), beyond int, or with non-numeric junk throws
-/// with a clear message, like --jobs.
-inline int flag_count(const Flags& flags, const std::string& key, int fallback,
-                      int min) {
-    const auto it = flags.find(key);
-    if (it == flags.end()) {
-        return fallback;
+class Args;
+inline Args parse(std::span<const std::string> tokens,
+                  std::initializer_list<Table> tables);
+
+/// The flags one command line gave, read by name and kind. Reading a
+/// name no table of the command declares, or as another kind, throws
+/// std::logic_error: that is a slip in the program, not in the input.
+class Args {
+public:
+    /// Whether `--name` was given.
+    [[nodiscard]] bool has(std::string_view name) const {
+        return find(name, std::nullopt) != nullptr;
     }
-    const auto n = parse_integer(it->second, min, std::numeric_limits<int>::max());
-    if (!n) {
-        throw std::invalid_argument{
-            "--" + key + " must be a " +
-            (min > 0 ? "positive" : "non-negative") + " integer, got '" +
-            it->second + "'"};
+    /// A Bool flag: given or not.
+    [[nodiscard]] bool flag(std::string_view name) const {
+        return find(name, Kind::Bool) != nullptr;
     }
-    return static_cast<int>(*n);
+    /// An Int flag as T, `fallback` when absent.
+    template <typename T = int>
+    [[nodiscard]] T integer(std::string_view name, T fallback) const {
+        const std::string* v = find(name, Kind::Int);
+        if (v == nullptr) {
+            return fallback;
+        }
+        const long n = *parse_integer(*v, std::numeric_limits<long>::min(),
+                                      std::numeric_limits<long>::max());
+        if (!std::in_range<T>(n)) {
+            throw std::logic_error{"--" + std::string{name} +
+                                   "'s bounds exceed the type it is read as"};
+        }
+        return static_cast<T>(n);
+    }
+    [[nodiscard]] double real(std::string_view name, double fallback) const {
+        const std::string* v = find(name, Kind::Real);
+        return v == nullptr ? fallback : *parse_real(*v);
+    }
+    [[nodiscard]] std::uint64_t seed(std::string_view name,
+                                     std::uint64_t fallback) const {
+        const std::string* v = find(name, Kind::Seed);
+        return v == nullptr ? fallback : *parse_seed(*v);
+    }
+    [[nodiscard]] std::string text(std::string_view name,
+                                   std::string fallback = {}) const {
+        const std::string* v = find(name, Kind::String);
+        return v == nullptr ? std::move(fallback) : *v;
+    }
+    /// An Enum flag's choice, `fallback` when absent.
+    [[nodiscard]] std::string choice(std::string_view name,
+                                     std::string fallback) const {
+        const std::string* v = find(name, Kind::Enum);
+        return v == nullptr ? std::move(fallback) : *v;
+    }
+
+private:
+    friend Args parse(std::span<const std::string> tokens,
+                      std::initializer_list<Table> tables);
+
+    /// The entry declaring `name`; null when no table does.
+    [[nodiscard]] const FlagSpec* spec(std::string_view name) const {
+        for (const Table table : tables_) {
+            for (const FlagSpec& f : table) {
+                if (f.name == name) {
+                    return &f;
+                }
+            }
+        }
+        return nullptr;
+    }
+
+    /// `--name`'s value, null when absent.
+    [[nodiscard]] const std::string* find(std::string_view name,
+                                          std::optional<Kind> kind) const {
+        const FlagSpec* f = spec(name);
+        if (f == nullptr || (kind && f->kind != *kind)) {
+            throw std::logic_error{"--" + std::string{name} +
+                                   (f == nullptr ? " is read but not declared"
+                                                 : " is read as another kind")};
+        }
+        const auto it = values_.find(name);
+        return it == values_.end() ? nullptr : &it->second;
+    }
+
+    std::vector<Table> tables_;
+    /// Keyed by the declaring entry's name; the last occurrence wins.
+    std::map<std::string_view, std::string, std::less<>> values_;
+};
+
+/// Parses `--name value`, `--name=value` and a bare `--name` (Bool only)
+/// against `tables`. Throws std::invalid_argument, naming the flag, for
+/// an unknown flag, a value given to a Bool, a missing value (none left,
+/// or the next token is a flag), a value the entry rejects (junk, out of
+/// bounds, an unlisted choice), and for a token that is not a flag.
+inline Args parse(std::span<const std::string> tokens,
+                  std::initializer_list<Table> tables) {
+    Args args;
+    args.tables_.assign(tables.begin(), tables.end());
+    for (std::size_t i = 0; i < tokens.size(); ++i) {
+        const std::string_view token = tokens[i];
+        if (!token.starts_with("--")) {
+            throw std::invalid_argument{"unexpected argument: " + tokens[i]};
+        }
+        const std::size_t eq = token.find('=');
+        const std::string_view name =
+            token.substr(2, eq == std::string_view::npos ? eq : eq - 2);
+        if (name.empty()) {
+            throw std::invalid_argument{"empty flag name"};
+        }
+        const FlagSpec* f = args.spec(name);
+        const std::string flag = "--" + std::string{name};
+        if (f == nullptr) {
+            throw std::invalid_argument{"unknown flag " + flag};
+        }
+        std::optional<std::string> value;
+        if (eq != std::string_view::npos) {
+            value = token.substr(eq + 1);
+        } else if (i + 1 < tokens.size() && !tokens[i + 1].starts_with("--")) {
+            value = tokens[++i];
+        }
+        if (f->kind == Kind::Bool) {
+            if (value) {
+                throw std::invalid_argument{flag + " takes no value, got '" +
+                                            *value + "'"};
+            }
+        } else if (!value) {
+            throw std::invalid_argument{flag + " needs a value"};
+        } else if (!valid(*f, *value)) {
+            throw std::invalid_argument{flag + " must be " + describe(*f) +
+                                        ", got '" + *value + "'"};
+        }
+        args.values_.insert_or_assign(f->name, value.value_or(""));
+    }
+    return args;
 }
 
-/// Parses `--trials`: repetition count for multi-trial scenario runs and
-/// sweeps. Absent -> `fallback`; must be >= 1 when given (a zero-trial
-/// run is a no-op the user almost certainly did not mean).
-inline int flag_trials(const Flags& flags, int fallback) {
-    return flag_count(flags, "trials", fallback, 1);
-}
-
-/// Throws std::invalid_argument naming the first flag in `flags` (in
-/// name order) that is not in `known` — a command that checks this
-/// cannot drop a typo or a retired flag without a word.
-inline void reject_unknown_flags(const Flags& flags,
-                                 std::span<const std::string_view> known) {
-    for (const auto& entry : flags) {
-        if (std::find(known.begin(), known.end(), entry.first) == known.end()) {
-            throw std::invalid_argument{"unknown flag --" + entry.first};
+/// The flags of `tables` as "[--name VALUE]" items, wrapped before
+/// column 80; a continuation line starts with `indent` spaces, and the
+/// first is taken to start at that column too.
+inline std::string usage(std::initializer_list<Table> tables,
+                         std::size_t indent = 0) {
+    std::string out;
+    std::size_t column = indent;
+    for (const Table table : tables) {
+        for (const FlagSpec& f : table) {
+            std::string item = "[--" + std::string{f.name};
+            if (f.kind != Kind::Bool) {
+                item += ' ';
+                item += f.value;
+            }
+            item += ']';
+            if (!out.empty()) {
+                const bool wrap = column + 1 + item.size() > 79;
+                out += wrap ? "\n" + std::string(indent, ' ') : " ";
+                column = wrap ? indent : column + 1;
+            }
+            out += item;
+            column += item.size();
         }
     }
+    return out;
 }
 
 } // namespace routesync::cli

@@ -1,14 +1,16 @@
 #include "scenarios/registry.hpp"
 
+#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
+#include <cstring>
 #include <stdexcept>
 #include <string>
 
+#include <fcntl.h>
+#include <spawn.h>
 #include <sys/wait.h>
 
 #include "apps/apps.hpp"
-#include "cli/flags.hpp"
 #include "net/elements/queue_element.hpp"
 #include "obs/manifest.hpp"
 #include "obs/metrics.hpp"
@@ -17,42 +19,39 @@
 #include "scenarios/scenario_sweep.hpp"
 #include "scenarios/shared_lan_scenario.hpp"
 
+extern char** environ; // NOLINT: POSIX, the environment run_binary passes on
+
 namespace routesync::scenarios {
 
 namespace {
 
-using cli::flag_d;
-using cli::flag_i;
-using cli::flag_s;
-using cli::flag_seed;
-
 /// `--jobs` for the shared-LAN runs: absent is 1 (one cell at a time),
 /// 0 the hardware concurrency (the TaskPool's auto setting).
-std::size_t shared_lan_jobs(const ScenarioFlags& flags) {
-    return flags.contains("jobs") ? cli::flag_jobs(flags, 0) : 1;
+std::size_t shared_lan_jobs(const cli::Args& args) {
+    return args.integer<std::size_t>("jobs", 1);
 }
 
 // ---- builtin: nearnet ---------------------------------------------------
 // The Figure 1/2 testbed with a ping probe; prints a loss summary. The
 // full paper reproduction (series, autocorrelation, checks) stays in
 // bench/fig01/fig02 — this runner is the interactive knob-turning entry.
-int run_nearnet(const ScenarioFlags& flags) {
+int run_nearnet(const cli::Args& args) {
     NearnetConfig cfg;
-    cfg.core_routers = flag_i(flags, "core-routers", cfg.core_routers);
-    cfg.filler_routes = flag_i(flags, "filler-routes", cfg.filler_routes);
-    cfg.update_period_sec = flag_d(flags, "period", cfg.update_period_sec);
-    cfg.jitter_sec = flag_d(flags, "jitter", cfg.jitter_sec);
-    cfg.blocking_cpu = !flags.contains("non-blocking");
-    cfg.incremental_updates = flags.contains("incremental");
-    cfg.seed = flag_seed(flags, 1);
+    cfg.core_routers = args.integer("core-routers", cfg.core_routers);
+    cfg.filler_routes = args.integer("filler-routes", cfg.filler_routes);
+    cfg.update_period_sec = args.real("period", cfg.update_period_sec);
+    cfg.jitter_sec = args.real("jitter", cfg.jitter_sec);
+    cfg.blocking_cpu = !args.flag("non-blocking");
+    cfg.incremental_updates = args.flag("incremental");
+    cfg.seed = args.seed("seed", 1);
     NearnetScenario s{cfg};
 
     apps::PingConfig pc;
     pc.dst = s.dst().id();
-    pc.count = flag_i(flags, "pings", 1000);
+    pc.count = args.integer("pings", 1000);
     apps::PingApp ping{s.src(), pc};
     ping.start(s.routing_start() + sim::SimTime::seconds(200));
-    const double horizon = flag_d(flags, "max-time", 1500.0);
+    const double horizon = args.real("max-time", 1500.0);
     s.engine().run_until(sim::SimTime::seconds(horizon));
 
     std::printf("scenario,nearnet\n");
@@ -66,15 +65,15 @@ int run_nearnet(const ScenarioFlags& flags) {
 }
 
 // ---- builtin: audiocast -------------------------------------------------
-int run_audiocast(const ScenarioFlags& flags) {
+int run_audiocast(const cli::Args& args) {
     AudiocastConfig cfg;
-    cfg.core_routers = flag_i(flags, "core-routers", cfg.core_routers);
-    cfg.jitter_sec = flag_d(flags, "jitter", cfg.jitter_sec);
-    cfg.background_pps = flag_d(flags, "bg-pps", cfg.background_pps);
-    cfg.seed = flag_seed(flags, 1);
+    cfg.core_routers = args.integer("core-routers", cfg.core_routers);
+    cfg.jitter_sec = args.real("jitter", cfg.jitter_sec);
+    cfg.background_pps = args.real("bg-pps", cfg.background_pps);
+    cfg.seed = args.seed("seed", 1);
     AudiocastScenario s{cfg};
 
-    const double horizon = flag_d(flags, "max-time", 720.0);
+    const double horizon = args.real("max-time", 720.0);
     apps::CbrConfig cc;
     cc.dst = s.audio_dst().id();
     cc.packets_per_second = 50.0;
@@ -108,35 +107,29 @@ int run_audiocast(const ScenarioFlags& flags) {
 // ---- builtin: shared_lan ------------------------------------------------
 // The RED-vs-drop-tail knob (--queue red|droptail); see
 // shared_lan_scenario.hpp for the mechanism under test.
-SharedLanScenarioConfig parse_shared_lan_config(const ScenarioFlags& flags) {
+SharedLanScenarioConfig parse_shared_lan_config(const cli::Args& args) {
     SharedLanScenarioConfig cfg;
-    cfg.n = flag_i(flags, "n", cfg.n);
-    cfg.tp = sim::SimTime::seconds(flag_d(flags, "tp", cfg.tp.sec()));
-    cfg.tr = sim::SimTime::seconds(flag_d(flags, "tr", cfg.tr.sec()));
-    cfg.tc = sim::SimTime::seconds(flag_d(flags, "tc", cfg.tc.sec()));
-    const std::string queue = flag_s(flags, "queue", "droptail");
-    const auto disc = net::elements::queue_disc_from_name(queue);
-    if (!disc.has_value()) {
-        throw std::invalid_argument{
-            "shared_lan: unknown --queue '" + queue + "' (want red|droptail)"};
-    }
-    cfg.queue_disc = *disc;
+    cfg.n = args.integer("n", cfg.n);
+    cfg.tp = sim::SimTime::seconds(args.real("tp", cfg.tp.sec()));
+    cfg.tr = sim::SimTime::seconds(args.real("tr", cfg.tr.sec()));
+    cfg.tc = sim::SimTime::seconds(args.real("tc", cfg.tc.sec()));
+    // The table admits only the names queue_disc_from_name knows.
+    cfg.queue_disc = *net::elements::queue_disc_from_name(
+        args.choice("queue", net::elements::queue_disc_name(cfg.queue_disc)));
     cfg.queue_packets = static_cast<std::size_t>(
-        flag_i(flags, "queue-cap", static_cast<int>(cfg.queue_packets)));
-    cfg.red.min_th = flag_d(flags, "red-min", cfg.red.min_th);
-    cfg.red.max_th = flag_d(flags, "red-max", cfg.red.max_th);
-    cfg.red.max_p = flag_d(flags, "red-maxp", cfg.red.max_p);
-    cfg.red.weight = flag_d(flags, "red-weight", cfg.red.weight);
-    cfg.bg_burst = flag_i(flags, "bg-burst", cfg.bg_burst);
-    cfg.bg_period =
-        sim::SimTime::seconds(flag_d(flags, "bg-period", cfg.bg_period.sec()));
-    cfg.max_time =
-        sim::SimTime::seconds(flag_d(flags, "max-time", cfg.max_time.sec()));
-    cfg.seed = flag_seed(flags, 1);
-    cfg.monitor = flags.contains("monitor");
-    cfg.sync_threshold = flag_d(flags, "sync-threshold", cfg.sync_threshold);
-    cfg.sync_hysteresis = flag_d(flags, "sync-hysteresis", cfg.sync_hysteresis);
-    if (flag_s(flags, "dispatch", "fast") == "virtual") {
+        args.integer("queue-cap", static_cast<int>(cfg.queue_packets)));
+    cfg.red.min_th = args.real("red-min", cfg.red.min_th);
+    cfg.red.max_th = args.real("red-max", cfg.red.max_th);
+    cfg.red.max_p = args.real("red-maxp", cfg.red.max_p);
+    cfg.red.weight = args.real("red-weight", cfg.red.weight);
+    cfg.bg_burst = args.integer("bg-burst", cfg.bg_burst);
+    cfg.bg_period = sim::SimTime::seconds(args.real("bg-period", cfg.bg_period.sec()));
+    cfg.max_time = sim::SimTime::seconds(args.real("max-time", cfg.max_time.sec()));
+    cfg.seed = args.seed("seed", 1);
+    cfg.monitor = args.flag("monitor");
+    cfg.sync_threshold = args.real("sync-threshold", cfg.sync_threshold);
+    cfg.sync_hysteresis = args.real("sync-hysteresis", cfg.sync_hysteresis);
+    if (args.choice("dispatch", "fast") == "virtual") {
         cfg.dispatch = net::elements::DispatchMode::Virtual;
     }
     return cfg;
@@ -165,16 +158,16 @@ void set_shared_lan_manifest_config(obs::Manifest& m,
     }
 }
 
-int run_shared_lan_trials(const ScenarioFlags& flags,
+int run_shared_lan_trials(const cli::Args& args,
                           const SharedLanScenarioConfig& cfg, int trials,
                           std::size_t jobs);
 
-int run_shared_lan(const ScenarioFlags& flags) {
-    SharedLanScenarioConfig cfg = parse_shared_lan_config(flags);
-    const int trials = cli::flag_trials(flags, 1);
-    const std::size_t jobs = shared_lan_jobs(flags);
+int run_shared_lan(const cli::Args& args) {
+    SharedLanScenarioConfig cfg = parse_shared_lan_config(args);
+    const int trials = args.integer("trials", 1);
+    const std::size_t jobs = shared_lan_jobs(args);
     if (trials > 1) {
-        return run_shared_lan_trials(flags, cfg, trials, jobs);
+        return run_shared_lan_trials(args, cfg, trials, jobs);
     }
 
     const SharedLanScenarioResult r = run_shared_lan_scenario(cfg);
@@ -232,7 +225,7 @@ int run_shared_lan(const ScenarioFlags& flags) {
 
     // --out FILE: a run manifest whose config embeds the element graph's
     // wire spec — the topology that ran, reconstructible via wire().
-    const std::string out = flag_s(flags, "out");
+    const std::string out = args.text("out");
     if (!out.empty()) {
         obs::Manifest m;
         m.tool = "scenario/shared_lan";
@@ -311,7 +304,7 @@ void print_cell_row(const ScenarioSweepCell& cell) {
                 static_cast<unsigned long long>(cell.trace_digest));
 }
 
-int run_shared_lan_trials(const ScenarioFlags& flags,
+int run_shared_lan_trials(const cli::Args& args,
                           const SharedLanScenarioConfig& cfg, int trials,
                           std::size_t jobs) {
     ScenarioSweepConfig sc;
@@ -344,7 +337,7 @@ int run_shared_lan_trials(const ScenarioFlags& flags,
     std::fprintf(stderr, "shared_lan: %d trials on %zu workers (%zu steals)\n",
                  trials, sweep.jobs, sweep.steals);
 
-    const std::string out = flag_s(flags, "out");
+    const std::string out = args.text("out");
     if (!out.empty()) {
         obs::Manifest m;
         m.tool = "scenario/shared_lan";
@@ -371,14 +364,11 @@ int run_shared_lan_trials(const ScenarioFlags& flags,
     return 0;
 }
 
-ScenarioEntry builtin(std::string name, std::string summary,
-                      std::string flags_help,
-                      std::span<const std::string_view> flags,
-                      std::function<int(const ScenarioFlags&)> run) {
+ScenarioEntry builtin(std::string name, std::string summary, cli::Table flags,
+                      std::function<int(const cli::Args&)> run) {
     ScenarioEntry e;
     e.name = std::move(name);
     e.summary = std::move(summary);
-    e.flags_help = std::move(flags_help);
     e.flags = flags;
     e.run = std::move(run);
     return e;
@@ -395,14 +385,16 @@ ScenarioEntry external(std::string name, std::string summary,
 
 } // namespace
 
-int run_shared_lan_sweep(const ScenarioFlags& flags) {
+int run_shared_lan_sweep(const cli::Args& args) {
     ScenarioSweepConfig sc;
-    sc.base = parse_shared_lan_config(flags);
-    sc.buffers = parse_buffer_list(
-        flag_s(flags, "buffers", std::to_string(sc.base.queue_packets)));
-    sc.loads = parse_load_list(flag_s(flags, "loads", "1"));
-    sc.trials = cli::flag_trials(flags, 1);
-    sc.jobs = shared_lan_jobs(flags);
+    sc.base = parse_shared_lan_config(args);
+    const std::string buffers =
+        args.text("buffers", std::to_string(sc.base.queue_packets));
+    const std::string loads = args.text("loads", "1");
+    sc.buffers = parse_buffer_list(buffers);
+    sc.loads = parse_load_list(loads);
+    sc.trials = args.integer("trials", 1);
+    sc.jobs = shared_lan_jobs(args);
     const ScenarioSweepResult sweep = run_scenario_sweep(sc);
 
     // Stdout carries no jobs/steals: `--jobs N` must be byte-identical
@@ -442,7 +434,7 @@ int run_shared_lan_sweep(const ScenarioFlags& flags) {
                  "scenario sweep: %zu cells on %zu workers (%zu steals)\n",
                  sweep.cells.size(), sweep.jobs, sweep.steals);
 
-    const std::string out = flag_s(flags, "out");
+    const std::string out = args.text("out");
     if (!out.empty()) {
         obs::Manifest m;
         m.tool = "scenario/shared_lan_sweep";
@@ -453,9 +445,8 @@ int run_shared_lan_sweep(const ScenarioFlags& flags) {
         m.seeds = {sc.base.seed};
         m.jobs = sweep.jobs;
         set_shared_lan_manifest_config(m, sc.base);
-        m.set_config("buffers", flag_s(flags, "buffers",
-                                       std::to_string(sc.base.queue_packets)));
-        m.set_config("loads", flag_s(flags, "loads", "1"));
+        m.set_config("buffers", buffers);
+        m.set_config("loads", loads);
         m.set_config("trials", sc.trials);
         m.set_config("cells", static_cast<std::uint64_t>(sweep.cells.size()));
         char digest[32];
@@ -503,31 +494,63 @@ const ScenarioEntry* ScenarioRegistry::find(const std::string& name) const {
 }
 
 int ScenarioRegistry::run(const std::string& name,
-                          const ScenarioFlags& flags) const {
+                          std::span<const std::string> tokens,
+                          const std::string& bin_dir) const {
     const ScenarioEntry* entry = find(name);
     if (entry == nullptr) {
         throw std::invalid_argument{
             "unknown scenario '" + name +
             "' (run `routesync scenario list` for the table)"};
     }
+    // --bin-dir belongs to the dispatch: builtins accept and ignore it,
+    // and externals do not see it.
+    static constexpr cli::FlagSpec kDispatchTable[] = {cli::text("bin-dir", "DIR")};
     if (entry->is_builtin()) {
-        return entry->run(flags);
+        return entry->run(cli::parse(tokens, {entry->flags, kDispatchTable}));
     }
-    // External: exec the standalone binary, forwarding the flags (minus
-    // the dispatch-only --bin-dir) verbatim.
-    std::string cmd = flag_s(flags, "bin-dir", ".") + "/" + entry->binary;
-    for (const auto& [key, value] : flags) {
-        if (key == "bin-dir") {
-            continue;
-        }
-        cmd += " --" + key;
-        if (value != "1") {
-            cmd += " " + value;
+    std::string dir = bin_dir;
+    std::vector<std::string> forwarded;
+    for (std::size_t i = 0; i < tokens.size(); ++i) {
+        if (tokens[i].starts_with("--bin-dir=")) {
+            dir = tokens[i].substr(10);
+        } else if (tokens[i] == "--bin-dir") {
+            if (i + 1 == tokens.size() || tokens[i + 1].starts_with("--")) {
+                throw std::invalid_argument{"--bin-dir needs a value"};
+            }
+            dir = tokens[++i];
+        } else {
+            forwarded.push_back(tokens[i]);
         }
     }
-    const int status = std::system(cmd.c_str()); // NOLINT(cert-env33-c)
-    if (status < 0) {
-        throw std::runtime_error{"scenario run: failed to exec " + cmd};
+    return run_binary(dir + "/" + entry->binary, forwarded);
+}
+
+int run_binary(const std::string& path, std::span<const std::string> args,
+               bool quiet) {
+    std::vector<char*> argv{const_cast<char*>(path.c_str())};
+    for (const std::string& arg : args) {
+        argv.push_back(const_cast<char*>(arg.c_str()));
+    }
+    argv.push_back(nullptr);
+    posix_spawn_file_actions_t actions;
+    posix_spawn_file_actions_init(&actions);
+    if (quiet) {
+        posix_spawn_file_actions_addopen(&actions, 1, "/dev/null", O_WRONLY, 0);
+        posix_spawn_file_actions_adddup2(&actions, 1, 2);
+    }
+    pid_t pid = 0;
+    const int rc =
+        posix_spawn(&pid, path.c_str(), &actions, nullptr, argv.data(), environ);
+    posix_spawn_file_actions_destroy(&actions);
+    if (rc != 0) {
+        throw std::runtime_error{"cannot run " + path + ": " + std::strerror(rc)};
+    }
+    int status = 0;
+    while (waitpid(pid, &status, 0) < 0) {
+        if (errno != EINTR) {
+            throw std::runtime_error{"cannot wait for " + path + ": " +
+                                     std::strerror(errno)};
+        }
     }
     // The binary's own exit status (2 for a flag it rejects); 1 if a
     // signal ended it.
@@ -539,27 +562,16 @@ void register_builtin_scenarios() {
     if (reg.find("nearnet") != nullptr) {
         return; // already populated
     }
-    reg.add(builtin(
-        "nearnet",
-        "Fig 1/2 testbed: pings through synchronized IGRP core routers",
-        "--core-routers --filler-routes --period --jitter --pings "
-        "--max-time --seed [--non-blocking] [--incremental]",
-        kNearnetFlags, run_nearnet));
-    reg.add(builtin(
-        "audiocast",
-        "Fig 3 testbed: audio outages under synchronized RIP storms",
-        "--core-routers --jitter --bg-pps --max-time --seed",
-        kAudiocastFlags, run_audiocast));
-    reg.add(builtin(
-        "shared_lan",
-        "periodic updates on a congested CSMA/CD LAN; RED vs drop-tail "
-        "station queues",
-        "--queue red|droptail --n --tp --tr --tc --queue-cap --red-min "
-        "--red-max --red-maxp --red-weight --bg-burst --bg-period "
-        "--max-time --seed [--trials K [--jobs N]] [--dispatch fast|virtual] "
-        "[--monitor [--sync-threshold R] [--sync-hysteresis H]] "
-        "[--out MANIFEST]",
-        kSharedLanFlags, run_shared_lan));
+    reg.add(builtin("nearnet",
+                    "Fig 1/2 testbed: pings through synchronized IGRP core routers",
+                    kNearnetTable, run_nearnet));
+    reg.add(builtin("audiocast",
+                    "Fig 3 testbed: audio outages under synchronized RIP storms",
+                    kAudiocastTable, run_audiocast));
+    reg.add(builtin("shared_lan",
+                    "periodic updates on a congested CSMA/CD LAN; RED vs "
+                    "drop-tail station queues",
+                    kSharedLanTable, run_shared_lan));
     // The standalone paper figures and examples, addressable through the
     // same table (resolved against --bin-dir, default ".": run from the
     // build directory).

@@ -4,69 +4,66 @@
 // dispatch (bench/fig*.cpp, examples/*.cpp), so "what can I run?" had no
 // single answer. Entries come in two kinds:
 //
-//   * builtin  — a std::function runner linked into this library. It
-//     receives the parsed --flag map (cli::Flags, read with the same
-//     header-only readers as the CLI: src/cli/flags.hpp) and returns a
-//     process exit code.
+//   * builtin  — a std::function runner linked into this library, with
+//     its flag table (src/cli/flags.hpp). run() parses the command line
+//     against that table and passes the runner the Args; the runner
+//     returns a process exit code.
 //   * external — a relative path to a standalone binary (the figures and
 //     examples keep their own main()s). run() resolves the path against
-//     the --bin-dir flag and executes it, forwarding the remaining
-//     flags verbatim.
+//     --bin-dir and executes it without a shell, forwarding the rest of
+//     the command line verbatim.
 //
-// `routesync scenario list` prints the table; `routesync scenario run
-// <name> [--flags]` dispatches through it.
+// `routesync scenario list` prints the table, with each builtin's flags;
+// `routesync scenario run <name> [--flags]` dispatches through it.
 #pragma once
 
 #include <functional>
-#include <map>
 #include <span>
 #include <string>
-#include <string_view>
 #include <vector>
+
+#include "cli/flags.hpp"
 
 namespace routesync::scenarios {
 
-/// Parsed "--name value" pairs, exactly the shape cli::parse_flags
-/// produces (boolean flags carry the value "1").
-using ScenarioFlags = std::map<std::string, std::string>;
-
-// The flags each builtin runner reads; `routesync scenario run|sweep`
-// rejects any other (cli::reject_unknown_flags). External entries have
-// no list: their flags pass through to the binary.
-
 /// `nearnet`: the testbed, the probe and the horizon.
-inline constexpr std::string_view kNearnetFlags[] = {
-    "core-routers", "filler-routes", "period", "jitter", "pings",
-    "max-time", "seed", "non-blocking", "incremental"};
+inline constexpr cli::FlagSpec kNearnetTable[] = {
+    cli::integer("core-routers", "K"), cli::integer("filler-routes", "N"),
+    cli::real("period", "SEC"), cli::real("jitter", "SEC"),
+    cli::integer("pings", "N"), cli::real("max-time", "SEC"), cli::seed(),
+    cli::boolean("non-blocking"), cli::boolean("incremental")};
 
 /// `audiocast`: the testbed, the cross traffic and the horizon.
-inline constexpr std::string_view kAudiocastFlags[] = {
-    "core-routers", "jitter", "bg-pps", "max-time", "seed"};
+inline constexpr cli::FlagSpec kAudiocastTable[] = {
+    cli::integer("core-routers", "K"), cli::real("jitter", "SEC"),
+    cli::real("bg-pps", "RATE"), cli::real("max-time", "SEC"), cli::seed()};
 
 /// `shared_lan`: the scenario config, the trials and the manifest.
-inline constexpr std::string_view kSharedLanFlags[] = {
-    "queue", "n", "tp", "tr", "tc", "queue-cap", "red-min", "red-max",
-    "red-maxp", "red-weight", "bg-burst", "bg-period", "max-time", "seed",
-    "trials", "jobs", "dispatch", "monitor", "sync-threshold",
-    "sync-hysteresis", "out"};
+inline constexpr cli::FlagSpec kSharedLanTable[] = {
+    cli::choice("queue", "red|droptail|drop-tail|fifo"), cli::integer("n", "N"),
+    cli::real("tp", "SEC"), cli::real("tr", "SEC"), cli::real("tc", "SEC"),
+    cli::integer("queue-cap", "PKTS"), cli::real("red-min", "PKTS"),
+    cli::real("red-max", "PKTS"), cli::real("red-maxp", "P"),
+    cli::real("red-weight", "W"), cli::integer("bg-burst", "PKTS"),
+    cli::real("bg-period", "SEC"), cli::real("max-time", "SEC"), cli::seed(),
+    cli::integer("trials", "K", 1), cli::integer("jobs", "N", 0, cli::kUnbounded),
+    cli::choice("dispatch", "fast|virtual"), cli::boolean("monitor"),
+    cli::real("sync-threshold", "R"), cli::real("sync-hysteresis", "H"),
+    cli::text("out", "MANIFEST")};
 
-/// `scenario sweep shared_lan`: the shared_lan flags plus the grid axes.
-inline constexpr std::string_view kSharedLanSweepFlags[] = {
-    "queue", "n", "tp", "tr", "tc", "queue-cap", "red-min", "red-max",
-    "red-maxp", "red-weight", "bg-burst", "bg-period", "max-time", "seed",
-    "trials", "jobs", "dispatch", "monitor", "sync-threshold",
-    "sync-hysteresis", "out", "buffers", "loads"};
+/// `scenario sweep shared_lan`: the grid axes, parsed with the
+/// kSharedLanTable flags.
+inline constexpr cli::FlagSpec kSweepAxesTable[] = {
+    cli::text("buffers", "LO..HI|a,b,c"), cli::text("loads", "a,b,c")};
 
 struct ScenarioEntry {
     std::string name;
     std::string summary;
-    /// One-line flag cheat-sheet shown by `scenario list` (builtins only).
-    std::string flags_help;
-    /// Every flag the builtin reads (one of the k*Flags lists above);
-    /// empty for external entries.
-    std::span<const std::string_view> flags;
+    /// Every flag the builtin reads (one of the tables above); empty for
+    /// external entries.
+    cli::Table flags;
     /// In-process runner; null for external entries.
-    std::function<int(const ScenarioFlags&)> run;
+    std::function<int(const cli::Args&)> run;
     /// Binary path relative to --bin-dir; empty for builtins.
     std::string binary;
 
@@ -90,11 +87,15 @@ public:
         return entries_;
     }
 
-    /// Dispatches to the named entry. Builtins run in-process; external
-    /// entries exec "<bin-dir>/<binary>" (bin-dir from `flags`, default
-    /// ".") with the remaining flags forwarded and return its exit
-    /// status. Throws std::invalid_argument for an unknown name.
-    int run(const std::string& name, const ScenarioFlags& flags) const;
+    /// Dispatches to the named entry with the command-line `tokens` that
+    /// follow its name. A builtin parses them against its table (plus
+    /// --bin-dir, which it ignores) and runs in-process. An external
+    /// entry runs "<bin-dir>/<binary>" (--bin-dir DIR from `tokens`,
+    /// default `bin_dir`) with every other token, verbatim, and returns
+    /// its exit status. Throws std::invalid_argument for an unknown name
+    /// or a flag the builtin rejects.
+    int run(const std::string& name, std::span<const std::string> tokens,
+            const std::string& bin_dir = ".") const;
 
 private:
     std::vector<ScenarioEntry> entries_;
@@ -107,9 +108,17 @@ void register_builtin_scenarios();
 
 /// The `scenario sweep shared_lan` runner: a (buffer x load x trial)
 /// grid of packet-level shared-LAN simulations over one work-stealing
-/// pool (see scenario_sweep.hpp). Flags: the shared_lan set plus
-/// --buffers LO..HI|a,b,c  --loads a,b,c  --trials K  --jobs N
-/// [--out MANIFEST]. Stdout is byte-identical for every --jobs value.
-int run_shared_lan_sweep(const ScenarioFlags& flags);
+/// pool (see scenario_sweep.hpp). `args` is parsed against
+/// kSharedLanTable and kSweepAxesTable. Stdout is byte-identical for
+/// every --jobs value.
+int run_shared_lan_sweep(const cli::Args& args);
+
+/// Runs the binary at `path` with `args` and waits for it: no shell, so
+/// every argument reaches it as one argv entry, whatever it holds.
+/// Returns its exit status, or 1 if a signal ended it; with `quiet` its
+/// stdout and stderr go to /dev/null. Throws std::runtime_error if it
+/// cannot be started.
+int run_binary(const std::string& path, std::span<const std::string> args,
+               bool quiet = false);
 
 } // namespace routesync::scenarios

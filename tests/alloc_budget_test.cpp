@@ -32,7 +32,10 @@ std::atomic<std::uint64_t> g_allocations{0};
 
 } // namespace
 
-void* operator new(std::size_t size) {
+// noinline: inlined into a `new T` / `delete` pair, GCC 12 sees free()
+// of an operator new pointer and, under ASan, fails the build with
+// -Werror=mismatched-new-delete.
+[[gnu::noinline]] void* operator new(std::size_t size) {
     g_allocations.fetch_add(1, std::memory_order_relaxed);
     if (void* p = std::malloc(size == 0 ? 1 : size)) {
         return p;
@@ -40,9 +43,9 @@ void* operator new(std::size_t size) {
     throw std::bad_alloc{};
 }
 void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {

@@ -2,10 +2,15 @@
 // covered in integration_test.cpp; these check construction invariants).
 #include <gtest/gtest.h>
 
+#include <map>
+#include <sstream>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "obs/trace_sink.hpp"
 #include "obs/tracer.hpp"
+#include "scenarios/registry.hpp"
 #include "scenarios/scenarios.hpp"
 
 namespace {
@@ -177,6 +182,71 @@ TEST(SharedLanScenario, QueuePushesOfOneRedCell) {
     EXPECT_EQ(virt.sync->r_max, fast.sync->r_max);
     EXPECT_EQ(virt.sync_coupling.edge_count(), fast.sync_coupling.edge_count());
     EXPECT_GE(virt.queue_pushes, virt.events_processed);
+}
+
+/// Runs builtin `name` through the registry with every flag of its table
+/// set from `values` (a boolean by its bare name) and returns the
+/// "key,value" lines it prints, in order.
+std::vector<std::pair<std::string, std::string>> run_with_every_flag(
+    const std::string& name, const std::map<std::string, std::string>& values) {
+    scenarios::register_builtin_scenarios();
+    const auto& registry = scenarios::ScenarioRegistry::instance();
+    std::vector<std::string> tokens;
+    for (const cli::FlagSpec& f : registry.find(name)->flags) {
+        tokens.push_back("--" + std::string{f.name});
+        if (f.kind != cli::Kind::Bool) {
+            EXPECT_TRUE(values.contains(std::string{f.name})) << name << " --" << f.name;
+            tokens.push_back(values.at(std::string{f.name}));
+        }
+    }
+    testing::internal::CaptureStdout();
+    EXPECT_EQ(registry.run(name, tokens), 0);
+    std::istringstream out{testing::internal::GetCapturedStdout()};
+    std::vector<std::pair<std::string, std::string>> lines;
+    for (std::string line; std::getline(out, line);) {
+        const auto comma = line.find(',');
+        lines.emplace_back(line.substr(0, comma), line.substr(comma + 1));
+    }
+    return lines;
+}
+
+std::vector<std::string> keys(const std::vector<std::pair<std::string, std::string>>& lines) {
+    std::vector<std::string> out;
+    for (const auto& line : lines) {
+        out.push_back(line.first);
+    }
+    return out;
+}
+
+TEST(ScenarioRegistry, NearnetAndAudiocastRunWithEveryFlagOfTheirTables) {
+    // Nothing else runs these two runners; each table entry must be
+    // accepted and reach the run.
+    const auto nearnet = run_with_every_flag(
+        "nearnet", {{"core-routers", "3"}, {"filler-routes", "50"}, {"period", "90"},
+                    {"jitter", "0.1"}, {"pings", "100"}, {"max-time", "400"},
+                    {"seed", "2"}});
+    EXPECT_EQ(keys(nearnet),
+              (std::vector<std::string>{"scenario", "core_routers", "blocking_cpu",
+                                        "jitter_s", "pings_sent", "pings_lost",
+                                        "loss_fraction"}));
+    ASSERT_EQ(nearnet.size(), 7U);
+    EXPECT_EQ(nearnet[0].second, "nearnet");
+    EXPECT_EQ(nearnet[1].second, "3"); // --core-routers
+    EXPECT_EQ(nearnet[2].second, "0"); // --non-blocking
+    EXPECT_EQ(nearnet[3].second, "0.1");
+    EXPECT_EQ(nearnet[4].second, "100"); // --pings, all sent by 400 s
+
+    const auto audiocast = run_with_every_flag(
+        "audiocast", {{"core-routers", "3"}, {"jitter", "0.1"}, {"bg-pps", "200"},
+                      {"max-time", "200"}, {"seed", "2"}});
+    EXPECT_EQ(keys(audiocast),
+              (std::vector<std::string>{"scenario", "jitter_s", "packets_sent",
+                                        "packets_lost", "outages",
+                                        "periodic_spikes"}));
+    ASSERT_EQ(audiocast.size(), 6U);
+    EXPECT_EQ(audiocast[0].second, "audiocast");
+    EXPECT_EQ(audiocast[1].second, "0.1");
+    EXPECT_GT(std::stoul(audiocast[2].second), 0U);
 }
 
 } // namespace

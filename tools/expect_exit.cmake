@@ -5,7 +5,8 @@
 # The command's stderr is echoed, so a failing entry shows the error
 # the command printed. With -DFILE=<path> -DMATCH=<regex> the file the
 # command writes must also match the regular expression; it is removed
-# first, so a stale copy cannot pass.
+# first, so a stale copy cannot pass. An argument may hold a ';' (pass it
+# as $<SEMICOLON> in add_test): it reaches the command as one argument.
 cmake_minimum_required(VERSION 3.16)
 
 set(command "")
@@ -13,7 +14,8 @@ set(after_separator OFF)
 math(EXPR last "${CMAKE_ARGC} - 1")
 foreach(i RANGE ${last})
   if(after_separator)
-    list(APPEND command "${CMAKE_ARGV${i}}")
+    string(REPLACE ";" "\\;" arg "${CMAKE_ARGV${i}}")
+    list(APPEND command "${arg}")
   elseif(CMAKE_ARGV${i} STREQUAL "--")
     set(after_separator ON)
   endif()

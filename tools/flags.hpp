@@ -1,7 +1,7 @@
 // The routesync CLI's command-level flag rules, separated from the
-// binary so they are unit-testable: the known-flag list of each command,
-// next to each other, and the `sweep` grid. The flag readers themselves
-// live in src/cli/flags.hpp.
+// binary so they are unit-testable: one flag table per command and
+// action, next to each other, and the `sweep` grid. The table type and
+// the parser live in src/cli/flags.hpp.
 #pragma once
 
 #include <cmath>
@@ -9,31 +9,35 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "cli/flags.hpp"
 
 namespace routesync::cli {
 
-// The flags each `routesync` command reads; the command rejects any
-// other (reject_unknown_flags).
-
 /// `routesync pm`: the model, the run, its outputs and the monitor.
-inline constexpr std::string_view kPmFlags[] = {
-    "n", "tp", "tr", "tc", "seed", "max-time", "sync-start", "reset-at-expiry",
-    "half-period", "delta", "stop-on-sync", "stop-on-breakup", "rounds",
-    "transmits", "stride", "monitor", "sync-threshold", "sync-hysteresis",
-    "trace", "out", "sample-every"};
+inline constexpr FlagSpec kPmTable[] = {
+    integer("n", "N"), real("tp", "SEC"), real("tr", "SEC"), real("tc", "SEC"),
+    seed(), real("max-time", "SEC"), boolean("sync-start"),
+    boolean("reset-at-expiry"), boolean("half-period"), real("delta", "SEC"),
+    boolean("stop-on-sync"), integer("stop-on-breakup", "K"), boolean("rounds"),
+    boolean("transmits"), integer("stride", "K", 1), boolean("monitor"),
+    real("sync-threshold", "R"), real("sync-hysteresis", "H"),
+    text("trace", "FILE"), text("out", "MANIFEST"), real("sample-every", "SEC")};
 
-/// `routesync chain`: the chain parameters (--n --tp --tr --tc --f2).
-inline constexpr std::string_view kChainFlags[] = {"n", "tp", "tr", "tc", "f2"};
+/// `routesync chain`: the chain parameters.
+inline constexpr FlagSpec kChainTable[] = {
+    integer("n", "N"), real("tp", "SEC"), real("tr", "SEC"), real("tc", "SEC"),
+    real("f2", "ROUNDS")};
 
-/// `routesync sweep`: the chain parameters, the Tr grid and the optional
-/// simulation column.
-inline constexpr std::string_view kSweepFlags[] = {
-    "n",    "tp",   "tr",         "tc",           "f2",   "from",  "to",
-    "step", "jobs", "sim-trials", "sim-max-time", "seed", "trace", "out"};
+/// `routesync sweep`: the chain parameters, the Tr grid (in units of Tc)
+/// and the optional simulation column.
+inline constexpr FlagSpec kSweepTable[] = {
+    integer("n", "N"), real("tp", "SEC"), real("tr", "SEC"), real("tc", "SEC"),
+    real("f2", "ROUNDS"), real("from", "X"), real("to", "X"), real("step", "X"),
+    integer("jobs", "N", 0, kUnbounded), integer("sim-trials", "T", 0),
+    real("sim-max-time", "SEC"), seed(), text("trace", "FILE"),
+    text("out", "MANIFEST")};
 
 /// Most points `routesync sweep` puts on its Tr/Tc grid. A --step too
 /// small for the range, or too small to move --from at all, is an
@@ -63,32 +67,39 @@ inline std::vector<double> sweep_grid(double from, double to, double step) {
 }
 
 /// `routesync threshold`: the chain parameters and the N search bound.
-inline constexpr std::string_view kThresholdFlags[] = {"n",  "tp", "tr",
-                                                       "tc", "f2", "n-max"};
+inline constexpr FlagSpec kThresholdTable[] = {
+    integer("n", "N"), real("tp", "SEC"), real("tr", "SEC"), real("tc", "SEC"),
+    real("f2", "ROUNDS"), integer("n-max", "N")};
 
 /// `routesync f2`: the model parameters and the estimate's repetitions.
 /// It simulates f(2) rather than taking it, so --f2 is not among them.
-inline constexpr std::string_view kF2Flags[] = {"n",    "tp",   "tr", "tc",
-                                                "reps", "seed", "jobs"};
+inline constexpr FlagSpec kF2Table[] = {
+    integer("n", "N"), real("tp", "SEC"), real("tr", "SEC"), real("tc", "SEC"),
+    integer("reps", "K"), seed(), integer("jobs", "N", 0, kUnbounded)};
 
 /// `routesync trace summary`: the trace and the phase histogram.
-inline constexpr std::string_view kTraceSummaryFlags[] = {"in", "round", "bins"};
+inline constexpr FlagSpec kTraceSummaryTable[] = {
+    text("in", "FILE"), real("round", "SEC"), integer("bins", "N")};
 
 /// `routesync trace filter`: the trace, the selection and the output.
-inline constexpr std::string_view kTraceFilterFlags[] = {"in",   "type", "node",
-                                                         "from", "to",   "out"};
+inline constexpr FlagSpec kTraceFilterTable[] = {
+    text("in", "FILE"), text("type", "a,b"), integer("node", "N"),
+    real("from", "T"), real("to", "T"), text("out", "FILE")};
 
 /// `routesync trace export-chrome`: the trace and the output.
-inline constexpr std::string_view kTraceExportChromeFlags[] = {"in", "out"};
+inline constexpr FlagSpec kTraceExportChromeTable[] = {text("in", "FILE"),
+                                                       text("out", "FILE")};
 
 /// `routesync trace replay-check`: the trace, the grouping tolerance and
 /// the series to compare with or print.
-inline constexpr std::string_view kTraceReplayCheckFlags[] = {"in", "tolerance",
-                                                              "expect", "print"};
+inline constexpr FlagSpec kTraceReplayCheckTable[] = {
+    text("in", "FILE"), real("tolerance", "SEC"), text("expect", "FILE"),
+    boolean("print")};
 
 /// `routesync analyze coupling`: the trace, the phase modulus and the
 /// exports.
-inline constexpr std::string_view kAnalyzeCouplingFlags[] = {"in",   "round", "dot",
-                                                             "json", "print"};
+inline constexpr FlagSpec kAnalyzeCouplingTable[] = {
+    text("in", "FILE"), real("round", "SEC"), text("dot", "FILE"),
+    text("json", "FILE"), boolean("print")};
 
 } // namespace routesync::cli

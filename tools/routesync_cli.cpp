@@ -25,13 +25,12 @@
 // and --out FILE (a run manifest with config, metrics, and the trace
 // hash).
 //
-// `trace` post-processes a recorded JSONL trace:
-//   routesync trace summary      --in run.jsonl [--round SEC] [--bins N]
-//   routesync trace filter       --in run.jsonl [--type a,b] [--node N]
-//                                [--from T] [--to T] [--out FILE]
-//   routesync trace export-chrome --in run.jsonl [--out FILE]
-//   routesync trace replay-check --in run.jsonl [--tolerance SEC]
-//                                [--expect FILE] [--print]
+// `trace` post-processes a recorded JSONL trace (summary, filter,
+// export-chrome, replay-check); `analyze coupling` rebuilds the coupling
+// graph from one; `scenario` lists, runs and sweeps the scenario
+// registry. Each command's flags are one table in tools/flags.hpp;
+// `routesync` with no arguments prints them all.
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -54,71 +53,72 @@ using namespace routesync;
 
 namespace {
 
-using cli::flag_b;
-using cli::flag_d;
-using cli::flag_i;
-using cli::flag_jobs;
-using cli::flag_s;
-using cli::flag_seed;
-using cli::Flags;
+using cli::Args;
 
-markov::ChainParams chain_params(const Flags& flags) {
+/// The chain parameters; --f2 defaults to the diffusion estimate, and
+/// `f2` (the command) reads no --f2.
+markov::ChainParams chain_params(const Args& args, bool f2_flag = true) {
     markov::ChainParams p;
-    p.n = flag_i(flags, "n", 20);
-    p.tp_sec = flag_d(flags, "tp", 121.0);
-    p.tr_sec = flag_d(flags, "tr", 0.11);
-    p.tc_sec = flag_d(flags, "tc", 0.11);
-    p.f2_rounds = flag_d(flags, "f2",
-                         markov::f2_diffusion_estimate(p.n, p.tp_sec, p.tr_sec));
+    p.n = args.integer("n", 20);
+    p.tp_sec = args.real("tp", 121.0);
+    p.tr_sec = args.real("tr", 0.11);
+    p.tc_sec = args.real("tc", 0.11);
+    const double f2 = markov::f2_diffusion_estimate(p.n, p.tp_sec, p.tr_sec);
+    p.f2_rounds = f2_flag ? args.real("f2", f2) : f2;
     return p;
 }
 
-int cmd_pm(const Flags& flags) {
-    cli::reject_unknown_flags(flags, cli::kPmFlags);
+/// --jobs: absent or 0 is the hardware concurrency.
+std::size_t jobs_flag(const Args& args) {
+    const auto jobs = args.integer<std::size_t>("jobs", 0);
+    return jobs == 0 ? parallel::hardware_jobs() : jobs;
+}
+
+int cmd_pm(const Args& args) {
     core::ExperimentConfig cfg;
-    cfg.params.n = flag_i(flags, "n", 20);
-    cfg.params.tp = sim::SimTime::seconds(flag_d(flags, "tp", 121.0));
-    cfg.params.tr = sim::SimTime::seconds(flag_d(flags, "tr", 0.11));
-    cfg.params.tc = sim::SimTime::seconds(flag_d(flags, "tc", 0.11));
-    cfg.params.seed = flag_seed(flags, 1);
-    if (flag_b(flags, "sync-start")) {
+    cfg.params.n = args.integer("n", 20);
+    cfg.params.tp = sim::SimTime::seconds(args.real("tp", 121.0));
+    cfg.params.tr = sim::SimTime::seconds(args.real("tr", 0.11));
+    cfg.params.tc = sim::SimTime::seconds(args.real("tc", 0.11));
+    cfg.params.seed = args.seed("seed", 1);
+    if (args.flag("sync-start")) {
         cfg.params.start = core::StartCondition::Synchronized;
     }
-    cfg.params.reset_at_expiry = flag_b(flags, "reset-at-expiry");
+    cfg.params.reset_at_expiry = args.flag("reset-at-expiry");
     // --delta X: fixed distinct periods Tp + k*X (the Section 6 open
     // question; combine with --tr 0 for zero jitter).
-    const double delta = flag_d(flags, "delta", 0.0);
+    const double delta = args.real("delta", 0.0);
     if (delta != 0.0) {
         for (int k = 0; k < cfg.params.n; ++k) {
             cfg.params.per_node_tp.push_back(cfg.params.tp.sec() + delta * k);
         }
     }
-    if (flag_b(flags, "half-period")) {
+    if (args.flag("half-period")) {
         const auto tp = cfg.params.tp;
         cfg.make_policy = [tp] {
             return std::make_unique<core::HalfPeriodJitter>(tp);
         };
     }
-    cfg.max_time = sim::SimTime::seconds(flag_d(flags, "max-time", 1e5));
-    cfg.stop_on_full_sync = flag_b(flags, "stop-on-sync");
-    cfg.stop_on_breakup_threshold = flag_i(flags, "stop-on-breakup", 0);
-    cfg.monitor = flag_b(flags, "monitor");
-    cfg.sync_threshold = flag_d(flags, "sync-threshold", cfg.sync_threshold);
-    cfg.sync_hysteresis = flag_d(flags, "sync-hysteresis", cfg.sync_hysteresis);
-    const bool want_rounds = flag_b(flags, "rounds");
-    const bool want_transmits = flag_b(flags, "transmits");
+    cfg.max_time = sim::SimTime::seconds(args.real("max-time", 1e5));
+    cfg.stop_on_full_sync = args.flag("stop-on-sync");
+    cfg.stop_on_breakup_threshold = args.integer("stop-on-breakup", 0);
+    cfg.monitor = args.flag("monitor");
+    cfg.sync_threshold = args.real("sync-threshold", cfg.sync_threshold);
+    cfg.sync_hysteresis = args.real("sync-hysteresis", cfg.sync_hysteresis);
+    const bool want_rounds = args.flag("rounds");
+    const bool want_transmits = args.flag("transmits");
     cfg.record_rounds = want_rounds;
-    cfg.transmit_stride = want_transmits ? flag_i(flags, "stride", 1) : 0;
+    cfg.transmit_stride = want_transmits ? args.integer("stride", 1) : 0;
 
     obs::RunContext ctx;
-    const std::string trace = flag_s(flags, "trace");
-    const std::string out = flag_s(flags, "out");
+    const std::string trace = args.text("trace");
+    const std::string out = args.text("out");
     if (!trace.empty()) {
         ctx.trace_to_file(trace);
     }
     if (!trace.empty() || !out.empty()) {
         cfg.obs = &ctx;
-        cfg.sample_every = flag_d(flags, "sample-every", 0.0);
+        cfg.sample_every = args.real("sample-every", 0.0);
         obs::Manifest& m = ctx.manifest();
         m.tool = "routesync_cli pm";
         m.description = "Periodic Messages model run";
@@ -175,9 +175,8 @@ int cmd_pm(const Flags& flags) {
     return 0;
 }
 
-int cmd_chain(const Flags& flags) {
-    cli::reject_unknown_flags(flags, cli::kChainFlags);
-    const markov::FJChain chain{chain_params(flags)};
+int cmd_chain(const Args& args) {
+    const markov::FJChain chain{chain_params(args)};
     const auto f = chain.f_rounds();
     const auto g = chain.g_rounds();
     std::printf("state,p_down,p_up,f_rounds,f_seconds,g_rounds,g_seconds\n");
@@ -192,24 +191,23 @@ int cmd_chain(const Flags& flags) {
     return 0;
 }
 
-int cmd_sweep(const Flags& flags) {
-    cli::reject_unknown_flags(flags, cli::kSweepFlags);
-    markov::ChainParams base = chain_params(flags);
-    const double from = flag_d(flags, "from", 0.5); // in units of Tc
-    const double to = flag_d(flags, "to", 3.0);
-    const double step = flag_d(flags, "step", 0.05);
+int cmd_sweep(const Args& args) {
+    markov::ChainParams base = chain_params(args);
+    const double from = args.real("from", 0.5); // in units of Tc
+    const double to = args.real("to", 3.0);
+    const double step = args.real("step", 0.05);
     const std::vector<double> grid = cli::sweep_grid(from, to, step);
-    const std::size_t jobs = flag_jobs(flags, parallel::hardware_jobs());
+    const std::size_t jobs = jobs_flag(args);
     // --sim-trials T (> 0) runs T Periodic Messages simulations per grid
     // point alongside the chain and appends a sim_frac_unsync column: the
     // mean fraction of closed rounds that were fully unsynchronized,
     // measured over --sim-max-time seconds. Default output is unchanged.
-    const int sim_trials = cli::flag_count(flags, "sim-trials", 0, 0);
-    const double sim_max_time = flag_d(flags, "sim-max-time", 1e4);
-    const auto sim_seed = flag_seed(flags, 1);
+    const int sim_trials = args.integer("sim-trials", 0);
+    const double sim_max_time = args.real("sim-max-time", 1e4);
+    const auto sim_seed = args.seed("seed", 1);
     obs::RunContext ctx;
-    const std::string trace = flag_s(flags, "trace");
-    const std::string out = flag_s(flags, "out");
+    const std::string trace = args.text("trace");
+    const std::string out = args.text("out");
     if (!trace.empty()) {
         ctx.trace_to_file(trace);
     }
@@ -303,26 +301,23 @@ int cmd_sweep(const Flags& flags) {
     return 0;
 }
 
-int cmd_threshold(const Flags& flags) {
-    cli::reject_unknown_flags(flags, cli::kThresholdFlags);
-    const markov::ChainParams p = chain_params(flags);
+int cmd_threshold(const Args& args) {
+    const markov::ChainParams p = chain_params(args);
     const double tr_star = markov::critical_tr_seconds(p);
     std::printf("critical_tr_s,%.6g\n", tr_star);
     std::printf("critical_tr_over_tc,%.4f\n", tr_star / p.tc_sec);
     std::printf("rule_10tc_s,%.6g\n", 10.0 * p.tc_sec);
     std::printf("rule_half_period_s,%.6g\n", 0.5 * p.tp_sec);
-    std::printf("critical_n,%d\n", markov::critical_n(p, flag_i(flags, "n-max", 200)));
+    std::printf("critical_n,%d\n", markov::critical_n(p, args.integer("n-max", 200)));
     return 0;
 }
 
-int cmd_f2(const Flags& flags) {
-    cli::reject_unknown_flags(flags, cli::kF2Flags);
-    const markov::ChainParams p = chain_params(flags);
+int cmd_f2(const Args& args) {
+    const markov::ChainParams p = chain_params(args, /*f2_flag=*/false);
     const auto est = markov::estimate_f2(
-        p, flag_i(flags, "reps", 20),
-        flag_seed(flags, 1),
+        p, args.integer("reps", 20), args.seed("seed", 1),
         /*max_rounds_per_rep=*/1e6,
-        flag_jobs(flags, parallel::hardware_jobs()));
+        jobs_flag(args));
     std::printf("f2_rounds,%.4f\n", est.mean_rounds);
     std::printf("f2_seconds,%.2f\n", est.mean_seconds);
     std::printf("completed,%d\n", est.completed);
@@ -332,8 +327,8 @@ int cmd_f2(const Flags& flags) {
     return 0;
 }
 
-std::vector<obs::TraceEvent> load_trace(const Flags& flags) {
-    const std::string in = flag_s(flags, "in");
+std::vector<obs::TraceEvent> load_trace(const Args& args) {
+    const std::string in = args.text("in");
     if (in.empty()) {
         throw std::invalid_argument{"trace: --in FILE is required"};
     }
@@ -341,8 +336,8 @@ std::vector<obs::TraceEvent> load_trace(const Flags& flags) {
 }
 
 /// Writes to --out when given, stdout otherwise.
-void emit_text(const Flags& flags, const std::string& text) {
-    const std::string out = flag_s(flags, "out");
+void emit_text(const Args& args, const std::string& text) {
+    const std::string out = args.text("out");
     if (out.empty()) {
         std::fwrite(text.data(), 1, text.size(), stdout);
         return;
@@ -372,12 +367,11 @@ bool has_sync_config(const std::vector<obs::TraceEvent>& events) {
     return false;
 }
 
-int cmd_trace_summary(const Flags& flags) {
-    cli::reject_unknown_flags(flags, cli::kTraceSummaryFlags);
-    const auto events = load_trace(flags);
+int cmd_trace_summary(const Args& args) {
+    const auto events = load_trace(args);
     obs::SummaryOptions options;
-    options.round_length = flag_d(flags, "round", 0.0);
-    options.phase_bins = flag_i(flags, "bins", 20);
+    options.round_length = args.real("round", 0.0);
+    options.phase_bins = args.integer("bins", 20);
     const std::string report = obs::format_summary(obs::summarize(events, options));
     std::fwrite(report.data(), 1, report.size(), stdout);
 
@@ -402,12 +396,11 @@ int cmd_trace_summary(const Flags& flags) {
     return 0;
 }
 
-int cmd_trace_filter(const Flags& flags) {
-    cli::reject_unknown_flags(flags, cli::kTraceFilterFlags);
-    const auto events = load_trace(flags);
+int cmd_trace_filter(const Args& args) {
+    const auto events = load_trace(args);
     obs::FilterOptions options;
     // --type a,b,c — comma-separated wire names.
-    if (const std::string types = flag_s(flags, "type"); !types.empty()) {
+    if (const std::string types = args.text("type"); !types.empty()) {
         std::istringstream ss{types};
         std::string name;
         while (std::getline(ss, name, ',')) {
@@ -419,36 +412,33 @@ int cmd_trace_filter(const Flags& flags) {
             options.types.push_back(*type);
         }
     }
-    if (flags.contains("node")) {
-        options.node = flag_i(flags, "node", -1);
+    if (args.has("node")) {
+        options.node = args.integer("node", 0);
     }
-    if (flags.contains("from")) {
-        options.t_min = flag_d(flags, "from", 0.0);
+    if (args.has("from")) {
+        options.t_min = args.real("from", 0.0);
     }
-    if (flags.contains("to")) {
-        options.t_max = flag_d(flags, "to", 0.0);
+    if (args.has("to")) {
+        options.t_max = args.real("to", 0.0);
     }
     std::string out;
     for (const obs::TraceEvent& e : obs::filter_events(events, options)) {
         out += obs::trace_event_jsonl(e);
         out += '\n';
     }
-    emit_text(flags, out);
+    emit_text(args, out);
     return 0;
 }
 
-int cmd_trace_export_chrome(const Flags& flags) {
-    cli::reject_unknown_flags(flags, cli::kTraceExportChromeFlags);
-    emit_text(flags, obs::export_chrome(load_trace(flags)));
+int cmd_trace_export_chrome(const Args& args) {
+    emit_text(args, obs::export_chrome(load_trace(args)));
     return 0;
 }
 
-int cmd_trace_replay_check(const Flags& flags) {
-    cli::reject_unknown_flags(flags, cli::kTraceReplayCheckFlags);
-    const auto events = load_trace(flags);
+int cmd_trace_replay_check(const Args& args) {
+    const auto events = load_trace(args);
     const auto replay = core::replay_cluster_series(
-        events,
-        sim::SimTime::seconds(flag_d(flags, "tolerance", 1e-6)));
+        events, sim::SimTime::seconds(args.real("tolerance", 1e-6)));
     std::fprintf(stderr,
                  "replay-check: n=%d, %llu timer_set fed (%llu initial "
                  "skipped), %zu cluster events recomputed\n",
@@ -456,7 +446,7 @@ int cmd_trace_replay_check(const Flags& flags) {
                  static_cast<unsigned long long>(replay.timer_sets_fed),
                  static_cast<unsigned long long>(replay.initial_skipped),
                  replay.replayed.size());
-    if (flag_b(flags, "print")) {
+    if (args.flag("print")) {
         const std::string series = core::format_cluster_series(replay.replayed);
         std::fwrite(series.data(), 1, series.size(), stdout);
     }
@@ -481,7 +471,7 @@ int cmd_trace_replay_check(const Flags& flags) {
 
     // --expect FILE: diff against an externally recorded series (the
     // format fig04 --clusters-out writes: "time size" per line).
-    if (const std::string expect = flag_s(flags, "expect"); !expect.empty()) {
+    if (const std::string expect = args.text("expect"); !expect.empty()) {
         std::ifstream f{expect};
         if (!f) {
             throw std::runtime_error{"trace replay-check: cannot open " + expect};
@@ -561,11 +551,10 @@ int cmd_trace_replay_check(const Flags& flags) {
 // graph fails its internal cross-checks: the edge-weight total must
 // equal the number of re-arms fed, and when the trace carries recorded
 // coupling_edge events the recomputed graph must match them exactly.
-int cmd_analyze_coupling(const Flags& flags) {
-    cli::reject_unknown_flags(flags, cli::kAnalyzeCouplingFlags);
-    const auto events = load_trace(flags);
+int cmd_analyze_coupling(const Args& args) {
+    const auto events = load_trace(args);
     obs::SyncReplayOverrides overrides;
-    overrides.period_sec = flag_d(flags, "round", 0.0);
+    overrides.period_sec = args.real("round", 0.0);
     const auto sync = obs::replay_sync(events, overrides);
     const obs::CouplingGraph& g = sync.coupling;
 
@@ -606,223 +595,149 @@ int cmd_analyze_coupling(const Flags& flags) {
                      ? ""
                      : " — matches the recorded coupling_edge events");
 
-    if (const std::string dot = flag_s(flags, "dot"); !dot.empty()) {
+    const std::string dot = args.text("dot");
+    const std::string json = args.text("json");
+    if (!dot.empty()) {
         std::ofstream f{dot};
         if (!f) {
             throw std::runtime_error{"analyze coupling: cannot open " + dot};
         }
         f << g.to_dot();
     }
-    if (const std::string json = flag_s(flags, "json"); !json.empty()) {
+    if (!json.empty()) {
         std::ofstream f{json};
         if (!f) {
             throw std::runtime_error{"analyze coupling: cannot open " + json};
         }
         f << g.to_json() << '\n';
     }
-    if (flag_b(flags, "print") ||
-        (flag_s(flags, "dot").empty() && flag_s(flags, "json").empty())) {
-        const std::string dot = g.to_dot();
-        std::fwrite(dot.data(), 1, dot.size(), stdout);
+    if (args.flag("print") || (dot.empty() && json.empty())) {
+        const std::string text = g.to_dot();
+        std::fwrite(text.data(), 1, text.size(), stdout);
     }
     return failures == 0 ? 0 : 1;
 }
 
-int cmd_analyze(int argc, char** argv) {
-    if (argc < 3) {
-        throw std::invalid_argument{"analyze: need an action (coupling)"};
-    }
-    const std::string action = argv[2];
-    const Flags flags = cli::parse_flags(argc, argv, 3);
-    if (action == "coupling") {
-        return cmd_analyze_coupling(flags);
-    }
-    throw std::invalid_argument{"analyze: unknown action '" + action + "'"};
-}
-
-// `scenario list` prints the registry table; `scenario run <name>
-// [--flags]` dispatches through it. Builtins run in-process; figure and
-// example binaries exec relative to --bin-dir (default: the build root,
-// inferred from this binary's own path — tools/ and bench/ are
-// siblings).
+// `scenario list` prints the registry table with each builtin's flags;
+// `scenario run <name> [--flags]` dispatches through it. Builtins run
+// in-process; figure and example binaries run relative to --bin-dir
+// (default: the build root, inferred from this binary's own path —
+// tools/ and bench/ are siblings).
 int cmd_scenario(int argc, char** argv) {
     scenarios::register_builtin_scenarios();
     const auto& registry = scenarios::ScenarioRegistry::instance();
-    if (argc < 3) {
-        throw std::invalid_argument{
-            "scenario: need an action (list|run NAME|sweep NAME)"};
-    }
-    const std::string action = argv[2];
+    const std::string action = argc < 3 ? "" : argv[2];
     if (action == "list") {
         std::printf("%-18s %-8s %s\n", "name", "kind", "summary");
         for (const auto& e : registry.entries()) {
             std::printf("%-18s %-8s %s\n", e.name.c_str(),
                         e.is_builtin() ? "builtin" : "external",
                         e.summary.c_str());
-            if (!e.flags_help.empty()) {
+            if (!e.flags.empty()) {
                 std::printf("%-18s %-8s   flags: %s\n", "", "",
-                            e.flags_help.c_str());
+                            cli::usage({e.flags}, 37).c_str());
             }
         }
         return 0;
     }
+    if ((action == "run" || action == "sweep") && argc < 4) {
+        throw std::invalid_argument{"scenario " + action + ": need a scenario name"};
+    }
+    const std::vector<std::string> tokens(argv + std::min(argc, 4), argv + argc);
     if (action == "run") {
-        if (argc < 4) {
-            throw std::invalid_argument{"scenario run: need a scenario name"};
-        }
-        const std::string name = argv[3];
-        Flags flags = cli::parse_flags(argc, argv, 4);
-        const scenarios::ScenarioEntry* entry = registry.find(name);
-        const bool builtin = entry != nullptr && entry->is_builtin();
-        if (builtin) {
-            // A builtin reads only its own flags: a typo must not run the
-            // defaults. --bin-dir is the dispatch's, and builtins ignore it.
-            flags.erase("bin-dir");
-            cli::reject_unknown_flags(flags, entry->flags);
-        }
-        if (!builtin && !flags.contains("bin-dir")) {
-            // argv[0] is <build>/tools/routesync; the figure and example
-            // binaries live in <build>/bench and <build>/examples.
-            std::string self = argv[0];
-            const auto slash = self.find_last_of('/');
-            flags["bin-dir"] =
-                (slash == std::string::npos ? std::string{"."}
-                                            : self.substr(0, slash)) +
-                "/..";
-        }
-        return registry.run(name, flags);
+        // argv[0] is <build>/tools/routesync; the figure and example
+        // binaries live in <build>/bench and <build>/examples.
+        const std::string self = argv[0];
+        const auto slash = self.find_last_of('/');
+        return registry.run(
+            argv[3], tokens,
+            (slash == std::string::npos ? std::string{"."} : self.substr(0, slash)) +
+                "/..");
     }
     if (action == "sweep") {
-        if (argc < 4) {
-            throw std::invalid_argument{"scenario sweep: need a scenario name"};
-        }
-        const std::string name = argv[3];
-        if (name != "shared_lan") {
+        if (std::string{argv[3]} != "shared_lan") {
             throw std::invalid_argument{
-                "scenario sweep: only 'shared_lan' is sweepable, got '" + name +
-                "'"};
+                "scenario sweep: only 'shared_lan' is sweepable, got '" +
+                std::string{argv[3]} + "'"};
         }
-        const Flags flags = cli::parse_flags(argc, argv, 4);
-        cli::reject_unknown_flags(flags, scenarios::kSharedLanSweepFlags);
-        return scenarios::run_shared_lan_sweep(flags);
+        return scenarios::run_shared_lan_sweep(cli::parse(
+            tokens, {scenarios::kSharedLanTable, scenarios::kSweepAxesTable}));
     }
-    throw std::invalid_argument{"scenario: unknown action '" + action + "'"};
+    throw std::invalid_argument{
+        "scenario: need an action (list|run NAME|sweep NAME), got '" + action + "'"};
 }
 
-int cmd_trace(int argc, char** argv) {
-    if (argc < 3) {
-        throw std::invalid_argument{
-            "trace: need an action (summary|filter|export-chrome|replay-check)"};
-    }
-    const std::string action = argv[2];
-    const Flags flags = cli::parse_flags(argc, argv, 3);
-    if (action == "summary") {
-        return cmd_trace_summary(flags);
-    }
-    if (action == "filter") {
-        return cmd_trace_filter(flags);
-    }
-    if (action == "export-chrome") {
-        return cmd_trace_export_chrome(flags);
-    }
-    if (action == "replay-check") {
-        return cmd_trace_replay_check(flags);
-    }
-    throw std::invalid_argument{"trace: unknown action '" + action + "'"};
-}
+/// Every command with an action-free flag table: its name as typed
+/// ("pm", "trace summary"), its flags and its runner.
+struct Command {
+    std::string_view name;
+    cli::Table flags;
+    int (*run)(const Args&);
+};
+
+constexpr Command kCommands[] = {
+    {"pm", cli::kPmTable, cmd_pm},
+    {"chain", cli::kChainTable, cmd_chain},
+    {"sweep", cli::kSweepTable, cmd_sweep},
+    {"threshold", cli::kThresholdTable, cmd_threshold},
+    {"f2", cli::kF2Table, cmd_f2},
+    {"trace summary", cli::kTraceSummaryTable, cmd_trace_summary},
+    {"trace filter", cli::kTraceFilterTable, cmd_trace_filter},
+    {"trace export-chrome", cli::kTraceExportChromeTable, cmd_trace_export_chrome},
+    {"trace replay-check", cli::kTraceReplayCheckTable, cmd_trace_replay_check},
+    {"analyze coupling", cli::kAnalyzeCouplingTable, cmd_analyze_coupling},
+};
 
 void usage() {
+    std::fprintf(stderr, "usage: routesync <command> [--flag value]...\n");
+    for (const Command& c : kCommands) {
+        std::fprintf(stderr, "  %-20.*s %s\n", static_cast<int>(c.name.size()),
+                     c.name.data(), cli::usage({c.flags}, 23).c_str());
+    }
     std::fprintf(stderr,
-                 "usage: routesync <pm|chain|sweep|threshold|f2|trace|analyze|scenario> [--flag value]...\n"
-                 "  pm        --n --tp --tr --tc --seed --max-time [--sync-start]\n"
-                 "            [--reset-at-expiry] [--half-period] [--delta X]\n"
-                 "            [--stop-on-sync] [--stop-on-breakup K]\n"
-                 "            [--rounds|--transmits [--stride k]]\n"
-                 "            [--monitor [--sync-threshold R] [--sync-hysteresis H]]\n"
-                 "            [--trace FILE] [--out MANIFEST] [--sample-every SEC]\n"
-                 "  chain     --n --tp --tr --tc [--f2 rounds]\n"
-                 "  sweep     --n --tp --tc --from --to --step [--jobs N]\n"
-                 "            [--sim-trials T [--sim-max-time SEC] [--seed S]]\n"
-                 "            [--trace FILE] [--out MANIFEST] (Tr in units of Tc)\n"
-                 "  threshold --n --tp --tr --tc [--f2 rounds] [--n-max N]\n"
-                 "  f2        --n --tp --tr --tc [--reps] [--seed] [--jobs N]\n"
-                 "  (every command exits 2 on a flag it does not read or a\n"
-                 "  malformed value)\n"
-                 "  trace     <summary|filter|export-chrome|replay-check> --in FILE\n"
-                 "            summary:       [--round SEC] [--bins N]\n"
-                 "            filter:        [--type a,b] [--node N] [--from T]\n"
-                 "                           [--to T] [--out FILE]\n"
-                 "            export-chrome: [--out FILE]\n"
-                 "            replay-check:  [--tolerance SEC] [--expect FILE]\n"
-                 "                           [--print] (exit 1 on mismatch;\n"
-                 "                           monitored traces also get the\n"
-                 "                           sync r(t)/transition recompute)\n"
-                 "  analyze   coupling --in FILE [--round SEC] [--dot FILE]\n"
-                 "            [--json FILE] [--print]\n"
-                 "            who-reset-whom coupling graph from a trace\n"
-                 "            (DOT to stdout by default; exit 1 when the\n"
-                 "            cross-checks fail)\n"
-                 "  scenario  list | run NAME [--flag value]... [--bin-dir DIR]\n"
-                 "            one table of testbeds, figures, and examples;\n"
-                 "            `list` shows each entry's flags. shared_lan\n"
-                 "            takes --queue red|droptail (the element-graph\n"
-                 "            AQM knob) and --trials K [--jobs N] for\n"
-                 "            parallel repetitions.\n"
-                 "  scenario  sweep shared_lan --buffers LO..HI|a,b,c\n"
-                 "            --loads a,b,c --trials K [--jobs N]\n"
-                 "            [--out MANIFEST] [shared_lan flags]\n"
-                 "            buffer x load x trial grid of packet-level\n"
-                 "            runs over one work-stealing pool; stdout and\n"
-                 "            manifests are byte-identical for every N\n"
-                 "\n"
-                 "  --jobs N  worker threads for parallel sweeps (default and\n"
-                 "            N = 0: hardware concurrency). Results are\n"
-                 "            byte-identical for every N.\n");
+                 "  scenario list        every scenario, with each builtin's flags\n"
+                 "  scenario run NAME    [--bin-dir DIR] and NAME's flags\n"
+                 "  scenario sweep shared_lan  the shared_lan flags and\n"
+                 "                       %s\n"
+                 "A boolean flag takes no value; every other flag needs one. A flag\n"
+                 "the command does not declare, or a malformed value, exits 2.\n"
+                 "--jobs N: worker threads (0: hardware concurrency); output is\n"
+                 "byte-identical for every N.\n",
+                 cli::usage({scenarios::kSweepAxesTable}, 23).c_str());
 }
 
 } // namespace
 
 int main(int argc, char** argv) {
-    if (argc < 2) {
-        usage();
-        return 2;
-    }
-    const std::string cmd = argv[1];
-    if (cmd == "trace" || cmd == "scenario" || cmd == "analyze") {
-        try {
-            if (cmd == "trace") {
-                return cmd_trace(argc, argv);
+    const std::string cmd = argc < 2 ? "" : argv[1];
+    const bool has_action = cmd == "trace" || cmd == "analyze";
+    try {
+        if (cmd == "scenario") {
+            return cmd_scenario(argc, argv);
+        }
+        const std::string name = has_action && argc > 2 ? cmd + " " + argv[2] : cmd;
+        for (const Command& c : kCommands) {
+            if (c.name != name) {
+                continue;
             }
-            return cmd == "analyze" ? cmd_analyze(argc, argv)
-                                    : cmd_scenario(argc, argv);
-        } catch (const std::exception& e) {
-            std::fprintf(stderr, "error: %s\n", e.what());
-            return 2;
+            const std::vector<std::string> tokens(argv + (has_action ? 3 : 2),
+                                                  argv + argc);
+            Args args;
+            try {
+                args = cli::parse(tokens, {c.flags});
+            } catch (const std::invalid_argument& e) {
+                std::fprintf(stderr, "error: %s\nusage: routesync %s\n  %s\n", e.what(),
+                             name.c_str(), cli::usage({c.flags}, 2).c_str());
+                return 2;
+            }
+            return c.run(args);
         }
-    }
-    Flags flags;
-    try {
-        flags = cli::parse_flags(argc, argv, 2);
-    } catch (const std::exception& e) {
-        std::fprintf(stderr, "error: %s\n", e.what());
-        usage();
-        return 2;
-    }
-    try {
-        if (cmd == "pm") {
-            return cmd_pm(flags);
-        }
-        if (cmd == "chain") {
-            return cmd_chain(flags);
-        }
-        if (cmd == "sweep") {
-            return cmd_sweep(flags);
-        }
-        if (cmd == "threshold") {
-            return cmd_threshold(flags);
-        }
-        if (cmd == "f2") {
-            return cmd_f2(flags);
+        if (has_action) {
+            throw std::invalid_argument{
+                cmd + ": need an action (" +
+                (cmd == "trace" ? "summary|filter|export-chrome|replay-check"
+                                : "coupling") +
+                ")" + (argc > 2 ? ", got '" + std::string{argv[2]} + "'" : "")};
         }
     } catch (const std::invalid_argument& e) {
         // A rejected flag or value is a usage error, as for every command.
@@ -830,7 +745,7 @@ int main(int argc, char** argv) {
         return 2;
     } catch (const std::exception& e) {
         std::fprintf(stderr, "error: %s\n", e.what());
-        return 1;
+        return has_action || cmd == "scenario" ? 2 : 1;
     }
     usage();
     return 2;
