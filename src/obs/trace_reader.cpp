@@ -1,9 +1,12 @@
 #include "obs/trace_reader.hpp"
 
 #include <array>
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <stdexcept>
+#include <type_traits>
 
 namespace routesync::obs {
 
@@ -86,25 +89,48 @@ struct Cursor {
     }
 };
 
+// A number the event cannot hold is rejected, never clamped or wrapped:
+// the error points at the token's first column.
+[[noreturn]] void fail_at_token(Cursor& c, const std::string& tok,
+                                const std::string& what) {
+    c.i -= tok.size();
+    c.fail(what);
+}
+
+/// A finite double. The token cannot spell inf or nan, so an infinite
+/// result means the value is past double's range ("1e400").
 double parse_double(Cursor& c, const char* field) {
     const std::string tok = c.number_token();
     char* end = nullptr;
     const double v = std::strtod(tok.c_str(), &end);
     if (end != tok.c_str() + tok.size()) {
-        c.fail(std::string{"malformed number in \""} + field + "\"");
+        fail_at_token(c, tok, std::string{"malformed number in \""} + field + "\"");
+    }
+    if (std::isinf(v)) {
+        fail_at_token(c, tok, std::string{"\""} + field + "\" is out of range");
     }
     return v;
 }
 
-std::int64_t parse_int(Cursor& c, const char* field) {
+/// An integer within Int's range: the seq a tracer stamps runs to
+/// 2^64 - 1, a node id is 32-bit, the `a` slot 64-bit.
+template <typename Int>
+Int parse_int(Cursor& c, const char* field) {
     const std::string tok = c.number_token();
     if (tok.find_first_of(".eE") != std::string::npos) {
-        c.fail(std::string{"\""} + field + "\" must be an integer");
+        fail_at_token(c, tok, std::string{"\""} + field + "\" must be an integer");
     }
-    char* end = nullptr;
-    const long long v = std::strtoll(tok.c_str(), &end, 10);
-    if (end != tok.c_str() + tok.size()) {
-        c.fail(std::string{"malformed integer in \""} + field + "\"");
+    if (std::is_unsigned_v<Int> && tok.front() == '-') {
+        fail_at_token(c, tok, std::string{"\""} + field + "\" must be >= 0");
+    }
+    Int v{};
+    const char* last = tok.data() + tok.size();
+    const auto [ptr, ec] = std::from_chars(tok.data(), last, v);
+    if (ec == std::errc::result_out_of_range) {
+        fail_at_token(c, tok, std::string{"\""} + field + "\" is out of range");
+    }
+    if (ec != std::errc{} || ptr != last) {
+        fail_at_token(c, tok, std::string{"malformed integer in \""} + field + "\"");
     }
     return v;
 }
@@ -140,11 +166,7 @@ TraceEvent TraceReader::parse_line(const std::string& line) {
             };
             if (key == "seq") {
                 take(have_seq);
-                const std::int64_t v = parse_int(c, "seq");
-                if (v < 0) {
-                    c.fail("\"seq\" must be >= 0");
-                }
-                event.seq = static_cast<std::uint64_t>(v);
+                event.seq = parse_int<std::uint64_t>(c, "seq");
             } else if (key == "t") {
                 take(have_t);
                 event.time = sim::SimTime::seconds(parse_double(c, "t"));
@@ -158,10 +180,10 @@ TraceEvent TraceReader::parse_line(const std::string& line) {
                 event.type = *type;
             } else if (key == "node") {
                 take(have_node);
-                event.node = static_cast<std::int32_t>(parse_int(c, "node"));
+                event.node = parse_int<std::int32_t>(c, "node");
             } else if (key == "a") {
                 take(have_a);
-                event.a = parse_int(c, "a");
+                event.a = parse_int<std::int64_t>(c, "a");
             } else if (key == "b") {
                 take(have_b);
                 event.b = parse_double(c, "b");

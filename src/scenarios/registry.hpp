@@ -42,7 +42,7 @@ inline constexpr cli::FlagSpec kAudiocastTable[] = {
 inline constexpr cli::FlagSpec kSharedLanTable[] = {
     cli::choice("queue", "red|droptail|drop-tail|fifo"), cli::integer("n", "N"),
     cli::real("tp", "SEC"), cli::real("tr", "SEC"), cli::real("tc", "SEC"),
-    cli::integer("queue-cap", "PKTS"), cli::real("red-min", "PKTS"),
+    cli::integer("queue-cap", "PKTS", 1), cli::real("red-min", "PKTS"),
     cli::real("red-max", "PKTS"), cli::real("red-maxp", "P"),
     cli::real("red-weight", "W"), cli::integer("bg-burst", "PKTS"),
     cli::real("bg-period", "SEC"), cli::real("max-time", "SEC"), cli::seed(),

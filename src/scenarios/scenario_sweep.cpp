@@ -1,9 +1,10 @@
 #include "scenarios/scenario_sweep.hpp"
 
 #include <cmath>
-#include <cstdlib>
+#include <limits>
 #include <stdexcept>
 
+#include "cli/flags.hpp"
 #include "obs/trace_sink.hpp"
 #include "obs/tracer.hpp"
 #include "parallel/task_pool.hpp"
@@ -97,15 +98,17 @@ ScenarioSweepResult run_scenario_sweep(const ScenarioSweepConfig& config) {
 }
 
 std::vector<std::size_t> parse_buffer_list(const std::string& spec) {
+    // Each size follows --queue-cap's rule: an integer in [1, INT_MAX].
     const auto parse_one = [&](const std::string& tok) -> std::size_t {
-        char* end = nullptr;
-        const long v = std::strtol(tok.c_str(), &end, 10);
-        if (end == tok.c_str() || *end != '\0' || v <= 0) {
+        const auto v =
+            cli::parse_integer(tok, 1, std::numeric_limits<int>::max());
+        if (!v) {
             throw std::invalid_argument{
-                "--buffers wants positive integers ('LO..HI' or 'a,b,c'), got '" +
-                spec + "'"};
+                "--buffers wants integers in [1, " +
+                std::to_string(std::numeric_limits<int>::max()) +
+                "] ('LO..HI' or 'a,b,c'), got '" + spec + "'"};
         }
-        return static_cast<std::size_t>(v);
+        return static_cast<std::size_t>(*v);
     };
     std::vector<std::size_t> buffers;
     if (const auto dots = spec.find(".."); dots != std::string::npos) {
@@ -145,15 +148,15 @@ std::vector<double> parse_load_list(const std::string& spec) {
         const auto comma = spec.find(',', start);
         const auto len =
             (comma == std::string::npos ? spec.size() : comma) - start;
-        const std::string tok = spec.substr(start, len);
-        char* end = nullptr;
-        const double v = std::strtod(tok.c_str(), &end);
-        if (end == tok.c_str() || *end != '\0' || v < 0.0) {
+        // A real flag's rule: finite. A nan or infinite load would run
+        // the cell with no background traffic at all.
+        const auto v = cli::parse_real(spec.substr(start, len));
+        if (!v || *v < 0.0) {
             throw std::invalid_argument{
-                "--loads wants non-negative multipliers 'a,b,c', got '" + spec +
-                "'"};
+                "--loads wants finite non-negative multipliers 'a,b,c', got '" +
+                spec + "'"};
         }
-        loads.push_back(v);
+        loads.push_back(*v);
         if (comma == std::string::npos) {
             break;
         }

@@ -75,11 +75,13 @@ ScenarioSweepResult run_scenario_sweep(const ScenarioSweepConfig& config);
 
 /// Parses a --buffers spec: either "LO..HI" (a doubling ladder: LO,
 /// 2*LO, ... capped at HI, HI always included) or a comma list "8,16,24".
-/// Throws std::invalid_argument on junk, zeros, or LO > HI.
+/// Each size is an integer in [1, INT_MAX], as --queue-cap's. Throws
+/// std::invalid_argument on junk, a size out of that range, or LO > HI.
 std::vector<std::size_t> parse_buffer_list(const std::string& spec);
 
-/// Parses a --loads comma list "0.5,1.0,1.5" of non-negative
-/// multipliers. Throws std::invalid_argument on junk or negatives.
+/// Parses a --loads comma list "0.5,1.0,1.5" of finite non-negative
+/// multipliers. Throws std::invalid_argument on junk, negatives, nan and
+/// inf.
 std::vector<double> parse_load_list(const std::string& spec);
 
 } // namespace routesync::scenarios

@@ -46,6 +46,15 @@ TEST(ScenarioSweepSpec, BufferJunkRejected) {
     EXPECT_THROW((void)parse_buffer_list("4,"), std::invalid_argument);
     EXPECT_THROW((void)parse_buffer_list("-4"), std::invalid_argument);
     EXPECT_THROW((void)parse_buffer_list("4.5"), std::invalid_argument);
+    // Sizes follow --queue-cap's rule, [1, INT_MAX]; strtol used to read
+    // past long's range as LONG_MAX.
+    EXPECT_EQ(parse_buffer_list("2147483647"),
+              (std::vector<std::size_t>{2147483647}));
+    EXPECT_THROW((void)parse_buffer_list("2147483648"), std::invalid_argument);
+    EXPECT_THROW((void)parse_buffer_list("99999999999999999999"),
+                 std::invalid_argument);
+    EXPECT_THROW((void)parse_buffer_list("4..99999999999999999999"),
+                 std::invalid_argument);
 }
 
 TEST(ScenarioSweepSpec, LoadListParsesAndRejectsJunk) {
@@ -55,6 +64,10 @@ TEST(ScenarioSweepSpec, LoadListParsesAndRejectsJunk) {
     EXPECT_THROW((void)parse_load_list(""), std::invalid_argument);
     EXPECT_THROW((void)parse_load_list("1,-0.5"), std::invalid_argument);
     EXPECT_THROW((void)parse_load_list("1,junk"), std::invalid_argument);
+    // Non-finite loads used to run with no background traffic at all.
+    for (const char* load : {"nan", "inf", "1e400"}) {
+        EXPECT_THROW((void)parse_load_list(load), std::invalid_argument) << load;
+    }
 }
 
 // ---- grid shape ---------------------------------------------------------

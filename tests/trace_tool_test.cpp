@@ -4,9 +4,12 @@
 // the profiler's cross---jobs determinism (labels + counts, never times).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/core.hpp"
@@ -101,6 +104,59 @@ TEST(TraceReader, RejectsMalformedLines) {
         EXPECT_THROW((void)obs::TraceReader::parse_line(line),
                      std::runtime_error)
             << line;
+    }
+}
+
+// Each field at the extremes the writer can emit reads back whole: the
+// seq runs to 2^64 - 1, node and a to their types' ends, and the reals to
+// double's largest and smallest magnitudes.
+TEST(TraceReader, RoundTripsEachFieldsExtremes) {
+    using u64 = std::numeric_limits<std::uint64_t>;
+    using i32 = std::numeric_limits<std::int32_t>;
+    using i64 = std::numeric_limits<std::int64_t>;
+    using real = std::numeric_limits<double>;
+    const std::vector<obs::TraceEvent> events{
+        make_event(u64::max(), real::max(), obs::TraceEventType::TimerSet,
+                   i32::max(), i64::max(), real::denorm_min(), -real::max()),
+        make_event(std::uint64_t{1} << 63, 0.0, obs::TraceEventType::TimerSet,
+                   i32::min(), i64::min(), -real::denorm_min(), real::min()),
+    };
+    for (const auto& e : events) {
+        const std::string line = obs::trace_event_jsonl(e);
+        const auto back = obs::TraceReader::parse_line(line);
+        EXPECT_EQ(back.seq, e.seq) << line;
+        EXPECT_EQ(obs::trace_event_jsonl(back), line);
+    }
+}
+
+// A number the event cannot hold is rejected with its field and the
+// token's column: it used to be narrowed (node 4294967297 read as node 1),
+// clamped (a seq past 2^64 - 1, an `a` past 2^63 - 1) or read as inf.
+TEST(TraceReader, RejectsValuesItCannotHold) {
+    const std::string good =
+        "{\"seq\": 0, \"t\": 1, \"type\": \"timer_set\", "
+        "\"node\": 0, \"a\": 0, \"b\": 0, \"x\": 0}";
+    const std::vector<std::pair<std::string, std::string>> bad{
+        {"seq", "18446744073709551616"}, {"node", "4294967297"},
+        {"node", "2147483648"},          {"node", "-2147483649"},
+        {"a", "9223372036854775808"},    {"a", "-9223372036854775809"},
+        {"t", "1e400"},                  {"b", "-1e400"},
+        {"x", "1e309"},
+    };
+    for (const auto& [field, value] : bad) {
+        const std::string key = "\"" + field + "\": ";
+        std::string line = good;
+        const std::size_t at = line.find(key) + key.size();
+        line.replace(at, line.find_first_of(",}", at) - at, value);
+        const std::string want = "\"" + field + "\" is out of range at column " +
+                                 std::to_string(at + 1);
+        try {
+            (void)obs::TraceReader::parse_line(line);
+            ADD_FAILURE() << "accepted " << line;
+        } catch (const std::runtime_error& e) {
+            EXPECT_NE(std::string{e.what()}.find(want), std::string::npos)
+                << e.what();
+        }
     }
 }
 

@@ -3,8 +3,9 @@
 
 Usage:
   validate_trace.py trace TRACE.jsonl [--manifest MANIFEST.json]
-      Schema-check every trace line; with --manifest also check that the
-      manifest's embedded event count and FNV-1a hash match the file.
+      Schema-check every trace line (numbers within the C++ reader's
+      ranges included); with --manifest also check that the manifest's
+      embedded event count and FNV-1a hash match the file.
 
   validate_trace.py manifest MANIFEST.json
       Schema-check a run manifest (including the profile block and the
@@ -15,7 +16,8 @@ Usage:
       (same event count and FNV-1a), identical metric blocks, and
       identical seeds/jobs/config/failed_checks. --ignore-key (repeatable)
       skips a named comparison — e.g. `--ignore-key jobs` for the
-      --jobs 1 vs --jobs 8 determinism gate used by `check-trace`.
+      --jobs 1 vs --jobs 8 determinism check (the `trace.compare_manifests`
+      ctest entry).
 
   validate_trace.py chrome CHROME.json
       Structural check of a Chrome/Perfetto trace-event file as produced
@@ -31,6 +33,7 @@ No third-party dependencies (stdlib json only).
 
 import argparse
 import json
+import math
 import sys
 
 EVENT_TYPES = {
@@ -63,6 +66,15 @@ EVENT_FIELDS = {
     "b": (int, float),
     "x": (int, float),
 }
+
+# The integer fields' ranges: the C++ TraceEvent's uint64 seq, int32 node
+# and int64 a slot. A value outside them is one the reader cannot hold.
+EVENT_INT_RANGES = {
+    "seq": (0, (1 << 64) - 1),
+    "node": (-(1 << 31), (1 << 31) - 1),
+    "a": (-(1 << 63), (1 << 63) - 1),
+}
+EVENT_REAL_FIELDS = ("t", "b", "x")
 
 # Synchronization-observatory metric names (the sync.* namespace the
 # SyncMonitor publishes, by metric kind). Any sync.* name outside this
@@ -162,6 +174,19 @@ def check_fields(obj: dict, spec: dict, what: str) -> None:
              f"expected {'/'.join(t.__name__ for t in types)}")
 
 
+def check_event_ranges(event: dict, what: str) -> None:
+    """Every number fits the C++ TraceEvent: integers within their type's
+    range, reals finite (json reads 1e400 as inf, and NaN and Infinity as
+    themselves)."""
+    for name, (lo, hi) in EVENT_INT_RANGES.items():
+        if not lo <= event[name] <= hi:
+            fail(f"{what}: field '{name}' is out of range: {event[name]} "
+                 f"(must be in [{lo}, {hi}])")
+    for name in EVENT_REAL_FIELDS:
+        if not math.isfinite(event[name]):
+            fail(f"{what}: field '{name}' is not finite: {event[name]}")
+
+
 def check_event_semantics(event: dict, what: str) -> None:
     """Per-type slot constraints for the sync-observatory events.
 
@@ -231,6 +256,7 @@ def validate_trace_file(path: str) -> tuple[int, int]:
         if set(event) - set(EVENT_FIELDS):
             fail(f"{path}:{lineno}: unknown fields "
                  f"{sorted(set(event) - set(EVENT_FIELDS))}")
+        check_event_ranges(event, f"{path}:{lineno}")
         if event["type"] not in EVENT_TYPES:
             fail(f"{path}:{lineno}: unknown event type '{event['type']}'")
         check_event_semantics(event, f"{path}:{lineno}")
@@ -486,6 +512,26 @@ def cmd_selftest(args: argparse.Namespace) -> None:
                                  "t"),
             "has type bool", "bool where int expected")
         assert "resource_sample" in EVENT_TYPES
+
+        # Numbers the C++ reader cannot hold: each field's extremes pass,
+        # one past them fails, and so do the reals json reads as inf/nan.
+        check_event_ranges(good_event, "selftest")
+        for name, (lo, hi) in EVENT_INT_RANGES.items():
+            check_event_ranges(dict(good_event, **{name: lo}), "selftest")
+            check_event_ranges(dict(good_event, **{name: hi}), "selftest")
+            for bad in (lo - 1, hi + 1):
+                _expect_fail(
+                    lambda: check_event_ranges(dict(good_event, **{name: bad}),
+                                               "t"),
+                    f"'{name}' is out of range", f"{name} = {bad}")
+        for name in EVENT_REAL_FIELDS:
+            for token in ("1e400", "-1e400", "NaN", "Infinity"):
+                bad = json.loads(token)
+                _expect_fail(
+                    lambda: check_event_ranges(dict(good_event, **{name: bad}),
+                                               "t"),
+                    f"'{name}' is not finite", f"{name} = {token}")
+            check_event_ranges(dict(good_event, **{name: 5e-324}), "selftest")
 
         # Sync-observatory event semantics.
         good_sync_config = {"seq": 1, "t": 0, "type": "sync_config",
