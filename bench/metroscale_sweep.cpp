@@ -30,9 +30,8 @@
 // time), which is exactly the thousands-of-timers-per-bucket regime the
 // kernel's sorted-run calendar consumption is built for.
 //
-// Writes the "metroscale" section of BENCH_sweep.json (or --out PATH;
-// bench/sweep_wallclock owns the "sweep_wallclock" section of the same
-// file).
+// Writes the "metroscale" section of BENCH_sweep.json (or --bench-out
+// PATH; fig13 and fig15 own the other sections of the same file).
 //
 // Extra flags:
 //   --max-n N        largest rung to run (default 100000)

@@ -2,25 +2,25 @@
 // every experiment leans on. Not a paper figure — a performance floor so
 // regressions in the simulator core are visible.
 //
-// Takes the unified bench flags (bench/common.hpp): `--json` additionally
-// writes machine-readable results (op, ns/op, items/sec) to
-// BENCH_perf.json — or to `--out PATH` — next to the normal console
-// output, so CI and docs/PERFORMANCE.md can consume the numbers without
-// scraping the table. Unrecognised flags (e.g. --benchmark_filter) pass
-// through to google-benchmark.
+// Takes google-benchmark's flags only; any other flag exits 2. Its JSON
+// reporter writes the machine-readable results, and the report's context
+// names the build (git describe, build type, compiler):
+//
+//   perf_microbench --benchmark_out=BENCH_perf.json
+//       --benchmark_out_format=json --benchmark_repetitions=5
+//       --benchmark_report_aggregates_only=true
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
-#include <fstream>
 #include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "bench/common.hpp"
 #include "core/core.hpp"
 #include "markov/markov.hpp"
 #include "net/net.hpp"
+#include "obs/build_info.hpp"
 #include "obs/obs.hpp"
 #include "parallel/parallel.hpp"
 #include "rng/rng.hpp"
@@ -155,10 +155,9 @@ void BM_PMKernel_Metro(benchmark::State& state) {
 BENCHMARK(BM_PMKernel_Metro)->Arg(300)->Arg(3000)->Arg(30000);
 
 void BM_SweepScheduler(benchmark::State& state) {
-    // A fixed set of independent trials fanned over state.range(0)
-    // workers of the global work-stealing scheduler. On multi-core
-    // hardware items/sec (trials per wall-clock second, UseRealTime)
-    // should scale near-linearly up to the physical core count.
+    // A fixed set of independent trials through the work-stealing
+    // scheduler at one worker: the fan-out's own cost next to
+    // BM_PMKernel_Trial's. A shared host cannot time thread scaling.
     const std::size_t jobs = static_cast<std::size_t>(state.range(0));
     const int kTrials = 8;
     for (auto _ : state) {
@@ -178,7 +177,7 @@ void BM_SweepScheduler(benchmark::State& state) {
     }
     state.SetItemsProcessed(state.iterations() * kTrials);
 }
-BENCHMARK(BM_SweepScheduler)->Arg(1)->Arg(4)->Arg(8)->UseRealTime();
+BENCHMARK(BM_SweepScheduler)->Arg(1)->UseRealTime();
 
 void BM_Engine_SelfSchedulingChain(benchmark::State& state) {
     for (auto _ : state) {
@@ -700,94 +699,17 @@ void BM_DvFullMeshSimSecond(benchmark::State& state) {
 }
 BENCHMARK(BM_DvFullMeshSimSecond);
 
-// ------------------------------------------------------ --json support
-
-/// Wraps the normal console reporter and additionally collects every
-/// per-iteration run as (op, ns/op, items/sec), written as JSON when the
-/// run finishes.
-class JsonPerfReporter : public benchmark::BenchmarkReporter {
-public:
-    JsonPerfReporter(std::string path, benchmark::BenchmarkReporter* inner)
-        : path_{std::move(path)}, inner_{inner} {}
-
-    bool ReportContext(const Context& context) override {
-        return inner_->ReportContext(context);
-    }
-
-    void ReportRuns(const std::vector<Run>& report) override {
-        inner_->ReportRuns(report);
-        for (const Run& run : report) {
-            if (run.run_type != Run::RT_Iteration || run.error_occurred) {
-                continue;
-            }
-            Entry e;
-            e.op = run.benchmark_name();
-            const double seconds =
-                run.iterations > 0
-                    ? run.real_accumulated_time / static_cast<double>(run.iterations)
-                    : run.real_accumulated_time;
-            e.ns_per_op = seconds * 1e9;
-            const auto it = run.counters.find("items_per_second");
-            e.items_per_second = it != run.counters.end() ? it->second.value : 0.0;
-            entries_.push_back(std::move(e));
-        }
-    }
-
-    void Finalize() override {
-        inner_->Finalize();
-        std::ofstream out{path_};
-        out << "[\n";
-        for (std::size_t i = 0; i < entries_.size(); ++i) {
-            const Entry& e = entries_[i];
-            out << "  {\"op\": \"" << escape(e.op) << "\", \"ns_per_op\": "
-                << e.ns_per_op << ", \"items_per_second\": " << e.items_per_second
-                << "}" << (i + 1 < entries_.size() ? "," : "") << "\n";
-        }
-        out << "]\n";
-    }
-
-private:
-    struct Entry {
-        std::string op;
-        double ns_per_op = 0.0;
-        double items_per_second = 0.0;
-    };
-
-    static std::string escape(const std::string& s) {
-        std::string out;
-        for (const char c : s) {
-            if (c == '"' || c == '\\') {
-                out.push_back('\\');
-            }
-            out.push_back(c);
-        }
-        return out;
-    }
-
-    std::string path_;
-    benchmark::BenchmarkReporter* inner_;
-    std::vector<Entry> entries_;
-};
-
 } // namespace
 
 int main(int argc, char** argv) {
-    // google-benchmark takes its --benchmark_* flags out of argv first;
-    // what is left is the bench command line, parsed strictly.
     benchmark::Initialize(&argc, argv);
-    bench::OptionsSpec spec;
-    spec.description = "engine micro-benchmarks (performance floor)";
-    bench::Options& options = bench::parse_options(argc, argv, spec);
-    std::unique_ptr<benchmark::BenchmarkReporter> display{
-        benchmark::CreateDefaultDisplayReporter()};
-    if (!options.json) {
-        benchmark::RunSpecifiedBenchmarks(display.get());
-    } else {
-        const std::string path =
-            options.out.empty() ? "BENCH_perf.json" : options.out;
-        JsonPerfReporter reporter{path, display.get()};
-        benchmark::RunSpecifiedBenchmarks(&reporter);
+    if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
+        return 2;
     }
+    benchmark::AddCustomContext("git_describe", obs::kGitDescribe);
+    benchmark::AddCustomContext("build_type", obs::kBuildType);
+    benchmark::AddCustomContext("compiler", ROUTESYNC_COMPILER);
+    benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
     return 0;
 }

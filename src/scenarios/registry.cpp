@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <string>
 
-#include <fcntl.h>
 #include <spawn.h>
 #include <sys/wait.h>
 
@@ -383,6 +382,34 @@ ScenarioEntry external(std::string name, std::string summary,
     return e;
 }
 
+/// Runs the binary at `path` with `args` and waits for it: no shell, so
+/// every argument reaches it as one argv entry, whatever it holds.
+/// Returns its exit status, or 1 if a signal ended it. Throws
+/// std::runtime_error if it cannot be started.
+int run_binary(const std::string& path, std::span<const std::string> args) {
+    std::vector<char*> argv{const_cast<char*>(path.c_str())};
+    for (const std::string& arg : args) {
+        argv.push_back(const_cast<char*>(arg.c_str()));
+    }
+    argv.push_back(nullptr);
+    pid_t pid = 0;
+    const int rc =
+        posix_spawn(&pid, path.c_str(), nullptr, nullptr, argv.data(), environ);
+    if (rc != 0) {
+        throw std::runtime_error{"cannot run " + path + ": " + std::strerror(rc)};
+    }
+    int status = 0;
+    while (waitpid(pid, &status, 0) < 0) {
+        if (errno != EINTR) {
+            throw std::runtime_error{"cannot wait for " + path + ": " +
+                                     std::strerror(errno)};
+        }
+    }
+    // The binary's own exit status (2 for a flag it rejects); 1 if a
+    // signal ended it.
+    return WIFEXITED(status) ? WEXITSTATUS(status) : 1;
+}
+
 } // namespace
 
 int run_shared_lan_sweep(const cli::Args& args) {
@@ -523,38 +550,6 @@ int ScenarioRegistry::run(const std::string& name,
         }
     }
     return run_binary(dir + "/" + entry->binary, forwarded);
-}
-
-int run_binary(const std::string& path, std::span<const std::string> args,
-               bool quiet) {
-    std::vector<char*> argv{const_cast<char*>(path.c_str())};
-    for (const std::string& arg : args) {
-        argv.push_back(const_cast<char*>(arg.c_str()));
-    }
-    argv.push_back(nullptr);
-    posix_spawn_file_actions_t actions;
-    posix_spawn_file_actions_init(&actions);
-    if (quiet) {
-        posix_spawn_file_actions_addopen(&actions, 1, "/dev/null", O_WRONLY, 0);
-        posix_spawn_file_actions_adddup2(&actions, 1, 2);
-    }
-    pid_t pid = 0;
-    const int rc =
-        posix_spawn(&pid, path.c_str(), &actions, nullptr, argv.data(), environ);
-    posix_spawn_file_actions_destroy(&actions);
-    if (rc != 0) {
-        throw std::runtime_error{"cannot run " + path + ": " + std::strerror(rc)};
-    }
-    int status = 0;
-    while (waitpid(pid, &status, 0) < 0) {
-        if (errno != EINTR) {
-            throw std::runtime_error{"cannot wait for " + path + ": " +
-                                     std::strerror(errno)};
-        }
-    }
-    // The binary's own exit status (2 for a flag it rejects); 1 if a
-    // signal ended it.
-    return WIFEXITED(status) ? WEXITSTATUS(status) : 1;
 }
 
 void register_builtin_scenarios() {

@@ -113,12 +113,4 @@ void register_builtin_scenarios();
 /// every --jobs value.
 int run_shared_lan_sweep(const cli::Args& args);
 
-/// Runs the binary at `path` with `args` and waits for it: no shell, so
-/// every argument reaches it as one argv entry, whatever it holds.
-/// Returns its exit status, or 1 if a signal ended it; with `quiet` its
-/// stdout and stderr go to /dev/null. Throws std::runtime_error if it
-/// cannot be started.
-int run_binary(const std::string& path, std::span<const std::string> args,
-               bool quiet = false);
-
 } // namespace routesync::scenarios
