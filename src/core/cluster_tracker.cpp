@@ -59,7 +59,7 @@ void ClusterTracker::reset(int n, sim::SimTime round_length,
     max_size_seen_ = 0;
     down_filled_from_ = n + 1;
     round_end_time_ = sim::SimTime::zero();
-    record_events_ = false;
+    record_ = 0;
     record_rounds_ = n <= kAutoRecordRoundsMaxN;
     finished_ = false;
     rounds_closed_ = 0;
@@ -72,6 +72,8 @@ void ClusterTracker::reset(int n, sim::SimTime round_length,
     // existing storage instead of reallocating per run.
     events_.clear();
     rounds_.clear();
+    round_sizes_.clear();
+    last_round_sizes_.clear();
     first_up_.assign(static_cast<std::size_t>(n) + 1, kNever);
     first_down_.assign(static_cast<std::size_t>(n) + 1, kNever);
     rounds_by_largest_.assign(static_cast<std::size_t>(n) + 1, 0);
@@ -81,9 +83,27 @@ void ClusterTracker::throw_out_of_order() {
     throw std::logic_error{"ClusterTracker: events out of order"};
 }
 
+void ClusterTracker::record_group() {
+    if ((record_ & kRecordEvents) != 0) {
+        events_.push_back(ClusterEvent{group_start_, group_size_});
+    }
+    if ((record_ & kRecordRoundSizes) != 0) {
+        round_sizes_.push_back(group_size_);
+    }
+}
+
 void ClusterTracker::close_current_round() {
     if (current_round_largest_ == 0) {
         return; // nothing observed (only possible before the first event)
+    }
+    if ((record_ & kRecordRoundSizes) != 0) {
+        // The next round's sizes start with the group that straddled
+        // into it, as its largest does.
+        last_round_sizes_.swap(round_sizes_);
+        round_sizes_.clear();
+        if (spill_largest_ > 0) {
+            round_sizes_.push_back(spill_largest_);
+        }
     }
     const RoundLargest rec{current_round_, current_round_largest_, round_end_time_};
     ++rounds_closed_;
@@ -169,7 +189,8 @@ std::size_t ClusterTracker::state_bytes() const noexcept {
            first_down_.capacity() * sizeof(sim::SimTime) +
            rounds_by_largest_.capacity() * sizeof(std::uint64_t) +
            events_.capacity() * sizeof(ClusterEvent) +
-           rounds_.capacity() * sizeof(RoundLargest);
+           rounds_.capacity() * sizeof(RoundLargest) +
+           (round_sizes_.capacity() + last_round_sizes_.capacity()) * sizeof(int);
 }
 
 } // namespace routesync::core

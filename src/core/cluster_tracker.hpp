@@ -11,7 +11,10 @@
 //     coming down (Figure 11),
 //   * the time of full synchronization (all N in one cluster),
 //   * the fraction of rounds spent (un)synchronized (Figures 14-15's
-//     simulated counterpart).
+//     simulated counterpart),
+//   * the group sizes of the last closed round, from which a SyncMonitor
+//     settles its cluster entropy — the tracker is the only code that
+//     turns re-arms into clusters and rounds.
 //
 // Metro-scale layout: every per-size table is a flat 8-byte-per-entry
 // array — hitting times use an infinity sentinel instead of
@@ -27,6 +30,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -132,7 +136,10 @@ public:
 
     /// Enables storage of every cluster event (off by default: a 10^7 s run
     /// produces millions of events).
-    void record_events(bool on) noexcept { record_events_ = on; }
+    void record_events(bool on) noexcept { set_record(kRecordEvents, on); }
+    /// Enables keeping the group sizes of the last closed round (off by
+    /// default) — what a SyncMonitor settles its round readings from.
+    void record_round_sizes(bool on) noexcept { set_record(kRecordRoundSizes, on); }
     /// Enables storage of per-round largest-cluster records (default: on
     /// for n <= kAutoRecordRoundsMaxN, off above — see the constant).
     void record_rounds(bool on) noexcept { record_rounds_ = on; }
@@ -142,6 +149,12 @@ public:
     }
     [[nodiscard]] const std::vector<RoundLargest>& rounds() const noexcept {
         return rounds_;
+    }
+    /// Group sizes of the last closed round in the order the groups
+    /// closed, a group that straddled in from the round before first.
+    /// Empty unless record_round_sizes(true) and a round has closed.
+    [[nodiscard]] std::span<const int> last_round_sizes() const noexcept {
+        return last_round_sizes_;
     }
 
     /// First time a cluster of size >= s was observed (s in [1, n]).
@@ -176,8 +189,8 @@ private:
             spill_largest_ = 0;
         }
 
-        if (record_events_) {
-            events_.push_back(ClusterEvent{group_start_, group_size_});
+        if (record_ != 0) {
+            record_group();
         }
         if (group_size_ > current_round_largest_) {
             current_round_largest_ = group_size_;
@@ -190,6 +203,12 @@ private:
         group_size_ = 0;
     }
     void close_current_round();
+    /// Stores the closing group as record_ asks. Out of line: a run that
+    /// records nothing pays one test per group.
+    void record_group();
+    void set_record(unsigned bit, bool on) noexcept {
+        record_ = on ? (record_ | bit) : (record_ & ~bit);
+    }
     /// Throws the std::logic_error for a timer-set event earlier than the
     /// open group's last; out of line, off the feed's hot path.
     [[noreturn]] static void throw_out_of_order();
@@ -221,12 +240,16 @@ private:
     int down_filled_from_ = 0; ///< first_down_[s] has a value for s >= this
     sim::SimTime round_end_time_ = sim::SimTime::zero();
 
-    bool record_events_ = false;
+    static constexpr unsigned kRecordEvents = 1U;
+    static constexpr unsigned kRecordRoundSizes = 2U;
+    unsigned record_ = 0; ///< kRecord* bits: what each closing group stores
     bool record_rounds_ = true;
     bool finished_ = false;
 
     std::vector<ClusterEvent> events_;
     std::vector<RoundLargest> rounds_;
+    std::vector<int> round_sizes_;      ///< the current round's groups
+    std::vector<int> last_round_sizes_; ///< the last closed round's groups
     /// Sentinel-valued hitting-time tables, [size] 1..n: infinity = never.
     std::vector<sim::SimTime> first_up_;
     std::vector<sim::SimTime> first_down_;

@@ -60,19 +60,7 @@ void finalize_metrics(const ExperimentConfig& config, ExperimentResult& result) 
         reg.observe("experiment.breakup_time_sec", *result.breakup_time_sec);
     }
     if (result.sync.has_value()) {
-        const obs::SyncReport& s = *result.sync;
-        reg.add("sync.rearms", s.rearms);
-        reg.add("sync.transitions", s.transitions);
-        reg.add("sync.coupling_edges",
-                static_cast<std::uint64_t>(result.sync_coupling.edge_count()));
-        reg.set_gauge("sync.r_last", s.r_last);
-        reg.set_gauge("sync.r_max", s.r_max);
-        reg.set_gauge("sync.entropy_last", s.entropy_last);
-        reg.set_gauge("sync.largest_fraction_last", s.largest_fraction_last);
-        if (s.time_to_sync_sec >= 0.0) {
-            reg.add("sync.synced_runs", 1);
-            reg.observe("sync.time_to_sync_sec", s.time_to_sync_sec);
-        }
+        obs::publish_sync_metrics(reg, *result.sync, result.sync_coupling);
     }
     result.metrics = reg.snapshot();
     if (config.obs != nullptr) {
@@ -95,6 +83,7 @@ public:
           stop_{std::move(stop)} {
         tracker_.record_events(config.record_cluster_events);
         tracker_.record_rounds(config.record_rounds);
+        tracker_.record_round_sizes(config.monitor);
         result_.round_length_sec = round_length.sec();
 
         obs::Tracer* tracer = tracer_of(config);
@@ -182,6 +171,7 @@ public:
             // Finish at the run's end time so the coupling_edge events
             // keep the trace's time monotone past any later samples.
             monitor_->finish(end);
+            monitor_->settle_rounds(tracker_.last_round_sizes(), tracker_.rounds_closed());
             result_.sync = monitor_->report();
             result_.sync_coupling = monitor_->coupling();
         }

@@ -29,6 +29,8 @@ public:
         int src = 0;
         int dst = 0;
         std::uint64_t weight = 0;
+
+        bool operator==(const Edge&) const = default;
     };
 
     /// Records `weight` more resets of `dst` attributed to `src`.

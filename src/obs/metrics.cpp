@@ -194,11 +194,4 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
     return s;
 }
 
-void MetricsRegistry::clear() {
-    counters_.clear();
-    gauges_.clear();
-    distributions_.clear();
-    histograms_.clear();
-}
-
 } // namespace routesync::obs

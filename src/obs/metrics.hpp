@@ -79,8 +79,6 @@ public:
 
     [[nodiscard]] MetricsSnapshot snapshot() const;
 
-    void clear();
-
 private:
     std::map<std::string, std::uint64_t> counters_;
     std::map<std::string, double> gauges_;

@@ -82,12 +82,4 @@ std::string ProfileSnapshot::format() const {
     return out;
 }
 
-ProfileSnapshot merge_profiles(const std::vector<ProfileSnapshot>& parts) {
-    ProfileSnapshot out;
-    for (const ProfileSnapshot& p : parts) {
-        out.merge(p);
-    }
-    return out;
-}
-
 } // namespace routesync::obs

@@ -25,7 +25,6 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <vector>
 
 namespace routesync::obs {
 
@@ -55,10 +54,6 @@ struct ProfileSnapshot {
     /// tree --profile prints). Entries sorted by label.
     [[nodiscard]] std::string format() const;
 };
-
-/// Folds snapshots left to right — submission order for trial sweeps.
-[[nodiscard]] ProfileSnapshot
-merge_profiles(const std::vector<ProfileSnapshot>& parts);
 
 class Profiler {
 public:

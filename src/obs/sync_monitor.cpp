@@ -4,6 +4,7 @@
 #include <numbers>
 #include <stdexcept>
 
+#include "obs/metrics.hpp"
 #include "obs/tracer.hpp"
 
 namespace routesync::obs {
@@ -37,9 +38,6 @@ SyncMonitor::SyncMonitor(const SyncMonitorConfig& config, Tracer* tracer)
     if (config_.hysteresis < 0.0 || config_.hysteresis >= config_.threshold) {
         throw std::invalid_argument{
             "SyncMonitor: hysteresis must be in [0, threshold)"};
-    }
-    if (config_.tolerance_sec < 0.0) {
-        throw std::invalid_argument{"SyncMonitor: tolerance must be >= 0"};
     }
     config_.hysteresis =
         hysteresis_from_micro(hysteresis_to_micro(config_.hysteresis));
@@ -99,75 +97,22 @@ void SyncMonitor::update_order_parameter(int node, sim::SimTime t) {
     }
 }
 
-void SyncMonitor::update_clusters(sim::SimTime t) {
-    if (group_open_ && t < group_last_) {
-        throw std::logic_error{"SyncMonitor: events out of order"};
-    }
-    if (group_open_ &&
-        (t - group_last_).sec() <= config_.tolerance_sec) {
-        ++group_size_;
-        group_last_ = t;
-    } else {
-        if (group_open_) {
-            finalize_group();
-        }
-        group_open_ = true;
-        group_start_ = t;
-        group_last_ = t;
-        group_size_ = 1;
-        group_round_ = event_round_;
-    }
-    group_last_round_ = event_round_;
-    if (++idx_in_round_ == config_.n) {
-        idx_in_round_ = 0;
-        ++event_round_;
-    }
-}
-
-void SyncMonitor::finalize_group() {
-    if (group_round_ > current_round_) {
-        close_round();
-        current_round_ = group_round_;
-        round_sizes_.clear();
-        if (spill_size_ > 0) {
-            // The straddling group counts toward this round too (the
-            // ClusterTracker's spill rule).
-            round_sizes_.push_back(spill_size_);
-            spill_size_ = 0;
-        }
-    }
-    round_sizes_.push_back(group_size_);
-    if (group_last_round_ > group_round_ && group_size_ > spill_size_) {
-        spill_size_ = group_size_;
-    }
-    group_open_ = false;
-    group_size_ = 0;
-}
-
-void SyncMonitor::close_round() {
-    if (round_sizes_.empty()) {
-        return; // before the first completed group
-    }
-    // Only the last closed round's entropy is reported, so keep its
-    // sizes and leave the logarithms to finish().
-    last_round_sizes_.swap(round_sizes_);
-    ++report_.rounds_closed;
-}
-
-void SyncMonitor::settle_last_round() {
-    if (last_round_sizes_.empty()) {
+void SyncMonitor::settle_rounds(std::span<const int> last_round,
+                                std::uint64_t rounds_closed) {
+    report_.rounds_closed = rounds_closed;
+    if (last_round.empty()) {
         return; // no round ever closed
     }
     double total = 0.0;
     int largest = 0;
-    for (const int s : last_round_sizes_) {
+    for (const int s : last_round) {
         total += static_cast<double>(s);
         if (s > largest) {
             largest = s;
         }
     }
     double entropy = 0.0;
-    for (const int s : last_round_sizes_) {
+    for (const int s : last_round) {
         const double p = static_cast<double>(s) / total;
         entropy -= p * std::log(p);
     }
@@ -188,7 +133,6 @@ void SyncMonitor::on_timer_set(int node, sim::SimTime t) {
     // the node can only have released itself.
     coupling_.add_edge(last_tx_node_ >= 0 ? last_tx_node_ : node, node);
     update_order_parameter(node, t);
-    update_clusters(t);
 }
 
 void SyncMonitor::on_transmit(int node, sim::SimTime /*t*/) {
@@ -201,12 +145,6 @@ void SyncMonitor::finish(sim::SimTime at) {
         return;
     }
     finished_ = true;
-    if (group_open_) {
-        finalize_group();
-    }
-    close_round();
-    round_sizes_.clear();
-    settle_last_round();
     report_.r_last = r_;
     report_.in_sync = in_sync_;
     if (tracer_ != nullptr) {
@@ -217,92 +155,27 @@ void SyncMonitor::finish(sim::SimTime at) {
     }
 }
 
-SyncReplayResult replay_sync(const std::vector<TraceEvent>& events,
-                             const SyncReplayOverrides& overrides) {
-    SyncReplayResult result;
+SyncMonitorConfig sync_config_from_event(const TraceEvent& e, int n) {
+    return SyncMonitorConfig{.n = n,
+                             .period_sec = e.b,
+                             .threshold = e.x,
+                             .hysteresis = hysteresis_from_micro(e.a)};
+}
 
-    int max_node = -1;
-    for (const TraceEvent& e : events) {
-        switch (e.type) {
-        case TraceEventType::TimerSet:
-            if (e.node > max_node) {
-                max_node = e.node;
-            }
-            break;
-        case TraceEventType::SyncConfig:
-            result.have_config = true;
-            result.config.hysteresis = hysteresis_from_micro(e.a);
-            result.config.period_sec = e.b;
-            result.config.threshold = e.x;
-            break;
-        case TraceEventType::SyncTransition:
-            result.recorded.push_back(
-                SyncTransitionRecord{e.time, e.a != 0, e.b});
-            break;
-        case TraceEventType::CouplingEdge:
-            result.recorded_edges.push_back(CouplingGraph::Edge{
-                static_cast<int>(e.a), e.node,
-                static_cast<std::uint64_t>(std::llround(e.b))});
-            break;
-        default:
-            break;
-        }
+void publish_sync_metrics(MetricsRegistry& reg, const SyncReport& report,
+                          const CouplingGraph& coupling) {
+    reg.add("sync.rearms", report.rearms);
+    reg.add("sync.transitions", report.transitions);
+    reg.add("sync.coupling_edges",
+            static_cast<std::uint64_t>(coupling.edge_count()));
+    reg.set_gauge("sync.r_last", report.r_last);
+    reg.set_gauge("sync.r_max", report.r_max);
+    reg.set_gauge("sync.entropy_last", report.entropy_last);
+    reg.set_gauge("sync.largest_fraction_last", report.largest_fraction_last);
+    if (report.time_to_sync_sec >= 0.0) {
+        reg.add("sync.synced_runs", 1);
+        reg.observe("sync.time_to_sync_sec", report.time_to_sync_sec);
     }
-    if (max_node < 0) {
-        throw std::runtime_error{
-            "replay_sync: trace has no timer_set events"};
-    }
-
-    if (!result.have_config) {
-        result.config.threshold = 0.95;
-        result.config.hysteresis = 0.02;
-    }
-    // The initial arms cover every node, so max node + 1 is exact.
-    result.config.n = overrides.n > 0 ? overrides.n : max_node + 1;
-    if (overrides.period_sec > 0.0) {
-        result.config.period_sec = overrides.period_sec;
-    }
-    if (overrides.threshold > 0.0) {
-        result.config.threshold = overrides.threshold;
-    }
-    if (overrides.hysteresis >= 0.0) {
-        result.config.hysteresis = overrides.hysteresis;
-    }
-    if (!(result.config.period_sec > 0.0)) {
-        throw std::runtime_error{
-            "replay_sync: no round length available (trace has no "
-            "sync_config event; pass --round)"};
-    }
-
-    SyncMonitor monitor{result.config};
-    std::vector<bool> skipped(static_cast<std::size_t>(result.config.n),
-                              false);
-    sim::SimTime last = sim::SimTime::zero();
-    for (const TraceEvent& e : events) {
-        last = e.time;
-        if (e.type == TraceEventType::UpdateTx) {
-            monitor.on_transmit(e.node, e.time);
-            continue;
-        }
-        if (e.type != TraceEventType::TimerSet) {
-            continue;
-        }
-        const auto node = static_cast<std::size_t>(e.node);
-        if (node < skipped.size() && !skipped[node]) {
-            // The model constructor's initial arm, emitted before the
-            // live monitor was wired up (see header).
-            skipped[node] = true;
-            ++result.initial_skipped;
-            continue;
-        }
-        monitor.on_timer_set(e.node, e.time);
-        ++result.timer_sets_fed;
-    }
-    monitor.finish(last);
-    result.report = monitor.report();
-    result.coupling = monitor.coupling();
-    result.transitions = monitor.transitions();
-    return result;
 }
 
 } // namespace routesync::obs

@@ -12,13 +12,6 @@
 //     node's old phasor, add the new one. Nodes that have not re-armed
 //     yet contribute zero (the denominator is always the full N), so r
 //     ramps up over the first round and then tracks coherence exactly.
-//   * normalized cluster entropy and largest-cluster fraction per round,
-//     using the ClusterTracker's grouping rule (events within the
-//     tolerance of the previous event share a cluster; a round is N
-//     re-arms; a group counts toward the round it started in, and a
-//     group straddling the boundary seeds the next round too). Only the
-//     last closed round is reported, so its group sizes are kept and
-//     both values are computed once, in finish().
 //   * an online time-to-sync / changepoint detector: r crossing a
 //     configurable threshold (with hysteresis on the way down) flips the
 //     in-sync state, emits a `sync_transition` trace event, and records
@@ -27,8 +20,14 @@
 //     whose transmission most recently extended the busy period that
 //     just released the timer (see coupling_graph.hpp).
 //
+// The monitor groups nothing. The run's ClusterTracker, fed the same
+// re-arms, owns clusters and N-re-arm rounds at its own tolerance; at the
+// end of the run it hands settle_rounds() the last closed round's group
+// sizes and the closed-round count, and the monitor turns them into the
+// normalized cluster entropy and the largest-cluster fraction.
+//
 // Determinism contract: a monitor fed from a live run and a monitor fed
-// from that run's trace (replay_sync below) perform the *same* sequence
+// from that run's trace (core::replay_trace) perform the *same* sequence
 // of floating-point operations on the *same* double values — trace times
 // serialize via %.17g and round-trip exactly — so r(t), every transition
 // (time, direction, r), and the coupling graph are bit-identical between
@@ -37,6 +36,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "obs/coupling_graph.hpp"
@@ -45,6 +45,7 @@
 
 namespace routesync::obs {
 
+class MetricsRegistry;
 class Tracer;
 
 struct SyncMonitorConfig {
@@ -55,14 +56,21 @@ struct SyncMonitorConfig {
     /// construction so the value survives the trace's integer slot and a
     /// replayed monitor runs on the identical double.
     double hysteresis = 0.02;
-    double tolerance_sec = 1e-6; ///< cluster grouping tolerance
 };
+
+/// The config a `sync_config` trace event records, for `n` nodes: the
+/// inverse of what the SyncMonitor constructor emits, so a replayed
+/// monitor runs on the live one's exact doubles.
+[[nodiscard]] SyncMonitorConfig sync_config_from_event(const TraceEvent& e,
+                                                       int n);
 
 /// One detector crossing, exactly as traced (`sync_transition`).
 struct SyncTransitionRecord {
     sim::SimTime time;
     bool up = false; ///< true: entered sync; false: left it
     double r = 0.0;  ///< order parameter at the crossing
+
+    bool operator==(const SyncTransitionRecord&) const = default;
 };
 
 /// The monitor's end-of-run summary (the source of all sync.* metrics).
@@ -70,22 +78,32 @@ struct SyncReport {
     std::uint64_t rearms = 0;        ///< re-arms fed to the monitor
     std::uint64_t transmissions = 0; ///< transmissions fed to the monitor
     std::uint64_t transitions = 0;   ///< detector crossings (both ways)
-    std::uint64_t rounds_closed = 0; ///< closed rounds (the last one's entropy is reported)
+    /// The tracker's closed rounds (the last one's entropy is reported);
+    /// set by settle_rounds(), like the two readings below.
+    std::uint64_t rounds_closed = 0;
     double r_last = 0.0;
     double r_max = 0.0;
-    /// Last closed round's normalized entropy, in [0, 1]; set by finish().
+    /// Last closed round's normalized entropy, in [0, 1].
     double entropy_last = 0.0;
-    /// Last closed round's largest group / n; set by finish().
+    /// Last closed round's largest group / n.
     double largest_fraction_last = 0.0;
     bool in_sync = false;               ///< detector state at finish
     double time_to_sync_sec = -1.0;     ///< first up-crossing; < 0 = never
 };
 
+/// Adds one monitored run's sync.* metrics to `reg`: the counters
+/// sync.rearms, sync.transitions, sync.coupling_edges and (if it synced)
+/// sync.synced_runs; the gauges sync.r_last, sync.r_max,
+/// sync.entropy_last and sync.largest_fraction_last; and the distribution
+/// sync.time_to_sync_sec. Every producer of sync.* metrics calls this.
+void publish_sync_metrics(MetricsRegistry& reg, const SyncReport& report,
+                          const CouplingGraph& coupling);
+
 class SyncMonitor {
 public:
     /// Validates the config, quantizes the hysteresis, and — when
     /// `tracer` is non-null — emits the `sync_config` event that lets
-    /// replay_sync reconstruct this exact monitor from the trace.
+    /// core::replay_trace reconstruct this exact monitor from the trace.
     explicit SyncMonitor(const SyncMonitorConfig& config,
                          Tracer* tracer = nullptr);
 
@@ -96,15 +114,24 @@ public:
     /// attribution source. Must be interleaved in event order.
     void on_transmit(int node, sim::SimTime t);
 
-    /// Closes the open cluster group and round, seals the report, and
-    /// emits one `coupling_edge` event per edge (sorted by (src, dst))
-    /// at time `at` — pass the run's end time so trace times stay
-    /// monotone. Idempotent.
+    /// Seals r and the detector state into the report and emits one
+    /// `coupling_edge` event per edge (sorted by (src, dst)) at time
+    /// `at` — pass the run's end time so trace times stay monotone.
+    /// Idempotent.
     void finish(sim::SimTime at);
+
+    /// Settles rounds_closed, entropy_last and largest_fraction_last from
+    /// the finished ClusterTracker that saw the same re-arms:
+    /// `last_round` is its last closed round's group sizes
+    /// (ClusterTracker::last_round_sizes), `rounds_closed` its closed-round
+    /// count. Without a call the three read 0.
+    void settle_rounds(std::span<const int> last_round,
+                       std::uint64_t rounds_closed);
 
     /// Current order parameter (valid any time).
     [[nodiscard]] double r() const noexcept { return r_; }
-    /// The summary; counters are live, round fields settle at finish().
+    /// The summary; counters are live, r_last and in_sync settle at
+    /// finish(), the round fields at settle_rounds().
     [[nodiscard]] const SyncReport& report() const noexcept { return report_; }
     [[nodiscard]] const CouplingGraph& coupling() const noexcept {
         return coupling_;
@@ -120,10 +147,6 @@ public:
 
 private:
     void update_order_parameter(int node, sim::SimTime t);
-    void update_clusters(sim::SimTime t);
-    void finalize_group();
-    void close_round();
-    void settle_last_round();
 
     SyncMonitorConfig config_;
     Tracer* tracer_ = nullptr;
@@ -143,55 +166,8 @@ private:
     int last_tx_node_ = -1;
     CouplingGraph coupling_;
 
-    // Cluster/round bookkeeping (mirrors ClusterTracker's grouping).
-    bool group_open_ = false;
-    sim::SimTime group_start_ = sim::SimTime::zero();
-    sim::SimTime group_last_ = sim::SimTime::zero();
-    int group_size_ = 0;
-    std::uint64_t group_round_ = 0;
-    std::uint64_t group_last_round_ = 0;
-    std::uint64_t event_round_ = 0;
-    int idx_in_round_ = 0;
-    std::uint64_t current_round_ = 0;
-    std::vector<int> round_sizes_;
-    std::vector<int> last_round_sizes_; ///< settled into the report at finish()
-    int spill_size_ = 0; ///< straddling group seeds the next round
-
     bool finished_ = false;
     SyncReport report_;
 };
-
-/// Overrides for replay_sync when the trace lacks a `sync_config` event
-/// (unmonitored trace) or the caller wants different detector settings.
-struct SyncReplayOverrides {
-    int n = 0;               ///< 0: infer from the timer_set stream
-    double period_sec = 0.0; ///< 0: take from sync_config (else required)
-    double threshold = 0.0;  ///< 0: from sync_config, default 0.95
-    double hysteresis = -1.0; ///< < 0: from sync_config, default 0.02
-};
-
-struct SyncReplayResult {
-    SyncReport report;
-    CouplingGraph coupling;
-    std::vector<SyncTransitionRecord> transitions; ///< recomputed
-    std::vector<SyncTransitionRecord> recorded;    ///< from the trace
-    std::vector<CouplingGraph::Edge> recorded_edges; ///< from the trace
-    bool have_config = false; ///< trace carried a sync_config event
-    SyncMonitorConfig config; ///< the monitor config actually replayed
-    std::uint64_t timer_sets_fed = 0;
-    std::uint64_t initial_skipped = 0; ///< leading per-node arms skipped
-};
-
-/// Recomputes the full synchronization analysis from a trace alone by
-/// feeding the timer_set/update_tx streams through a fresh SyncMonitor.
-/// Skips each node's first timer_set (the model constructor's initial
-/// arm, emitted before the live monitor was wired — the same rule as
-/// core::replay_cluster_series), so the replayed monitor consumes the
-/// exact stream the live one did and reproduces it bit for bit.
-/// Throws std::runtime_error when the trace has no timer_set events or
-/// no round length is available.
-[[nodiscard]] SyncReplayResult
-replay_sync(const std::vector<TraceEvent>& events,
-            const SyncReplayOverrides& overrides = {});
 
 } // namespace routesync::obs

@@ -244,21 +244,7 @@ int run_shared_lan(const cli::Args& args) {
         reg.add("agents.updates_sent", r.updates_sent);
         reg.add("agents.updates_heard", r.updates_heard);
         if (r.sync.has_value()) {
-            // Same names the engine path publishes (finalize_metrics),
-            // so sync.* readers work across both backends.
-            const obs::SyncReport& s = *r.sync;
-            reg.add("sync.rearms", s.rearms);
-            reg.add("sync.transitions", s.transitions);
-            reg.add("sync.coupling_edges",
-                    static_cast<std::uint64_t>(r.sync_coupling.edge_count()));
-            reg.set_gauge("sync.r_last", s.r_last);
-            reg.set_gauge("sync.r_max", s.r_max);
-            reg.set_gauge("sync.entropy_last", s.entropy_last);
-            reg.set_gauge("sync.largest_fraction_last", s.largest_fraction_last);
-            if (s.time_to_sync_sec >= 0.0) {
-                reg.add("sync.synced_runs", 1);
-                reg.observe("sync.time_to_sync_sec", s.time_to_sync_sec);
-            }
+            obs::publish_sync_metrics(reg, *r.sync, r.sync_coupling);
         }
         m.metrics = reg.snapshot();
         m.sim_seconds = r.end_time_s;

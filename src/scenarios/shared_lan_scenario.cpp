@@ -89,10 +89,12 @@ SharedLanScenarioResult run_shared_lan_scenario(
     // The result reads the tracker's hitting times, never its per-round
     // records: keeping them would allocate as the run goes on.
     tracker.record_rounds(false);
+    tracker.record_round_sizes(config.monitor);
 
     // The observatory rides the same re-arm stream the tracker sees
     // (agent start() never fires on_timer_set, so — exactly like the
-    // engine path — the monitor observes re-arms only).
+    // engine path — the monitor observes re-arms only), and its cluster
+    // readings are the tracker's 50 ms clusters.
     std::optional<obs::SyncMonitor> monitor;
     if (config.monitor) {
         obs::SyncMonitorConfig mc;
@@ -169,6 +171,7 @@ SharedLanScenarioResult run_shared_lan_scenario(
     tracker.finish();
     if (mon != nullptr) {
         mon->finish(engine.now());
+        mon->settle_rounds(tracker.last_round_sizes(), tracker.rounds_closed());
         result.sync = mon->report();
         result.sync_coupling = mon->coupling();
     }

@@ -1,6 +1,9 @@
 // Tests for cluster bookkeeping, driven with synthetic timer-set events.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "core/cluster_tracker.hpp"
 
 namespace {
@@ -143,6 +146,36 @@ TEST(ClusterTracker, StraddlingGroupCountsForBothRounds) {
     ASSERT_EQ(t.rounds().size(), 2U);
     EXPECT_EQ(t.rounds()[0].largest, 3);
     EXPECT_EQ(t.rounds()[1].largest, 3);
+}
+
+TEST(ClusterTracker, LastRoundSizesPutTheSpillFirst) {
+    ClusterTracker t{3, SimTime::seconds(kRound)};
+    const auto feed = [&t] {
+        t.on_timer_set(0, 1_sec);
+        t.on_timer_set(1, 2_sec);
+        // Group of 3 covering event indices 2-4: rounds 0 and 1.
+        t.on_timer_set(0, 5_sec);
+        t.on_timer_set(1, 5_sec);
+        t.on_timer_set(2, 5_sec);
+        t.on_timer_set(0, 9_sec); // index 5, round 1
+        t.finish();
+    };
+    feed();
+    EXPECT_TRUE(t.last_round_sizes().empty()); // off by default
+
+    t.reset(3, SimTime::seconds(kRound));
+    t.record_round_sizes(true);
+    feed();
+    // Round 1: the straddling group first, then its own group.
+    const std::vector<int> want{3, 1};
+    EXPECT_TRUE(std::ranges::equal(t.last_round_sizes(), want));
+    EXPECT_EQ(t.rounds_closed(), 2U);
+
+    // reset() forgets the sizes and turns the recording off again.
+    t.reset(3, SimTime::seconds(kRound));
+    EXPECT_TRUE(t.last_round_sizes().empty());
+    feed();
+    EXPECT_TRUE(t.last_round_sizes().empty());
 }
 
 TEST(ClusterTracker, FirstRoundLargestAtMostFindsBreakup) {

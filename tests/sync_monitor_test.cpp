@@ -5,9 +5,10 @@
 //
 //   * the engine and the PmKernel produce bit-identical sync reports
 //     over randomized configs;
-//   * replay_sync over a run's own trace reproduces the live monitor
-//     exactly (r series endpoints, transitions, coupling graph);
-//   * merged sync.* metrics are byte-identical across --jobs settings.
+//   * core::replay_trace over a run's own trace reproduces the live
+//     monitor exactly (r series endpoints, transitions, coupling graph);
+//   * merged sync.* metrics are byte-identical across --jobs settings;
+//   * the round readings of fixed runs are pinned to the bit.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,6 +23,7 @@
 #include <vector>
 
 #include "core/core.hpp"
+#include "core/trace_replay.hpp"
 #include "obs/json.hpp"
 #include "obs/run_context.hpp"
 #include "obs/sync_monitor.hpp"
@@ -133,12 +135,18 @@ TEST(SyncMonitorTest, TwoEqualClustersGiveHalfEntropy) {
     cfg.n = 4;
     cfg.period_sec = 10.0;
     obs::SyncMonitor mon{cfg};
+    // The tracker groups the re-arms the monitor sees, as in a run.
+    core::ClusterTracker tracker{cfg.n, sim::SimTime::seconds(cfg.period_sec)};
+    tracker.record_round_sizes(true);
     // One round = 4 re-arms: two clusters of two.
-    mon.on_timer_set(0, sim::SimTime::seconds(1.0));
-    mon.on_timer_set(1, sim::SimTime::seconds(1.0));
-    mon.on_timer_set(2, sim::SimTime::seconds(5.0));
-    mon.on_timer_set(3, sim::SimTime::seconds(5.0));
+    for (const auto& [node, t] : {std::pair{0, 1.0}, std::pair{1, 1.0},
+                                  std::pair{2, 5.0}, std::pair{3, 5.0}}) {
+        tracker.on_timer_set(node, sim::SimTime::seconds(t));
+        mon.on_timer_set(node, sim::SimTime::seconds(t));
+    }
+    tracker.finish();
     mon.finish(sim::SimTime::seconds(10.0));
+    mon.settle_rounds(tracker.last_round_sizes(), tracker.rounds_closed());
     EXPECT_EQ(mon.report().rounds_closed, 1u);
     // H = ln 2 normalized by ln 4.
     EXPECT_NEAR(mon.report().entropy_last, 0.5, 1e-12);
@@ -449,17 +457,22 @@ TEST(SyncMonitorDifferentialTest, ReplayFromTraceMatchesLiveExactly) {
         const std::vector<obs::TraceEvent> events(ring->events().begin(),
                                                   ring->events().end());
 
-        const obs::SyncReplayResult replay = obs::replay_sync(events);
-        EXPECT_TRUE(replay.have_config);
-        EXPECT_EQ(replay.config.n, cfg.params.n);
+        const core::TraceReplay full = core::replay_trace(events);
+        ASSERT_TRUE(full.sync.has_value()); // the trace has sync_config
+        const core::SyncReplay& replay = *full.sync;
+        EXPECT_EQ(full.n, cfg.params.n);
         EXPECT_EQ(replay.report.rearms, live.sync->rearms);
         EXPECT_EQ(replay.report.r_last, live.sync->r_last);
         EXPECT_EQ(replay.report.r_max, live.sync->r_max);
+        EXPECT_EQ(replay.report.rounds_closed, live.sync->rounds_closed);
         EXPECT_EQ(replay.report.entropy_last, live.sync->entropy_last);
+        EXPECT_EQ(replay.report.largest_fraction_last,
+                  live.sync->largest_fraction_last);
         EXPECT_EQ(replay.report.time_to_sync_sec, live.sync->time_to_sync_sec);
         EXPECT_TRUE(replay.coupling == live.sync_coupling);
 
         // Transition-by-transition: recomputed == recorded == live.
+        EXPECT_TRUE(replay.transitions_match);
         ASSERT_EQ(replay.transitions.size(), replay.recorded.size());
         ASSERT_EQ(replay.transitions.size(),
                   static_cast<std::size_t>(live.sync->transitions));
@@ -469,6 +482,7 @@ TEST(SyncMonitorDifferentialTest, ReplayFromTraceMatchesLiveExactly) {
             EXPECT_EQ(replay.transitions[k].r, replay.recorded[k].r);
         }
         // The coupling_edge events written at finish() round-trip too.
+        EXPECT_TRUE(replay.edges_match);
         const auto live_edges = live.sync_coupling.edges();
         ASSERT_EQ(replay.recorded_edges.size(), live_edges.size());
         for (std::size_t k = 0; k < live_edges.size(); ++k) {
@@ -525,6 +539,79 @@ TEST(SyncMonitorScenarioTest, SharedLanMonitorReportsAndWireSpec) {
     EXPECT_EQ(r0.frames_delivered, r.frames_delivered);
     EXPECT_FALSE(r0.sync.has_value());
     EXPECT_EQ(r0.sync_coupling.total_weight(), 0u);
+}
+
+// ---- pinned: the round readings of fixed runs ----------------------------
+
+struct PinnedRounds {
+    std::uint64_t rounds_closed;
+    double entropy_last;
+    double largest_fraction_last;
+};
+
+void expect_rounds(const obs::SyncReport& got, const PinnedRounds& want,
+                   const std::string& what) {
+    EXPECT_EQ(got.rounds_closed, want.rounds_closed) << what;
+    EXPECT_EQ(got.entropy_last, want.entropy_last) << what;
+    EXPECT_EQ(got.largest_fraction_last, want.largest_fraction_last) << what;
+}
+
+// Fig 4's parameters over 10^5 s, seed 42, on both backends: at Tr = 0.1 s
+// the run synchronizes (the straddling spill leaves the last round as two
+// groups, so the entropy reads ln 2 / ln 20 = 0.231378); at Tr = 10 Tc it
+// stays spread (largest group 1 of 20, entropy 0.694135).
+TEST(SyncRoundReadings, PmRunsArePinnedOnBothBackends) {
+    const struct {
+        double tr;
+        PinnedRounds want;
+    } cases[] = {
+        {0.1, {816, 0x1.d9dcd21439835p-3, 0x1p+0}},
+        {1.1, {826, 0x1.63659d8f2b227p-1, 0x1.999999999999ap-5}},
+    };
+    for (const auto& c : cases) {
+        for (const core::ExperimentBackend backend :
+             {core::ExperimentBackend::Engine, core::ExperimentBackend::FastKernel}) {
+            core::ExperimentConfig cfg;
+            cfg.params.n = 20;
+            cfg.params.tp = sim::SimTime::seconds(121);
+            cfg.params.tc = sim::SimTime::seconds(0.11);
+            cfg.params.tr = sim::SimTime::seconds(c.tr);
+            cfg.params.seed = 42;
+            cfg.max_time = sim::SimTime::seconds(1e5);
+            cfg.monitor = true;
+            cfg.backend = backend;
+            const core::ExperimentResult r = core::run_experiment(cfg);
+            ASSERT_TRUE(r.sync.has_value());
+            EXPECT_EQ(r.sync->rounds_closed, r.rounds_closed);
+            expect_rounds(*r.sync, c.want,
+                          "tr=" + std::to_string(c.tr) + " backend=" +
+                              std::to_string(static_cast<int>(backend)));
+        }
+    }
+}
+
+// The shared-LAN scenario groups re-arms at 50 ms, and its monitored
+// readings are those 50 ms clusters: at Tr = 0.05 s the run stops at the
+// full sync of all 10 stations (t = 3323.1 s), so the largest fraction is
+// 1; at Tr = 0.5 s two stations share the last round's largest group.
+TEST(SyncRoundReadings, SharedLanReadsTheScenariosClusters) {
+    const struct {
+        double tr;
+        PinnedRounds want;
+    } cases[] = {
+        {0.05, {108, 0x1.c9e79eb17e467p-2, 0x1p+0}},
+        {0.5, {662, 0x1.a7d9a8edb47bep-1, 0x1.999999999999ap-3}},
+    };
+    for (const auto& c : cases) {
+        scenarios::SharedLanScenarioConfig cfg;
+        cfg.n = 10;
+        cfg.tr = sim::SimTime::seconds(c.tr);
+        cfg.max_time = sim::SimTime::seconds(20000);
+        cfg.monitor = true;
+        const scenarios::SharedLanScenarioResult r = run_shared_lan_scenario(cfg);
+        ASSERT_TRUE(r.sync.has_value());
+        expect_rounds(*r.sync, c.want, "tr=" + std::to_string(c.tr));
+    }
 }
 
 } // namespace

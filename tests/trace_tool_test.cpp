@@ -320,7 +320,14 @@ TEST(TraceReplay, FormatAndDiffClusterSeries) {
 TEST(TraceReplay, ThrowsOnATraceWithNoTimerSets) {
     const std::vector<obs::TraceEvent> events{
         make_event(0, 1.0, obs::TraceEventType::UpdateTx, 0, 1, 0.0)};
-    EXPECT_THROW((void)core::replay_cluster_series(events), std::runtime_error);
+    EXPECT_THROW((void)core::replay_trace(events), std::runtime_error);
+}
+
+TEST(TraceReplay, RejectsATimerSetOfANegativeNode) {
+    const std::vector<obs::TraceEvent> events{
+        make_event(0, 1.0, obs::TraceEventType::TimerSet, 0, 0, 5.0),
+        make_event(1, 2.0, obs::TraceEventType::TimerSet, -1, 0, 5.0)};
+    EXPECT_THROW((void)core::replay_trace(events), std::runtime_error);
 }
 
 // End to end on a real run: trace a small Periodic Messages experiment,
@@ -345,8 +352,10 @@ TEST(TraceReplay, ReproducesALiveRunsClusterSeries) {
     }
 
     const auto events = obs::TraceReader::read_all(path);
-    const auto replay = core::replay_cluster_series(events);
+    const auto replay = core::replay_trace(events);
     EXPECT_EQ(replay.n, cfg.params.n);
+    // An unmonitored trace replays without a monitor.
+    EXPECT_FALSE(replay.sync.has_value());
     EXPECT_EQ(replay.initial_skipped, static_cast<std::uint64_t>(cfg.params.n));
     EXPECT_FALSE(replay.replayed.empty());
     EXPECT_EQ(core::diff_cluster_series(replay.replayed, replay.recorded), "");

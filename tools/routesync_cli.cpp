@@ -358,28 +358,22 @@ std::string fmt_time_to_sync(double t) {
     return buf;
 }
 
-bool has_sync_config(const std::vector<obs::TraceEvent>& events) {
-    for (const obs::TraceEvent& e : events) {
-        if (e.type == obs::TraceEventType::SyncConfig) {
-            return true;
-        }
-    }
-    return false;
-}
-
 int cmd_trace_summary(const Args& args) {
     const auto events = load_trace(args);
     obs::SummaryOptions options;
     options.round_length = args.real("round", 0.0);
     options.phase_bins = args.integer("bins", 20);
-    const std::string report = obs::format_summary(obs::summarize(events, options));
+    const obs::TraceSummary summary = obs::summarize(events, options);
+    const std::string report = obs::format_summary(summary);
     std::fwrite(report.data(), 1, report.size(), stdout);
 
     // Traces from --monitor runs carry a sync_config event; recompute the
     // streaming analysis so the summary reports r(t) and the transition
     // time without needing the original run.
-    if (has_sync_config(events)) {
-        const auto sync = obs::replay_sync(events);
+    if (summary.by_type.contains(
+            obs::trace_event_name(obs::TraceEventType::SyncConfig))) {
+        const core::TraceReplay replay = core::replay_trace(events);
+        const core::SyncReplay& sync = *replay.sync;
         std::printf("\nsynchronization (recomputed from trace):\n");
         std::printf("  r: last %.6g  max %.6g  in_sync %s\n", sync.report.r_last,
                     sync.report.r_max, sync.report.in_sync ? "yes" : "no");
@@ -437,8 +431,8 @@ int cmd_trace_export_chrome(const Args& args) {
 
 int cmd_trace_replay_check(const Args& args) {
     const auto events = load_trace(args);
-    const auto replay = core::replay_cluster_series(
-        events, sim::SimTime::seconds(args.real("tolerance", 1e-6)));
+    const auto replay = core::replay_trace(
+        events, {.tolerance = sim::SimTime::seconds(args.real("tolerance", 1e-6))});
     std::fprintf(stderr,
                  "replay-check: n=%d, %llu timer_set fed (%llu initial "
                  "skipped), %zu cluster events recomputed\n",
@@ -495,21 +489,15 @@ int cmd_trace_replay_check(const Args& args) {
     // detector transitions, and the coupling graph from the trace, and
     // hold them to the recorded sync_transition / coupling_edge events
     // bit for bit.
-    if (has_sync_config(events)) {
-        const auto sync = obs::replay_sync(events);
+    if (replay.sync.has_value()) {
+        const core::SyncReplay& sync = *replay.sync;
         std::fprintf(stderr,
                      "replay-check: sync replay — r_last=%.17g r_max=%.17g "
                      "transitions=%zu time_to_sync=%s\n",
                      sync.report.r_last, sync.report.r_max,
                      sync.transitions.size(),
                      fmt_time_to_sync(sync.report.time_to_sync_sec).c_str());
-        bool ok = sync.transitions.size() == sync.recorded.size();
-        for (std::size_t i = 0; ok && i < sync.transitions.size(); ++i) {
-            const auto& a = sync.transitions[i];
-            const auto& b = sync.recorded[i];
-            ok = a.time == b.time && a.up == b.up && a.r == b.r;
-        }
-        if (!ok) {
+        if (!sync.transitions_match) {
             std::fprintf(stderr,
                          "replay-check: MISMATCH — recomputed %zu transitions "
                          "vs %zu recorded (or values differ)\n",
@@ -521,25 +509,18 @@ int cmd_trace_replay_check(const Args& args) {
                          "match the recorded events exactly\n",
                          sync.transitions.size());
         }
-        const auto recomputed_edges = sync.coupling.edges();
-        bool edges_ok = recomputed_edges.size() == sync.recorded_edges.size();
-        for (std::size_t i = 0; edges_ok && i < recomputed_edges.size(); ++i) {
-            const auto& a = recomputed_edges[i];
-            const auto& b = sync.recorded_edges[i];
-            edges_ok = a.src == b.src && a.dst == b.dst && a.weight == b.weight;
-        }
-        if (!edges_ok) {
+        if (!sync.edges_match) {
             std::fprintf(stderr,
                          "replay-check: MISMATCH — recomputed coupling graph "
                          "(%zu edges) differs from the %zu recorded "
                          "coupling_edge events\n",
-                         recomputed_edges.size(), sync.recorded_edges.size());
+                         sync.coupling.edge_count(), sync.recorded_edges.size());
             ++failures;
         } else {
             std::fprintf(stderr,
                          "replay-check: OK — coupling graph matches the %zu "
                          "recorded coupling_edge events\n",
-                         recomputed_edges.size());
+                         sync.coupling.edge_count());
         }
     }
     return failures == 0 ? 0 : 1;
@@ -552,48 +533,43 @@ int cmd_trace_replay_check(const Args& args) {
 // equal the number of re-arms fed, and when the trace carries recorded
 // coupling_edge events the recomputed graph must match them exactly.
 int cmd_analyze_coupling(const Args& args) {
-    const auto events = load_trace(args);
-    obs::SyncReplayOverrides overrides;
-    overrides.period_sec = args.real("round", 0.0);
-    const auto sync = obs::replay_sync(events, overrides);
+    const auto replay =
+        core::replay_trace(load_trace(args), {.round_sec = args.real("round", 0.0)});
+    if (!replay.sync.has_value()) {
+        throw std::runtime_error{
+            "analyze coupling: no round length available (trace has no "
+            "sync_config event; pass --round)"};
+    }
+    const core::SyncReplay& sync = *replay.sync;
     const obs::CouplingGraph& g = sync.coupling;
 
     int failures = 0;
-    if (g.total_weight() != sync.timer_sets_fed) {
+    if (g.total_weight() != replay.timer_sets_fed) {
         std::fprintf(stderr,
                      "analyze coupling: MISMATCH — edge-weight total %llu != "
                      "%llu re-arms fed from the trace\n",
                      static_cast<unsigned long long>(g.total_weight()),
-                     static_cast<unsigned long long>(sync.timer_sets_fed));
+                     static_cast<unsigned long long>(replay.timer_sets_fed));
         ++failures;
     }
-    if (!sync.recorded_edges.empty()) {
-        const auto recomputed = g.edges();
-        bool ok = recomputed.size() == sync.recorded_edges.size();
-        for (std::size_t i = 0; ok && i < recomputed.size(); ++i) {
-            const auto& a = recomputed[i];
-            const auto& b = sync.recorded_edges[i];
-            ok = a.src == b.src && a.dst == b.dst && a.weight == b.weight;
-        }
-        if (!ok) {
-            std::fprintf(stderr,
-                         "analyze coupling: MISMATCH — recomputed graph (%zu "
-                         "edges) differs from the %zu recorded coupling_edge "
-                         "events\n",
-                         recomputed.size(), sync.recorded_edges.size());
-            ++failures;
-        }
+    if (!sync.recorded_edges.empty() && !sync.edges_match) {
+        std::fprintf(stderr,
+                     "analyze coupling: MISMATCH — recomputed graph (%zu "
+                     "edges) differs from the %zu recorded coupling_edge "
+                     "events\n",
+                     g.edge_count(), sync.recorded_edges.size());
+        ++failures;
     }
     std::fprintf(stderr,
                  "analyze coupling: %zu nodes, %zu edges, total weight %llu "
                  "(%llu re-arms fed, %llu initial arms skipped)%s\n",
                  g.node_count(), g.edge_count(),
                  static_cast<unsigned long long>(g.total_weight()),
-                 static_cast<unsigned long long>(sync.timer_sets_fed),
-                 static_cast<unsigned long long>(sync.initial_skipped),
-                 sync.recorded_edges.empty()
-                     ? ""
-                     : " — matches the recorded coupling_edge events");
+                 static_cast<unsigned long long>(replay.timer_sets_fed),
+                 static_cast<unsigned long long>(replay.initial_skipped),
+                 !sync.recorded_edges.empty() && sync.edges_match
+                     ? " — matches the recorded coupling_edge events"
+                     : "");
 
     const std::string dot = args.text("dot");
     const std::string json = args.text("json");
