@@ -7,27 +7,33 @@
 //     (who wins, the period, the transition) — PASS/FAIL.
 //
 // Every bench binary and example parses its command line once, with
-// parse_options(): the nine flags of kBenchTable below plus the bench's
+// parse_options(): the six flags of kBenchTable below plus the bench's
 // own OptionsSpec::extra table, through the one parser behind the CLI
-// (cli::parse, src/cli/flags.hpp):
+// (cli::parse, src/cli/flags.hpp). Every binary accepts kBenchTable:
 //
 //   --jobs N      worker threads for parallel sweeps; 0 auto-detects the
 //                 hardware concurrency (also the default)
 //   --seed S      override the bench's base seed
 //   --json        machine-readable rows on stdout; human chatter -> stderr
 //   --quiet       suppress human chatter entirely (checks still counted)
-//   --trace FILE  write a JSONL trace of the run's events (obs layer)
 //   --out FILE    write a run manifest (manifest.json) on exit
-//   --sample-every SEC  run the ResourceSampler at this sim-time cadence
-//                 (benches forward opts().sample_every to their configs)
 //   --profile     wall-clock self-profiler: per-label count/total/max in
 //                 the manifest's "profile" section + a table on exit
-//   --monitor     attach the synchronization monitor where the bench
-//                 wires one up
 //
-// A flag neither table declares, a value given to a boolean, a missing
-// value and a malformed one are usage errors (exit 2). The bench reads
-// its extra flags from Options::args. The returned Options owns the
+// The three observability flags are FlagSpec constants a binary lists in
+// its extra table only when it wires them (fig01-fig04, quickstart and
+// routing_storm; see docs/OBSERVABILITY.md), so a binary that would
+// ignore one rejects it instead:
+//
+//   --trace FILE  (kTraceFlag) write a JSONL trace of the run's events
+//   --sample-every SEC  (kSampleEveryFlag) run the ResourceSampler at
+//                 this sim-time cadence; the bench forwards
+//                 opts().sample_every to its config
+//   --monitor     (kMonitorFlag) attach the synchronization monitor
+//
+// A flag no table declares, a value given to a boolean, a missing value
+// and a malformed one are usage errors (exit 2). The bench reads its
+// other extra flags from Options::args. The returned Options owns the
 // bench's obs::RunContext — pass &opts().ctx to scenario builders or
 // ExperimentConfig::obs to trace, and footer() seals the manifest.
 //
@@ -35,6 +41,7 @@
 // pre-options benches (figures are diffed across runs and --jobs values).
 #pragma once
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdint>
@@ -61,15 +68,18 @@ struct Options {
     bool seed_set = false;
     bool json = false;
     bool quiet = false;
-    std::string trace; ///< JSONL trace path ("" = tracing off)
-    std::string out;   ///< manifest path ("" = no manifest)
+    /// JSONL trace path ("" = tracing off; always "" unless the binary
+    /// lists kTraceFlag).
+    std::string trace;
+    std::string out; ///< manifest path ("" = no manifest)
     /// ResourceSampler cadence in sim seconds (0 = sampling off). Benches
-    /// forward this to ExperimentConfig::sample_every / scenario configs.
+    /// that list kSampleEveryFlag forward this to
+    /// ExperimentConfig::sample_every / scenario configs.
     double sample_every = 0.0;
     bool profile = false; ///< wall-clock self-profiler on
-    /// Synchronization observatory (obs/sync_monitor.hpp): benches
-    /// forward this to ExperimentConfig::monitor / scenario configs.
-    /// Off by default with nil overhead.
+    /// Synchronization observatory (obs/sync_monitor.hpp): benches that
+    /// list kMonitorFlag forward this to ExperimentConfig::monitor. Off by
+    /// default with nil overhead.
     bool monitor = false;
     /// Every parsed flag; benches read their OptionsSpec::extra flags here.
     cli::Args args;
@@ -95,13 +105,17 @@ inline Options& opts() {
 inline constexpr cli::FlagSpec kBenchTable[] = {
     cli::integer("jobs", "N", 0, cli::kUnbounded), cli::seed(),
     cli::boolean("json"), cli::boolean("quiet"),
-    cli::text("trace", "FILE", /*non_empty=*/true),
-    cli::text("out", "FILE", /*non_empty=*/true),
-    cli::positive("sample-every", "SEC"), cli::boolean("profile"),
-    cli::boolean("monitor")};
+    cli::text("out", "FILE", /*non_empty=*/true), cli::boolean("profile")};
+
+/// The observability flags, each listed in OptionsSpec::extra by the
+/// binaries that wire it; parse_options reads one only when it is listed.
+inline constexpr cli::FlagSpec kTraceFlag = cli::text("trace", "FILE", /*non_empty=*/true);
+inline constexpr cli::FlagSpec kSampleEveryFlag = cli::positive("sample-every", "SEC");
+inline constexpr cli::FlagSpec kMonitorFlag = cli::boolean("monitor");
 
 struct OptionsSpec {
-    /// The bench's own flags, read from Options::args.
+    /// The bench's own flags, read from Options::args, and the
+    /// observability flags it wires.
     cli::Table extra;
     /// Manifest identity; defaults to argv[0]'s basename.
     std::string tool;
@@ -121,6 +135,10 @@ inline Options& parse_options(int argc, char** argv, const OptionsSpec& spec = {
         std::exit(2);
     }
     const cli::Args& a = o.args;
+    const auto listed = [&spec](const cli::FlagSpec& flag) {
+        return std::ranges::any_of(
+            spec.extra, [&flag](const cli::FlagSpec& f) { return f.name == flag.name; });
+    };
     // 0 = auto-detect the hardware concurrency.
     o.jobs = a.integer<std::size_t>("jobs", 0);
     o.jobs = o.jobs == 0 ? parallel::hardware_jobs() : o.jobs;
@@ -128,11 +146,11 @@ inline Options& parse_options(int argc, char** argv, const OptionsSpec& spec = {
     o.seed = a.seed("seed", 0);
     o.json = a.flag("json");
     o.quiet = a.flag("quiet");
-    o.trace = a.text("trace");
+    o.trace = listed(kTraceFlag) ? a.text("trace") : "";
     o.out = a.text("out");
-    o.sample_every = a.real("sample-every", 0.0);
+    o.sample_every = listed(kSampleEveryFlag) ? a.real("sample-every", 0.0) : 0.0;
     o.profile = a.flag("profile");
-    o.monitor = a.flag("monitor");
+    o.monitor = listed(kMonitorFlag) && a.flag("monitor");
     if (!o.trace.empty()) {
         o.ctx.trace_to_file(o.trace);
     }
@@ -154,10 +172,12 @@ inline Options& parse_options(int argc, char** argv, const OptionsSpec& spec = {
     return o;
 }
 
-/// Convenience overload for benches with no extra flags: just a manifest
-/// description.
-inline Options& parse_options(int argc, char** argv, const std::string& description) {
+/// Convenience overload: a manifest description and, optionally, the
+/// extra flags (the observability flags the binary wires).
+inline Options& parse_options(int argc, char** argv, const std::string& description,
+                              cli::Table extra = {}) {
     OptionsSpec spec;
+    spec.extra = extra;
     spec.description = description;
     return parse_options(argc, argv, spec);
 }
@@ -353,7 +373,7 @@ inline void write_json_section(const std::string& path, const std::string& key,
 }
 
 /// footer() without the shape-check summary line — for the examples,
-/// which have no checks but still honour --trace/--out.
+/// which have no checks but still honour --out (and --trace where wired).
 inline int footer_quiet() {
     Options& o = opts();
     o.ctx.manifest().failed_checks = g_failed_checks;

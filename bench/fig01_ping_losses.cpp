@@ -44,8 +44,9 @@ PingRun run(bool blocking, obs::RunContext* ctx = nullptr) {
 } // namespace
 
 int main(int argc, char** argv) {
+    static constexpr cli::FlagSpec kExtra[] = {kTraceFlag, kSampleEveryFlag};
     Options& options = parse_options(
-        argc, argv, "Figure 1: ping losses under synchronized updates");
+        argc, argv, "Figure 1: ping losses under synchronized updates", kExtra);
     options.sim_seconds = 1500.0;
     header("Figure 1",
            "ping RTT series with ~90 s periodic losses from synchronized "

@@ -11,7 +11,9 @@ using namespace routesync;
 using namespace routesync::bench;
 
 int main(int argc, char** argv) {
-    Options& options = parse_options(argc, argv, "Figure 2: RTT autocorrelation");
+    static constexpr cli::FlagSpec kExtra[] = {kTraceFlag};
+    Options& options =
+        parse_options(argc, argv, "Figure 2: RTT autocorrelation", kExtra);
     options.sim_seconds = 1500.0;
     header("Figure 2", "autocorrelation of the Figure 1 RTT series (losses -> 2 s)");
 

@@ -13,8 +13,9 @@ using namespace routesync;
 using namespace routesync::bench;
 
 int main(int argc, char** argv) {
+    static constexpr cli::FlagSpec kExtra[] = {kTraceFlag};
     Options& options = parse_options(
-        argc, argv, "Figure 3: audio outages under synchronized RIP");
+        argc, argv, "Figure 3: audio outages under synchronized RIP", kExtra);
     options.sim_seconds = 720.0;
     header("Figure 3",
            "audio outage durations vs time under synchronized 30 s RIP updates");

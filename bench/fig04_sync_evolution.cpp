@@ -20,7 +20,8 @@ int main(int argc, char** argv) {
     // --clusters-out FILE: the live cluster-size series ("time size" per
     // line) — the reference routesync trace replay-check --expect diffs.
     static constexpr cli::FlagSpec kExtra[] = {
-        cli::text("clusters-out", "FILE", /*non_empty=*/true)};
+        cli::text("clusters-out", "FILE", /*non_empty=*/true), kTraceFlag,
+        kSampleEveryFlag, kMonitorFlag};
     spec.extra = kExtra;
     Options& options = parse_options(argc, argv, spec);
     header("Figure 4",

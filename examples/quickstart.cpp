@@ -18,8 +18,9 @@
 using namespace routesync;
 
 int main(int argc, char** argv) {
+    static constexpr cli::FlagSpec kExtra[] = {bench::kTraceFlag};
     bench::Options& options = bench::parse_options(
-        argc, argv, "quickstart: watch periodic routers synchronize");
+        argc, argv, "quickstart: watch periodic routers synchronize", kExtra);
     // 1. Describe the system: N routers, period Tp, jitter Tr, per-message
     //    processing cost Tc.
     core::ExperimentConfig config;

@@ -48,8 +48,9 @@ Outcome measure(const scenarios::NearnetConfig& config,
 } // namespace
 
 int main(int argc, char** argv) {
+    static constexpr cli::FlagSpec kExtra[] = {bench::kTraceFlag};
     bench::Options& options = bench::parse_options(
-        argc, argv, "routing storm: user-visible damage and three fixes");
+        argc, argv, "routing storm: user-visible damage and three fixes", kExtra);
     std::printf("pinging across a core with synchronized 90 s routing updates\n");
     std::printf("(300-route tables, 1 ms/route processing — the paper's cisco "
                 "measurements)\n\n");

@@ -49,5 +49,5 @@ int main(int argc, char** argv) {
         "(the [ZhCl90] oscillation); randomizing which packet is dropped\n"
         "([FJ92]) breaks the lockstep — the same cure the paper prescribes\n"
         "for routing timers.\n");
-    return 0;
+    return bench::footer_quiet();
 }

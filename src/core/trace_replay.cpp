@@ -1,5 +1,6 @@
 #include "core/trace_replay.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <stdexcept>
@@ -13,19 +14,30 @@ TraceReplay replay_trace(const std::vector<obs::TraceEvent>& events,
 
     // The node count and the monitor's config size the tracker and the
     // monitor, so they are read before the first re-arm is fed.
-    int max_node = -1;
+    int min_node = 0, max_node = -1;
+    std::uint64_t timer_sets = 0;
     const obs::TraceEvent* sync_config = nullptr;
     for (const obs::TraceEvent& e : events) {
-        if (e.type == obs::TraceEventType::TimerSet && e.node > max_node) {
-            max_node = e.node;
+        if (e.type == obs::TraceEventType::TimerSet) {
+            min_node = std::min(min_node, e.node);
+            max_node = std::max(max_node, e.node);
+            ++timer_sets;
         } else if (e.type == obs::TraceEventType::SyncConfig) {
             sync_config = &e;
         }
     }
-    if (max_node < 0) {
+    if (timer_sets == 0) {
         throw std::runtime_error{"replay_trace: trace has no timer_set events"};
     }
-    // The initial arms cover every node, so max node + 1 is exact.
+    // The initial arms cover every node, so max node + 1 is exact, and
+    // each is one timer_set: a node id outside [0, timer_sets) names a node
+    // the trace never armed, and is rejected before it sizes a table.
+    if (min_node < 0 || static_cast<std::uint64_t>(max_node) >= timer_sets) {
+        throw std::runtime_error{
+            "replay_trace: timer_set of node " +
+            std::to_string(min_node < 0 ? min_node : max_node) + " in a trace of " +
+            std::to_string(timer_sets) + " timer_sets"};
+    }
     result.n = max_node + 1;
 
     std::optional<obs::SyncMonitor> monitor;
@@ -53,10 +65,6 @@ TraceReplay replay_trace(const std::vector<obs::TraceEvent>& events,
     for (const obs::TraceEvent& e : events) {
         switch (e.type) {
         case obs::TraceEventType::TimerSet: {
-            if (e.node < 0) {
-                throw std::runtime_error{"replay_trace: timer_set of node " +
-                                         std::to_string(e.node)};
-            }
             const auto node = static_cast<std::size_t>(e.node);
             if (!armed[node]) {
                 // The model constructor's initial arm, emitted before the

@@ -72,7 +72,8 @@ struct TraceReplay {
 };
 
 /// Replays `events` as described above. Throws std::runtime_error when
-/// the trace holds no timer_set events or one of a negative node.
+/// the trace holds no timer_set events, one of a negative node, or a node
+/// id past its timer_set count (each node's initial arm is one).
 [[nodiscard]] TraceReplay replay_trace(const std::vector<obs::TraceEvent>& events,
                                        const TraceReplayOptions& options = {});
 

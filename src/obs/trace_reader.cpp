@@ -1,6 +1,5 @@
 #include "obs/trace_reader.hpp"
 
-#include <array>
 #include <charconv>
 #include <cmath>
 #include <cstdlib>
@@ -11,19 +10,6 @@
 namespace routesync::obs {
 
 namespace {
-
-// The full vocabulary, for name lookup. Keep in sync with TraceEventType
-// (trace_tool_test round-trips every member).
-constexpr std::array<TraceEventType, 16> kAllTypes = {
-    TraceEventType::TimerSet,      TraceEventType::TimerFire,
-    TraceEventType::TimerReset,    TraceEventType::PacketEnqueue,
-    TraceEventType::PacketDrop,    TraceEventType::PacketDeliver,
-    TraceEventType::UpdateTx,      TraceEventType::UpdateRx,
-    TraceEventType::CpuBusyBegin,  TraceEventType::CpuBusyEnd,
-    TraceEventType::ClusterChange, TraceEventType::MetricSample,
-    TraceEventType::ResourceSample, TraceEventType::SyncConfig,
-    TraceEventType::SyncTransition, TraceEventType::CouplingEdge,
-};
 
 // Minimal strict scanner over one JSONL line. Field order and whitespace
 // are free; everything else (unknown keys, missing fields, strings where
@@ -135,16 +121,29 @@ Int parse_int(Cursor& c, const char* field) {
     return v;
 }
 
-} // namespace
-
-std::optional<TraceEventType> trace_event_type_from_name(const std::string& name) {
-    for (const TraceEventType t : kAllTypes) {
-        if (name == trace_event_name(t)) {
-            return t;
-        }
-    }
-    return std::nullopt;
+/// A number as an error message spells it: the shortest text that reads
+/// back as the same value.
+template <typename T>
+std::string number_text(T v) {
+    char buf[32];
+    return std::string(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
 }
+
+/// Holds one slot of an event to its row of kTraceEvents; the error names
+/// the type, the slot and the row's range.
+template <typename T>
+void check_slot(const TraceEventSpec& spec, const char* name, const Slot& rule, T v) {
+    const auto d = static_cast<double>(v);
+    if (!(d >= rule.lo && d <= rule.hi) || (rule.integral && d != std::trunc(d))) {
+        throw std::runtime_error{"TraceReader: " + std::string{spec.name} + " \"" +
+                                 name + "\" is " + number_text(v) + ", outside " +
+                                 (rule.integral ? "the integers in [" : "[") +
+                                 number_text(rule.lo) + ", " + number_text(rule.hi) +
+                                 "]"};
+    }
+}
+
+} // namespace
 
 TraceEvent TraceReader::parse_line(const std::string& line) {
     Cursor c{line};
@@ -211,6 +210,11 @@ TraceEvent TraceReader::parse_line(const std::string& line) {
             "TraceReader: event is missing required fields (need seq, t, "
             "type, node, a, b, x)"};
     }
+    const TraceEventSpec& spec = kTraceEvents[static_cast<std::size_t>(event.type)];
+    check_slot(spec, "node", spec.node, event.node);
+    check_slot(spec, "a", spec.a, event.a);
+    check_slot(spec, "b", spec.b, event.b);
+    check_slot(spec, "x", spec.x, event.x);
     return event;
 }
 

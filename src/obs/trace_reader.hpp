@@ -6,13 +6,13 @@
 //   {"seq": N, "t": X, "type": "...", "node": N, "a": N, "b": X, "x": X}
 //
 // The parser is strict on structure (every field present, known type
-// name, numbers where numbers belong) but tolerant of field order and
-// whitespace, so hand-edited or externally generated traces still load.
-// Round-trip contract (tested): read_all(file written by JsonlFileSink)
-// re-serialized through trace_event_jsonl() reproduces the input bytes.
+// name, numbers where numbers belong) and on each slot's range in its
+// type's row of kTraceEvents, but tolerant of field order and whitespace,
+// so hand-edited or externally generated traces still load. Round-trip
+// contract (tested): read_all(file written by JsonlFileSink) re-serialized
+// through trace_event_jsonl() reproduces the input bytes.
 #pragma once
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -20,15 +20,11 @@
 
 namespace routesync::obs {
 
-/// Inverse of trace_event_type_name(); nullopt for unknown names.
-[[nodiscard]] std::optional<TraceEventType>
-trace_event_type_from_name(const std::string& name);
-
 class TraceReader {
 public:
     /// Parses one JSONL line into an event. Throws std::runtime_error
     /// with a description (and the offending line number, when set via
-    /// read_all) on malformed input.
+    /// read_all) on malformed input or a slot outside its type's row.
     [[nodiscard]] static TraceEvent parse_line(const std::string& line);
 
     /// Reads every event of a JSONL trace file. Blank lines are not

@@ -38,6 +38,10 @@ constexpr FlagSpec kTestTable[] = {
     integer("jobs", "N", 0, kUnbounded),
     integer("trials", "K", 1),  choice("queue", "red|droptail")};
 
+/// The observability flags, as a binary that wires all three lists them.
+constexpr FlagSpec kBenchObservability[] = {bench::kTraceFlag, bench::kSampleEveryFlag,
+                                            bench::kMonitorFlag};
+
 Args parse_test(const Tokens& tokens) { return parse(tokens, {kTestTable}); }
 
 /// The message parse throws for `tokens` against `tables`, or "" when
@@ -373,12 +377,19 @@ TEST(CliFlags, EveryCommandAcceptsItsUsageFlags) {
     EXPECT_EQ(rejection(shared_lan,
                         {scenarios::kSharedLanTable, scenarios::kSweepAxesTable}),
               "");
-    // The bench command line, and the --bin-dir a builtin ignores.
+    // The bench command line, with the observability flags of a binary
+    // that wires all three (fig04).
     EXPECT_EQ(rejection({"--jobs", "4", "--seed", "3", "--json", "--quiet", "--trace",
                          "t.jsonl", "--out", "m.json", "--sample-every", "50",
                          "--profile", "--monitor"},
-                        {bench::kBenchTable}),
+                        {bench::kBenchTable, kBenchObservability}),
               "");
+    // A binary that lists none of them rejects each.
+    for (const std::string flag : {"--trace", "--sample-every", "--monitor"}) {
+        EXPECT_NE(rejection({flag, "1"}, {bench::kBenchTable}).find("unknown flag " + flag),
+                  std::string::npos)
+            << flag;
+    }
 }
 
 /// `table`'s flag names, sorted.
@@ -428,9 +439,8 @@ TEST(CliFlags, TablesNameExactlyTheFlagsTheirCommandsAcceptedBefore) {
           "trials", "jobs", "dispatch", "monitor", "sync-threshold",
           "sync-hysteresis", "out"}},
         {scenarios::kSweepAxesTable, {"buffers", "loads"}},
-        {bench::kBenchTable,
-         {"jobs", "seed", "json", "quiet", "trace", "out", "sample-every", "profile",
-          "monitor"}},
+        {bench::kBenchTable, {"jobs", "seed", "json", "quiet", "out", "profile"}},
+        {kBenchObservability, {"trace", "sample-every", "monitor"}},
     };
     for (const auto& [table, flags] : expected) {
         EXPECT_EQ(names(table), sorted(flags));
@@ -763,7 +773,8 @@ TEST(CliFlags, MutatedValuesReadBackOrNameTheFlag) {
         kThresholdTable,    kF2Table,             kTraceSummaryTable,
         kTraceFilterTable,  kTraceExportChromeTable, kTraceReplayCheckTable,
         kAnalyzeCouplingTable, scenarios::kNearnetTable, scenarios::kAudiocastTable,
-        scenarios::kSharedLanTable, scenarios::kSweepAxesTable, bench::kBenchTable};
+        scenarios::kSharedLanTable, scenarios::kSweepAxesTable, bench::kBenchTable,
+        kBenchObservability};
     std::mt19937_64 rng{0x5eed'f1a6ULL};
     int checked = 0;
     for (const Table table : tables) {

@@ -16,6 +16,7 @@
 
 #include "core/core.hpp"
 #include "obs/obs.hpp"
+#include "obs/trace_reader.hpp"
 #include "parallel/parallel.hpp"
 
 namespace {
@@ -183,10 +184,10 @@ TEST(HashingSink, GoldenDigestOfFixedTrace) {
 }
 
 TEST(TraceEventJsonl, EncodesEveryField) {
-    const auto e = make_event(7, 1.5, obs::TraceEventType::PacketDeliver, 3, 42, 2.5);
+    const auto e = make_event(7, 1.5, obs::TraceEventType::PacketDeliver, 3, 42, 1500.0);
     EXPECT_EQ(obs::trace_event_jsonl(e),
               "{\"seq\": 7, \"t\": 1.5, \"type\": \"packet_deliver\", "
-              "\"node\": 3, \"a\": 42, \"b\": 2.5, \"x\": 0}");
+              "\"node\": 3, \"a\": 42, \"b\": 1500, \"x\": 0}");
 }
 
 TEST(TraceEventJsonl, RoundTripsDoublesAtFullPrecision) {
@@ -227,6 +228,7 @@ TEST(JsonlFileSink, WritesOneValidLinePerEvent) {
               "\"node\": 1, \"a\": 0, \"b\": 9.5, \"x\": 0}");
     EXPECT_EQ(lines[1], obs::trace_event_jsonl(
                             make_event(1, 0.5, obs::TraceEventType::UpdateTx, 2, 20, 1.0)));
+    EXPECT_EQ(obs::TraceReader::read_all(path).size(), 2U);
     std::remove(path.c_str());
 }
 

@@ -41,13 +41,11 @@ obs::TraceEvent make_event(std::uint64_t seq, double t, obs::TraceEventType type
 // ----------------------------------------------------------- type names
 
 TEST(TraceEventTypeFromName, RoundTripsEveryType) {
-    for (int i = 0; i <= static_cast<int>(obs::TraceEventType::ResourceSample);
-         ++i) {
-        const auto type = static_cast<obs::TraceEventType>(i);
+    for (const obs::TraceEventSpec& spec : obs::kTraceEvents) {
         const auto back = obs::trace_event_type_from_name(
-            obs::trace_event_name(type));
-        ASSERT_TRUE(back.has_value()) << obs::trace_event_name(type);
-        EXPECT_EQ(*back, type);
+            obs::trace_event_name(spec.type));
+        ASSERT_TRUE(back.has_value()) << spec.name;
+        EXPECT_EQ(*back, spec.type);
     }
     EXPECT_FALSE(obs::trace_event_type_from_name("no_such_event").has_value());
     EXPECT_FALSE(obs::trace_event_type_from_name("").has_value());
@@ -58,13 +56,13 @@ TEST(TraceEventTypeFromName, RoundTripsEveryType) {
 TEST(TraceReader, ParsesTheCanonicalEncoding) {
     const auto e = obs::TraceReader::parse_line(
         "{\"seq\": 7, \"t\": 1.5, \"type\": \"packet_deliver\", "
-        "\"node\": 3, \"a\": 42, \"b\": 2.5, \"x\": 0}");
+        "\"node\": 3, \"a\": 42, \"b\": 1500, \"x\": 0}");
     EXPECT_EQ(e.seq, 7U);
     EXPECT_EQ(e.time.sec(), 1.5);
     EXPECT_EQ(e.type, obs::TraceEventType::PacketDeliver);
     EXPECT_EQ(e.node, 3);
     EXPECT_EQ(e.a, 42);
-    EXPECT_EQ(e.b, 2.5);
+    EXPECT_EQ(e.b, 1500.0);
     EXPECT_EQ(e.x, 0.0);
 }
 
@@ -107,25 +105,45 @@ TEST(TraceReader, RejectsMalformedLines) {
     }
 }
 
-// Each field at the extremes the writer can emit reads back whole: the
-// seq runs to 2^64 - 1, node and a to their types' ends, and the reals to
-// double's largest and smallest magnitudes.
+// Each field at the extremes the writer can emit reads back whole, on a
+// type whose row allows it: the seq runs to 2^64 - 1, node and a to their
+// types' upper ends, and the reals to double's largest and smallest
+// magnitudes. No row allows node or a at their types' lower ends, so the
+// reader rejects those, naming the type and the slot.
 TEST(TraceReader, RoundTripsEachFieldsExtremes) {
     using u64 = std::numeric_limits<std::uint64_t>;
     using i32 = std::numeric_limits<std::int32_t>;
     using i64 = std::numeric_limits<std::int64_t>;
     using real = std::numeric_limits<double>;
     const std::vector<obs::TraceEvent> events{
-        make_event(u64::max(), real::max(), obs::TraceEventType::TimerSet,
-                   i32::max(), i64::max(), real::denorm_min(), -real::max()),
+        make_event(u64::max(), real::max(), obs::TraceEventType::MetricSample, -1,
+                   i64::max(), real::denorm_min(), -real::max()),
         make_event(std::uint64_t{1} << 63, 0.0, obs::TraceEventType::TimerSet,
-                   i32::min(), i64::min(), -real::denorm_min(), real::min()),
+                   i32::max(), 0, -real::denorm_min()),
+        make_event(0, 1.0, obs::TraceEventType::ResourceSample, i32::max(),
+                   i64::max(), -real::max(), real::min()),
     };
     for (const auto& e : events) {
         const std::string line = obs::trace_event_jsonl(e);
         const auto back = obs::TraceReader::parse_line(line);
         EXPECT_EQ(back.seq, e.seq) << line;
         EXPECT_EQ(obs::trace_event_jsonl(back), line);
+    }
+    const std::vector<std::pair<obs::TraceEvent, std::string>> rejected{
+        {make_event(0, 1.0, obs::TraceEventType::ResourceSample, i32::min(), 0, 1.0),
+         "resource_sample \"node\""},
+        {make_event(0, 1.0, obs::TraceEventType::MetricSample, -1, i64::min(), 1.0),
+         "metric_sample \"a\""},
+    };
+    for (const auto& [e, want] : rejected) {
+        const std::string line = obs::trace_event_jsonl(e);
+        try {
+            (void)obs::TraceReader::parse_line(line);
+            ADD_FAILURE() << "accepted " << line;
+        } catch (const std::runtime_error& err) {
+            EXPECT_NE(std::string{err.what()}.find(want), std::string::npos)
+                << err.what();
+        }
     }
 }
 
@@ -328,6 +346,24 @@ TEST(TraceReplay, RejectsATimerSetOfANegativeNode) {
         make_event(0, 1.0, obs::TraceEventType::TimerSet, 0, 0, 5.0),
         make_event(1, 2.0, obs::TraceEventType::TimerSet, -1, 0, 5.0)};
     EXPECT_THROW((void)core::replay_trace(events), std::runtime_error);
+}
+
+// A node id past the trace's timer_set count names a node the trace never
+// armed (each node's initial arm is one timer_set). It is rejected before
+// it sizes anything: node 10^8 would ask for 2.4 GB of tracker tables.
+TEST(TraceReplay, RejectsANodeIdPastItsTimerSetCount) {
+    const std::vector<obs::TraceEvent> events{
+        make_event(0, 0.0, obs::TraceEventType::TimerSet, 0, 0, 121.0),
+        make_event(1, 0.0, obs::TraceEventType::TimerSet, 100000000, 0, 121.0),
+        make_event(2, 0.0, obs::TraceEventType::TimerSet, 0, 0, 121.0)};
+    try {
+        (void)core::replay_trace(events);
+        FAIL() << "expected a replay_trace error";
+    } catch (const std::runtime_error& e) {
+        const std::string what = e.what();
+        EXPECT_EQ(what.rfind("replay_trace: ", 0), 0U) << what;
+        EXPECT_NE(what.find("node 100000000"), std::string::npos) << what;
+    }
 }
 
 // End to end on a real run: trace a small Periodic Messages experiment,
