@@ -7,15 +7,15 @@
 //     (who wins, the period, the transition) — PASS/FAIL.
 //
 // Every bench binary and example parses its command line once, with
-// parse_options(): the six flags of kBenchTable below plus the bench's
+// parse_options(): the five flags of kBenchTable below plus the bench's
 // own OptionsSpec::extra table, through the one parser behind the CLI
 // (cli::parse, src/cli/flags.hpp). Every binary accepts kBenchTable:
 //
 //   --jobs N      worker threads for parallel sweeps; 0 auto-detects the
 //                 hardware concurrency (also the default)
 //   --seed S      override the bench's base seed
-//   --json        machine-readable rows on stdout; human chatter -> stderr
-//   --quiet       suppress human chatter entirely (checks still counted)
+//   --quiet       silence chatter(): headers, tables, summaries and the
+//                 examples' reports (checks still counted)
 //   --out FILE    write a run manifest (manifest.json) on exit
 //   --profile     wall-clock self-profiler: per-label count/total/max in
 //                 the manifest's "profile" section + a table on exit
@@ -44,6 +44,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
+#include <cstdarg>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -66,7 +67,6 @@ struct Options {
     std::size_t jobs = parallel::hardware_jobs();
     std::uint64_t seed = 0;
     bool seed_set = false;
-    bool json = false;
     bool quiet = false;
     /// JSONL trace path ("" = tracing off; always "" unless the binary
     /// lists kTraceFlag).
@@ -103,8 +103,7 @@ inline Options& opts() {
 
 /// The flags every bench and example accepts.
 inline constexpr cli::FlagSpec kBenchTable[] = {
-    cli::integer("jobs", "N", 0, cli::kUnbounded), cli::seed(),
-    cli::boolean("json"), cli::boolean("quiet"),
+    cli::integer("jobs", "N", 0, cli::kUnbounded), cli::seed(), cli::boolean("quiet"),
     cli::text("out", "FILE", /*non_empty=*/true), cli::boolean("profile")};
 
 /// The observability flags, each listed in OptionsSpec::extra by the
@@ -144,7 +143,6 @@ inline Options& parse_options(int argc, char** argv, const OptionsSpec& spec = {
     o.jobs = o.jobs == 0 ? parallel::hardware_jobs() : o.jobs;
     o.seed_set = a.has("seed");
     o.seed = a.seed("seed", 0);
-    o.json = a.flag("json");
     o.quiet = a.flag("quiet");
     o.trace = listed(kTraceFlag) ? a.text("trace") : "";
     o.out = a.text("out");
@@ -182,14 +180,18 @@ inline Options& parse_options(int argc, char** argv, const std::string& descript
     return parse_options(argc, argv, spec);
 }
 
-/// Stream for human-facing output: stdout normally, stderr under --json
-/// (stdout then carries machine rows only), null under --quiet.
-inline FILE* chatter() {
-    const Options& o = opts();
-    if (o.quiet) {
-        return nullptr;
+/// Stream for human-facing output: stdout, or null under --quiet.
+inline FILE* chatter() { return opts().quiet ? nullptr : stdout; }
+
+/// printf onto chatter(): how the examples print their report, so
+/// --quiet silences it.
+[[gnu::format(printf, 1, 2)]] inline void print(const char* format, ...) {
+    if (FILE* f = chatter()) {
+        std::va_list args;
+        va_start(args, format);
+        std::vfprintf(f, format, args);
+        va_end(args);
     }
-    return o.json ? stderr : stdout;
 }
 
 inline void header(const std::string& figure, const std::string& description) {

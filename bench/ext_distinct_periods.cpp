@@ -94,12 +94,6 @@ int main(int argc, char** argv) {
             std::fprintf(f, "%12.3f %12.2f %18.3f %14d\n", delta, delta / 0.11,
                          out.unsync_fraction, out.final_largest);
         }
-        if (options.json) {
-            std::printf("{\"delta_s\": %.3f, \"delta_over_tc\": %.2f, "
-                        "\"frac_rounds_unsync\": %.3f, \"final_largest\": %d}\n",
-                        delta, delta / 0.11, out.unsync_fraction,
-                        out.final_largest);
-        }
         if (delta <= 0.05) {
             small_delta_largest =
                 std::max(small_delta_largest, static_cast<double>(out.final_largest));

@@ -135,12 +135,6 @@ int main(int argc, char** argv) {
                          static_cast<unsigned long long>(seeds[i]), out.fast_spread,
                          out.slow_spread, out.separation);
         }
-        if (options.json) {
-            std::printf("{\"seed\": %llu, \"fast_spread_s\": %.4f, "
-                        "\"slow_spread_s\": %.4f, \"separation_s\": %.3f}\n",
-                        static_cast<unsigned long long>(seeds[i]), out.fast_spread,
-                        out.slow_spread, out.separation);
-        }
         if (out.fast_spread < 0.5 && out.slow_spread < 0.5 &&
             out.separation > 0.5) {
             ++seeds_with_split;

@@ -31,8 +31,8 @@ int main(int argc, char** argv) {
     manifest.set_config("tp_sec", tp);
     manifest.set_config("tc_sec", tc);
 
-    std::printf("network: N=%d routers, period Tp=%.3g s, update cost Tc=%.3g s\n\n",
-                n, tp, tc);
+    bench::print("network: N=%d routers, period Tp=%.3g s, update cost Tc=%.3g s\n\n",
+                 n, tp, tc);
 
     markov::ChainParams p;
     p.n = n;
@@ -40,8 +40,8 @@ int main(int argc, char** argv) {
     p.tc_sec = tc;
     p.tr_sec = tc; // placeholder; swept below
 
-    std::printf("%10s %10s %16s %18s\n", "Tr (s)", "Tr/Tc", "frac_unsync",
-                "recovery g(1)");
+    bench::print("%10s %10s %16s %18s\n", "Tr (s)", "Tr/Tc", "frac_unsync",
+                 "recovery g(1)");
     for (const double factor : {0.25, 0.5, 1.0, 2.0, 3.0, 5.0, 10.0}) {
         markov::ChainParams q = p;
         q.tr_sec = factor * tc;
@@ -56,24 +56,24 @@ int main(int argc, char** argv) {
         } else {
             std::snprintf(recovery, sizeof recovery, "%.2g hours", g1 / 3600);
         }
-        std::printf("%10.3g %10.2f %16.4f %18s\n", q.tr_sec, factor,
-                    chain.fraction_unsynchronized(), recovery);
+        bench::print("%10.3g %10.2f %16.4f %18s\n", q.tr_sec, factor,
+                     chain.fraction_unsynchronized(), recovery);
     }
 
     markov::ChainParams base = p;
     base.f2_rounds = markov::f2_diffusion_estimate(n, tp, tc);
     const double tr_star = markov::critical_tr_seconds(base);
 
-    std::printf("\nrecommendations\n");
-    std::printf("  50%% synchronization threshold : Tr* = %.3g s (%.1f * Tc)\n",
-                tr_star, tr_star / tc);
-    std::printf("  engineering margin (2x)       : Tr >= %.3g s\n", 2 * tr_star);
-    std::printf("  paper's quick-breakup rule    : Tr >= 10 * Tc = %.3g s\n",
-                10 * tc);
-    std::printf("  paper's universal fix         : timer ~ uniform[%.3g, %.3g] s "
-                "(Tr = Tp/2)\n",
-                0.5 * tp, 1.5 * tp);
-    std::printf("\n(reset the timer only AFTER processing, and add the jitter "
-                "fresh on every arm — see DESIGN.md)\n");
+    bench::print("\nrecommendations\n");
+    bench::print("  50%% synchronization threshold : Tr* = %.3g s (%.1f * Tc)\n",
+                 tr_star, tr_star / tc);
+    bench::print("  engineering margin (2x)       : Tr >= %.3g s\n", 2 * tr_star);
+    bench::print("  paper's quick-breakup rule    : Tr >= 10 * Tc = %.3g s\n",
+                 10 * tc);
+    bench::print("  paper's universal fix         : timer ~ uniform[%.3g, %.3g] s "
+                 "(Tr = Tp/2)\n",
+                 0.5 * tp, 1.5 * tp);
+    bench::print("\n(reset the timer only AFTER processing, and add the jitter "
+                 "fresh on every arm — see DESIGN.md)\n");
     return bench::footer_quiet();
 }

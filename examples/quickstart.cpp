@@ -10,8 +10,6 @@
 // updates) pulls them into lockstep — the central result of Floyd &
 // Jacobson, "The Synchronization of Periodic Routing Messages"
 // (SIGCOMM '93).
-#include <cstdio>
-
 #include "bench/common.hpp"
 #include "core/core.hpp"
 
@@ -41,24 +39,24 @@ int main(int argc, char** argv) {
     const auto result = core::run_experiment(config);
 
     // 3. Inspect the outcome.
-    std::printf("simulated %llu rounds, %llu routing messages\n",
-                static_cast<unsigned long long>(result.rounds_closed),
-                static_cast<unsigned long long>(result.total_transmissions));
+    bench::print("simulated %llu rounds, %llu routing messages\n",
+                 static_cast<unsigned long long>(result.rounds_closed),
+                 static_cast<unsigned long long>(result.total_transmissions));
     if (result.full_sync_time_sec) {
-        std::printf("all %d routers synchronized after %.0f s (%.1f hours)\n",
-                    config.params.n, *result.full_sync_time_sec,
-                    *result.full_sync_time_sec / 3600.0);
+        bench::print("all %d routers synchronized after %.0f s (%.1f hours)\n",
+                     config.params.n, *result.full_sync_time_sec,
+                     *result.full_sync_time_sec / 3600.0);
     } else {
-        std::printf("no full synchronization within %.0f s\n",
-                    result.end_time_sec);
+        bench::print("no full synchronization within %.0f s\n",
+                     result.end_time_sec);
     }
 
     // First times each cluster size appeared — the growth staircase.
-    std::printf("\n%8s %14s\n", "cluster", "first seen (s)");
+    bench::print("\n%8s %14s\n", "cluster", "first seen (s)");
     for (int s = 2; s <= config.params.n; s += 2) {
         const auto& t = result.first_hit_up[static_cast<std::size_t>(s)];
-        std::printf("%8d %14s\n", s,
-                    t ? std::to_string(static_cast<long long>(*t)).c_str() : "-");
+        bench::print("%8d %14s\n", s,
+                     t ? std::to_string(static_cast<long long>(*t)).c_str() : "-");
     }
 
     // 4. The fix: re-run with the paper's recommended [0.5*Tp, 1.5*Tp]
@@ -70,9 +68,9 @@ int main(int argc, char** argv) {
         return std::make_unique<core::HalfPeriodJitter>(config.params.tp);
     };
     const auto fixed = core::run_experiment(config);
-    std::printf("\nwith uniform [0.5*Tp, 1.5*Tp] timers: %s\n",
-                fixed.full_sync_time_sec ? "synchronized (unexpected!)"
-                                         : "never synchronizes");
+    bench::print("\nwith uniform [0.5*Tp, 1.5*Tp] timers: %s\n",
+                 fixed.full_sync_time_sec ? "synchronized (unexpected!)"
+                                          : "never synchronizes");
     options.sim_seconds = result.end_time_sec;
     return bench::footer_quiet();
 }

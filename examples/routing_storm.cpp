@@ -11,8 +11,6 @@
 //   1. non-blocking forwarding (the actual NEARnet hotfix),
 //   2. update-timer jitter (the paper's recommendation),
 //   3. both.
-#include <cstdio>
-
 #include "bench/common.hpp"
 #include "scenarios/scenarios.hpp"
 #include "stats/stats.hpp"
@@ -51,37 +49,37 @@ int main(int argc, char** argv) {
     static constexpr cli::FlagSpec kExtra[] = {bench::kTraceFlag};
     bench::Options& options = bench::parse_options(
         argc, argv, "routing storm: user-visible damage and three fixes", kExtra);
-    std::printf("pinging across a core with synchronized 90 s routing updates\n");
-    std::printf("(300-route tables, 1 ms/route processing — the paper's cisco "
-                "measurements)\n\n");
-    std::printf("%-34s %8s %12s %8s\n", "configuration", "loss%", "period_lag",
-                "corr");
+    bench::print("pinging across a core with synchronized 90 s routing updates\n");
+    bench::print("(300-route tables, 1 ms/route processing — the paper's cisco "
+                 "measurements)\n\n");
+    bench::print("%-34s %8s %12s %8s\n", "configuration", "loss%", "period_lag",
+                 "corr");
 
     scenarios::NearnetConfig broken; // blocking CPUs, synchronized, tiny jitter
     const auto a = measure(broken, &options.ctx);
-    std::printf("%-34s %8.2f %12zu %8.2f\n", "synchronized + blocking (1992)",
-                a.loss_pct, a.dominant_lag, a.correlation);
+    bench::print("%-34s %8.2f %12zu %8.2f\n", "synchronized + blocking (1992)",
+                 a.loss_pct, a.dominant_lag, a.correlation);
 
     scenarios::NearnetConfig hotfix = broken;
     hotfix.blocking_cpu = false;
     const auto b = measure(hotfix);
-    std::printf("%-34s %8.2f %12zu %8.2f\n", "non-blocking CPUs (NEARnet fix)",
-                b.loss_pct, b.dominant_lag, b.correlation);
+    bench::print("%-34s %8.2f %12zu %8.2f\n", "non-blocking CPUs (NEARnet fix)",
+                 b.loss_pct, b.dominant_lag, b.correlation);
 
     scenarios::NearnetConfig jittered = broken;
     jittered.jitter_sec = 45.0; // half the period: U[45 s, 135 s]
     jittered.synchronized_start = false;
     const auto c = measure(jittered);
-    std::printf("%-34s %8.2f %12zu %8.2f\n", "half-period update jitter",
-                c.loss_pct, c.dominant_lag, c.correlation);
+    bench::print("%-34s %8.2f %12zu %8.2f\n", "half-period update jitter",
+                 c.loss_pct, c.dominant_lag, c.correlation);
 
-    std::printf("\nnotes:\n");
-    std::printf(" * the 1992 configuration drops pings in bursts every ~90 s "
-                "(autocorrelation peak at lag ~89);\n");
-    std::printf(" * non-blocking forwarding removes the drops but the update "
-                "storm itself (and its network load) remains;\n");
-    std::printf(" * jitter removes the storm: updates spread across the whole "
-                "period.\n");
+    bench::print("\nnotes:\n");
+    bench::print(" * the 1992 configuration drops pings in bursts every ~90 s "
+                 "(autocorrelation peak at lag ~89);\n");
+    bench::print(" * non-blocking forwarding removes the drops but the update "
+                 "storm itself (and its network load) remains;\n");
+    bench::print(" * jitter removes the storm: updates spread across the whole "
+                 "period.\n");
     options.sim_seconds = 3 * 1300.0;
     return bench::footer_quiet();
 }

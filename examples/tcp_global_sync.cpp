@@ -6,8 +6,6 @@
 //
 // Uses the tcpsync library: AIMD flows, a bottleneck gateway with a
 // pluggable drop discipline, and halving-cluster synchronization metrics.
-#include <cstdio>
-
 #include "bench/common.hpp"
 #include "tcpsync/tcpsync.hpp"
 
@@ -29,10 +27,10 @@ void report(const char* label, tcpsync::DropPolicy policy) {
     config.bottleneck.red_weight = 0.002;
 
     const auto r = tcpsync::run_tcp_experiment(config);
-    std::printf("%-24s backoff episodes touch %.1f of 8 flows;"
-                " utilization %.0f%%; aggregate-window swing %.0f%%\n",
-                label, r.mean_flows_per_episode, 100 * r.link_utilization,
-                100 * r.aggregate_window_cov);
+    bench::print("%-24s backoff episodes touch %.1f of 8 flows;"
+                 " utilization %.0f%%; aggregate-window swing %.0f%%\n",
+                 label, r.mean_flows_per_episode, 100 * r.link_utilization,
+                 100 * r.aggregate_window_cov);
 }
 
 } // namespace
@@ -40,11 +38,11 @@ void report(const char* label, tcpsync::DropPolicy policy) {
 int main(int argc, char** argv) {
     bench::parse_options(
         argc, argv, "TCP global synchronization at a drop-tail bottleneck");
-    std::printf("8 TCP-like flows share one bottleneck for 4 minutes:\n\n");
+    bench::print("8 TCP-like flows share one bottleneck for 4 minutes:\n\n");
     report("drop-tail gateway:", tcpsync::DropPolicy::DropTail);
     report("random-drop gateway:", tcpsync::DropPolicy::RandomDrop);
     report("random early drop:", tcpsync::DropPolicy::RedLike);
-    std::printf(
+    bench::print(
         "\nthe drop-tail gateway synchronizes every flow's window cycle\n"
         "(the [ZhCl90] oscillation); randomizing which packet is dropped\n"
         "([FJ92]) breaks the lockstep — the same cure the paper prescribes\n"

@@ -9,7 +9,6 @@
 // instant — instant synchronization, no matter how unsynchronized the
 // network was. With a small random component the network then STAYS
 // synchronized; with a large one it relaxes back.
-#include <cstdio>
 #include <memory>
 
 #include "bench/common.hpp"
@@ -45,12 +44,12 @@ void run(const char* label, sim::SimTime tr) {
     // unsynchronized before the wave, so look for the first small round
     // strictly after the wave.)
     const auto sync_at = tracker.full_sync_time();
-    std::printf("%-28s", label);
+    bench::print("%-28s", label);
     if (!sync_at) {
-        std::printf(" wave did not fully synchronize (!)\n");
+        bench::print(" wave did not fully synchronize (!)\n");
         return;
     }
-    std::printf(" wave syncs all 20 at t=%.0f s;", sync_at->sec());
+    bench::print(" wave syncs all 20 at t=%.0f s;", sync_at->sec());
     double recovered_at = -1.0;
     for (const auto& round : tracker.rounds()) {
         if (round.end_time > *sync_at && round.largest <= 2) {
@@ -59,10 +58,10 @@ void run(const char* label, sim::SimTime tr) {
         }
     }
     if (recovered_at > 0) {
-        std::printf(" recovered (largest<=2) after %.0f s\n",
-                    recovered_at - sync_at->sec());
+        bench::print(" recovered (largest<=2) after %.0f s\n",
+                     recovered_at - sync_at->sec());
     } else {
-        std::printf(" still synchronized at t=200000 s\n");
+        bench::print(" still synchronized at t=200000 s\n");
     }
 }
 
@@ -71,15 +70,15 @@ void run(const char* label, sim::SimTime tr) {
 int main(int argc, char** argv) {
     bench::parse_options(
         argc, argv, "triggered-update wave: instant synchronization and its cure");
-    std::printf("a triggered-update wave at t=10000 s hits 20 routers "
-                "(Tp=121 s, Tc=0.11 s):\n\n");
+    bench::print("a triggered-update wave at t=10000 s hits 20 routers "
+                 "(Tp=121 s, Tc=0.11 s):\n\n");
     run("Tr = 0.05 s (< Tc/2):", sim::SimTime::seconds(0.05));
     run("Tr = 0.11 s (= Tc):", sim::SimTime::seconds(0.11));
     run("Tr = 1.10 s (= 10*Tc):", sim::SimTime::seconds(1.10));
 
-    std::printf("\nmoral: triggered updates make 'start unsynchronized and hope'"
-                " a losing strategy —\nthe jitter must be large enough to "
-                "dissolve synchronization, not just avoid creating it.\n");
+    bench::print("\nmoral: triggered updates make 'start unsynchronized and hope'"
+                 " a losing strategy —\nthe jitter must be large enough to "
+                 "dissolve synchronization, not just avoid creating it.\n");
     bench::opts().sim_seconds = 3 * 200000.0;
     return bench::footer_quiet();
 }

@@ -10,9 +10,10 @@
 //       cli::integer("n", "N"), cli::real("tp", "SEC"), cli::boolean("print")};
 //
 // cli::parse(tokens, {tables...}) checks every token against the tables
-// and returns the Args the command reads its values from; cli::usage()
-// prints the same tables as a flag list. A default is stated once, where
-// the value lands (`args.real("tp", 121.0)`): the tables hold none.
+// (a braced list or a span of them) and returns the Args the command
+// reads its values from; cli::usage() prints the same tables as a flag
+// list. A default is stated once, where the value lands
+// (`args.real("tp", 121.0)`): the tables hold none.
 #pragma once
 
 #include <algorithm>
@@ -206,8 +207,7 @@ inline std::string describe(const FlagSpec& f) {
 }
 
 class Args;
-inline Args parse(std::span<const std::string> tokens,
-                  std::initializer_list<Table> tables);
+inline Args parse(std::span<const std::string> tokens, std::span<const Table> tables);
 
 /// The flags one command line gave, read by name and kind. Reading a
 /// name no table of the command declares, or as another kind, throws
@@ -260,7 +260,7 @@ public:
 
 private:
     friend Args parse(std::span<const std::string> tokens,
-                      std::initializer_list<Table> tables);
+                      std::span<const Table> tables);
 
     /// The entry declaring `name`; null when no table does.
     [[nodiscard]] const FlagSpec* spec(std::string_view name) const {
@@ -297,8 +297,7 @@ private:
 /// an unknown flag, a value given to a Bool, a missing value (none left,
 /// or the next token is a flag), a value the entry rejects (junk, out of
 /// bounds, an unlisted choice), and for a token that is not a flag.
-inline Args parse(std::span<const std::string> tokens,
-                  std::initializer_list<Table> tables) {
+inline Args parse(std::span<const std::string> tokens, std::span<const Table> tables) {
     Args args;
     args.tables_.assign(tables.begin(), tables.end());
     for (std::size_t i = 0; i < tokens.size(); ++i) {
@@ -338,12 +337,15 @@ inline Args parse(std::span<const std::string> tokens,
     }
     return args;
 }
+inline Args parse(std::span<const std::string> tokens,
+                  std::initializer_list<Table> tables) {
+    return parse(tokens, std::span<const Table>{tables.begin(), tables.size()});
+}
 
 /// The flags of `tables` as "[--name VALUE]" items, wrapped before
 /// column 80; a continuation line starts with `indent` spaces, and the
 /// first is taken to start at that column too.
-inline std::string usage(std::initializer_list<Table> tables,
-                         std::size_t indent = 0) {
+inline std::string usage(std::span<const Table> tables, std::size_t indent = 0) {
     std::string out;
     std::size_t column = indent;
     for (const Table table : tables) {
@@ -364,6 +366,9 @@ inline std::string usage(std::initializer_list<Table> tables,
         }
     }
     return out;
+}
+inline std::string usage(std::initializer_list<Table> tables, std::size_t indent = 0) {
+    return usage(std::span<const Table>{tables.begin(), tables.size()}, indent);
 }
 
 } // namespace routesync::cli

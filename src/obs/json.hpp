@@ -1,5 +1,5 @@
 // Minimal JSON writing helpers shared by the JSONL trace sink, the run
-// manifest writer, and the benches' --json output. Writing only — the
+// manifest writer, and the coupling-graph export. Writing only — the
 // repo never parses JSON in C++ (tools/validate_trace.py does that).
 #pragma once
 

@@ -3,7 +3,6 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
-#include <stdexcept>
 
 #include "obs/build_info.hpp"
 #include "obs/json.hpp"
@@ -135,14 +134,6 @@ std::string Manifest::to_json() const {
     out += ", \"failed_checks\": " + std::to_string(failed_checks);
     out += "}\n";
     return out;
-}
-
-void Manifest::write(const std::string& path) const {
-    std::ofstream out{path};
-    if (!out) {
-        throw std::runtime_error{"Manifest::write: cannot open " + path};
-    }
-    out << to_json();
 }
 
 } // namespace routesync::obs

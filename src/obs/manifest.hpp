@@ -1,7 +1,9 @@
 // Run manifests: a self-describing JSON record written next to every
 // bench/scenario output, so a BENCH_*.json or figure file can always be
 // traced back to the binary, build, seeds, and configuration that
-// produced it.
+// produced it. A manifest is filled through RunContext::manifest() and
+// written by RunContext::write_manifest(), which seals it first (metrics,
+// trace, wall time, peak RSS): no writer can skip that step.
 //
 // Schema (tools/validate_trace.py is the executable reference):
 //   {
@@ -9,7 +11,7 @@
 //     "git_describe": "...", "build_type": "...",
 //     "seeds": [..], "jobs": N,
 //     "config": { "<key>": "<value>", ... },
-//     "metrics": { counters/gauges/distributions/histograms },
+//     "metrics": { counters/gauges/distributions },
 //     "profile": { "<label>": {count, total_sec, max_sec}, ... } | null,
 //     "trace": { "path": "...", "events": N, "offered": N, "dropped": N,
 //                "fnv1a": "<hex>" } | null,
@@ -76,9 +78,6 @@ struct Manifest {
     /// The manifest as a JSON document (git describe and build type are
     /// filled in from the compiled-in build info).
     [[nodiscard]] std::string to_json() const;
-
-    /// Writes to_json() to `path`; throws std::runtime_error on failure.
-    void write(const std::string& path) const;
 };
 
 } // namespace routesync::obs

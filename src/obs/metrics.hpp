@@ -6,9 +6,9 @@
 // what parallel::merge_trial_metrics merges across trials. Merging is
 // defined so that the result is a pure function of the snapshot
 // *sequence* — sum for counters, Welford-merge for distributions
-// (reusing stats::RunningStats), bin-wise sum for histograms,
-// last-writer-wins for gauges — so a sweep merged in submission order
-// produces identical output for every --jobs value.
+// (reusing stats::RunningStats), last-writer-wins for gauges — so a
+// sweep merged in submission order produces identical output for every
+// --jobs value.
 //
 // Names sort lexicographically in snapshots (std::map), so serialized
 // metric blocks are diffable across runs and builds.
@@ -17,44 +17,26 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <vector>
 
-#include "stats/histogram.hpp"
 #include "stats/running_stats.hpp"
 
 namespace routesync::obs {
-
-/// Plain-data histogram snapshot (stats::Histogram without behaviour).
-struct HistogramSnapshot {
-    double lo = 0.0;
-    double hi = 1.0;
-    std::vector<std::uint64_t> counts;
-    std::uint64_t underflow = 0;
-    std::uint64_t overflow = 0;
-
-    [[nodiscard]] std::uint64_t total() const noexcept;
-};
 
 struct MetricsSnapshot {
     std::map<std::string, std::uint64_t> counters;
     std::map<std::string, double> gauges;
     std::map<std::string, stats::RunningStats> distributions;
-    std::map<std::string, HistogramSnapshot> histograms;
 
     /// Merges `other` into this snapshot (see file comment for the
-    /// per-kind rules). Histograms with mismatched binning throw.
+    /// per-kind rules).
     void merge(const MetricsSnapshot& other);
 
     [[nodiscard]] bool operator==(const MetricsSnapshot& other) const;
 
-    /// The snapshot as a JSON object string (used by manifests and the
-    /// benches' --json output).
+    /// The snapshot as a JSON object string (the "metrics" block of a
+    /// manifest).
     [[nodiscard]] std::string to_json() const;
 };
-
-/// Folds snapshots left to right — the deterministic reduction sweeps
-/// apply in trial-submission order.
-[[nodiscard]] MetricsSnapshot merge_snapshots(const std::vector<MetricsSnapshot>& parts);
 
 class MetricsRegistry {
 public:
@@ -72,18 +54,12 @@ public:
     }
     void observe(const std::string& name, double x) { distributions_[name].add(x); }
 
-    /// Named fixed-bin histogram; the first call fixes the binning and
-    /// later calls must agree (throws otherwise).
-    stats::Histogram& histogram(const std::string& name, double lo, double hi,
-                                std::size_t bins);
-
     [[nodiscard]] MetricsSnapshot snapshot() const;
 
 private:
     std::map<std::string, std::uint64_t> counters_;
     std::map<std::string, double> gauges_;
     std::map<std::string, stats::RunningStats> distributions_;
-    std::map<std::string, stats::Histogram> histograms_;
 };
 
 } // namespace routesync::obs

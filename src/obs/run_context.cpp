@@ -1,5 +1,7 @@
 #include "obs/run_context.hpp"
 
+#include <fstream>
+#include <stdexcept>
 #include <utility>
 
 #include "sim/engine.hpp"
@@ -66,7 +68,11 @@ void RunContext::finish(double sim_seconds) {
 
 void RunContext::write_manifest(const std::string& path, double sim_seconds) {
     finish(sim_seconds);
-    manifest_.write(path);
+    std::ofstream out{path};
+    if (!out) {
+        throw std::runtime_error{"RunContext::write_manifest: cannot open " + path};
+    }
+    out << manifest_.to_json();
 }
 
 } // namespace routesync::obs

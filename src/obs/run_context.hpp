@@ -9,8 +9,8 @@
 //   ctx.trace_to_file("out.jsonl");          // or trace_to_ring(n), or neither
 //   scenarios::NearnetScenario s{cfg, &ctx}; // attaches the tracer to the engine
 //   ... run ...
-//   ctx.finish(engine.now());
-//   ctx.manifest().write("manifest.json");
+//   ctx.manifest().tool = "my_tool";        // identity, seeds, config
+//   ctx.write_manifest("manifest.json", engine.now().sec());
 //
 // A default-constructed context does not trace: tracer() returns null,
 // every emit site in the stack reduces to one pointer test, and the
@@ -80,11 +80,14 @@ public:
     void merge_profile(const ProfileSnapshot& snap) { merged_profile_.merge(snap); }
 
     /// Seals the run record: flushes the sink, snapshots the metrics into
-    /// the manifest, stamps wall/sim time and (for file sinks) the trace
-    /// path, event count, and content hash. Call once, after the run.
+    /// the manifest, stamps wall/sim time, peak RSS and (for file sinks)
+    /// the trace path, event count, and content hash. Call once, after
+    /// the run. Wall time counts from this context's construction.
     void finish(double sim_seconds);
 
-    /// finish() + manifest().write(path).
+    /// finish(), then writes manifest().to_json() to `path` — the only way
+    /// a manifest reaches disk. Throws std::runtime_error if `path` cannot
+    /// be opened.
     void write_manifest(const std::string& path, double sim_seconds);
 
 private:

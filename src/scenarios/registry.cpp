@@ -11,8 +11,7 @@
 
 #include "apps/apps.hpp"
 #include "net/elements/queue_element.hpp"
-#include "obs/manifest.hpp"
-#include "obs/metrics.hpp"
+#include "obs/run_context.hpp"
 #include "scenarios/audiocast.hpp"
 #include "scenarios/nearnet.hpp"
 #include "scenarios/scenario_sweep.hpp"
@@ -23,12 +22,6 @@ extern char** environ; // NOLINT: POSIX, the environment run_binary passes on
 namespace routesync::scenarios {
 
 namespace {
-
-/// `--jobs` for the shared-LAN runs: absent is 1 (one cell at a time),
-/// 0 the hardware concurrency (the TaskPool's auto setting).
-std::size_t shared_lan_jobs(const cli::Args& args) {
-    return args.integer<std::size_t>("jobs", 1);
-}
 
 // ---- builtin: nearnet ---------------------------------------------------
 // The Figure 1/2 testbed with a ping probe; prints a loss summary. The
@@ -105,7 +98,8 @@ int run_audiocast(const cli::Args& args) {
 
 // ---- builtin: shared_lan ------------------------------------------------
 // The RED-vs-drop-tail knob (--queue red|droptail); see
-// shared_lan_scenario.hpp for the mechanism under test.
+// shared_lan_scenario.hpp for the mechanism under test. The config is
+// kSharedLanTable's, which the run and the sweep both read.
 SharedLanScenarioConfig parse_shared_lan_config(const cli::Args& args) {
     SharedLanScenarioConfig cfg;
     cfg.n = args.integer("n", cfg.n);
@@ -125,17 +119,14 @@ SharedLanScenarioConfig parse_shared_lan_config(const cli::Args& args) {
     cfg.bg_period = sim::SimTime::seconds(args.real("bg-period", cfg.bg_period.sec()));
     cfg.max_time = sim::SimTime::seconds(args.real("max-time", cfg.max_time.sec()));
     cfg.seed = args.seed("seed", 1);
-    cfg.monitor = args.flag("monitor");
-    cfg.sync_threshold = args.real("sync-threshold", cfg.sync_threshold);
-    cfg.sync_hysteresis = args.real("sync-hysteresis", cfg.sync_hysteresis);
     if (args.choice("dispatch", "fast") == "virtual") {
         cfg.dispatch = net::elements::DispatchMode::Virtual;
     }
     return cfg;
 }
 
-/// Shared-LAN flags common to single runs and sweeps, recorded in every
-/// manifest so a run is reconstructible from its artifact alone.
+/// The shared-LAN config of a run or a sweep, recorded in its manifest
+/// so the run is reconstructible from its artifact alone.
 void set_shared_lan_manifest_config(obs::Manifest& m,
                                     const SharedLanScenarioConfig& cfg) {
     // std::string{} forced: a bare const char* would select the bool
@@ -157,18 +148,13 @@ void set_shared_lan_manifest_config(obs::Manifest& m,
     }
 }
 
-int run_shared_lan_trials(const cli::Args& args,
-                          const SharedLanScenarioConfig& cfg, int trials,
-                          std::size_t jobs);
-
+/// One scenario; the kSharedLanMonitorTable flags attach the monitor.
 int run_shared_lan(const cli::Args& args) {
     SharedLanScenarioConfig cfg = parse_shared_lan_config(args);
-    const int trials = args.integer("trials", 1);
-    const std::size_t jobs = shared_lan_jobs(args);
-    if (trials > 1) {
-        return run_shared_lan_trials(args, cfg, trials, jobs);
-    }
-
+    cfg.monitor = args.flag("monitor");
+    cfg.sync_threshold = args.real("sync-threshold", cfg.sync_threshold);
+    cfg.sync_hysteresis = args.real("sync-hysteresis", cfg.sync_hysteresis);
+    obs::RunContext ctx; // before the run: the manifest's wall time covers it
     const SharedLanScenarioResult r = run_shared_lan_scenario(cfg);
     std::printf("scenario,shared_lan\n");
     std::printf("queue,%s\n", net::elements::queue_disc_name(cfg.queue_disc));
@@ -226,7 +212,7 @@ int run_shared_lan(const cli::Args& args) {
     // wire spec — the topology that ran, reconstructible via wire().
     const std::string out = args.text("out");
     if (!out.empty()) {
-        obs::Manifest m;
+        obs::Manifest& m = ctx.manifest();
         m.tool = "scenario/shared_lan";
         m.description =
             "periodic updates on a congested CSMA/CD LAN (" +
@@ -235,126 +221,22 @@ int run_shared_lan(const cli::Args& args) {
         m.seeds = {cfg.seed};
         set_shared_lan_manifest_config(m, cfg);
         m.set_config("elements.wire_spec", r.wire_spec);
-
-        obs::MetricsRegistry reg;
-        reg.add("lan.frames_offered", r.frames_offered);
-        reg.add("lan.frames_delivered", r.frames_delivered);
-        reg.add("lan.collisions", r.collisions);
-        reg.add("lan.drops_queue", r.drops_queue_full);
-        reg.add("agents.updates_sent", r.updates_sent);
-        reg.add("agents.updates_heard", r.updates_heard);
+        publish_shared_lan_metrics(ctx.metrics(), r);
         if (r.sync.has_value()) {
-            obs::publish_sync_metrics(reg, *r.sync, r.sync_coupling);
+            obs::publish_sync_metrics(ctx.metrics(), *r.sync, r.sync_coupling);
         }
-        m.metrics = reg.snapshot();
-        m.sim_seconds = r.end_time_s;
-        m.write(out);
+        ctx.write_manifest(out, r.end_time_s);
     }
     return 0;
 }
 
-/// One sweep cell's counters folded into `reg` — called in submission
-/// order, so the merged snapshot is jobs-invariant.
-void merge_cell_metrics(obs::MetricsRegistry& reg,
-                        const ScenarioSweepCell& cell) {
-    const SharedLanScenarioResult& r = cell.result;
-    reg.add("lan.frames_offered", r.frames_offered);
-    reg.add("lan.frames_delivered", r.frames_delivered);
-    reg.add("lan.collisions", r.collisions);
-    reg.add("lan.drops_queue", r.drops_queue_full);
-    reg.add("agents.updates_sent", r.updates_sent);
-    reg.add("agents.updates_heard", r.updates_heard);
-    reg.add("sweep.trace_events", cell.trace_events);
-    if (r.full_sync_time_s.has_value()) {
-        reg.add("sweep.synced_cells", 1);
-        reg.observe("sweep.full_sync_time_sec", *r.full_sync_time_s);
-    }
-}
-
-/// The per-cell result row shared by the --trials table and the sweep
-/// table (the caller prints the leading buffer/load columns).
-void print_cell_row(const ScenarioSweepCell& cell) {
-    const SharedLanScenarioResult& r = cell.result;
-    std::printf("%d,%llu,%.3f,%llu,%llu,%llu,%llu,%d,%s,%llu,0x%016llx\n",
-                cell.trial, static_cast<unsigned long long>(cell.seed),
-                r.end_time_s,
-                static_cast<unsigned long long>(r.frames_delivered),
-                static_cast<unsigned long long>(r.drops_queue_full),
-                static_cast<unsigned long long>(r.updates_sent),
-                static_cast<unsigned long long>(r.updates_heard),
-                r.largest_cluster,
-                r.full_sync_time_s ? std::to_string(*r.full_sync_time_s).c_str()
-                                   : "none",
-                static_cast<unsigned long long>(cell.trace_events),
-                static_cast<unsigned long long>(cell.trace_digest));
-}
-
-int run_shared_lan_trials(const cli::Args& args,
-                          const SharedLanScenarioConfig& cfg, int trials,
-                          std::size_t jobs) {
-    ScenarioSweepConfig sc;
-    sc.base = cfg;
-    sc.buffers = {cfg.queue_packets};
-    sc.loads = {1.0};
-    sc.trials = trials;
-    sc.jobs = jobs;
-    const ScenarioSweepResult sweep = run_scenario_sweep(sc);
-
-    // Stdout carries no jobs/steals: `--jobs N` must be byte-identical
-    // to `--jobs 1` (the repo-wide determinism contract).
-    std::printf("scenario,shared_lan\n");
-    std::printf("queue,%s\n", net::elements::queue_disc_name(cfg.queue_disc));
-    std::printf("n,%d\n", cfg.n);
-    std::printf("trials,%d\n", trials);
-    std::printf("trial,seed,end_time_s,frames_delivered,drops_queue,"
-                "updates_sent,updates_heard,largest_cluster,full_sync_time_s,"
-                "trace_events,trace_digest\n");
-    int synced = 0;
-    double sim_seconds = 0.0;
-    for (const ScenarioSweepCell& cell : sweep.cells) {
-        print_cell_row(cell);
-        synced += cell.result.full_sync_time_s.has_value() ? 1 : 0;
-        sim_seconds += cell.result.end_time_s;
-    }
-    std::printf("synced_trials,%d\n", synced);
-    std::printf("combined_digest,0x%016llx\n",
-                static_cast<unsigned long long>(sweep.combined_digest));
-    std::fprintf(stderr, "shared_lan: %d trials on %zu workers (%zu steals)\n",
-                 trials, sweep.jobs, sweep.steals);
-
-    const std::string out = args.text("out");
-    if (!out.empty()) {
-        obs::Manifest m;
-        m.tool = "scenario/shared_lan";
-        m.description = "periodic updates on a congested CSMA/CD LAN, " +
-                        std::to_string(trials) + " trials";
-        for (const ScenarioSweepCell& cell : sweep.cells) {
-            m.seeds.push_back(cell.seed);
-        }
-        m.jobs = sweep.jobs;
-        set_shared_lan_manifest_config(m, cfg);
-        m.set_config("trials", trials);
-        char digest[32];
-        std::snprintf(digest, sizeof digest, "0x%016llx",
-                      static_cast<unsigned long long>(sweep.combined_digest));
-        m.set_config("combined_digest", std::string{digest});
-        obs::MetricsRegistry reg;
-        for (const ScenarioSweepCell& cell : sweep.cells) {
-            merge_cell_metrics(reg, cell);
-        }
-        m.metrics = reg.snapshot();
-        m.sim_seconds = sim_seconds;
-        m.write(out);
-    }
-    return 0;
-}
-
-ScenarioEntry builtin(std::string name, std::string summary, cli::Table flags,
+ScenarioEntry builtin(std::string name, std::string summary,
+                      std::vector<cli::Table> flags,
                       std::function<int(const cli::Args&)> run) {
     ScenarioEntry e;
     e.name = std::move(name);
     e.summary = std::move(summary);
-    e.flags = flags;
+    e.flags = std::move(flags);
     e.run = std::move(run);
     return e;
 }
@@ -407,7 +289,9 @@ int run_shared_lan_sweep(const cli::Args& args) {
     sc.buffers = parse_buffer_list(buffers);
     sc.loads = parse_load_list(loads);
     sc.trials = args.integer("trials", 1);
-    sc.jobs = shared_lan_jobs(args);
+    // Absent is 1 (one cell at a time), 0 the hardware concurrency.
+    sc.jobs = args.integer<std::size_t>("jobs", 1);
+    obs::RunContext ctx; // before the run: the manifest's wall time covers it
     const ScenarioSweepResult sweep = run_scenario_sweep(sc);
 
     // Stdout carries no jobs/steals: `--jobs N` must be byte-identical
@@ -432,11 +316,22 @@ int run_shared_lan_sweep(const cli::Args& args) {
     double sim_seconds = 0.0;
     std::uint64_t transmissions = 0;
     for (const ScenarioSweepCell& cell : sweep.cells) {
-        std::printf("%zu,%g,", cell.buffer, cell.load);
-        print_cell_row(cell);
-        synced += cell.result.full_sync_time_s.has_value() ? 1 : 0;
-        sim_seconds += cell.result.end_time_s;
-        transmissions += cell.result.frames_delivered;
+        const SharedLanScenarioResult& r = cell.result;
+        std::printf("%zu,%g,%d,%llu,%.3f,%llu,%llu,%llu,%llu,%d,%s,%llu,0x%016llx\n",
+                    cell.buffer, cell.load, cell.trial,
+                    static_cast<unsigned long long>(cell.seed), r.end_time_s,
+                    static_cast<unsigned long long>(r.frames_delivered),
+                    static_cast<unsigned long long>(r.drops_queue_full),
+                    static_cast<unsigned long long>(r.updates_sent),
+                    static_cast<unsigned long long>(r.updates_heard),
+                    r.largest_cluster,
+                    r.full_sync_time_s ? std::to_string(*r.full_sync_time_s).c_str()
+                                       : "none",
+                    static_cast<unsigned long long>(cell.trace_events),
+                    static_cast<unsigned long long>(cell.trace_digest));
+        synced += r.full_sync_time_s.has_value() ? 1 : 0;
+        sim_seconds += r.end_time_s;
+        transmissions += r.frames_delivered;
     }
     std::printf("synced_cells,%d\n", synced);
     std::printf("transmissions_checksum,%llu\n",
@@ -449,7 +344,7 @@ int run_shared_lan_sweep(const cli::Args& args) {
 
     const std::string out = args.text("out");
     if (!out.empty()) {
-        obs::Manifest m;
+        obs::Manifest& m = ctx.manifest();
         m.tool = "scenario/shared_lan_sweep";
         m.description =
             "buffer x load x trial grid of shared-LAN runs (" +
@@ -466,13 +361,17 @@ int run_shared_lan_sweep(const cli::Args& args) {
         std::snprintf(digest, sizeof digest, "0x%016llx",
                       static_cast<unsigned long long>(sweep.combined_digest));
         m.set_config("combined_digest", std::string{digest});
-        obs::MetricsRegistry reg;
+        // Every cell's counters, in submission order: jobs-invariant.
+        obs::MetricsRegistry& reg = ctx.metrics();
         for (const ScenarioSweepCell& cell : sweep.cells) {
-            merge_cell_metrics(reg, cell);
+            publish_shared_lan_metrics(reg, cell.result);
+            reg.add("sweep.trace_events", cell.trace_events);
+            if (cell.result.full_sync_time_s.has_value()) {
+                reg.add("sweep.synced_cells", 1);
+                reg.observe("sweep.full_sync_time_sec", *cell.result.full_sync_time_s);
+            }
         }
-        m.metrics = reg.snapshot();
-        m.sim_seconds = sim_seconds;
-        m.write(out);
+        ctx.write_manifest(out, sim_seconds);
     }
     return 0;
 }
@@ -519,7 +418,9 @@ int ScenarioRegistry::run(const std::string& name,
     // and externals do not see it.
     static constexpr cli::FlagSpec kDispatchTable[] = {cli::text("bin-dir", "DIR")};
     if (entry->is_builtin()) {
-        return entry->run(cli::parse(tokens, {entry->flags, kDispatchTable}));
+        std::vector<cli::Table> tables = entry->flags;
+        tables.emplace_back(kDispatchTable);
+        return entry->run(cli::parse(tokens, tables));
     }
     std::string dir = bin_dir;
     std::vector<std::string> forwarded;
@@ -545,14 +446,14 @@ void register_builtin_scenarios() {
     }
     reg.add(builtin("nearnet",
                     "Fig 1/2 testbed: pings through synchronized IGRP core routers",
-                    kNearnetTable, run_nearnet));
+                    {kNearnetTable}, run_nearnet));
     reg.add(builtin("audiocast",
                     "Fig 3 testbed: audio outages under synchronized RIP storms",
-                    kAudiocastTable, run_audiocast));
+                    {kAudiocastTable}, run_audiocast));
     reg.add(builtin("shared_lan",
                     "periodic updates on a congested CSMA/CD LAN; RED vs "
                     "drop-tail station queues",
-                    kSharedLanTable, run_shared_lan));
+                    {kSharedLanTable, kSharedLanMonitorTable}, run_shared_lan));
     // The standalone paper figures and examples, addressable through the
     // same table (resolved against --bin-dir, default ".": run from the
     // build directory).

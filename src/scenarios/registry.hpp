@@ -5,8 +5,8 @@
 // single answer. Entries come in two kinds:
 //
 //   * builtin  — a std::function runner linked into this library, with
-//     its flag table (src/cli/flags.hpp). run() parses the command line
-//     against that table and passes the runner the Args; the runner
+//     its flag tables (src/cli/flags.hpp). run() parses the command line
+//     against those tables and passes the runner the Args; the runner
 //     returns a process exit code.
 //   * external — a relative path to a standalone binary (the figures and
 //     examples keep their own main()s). run() resolves the path against
@@ -38,7 +38,8 @@ inline constexpr cli::FlagSpec kAudiocastTable[] = {
     cli::integer("core-routers", "K"), cli::real("jitter", "SEC"),
     cli::real("bg-pps", "RATE"), cli::real("max-time", "SEC"), cli::seed()};
 
-/// `shared_lan`: the scenario config, the trials and the manifest.
+/// `shared_lan`: the scenario config and the manifest, read by `scenario
+/// run shared_lan` and `scenario sweep shared_lan` alike.
 inline constexpr cli::FlagSpec kSharedLanTable[] = {
     cli::choice("queue", "red|droptail|drop-tail|fifo"), cli::integer("n", "N"),
     cli::real("tp", "SEC"), cli::real("tr", "SEC"), cli::real("tc", "SEC"),
@@ -46,22 +47,26 @@ inline constexpr cli::FlagSpec kSharedLanTable[] = {
     cli::real("red-max", "PKTS"), cli::real("red-maxp", "P"),
     cli::real("red-weight", "W"), cli::integer("bg-burst", "PKTS"),
     cli::real("bg-period", "SEC"), cli::real("max-time", "SEC"), cli::seed(),
-    cli::integer("trials", "K", 1), cli::integer("jobs", "N", 0, cli::kUnbounded),
-    cli::choice("dispatch", "fast|virtual"), cli::boolean("monitor"),
-    cli::real("sync-threshold", "R"), cli::real("sync-hysteresis", "H"),
-    cli::text("out", "MANIFEST")};
+    cli::choice("dispatch", "fast|virtual"), cli::text("out", "MANIFEST")};
 
-/// `scenario sweep shared_lan`: the grid axes, parsed with the
-/// kSharedLanTable flags.
+/// `scenario run shared_lan`'s synchronization monitor: the run prints
+/// and records what it measures; the sweep reports none of it.
+inline constexpr cli::FlagSpec kSharedLanMonitorTable[] = {
+    cli::boolean("monitor"), cli::real("sync-threshold", "R"),
+    cli::real("sync-hysteresis", "H")};
+
+/// `scenario sweep shared_lan`: the grid axes, the trials per cell and
+/// the workers, parsed with the kSharedLanTable flags.
 inline constexpr cli::FlagSpec kSweepAxesTable[] = {
-    cli::text("buffers", "LO..HI|a,b,c"), cli::text("loads", "a,b,c")};
+    cli::text("buffers", "LO..HI|a,b,c"), cli::text("loads", "a,b,c"),
+    cli::integer("trials", "K", 1), cli::integer("jobs", "N", 0, cli::kUnbounded)};
 
 struct ScenarioEntry {
     std::string name;
     std::string summary;
-    /// Every flag the builtin reads (one of the tables above); empty for
-    /// external entries.
-    cli::Table flags;
+    /// The tables of every flag the builtin reads (from those above);
+    /// empty for external entries.
+    std::vector<cli::Table> flags;
     /// In-process runner; null for external entries.
     std::function<int(const cli::Args&)> run;
     /// Binary path relative to --bin-dir; empty for builtins.
@@ -88,7 +93,7 @@ public:
     }
 
     /// Dispatches to the named entry with the command-line `tokens` that
-    /// follow its name. A builtin parses them against its table (plus
+    /// follow its name. A builtin parses them against its tables (plus
     /// --bin-dir, which it ignores) and runs in-process. An external
     /// entry runs "<bin-dir>/<binary>" (--bin-dir DIR from `tokens`,
     /// default `bin_dir`) with every other token, verbatim, and returns
@@ -110,7 +115,8 @@ void register_builtin_scenarios();
 /// grid of packet-level shared-LAN simulations over one work-stealing
 /// pool (see scenario_sweep.hpp). `args` is parsed against
 /// kSharedLanTable and kSweepAxesTable. Stdout is byte-identical for
-/// every --jobs value.
+/// every --jobs value; --out writes a manifest whose metrics are every
+/// cell's counters summed in submission order.
 int run_shared_lan_sweep(const cli::Args& args);
 
 } // namespace routesync::scenarios

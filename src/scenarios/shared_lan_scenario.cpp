@@ -13,6 +13,7 @@
 #include "net/elements/periodic_agent.hpp"
 #include "net/elements/red_queue.hpp"
 #include "net/shared_lan.hpp"
+#include "obs/metrics.hpp"
 #include "rng/rng.hpp"
 #include "sim/engine.hpp"
 
@@ -199,6 +200,17 @@ SharedLanScenarioResult run_shared_lan_scenario(
         result.updates_heard += agent->updates_heard();
     }
     return result;
+}
+
+void publish_shared_lan_metrics(obs::MetricsRegistry& reg,
+                                const SharedLanScenarioResult& result) {
+    reg.add("lan.frames_offered", result.frames_offered);
+    reg.add("lan.frames_delivered", result.frames_delivered);
+    reg.add("lan.collisions", result.collisions);
+    reg.add("lan.drops_queue", result.drops_queue_full);
+    reg.add("agents.updates_sent", result.updates_sent);
+    reg.add("agents.updates_heard", result.updates_heard);
+    reg.add("engine.events_processed", result.events_processed);
 }
 
 } // namespace routesync::scenarios

@@ -28,6 +28,7 @@
 #include "sim/time.hpp"
 
 namespace routesync::obs {
+class MetricsRegistry;
 class Tracer;
 }
 
@@ -95,8 +96,8 @@ struct SharedLanScenarioResult {
     std::optional<double> largest_cluster_time_s; ///< first reach of largest
     std::optional<double> full_sync_time_s;
     double end_time_s = 0.0;
-    /// Events the run's engine executed (library only: no CLI table or
-    /// manifest prints it).
+    /// Events the run's engine executed (in manifests as
+    /// engine.events_processed; no CLI table prints it).
     std::uint64_t events_processed = 0;
     /// Events the run's engine pushed onto its queue (library only, like
     /// events_processed). The frame-cycle steps SharedLan runs in place
@@ -115,5 +116,14 @@ struct SharedLanScenarioResult {
 /// std::invalid_argument when bg_burst > 0 and bg_period <= 0 (the run
 /// would never advance) or when max_time < 0.
 SharedLanScenarioResult run_shared_lan_scenario(const SharedLanScenarioConfig& config);
+
+/// Adds the run's counters to `reg`: the medium's (lan.frames_offered,
+/// lan.frames_delivered, lan.collisions, lan.drops_queue), the agents'
+/// (agents.updates_sent, agents.updates_heard) and the engine's
+/// (engine.events_processed, the name PM runs publish theirs under).
+/// Counters sum, so a sweep that calls this once per cell in submission
+/// order gets the same totals for every --jobs value.
+void publish_shared_lan_metrics(obs::MetricsRegistry& reg,
+                                const SharedLanScenarioResult& result);
 
 } // namespace routesync::scenarios

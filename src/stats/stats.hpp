@@ -3,7 +3,6 @@
 
 #include "stats/autocorrelation.hpp" // IWYU pragma: export
 #include "stats/fft.hpp"             // IWYU pragma: export
-#include "stats/histogram.hpp"       // IWYU pragma: export
 #include "stats/periodogram.hpp"     // IWYU pragma: export
 #include "stats/phase_cluster.hpp"   // IWYU pragma: export
 #include "stats/quantiles.hpp"       // IWYU pragma: export

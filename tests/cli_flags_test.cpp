@@ -66,6 +66,16 @@ void expect_rejected_quietly(const std::string& name, const Tokens& tokens) {
     EXPECT_EQ(testing::internal::GetCapturedStdout(), "") << name << " " << tokens[0];
 }
 
+/// The same for `scenario sweep shared_lan`, parsed as the CLI parses it.
+void expect_sweep_rejected_quietly(const Tokens& tokens) {
+    testing::internal::CaptureStdout();
+    EXPECT_THROW(scenarios::run_shared_lan_sweep(parse(
+                     tokens, {scenarios::kSharedLanTable, scenarios::kSweepAxesTable})),
+                 std::invalid_argument)
+        << tokens[0];
+    EXPECT_EQ(testing::internal::GetCapturedStdout(), "") << tokens[0];
+}
+
 TEST(CliFlags, ParsesNameValuePairs) {
     const Args a = parse_test({"--n", "20", "--tp", "121.5"});
     EXPECT_EQ(a.integer("n", 0), 20);
@@ -360,26 +370,33 @@ TEST(CliFlags, EveryCommandAcceptsItsUsageFlags) {
                          "--max-time", "600", "--seed", "2"},
                         {scenarios::kAudiocastTable}),
               "");
-    Tokens shared_lan{
+    const Tokens shared_lan{
         "--queue", "red", "--n", "10", "--tp", "30", "--tr", "0.05", "--tc", "0.2",
         "--queue-cap", "8", "--red-min", "2", "--red-max", "6", "--red-maxp", "0.1",
         "--red-weight", "0.1", "--bg-burst", "10", "--bg-period", "0.05",
-        "--max-time", "500", "--seed", "2", "--trials", "2", "--jobs", "2",
-        "--dispatch", "virtual", "--monitor", "--sync-threshold", "0.9",
-        "--sync-hysteresis", "0.05", "--out", "lan.manifest.json"};
-    EXPECT_EQ(rejection(shared_lan, {scenarios::kSharedLanTable}), "");
+        "--max-time", "500", "--seed", "2", "--dispatch", "virtual", "--out",
+        "lan.manifest.json"};
+    Tokens run = shared_lan;
+    for (const char* monitor :
+         {"--monitor", "--sync-threshold", "0.9", "--sync-hysteresis", "0.05"}) {
+        run.push_back(monitor);
+    }
+    EXPECT_EQ(rejection(run, {scenarios::kSharedLanTable,
+                              scenarios::kSharedLanMonitorTable}),
+              "");
     for (const char* queue : {"droptail", "drop-tail", "fifo"}) {
         EXPECT_EQ(rejection({"--queue", queue}, {scenarios::kSharedLanTable}), "");
     }
-    for (const char* extra : {"--buffers", "4..16", "--loads", "0.8,1.2"}) {
-        shared_lan.push_back(extra);
+    Tokens sweep = shared_lan;
+    for (const char* axis :
+         {"--buffers", "4..16", "--loads", "0.8,1.2", "--trials", "2", "--jobs", "2"}) {
+        sweep.push_back(axis);
     }
-    EXPECT_EQ(rejection(shared_lan,
-                        {scenarios::kSharedLanTable, scenarios::kSweepAxesTable}),
-              "");
+    EXPECT_EQ(
+        rejection(sweep, {scenarios::kSharedLanTable, scenarios::kSweepAxesTable}), "");
     // The bench command line, with the observability flags of a binary
     // that wires all three (fig04).
-    EXPECT_EQ(rejection({"--jobs", "4", "--seed", "3", "--json", "--quiet", "--trace",
+    EXPECT_EQ(rejection({"--jobs", "4", "--seed", "3", "--quiet", "--trace",
                          "t.jsonl", "--out", "m.json", "--sample-every", "50",
                          "--profile", "--monitor"},
                         {bench::kBenchTable, kBenchObservability}),
@@ -409,8 +426,10 @@ std::vector<std::string> sorted(std::vector<std::string> v) {
 
 TEST(CliFlags, TablesNameExactlyTheFlagsTheirCommandsAcceptedBefore) {
     // The flag names each command accepted when its flags were name lists
-    // beside hand-written usage strings; the tables neither drop nor add
-    // one.
+    // beside hand-written usage strings; the tables add none. They drop
+    // only flags that changed nothing: the benches' --json, and the
+    // shared-LAN run's --trials and --jobs and the sweep's monitor flags,
+    // now each declared by the one command that reports them.
     const std::vector<std::pair<Table, std::vector<std::string>>> expected{
         {kPmTable,
          {"n", "tp", "tr", "tc", "seed", "max-time", "sync-start", "reset-at-expiry",
@@ -436,16 +455,26 @@ TEST(CliFlags, TablesNameExactlyTheFlagsTheirCommandsAcceptedBefore) {
         {scenarios::kSharedLanTable,
          {"queue", "n", "tp", "tr", "tc", "queue-cap", "red-min", "red-max",
           "red-maxp", "red-weight", "bg-burst", "bg-period", "max-time", "seed",
-          "trials", "jobs", "dispatch", "monitor", "sync-threshold",
-          "sync-hysteresis", "out"}},
-        {scenarios::kSweepAxesTable, {"buffers", "loads"}},
-        {bench::kBenchTable, {"jobs", "seed", "json", "quiet", "out", "profile"}},
+          "dispatch", "out"}},
+        {scenarios::kSharedLanMonitorTable,
+         {"monitor", "sync-threshold", "sync-hysteresis"}},
+        {scenarios::kSweepAxesTable, {"buffers", "loads", "trials", "jobs"}},
+        {bench::kBenchTable, {"jobs", "seed", "quiet", "out", "profile"}},
         {kBenchObservability, {"trace", "sample-every", "monitor"}},
     };
     for (const auto& [table, flags] : expected) {
         EXPECT_EQ(names(table), sorted(flags));
     }
-    // The registry hands each builtin its table; externals have none.
+    // The shared-LAN run and sweep spell no flag twice.
+    std::vector<std::string> lan = names(scenarios::kSharedLanTable);
+    for (const Table table : {Table{scenarios::kSharedLanMonitorTable},
+                              Table{scenarios::kSweepAxesTable}}) {
+        const std::vector<std::string> more = names(table);
+        lan.insert(lan.end(), more.begin(), more.end());
+    }
+    std::sort(lan.begin(), lan.end());
+    EXPECT_EQ(std::adjacent_find(lan.begin(), lan.end()), lan.end());
+    // The registry hands each builtin its tables; externals have none.
     scenarios::register_builtin_scenarios();
     int builtins = 0;
     for (const scenarios::ScenarioEntry& e :
@@ -454,6 +483,11 @@ TEST(CliFlags, TablesNameExactlyTheFlagsTheirCommandsAcceptedBefore) {
         builtins += e.is_builtin() ? 1 : 0;
     }
     EXPECT_EQ(builtins, 3);
+    const std::vector<Table>& shared_lan =
+        scenarios::ScenarioRegistry::instance().find("shared_lan")->flags;
+    ASSERT_EQ(shared_lan.size(), 2U);
+    EXPECT_EQ(shared_lan[0].data(), std::data(scenarios::kSharedLanTable));
+    EXPECT_EQ(shared_lan[1].data(), std::data(scenarios::kSharedLanMonitorTable));
 }
 
 TEST(CliFlags, BuiltinScenariosRejectAndNameUnknownFlags) {
@@ -476,9 +510,27 @@ TEST(CliFlags, BuiltinScenariosRejectAndNameUnknownFlags) {
               "unknown flag --pings");
     EXPECT_EQ(rejection({"--trials", "2"}, {scenarios::kNearnetTable}),
               "unknown flag --trials");
+    // The shared-LAN run is one scenario: `--trials` and `--jobs` ran a
+    // second multi-trial path or changed nothing. The sweep reports no
+    // monitor: `--monitor` and its settings changed no byte of stdout.
+    for (const char* flag : {"--trials", "--jobs"}) {
+        EXPECT_EQ(rejection({flag, "2"}, {scenarios::kSharedLanTable,
+                                          scenarios::kSharedLanMonitorTable}),
+                  "unknown flag " + std::string{flag});
+    }
+    EXPECT_EQ(rejection({"--monitor"},
+                        {scenarios::kSharedLanTable, scenarios::kSweepAxesTable}),
+              "unknown flag --monitor");
+    for (const char* flag : {"--sync-threshold", "--sync-hysteresis"}) {
+        EXPECT_EQ(rejection({flag, "0.5"},
+                            {scenarios::kSharedLanTable, scenarios::kSweepAxesTable}),
+                  "unknown flag " + std::string{flag});
+    }
     // Through the registry too, and `--non-blocking 0` is not a boolean.
     expect_rejected_quietly("nearnet", {"--non-blocking", "0"});
     expect_rejected_quietly("audiocast", {"--pings", "10"});
+    expect_rejected_quietly("shared_lan", {"--trials", "2", "--max-time", "1"});
+    expect_rejected_quietly("shared_lan", {"--jobs", "2", "--max-time", "1"});
 }
 
 TEST(CliFlags, SharedLanRejectsABackgroundSourceThatCannotAdvance) {
@@ -486,22 +538,18 @@ TEST(CliFlags, SharedLanRejectsABackgroundSourceThatCannotAdvance) {
     // `--max-time -5` ran nothing and exited 0. Each now throws, which
     // the CLI reports with exit 2.
     expect_rejected_quietly("shared_lan", {"--bg-period", "0"});
-    expect_rejected_quietly("shared_lan", {"--bg-period", "0", "--trials", "2"});
     expect_rejected_quietly("shared_lan", {"--max-time", "-5"});
-    const auto sweep = [](const Tokens& tokens) {
-        return scenarios::run_shared_lan_sweep(
-            parse(tokens, {scenarios::kSharedLanTable, scenarios::kSweepAxesTable}));
-    };
-    EXPECT_THROW(sweep({"--bg-period", "0", "--loads", "0.8,1.2", "--max-time", "10"}),
-                 std::invalid_argument);
-    EXPECT_THROW(sweep({"--max-time", "-5"}), std::invalid_argument);
+    expect_sweep_rejected_quietly({"--bg-period", "0", "--trials", "2"});
+    expect_sweep_rejected_quietly(
+        {"--bg-period", "0", "--loads", "0.8,1.2", "--max-time", "10"});
+    expect_sweep_rejected_quietly({"--max-time", "-5"});
 }
 
 TEST(CliFlags, SharedLanRejectsJunkJobsAndTrialsBeforeAnyCellRuns) {
     // The shared-LAN runners read --jobs and --trials with atoi: `--jobs
     // -1` started one thread per cell, and `--jobs 2x --trials 2x` ran 2
-    // cells on 2 workers. The table rejects both before a cell runs, so
-    // nothing reaches stdout.
+    // cells on 2 workers. The sweep, the one command that takes them
+    // now, rejects both before a cell runs, so nothing reaches stdout.
     const std::vector<Tokens> junk{
         {"--jobs", "-1", "--trials", "2", "--max-time", "1"},
         {"--jobs", "2x", "--trials", "2", "--max-time", "1"},
@@ -510,10 +558,10 @@ TEST(CliFlags, SharedLanRejectsJunkJobsAndTrialsBeforeAnyCellRuns) {
         {"--jobs", "-1", "--max-time", "1"},
     };
     for (const Tokens& tokens : junk) {
-        expect_rejected_quietly("shared_lan", tokens);
-        EXPECT_THROW(parse(tokens, {scenarios::kSharedLanTable, scenarios::kSweepAxesTable}),
-                     std::invalid_argument)
-            << tokens[1];
+        expect_sweep_rejected_quietly(tokens);
+        const std::string why =
+            rejection(tokens, {scenarios::kSharedLanTable, scenarios::kSweepAxesTable});
+        EXPECT_NE(why.find(tokens[0]), std::string::npos) << why;
     }
 }
 
@@ -773,8 +821,8 @@ TEST(CliFlags, MutatedValuesReadBackOrNameTheFlag) {
         kThresholdTable,    kF2Table,             kTraceSummaryTable,
         kTraceFilterTable,  kTraceExportChromeTable, kTraceReplayCheckTable,
         kAnalyzeCouplingTable, scenarios::kNearnetTable, scenarios::kAudiocastTable,
-        scenarios::kSharedLanTable, scenarios::kSweepAxesTable, bench::kBenchTable,
-        kBenchObservability};
+        scenarios::kSharedLanTable, scenarios::kSharedLanMonitorTable,
+        scenarios::kSweepAxesTable, bench::kBenchTable, kBenchObservability};
     std::mt19937_64 rng{0x5eed'f1a6ULL};
     int checked = 0;
     for (const Table table : tables) {

@@ -11,6 +11,7 @@
 #include <limits>
 #include <random>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -271,24 +272,9 @@ TEST(MetricsSnapshot, DistributionsWelfordMerge) {
     EXPECT_EQ(m.max(), w.max());
 }
 
-TEST(MetricsSnapshot, HistogramsMergeBinWiseAndRejectMismatchedBinning) {
-    obs::MetricsRegistry a;
-    a.histogram("h", 0.0, 10.0, 5).add(1.0);
-    obs::MetricsRegistry b;
-    b.histogram("h", 0.0, 10.0, 5).add(9.0);
-    obs::MetricsSnapshot merged = a.snapshot();
-    merged.merge(b.snapshot());
-    EXPECT_EQ(merged.histograms.at("h").total(), 2U);
-
-    obs::MetricsRegistry c;
-    c.histogram("h", 0.0, 20.0, 5).add(1.0);
-    obs::MetricsSnapshot bad = a.snapshot();
-    EXPECT_THROW(bad.merge(c.snapshot()), std::invalid_argument);
-}
-
 TEST(MetricsSnapshot, MergeIsAFunctionOfSnapshotSequenceOnly) {
-    // merge_snapshots(parts) == fold in order, independent of who
-    // produced the parts.
+    // Folding the same parts with merge() in the same order gives the
+    // same snapshot, independent of who produced the parts.
     std::vector<obs::MetricsSnapshot> parts;
     for (int i = 0; i < 4; ++i) {
         obs::MetricsRegistry r;
@@ -296,8 +282,15 @@ TEST(MetricsSnapshot, MergeIsAFunctionOfSnapshotSequenceOnly) {
         r.observe("t", i * 1.5);
         parts.push_back(r.snapshot());
     }
-    const obs::MetricsSnapshot once = obs::merge_snapshots(parts);
-    const obs::MetricsSnapshot again = obs::merge_snapshots(parts);
+    const auto fold = [&parts] {
+        obs::MetricsSnapshot merged;
+        for (const obs::MetricsSnapshot& part : parts) {
+            merged.merge(part);
+        }
+        return merged;
+    };
+    const obs::MetricsSnapshot once = fold();
+    const obs::MetricsSnapshot again = fold();
     EXPECT_TRUE(once == again);
     EXPECT_EQ(once.counters.at("n"), 10U);
 }
@@ -377,6 +370,8 @@ TEST(Manifest, WritesParsableJsonWithConfigAndMetrics) {
     EXPECT_NE(text.find("\"sim_seconds\": 123.5"), std::string::npos);
     EXPECT_NE(text.find("\"n\": \"20\""), std::string::npos);
     std::remove(path.c_str());
+    EXPECT_THROW(ctx.write_manifest(::testing::TempDir() + "no-such-dir/m.json", 0.0),
+                 std::runtime_error);
 }
 
 TEST(Manifest, Fnv1aMatchesRepoConvention) {

@@ -2,6 +2,8 @@
 // covered in integration_test.cpp; these check construction invariants).
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <map>
 #include <sstream>
 #include <stdexcept>
@@ -184,7 +186,7 @@ TEST(SharedLanScenario, QueuePushesOfOneRedCell) {
     EXPECT_GE(virt.queue_pushes, virt.events_processed);
 }
 
-/// Runs builtin `name` through the registry with every flag of its table
+/// Runs builtin `name` through the registry with every flag of its tables
 /// set from `values` (a boolean by its bare name) and returns the
 /// "key,value" lines it prints, in order.
 std::vector<std::pair<std::string, std::string>> run_with_every_flag(
@@ -192,11 +194,14 @@ std::vector<std::pair<std::string, std::string>> run_with_every_flag(
     scenarios::register_builtin_scenarios();
     const auto& registry = scenarios::ScenarioRegistry::instance();
     std::vector<std::string> tokens;
-    for (const cli::FlagSpec& f : registry.find(name)->flags) {
-        tokens.push_back("--" + std::string{f.name});
-        if (f.kind != cli::Kind::Bool) {
-            EXPECT_TRUE(values.contains(std::string{f.name})) << name << " --" << f.name;
-            tokens.push_back(values.at(std::string{f.name}));
+    for (const cli::Table table : registry.find(name)->flags) {
+        for (const cli::FlagSpec& f : table) {
+            tokens.push_back("--" + std::string{f.name});
+            if (f.kind != cli::Kind::Bool) {
+                EXPECT_TRUE(values.contains(std::string{f.name}))
+                    << name << " --" << f.name;
+                tokens.push_back(values.at(std::string{f.name}));
+            }
         }
     }
     testing::internal::CaptureStdout();
@@ -247,6 +252,56 @@ TEST(ScenarioRegistry, NearnetAndAudiocastRunWithEveryFlagOfTheirTables) {
     EXPECT_EQ(audiocast[0].second, "audiocast");
     EXPECT_EQ(audiocast[1].second, "0.1");
     EXPECT_GT(std::stoul(audiocast[2].second), 0U);
+}
+
+TEST(ScenarioRegistry, SharedLanRunsWithEveryFlagOfItsTables) {
+    // The run's two tables: the config and --out, which the sweep reads
+    // too, and the monitor's, which adds the sync_* lines.
+    const std::string manifest = ::testing::TempDir() + "shared_lan_every_flag.json";
+    const auto lan = run_with_every_flag(
+        "shared_lan",
+        {{"queue", "red"}, {"n", "6"}, {"tp", "30"}, {"tr", "0.05"}, {"tc", "0.2"},
+         {"queue-cap", "8"}, {"red-min", "2"}, {"red-max", "6"}, {"red-maxp", "0.1"},
+         {"red-weight", "0.1"}, {"bg-burst", "10"}, {"bg-period", "0.05"},
+         {"max-time", "300"}, {"seed", "3"}, {"dispatch", "virtual"}, {"out", manifest},
+         {"sync-threshold", "0.9"}, {"sync-hysteresis", "0.05"}});
+    EXPECT_EQ(keys(lan),
+              (std::vector<std::string>{
+                  "scenario", "queue", "n", "end_time_s", "frames_offered",
+                  "frames_delivered", "collisions", "drops_queue", "red_early_drops",
+                  "red_forced_drops", "updates_sent", "updates_heard",
+                  "update_delivery_rate", "largest_cluster", "largest_cluster_time_s",
+                  "full_sync_time_s", "sync_r_last", "sync_r_max", "sync_transitions",
+                  "sync_time_to_sync_s", "sync_entropy_last", "sync_largest_fraction",
+                  "coupling_edges", "coupling_total_weight"}));
+    ASSERT_EQ(lan.size(), 24U);
+    EXPECT_EQ(lan[1].second, "red");
+    EXPECT_EQ(lan[2].second, "6");
+    EXPECT_EQ(lan[3].second, "300.000"); // --max-time, never fully synced
+    EXPECT_GT(std::stoul(lan[8].second), 0U); // RED's early drops
+    // The monitor saw every re-arm: its coupling weight is the updates sent.
+    EXPECT_GT(std::stoul(lan[10].second), 0U);
+    EXPECT_EQ(lan[23].second, lan[10].second);
+    const double r_max = std::stod(lan[17].second);
+    EXPECT_GE(r_max, std::stod(lan[16].second));
+    EXPECT_LE(r_max, 1.0);
+
+    // --out: the manifest records the monitor's settings and metrics and
+    // the run's cost, sealed by its RunContext.
+    std::ifstream in{manifest};
+    std::stringstream buf;
+    buf << in.rdbuf();
+    const std::string text = buf.str();
+    for (const char* field :
+         {"\"monitor\": \"true\"", "\"sync_threshold\": \"0.9", "\"sync.rearms\": ",
+          "\"engine.events_processed\": ", "\"lan.frames_offered\": ",
+          "\"sim_seconds\": 300,"}) {
+        EXPECT_NE(text.find(field), std::string::npos) << field << "\n" << text;
+    }
+    for (const char* zero : {"\"wall_seconds\": 0,", "\"peak_rss_bytes\": 0,"}) {
+        EXPECT_EQ(text.find(zero), std::string::npos) << zero;
+    }
+    std::remove(manifest.c_str());
 }
 
 } // namespace

@@ -72,54 +72,6 @@ TEST(RunningStats, MergeWithEmptySides) {
     EXPECT_DOUBLE_EQ(d.mean(), 2.0);
 }
 
-// ------------------------------------------------------------- Histogram
-
-TEST(Histogram, BinsValuesCorrectly) {
-    Histogram h{0.0, 10.0, 10};
-    for (int i = 0; i < 10; ++i) {
-        h.add(i + 0.5);
-    }
-    for (std::size_t b = 0; b < 10; ++b) {
-        EXPECT_EQ(h.count(b), 1U) << b;
-    }
-    EXPECT_EQ(h.total(), 10U);
-    EXPECT_EQ(h.underflow(), 0U);
-    EXPECT_EQ(h.overflow(), 0U);
-}
-
-TEST(Histogram, UnderOverflowCounted) {
-    Histogram h{0.0, 1.0, 4};
-    h.add(-0.1);
-    h.add(1.0); // hi edge is exclusive
-    h.add(5.0);
-    EXPECT_EQ(h.underflow(), 1U);
-    EXPECT_EQ(h.overflow(), 2U);
-    EXPECT_EQ(h.total(), 3U);
-}
-
-TEST(Histogram, BinEdges) {
-    Histogram h{2.0, 4.0, 4};
-    EXPECT_DOUBLE_EQ(h.bin_lo(0), 2.0);
-    EXPECT_DOUBLE_EQ(h.bin_hi(0), 2.5);
-    EXPECT_DOUBLE_EQ(h.bin_lo(3), 3.5);
-    EXPECT_THROW((void)h.bin_lo(4), std::out_of_range);
-}
-
-TEST(Histogram, InvalidConstruction) {
-    EXPECT_THROW(Histogram(1.0, 1.0, 4), std::invalid_argument);
-    EXPECT_THROW(Histogram(2.0, 1.0, 4), std::invalid_argument);
-    EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
-}
-
-TEST(Histogram, AsciiRendersRows) {
-    Histogram h{0.0, 2.0, 2};
-    h.add(0.5);
-    h.add(1.5);
-    h.add(1.6);
-    const std::string art = h.ascii(10);
-    EXPECT_NE(art.find('#'), std::string::npos);
-}
-
 // ------------------------------------------------------------- quantiles
 
 TEST(Quantiles, MedianOfOddSample) {

@@ -611,7 +611,7 @@ int cmd_scenario(int argc, char** argv) {
                         e.summary.c_str());
             if (!e.flags.empty()) {
                 std::printf("%-18s %-8s   flags: %s\n", "", "",
-                            cli::usage({e.flags}, 37).c_str());
+                            cli::usage(e.flags, 37).c_str());
             }
         }
         return 0;
@@ -673,7 +673,8 @@ void usage() {
     std::fprintf(stderr,
                  "  scenario list        every scenario, with each builtin's flags\n"
                  "  scenario run NAME    [--bin-dir DIR] and NAME's flags\n"
-                 "  scenario sweep shared_lan  the shared_lan flags and\n"
+                 "  scenario sweep shared_lan  shared_lan's flags but the "
+                 "monitor's, and\n"
                  "                       %s\n"
                  "A boolean flag takes no value; every other flag needs one. A flag\n"
                  "the command does not declare, or a malformed value, exits 2.\n"

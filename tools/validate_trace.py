@@ -250,7 +250,7 @@ def check_sync_metrics(metrics: dict, what: str) -> None:
 
 def check_manifest(manifest: dict, what: str) -> None:
     check_fields(manifest, MANIFEST_FIELDS, what)
-    for kind in ("counters", "gauges", "distributions", "histograms"):
+    for kind in ("counters", "gauges", "distributions"):
         if kind not in manifest["metrics"]:
             fail(f"{what}: metrics block missing '{kind}'")
     check_element_metrics(manifest["metrics"], what)
@@ -470,8 +470,7 @@ def cmd_selftest(args: argparse.Namespace) -> None:
         good_manifest = {
             "tool": "x", "description": "d", "git_describe": "g",
             "build_type": "Release", "seeds": [1], "jobs": 1, "config": {},
-            "metrics": {"counters": {}, "gauges": {}, "distributions": {},
-                        "histograms": {}},
+            "metrics": {"counters": {}, "gauges": {}, "distributions": {}},
             "profile": {"experiment.run":
                         {"count": 1, "total_sec": 0.5, "max_sec": 0.5}},
             "trace": dict(good_trace),
@@ -481,6 +480,12 @@ def cmd_selftest(args: argparse.Namespace) -> None:
         check_manifest(good_manifest, "selftest")
         check_manifest(dict(good_manifest, profile=None, trace=None),
                        "selftest")
+        _expect_fail(
+            lambda: check_manifest(
+                dict(good_manifest, metrics={"counters": {}, "gauges": {}}),
+                "m"),
+            "metrics block missing 'distributions'",
+            "metrics without distributions")
 
         # Element-graph metric names: known suffixes pass, unknown fail.
         good_elem_metrics = {
@@ -491,7 +496,7 @@ def cmd_selftest(args: argparse.Namespace) -> None:
                          "elem.agent0.updates_sent": 2,
                          "router.forwarded": 9},  # non-elem: not name-checked
             "gauges": {"elem.st0.avg": 1.5},
-            "distributions": {}, "histograms": {},
+            "distributions": {},
         }
         check_manifest(dict(good_manifest, metrics=good_elem_metrics),
                        "selftest")
@@ -518,7 +523,6 @@ def cmd_selftest(args: argparse.Namespace) -> None:
                        "sync.largest_fraction_last": 1.0},
             "distributions": {"sync.time_to_sync_sec":
                               {"count": 1, "mean": 39330.3}},
-            "histograms": {},
         }
         check_manifest(dict(good_manifest, metrics=good_sync_metrics), "m")
         _expect_fail(
