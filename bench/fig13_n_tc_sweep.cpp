@@ -5,6 +5,7 @@
 // across the whole parameter range.
 #include <cstdio>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "bench/common.hpp"
@@ -33,10 +34,9 @@ markov::FJChain make_chain(int n, double tc, double tr) {
 /// instant the full cluster forms.
 constexpr double kSyncWindowSec = 1.5e5;
 
-/// One monitored simulation trial: time to r >= 0.95 (SyncMonitor's
-/// default threshold), or -1 if not reached within the window.
-double measured_time_to_sync(int n, double tc, double tr, std::uint64_t seed,
-                             bool* full_implies_crossing) {
+/// One monitored simulation trial, stopped at full sync or at the end of
+/// the window.
+core::ExperimentResult sync_trial(int n, double tc, double tr, std::uint64_t seed) {
     core::ExperimentConfig cfg;
     cfg.params.n = n;
     cfg.params.tp = sim::SimTime::seconds(121.0);
@@ -46,14 +46,19 @@ double measured_time_to_sync(int n, double tc, double tr, std::uint64_t seed,
     cfg.max_time = sim::SimTime::seconds(kSyncWindowSec);
     cfg.stop_on_full_sync = true;
     cfg.monitor = true;
-    const auto r = core::run_experiment(cfg);
-    if (full_implies_crossing != nullptr && r.full_sync_time_sec.has_value() &&
-        !(r.sync.has_value() && r.sync->time_to_sync_sec >= 0.0)) {
-        // The full cluster re-arms in lockstep, so r hits ~1 the moment
-        // it forms: a full-sync run that never crossed threshold is a bug.
-        *full_implies_crossing = false;
-    }
+    return core::run_experiment(cfg);
+}
+
+/// A trial's time to r >= 0.95 (SyncMonitor's default threshold), or -1
+/// if not reached within the window.
+double measured_time_to_sync(const core::ExperimentResult& r) {
     return r.sync.has_value() ? r.sync->time_to_sync_sec : -1.0;
+}
+
+/// The full cluster re-arms in lockstep, so r hits ~1 the moment it
+/// forms: a full-sync run that never crossed the threshold is a bug.
+bool full_sync_crossed(const core::ExperimentResult& r) {
+    return !r.full_sync_time_sec.has_value() || measured_time_to_sync(r) >= 0.0;
 }
 
 std::string fmt_sync(double t) {
@@ -81,6 +86,8 @@ int main(int argc, char** argv) {
     bool any_sim_never = false;
     std::ostringstream json_rows;
     bool first_json_row = true;
+    // Every simulated trial, in submission order, for the manifest's metrics.
+    std::vector<core::ExperimentResult> trials;
 
     for (const double tc : {0.01, 0.11}) {
         for (const int n : {10, 20, 30}) {
@@ -94,33 +101,32 @@ int main(int argc, char** argv) {
                 grid.push_back(factor);
             }
             struct Row {
-                double g1, fn, sync_sim;
-                bool full_crossed;
+                double g1, fn;
+                core::ExperimentResult trial;
             };
             const std::uint64_t seed_base = options.seed_or(42);
-            const auto rows =
+            auto rows =
                 parallel::map_index<Row>(grid.size(), jobs, [&](std::size_t i) {
                     const auto chain = make_chain(n, tc, grid[i] * tc);
-                    Row row{chain.time_to_break_up_seconds(),
-                            chain.time_to_synchronize_seconds(), -1.0, true};
-                    row.sync_sim = measured_time_to_sync(
-                        n, tc, grid[i] * tc, seed_base + i, &row.full_crossed);
-                    return row;
+                    return Row{chain.time_to_break_up_seconds(),
+                               chain.time_to_synchronize_seconds(),
+                               sync_trial(n, tc, grid[i] * tc, seed_base + i)};
                 });
             for (std::size_t i = 0; i < grid.size(); ++i) {
+                const double sync_sim = measured_time_to_sync(rows[i].trial);
                 std::printf("%7.1f %16s %16s %16s\n", grid[i],
                             fmt_time(rows[i].g1).c_str(),
                             fmt_time(rows[i].fn).c_str(),
-                            fmt_sync(rows[i].sync_sim).c_str());
+                            fmt_sync(sync_sim).c_str());
                 full_implies_crossing =
-                    full_implies_crossing && rows[i].full_crossed;
-                (rows[i].sync_sim >= 0.0 ? any_sim_synced : any_sim_never) = true;
+                    full_implies_crossing && full_sync_crossed(rows[i].trial);
+                (sync_sim >= 0.0 ? any_sim_synced : any_sim_never) = true;
                 json_rows << (first_json_row ? "" : ",\n")
                           << "      {\"n\": " << n << ", \"tc_sec\": " << tc
                           << ", \"tr_over_tc\": " << grid[i]
-                          << ", \"time_to_sync_sec\": " << rows[i].sync_sim
-                          << "}";
+                          << ", \"time_to_sync_sec\": " << sync_sim << "}";
                 first_json_row = false;
+                trials.push_back(std::move(rows[i].trial));
             }
             const double g_at_10tc =
                 make_chain(n, tc, 10.0 * tc).time_to_break_up_seconds();
@@ -136,6 +142,8 @@ int main(int argc, char** argv) {
             breakup_harder_with_n = false;
         }
     }
+
+    parallel::merge_sweep_into(options.ctx, trials);
 
     check(ten_tc_breaks_everything,
           "Tr >= 10*Tc breaks clusters up quickly for every (N, Tc) in the sweep "

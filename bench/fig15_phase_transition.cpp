@@ -4,6 +4,8 @@
 // unsynchronized traffic stream into a completely synchronized one".
 #include <cstdio>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "bench/common.hpp"
 #include "core/core.hpp"
@@ -39,9 +41,9 @@ constexpr double kSyncWindowSec = 1.5e5;
 /// the simulation to the prediction.
 constexpr double kSyncThreshold = 0.95;
 
-/// Time to r >= kSyncThreshold in one monitored trial at this figure's
-/// parameters, or -1 if not reached within the window.
-double measured_time_to_sync(int n, std::uint64_t seed) {
+/// One monitored trial at this figure's parameters, stopped at full sync
+/// or at the end of the window.
+core::ExperimentResult sync_trial(int n, std::uint64_t seed) {
     core::ExperimentConfig cfg;
     cfg.params.n = n;
     cfg.params.tp = sim::SimTime::seconds(121.0);
@@ -52,7 +54,12 @@ double measured_time_to_sync(int n, std::uint64_t seed) {
     cfg.stop_on_full_sync = true;
     cfg.monitor = true;
     cfg.sync_threshold = kSyncThreshold;
-    const auto r = core::run_experiment(cfg);
+    return core::run_experiment(cfg);
+}
+
+/// A trial's time to r >= kSyncThreshold, or -1 if not reached within
+/// the window.
+double measured_time_to_sync(const core::ExperimentResult& r) {
     return r.sync.has_value() ? r.sync->time_to_sync_sec : -1.0;
 }
 
@@ -76,40 +83,44 @@ int main(int argc, char** argv) {
     const int kFromN = 5;
     const int kToN = 32;
     struct Row {
-        double fraction, sync_sim;
+        double fraction;
+        core::ExperimentResult trial;
     };
     const std::uint64_t seed_base = options.seed_or(42);
-    const auto rows = parallel::map_index<Row>(
+    auto rows = parallel::map_index<Row>(
         static_cast<std::size_t>(kToN - kFromN + 1), jobs, [&](std::size_t i) {
             const int n = kFromN + static_cast<int>(i);
-            return Row{fraction_at(n),
-                       measured_time_to_sync(n, seed_base + i)};
+            return Row{fraction_at(n), sync_trial(n, seed_base + i)};
         });
     int first_sim_sync = -1;
     int last_sim_never = -1;
     std::ostringstream json_rows;
+    // Every simulated trial, in submission order, for the manifest's metrics.
+    std::vector<core::ExperimentResult> trials;
     for (int n = kFromN; n <= kToN; ++n) {
-        const Row& row = rows[static_cast<std::size_t>(n - kFromN)];
+        Row& row = rows[static_cast<std::size_t>(n - kFromN)];
         const double frac = row.fraction;
+        const double sync_sim = measured_time_to_sync(row.trial);
         std::printf("%5d %12.6f %14s\n", n, frac,
-                    row.sync_sim >= 0.0 ? fmt_time(row.sync_sim).c_str()
-                                        : ">window");
+                    sync_sim >= 0.0 ? fmt_time(sync_sim).c_str() : ">window");
         if (frac > 0.9) {
             last_unsync = n;
         }
         if (first_sync < 0 && frac < 0.1) {
             first_sync = n;
         }
-        if (first_sim_sync < 0 && row.sync_sim >= 0.0) {
+        if (first_sim_sync < 0 && sync_sim >= 0.0) {
             first_sim_sync = n;
         }
-        if (row.sync_sim < 0.0) {
+        if (sync_sim < 0.0) {
             last_sim_never = n;
         }
         json_rows << (n > kFromN ? ",\n" : "")
                   << "      {\"n\": " << n << ", \"fraction_unsync\": " << frac
-                  << ", \"time_to_sync_sec\": " << row.sync_sim << "}";
+                  << ", \"time_to_sync_sec\": " << sync_sim << "}";
+        trials.push_back(std::move(row.trial));
     }
+    parallel::merge_sweep_into(options.ctx, trials);
 
     markov::ChainParams p;
     p.n = 20;

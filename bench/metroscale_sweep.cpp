@@ -8,6 +8,9 @@
 //   * frac_unsync        rounds whose largest cluster was 1 / closed rounds
 //   * ns/router-round    wall nanoseconds per (router x closed round)
 //   * ns/tx              wall nanoseconds per transmission
+//   * push/tx            event-queue pushes per transmission (a busy check
+//                        run inline or moved within the queue's lane is
+//                        not a push): ~1.1 outside a cluster, ~2 inside
 //   * setup_ms           the same rung at max_time = 0: building the
 //                        kernels and trackers and drawing the first
 //                        expiries, included in wall_ms
@@ -65,10 +68,12 @@ struct Rung {
     std::uint64_t rounds_closed = 0;
     std::uint64_t rounds_unsync = 0;
     std::uint64_t transmissions = 0;
+    std::uint64_t queue_pushes = 0;
     std::uint64_t kernel_state_bytes = 0; ///< max across the rung's trials
     double frac_unsync = 0.0;
     double ns_per_router_round = 0.0;
     double ns_per_tx = 0.0;
+    double pushes_per_tx = 0.0;
     double bytes_per_router = 0.0;
 };
 
@@ -102,6 +107,7 @@ Rung run_rung(int n, int trials, double sim_seconds, std::uint64_t base_seed,
         rung.rounds_closed += r.rounds_closed;
         rung.rounds_unsync += r.rounds_unsynchronized;
         rung.transmissions += r.total_transmissions;
+        rung.queue_pushes += r.queue_pushes;
         rung.kernel_state_bytes =
             std::max(rung.kernel_state_bytes, r.kernel_state_bytes);
         router_rounds += static_cast<std::uint64_t>(n) * r.rounds_closed;
@@ -116,6 +122,8 @@ Rung run_rung(int n, int trials, double sim_seconds, std::uint64_t base_seed,
     }
     if (rung.transmissions > 0) {
         rung.ns_per_tx = rung.wall_ms * 1e6 / static_cast<double>(rung.transmissions);
+        rung.pushes_per_tx = static_cast<double>(rung.queue_pushes) /
+                             static_cast<double>(rung.transmissions);
     }
     rung.bytes_per_router =
         static_cast<double>(rung.kernel_state_bytes) / static_cast<double>(n);
@@ -133,7 +141,7 @@ int main(int argc, char** argv) {
     spec.tool = "metroscale_sweep";
     spec.description = "fig15 phase transition in N pushed to metro scale "
                        "(N up to 1e5) on the PM kernel; reports "
-                       "frac unsync, ns/router-round, ns/tx, setup_ms, "
+                       "frac unsync, ns/router-round, ns/tx, push/tx, setup_ms, "
                        "bytes/router, peak RSS";
     const Options& options = parse_options(argc, argv, spec);
     const int max_n = options.args.integer("max-n", 100000);
@@ -150,9 +158,9 @@ int main(int argc, char** argv) {
     std::vector<Rung> rungs;
     std::uint64_t task = 0;
     section("series: N vs fraction unsynchronized (simulated)");
-    std::printf("%7s %7s %10s %10s %12s %10s %14s %9s %14s\n", "N", "trials",
+    std::printf("%7s %7s %10s %10s %12s %10s %14s %9s %8s %14s\n", "N", "trials",
                 "rounds", "frac", "wall_ms", "setup_ms", "ns/rtr-round", "ns/tx",
-                "bytes/router");
+                "push/tx", "bytes/router");
     for (const int n : ladder) {
         if (n > max_n) {
             continue;
@@ -165,11 +173,11 @@ int main(int argc, char** argv) {
                              options.jobs);
         rung.setup_ms =
             run_rung(n, trials, 0.0, base_seed, setup_task, options.jobs).wall_ms;
-        std::printf("%7d %7d %10llu %10.4f %12.1f %10.1f %14.1f %9.1f %14.1f\n",
+        std::printf("%7d %7d %10llu %10.4f %12.1f %10.1f %14.1f %9.1f %8.2f %14.1f\n",
                     rung.n, rung.trials,
                     static_cast<unsigned long long>(rung.rounds_closed),
                     rung.frac_unsync, rung.wall_ms, rung.setup_ms,
-                    rung.ns_per_router_round, rung.ns_per_tx,
+                    rung.ns_per_router_round, rung.ns_per_tx, rung.pushes_per_tx,
                     rung.bytes_per_router);
         rungs.push_back(rung);
     }
@@ -264,6 +272,7 @@ int main(int argc, char** argv) {
             << ", \"kernel_state_bytes\": " << r.kernel_state_bytes
             << ", \"bytes_per_router\": " << r.bytes_per_router
             << ", \"transmissions\": " << r.transmissions
+            << ", \"queue_pushes\": " << r.queue_pushes
             << (i + 1 < rungs.size() ? "},\n" : "}\n");
     }
     out << "    ],\n";

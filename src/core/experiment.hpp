@@ -124,7 +124,8 @@ struct ExperimentResult {
     /// this number is backend-specific by nature.
     std::uint64_t kernel_state_bytes = 0;
     /// Events the run pushed onto its event queue: PmKernel::queue_pushes()
-    /// on the kernel path (a busy check served inline is never pushed),
+    /// on the kernel path (a busy check served inline is never pushed, nor
+    /// is a stale check moved within the calendar's lane),
     /// Engine::queue_pushes() on the engine path. Backend-specific like
     /// kernel_state_bytes, so deliberately NOT a metric either.
     std::uint64_t queue_pushes = 0;

@@ -6,6 +6,7 @@
 #include <limits>
 #include <optional>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 
 #include "core/cluster_tracker.hpp"
@@ -127,39 +128,44 @@ void PmCalendarQueue::flush_overflow() {
     overflow_min_day_ = new_min;
 }
 
-void PmCalendarQueue::advance_day() {
-    assert(spill_.empty() && "spill events belong to the current day");
-    // The next day to serve is the earliest of: the next occupied bucket,
-    // the lane head's day and the overflow's min day. Scan the bitmap
-    // circularly for the next occupied bucket strictly after the current
-    // day's, but no farther than the lane head's day. Within the window
-    // each bucket holds events of exactly one day, and day -> bucket is an
-    // order-preserving circular map, so the first hit is the minimum day.
-    std::int64_t next = std::numeric_limits<std::int64_t>::max();
-    std::size_t remaining = bucket_mask_; // every bucket except the cursor's
-    if (lane_size_ > 0) {
-        next = day_of(lane_[lane_head_].event.time);
-        assert(next > day_ && "a lane event on the cursor day is served first");
-        remaining = static_cast<std::size_t>(
-            std::min<std::int64_t>(next - day_, static_cast<std::int64_t>(remaining)));
-    }
+std::int64_t PmCalendarQueue::next_occupied_day(std::size_t reach) const noexcept {
+    // Scan the bitmap circularly from the bucket after the cursor's. Within
+    // the window each bucket holds events of exactly one day, and day ->
+    // bucket is an order-preserving circular map, so the first hit is the
+    // minimum day.
     const std::size_t b = cursor_b_;
     std::size_t pos = (b + 1) & bucket_mask_;
-    while (remaining > 0) {
+    while (reach > 0) {
         const std::size_t off = pos & 63U;
         const std::uint64_t word = occupied_[pos >> 6] >> off;
-        const std::size_t span = std::min<std::size_t>(64 - off, remaining);
+        const std::size_t span = std::min<std::size_t>(64 - off, reach);
         if (word != 0) {
             const auto tz = static_cast<std::size_t>(std::countr_zero(word));
             if (tz < span) {
                 const std::size_t hit = pos + tz; // within the word, no wrap
-                next = day_ + static_cast<std::int64_t>((hit - b) & bucket_mask_);
-                break;
+                return day_ + static_cast<std::int64_t>((hit - b) & bucket_mask_);
             }
         }
         pos = (pos + span) & bucket_mask_;
-        remaining -= span;
+        reach -= span;
     }
+    return std::numeric_limits<std::int64_t>::max();
+}
+
+void PmCalendarQueue::advance_day() {
+    assert(spill_.empty() && "spill events belong to the current day");
+    // The next day to serve is the earliest of: the next occupied bucket,
+    // the lane head's day and the overflow's min day. The bucket scan looks
+    // no farther than the lane head's day.
+    std::int64_t next = std::numeric_limits<std::int64_t>::max();
+    std::size_t reach = bucket_mask_; // every bucket except the cursor's
+    if (lane_size_ > 0) {
+        next = day_of(lane_[lane_head_].event.time);
+        assert(next > day_ && "a lane event on the cursor day is served first");
+        reach = static_cast<std::size_t>(
+            std::min<std::int64_t>(next - day_, static_cast<std::int64_t>(reach)));
+    }
+    next = std::min(next, next_occupied_day(reach));
     // Without a bucket hit the overflow's min day may come first
     // (peek_min's outer loop folds it in once the cursor reaches it); a
     // hit never loses to it, as every overflow day inside the window was
@@ -174,13 +180,69 @@ void PmCalendarQueue::advance_day() {
     cursor_pos_ = 0;
 }
 
+std::size_t PmCalendarQueue::requeue_stale_checks(double be, double target,
+                                                  std::uint64_t seq, double& last) {
+    if (lane_size_ < 2 || !(lane_[lane_head_].event.time < be)) {
+        return 0; // no lane check is due before be
+    }
+    // The bounds the pass may not reach, from everything outside the lane:
+    // a time (the cursor day's run head and spill top, and `be` itself)
+    // and a day (the next occupied bucket and the overflow). A check on an
+    // earlier day than a bucketed event is strictly earlier than it, as
+    // day_of is monotone in t.
+    double before = be;
+    const std::vector<Entry>& bucket = buckets_[cursor_b_];
+    if (cursor_sorted_) {
+        if (cursor_pos_ < bucket.size()) {
+            before = std::min(before, bucket[cursor_pos_].event.time);
+        }
+        if (!spill_.empty()) {
+            before = std::min(before, spill_.front().event.time);
+        }
+    } else if (!bucket.empty()) {
+        return 0; // the cursor day is not sorted: its earliest event is unknown
+    }
+    // Only days up to be's can hold a check strictly before be.
+    const std::int64_t be_day = day_of(be);
+    std::int64_t day_limit = std::numeric_limits<std::int64_t>::max();
+    if (be_day > day_) {
+        day_limit = next_occupied_day(static_cast<std::size_t>(std::min<std::int64_t>(
+            be_day - day_, static_cast<std::int64_t>(bucket_mask_))));
+    }
+    if (!overflow_.empty()) {
+        day_limit = std::min(day_limit, overflow_min_day_);
+    }
+
+    // The lane holds a check at be at its tail, so the loop ends there at
+    // the latest; the ring's size does not change.
+    const std::size_t mask = lane_cap_ - 1;
+    std::size_t moved = 0;
+    for (;;) {
+        const Entry& head = lane_[lane_head_];
+        const double t = head.event.time;
+        if (!(t < before) || t > target || day_of(t) >= day_limit) {
+            break;
+        }
+        Entry& tail = lane_[(lane_head_ + lane_size_) & mask];
+        tail.event.kind = head.event.kind;
+        tail.event.node = head.event.node;
+        tail.event.time = be;
+        tail.seq = seq;
+        lane_head_ = (lane_head_ + 1) & mask;
+        last = t;
+        ++moved;
+    }
+    return moved;
+}
+
 void PmCalendarQueue::grow_lane() {
     // Unroll the ring into a buffer twice the size, head first.
-    std::vector<Entry> grown(std::max<std::size_t>(16, 2 * lane_.size()));
+    std::vector<Entry> grown(std::max<std::size_t>(16, 2 * lane_cap_));
     for (std::size_t i = 0; i < lane_size_; ++i) {
-        grown[i] = lane_[(lane_head_ + i) & (lane_.size() - 1)];
+        grown[i] = lane_[(lane_head_ + i) & (lane_cap_ - 1)];
     }
     lane_.swap(grown);
+    lane_cap_ = lane_.size();
     lane_head_ = 0;
 }
 
@@ -235,10 +297,10 @@ void PmCalendarQueue::sort_day(std::vector<Entry>& day) {
         return;
     }
 
-    // Distribute in place over `slots` slots keyed on (t - lo) * scale.
-    // The key is monotone in t (subtraction, scaling by a positive factor
-    // and truncation all preserve order), so a lower slot always holds
-    // earlier times and only ties within a slot need the per-slot sort.
+    // Distribute over `slots` slots keyed on (t - lo) * scale. The key is
+    // monotone in t (subtraction, scaling by a positive factor and
+    // truncation all preserve order), so a lower slot always holds earlier
+    // times and only ties within a slot need the per-slot sort.
     const auto slot_of = [lo, scale, slots](const Entry& e) {
         const auto s = static_cast<std::size_t>((e.event.time - lo) * scale);
         return s < slots ? s : slots - 1;
@@ -251,16 +313,30 @@ void PmCalendarQueue::sort_day(std::vector<Entry>& day) {
         slot_start_[s] += slot_start_[s - 1];
     }
     slot_fill_.assign(slot_start_.begin(), slot_start_.end() - 1);
-    // Cycle leader: carry each misplaced event to its slot's fill cursor
-    // and pick up the event it displaces, until one belongs here.
-    for (std::size_t s = 0; s < slots; ++s) {
-        const std::uint32_t end = slot_start_[s + 1];
-        while (slot_fill_[s] < end) {
-            Entry e = data[slot_fill_[s]];
-            for (std::size_t d = slot_of(e); d != s; d = slot_of(e)) {
-                std::swap(e, data[slot_fill_[d]++]);
+    if (lane_size_ == 0 && lane_cap_ >= k) {
+        // Out of place through the idle lane ring: each event goes straight
+        // to its slot's fill cursor, independent of the others, and the
+        // distributed day is copied back. A synchronized cluster's day
+        // takes this path: its busy checks have all run.
+        Entry* const out = lane_.data();
+        for (std::size_t i = 0; i < k; ++i) {
+            out[slot_fill_[slot_of(data[i])]++] = data[i];
+        }
+        std::copy(out, out + k, data);
+    } else {
+        // In place, when the lane is busy or too small. Cycle leader: carry
+        // each misplaced event to its slot's fill cursor and pick up the
+        // event it displaces, until one belongs here — one chain of
+        // dependent loads.
+        for (std::size_t s = 0; s < slots; ++s) {
+            const std::uint32_t end = slot_start_[s + 1];
+            while (slot_fill_[s] < end) {
+                Entry e = data[slot_fill_[s]];
+                for (std::size_t d = slot_of(e); d != s; d = slot_of(e)) {
+                    std::swap(e, data[slot_fill_[d]++]);
+                }
+                data[slot_fill_[s]++] = e;
             }
-            data[slot_fill_[s]++] = e;
         }
     }
     for (std::size_t s = 0; s < slots; ++s) {
@@ -438,12 +514,29 @@ template <bool Plain, typename Queue>
 }
 
 template <bool Plain, typename Queue>
-[[gnu::always_inline]] inline void PmKernel::busy_check(Queue& queue, int i) {
+[[gnu::always_inline]] inline void PmKernel::busy_check(Queue& queue, int i,
+                                                        double target_sec) {
     const sim::SimTime be = busy_end<Plain>(i);
     if (be > now_) {
         // Extended after this check was scheduled; re-arm at the new end
         // (lazy revalidation, queued flag stays set).
         push_event(queue, be, kPmBusyCheck, static_cast<std::uint32_t>(i));
+        if constexpr (std::is_same_v<Queue, PmCalendarQueue>) {
+            // With one shared busy end, every check the queue serves next
+            // before be is just as stale: each is one event that re-queues
+            // itself at be, run here in one pass. No such check calls out
+            // (no trace event, callback or draw), so the general loop takes
+            // the pass too. Per-node busy ends differ, and keep the queue.
+            if (Plain || shared_busy_) {
+                double last = 0.0;
+                const std::size_t moved =
+                    queue.requeue_stale_checks(be.sec(), target_sec, next_seq_ - 1, last);
+                if (moved != 0) {
+                    processed_ += moved;
+                    now_ = sim::SimTime::seconds(last);
+                }
+            }
+        }
         return;
     }
     std::uint32_t& ps = pending_state_[static_cast<std::size_t>(i)];
@@ -668,7 +761,7 @@ void PmKernel::run_loop(Queue& queue, sim::SimTime target) {
             [[fallthrough]];
         }
         case kPmBusyCheck:
-            busy_check<Plain>(queue, i);
+            busy_check<Plain>(queue, i, target_sec);
             break;
         case kPmDeliver:
             deliver_from(i);

@@ -30,6 +30,12 @@
 //     event is strictly later), the run loop runs it as that event without
 //     queueing it. In the unsynchronized regime that is almost every
 //     transmission.
+//   * Stale busy checks move in one pass: on the calendar, in the
+//     shared-busy model, the busy check that finds the shared busy period
+//     extended re-queues itself at its end and moves every following
+//     check the queue would serve next, all equally stale, to the same
+//     end in the same call. A synchronized cluster's busy chain then
+//     costs one queued check per member, not two.
 //   * The run loop is compiled twice per queue. A *plain run* (the
 //     default model, with nothing watching single events; see
 //     plain_run()) takes an instantiation whose per-event steps carry no
@@ -94,13 +100,17 @@ inline constexpr std::uint32_t kPmKindMask = (1U << kPmKindBits) - 1;
 inline constexpr std::uint32_t kPmGenMask = 0xFFFFFFFFU >> kPmKindBits;
 
 /// A kernel with at least this many routers keeps its events in a
-/// PmCalendarQueue; smaller ones use a PmSortedRunQueue. The value is
-/// the measured crossover of one bare kernel on each queue at the metro
-/// shapes (docs/PERFORMANCE.md, "One PM kernel"): below it the sorted
-/// run's append-mostly pushes win (2.7x at n = 30); above it a
-/// synchronized cluster's random-order re-arms make every sorted-run
-/// round O(n^2) (2.8x slower at n = 1000, 35x at n = 30 000).
-inline constexpr int kPmCalendarMinNodes = 300;
+/// PmCalendarQueue; smaller ones use a PmSortedRunQueue. One bare kernel
+/// on each queue at the metro shapes (docs/PERFORMANCE.md, "Queue
+/// selection") crosses over between n = 125 and 150: below it the sorted
+/// run's append-mostly pushes win (4.6x at n = 30); above it the
+/// calendar does (1.3x at n = 200), and a synchronized cluster's
+/// random-order re-arms make every sorted-run round O(n^2) (5.8x slower
+/// at n = 1000, 148x at n = 30 000). The value is the first scanned n
+/// past the crossover where the calendar also stays well inside the
+/// 512 B/router its smallest rungs are held to (657 B/router at n = 150,
+/// 418 at n = 200): its 1024 bucket headers and bitmap are a fixed ~25 KB.
+inline constexpr int kPmCalendarMinNodes = 200;
 
 /// A drained calendar bucket keeps its storage for its next day up to this
 /// many events and returns anything larger — see pop_min. Busy checks ride
@@ -228,10 +238,12 @@ private:
 /// Batched expiry: when the day cursor reaches a bucket, the bucket is
 /// sorted ONCE into an ascending (time, seq) run and consumed by bumping a
 /// cursor — no per-event heap sift. The day sort is exact and linear in
-/// expected time with no per-event scratch (sort_day): an ordered day
-/// (an equal-time burst) is left as it is, a small day is insertion-sorted,
-/// and a large one is distributed in place over ~k/2 slots by its position
-/// between the day's earliest and latest time, then each slot is sorted.
+/// expected time (sort_day): an ordered day (an equal-time burst) is left
+/// as it is, a small day is insertion-sorted, and a large one is
+/// distributed over ~k/2 slots by its position between the day's earliest
+/// and latest time, then each slot is sorted. The distribution scatters
+/// the day out of place into the lane's ring when the lane is empty and
+/// large enough, and permutes it in place otherwise.
 /// Events pushed into the *current* bucket after its sort (re-armed timers
 /// landing in the same day) go to a small `spill` min-heap.
 ///
@@ -242,7 +254,10 @@ private:
 /// to the buckets. The kernel keeps at most one check per node queued, so
 /// the ring never holds more than n events. The day cursor never advances
 /// past the lane head's day, so a push landing between the lane head and
-/// the next bucketed event still lands at or after the cursor.
+/// the next bucketed event still lands at or after the cursor. In a
+/// synchronized cluster every check has run before the members' re-armed
+/// timers come due, so the ring is idle, and at least as large as the
+/// cluster, exactly when the cluster's day is sorted.
 ///
 /// peek serves the earliest of run head, spill top and lane head. Each
 /// source is itself (time, seq)-ordered, so ordering is strictly
@@ -261,17 +276,23 @@ public:
     // from the run loop) so the kernel's run loop compiles down to direct
     // bucket and cursor operations with no call.
 
+    // Every push writes the entry's fields straight into its slot (the lane
+    // slot, or the bucket's new last element): no Entry is built on the
+    // stack and copied in.
     [[gnu::always_inline]] void push(double time, std::uint64_t seq,
                                      std::uint32_t kind, std::uint32_t node) {
-        const Entry entry{PmEvent{time, kind, node}, seq};
         assert(day_of(time) >= day_ && "push into the past breaks the day cursor");
         ++live_;
         if ((kind & kPmKindMask) == kPmBusyCheck &&
             (lane_size_ == 0 || time >= lane_tail_)) {
-            if (lane_size_ == lane_.size()) {
+            if (lane_size_ == lane_cap_) {
                 grow_lane();
             }
-            lane_[(lane_head_ + lane_size_) & (lane_.size() - 1)] = entry;
+            Entry& slot = lane_[(lane_head_ + lane_size_) & (lane_cap_ - 1)];
+            slot.event.time = time;
+            slot.event.kind = kind;
+            slot.event.node = node;
+            slot.seq = seq;
             ++lane_size_;
             lane_tail_ = time;
             return;
@@ -281,7 +302,7 @@ public:
             if (overflow_.empty() || d < overflow_min_day_) {
                 overflow_min_day_ = d;
             }
-            overflow_.push_back(entry);
+            overflow_.emplace_back(time, seq, kind, node);
         } else {
             const std::size_t b = static_cast<std::size_t>(d) & bucket_mask_;
             if (cursor_sorted_ && b == cursor_b_) {
@@ -291,14 +312,31 @@ public:
                 // late arrivals heap into the spill. Re-armed timers
                 // carry fresh (monotone) seqs at now+Tp-ish times, so the
                 // typical sift terminates immediately.
-                spill_.push_back(entry);
+                spill_.emplace_back(time, seq, kind, node);
                 std::push_heap(spill_.begin(), spill_.end(), After{});
             } else {
-                buckets_[b].push_back(entry);
+                buckets_[b].emplace_back(time, seq, kind, node);
                 occupied_[b >> 6] |= std::uint64_t{1} << (b & 63U);
             }
         }
     }
+
+    /// The one-pass stale-check step, for the shared-busy model only. The
+    /// lane's tail is a busy check just pushed, with seq `seq`, at the
+    /// shared busy end `be` by a check that found the busy period
+    /// extended. Every lane check that the queue would now serve next
+    /// while it is strictly before `be` would find the same busy end and be
+    /// re-queued at `be` in its turn, so this moves each of them, in order,
+    /// from the lane head to the tail at `be`. It stops at the first that
+    /// is at or after `be`, after `target` (the run's limit), or not
+    /// strictly earlier than every event outside the lane: the cursor
+    /// day's run head and spill top, the next occupied day and the
+    /// overflow's min day. The moved checks share `seq`: every later push
+    /// takes a larger one, so they keep the order of one-by-one re-pushes
+    /// against every other event. Returns how many moved; `last` gets the
+    /// time of the last one moved.
+    std::size_t requeue_stale_checks(double be, double target, std::uint64_t seq,
+                                     double& last);
 
     [[nodiscard]] bool empty() const noexcept { return live_ == 0; }
     [[nodiscard]] std::size_t size() const noexcept { return live_; }
@@ -375,7 +413,7 @@ public:
         --live_;
         if (peek_from_ == Source::Lane) {
             assert(lane_size_ > 0);
-            lane_head_ = (lane_head_ + 1) & (lane_.size() - 1);
+            lane_head_ = (lane_head_ + 1) & (lane_cap_ - 1);
             --lane_size_;
             return;
         }
@@ -421,8 +459,12 @@ private:
     /// push order (overflow folds, spills), so the calendar orders by the
     /// stored seq. 24 bytes.
     struct Entry {
+        Entry() = default;
+        /// Builds the entry in its slot (the pushes' emplace_back).
+        Entry(double time, std::uint64_t s, std::uint32_t kind, std::uint32_t node) noexcept
+            : event{time, kind, node}, seq{s} {}
         PmEvent event;
-        std::uint64_t seq;
+        std::uint64_t seq = 0;
     };
 
     /// Strict (time, seq) order, as a function object so std::sort and
@@ -444,6 +486,9 @@ private:
 
     void flush_overflow();
     void advance_day();
+    /// The day of the first occupied bucket after the cursor's, looking
+    /// at most `reach` buckets ahead; INT64_MAX when there is none.
+    [[nodiscard]] std::int64_t next_occupied_day(std::size_t reach) const noexcept;
     void grow_lane();
     void sort_day(std::vector<Entry>& day);
 
@@ -469,10 +514,13 @@ private:
     Source peek_from_ = Source::Run; ///< which source the last peek chose
     std::size_t cursor_pos_ = 0;     ///< next unconsumed index in the run
     std::vector<Entry> spill_;       ///< min-heap of post-sort same-day pushes
-    /// The FIFO lane: a ring of lane_.size() (a power of two, or 0) slots
+    /// The FIFO lane: a ring of lane_cap_ (a power of two, or 0) slots
     /// whose live window is lane_size_ events from lane_head_, in
     /// (time, seq) order. lane_tail_ is the newest lane event's time.
+    /// lane_cap_ is lane_.size(), kept so that no ring index divides by
+    /// the 24-byte entry size. sort_day borrows an empty ring as its buffer.
     std::vector<Entry> lane_;
+    std::size_t lane_cap_ = 0;
     std::size_t lane_head_ = 0;
     std::size_t lane_size_ = 0;
     double lane_tail_ = 0.0;
@@ -543,8 +591,10 @@ public:
         return tx_count_;
     }
     /// Events pushed onto the queue so far. A busy check the run loop
-    /// serves inline is never pushed, so this is events_processed() minus
-    /// the inline checks, plus whatever is still queued or was discarded.
+    /// serves inline is never pushed, and neither is a stale check that
+    /// the one-pass step moves within the calendar's lane (busy_check), so
+    /// this is events_processed() minus the inline and moved checks, plus
+    /// whatever is still queued or was discarded.
     [[nodiscard]] std::uint64_t queue_pushes() const noexcept { return next_seq_; }
     [[nodiscard]] sim::SimTime round_length() const noexcept;
     [[nodiscard]] NodeView node(int i) const;
@@ -602,8 +652,10 @@ private:
     template <bool Plain, typename Queue>
     [[nodiscard]] bool begin_transmission(Queue& queue, int i);
     void deliver_from(int i);
+    /// The busy-check step at now(). `target_sec` is the run's limit,
+    /// which the calendar's one-pass stale-check step may not pass.
     template <bool Plain, typename Queue>
-    void busy_check(Queue& queue, int i);
+    void busy_check(Queue& queue, int i, double target_sec);
     template <bool Plain>
     void extend_busy(int i, sim::SimTime t);
     template <bool Plain = false>
@@ -645,7 +697,8 @@ private:
 
     /// The queue's push counter: the seq of the next push. Queued events
     /// keep the engine queue's relative order; an inline busy check takes
-    /// no seq (see queue_pushes()).
+    /// no seq, and a moved stale check shares the seq of the check
+    /// re-pushed just before it (see queue_pushes()).
     std::uint64_t next_seq_ = 0;
     std::uint64_t processed_ = 0;
     std::uint64_t tx_count_ = 0;

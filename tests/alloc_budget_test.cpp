@@ -1,18 +1,16 @@
-// Allocation budgets of a PM kernel trial on the sorted-run queue and of
-// a shared-LAN scenario run.
+// Allocation budgets of a PM kernel trial on each queue and of a
+// shared-LAN scenario run.
 //
 // Once a small-n trial has reached its working size, its steady state —
 // timer fires, busy checks (queued or run inline), re-arms and the
-// ClusterTracker feed — must not touch the heap. Likewise a shared-LAN
-// run allocates only while it is built: its packet FIFOs are PacketRings
+// ClusterTracker feed — must not touch the heap. A calendar-queue trial
+// returns a drained bucket larger than kPmBucketRetainEvents and re-grows
+// it on the cluster's next day, so its count is not zero but stated: each
+// shape's count over a fixed window is pinned. Likewise a shared-LAN run
+// allocates only while it is built: its packet FIFOs are PacketRings
 // sized at construction, and its engine, packet pool and tracker keep
 // what they reach. This binary replaces the global operator new with a
 // counting one, so it is its own executable.
-//
-// Not covered: the calendar queue (n >= kPmCalendarMinNodes). A drained
-// bucket larger than kPmBucketRetainEvents is returned and re-grown the
-// next round: at n = 300, in the shapes below, that is 2 655 to 11 459
-// allocations per 4·10^4 s. Bounding it is an open ROADMAP item.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -96,6 +94,56 @@ TEST(AllocBudget, SortedRunTrialAllocatesNothingPastWarmUp) {
                 EXPECT_GT(kernel.total_transmissions(), tx_before + 1000) << where;
             }
         }
+    }
+}
+
+TEST(AllocBudget, CalendarTrialAllocationsArePinned) {
+    // The Figure 15 shape (Tp = 121 s, Tc = 0.11 s, Tr = 0.3 s) past the
+    // cliff, both start conditions: 2·10^4 s of warm-up, then the
+    // allocations of 2·10^4 .. 6·10^4 s. Every round is one synchronized
+    // cluster whose re-arms fill a few calendar days past
+    // kPmBucketRetainEvents, and each such bucket re-grows by doubling:
+    // 19 to 23 allocations per closed round. The counts are deterministic,
+    // so a change to one is a change to the queue's storage policy.
+    struct Shape {
+        int n;
+        core::StartCondition start;
+        std::uint64_t allocations;
+        std::uint64_t rounds;
+    };
+    const Shape shapes[] = {
+        {300, core::StartCondition::Unsynchronized, 4918, 261},
+        {300, core::StartCondition::Synchronized, 5971, 261},
+        {1000, core::StartCondition::Unsynchronized, 3744, 174},
+        {1000, core::StartCondition::Synchronized, 3952, 173},
+        {3000, core::StartCondition::Unsynchronized, 1769, 89},
+        {3000, core::StartCondition::Synchronized, 1793, 89},
+    };
+    for (const Shape& shape : shapes) {
+        const std::string where =
+            "n=" + std::to_string(shape.n) +
+            (shape.start == core::StartCondition::Synchronized ? " sync" : " unsync");
+        core::ModelParams p;
+        p.n = shape.n;
+        p.tc = sim::SimTime::seconds(0.11);
+        p.tr = sim::SimTime::seconds(0.3);
+        p.start = shape.start;
+        p.seed = 0xa110c + static_cast<std::uint64_t>(shape.n);
+        core::PmKernel kernel{p};
+        ASSERT_TRUE(kernel.calendar_queue()) << where;
+        core::ClusterTracker tracker{shape.n, kernel.round_length()};
+        tracker.record_rounds(false);
+        kernel.set_tracker_sink(&tracker);
+        kernel.run_until(sim::SimTime::seconds(2e4));
+
+        const std::uint64_t rounds_before = tracker.rounds_closed();
+        const std::uint64_t before = g_allocations.load();
+        kernel.run_until(sim::SimTime::seconds(6e4));
+        const std::uint64_t allocations = g_allocations.load() - before;
+        const std::uint64_t rounds = tracker.rounds_closed() - rounds_before;
+
+        EXPECT_EQ(allocations, shape.allocations) << where;
+        EXPECT_EQ(rounds, shape.rounds) << where;
     }
 }
 

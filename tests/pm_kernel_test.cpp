@@ -16,6 +16,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <initializer_list>
@@ -309,72 +310,117 @@ TEST(PmCalendarQueue, CursorStopsAtLaneHeadDay) {
     EXPECT_TRUE(h.q.empty());
 }
 
+/// The lane's state when a large day is sorted, which picks the day
+/// sort's path: `Unused` (the ring never grew, so it cannot hold the day)
+/// and `Busy` (the ring holds a check) permute the day in place; `Idle`
+/// (the ring is empty and at least as large as the day) scatters it
+/// through the ring.
+enum class LaneWhenSorted { Unused, Idle, Busy };
+
+const char* lane_name(LaneWhenSorted lane) {
+    switch (lane) {
+    case LaneWhenSorted::Unused:
+        return "lane unused";
+    case LaneWhenSorted::Idle:
+        return "lane idle";
+    case LaneWhenSorted::Busy:
+        return "lane busy";
+    }
+    return "";
+}
+
+/// Brings h's lane to `lane` for a day of up to `k` events at 500 .. 501 s:
+/// k checks through the ring (growing it to hold k) and, for `Busy`, one
+/// more check left queued at 900 s, after the day.
+void prepare_lane(CalendarHarness& h, std::size_t k, LaneWhenSorted lane) {
+    if (lane == LaneWhenSorted::Unused) {
+        return;
+    }
+    for (std::size_t i = 0; i < k; ++i) {
+        h.push_check(1.0);
+    }
+    ASSERT_NO_FATAL_FAILURE(h.expect_drain());
+    if (lane == LaneWhenSorted::Busy) {
+        h.push_check(900.0);
+    }
+}
+
 /// Pushes `times` as timers (all inside one calendar day of a queue with
-/// a 1 s day width) and checks that the day drains in (time, seq) order.
-void expect_day_drains_in_order(const std::vector<double>& times) {
+/// a 1 s day width), with the lane in state `lane` when the day is sorted,
+/// and checks that the day drains in (time, seq) order.
+void expect_day_drains_in_order(const std::vector<double>& times, LaneWhenSorted lane) {
     CalendarHarness h{1024.0};
+    ASSERT_NO_FATAL_FAILURE(prepare_lane(h, times.size(), lane));
     for (const double t : times) {
         h.push_timer(t);
     }
-    ASSERT_NO_FATAL_FAILURE(h.expect_drain()) << times.size() << " events";
+    ASSERT_NO_FATAL_FAILURE(h.expect_drain()) << times.size() << " events, "
+                                              << lane_name(lane);
 }
 
 TEST(PmCalendarQueue, LargeDaysSortExactly) {
-    std::mt19937_64 rng{0xda75ULL};
-    std::uniform_real_distribution<double> in_day{500.0, 501.0};
-    for (const std::size_t k : {std::size_t{33}, std::size_t{1000}, std::size_t{30000}}) {
-        std::vector<double> uniform(k);
-        for (double& t : uniform) {
-            t = in_day(rng);
+    // Every shape on both day-sort paths: in place (the lane unused, or
+    // holding a check) and through the idle lane.
+    for (const LaneWhenSorted lane :
+         {LaneWhenSorted::Unused, LaneWhenSorted::Idle, LaneWhenSorted::Busy}) {
+        std::mt19937_64 rng{0xda75ULL};
+        std::uniform_real_distribution<double> in_day{500.0, 501.0};
+        for (const std::size_t k : {std::size_t{33}, std::size_t{1000}, std::size_t{30000}}) {
+            std::vector<double> uniform(k);
+            for (double& t : uniform) {
+                t = in_day(rng);
+            }
+            ASSERT_NO_FATAL_FAILURE(expect_day_drains_in_order(uniform, lane));
         }
-        ASSERT_NO_FATAL_FAILURE(expect_day_drains_in_order(uniform));
-    }
 
-    // Two tight clusters at the ends of the day: nearly every event lands
-    // in the first or the last slot.
-    std::uniform_real_distribution<double> tight{0.0, 1e-9};
-    std::vector<double> clusters(2000);
-    for (std::size_t i = 0; i < clusters.size(); ++i) {
-        clusters[i] = (i % 2 == 0 ? 500.01 : 500.99) + tight(rng);
-    }
-    ASSERT_NO_FATAL_FAILURE(expect_day_drains_in_order(clusters));
+        // Two tight clusters at the ends of the day: nearly every event
+        // lands in the first or the last slot.
+        std::uniform_real_distribution<double> tight{0.0, 1e-9};
+        std::vector<double> clusters(2000);
+        for (std::size_t i = 0; i < clusters.size(); ++i) {
+            clusters[i] = (i % 2 == 0 ? 500.01 : 500.99) + tight(rng);
+        }
+        ASSERT_NO_FATAL_FAILURE(expect_day_drains_in_order(clusters, lane));
 
-    // Ulp-adjacent times, shuffled, some repeated: a span of a few
-    // hundred ulps over ~k/2 slots.
-    std::vector<double> ulps;
-    double t = 500.25;
-    for (int i = 0; i < 700; ++i) {
-        ulps.push_back(t);
-        if (i % 3 == 0) {
+        // Ulp-adjacent times, shuffled, some repeated: a span of a few
+        // hundred ulps over ~k/2 slots.
+        std::vector<double> ulps;
+        double t = 500.25;
+        for (int i = 0; i < 700; ++i) {
             ulps.push_back(t);
+            if (i % 3 == 0) {
+                ulps.push_back(t);
+            }
+            t = std::nextafter(t, 501.0);
         }
-        t = std::nextafter(t, 501.0);
-    }
-    std::shuffle(ulps.begin(), ulps.end(), rng);
-    ASSERT_NO_FATAL_FAILURE(expect_day_drains_in_order(ulps));
+        std::shuffle(ulps.begin(), ulps.end(), rng);
+        ASSERT_NO_FATAL_FAILURE(expect_day_drains_in_order(ulps, lane));
 
-    // Equal-time runs: 1000 events over 20 distinct times, in random
-    // order, so every slot holds ties that only seq can order.
-    std::vector<double> runs(1000);
-    for (double& r : runs) {
-        r = 500.0 + 0.05 * static_cast<double>(rng() % 20);
-    }
-    ASSERT_NO_FATAL_FAILURE(expect_day_drains_in_order(runs));
+        // Equal-time runs: 1000 events over 20 distinct times, in random
+        // order, so every slot holds ties that only seq can order.
+        std::vector<double> runs(1000);
+        for (double& r : runs) {
+            r = 500.0 + 0.05 * static_cast<double>(rng() % 20);
+        }
+        ASSERT_NO_FATAL_FAILURE(expect_day_drains_in_order(runs, lane));
 
-    // An equal-time burst in push order (the re-arm burst shape) and one
-    // with a single straggler ahead of it.
-    std::vector<double> burst(5000, 500.5);
-    ASSERT_NO_FATAL_FAILURE(expect_day_drains_in_order(burst));
-    burst.push_back(500.25);
-    ASSERT_NO_FATAL_FAILURE(expect_day_drains_in_order(burst));
+        // An equal-time burst in push order (the re-arm burst shape) and
+        // one with a single straggler ahead of it.
+        std::vector<double> burst(5000, 500.5);
+        ASSERT_NO_FATAL_FAILURE(expect_day_drains_in_order(burst, lane));
+        burst.push_back(500.25);
+        ASSERT_NO_FATAL_FAILURE(expect_day_drains_in_order(burst, lane));
 
-    // A day whose bucket holds its ties in descending seq.
-    CalendarHarness reversed{1024.0};
-    for (std::uint64_t s = 0; s < 1000; ++s) {
-        reversed.push_as(500.0 + 0.1 * static_cast<double>(s % 7), core::kPmTimer,
-                         1000 - s);
+        // A day whose bucket holds its ties in descending seq.
+        CalendarHarness reversed{1024.0};
+        ASSERT_NO_FATAL_FAILURE(prepare_lane(reversed, 1000, lane));
+        const std::uint64_t base = reversed.seq;
+        for (std::uint64_t s = 0; s < 1000; ++s) {
+            reversed.push_as(500.0 + 0.1 * static_cast<double>(s % 7), core::kPmTimer,
+                             base + 1000 - s);
+        }
+        ASSERT_NO_FATAL_FAILURE(reversed.expect_drain()) << lane_name(lane);
     }
-    ASSERT_NO_FATAL_FAILURE(reversed.expect_drain());
 }
 
 TEST(PmCalendarQueue, OverflowFoldedDaySortsTiesBySeq) {
@@ -1152,6 +1198,78 @@ TEST(PmKernelDifferential, MatchesEngineAtLargeNSynchronizedRounds) {
     }
 }
 
+/// A random calendar-queue trial: n from the queue threshold up, Tc and
+/// Tr over a wide range, either start (sometimes with phases on a Tc
+/// grid, which ties timers to busy-check times), each model variant,
+/// trigger waves, hook chains, tracing and run_until stops at random times.
+TrialSpec sample_calendar_trial(std::mt19937_64& rng) {
+    std::uniform_real_distribution<double> u{0.0, 1.0};
+    TrialSpec spec;
+    core::ModelParams& p = spec.params;
+    p.n = core::kPmCalendarMinNodes + static_cast<int>(rng() % 400);
+    p.tp = sim::SimTime::seconds(20.0 + 130.0 * u(rng));
+    p.tc = sim::SimTime::seconds(0.01 + 0.2 * u(rng));
+    p.tr = sim::SimTime::seconds(u(rng) < 0.2 ? 0.0 : 2.0 * u(rng));
+    p.start = u(rng) < 0.5 ? core::StartCondition::Synchronized
+                           : core::StartCondition::Unsynchronized;
+    p.seed = rng();
+    const double variant = u(rng);
+    if (variant < 0.12) {
+        p.notification = core::Notification::AfterPreparation;
+    } else if (variant < 0.24) {
+        p.per_node_tc.resize(static_cast<std::size_t>(p.n));
+        for (double& tc : p.per_node_tc) {
+            tc = p.tc.sec() * (0.5 + u(rng));
+        }
+    } else if (variant < 0.32) {
+        p.reset_at_expiry = true;
+    }
+    if (u(rng) < 0.2) {
+        p.initial_phases.resize(static_cast<std::size_t>(p.n));
+        for (double& ph : p.initial_phases) {
+            ph = std::floor(u(rng) * 20.0) * p.tc.sec();
+        }
+    }
+    spec.horizon = sim::SimTime::seconds(p.tp.sec() * (2.0 + 3.0 * u(rng)));
+    spec.trigger = u(rng) < 0.3;
+    spec.trig_at = sim::SimTime::seconds(spec.horizon.sec() * 0.5 * u(rng));
+    spec.trace = u(rng) < 0.5;
+    if (u(rng) < 0.5) {
+        spec.hooks = 1 + static_cast<int>(rng() % 30);
+        spec.hook_every = sim::SimTime::seconds(0.05 + 3.0 * u(rng));
+    }
+    for (int k = static_cast<int>(rng() % 4); k > 0; --k) {
+        spec.stops.push_back(sim::SimTime::seconds(spec.horizon.sec() * 0.6 * u(rng)));
+    }
+    std::sort(spec.stops.begin(), spec.stops.end());
+    spec.stops.erase(std::unique(spec.stops.begin(), spec.stops.end()), spec.stops.end());
+    return spec;
+}
+
+TEST(PmKernelDifferential, MatchesEngineOnRandomizedCalendarPoints) {
+    // The randomized sweep above stays on the sorted run (n <= 24). These
+    // points run on the calendar, where a synchronized start's busy chain
+    // takes the one-pass stale-check step, interrupted by hooks, waves,
+    // timers on the Tc grid and run_until stops, and the per-node busy
+    // variants must not take it. Default-model points also run their
+    // tracked twins (the plain loop).
+    std::mt19937_64 rng{0xca1e7ULL};
+    int calendar_chains = 0;
+    for (int point = 0; point < 80; ++point) {
+        const TrialSpec spec = sample_calendar_trial(rng);
+        const std::string where = "calendar point " + std::to_string(point) + " (n=" +
+                                  std::to_string(spec.params.n) + ")";
+        ASSERT_NO_FATAL_FAILURE(expect_same_digest(run_kernel(spec), run_engine(spec), where));
+        if (default_model(spec)) {
+            (void)expect_tracked_twins_agree(spec, point % 2 == 1, where);
+            ASSERT_FALSE(HasFatalFailure());
+        }
+        calendar_chains +=
+            spec.params.start == core::StartCondition::Synchronized && default_model(spec) ? 1 : 0;
+    }
+    EXPECT_GT(calendar_chains, 10);
+}
+
 void expect_same_experiment(const core::ExperimentResult& got,
                             const core::ExperimentResult& want,
                             const std::string& where) {
@@ -1491,18 +1609,31 @@ struct Twins {
         kernel->run_until(t);
     }
     /// A hook at `t` on both, folding the clock, the event count and node
-    /// 0's state into the callback digest when it runs.
-    void schedule_probe(sim::SimTime t) {
-        engine.schedule_at(t, [this] {
-            engine_stream.hook(engine.now());
-            engine_stream.h = fnv1a(engine_stream.h, engine.events_processed());
-            engine_stream.h = node_state_hash(engine_stream.h, model->node(0));
+    /// 0's state into the callback digest when it runs. With `then` set,
+    /// the hook schedules one more such hook `then` after itself.
+    void schedule_probe(sim::SimTime t, sim::SimTime then = sim::SimTime::zero()) {
+        engine.schedule_at(t, [this, then] {
+            probe_engine();
+            if (then > sim::SimTime::zero()) {
+                engine.schedule_at(engine.now() + then, [this] { probe_engine(); });
+            }
         });
-        kernel->schedule_hook(t, [this] {
-            kernel_stream.hook(kernel->now());
-            kernel_stream.h = fnv1a(kernel_stream.h, kernel->events_processed());
-            kernel_stream.h = node_state_hash(kernel_stream.h, kernel->node(0));
+        kernel->schedule_hook(t, [this, then] {
+            probe_kernel();
+            if (then > sim::SimTime::zero()) {
+                kernel->schedule_hook(kernel->now() + then, [this] { probe_kernel(); });
+            }
         });
+    }
+    void probe_engine() {
+        engine_stream.hook(engine.now());
+        engine_stream.h = fnv1a(engine_stream.h, engine.events_processed());
+        engine_stream.h = node_state_hash(engine_stream.h, model->node(0));
+    }
+    void probe_kernel() {
+        kernel_stream.hook(kernel->now());
+        kernel_stream.h = fnv1a(kernel_stream.h, kernel->events_processed());
+        kernel_stream.h = node_state_hash(kernel_stream.h, kernel->node(0));
     }
 
     void expect_agree(const std::string& where) const {
@@ -1526,6 +1657,13 @@ struct Twins {
     std::unique_ptr<core::PeriodicMessagesModel> model;
     std::unique_ptr<core::PmKernel> kernel;
 };
+
+/// A router count on the calendar queue whose day width, 0.3 s at
+/// Tc = 0.11 s, puts 10 s .. 10.22 s on one calendar day: the inline-check
+/// cases below are then decided by the queue's answer, not by a day
+/// boundary. The chain tests run their busy chain at the same size.
+constexpr int kCalendarRouters = 300;
+static_assert(kCalendarRouters >= core::kPmCalendarMinNodes);
 
 /// n routers: node 0 fires at `first`, node 1 at `second`, the rest at
 /// least a second later and spread over the period. Tc = 0.11 s.
@@ -1551,7 +1689,7 @@ TEST(PmKernelInlineCheck, TimerDueAtTheCheckTimeRunsFirst) {
     // day of the calendar holds t .. t + 2Tc.
     const double t = 10.0;
     const sim::SimTime check = sim::SimTime::seconds(t) + sim::SimTime::seconds(0.11);
-    for (const int n : {2, core::kPmCalendarMinNodes}) {
+    for (const int n : {2, kCalendarRouters}) {
         const std::string where = "n=" + std::to_string(n);
         Twins twins{phased_params(n, t, check.sec())};
         twins.run_until(check);
@@ -1579,7 +1717,7 @@ TEST(PmKernelInlineCheck, HookDueAtTheCheckTimeRunsFirst) {
     // it must see node 0 unarmed and the engine's event count.
     const double t = 10.0;
     const sim::SimTime check = sim::SimTime::seconds(t) + sim::SimTime::seconds(0.11);
-    for (const int n : {2, core::kPmCalendarMinNodes}) {
+    for (const int n : {2, kCalendarRouters}) {
         const std::string where = "n=" + std::to_string(n);
         Twins twins{phased_params(n, t, t + 1.0)};
         twins.schedule_probe(check);
@@ -1702,6 +1840,205 @@ TEST(PmKernelInlineCheck, Fig13PointPushCountIsPinned) {
     EXPECT_EQ(on_engine.queue_pushes, engine.queue_pushes());
     EXPECT_EQ(on_engine.queue_pushes, 33610U);
     // Not a metric: the metrics blocks stay identical across backends.
+    EXPECT_EQ(on_kernel.metrics.to_json(), on_engine.metrics.to_json());
+}
+
+// ---------------------------------------------------------------------------
+// The one-pass stale checks: on the calendar, in the shared-busy model, a
+// stale busy check moves every following check the queue would serve next
+// before the shared busy end, and stops at each bound the engine's one-by-
+// one re-pushes would reveal: the run target, a hook, a trigger wave and a
+// timer, each inside the chain.
+
+/// The Figure 15 shape from a synchronized start at kCalendarRouters
+/// routers: every timer fires at t = 0, so the first busy chain queues the
+/// k-th fire's check at chain_check_time(k) and ends at n * Tc (33 s). All
+/// but the last check are stale when they come due.
+core::ModelParams chain_params() {
+    core::ModelParams p;
+    p.n = kCalendarRouters;
+    p.tc = sim::SimTime::seconds(0.11);
+    p.tr = sim::SimTime::seconds(0.3);
+    p.start = core::StartCondition::Synchronized;
+    p.seed = 0x57a1e + static_cast<std::uint64_t>(kCalendarRouters);
+    return p;
+}
+
+/// The shared busy end after k transmissions at t = 0, as the kernel and
+/// the engine accumulate it: the k-th fire's check time.
+sim::SimTime chain_check_time(const core::ModelParams& p, int k) {
+    sim::SimTime be = sim::SimTime::zero() + p.tc;
+    for (int i = 1; i < k; ++i) {
+        be += p.tc;
+    }
+    return be;
+}
+
+/// Past the first chain and the first re-armed round.
+constexpr sim::SimTime kAfterChain = sim::SimTime::seconds(400.0);
+
+TEST(PmKernelStaleChecks, RunUntilInsideTheChainEndsLikeOneCall) {
+    // Targets inside the first chain: between two checks, exactly on one
+    // (a check at the target still runs) and just before the chain's last
+    // check. The kernel agrees with the engine at every stop and ends
+    // where one call ends.
+    const core::ModelParams p = chain_params();
+    Twins one_call{p};
+    one_call.run_until(kAfterChain);
+    ASSERT_NO_FATAL_FAILURE(one_call.expect_agree("one call"));
+
+    const std::vector<sim::SimTime> stops = {
+        sim::SimTime::seconds(5.0), chain_check_time(p, 100),
+        chain_check_time(p, p.n) - sim::SimTime::seconds(0.05)};
+    Twins split{p};
+    for (const sim::SimTime stop : stops) {
+        split.run_until(stop);
+        ASSERT_NO_FATAL_FAILURE(split.expect_agree("stop at " + std::to_string(stop.sec())));
+        EXPECT_EQ(split.kernel->now(), stop);
+    }
+    split.run_until(kAfterChain);
+    ASSERT_NO_FATAL_FAILURE(split.expect_agree("split, at the end"));
+    EXPECT_EQ(split.kernel->events_processed(), one_call.kernel->events_processed());
+    EXPECT_EQ(split.kernel_stream.h, one_call.kernel_stream.h);
+    EXPECT_EQ(split.kernel_sink.h, one_call.kernel_sink.h);
+    // The first two stops leave stale checks queued, and the first of
+    // them re-queues itself when the run resumes: one push each. The last
+    // leaves only the chain's last check, which is not stale.
+    EXPECT_EQ(split.kernel->queue_pushes(), one_call.kernel->queue_pushes() + 2);
+
+    // The same stops on the plain loop (tracked twins).
+    TrialSpec spec = metro_trial(p.n, p.seed, true);
+    spec.horizon = kAfterChain;
+    spec.stops = stops;
+    (void)expect_tracked_twins_agree(spec, false, "tracked, split in the chain");
+}
+
+TEST(PmKernelStaleChecks, HookInsideTheChainStopsIt) {
+    // Hooks (the resource sampler's mechanism) at 10 s, exactly on the
+    // 50th check, which they precede by push order, and at 20 s and
+    // 20.19 s, one calendar day (0.3 s wide here). The one at 20 s
+    // schedules one more at 20.1 s while that day is being served, so the
+    // new hook waits in the spill, not in a bucket. Each hook sees the
+    // engine's event count and node state, so the pass stopped in front
+    // of it.
+    const core::ModelParams p = chain_params();
+    Twins unhooked{p};
+    unhooked.run_until(kAfterChain);
+    Twins twins{p};
+    twins.schedule_probe(sim::SimTime::seconds(10.0));
+    twins.schedule_probe(chain_check_time(p, 50));
+    twins.schedule_probe(sim::SimTime::seconds(20.0), sim::SimTime::seconds(0.1));
+    twins.schedule_probe(sim::SimTime::seconds(20.19));
+    twins.run_until(kAfterChain);
+    ASSERT_NO_FATAL_FAILURE(twins.expect_agree("hooked"));
+    EXPECT_EQ(twins.kernel->events_processed(), unhooked.kernel->events_processed() + 5);
+    // Beyond the five hooks' own pushes: after a hook, the next stale
+    // check re-queues itself before the pass resumes.
+    EXPECT_GT(twins.kernel->queue_pushes(), unhooked.kernel->queue_pushes() + 5);
+}
+
+TEST(PmKernelStaleChecks, TriggerWaveInsideTheChainStopsIt) {
+    // A trigger_all_at wave at 10 s: n more transmissions extend the
+    // shared busy period, so the checks after the wave re-queue at its new
+    // end, as on the engine. Compared at the wave and after.
+    const core::ModelParams p = chain_params();
+    Twins twins{p};
+    const sim::SimTime wave = sim::SimTime::seconds(10.0);
+    twins.engine.schedule_at(wave, [&twins] { twins.model->trigger_update_all(); });
+    twins.kernel->schedule_trigger_all(wave);
+    twins.run_until(wave);
+    ASSERT_NO_FATAL_FAILURE(twins.expect_agree("at the wave"));
+    EXPECT_EQ(twins.kernel->total_transmissions(), static_cast<std::uint64_t>(2 * p.n));
+    twins.run_until(kAfterChain);
+    ASSERT_NO_FATAL_FAILURE(twins.expect_agree("after the wave"));
+}
+
+TEST(PmKernelStaleChecks, TimerAtAStaleCheckTimeStopsIt) {
+    // n - 1 routers fire at t = 0; the last one's timer is due exactly at
+    // the 40th check's time, with an earlier push seq, so it fires first
+    // and extends the busy period before that check runs. A pass that
+    // moved the check past the tie would cost the engine's count one event.
+    core::ModelParams p = chain_params();
+    p.initial_phases.assign(static_cast<std::size_t>(p.n), 0.0);
+    p.initial_phases.back() = chain_check_time(p, 40).sec();
+    Twins twins{p};
+    twins.run_until(chain_check_time(p, 40));
+    ASSERT_NO_FATAL_FAILURE(twins.expect_agree("at the tie"));
+    twins.run_until(kAfterChain);
+    ASSERT_NO_FATAL_FAILURE(twins.expect_agree("after the tie"));
+}
+
+TEST(PmKernelStaleChecks, StaysOffForPerNodeBusyPeriods) {
+    // Up to 100 s the first chain has run and no re-armed timer has fired,
+    // so no check ran inline: a kernel without the pass pushes exactly
+    // what the engine schedules. Per-node Tc and AfterPreparation keep
+    // per-node busy ends and the queue; the default model moves the 298
+    // checks between the first stale one and the chain's last.
+    const sim::SimTime until = sim::SimTime::seconds(100.0);
+    core::ModelParams per_node_tc = chain_params();
+    std::mt19937_64 rng{0x7c};
+    std::uniform_real_distribution<double> scale{0.5, 1.5};
+    per_node_tc.per_node_tc.resize(static_cast<std::size_t>(per_node_tc.n));
+    for (double& tc : per_node_tc.per_node_tc) {
+        tc = per_node_tc.tc.sec() * scale(rng);
+    }
+    core::ModelParams after = chain_params();
+    after.notification = core::Notification::AfterPreparation;
+    for (const core::ModelParams& p : {per_node_tc, after}) {
+        const std::string where = p.per_node_tc.empty() ? "AfterPreparation" : "per-node Tc";
+        Twins twins{p};
+        twins.run_until(until);
+        ASSERT_NO_FATAL_FAILURE(twins.expect_agree(where));
+        EXPECT_FALSE(twins.kernel->shared_busy()) << where;
+        EXPECT_EQ(twins.kernel->queue_pushes(), twins.engine.queue_pushes()) << where;
+        twins.run_until(kAfterChain);
+        ASSERT_NO_FATAL_FAILURE(twins.expect_agree(where + " at 400 s"));
+    }
+
+    const core::ModelParams p = chain_params();
+    Twins twins{p};
+    twins.run_until(until);
+    ASSERT_NO_FATAL_FAILURE(twins.expect_agree("default model"));
+    EXPECT_EQ(twins.engine.queue_pushes() - twins.kernel->queue_pushes(),
+              static_cast<std::uint64_t>(p.n - 2));
+}
+
+TEST(PmKernelStaleChecks, SynchronizedCalendarPointPushCountIsPinned) {
+    // N = 300 at Figure 15's parameters from a synchronized start, 2·10^4
+    // s: every round is one cluster. The event count is the engine's; the
+    // push count pins the one-pass step.
+    const core::ModelParams p = chain_params();
+    const sim::SimTime until = sim::SimTime::seconds(2e4);
+    core::PmKernel kernel{p};
+    kernel.run_until(until);
+    sim::Engine engine;
+    core::PeriodicMessagesModel model{engine, p};
+    engine.run_until(until);
+    EXPECT_EQ(kernel.events_processed(), engine.events_processed());
+    EXPECT_EQ(kernel.total_transmissions(), model.total_transmissions());
+    EXPECT_EQ(kernel.events_processed(), 117987U); // 3.0 per transmission
+    EXPECT_EQ(kernel.total_transmissions(), 39300U);
+    // 2.02 pushes per transmission: a member's re-armed timer and its
+    // busy check, plus the few stale checks re-queued one at a time while
+    // the cluster's fires still interleave with them. No check ran inline
+    // here, so with every stale check re-queued one at a time, as the
+    // engine does, the run made 118 287 pushes (3.01 per transmission):
+    // its events plus the 300 timers still queued.
+    EXPECT_EQ(kernel.queue_pushes(), 79381U);
+    EXPECT_EQ(kernel.queue_size(), 300U);
+    EXPECT_EQ(engine.queue_pushes(), 118287U);
+
+    core::ExperimentConfig cfg;
+    cfg.params = p;
+    cfg.max_time = until;
+    cfg.backend = core::ExperimentBackend::FastKernel;
+    const core::ExperimentResult on_kernel = core::run_experiment(cfg);
+    EXPECT_EQ(on_kernel.events_processed, kernel.events_processed());
+    EXPECT_EQ(on_kernel.queue_pushes, kernel.queue_pushes());
+    cfg.backend = core::ExperimentBackend::Engine;
+    const core::ExperimentResult on_engine = core::run_experiment(cfg);
+    EXPECT_EQ(on_engine.events_processed, kernel.events_processed());
+    EXPECT_EQ(on_engine.queue_pushes, engine.queue_pushes());
     EXPECT_EQ(on_kernel.metrics.to_json(), on_engine.metrics.to_json());
 }
 
