@@ -42,6 +42,7 @@ core::ExperimentConfig canonical() {
 struct NotificationOutcome {
     std::optional<double> full_sync_time_sec;
     int max_cluster = 0;
+    double end_time_sec = 0.0;
 };
 
 NotificationOutcome run_notification(bool immediate) {
@@ -54,15 +55,20 @@ NotificationOutcome run_notification(bool immediate) {
     const auto r = core::run_experiment(cfg);
     NotificationOutcome out;
     out.full_sync_time_sec = r.full_sync_time_sec;
+    out.end_time_sec = r.end_time_sec;
     for (const auto& round : r.rounds) {
         out.max_cluster = std::max(out.max_cluster, round.largest);
     }
     return out;
 }
 
-/// One detection-tolerance run of section B; returns the detected full-sync
-/// instant (or -1 if never).
-double run_tolerance(double tol) {
+struct ToleranceOutcome {
+    double full_sync_at = -1.0; ///< the detected full-sync instant, -1 if never
+    double end_time_sec = 0.0;
+};
+
+/// One detection-tolerance run of section B.
+ToleranceOutcome run_tolerance(double tol) {
     sim::Engine engine;
     auto cfg = canonical();
     core::PeriodicMessagesModel model{engine, cfg.params};
@@ -85,7 +91,7 @@ double run_tolerance(double tol) {
     engine.run_until(cfg.max_time);
     tracker.finish();
     const auto sync = tracker.full_sync_time();
-    return sync ? sync->sec() : -1.0;
+    return ToleranceOutcome{sync ? sync->sec() : -1.0, engine.now().sec()};
 }
 
 } // namespace
@@ -95,6 +101,7 @@ int main(int argc, char** argv) {
     header("Ablation", "model assumptions: notification timing and detection "
                        "tolerance");
 
+    double sim_seconds = 0.0;
     section("A. notification timing (canonical parameters, 1e6 s horizon)");
     {
         // The immediate- and delayed-notification experiments are
@@ -102,6 +109,7 @@ int main(int argc, char** argv) {
         const std::vector<NotificationOutcome> outcomes =
             parallel::map_index<NotificationOutcome>(
                 2, jobs, [](std::size_t i) { return run_notification(i == 0); });
+        sim_seconds += sim_seconds_of(outcomes);
         const NotificationOutcome& immediate = outcomes[0];
         const NotificationOutcome& delayed = outcomes[1];
         const int max_cluster = delayed.max_cluster;
@@ -128,12 +136,12 @@ int main(int argc, char** argv) {
         const std::vector<double> tols{1e-9, 1e-7, 1e-6, 1e-4, 1e-3};
         // Each tolerance gets its own engine and model, so the sweep fans
         // over the workers; rows print in tolerance order.
-        const std::vector<double> sync_times = parallel::map_index<double>(
+        const std::vector<ToleranceOutcome> runs = parallel::map_index<ToleranceOutcome>(
             tols.size(), jobs, [&](std::size_t i) { return run_tolerance(tols[i]); });
         double reference = -1.0;
         bool all_agree = true;
         for (std::size_t i = 0; i < tols.size(); ++i) {
-            const double at = sync_times[i];
+            const double at = runs[i].full_sync_at;
             std::printf("%14.0e %16.1f\n", tols[i], at);
             if (reference < 0) {
                 reference = at;
@@ -144,7 +152,8 @@ int main(int argc, char** argv) {
         check(all_agree && reference > 0,
               "the detected synchronization time is identical across six "
               "orders of magnitude of tolerance");
+        sim_seconds += sim_seconds_of(runs);
     }
 
-    return footer();
+    return footer(sim_seconds);
 }

@@ -114,5 +114,5 @@ int main(int argc, char** argv) {
     check(ls.drops_excessive_collisions == 0,
           "binary exponential backoff resolved every collision");
 
-    return footer();
+    return footer(engine.now().sec());
 }

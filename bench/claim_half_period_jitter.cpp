@@ -104,5 +104,5 @@ int main(int argc, char** argv) {
           "the free-running clock has no mechanism to break up existing "
           "synchronization (the paper's stated drawback)");
 
-    return footer();
+    return footer(half.end_time_sec + locked.end_time_sec + frozen.end_time_sec);
 }

@@ -65,5 +65,5 @@ int main(int argc, char** argv) {
     check(fifty_ms_fails,
           "OS-level noise (~50 ms) cannot prevent synchronization");
 
-    return footer();
+    return footer(0.0); // the Markov chain only: no simulation
 }

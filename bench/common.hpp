@@ -83,9 +83,6 @@ struct Options {
     bool monitor = false;
     /// Every parsed flag; benches read their OptionsSpec::extra flags here.
     cli::Args args;
-    /// Simulated seconds covered by the run; benches set this before
-    /// footer() so the manifest can record it.
-    double sim_seconds = 0.0;
     /// The bench's observability context: tracing is wired here by
     /// parse_options (--trace), metrics and manifest accumulate here.
     obs::RunContext ctx;
@@ -374,17 +371,32 @@ inline void write_json_section(const std::string& path, const std::string& key,
     out << "}\n";
 }
 
+/// The simulated seconds a set of runs covers: the sum of their end
+/// times (each run's `end_time_sec`, the field core::ExperimentResult
+/// carries).
+template <typename Results>
+[[nodiscard]] double sim_seconds_of(const Results& results) {
+    double total = 0.0;
+    for (const auto& r : results) {
+        total += r.end_time_sec;
+    }
+    return total;
+}
+
 /// footer() without the shape-check summary line — for the examples,
 /// which have no checks but still honour --out (and --trace where wired).
-inline int footer_quiet() {
+/// `sim_seconds` is the simulated time summed over every simulation the
+/// binary ran (0 for a binary that only evaluates the Markov chain); the
+/// manifest records it.
+inline int footer_quiet(double sim_seconds) {
     Options& o = opts();
     o.ctx.manifest().failed_checks = g_failed_checks;
     if (!o.out.empty()) {
-        o.ctx.write_manifest(o.out, o.sim_seconds);
+        o.ctx.write_manifest(o.out, sim_seconds);
     } else if (!o.trace.empty() || o.profile) {
         // Still flush + hash the trace (and fold the profile into the
         // manifest) so --trace/--profile alone leave a complete record.
-        o.ctx.finish(o.sim_seconds);
+        o.ctx.finish(sim_seconds);
     }
     if (o.profile) {
         if (FILE* f = chatter()) {
@@ -397,14 +409,14 @@ inline int footer_quiet() {
     return 0; // benches report, they do not abort the bench sweep
 }
 
-inline int footer() {
+inline int footer(double sim_seconds) {
     if (FILE* f = chatter()) {
         std::fprintf(f, "\n%s (%d failed shape checks)\n",
                      g_failed_checks == 0 ? "ALL SHAPE CHECKS PASSED"
                                           : "SHAPE CHECKS FAILED",
                      g_failed_checks);
     }
-    return footer_quiet();
+    return footer_quiet(sim_seconds);
 }
 
 } // namespace routesync::bench

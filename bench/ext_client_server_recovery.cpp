@@ -69,5 +69,6 @@ int main(int argc, char** argv) {
     check(spread_result.recovery_duration_sec < 16.0,
           "randomized re-registration recovers near the serial floor");
 
-    return footer();
+    // Each run simulates up to its horizon.
+    return footer(base.horizon_sec + spread.horizon_sec);
 }

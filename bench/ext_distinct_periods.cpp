@@ -35,6 +35,7 @@ namespace {
 struct Outcome {
     double unsync_fraction;
     int final_largest;
+    double end_time_sec;
 };
 
 Outcome run(double delta) {
@@ -59,6 +60,7 @@ Outcome run(double delta) {
             : static_cast<double>(r.rounds_unsynchronized) /
                   static_cast<double>(r.rounds_closed);
     out.final_largest = r.rounds.empty() ? 0 : r.rounds.back().largest;
+    out.end_time_sec = r.end_time_sec;
     return out;
 }
 
@@ -69,7 +71,6 @@ int main(int argc, char** argv) {
         argc, argv,
         "distinct fixed periods per router: entrainment vs dispersion");
     const std::size_t jobs = options.jobs;
-    options.sim_seconds = 3e5;
     header("Extension (paper Section 6 open question)",
            "distinct fixed periods per router: entrainment vs dispersion "
            "(N=20, Tc=0.11 s, synchronized start, 3e5 s)");
@@ -123,5 +124,5 @@ int main(int argc, char** argv) {
     check(absorbed.final_largest == 20,
           "millisecond-scale period differences are completely absorbed");
 
-    return footer();
+    return footer(sim_seconds_of(outcomes));
 }

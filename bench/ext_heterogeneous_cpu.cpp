@@ -33,6 +33,7 @@ struct ClassOutcome {
     double separation = 0.0;
     /// Final reset instant per node, for the detailed seed's breakdown.
     std::vector<double> last_sets;
+    double end_time_sec = 0.0;
 };
 
 ClassOutcome run_hetero(std::uint64_t seed) {
@@ -59,6 +60,7 @@ ClassOutcome run_hetero(std::uint64_t seed) {
     engine.run_until(sim::SimTime::seconds(60000));
 
     ClassOutcome out;
+    out.end_time_sec = engine.now().sec();
     std::vector<double> fast_resets;
     std::vector<double> slow_resets;
     for (int i = 0; i < 20; ++i) {
@@ -90,7 +92,6 @@ int main(int argc, char** argv) {
     Options& options = parse_options(
         argc, argv, "heterogeneous route processors: per-class synchronization");
     const std::size_t jobs = options.jobs;
-    options.sim_seconds = 60000.0;
     header("Extension",
            "heterogeneous route processors: per-class synchronization "
            "(10 fast nodes Tc=0.11 s, 10 slow nodes Tc=0.33 s, sync start)");
@@ -148,5 +149,5 @@ int main(int argc, char** argv) {
     check(seeds_with_split == static_cast<int>(seeds.size()),
           "the per-class split reproduces across every seed");
 
-    return footer();
+    return footer(sim_seconds_of(outcomes));
 }

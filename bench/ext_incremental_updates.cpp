@@ -25,6 +25,7 @@ struct Outcome {
     double loss_pct;
     double r1_cpu_seconds;
     std::uint64_t updates;
+    double end_time_sec;
 };
 
 Outcome run(bool incremental) {
@@ -38,7 +39,7 @@ Outcome run(bool incremental) {
     ping.start(s.routing_start() + sim::SimTime::seconds(300));
     s.engine().run_until(sim::SimTime::seconds(1400));
     return Outcome{100.0 * ping.loss_fraction(), s.r1().stats().cpu_seconds,
-                   s.r1().stats().updates_received};
+                   s.r1().stats().updates_received, s.engine().now().sec()};
 }
 
 } // namespace
@@ -74,5 +75,5 @@ int main(int argc, char** argv) {
     check(incr.r1_cpu_seconds < full.r1_cpu_seconds / 10.0,
           "route-processor load falls by more than an order of magnitude");
 
-    return footer();
+    return footer(full.end_time_sec + incr.end_time_sec);
 }

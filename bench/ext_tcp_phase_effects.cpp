@@ -57,10 +57,12 @@ int main(int argc, char** argv) {
                 "flows/episode", "largest", "util", "agg_cov");
     tcpsync::TcpExperimentResult droptail;
     tcpsync::TcpExperimentResult red;
+    double sim_seconds = 0.0;
     for (const auto policy :
          {tcpsync::DropPolicy::DropTail, tcpsync::DropPolicy::RandomDrop,
           tcpsync::DropPolicy::RedLike}) {
         const auto r = run(policy);
+        sim_seconds += r.end_time_sec;
         std::printf("%-20s %10.3f %16.2f %10d %10.3f %10.3f\n", name(policy),
                     r.sync_index, r.mean_flows_per_episode,
                     r.largest_halving_cluster, r.link_utilization,
@@ -89,5 +91,5 @@ int main(int argc, char** argv) {
     check(droptail.link_utilization > 0.9 && red.link_utilization > 0.6,
           "both gateways keep the link busy (shape, not tuning, is the point)");
 
-    return footer();
+    return footer(sim_seconds);
 }

@@ -20,6 +20,7 @@ struct PingRun {
     std::vector<double> rtts;
     double loss_fraction;
     int lost;
+    double end_time_sec;
 };
 
 PingRun run(bool blocking, obs::RunContext* ctx = nullptr) {
@@ -38,7 +39,8 @@ PingRun run(bool blocking, obs::RunContext* ctx = nullptr) {
     if (ctx != nullptr) {
         s.collect_metrics(*ctx);
     }
-    return PingRun{ping.rtts(), ping.loss_fraction(), ping.lost()};
+    return PingRun{ping.rtts(), ping.loss_fraction(), ping.lost(),
+                   s.engine().now().sec()};
 }
 
 } // namespace
@@ -47,7 +49,6 @@ int main(int argc, char** argv) {
     static constexpr cli::FlagSpec kExtra[] = {kTraceFlag, kSampleEveryFlag};
     Options& options = parse_options(
         argc, argv, "Figure 1: ping losses under synchronized updates", kExtra);
-    options.sim_seconds = 1500.0;
     header("Figure 1",
            "ping RTT series with ~90 s periodic losses from synchronized "
            "IGRP-style updates (blocking route processors)");
@@ -114,5 +115,5 @@ int main(int argc, char** argv) {
                 100.0 * post.loss_fraction);
     check(post.lost == 0, "non-blocking routers eliminate the periodic losses");
 
-    return footer();
+    return footer(pre.end_time_sec + post.end_time_sec);
 }

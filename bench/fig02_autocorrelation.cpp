@@ -14,7 +14,6 @@ int main(int argc, char** argv) {
     static constexpr cli::FlagSpec kExtra[] = {kTraceFlag};
     Options& options =
         parse_options(argc, argv, "Figure 2: RTT autocorrelation", kExtra);
-    options.sim_seconds = 1500.0;
     header("Figure 2", "autocorrelation of the Figure 1 RTT series (losses -> 2 s)");
 
     scenarios::NearnetScenario s{scenarios::NearnetConfig{}, &options.ctx};
@@ -53,5 +52,5 @@ int main(int argc, char** argv) {
           "the periodogram corroborates the ~89-ping period in the "
           "frequency domain");
 
-    return footer();
+    return footer(s.engine().now().sec());
 }

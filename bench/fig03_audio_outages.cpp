@@ -16,7 +16,6 @@ int main(int argc, char** argv) {
     static constexpr cli::FlagSpec kExtra[] = {kTraceFlag};
     Options& options = parse_options(
         argc, argv, "Figure 3: audio outages under synchronized RIP", kExtra);
-    options.sim_seconds = 720.0;
     header("Figure 3",
            "audio outage durations vs time under synchronized 30 s RIP updates");
 
@@ -83,5 +82,5 @@ int main(int argc, char** argv) {
           "spikes last on the order of seconds");
     check(blips >= 3, "random single-packet blips from cross traffic");
 
-    return footer();
+    return footer(s.engine().now().sec());
 }

@@ -54,7 +54,6 @@ int main(int argc, char** argv) {
     options.ctx.manifest().set_config("tc_sec", cfg.params.tc.sec());
     options.ctx.manifest().set_config("tr_sec", cfg.params.tr.sec());
     const auto r = core::run_experiment(cfg);
-    options.sim_seconds = r.end_time_sec;
 
     if (const std::string path = options.args.text("clusters-out"); !path.empty()) {
         // first_hit_up[s] is exactly the series the live ClusterTracker's
@@ -129,5 +128,5 @@ int main(int argc, char** argv) {
     }
     check(stays, "once formed, the N=20 cluster persists (Tr < breakup threshold)");
 
-    return footer();
+    return footer(r.end_time_sec);
 }

@@ -18,6 +18,7 @@ int main(int argc, char** argv) {
     parse_options(argc, argv);
     header("Figure 5", "close-up of cluster formation and break-up");
 
+    double sim_seconds = 0.0;
     section("part 1: two routers, deterministic replay of the paper's narrative");
     {
         sim::Engine engine;
@@ -39,6 +40,7 @@ int main(int argc, char** argv) {
             std::printf("%8s %6d %12.4f\n", "o", node, t.sec());
         };
         engine.run_until(sim::SimTime::seconds(1000));
+        sim_seconds += engine.now().sec();
 
         const auto a = model.node(0);
         const auto b = model.node(1);
@@ -60,6 +62,7 @@ int main(int argc, char** argv) {
         cfg.max_time = sim::SimTime::seconds(40000);
         cfg.record_cluster_events = true;
         const auto r = core::run_experiment(cfg);
+        sim_seconds += r.end_time_sec;
 
         std::printf("%12s %6s   (timer-set events, 35.5-38.5 ks window)\n", "time_s",
                     "size");
@@ -79,5 +82,5 @@ int main(int argc, char** argv) {
               "lone routers coexist with clusters (partial synchronization)");
     }
 
-    return footer();
+    return footer(sim_seconds);
 }

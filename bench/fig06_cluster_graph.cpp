@@ -56,5 +56,5 @@ int main(int argc, char** argv) {
           "before the transition, most rounds hold only small clusters "
           "(no gradual 'clumping up')");
 
-    return footer();
+    return footer(r.end_time_sec);
 }

@@ -95,5 +95,5 @@ int main(int argc, char** argv) {
           "beyond)");
     check(sync_means[0] < 5e5, "at Tr = 0.6*Tc the system synchronizes quickly");
 
-    return footer();
+    return footer(sim_seconds_of(results));
 }

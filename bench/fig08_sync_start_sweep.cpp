@@ -96,5 +96,5 @@ int main(int argc, char** argv) {
           "at Tr = 2.3*Tc synchronization persists far longer (paper: not "
           "broken within 1e7 s)");
 
-    return footer();
+    return footer(sim_seconds_of(results));
 }

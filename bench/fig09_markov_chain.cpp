@@ -63,5 +63,5 @@ int main(int argc, char** argv) {
     check(chain.drift_seconds(2) > 0,
           "at these parameters a pair drifts forward and can grow");
 
-    return footer();
+    return footer(0.0); // the Markov chain only: no simulation
 }

@@ -93,5 +93,5 @@ int main(int argc, char** argv) {
     check(analysis_full < 6.5e5,
           "analysis lands on the paper's Figure 10 axis (< 600000 s)");
 
-    return footer();
+    return footer(sim_seconds_of(results));
 }

@@ -90,5 +90,5 @@ int main(int argc, char** argv) {
     }
     check(monotone, "simulated first-hit-down times grow as the target shrinks");
 
-    return footer();
+    return footer(sim_seconds_of(results));
 }

@@ -141,5 +141,5 @@ int main(int argc, char** argv) {
           "low randomization: quick to synchronize, ~never unsynchronizes");
     check(g1_at(4.0) < 1e5, "high randomization: clusters dissolve quickly");
 
-    return footer();
+    return footer(sim_seconds_of(marks));
 }

@@ -170,5 +170,5 @@ int main(int argc, char** argv) {
         }
     }
 
-    return footer();
+    return footer(sim_seconds_of(trials));
 }

@@ -72,5 +72,5 @@ int main(int argc, char** argv) {
     check(lo_edge >= 1.0 && hi_edge <= 2.8,
           "the transition falls inside the paper's 1.0-2.5 Tr/Tc window");
 
-    return footer();
+    return footer(0.0); // the Markov chain only: no simulation
 }

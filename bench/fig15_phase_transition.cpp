@@ -163,5 +163,5 @@ int main(int argc, char** argv) {
     check(last_unsync >= 15 && first_sync <= 32,
           "the transition falls near the paper's N = 5..25 axis");
 
-    return footer();
+    return footer(sim_seconds_of(trials));
 }

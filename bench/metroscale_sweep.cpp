@@ -3,17 +3,19 @@
 // pushed from the paper's N = 5..32 axis up to N = 1e5 routers in a
 // single simulated trial, on the PM kernel.
 //
-// Each N rung is one SweepScheduler run (--jobs applies), timed
-// wall-clock, and reported as:
+// Each N rung's trials fan out over --jobs workers. Each trial's
+// run_experiment is timed wall-clock inside its own task, so neither
+// worker start-up nor the fan-out's idle tail enters the timing; the
+// rung's wall_ms is the sum over its trials. A rung is reported as:
 //   * frac_unsync        rounds whose largest cluster was 1 / closed rounds
 //   * ns/router-round    wall nanoseconds per (router x closed round)
 //   * ns/tx              wall nanoseconds per transmission
 //   * push/tx            event-queue pushes per transmission (a busy check
 //                        run inline or moved within the queue's lane is
 //                        not a push): ~1.1 outside a cluster, ~2 inside
-//   * setup_ms           the same rung at max_time = 0: building the
-//                        kernels and trackers and drawing the first
-//                        expiries, included in wall_ms
+//   * setup_ms           the same trials at max_time = 0, timed the same
+//                        way: building the kernels and trackers and
+//                        drawing the first expiries, included in wall_ms
 //   * bytes/router       kernel state high-water (SoA node arrays + event
 //                        queue) divided by N — the number that decides
 //                        whether 1e6 routers fit in memory
@@ -75,6 +77,13 @@ struct Rung {
     double ns_per_tx = 0.0;
     double pushes_per_tx = 0.0;
     double bytes_per_router = 0.0;
+    double sim_seconds = 0.0; ///< simulated seconds summed over the trials
+};
+
+/// One trial's result and the wall time of its run_experiment call.
+struct TimedTrial {
+    core::ExperimentResult result;
+    double wall_ms = 0.0;
 };
 
 Rung run_rung(int n, int trials, double sim_seconds, std::uint64_t base_seed,
@@ -94,16 +103,22 @@ Rung run_rung(int n, int trials, double sim_seconds, std::uint64_t base_seed,
         configs.push_back(std::move(cfg));
     }
 
-    const auto t0 = std::chrono::steady_clock::now();
-    const auto results = parallel::SweepScheduler{{.jobs = jobs}}.run_all(configs);
-    const auto t1 = std::chrono::steady_clock::now();
+    const auto timed = parallel::map_index<TimedTrial>(
+        configs.size(), jobs, [&configs](std::size_t i) {
+            const auto t0 = std::chrono::steady_clock::now();
+            TimedTrial trial{core::run_experiment(configs[i]), 0.0};
+            const auto t1 = std::chrono::steady_clock::now();
+            trial.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
+            return trial;
+        });
 
     Rung rung;
     rung.n = n;
     rung.trials = trials;
-    rung.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
     std::uint64_t router_rounds = 0;
-    for (const auto& r : results) {
+    for (const auto& [r, wall_ms] : timed) {
+        rung.wall_ms += wall_ms;
+        rung.sim_seconds += r.end_time_sec;
         rung.rounds_closed += r.rounds_closed;
         rung.rounds_unsync += r.rounds_unsynchronized;
         rung.transmissions += r.total_transmissions;
@@ -283,6 +298,9 @@ int main(int argc, char** argv) {
     write_json_section(path, "metroscale", out.str());
     std::printf("wrote section \"metroscale\" of %s\n", path.c_str());
 
-    opts().sim_seconds = sim_seconds;
-    return footer();
+    double total_sim_seconds = 0.0;
+    for (const Rung& r : rungs) {
+        total_sim_seconds += r.sim_seconds;
+    }
+    return footer(total_sim_seconds);
 }

@@ -75,5 +75,5 @@ int main(int argc, char** argv) {
                  0.5 * tp, 1.5 * tp);
     bench::print("\n(reset the timer only AFTER processing, and add the jitter "
                  "fresh on every arm — see DESIGN.md)\n");
-    return bench::footer_quiet();
+    return bench::footer_quiet(0.0); // the Markov chain only: no simulation
 }

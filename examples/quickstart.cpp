@@ -71,6 +71,5 @@ int main(int argc, char** argv) {
     bench::print("\nwith uniform [0.5*Tp, 1.5*Tp] timers: %s\n",
                  fixed.full_sync_time_sec ? "synchronized (unexpected!)"
                                           : "never synchronizes");
-    options.sim_seconds = result.end_time_sec;
-    return bench::footer_quiet();
+    return bench::footer_quiet(result.end_time_sec + fixed.end_time_sec);
 }

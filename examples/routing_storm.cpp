@@ -23,6 +23,7 @@ struct Outcome {
     double loss_pct;
     std::size_t dominant_lag;
     double correlation;
+    double end_time_sec;
 };
 
 Outcome measure(const scenarios::NearnetConfig& config,
@@ -40,7 +41,8 @@ Outcome measure(const scenarios::NearnetConfig& config,
 
     const auto series = ping.rtts_with_losses_as(2.0);
     const auto dom = stats::dominant_lag(series, 30, 150);
-    return Outcome{100.0 * ping.loss_fraction(), dom.lag, dom.correlation};
+    return Outcome{100.0 * ping.loss_fraction(), dom.lag, dom.correlation,
+                   s.engine().now().sec()};
 }
 
 } // namespace
@@ -80,6 +82,5 @@ int main(int argc, char** argv) {
                  "storm itself (and its network load) remains;\n");
     bench::print(" * jitter removes the storm: updates spread across the whole "
                  "period.\n");
-    options.sim_seconds = 3 * 1300.0;
-    return bench::footer_quiet();
+    return bench::footer_quiet(a.end_time_sec + b.end_time_sec + c.end_time_sec);
 }

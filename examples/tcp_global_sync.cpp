@@ -13,7 +13,9 @@ using namespace routesync;
 
 namespace {
 
-void report(const char* label, tcpsync::DropPolicy policy) {
+/// Runs one gateway policy and prints its line; returns the simulated
+/// seconds.
+double report(const char* label, tcpsync::DropPolicy policy) {
     tcpsync::TcpExperimentConfig config;
     config.flows = 8;
     config.base_rtt_sec = 0.1;
@@ -31,6 +33,7 @@ void report(const char* label, tcpsync::DropPolicy policy) {
                  " utilization %.0f%%; aggregate-window swing %.0f%%\n",
                  label, r.mean_flows_per_episode, 100 * r.link_utilization,
                  100 * r.aggregate_window_cov);
+    return r.end_time_sec;
 }
 
 } // namespace
@@ -39,13 +42,14 @@ int main(int argc, char** argv) {
     bench::parse_options(
         argc, argv, "TCP global synchronization at a drop-tail bottleneck");
     bench::print("8 TCP-like flows share one bottleneck for 4 minutes:\n\n");
-    report("drop-tail gateway:", tcpsync::DropPolicy::DropTail);
-    report("random-drop gateway:", tcpsync::DropPolicy::RandomDrop);
-    report("random early drop:", tcpsync::DropPolicy::RedLike);
+    double sim_seconds = 0.0;
+    sim_seconds += report("drop-tail gateway:", tcpsync::DropPolicy::DropTail);
+    sim_seconds += report("random-drop gateway:", tcpsync::DropPolicy::RandomDrop);
+    sim_seconds += report("random early drop:", tcpsync::DropPolicy::RedLike);
     bench::print(
         "\nthe drop-tail gateway synchronizes every flow's window cycle\n"
         "(the [ZhCl90] oscillation); randomizing which packet is dropped\n"
         "([FJ92]) breaks the lockstep — the same cure the paper prescribes\n"
         "for routing timers.\n");
-    return bench::footer_quiet();
+    return bench::footer_quiet(sim_seconds);
 }

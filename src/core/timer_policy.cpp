@@ -1,6 +1,5 @@
 #include "core/timer_policy.hpp"
 
-#include <sstream>
 #include <stdexcept>
 
 namespace routesync::core {
@@ -19,12 +18,6 @@ sim::SimTime UniformJitter::next_interval(rng::DefaultEngine& gen) const {
         rng::uniform_real(gen, (tp_ - tr_).sec(), (tp_ + tr_).sec()));
 }
 
-std::string UniformJitter::describe() const {
-    std::ostringstream out;
-    out << "uniform[" << (tp_ - tr_).sec() << ", " << (tp_ + tr_).sec() << "]s";
-    return out.str();
-}
-
 HalfPeriodJitter::HalfPeriodJitter(sim::SimTime tp) : tp_{tp} {
     if (tp <= sim::SimTime::zero()) {
         throw std::invalid_argument{"HalfPeriodJitter: Tp must be positive"};
@@ -35,12 +28,6 @@ sim::SimTime HalfPeriodJitter::next_interval(rng::DefaultEngine& gen) const {
     return sim::SimTime::seconds(rng::uniform_real(gen, 0.5 * tp_.sec(), 1.5 * tp_.sec()));
 }
 
-std::string HalfPeriodJitter::describe() const {
-    std::ostringstream out;
-    out << "uniform[" << 0.5 * tp_.sec() << ", " << 1.5 * tp_.sec() << "]s (half-period)";
-    return out.str();
-}
-
 FixedInterval::FixedInterval(sim::SimTime tp) : tp_{tp} {
     if (tp <= sim::SimTime::zero()) {
         throw std::invalid_argument{"FixedInterval: Tp must be positive"};
@@ -49,12 +36,6 @@ FixedInterval::FixedInterval(sim::SimTime tp) : tp_{tp} {
 
 sim::SimTime FixedInterval::next_interval(rng::DefaultEngine& /*gen*/) const {
     return tp_;
-}
-
-std::string FixedInterval::describe() const {
-    std::ostringstream out;
-    out << "fixed " << tp_.sec() << "s";
-    return out.str();
 }
 
 } // namespace routesync::core

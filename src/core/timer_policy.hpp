@@ -18,7 +18,6 @@
 #pragma once
 
 #include <memory>
-#include <string>
 
 #include "rng/rng.hpp"
 #include "sim/time.hpp"
@@ -35,9 +34,6 @@ public:
 
     /// Mean of the drawn interval (used by analyses and round bookkeeping).
     [[nodiscard]] virtual sim::SimTime mean_interval() const noexcept = 0;
-
-    /// Human-readable description for logs and bench headers.
-    [[nodiscard]] virtual std::string describe() const = 0;
 };
 
 /// Interval uniform on [tp - tr, tp + tr]; requires 0 <= tr <= tp.
@@ -47,7 +43,6 @@ public:
 
     [[nodiscard]] sim::SimTime next_interval(rng::DefaultEngine& gen) const override;
     [[nodiscard]] sim::SimTime mean_interval() const noexcept override { return tp_; }
-    [[nodiscard]] std::string describe() const override;
 
     [[nodiscard]] sim::SimTime tp() const noexcept { return tp_; }
     [[nodiscard]] sim::SimTime tr() const noexcept { return tr_; }
@@ -64,7 +59,6 @@ public:
 
     [[nodiscard]] sim::SimTime next_interval(rng::DefaultEngine& gen) const override;
     [[nodiscard]] sim::SimTime mean_interval() const noexcept override { return tp_; }
-    [[nodiscard]] std::string describe() const override;
 
 private:
     sim::SimTime tp_;
@@ -77,7 +71,6 @@ public:
 
     [[nodiscard]] sim::SimTime next_interval(rng::DefaultEngine& gen) const override;
     [[nodiscard]] sim::SimTime mean_interval() const noexcept override { return tp_; }
-    [[nodiscard]] std::string describe() const override;
 
 private:
     sim::SimTime tp_;

@@ -39,17 +39,6 @@ public:
         deliver_(std::move(p));
     }
 
-    void push_batch(int port, PacketBatch& batch) override {
-        if (port != 0) {
-            bad_port("push into", port);
-        }
-        delivered_ += batch.size();
-        for (std::size_t i = 0; i < batch.size(); ++i) {
-            deliver_(std::move(batch[i]));
-        }
-        batch.clear();
-    }
-
     [[nodiscard]] FastOps fast_ops() noexcept override {
         return fast_ops_for<CallbackSink>();
     }

@@ -99,65 +99,9 @@ void DelayLink::transmission_done() {
     transmitting_ = false;
     if (input_connected(1)) {
         if (auto next = input(1)) {
-            // Fast cascade (header comment): zero serialization time,
-            // positive propagation, fast-dispatch graph, and no other
-            // event pending at this instant together prove the whole
-            // backlog would drain as the next |backlog| consecutive
-            // events — so drain it inline and coalesce the deliveries.
-            if (fast_dispatch() && rate_bps_ <= 0.0 &&
-                prop_delay_ > sim::SimTime::zero() &&
-                !engine().has_event_at_now()) {
-                drain_backlog_batch(std::move(next));
-                return;
-            }
             start_transmission(std::move(next));
         }
     }
-}
-
-PacketBatch* DelayLink::acquire_batch() {
-    if (!free_batches_.empty()) {
-        PacketBatch* b = free_batches_.back();
-        free_batches_.pop_back();
-        return b;
-    }
-    batch_pool_.push_back(std::make_unique<PacketBatch>());
-    return batch_pool_.back().get();
-}
-
-void DelayLink::release_batch(PacketBatch* batch) noexcept {
-    batch->clear();
-    free_batches_.push_back(batch);
-}
-
-void DelayLink::drain_backlog_batch(PooledPacket first) {
-    PacketBatch* batch = acquire_batch();
-    ++transmissions_;
-    batch->push_back(std::move(first));
-    const std::size_t pulled =
-        input_batch(1, *batch, static_cast<std::size_t>(-1));
-    transmissions_ += pulled;
-    engine().schedule_after(prop_delay_,
-                            [this, batch] { deliver_batch(batch); });
-}
-
-void DelayLink::deliver_batch(PacketBatch* batch) {
-    obs::Tracer* const tr = engine().tracer();
-    if (tr == nullptr) {
-        output_batch(0, *batch);
-    } else {
-        // Traced: interleave each packet's deliver event with its
-        // downstream push, exactly as the individual delivery events
-        // would have.
-        const sim::SimTime now = engine().now();
-        for (std::size_t i = 0; i < batch->size(); ++i) {
-            PooledPacket& p = (*batch)[i];
-            tr->emit(obs::TraceEventType::PacketDeliver, now, p->dst,
-                     static_cast<std::int64_t>(p->seq), p->size_bytes);
-            output(0, std::move(p));
-        }
-    }
-    release_batch(batch);
 }
 
 void DelayLink::collect_metrics(obs::MetricsRegistry& reg,

@@ -14,33 +14,9 @@
 // the next packet. Event scheduling order (delivery before
 // transmitter-free) and every trace emission match net/link.cpp at
 // HEAD byte for byte.
-// Fast-path drain (PR 10): when serialization time is zero, the virtual
-// path's transmission-done cascade pops one engine event per backlogged
-// packet — pull, schedule delivery, schedule the next done, all at the
-// same instant. When the link is in a fast-dispatch graph AND the
-// engine has no other event pending at the current time, that cascade
-// is provably the next |backlog| pops in a row, so DelayLink runs it
-// inline: it pulls the whole backlog into a PacketBatch and schedules
-// ONE delivery event at now + prop_delay. Equivalence argument:
-//   * nothing else can run between the cascade's done events (no other
-//     event is pending at `now`, the cascade schedules only deliveries
-//     at now + prop_delay > now, and nothing else executes that could
-//     schedule more) — so pulls see the same queue state;
-//   * the coalesced delivery event emits the same per-packet trace
-//     events and downstream pushes in the same order the individual
-//     delivery events would have (their sequence numbers were
-//     consecutive, so no foreign event could have interleaved);
-//   * counters (transmissions, queue stats) advance identically.
-// When prop_delay is zero the guard fails by construction (the first
-// delivery is itself pending at `now`), falling back to the exact
-// virtual cascade. Only the engine's event COUNT differs — fewer,
-// larger events — so events_processed() and rs.engine.* occupancy
-// gauges reflect the fast path, while packet order, RNG draws, elem.*
-// metrics, and trace streams stay bit-identical.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -94,13 +70,8 @@ public:
 private:
     void start_transmission(PooledPacket p);
     void transmission_done();
-    void drain_backlog_batch(PooledPacket first);
-    void deliver_batch(PacketBatch* batch);
     void deliver_head();
     void trace_drop(const Packet& p) const;
-
-    [[nodiscard]] PacketBatch* acquire_batch();
-    void release_batch(PacketBatch* batch) noexcept;
 
     double rate_bps_;
     sim::SimTime prop_delay_;
@@ -108,10 +79,6 @@ private:
     bool up_ = true;
     std::uint64_t down_drops_ = 0;
     std::uint64_t transmissions_ = 0;
-    /// Reusable batch buffers for in-flight coalesced deliveries (a
-    /// {this, batch*} capture stays inside SmallCallback's buffer).
-    std::vector<std::unique_ptr<PacketBatch>> batch_pool_;
-    std::vector<PacketBatch*> free_batches_;
     /// Fast-mode in-flight packets, delivered front-first (see
     /// start_transmission).
     PacketRing<> in_flight_;

@@ -111,16 +111,16 @@ void Element::resolve_dispatch(DispatchMode mode) {
             continue;
         }
         const FastOps ops = outputs_[i].element->fast_ops();
-        fast_out_[i] = ResolvedOut{outputs_[i].element, outputs_[i].port,
-                                   ops.push, ops.push_batch};
+        fast_out_[i] =
+            ResolvedOut{outputs_[i].element, outputs_[i].port, ops.push};
     }
     for (std::size_t i = 0; i < inputs_.size(); ++i) {
         if (inputs_[i].element == nullptr) {
             continue;
         }
         const FastOps ops = inputs_[i].element->fast_ops();
-        fast_in_[i] = ResolvedIn{inputs_[i].element, inputs_[i].port, ops.pull,
-                                 ops.pull_batch};
+        fast_in_[i] =
+            ResolvedIn{inputs_[i].element, inputs_[i].port, ops.pull};
     }
 }
 

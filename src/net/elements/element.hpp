@@ -50,7 +50,6 @@
 #include <utility>
 #include <vector>
 
-#include "net/elements/packet_batch.hpp"
 #include "net/packet_pool.hpp"
 #include "obs/metrics.hpp"
 #include "sim/engine.hpp"
@@ -105,47 +104,15 @@ public:
     /// nothing to give. Default: no pull outputs.
     [[nodiscard]] virtual PooledPacket pull(int port);
 
-    /// A run of packets handed to a push input — semantically identical
-    /// to pushing each packet in order; the batch is left empty. The
-    /// default is the scalar fallback (defined inline so fast_ops_for
-    /// thunks devirtualize the per-packet call for final classes).
-    virtual void push_batch(int port, PacketBatch& batch) {
-        for (std::size_t i = 0; i < batch.size(); ++i) {
-            push(port, std::move(batch[i]));
-        }
-        batch.clear();
-    }
-
-    /// Drains up to `max` packets from a pull output into `batch`;
-    /// returns the count. Semantically identical to repeated pull().
-    virtual std::size_t pull_batch(int port, PacketBatch& batch,
-                                   std::size_t max) {
-        std::size_t n = 0;
-        while (n < max) {
-            PooledPacket p = pull(port);
-            if (!p) {
-                break;
-            }
-            batch.push_back(std::move(p));
-            ++n;
-        }
-        return n;
-    }
-
     /// Devirtualized entry points for fast dispatch, resolved once at
     /// ElementGraph::finalize(). All-null (the default) means "not
     /// fast-capable": connections into this element stay on the checked
     /// virtual path.
     struct FastOps {
         using PushFn = void (*)(Element&, int, PooledPacket);
-        using PushBatchFn = void (*)(Element&, int, PacketBatch&);
         using PullFn = PooledPacket (*)(Element&, int);
-        using PullBatchFn = std::size_t (*)(Element&, int, PacketBatch&,
-                                            std::size_t);
         PushFn push = nullptr;
-        PushBatchFn push_batch = nullptr;
         PullFn pull = nullptr;
-        PullBatchFn pull_batch = nullptr;
     };
 
     /// Fast-dispatch opt-in hook. Override in a final element class as
@@ -164,14 +131,8 @@ public:
             [](Element& e, int port, PooledPacket p) {
                 static_cast<D&>(e).D::push(port, std::move(p));
             },
-            [](Element& e, int port, PacketBatch& b) {
-                static_cast<D&>(e).D::push_batch(port, b);
-            },
             [](Element& e, int port) {
                 return static_cast<D&>(e).D::pull(port);
-            },
-            [](Element& e, int port, PacketBatch& b, std::size_t max) {
-                return static_cast<D&>(e).D::pull_batch(port, b, max);
             },
         };
     }
@@ -249,40 +210,6 @@ protected:
         return input_slow(in_port);
     }
 
-    /// Batch variants: one dispatch for the whole run. Identical in
-    /// effect to per-packet output()/input() calls in order.
-    void output_batch(int out_port, PacketBatch& batch) {
-        const auto port = static_cast<std::size_t>(out_port);
-        if (port < fast_out_.size() && fast_out_[port].push_batch != nullptr) {
-            const ResolvedOut& r = fast_out_[port];
-            r.push_batch(*r.element, r.port, batch);
-            return;
-        }
-        for (std::size_t i = 0; i < batch.size(); ++i) {
-            output(out_port, std::move(batch[i]));
-        }
-        batch.clear();
-    }
-
-    [[nodiscard]] std::size_t input_batch(int in_port, PacketBatch& batch,
-                                          std::size_t max) {
-        const auto port = static_cast<std::size_t>(in_port);
-        if (port < fast_in_.size() && fast_in_[port].pull_batch != nullptr) {
-            const ResolvedIn& r = fast_in_[port];
-            return r.pull_batch(*r.element, r.port, batch, max);
-        }
-        std::size_t n = 0;
-        while (n < max) {
-            PooledPacket p = input(in_port);
-            if (!p) {
-                break;
-            }
-            batch.push_back(std::move(p));
-            ++n;
-        }
-        return n;
-    }
-
     void schedule_timer_at(sim::SimTime t) {
         cancel_timer();
         timer_event_ = engine_.schedule_at(t, [this] { on_timer(); });
@@ -315,13 +242,11 @@ private:
         Element* element = nullptr;
         int port = 0;
         FastOps::PushFn push = nullptr;
-        FastOps::PushBatchFn push_batch = nullptr;
     };
     struct ResolvedIn {
         Element* element = nullptr;
         int port = 0;
         FastOps::PullFn pull = nullptr;
-        FastOps::PullBatchFn pull_batch = nullptr;
     };
 
     void ensure_peer_slots();

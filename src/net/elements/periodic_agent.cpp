@@ -33,11 +33,7 @@ void PeriodicAgent::on_timer() {
         return;
     }
     pending_own_ = true;
-    extend_busy();
-    if (!check_scheduled_) {
-        check_scheduled_ = true;
-        engine().schedule_at(busy_end_, [this] { busy_check(); });
-    }
+    extend_busy(); // with pending_own_ set, this schedules the busy check
 }
 
 void PeriodicAgent::push(int port, PooledPacket p) {

@@ -1,12 +1,9 @@
 // Umbrella header for the routesync random-number subsystem.
 //
-// DefaultEngine is the engine every simulation uses unless a component
-// explicitly needs the paper's MINSTD generator ([Ca90]) for fidelity
-// experiments.
+// DefaultEngine is the engine every simulation uses.
 #pragma once
 
 #include "rng/distributions.hpp" // IWYU pragma: export
-#include "rng/minstd.hpp"        // IWYU pragma: export
 #include "rng/splitmix64.hpp"    // IWYU pragma: export
 #include "rng/xoshiro256ss.hpp"  // IWYU pragma: export
 

@@ -39,14 +39,6 @@ public:
         return result;
     }
 
-    /// Equivalent to 2^128 calls of operator(); yields a stream that never
-    /// overlaps the original. Used to derive independent per-node streams.
-    void long_jump() noexcept;
-
-    /// Returns a generator 2^128 steps ahead and advances *this by the same
-    /// amount; successive calls hand out non-overlapping substreams.
-    Xoshiro256ss split() noexcept;
-
 private:
     std::array<std::uint64_t, 4> s_{};
 };

@@ -103,17 +103,6 @@ public:
     /// whatever is still queued or was cancelled.
     [[nodiscard]] std::uint64_t queue_pushes() const noexcept { return pushes_; }
 
-    /// True when a live event is pending at a timestamp <= now() — i.e.
-    /// the next pop would fire without advancing the clock. DelayLink's
-    /// batched drain uses this to prove that running its
-    /// transmitter-free cascade inline cannot reorder any event.
-    /// May report true for an already-cancelled event (next_time_bound is
-    /// a lower bound) — callers use it to gate optimizations, where a
-    /// false "busy" only forfeits the shortcut.
-    [[nodiscard]] bool has_event_at_now() const noexcept {
-        return !queue_.empty() && queue_.next_time_bound() <= now_;
-    }
-
     /// Live (pending, non-cancelled) events.
     [[nodiscard]] std::size_t pending_events() const noexcept { return queue_.size(); }
 

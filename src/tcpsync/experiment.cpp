@@ -52,6 +52,7 @@ TcpExperimentResult run_tcp_experiment(const TcpExperimentConfig& config) {
     engine.schedule_at(sim::SimTime::zero(), sample);
 
     engine.run_until(sim::SimTime::seconds(config.duration_sec + 5.0));
+    result.end_time_sec = engine.now().sec();
 
     // Collect halvings across flows and cluster them in time.
     struct Event {

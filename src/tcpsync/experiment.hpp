@@ -43,6 +43,7 @@ struct TcpExperimentResult {
     double aggregate_window_cov = 0.0;
     /// Aggregate windows sampled once per base RTT (for oscillation plots).
     std::vector<double> aggregate_window_series;
+    double end_time_sec = 0.0; ///< the engine's clock when the run ended
 };
 
 [[nodiscard]] TcpExperimentResult run_tcp_experiment(const TcpExperimentConfig& config);

@@ -3,19 +3,21 @@
 // be bit-identical to DispatchMode::Virtual in every observable: the
 // delivered packet stream (ids, order, timestamps), every elem.* counter,
 // and the trace event stream (compared as a 64-bit FNV digest, which
-// covers event types, times, sequence numbers, and payload slots). Only
-// engine event counts may differ — the fast paths exist precisely to
-// schedule fewer events — so events_processed() is deliberately NOT
-// compared.
+// covers event types, times, sequence numbers, and payload slots). Link
+// runs must also process the same engine events and queue pushes in
+// both modes: Fast changes how a port call dispatches, not which events
+// run. Only the shared LAN runs fewer events in Fast, by design (the
+// fused broadcast fan-out and the frame cycle run in place), so its
+// event counts are not compared.
 //
 // The generator sweeps the regimes where the fast paths branch: infinite
-// vs finite link rate (the coalesced drain cascade), drop-tail vs RED
+// vs finite link rate (the same-time drain cascade), drop-tail vs RED
 // (the devirtualized queue thunks and the RED lottery), tiny queues
-// (overflow drops), carrier flaps (down-drops mid-run), multi-hop chains
-// (batched handoff), and CSMA/CD LANs (the fused broadcast fan-out,
-// with random listener sets and frame types, and the frame cycle run in
-// place: long backlogs, propagation below, at and above the inter-frame
-// gap).
+// (overflow drops), carrier flaps (down-drops mid-run), multi-hop chains,
+// bursts offered at one instant, and CSMA/CD LANs (the fused broadcast
+// fan-out, with random listener sets and frame types, and the frame
+// cycle run in place: long backlogs, propagation below, at and above the
+// inter-frame gap).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -58,10 +60,14 @@ struct LinkCase {
     std::uint32_t max_bytes = 1000;
     double window_ms = 50.0;  // send times drawn from [0, window)
     bool carrier_flap = false; // first hop drops carrier mid-window
+    bool burst = false;        // every packet offered at t = 1 ms
     std::uint64_t seed = 1;    // send-schedule generator
 };
 
-RunRecord run_link_case(const LinkCase& c, DispatchMode mode) {
+/// Also reports the run's engine events and queue pushes (links run the
+/// same of both in either mode).
+RunRecord run_link_case(const LinkCase& c, DispatchMode mode,
+                        std::uint64_t& events, std::uint64_t& pushes) {
     sim::Engine engine;
     obs::HashingSink sink;
     obs::Tracer tracer{sink};
@@ -105,7 +111,8 @@ RunRecord run_link_case(const LinkCase& c, DispatchMode mode) {
         p.dst = 1;
         p.seq = static_cast<std::uint64_t>(i);
         p.size_bytes = bytes(rng);
-        const double at_ms = when(rng);
+        const double drawn_ms = when(rng);
+        const double at_ms = c.burst ? 1.0 : drawn_ms;
         engine.schedule_at(sim::SimTime::millis(at_ms),
                            [&links, p = std::move(p)]() mutable {
                                links.front()->send(std::move(p));
@@ -126,6 +133,8 @@ RunRecord run_link_case(const LinkCase& c, DispatchMode mode) {
     rec.metrics_json = reg.snapshot().to_json();
     rec.trace_digest = sink.digest();
     rec.trace_events = sink.events_seen();
+    events = engine.events_processed();
+    pushes = engine.queue_pushes();
     return rec;
 }
 
@@ -238,6 +247,33 @@ RunRecord run_lan_case(const LanCase& c, DispatchMode mode,
 
 // ---- the differential ---------------------------------------------------
 
+/// Runs `c` in both modes and requires equal records, engine events and
+/// queue pushes.
+void expect_link_modes_agree(const LinkCase& c, int i) {
+    std::uint64_t fast_events = 0;
+    std::uint64_t fast_pushes = 0;
+    std::uint64_t virt_events = 0;
+    std::uint64_t virt_pushes = 0;
+    const RunRecord fast =
+        run_link_case(c, DispatchMode::Fast, fast_events, fast_pushes);
+    const RunRecord virt =
+        run_link_case(c, DispatchMode::Virtual, virt_events, virt_pushes);
+    const auto describe = [&] {
+        return "link case " + std::to_string(i) +
+               ": hops=" + std::to_string(c.hops) +
+               " rate=" + std::to_string(c.rate_bps) +
+               " queue=" + std::to_string(c.queue_packets) +
+               " disc=" + (c.disc == QueueDisc::Red ? "red" : "droptail") +
+               " flap=" + std::to_string(c.carrier_flap) +
+               " burst=" + std::to_string(c.burst) +
+               " seed=" + std::to_string(c.seed);
+    };
+    ASSERT_EQ(fast, virt) << describe();
+    EXPECT_EQ(fast_events, virt_events) << describe();
+    EXPECT_EQ(fast_pushes, virt_pushes) << describe();
+    EXPECT_GT(fast.trace_events, 0U);
+}
+
 TEST(ElementFastPath, RandomizedLinkConfigsMatchVirtual) {
     std::mt19937_64 gen{20260808};
     int checked = 0;
@@ -255,18 +291,30 @@ TEST(ElementFastPath, RandomizedLinkConfigsMatchVirtual) {
         c.window_ms = 10.0 + static_cast<double>(gen() % 80);
         c.carrier_flap = gen() % 3 == 0;
         c.seed = gen();
-
-        const RunRecord fast = run_link_case(c, DispatchMode::Fast);
-        const RunRecord virt = run_link_case(c, DispatchMode::Virtual);
-        ASSERT_EQ(fast, virt)
-            << "link case " << i << ": hops=" << c.hops
-            << " rate=" << c.rate_bps << " queue=" << c.queue_packets
-            << " disc=" << (c.disc == QueueDisc::Red ? "red" : "droptail")
-            << " flap=" << c.carrier_flap << " seed=" << c.seed;
-        EXPECT_GT(fast.trace_events, 0U);
+        expect_link_modes_agree(c, i);
         ++checked;
     }
-    EXPECT_EQ(checked, 80);
+    // Bursts, as the packet-path microbenches offer them: every packet
+    // at one instant, so each hop's backlog drains as a cascade of
+    // same-time events on zero-rate links.
+    std::mt19937_64 burst_gen{20261020};
+    for (int i = 0; i < 40; ++i) {
+        LinkCase c;
+        c.burst = true;
+        c.hops = 1 + static_cast<int>(burst_gen() % 3);
+        c.rate_bps = (burst_gen() % 2 == 0)
+                         ? 0.0
+                         : 5e5 + static_cast<double>(burst_gen() % 5000000);
+        c.delay_ms = 0.1 + static_cast<double>(burst_gen() % 20) / 10.0;
+        c.queue_packets = 2 + burst_gen() % 64;
+        c.disc = (burst_gen() % 2 == 0) ? QueueDisc::DropTail : QueueDisc::Red;
+        c.packets = 8 + static_cast<int>(burst_gen() % 90);
+        c.max_bytes = 200 + static_cast<std::uint32_t>(burst_gen() % 1300);
+        c.seed = burst_gen();
+        expect_link_modes_agree(c, 80 + i);
+        ++checked;
+    }
+    EXPECT_EQ(checked, 120);
 }
 
 TEST(ElementFastPath, RandomizedLanConfigsMatchVirtual) {

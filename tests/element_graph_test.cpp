@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -85,6 +87,53 @@ TEST(ElementGraph, FinalizeCatchesDanglingPushOutput) {
     } catch (const std::logic_error& e) {
         EXPECT_NE(std::string{e.what()}.find("tx"), std::string::npos);
     }
+}
+
+/// An element that overrides none of Element's defaults.
+class Inert final : public Element {
+public:
+    using Element::Element;
+    [[nodiscard]] const char* kind() const noexcept override { return "Inert"; }
+    [[nodiscard]] std::vector<PortSpec> input_ports() const override {
+        return {{PortKind::Push, "in"}};
+    }
+    [[nodiscard]] std::vector<PortSpec> output_ports() const override {
+        return {{PortKind::Pull, "out"}};
+    }
+    void arm(sim::SimTime t) { schedule_timer_at(t); }
+};
+
+// The base defaults: an element that declares a port but overrides
+// neither push() nor pull() throws a logic_error naming itself on
+// either; one that does not opt into fast dispatch keeps its callers on
+// the checked path; its timer and metrics are no-ops.
+TEST(ElementGraph, BaseDefaultsRejectMisuseAndDoNothingElse) {
+    sim::Engine engine;
+    ElementGraph g{engine};
+    auto& agent = g.add<PeriodicAgent>("a", PeriodicAgentConfig{});
+    auto& inert = g.add<Inert>("inert");
+    g.connect("a", 0, "inert", 0);
+    g.finalize(); // Fast: Inert offers no fast ops
+    for (const auto& call : {std::function<void()>{[&] { inert.push(0, make_packet(1)); }},
+                             std::function<void()>{[&] { (void)inert.pull(0); }}}) {
+        try {
+            call();
+            FAIL() << "the base default accepted a packet";
+        } catch (const std::logic_error& e) {
+            EXPECT_NE(std::string{e.what()}.find("Inert 'inert'"), std::string::npos)
+                << e.what();
+        }
+    }
+    // An update the agent hears counts; a port it lacks throws.
+    agent.push(0, make_packet(2));
+    EXPECT_THROW(agent.push(1, make_packet(3)), std::logic_error);
+    inert.arm(sim::SimTime::seconds(1));
+    engine.run();
+    EXPECT_EQ(engine.now(), sim::SimTime::seconds(1));
+    obs::MetricsRegistry reg;
+    g.collect_metrics(reg, "elem");
+    EXPECT_EQ(reg.counter("elem.a.updates_heard"), 1U);
+    EXPECT_EQ(reg.counter("elem.a.updates_sent"), 0U);
 }
 
 TEST(ElementGraph, FinalizeAllowsEntryAndExitPorts) {
@@ -279,6 +328,9 @@ TEST(ElementGraph, RedQueueDropsEarlyUnderPressure) {
               q.early_drops() + q.forced_drops());
     EXPECT_GT(q.average(), 0.0);
     EXPECT_LE(q.size(), 8U);
+    EXPECT_STREQ(q.kind(), "RedQueue");
+    EXPECT_EQ(q.capacity(), 8U);
+    EXPECT_EQ(q.bytes(), q.size() * 100U);
 }
 
 TEST(ElementGraph, RedQueueRejectsBadTuning) {

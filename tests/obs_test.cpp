@@ -387,6 +387,28 @@ TEST(Manifest, Fnv1aMatchesRepoConvention) {
 
 // --------------------------------------------------- engine attachment
 
+// A ring-buffer trace has no file: the sealed manifest records what the
+// ring dropped and no digest.
+TEST(RunContext, RingTraceSealsWithItsDropsAndNoFileDigest) {
+    obs::RunContext ctx;
+    ctx.trace_to_ring(16);
+    core::ExperimentConfig cfg;
+    cfg.params.n = 5;
+    cfg.params.seed = 7;
+    cfg.max_time = sim::SimTime::seconds(2000);
+    cfg.obs = &ctx;
+    const auto r = core::run_experiment(cfg);
+    ctx.finish(r.end_time_sec);
+
+    const auto* ring = dynamic_cast<obs::RingBufferSink*>(ctx.sink());
+    ASSERT_NE(ring, nullptr);
+    ASSERT_TRUE(ctx.manifest().trace.has_value());
+    EXPECT_GT(ring->dropped(), 0U);
+    EXPECT_EQ(ctx.manifest().trace->dropped, ring->dropped());
+    EXPECT_FALSE(ctx.manifest().trace->fnv1a.has_value());
+    EXPECT_NE(ctx.manifest().to_json().find("\"fnv1a\": null"), std::string::npos);
+}
+
 TEST(RunContext, AttachedTracerSeesModelEventsInSeqOrder) {
     obs::RunContext ctx;
     ctx.trace_to_ring(4096);

@@ -13,66 +13,6 @@ namespace {
 
 using namespace routesync::rng;
 
-// ---------------------------------------------------------------- MinStd
-
-// The published acceptance test for the Park-Miller minimal standard
-// generator: starting from seed 1, the 10000th value is 1043618065
-// (Park & Miller, CACM 1988; the implementation is Carta's, CACM 1990 —
-// the paper's [Ca90] reference).
-TEST(MinStd, ParkMillerAcceptanceValue) {
-    MinStd gen{1};
-    gen.discard(9999);
-    EXPECT_EQ(gen(), 1043618065U);
-}
-
-TEST(MinStd, FirstValuesMatchDirectModularArithmetic) {
-    MinStd gen{1};
-    std::uint64_t x = 1;
-    for (int i = 0; i < 1000; ++i) {
-        x = (16807ULL * x) % 2147483647ULL;
-        EXPECT_EQ(gen(), x) << "diverged at step " << i;
-    }
-}
-
-TEST(MinStd48271, MatchesDirectModularArithmetic) {
-    MinStd48271 gen{1};
-    std::uint64_t x = 1;
-    for (int i = 0; i < 1000; ++i) {
-        x = (48271ULL * x) % 2147483647ULL;
-        EXPECT_EQ(gen(), x) << "diverged at step " << i;
-    }
-}
-
-TEST(MinStd, ZeroSeedIsRemapped) {
-    MinStd gen{0};
-    EXPECT_EQ(gen.state(), 1U);
-    EXPECT_NE(gen(), 0U);
-}
-
-TEST(MinStd, ModulusMultipleSeedIsRemapped) {
-    MinStd gen{2147483647ULL}; // == modulus -> 0 -> remapped to 1
-    MinStd ref{1};
-    EXPECT_EQ(gen(), ref());
-}
-
-TEST(MinStd, OutputAlwaysInRange) {
-    MinStd gen{12345};
-    for (int i = 0; i < 100000; ++i) {
-        const auto v = gen();
-        EXPECT_GE(v, MinStd::min());
-        EXPECT_LE(v, MinStd::max());
-    }
-}
-
-TEST(MinStd, NextUnitInOpenInterval) {
-    MinStd gen{7};
-    for (int i = 0; i < 10000; ++i) {
-        const double u = gen.next_unit();
-        EXPECT_GT(u, 0.0);
-        EXPECT_LT(u, 1.0);
-    }
-}
-
 // ------------------------------------------------------------- SplitMix64
 
 TEST(SplitMix64, KnownFirstOutputsFromSeedZero) {
@@ -103,23 +43,6 @@ TEST(Xoshiro256ss, DeterministicForSeed) {
     for (int i = 0; i < 1000; ++i) {
         EXPECT_EQ(a(), b());
     }
-}
-
-TEST(Xoshiro256ss, SplitProducesNonOverlappingStreams) {
-    Xoshiro256ss parent{5};
-    Xoshiro256ss child = parent.split();
-    std::set<std::uint64_t> child_vals;
-    for (int i = 0; i < 4096; ++i) {
-        child_vals.insert(child());
-    }
-    int collisions = 0;
-    for (int i = 0; i < 4096; ++i) {
-        if (child_vals.contains(parent())) {
-            ++collisions;
-        }
-    }
-    // Birthday-level coincidences only.
-    EXPECT_LE(collisions, 1);
 }
 
 TEST(Xoshiro256ss, BitsLookBalanced) {
@@ -227,8 +150,7 @@ TEST(Distributions, BernoulliFrequencyMatchesP) {
     EXPECT_NEAR(static_cast<double>(hits) / n, 0.3, 0.01);
 }
 
-// Parameterized sweep: every engine/seed combination stays in range and is
-// reproducible.
+// Parameterized sweep: every seed gives a reproducible stream.
 class SeedSweep : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(SeedSweep, XoshiroReproducible) {
@@ -236,13 +158,6 @@ TEST_P(SeedSweep, XoshiroReproducible) {
     Xoshiro256ss b{GetParam()};
     for (int i = 0; i < 256; ++i) {
         ASSERT_EQ(a(), b());
-    }
-}
-
-TEST_P(SeedSweep, MinStdStateNeverZero) {
-    MinStd gen{GetParam()};
-    for (int i = 0; i < 10000; ++i) {
-        ASSERT_NE(gen(), 0U);
     }
 }
 
