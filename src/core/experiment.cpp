@@ -132,32 +132,37 @@ public:
     Trial(const Trial&) = delete;
     Trial& operator=(const Trial&) = delete;
 
-    /// True when transmissions feed this trial (stride records or the
-    /// monitor); otherwise the core may skip its on_transmit hop.
-    [[nodiscard]] bool observes_transmits() const noexcept {
-        return config_.transmit_stride > 0 || monitor_.has_value();
+    /// The re-arm consumers, which the kernel feeds as direct sinks; the
+    /// monitor is null unless the config asks for one.
+    [[nodiscard]] ClusterTracker& tracker() noexcept { return tracker_; }
+    [[nodiscard]] obs::SyncMonitor* monitor() noexcept {
+        return monitor_.has_value() ? &*monitor_ : nullptr;
     }
-    /// The tracker itself when it is the only re-arm consumer — the
-    /// direct sink the kernel feeds without a std::function hop — or
-    /// null when re-arms must go through on_timer_set.
-    [[nodiscard]] ClusterTracker* direct_sink() noexcept {
-        return monitor_.has_value() ? nullptr : &tracker_;
+    /// True when the config records transmissions (transmit_stride).
+    [[nodiscard]] bool records_transmits() const noexcept {
+        return config_.transmit_stride > 0;
     }
 
+    /// The engine path's callbacks, which reach every consumer through
+    /// the model's std::function hops.
     void on_transmit(int node, sim::SimTime t) {
         if (monitor_.has_value()) {
             monitor_->on_transmit(node, t);
         }
-        const int stride = config_.transmit_stride;
-        if (stride > 0 && tx_seen_++ % static_cast<std::uint64_t>(stride) == 0) {
-            result_.transmits.push_back(
-                TransmitRecord{node, t.sec(), t.mod(round_length_).sec()});
-        }
+        record_transmit(node, t);
     }
     void on_timer_set(int node, sim::SimTime t) {
         tracker_.on_timer_set(node, t);
         if (monitor_.has_value()) {
             monitor_->on_timer_set(node, t);
+        }
+    }
+    /// Records every transmit_stride-th transmission.
+    void record_transmit(int node, sim::SimTime t) {
+        const int stride = config_.transmit_stride;
+        if (stride > 0 && tx_seen_++ % static_cast<std::uint64_t>(stride) == 0) {
+            result_.transmits.push_back(
+                TransmitRecord{node, t.sec(), t.mod(round_length_).sec()});
         }
     }
 
@@ -227,7 +232,7 @@ void run_on_engine(const ExperimentConfig& config, ExperimentResult& result) {
     PeriodicMessagesModel model{engine, config.params,
                                 config.make_policy ? config.make_policy() : nullptr};
     Trial trial{config, result, model.round_length(), [&engine] { engine.stop(); }};
-    if (trial.observes_transmits()) {
+    if (trial.records_transmits() || trial.monitor() != nullptr) {
         model.on_transmit = [&trial](int node, sim::SimTime t) {
             trial.on_transmit(node, t);
         };
@@ -258,16 +263,11 @@ void run_on_kernel(const ExperimentConfig& config, ExperimentResult& result) {
     PmKernel kernel{config.params, config.make_policy ? config.make_policy() : nullptr,
                     tracer_of(config)};
     Trial trial{config, result, kernel.round_length(), [&kernel] { kernel.stop(); }};
-    kernel.set_tracker_sink(trial.direct_sink());
-    if (trial.observes_transmits()) {
+    kernel.set_tracker_sink(&trial.tracker());
+    kernel.set_monitor_sink(trial.monitor());
+    if (trial.records_transmits()) {
         kernel.on_transmit = [&trial](int node, sim::SimTime t) {
-            trial.on_transmit(node, t);
-        };
-    }
-    if (trial.direct_sink() == nullptr) {
-        // Monitored trials: re-arms feed the tracker and the monitor.
-        kernel.on_timer_set = [&trial](int node, sim::SimTime t) {
-            trial.on_timer_set(node, t);
+            trial.record_transmit(node, t);
         };
     }
     if (config.trigger_all_at.has_value()) {

@@ -89,9 +89,11 @@ struct ExperimentConfig {
     /// Attach a SyncMonitor (obs/sync_monitor.hpp): streaming order
     /// parameter r(t), per-round cluster entropy, the time-to-sync
     /// detector, and the causal coupling graph. Off by default — when
-    /// off, the wiring is byte-for-byte what it was without the feature
-    /// (the hot paths keep their direct ClusterTracker sink). Works on
-    /// both backends (engine and PmKernel) with bit-identical results.
+    /// off, the wiring is byte-for-byte what it was without the feature.
+    /// On the PmKernel the monitor is a direct sink beside the tracker's
+    /// (PmKernel::set_monitor_sink), which keeps the run on the general
+    /// loop; the engine feeds both through the model's callbacks. Works
+    /// on both backends with bit-identical results.
     bool monitor = false;
     /// Detector up-crossing level for r (monitor only).
     double sync_threshold = 0.95;

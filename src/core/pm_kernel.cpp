@@ -11,6 +11,7 @@
 
 #include "core/cluster_tracker.hpp"
 #include "obs/profiler.hpp"
+#include "obs/sync_monitor.hpp"
 #include "obs/tracer.hpp"
 
 namespace routesync::core {
@@ -422,6 +423,11 @@ template <bool Plain, typename Queue>
             on_timer_set(i, now_);
         }
     }
+    if constexpr (!Plain) {
+        if (monitor_ != nullptr) {
+            monitor_->on_timer_set(i, now_);
+        }
+    }
 }
 
 template <bool Plain>
@@ -453,6 +459,9 @@ template <bool Plain, typename Queue>
     ++transmissions_[idx];
     ++tx_count_;
     if constexpr (!Plain) {
+        if (monitor_ != nullptr) {
+            monitor_->on_transmit(i, now);
+        }
         if (on_transmit) {
             on_transmit(i, now);
         }
@@ -786,7 +795,7 @@ void PmKernel::run_loop(Queue& queue, sim::SimTime target) {
 
 bool PmKernel::plain_run() const noexcept {
     const bool default_model = shared_busy_ && !reset_at_expiry_ && fast_draw_;
-    const bool unwatched = tracer_ == nullptr && !on_transmit &&
+    const bool unwatched = tracer_ == nullptr && !on_transmit && monitor_ == nullptr &&
                            (tracker_ != nullptr || !on_timer_set) &&
                            obs::Profiler::current() == nullptr &&
                            hooks_.size() == free_hooks_.size();

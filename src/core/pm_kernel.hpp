@@ -66,6 +66,7 @@
 #include "sim/time.hpp"
 
 namespace routesync::obs {
+class SyncMonitor;
 class Tracer;
 }
 
@@ -547,19 +548,24 @@ public:
     PmKernel& operator=(const PmKernel&) = delete;
 
     /// Fires when a node's timer expires and it begins transmitting.
-    /// run_until reads both callbacks when it starts (see plain_run()): a
-    /// callback set or cleared from inside a run takes effect at the next
-    /// run_until call.
+    /// run_until reads both callbacks and both sinks when it starts (see
+    /// plain_run()): one set or cleared from inside a run takes effect at
+    /// the next run_until call.
     std::function<void(int node, sim::SimTime t)> on_transmit;
     /// Fires when a node completes its busy period and re-arms its timer,
     /// unless a tracker sink is set. Read when run_until starts, like
     /// on_transmit.
     std::function<void(int node, sim::SimTime t)> on_timer_set;
     /// Direct ClusterTracker feed for timer re-arms. When set it takes the
-    /// place of `on_timer_set`: the experiment driver's only use of that
-    /// callback is forwarding to the trial's tracker, and the re-arm site
-    /// is hot enough that skipping the std::function hop is measurable.
+    /// place of `on_timer_set`: the re-arm site is hot enough that skipping
+    /// the std::function hop is measurable. The plain loop feeds it too.
     void set_tracker_sink(ClusterTracker* tracker) noexcept { tracker_ = tracker; }
+    /// Direct SyncMonitor feed, with no std::function hop: the general loop
+    /// hands it every re-arm, after the tracker sink or `on_timer_set`,
+    /// and every transmission start, before `on_transmit`. A set monitor
+    /// sink keeps the run off the plain loop (plain_run() is false), whose
+    /// per-event steps test no sink but the tracker's.
+    void set_monitor_sink(obs::SyncMonitor* monitor) noexcept { monitor_ = monitor; }
 
     /// Schedules a triggered update on every node at absolute time `t`
     /// (the ExperimentConfig::trigger_all_at path). Must be scheduled in
@@ -608,8 +614,9 @@ public:
     /// True when a run_until call made now runs the plain loop: the
     /// paper's default model (shared busy period, re-arm after it ends,
     /// UniformJitter with no per-node Tp) with nothing watching single
-    /// events — no tracer, no on_transmit, re-arms that feed at most the
-    /// tracker sink, no profiler installed and no scheduled hook pending.
+    /// events — no tracer, no on_transmit, no monitor sink, re-arms that
+    /// feed at most the tracker sink, no profiler installed and no
+    /// scheduled hook pending.
     /// Both loops produce the same run; the plain one tests none of these
     /// per event.
     [[nodiscard]] bool plain_run() const noexcept;
@@ -673,6 +680,7 @@ private:
     std::unique_ptr<TimerPolicy> policy_;
     obs::Tracer* tracer_ = nullptr;
     ClusterTracker* tracker_ = nullptr;
+    obs::SyncMonitor* monitor_ = nullptr;
     rng::DefaultEngine gen_{0};
 
     // SoA node state, index = node id. timer_gen is bumped on every

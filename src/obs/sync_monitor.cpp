@@ -1,6 +1,7 @@
 #include "obs/sync_monitor.hpp"
 
 #include <cmath>
+#include <limits>
 #include <numbers>
 #include <stdexcept>
 
@@ -20,6 +21,31 @@ double hysteresis_from_micro(std::int64_t micro) {
 
 std::int64_t hysteresis_to_micro(double h) {
     return std::llround(h * 1e6);
+}
+
+/// The least double q whose sqrt(q) * inv_n reaches `level`, or 0 for a
+/// level that no r falls below (level <= 0). sqrt and a multiply by a
+/// positive constant both round monotonically, so the q that reach the
+/// level are exactly those from the answer up. (level * n)^2 lies a few
+/// ulps from it; the answer is found by stepping ulps from there.
+double least_square_reaching(double level, int n, double inv_n) {
+    if (!(level > 0.0)) {
+        return 0.0;
+    }
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    const auto reaches = [level, inv_n](double q) {
+        return std::sqrt(q) * inv_n >= level;
+    };
+    const double scaled = level * static_cast<double>(n);
+    double q = scaled * scaled;
+    while (!reaches(q)) {
+        q = std::nextafter(q, kInf);
+    }
+    for (double below = std::nextafter(q, -kInf); reaches(below);
+         below = std::nextafter(below, -kInf)) {
+        q = below;
+    }
+    return q;
 }
 
 } // namespace
@@ -47,6 +73,10 @@ SyncMonitor::SyncMonitor(const SyncMonitorConfig& config, Tracer* tracer)
     phasor_im_.assign(n, 0.0);
     inv_n_ = 1.0 / static_cast<double>(config_.n);
     inv_period_ = 1.0 / config_.period_sec;
+    squares_.up = least_square_reaching(config_.threshold, config_.n, inv_n_);
+    squares_.down = least_square_reaching(
+        config_.threshold - config_.hysteresis, config_.n, inv_n_);
+    cache_phasor(sim::SimTime::zero()); // the cache is never empty
 
     if (tracer_ != nullptr) {
         tracer_->emit(TraceEventType::SyncConfig, sim::SimTime::zero(), -1,
@@ -55,45 +85,26 @@ SyncMonitor::SyncMonitor(const SyncMonitorConfig& config, Tracer* tracer)
     }
 }
 
-void SyncMonitor::update_order_parameter(int node, sim::SimTime t) {
+void SyncMonitor::cache_phasor(sim::SimTime t) {
     const double off =
         t.mod(sim::SimTime::seconds(config_.period_sec)).sec();
     const double theta = 2.0 * std::numbers::pi * (off * inv_period_);
-    const double re = std::cos(theta);
-    const double im = std::sin(theta);
-    const auto idx = static_cast<std::size_t>(node);
-    // An unarmed node's phasor is +0.0, and x - (+0.0) is x for every x
-    // (-0.0 included), so the first re-arm needs no special case.
-    sum_re_ -= phasor_re_[idx];
-    sum_im_ -= phasor_im_[idx];
-    phasor_re_[idx] = re;
-    phasor_im_[idx] = im;
-    sum_re_ += re;
-    sum_im_ += im;
-    r_ = std::sqrt(sum_re_ * sum_re_ + sum_im_ * sum_im_) * inv_n_;
-    if (r_ > report_.r_max) {
-        report_.r_max = r_;
-    }
+    cached_bits_ = std::bit_cast<std::uint64_t>(t.sec());
+    cached_re_ = std::cos(theta);
+    cached_im_ = std::sin(theta);
+}
 
-    if (!in_sync_ && r_ >= config_.threshold) {
-        in_sync_ = true;
-        ++report_.transitions;
-        transitions_.push_back(SyncTransitionRecord{t, true, r_});
-        if (report_.time_to_sync_sec < 0.0) {
-            report_.time_to_sync_sec = t.sec();
-        }
-        if (tracer_ != nullptr) {
-            tracer_->emit(TraceEventType::SyncTransition, t, -1, 1, r_,
-                          config_.threshold);
-        }
-    } else if (in_sync_ && r_ < config_.threshold - config_.hysteresis) {
-        in_sync_ = false;
-        ++report_.transitions;
-        transitions_.push_back(SyncTransitionRecord{t, false, r_});
-        if (tracer_ != nullptr) {
-            tracer_->emit(TraceEventType::SyncTransition, t, -1, 0, r_,
-                          config_.threshold);
-        }
+void SyncMonitor::cross(sim::SimTime t) {
+    in_sync_ = !in_sync_;
+    const double r = r_of(q_);
+    ++report_.transitions;
+    transitions_.push_back(SyncTransitionRecord{t, in_sync_, r});
+    if (in_sync_ && report_.time_to_sync_sec < 0.0) {
+        report_.time_to_sync_sec = t.sec();
+    }
+    if (tracer_ != nullptr) {
+        tracer_->emit(TraceEventType::SyncTransition, t, -1, in_sync_ ? 1 : 0, r,
+                      config_.threshold);
     }
 }
 
@@ -123,21 +134,8 @@ void SyncMonitor::settle_rounds(std::span<const int> last_round,
         static_cast<double>(largest) * inv_n_;
 }
 
-void SyncMonitor::on_timer_set(int node, sim::SimTime t) {
-    if (node < 0 || node >= config_.n) {
-        throw std::out_of_range{"SyncMonitor: node out of range"};
-    }
-    ++report_.rearms;
-    // Attribution: the most recent transmission is the one whose busy-
-    // period extension this re-arm waited out; before any transmission
-    // the node can only have released itself.
-    coupling_.add_edge(last_tx_node_ >= 0 ? last_tx_node_ : node, node);
-    update_order_parameter(node, t);
-}
-
-void SyncMonitor::on_transmit(int node, sim::SimTime /*t*/) {
-    ++report_.transmissions;
-    last_tx_node_ = node;
+void SyncMonitor::throw_node_out_of_range() {
+    throw std::out_of_range{"SyncMonitor: node out of range"};
 }
 
 void SyncMonitor::finish(sim::SimTime at) {
@@ -145,7 +143,7 @@ void SyncMonitor::finish(sim::SimTime at) {
         return;
     }
     finished_ = true;
-    report_.r_last = r_;
+    report_.r_last = r_of(q_);
     report_.in_sync = in_sync_;
     if (tracer_ != nullptr) {
         for (const CouplingGraph::Edge& e : coupling_.edges()) {

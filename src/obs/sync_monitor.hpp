@@ -12,10 +12,18 @@
 //     node's old phasor, add the new one. Nodes that have not re-armed
 //     yet contribute zero (the denominator is always the full N), so r
 //     ramps up over the first round and then tracks coherence exactly.
+//     A re-arm at the bit-same time as the one before reuses its phasor:
+//     a cluster's members all re-arm at one shared busy end, so the phase
+//     reduction and the sincos run once per re-arm instant, not per
+//     member.
 //   * an online time-to-sync / changepoint detector: r crossing a
 //     configurable threshold (with hysteresis on the way down) flips the
 //     in-sync state, emits a `sync_transition` trace event, and records
-//     the first up-crossing as the time to sync.
+//     the first up-crossing as the time to sync. It compares the squared
+//     sum q = |sum|^2 against two levels fixed at construction, the least
+//     q whose r = sqrt(q) / N reaches the threshold and the down-crossing
+//     level. That map is monotone, so the comparison is exact, and the
+//     sqrt runs only at a new maximum, a crossing, r() and finish().
 //   * a causal coupling graph attributing every re-arm to the router
 //     whose transmission most recently extended the busy period that
 //     just released the timer (see coupling_graph.hpp).
@@ -35,6 +43,8 @@
 // submission-order merge), and an offline recompute from the trace.
 #pragma once
 
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -108,11 +118,25 @@ public:
                          Tracer* tracer = nullptr);
 
     /// Feed a timer re-arm (same stream ClusterTracker::on_timer_set
-    /// consumes). Times must be nondecreasing.
-    void on_timer_set(int node, sim::SimTime t);
+    /// consumes). Times must be nondecreasing. Inline, like the tracker's:
+    /// the PM kernel calls it on every re-arm of a monitored run.
+    void on_timer_set(int node, sim::SimTime t) {
+        if (node < 0 || node >= config_.n) {
+            throw_node_out_of_range();
+        }
+        ++report_.rearms;
+        // Attribution: the most recent transmission is the one whose busy-
+        // period extension this re-arm waited out; before any transmission
+        // the node can only have released itself.
+        coupling_.add_edge(last_tx_node_ >= 0 ? last_tx_node_ : node, node);
+        update_order_parameter(node, t);
+    }
     /// Feed a transmission (the UpdateTx stream) — the coupling-graph
     /// attribution source. Must be interleaved in event order.
-    void on_transmit(int node, sim::SimTime t);
+    void on_transmit(int node, sim::SimTime /*t*/) noexcept {
+        ++report_.transmissions;
+        last_tx_node_ = node;
+    }
 
     /// Seals r and the detector state into the report and emits one
     /// `coupling_edge` event per edge (sorted by (src, dst)) at time
@@ -129,7 +153,7 @@ public:
                        std::uint64_t rounds_closed);
 
     /// Current order parameter (valid any time).
-    [[nodiscard]] double r() const noexcept { return r_; }
+    [[nodiscard]] double r() const noexcept { return r_of(q_); }
     /// The summary; counters are live, r_last and in_sync settle at
     /// finish(), the round fields at settle_rounds().
     [[nodiscard]] const SyncReport& report() const noexcept { return report_; }
@@ -145,20 +169,66 @@ public:
         return config_;
     }
 
+    /// The detector's two levels as squared sums q = |sum|^2: `up` is the
+    /// least double q whose r reaches the threshold, `down` the least
+    /// whose r reaches threshold - hysteresis (0 when that level is not
+    /// positive, as no r falls below it).
+    struct DetectorSquares {
+        double up = 0.0;
+        double down = 0.0;
+    };
+    [[nodiscard]] DetectorSquares detector_squares() const noexcept {
+        return squares_;
+    }
+
 private:
-    void update_order_parameter(int node, sim::SimTime t);
+    [[noreturn]] static void throw_node_out_of_range();
+    void update_order_parameter(int node, sim::SimTime t) {
+        if (std::bit_cast<std::uint64_t>(t.sec()) != cached_bits_) {
+            cache_phasor(t);
+        }
+        const auto idx = static_cast<std::size_t>(node);
+        // An unarmed node's phasor is +0.0, and x - (+0.0) is x for every
+        // x (-0.0 included), so the first re-arm needs no special case.
+        sum_re_ = sum_re_ - phasor_re_[idx] + cached_re_;
+        sum_im_ = sum_im_ - phasor_im_[idx] + cached_im_;
+        phasor_re_[idx] = cached_re_;
+        phasor_im_[idx] = cached_im_;
+        q_ = sum_re_ * sum_re_ + sum_im_ * sum_im_;
+        // r_of is monotone in q, so comparing q decides every r comparison.
+        if (q_ > q_max_) {
+            q_max_ = q_;
+            report_.r_max = r_of(q_);
+        }
+        if (in_sync_ ? q_ < squares_.down : q_ >= squares_.up) {
+            cross(t);
+        }
+    }
+    /// Computes the phasor of a re-arm at `t` into the one-entry cache.
+    void cache_phasor(sim::SimTime t);
+    /// Flips the detector state at a crossing and records it.
+    void cross(sim::SimTime t);
+    [[nodiscard]] double r_of(double q) const noexcept {
+        return std::sqrt(q) * inv_n_;
+    }
 
     SyncMonitorConfig config_;
     Tracer* tracer_ = nullptr;
     double inv_n_ = 0.0;
     double inv_period_ = 0.0;
 
-    // Order parameter: per-node phasors + running complex sum.
+    // Order parameter: per-node phasors + running complex sum and its
+    // squared magnitude q; r = r_of(q).
     std::vector<double> phasor_re_, phasor_im_; ///< +0.0 until armed
     double sum_re_ = 0.0, sum_im_ = 0.0;
-    double r_ = 0.0;
+    double q_ = 0.0;
+    double q_max_ = 0.0; ///< the largest q so far; r_max = r_of(q_max_)
+    // The phasor of the last computed re-arm time, keyed by its bits.
+    std::uint64_t cached_bits_ = 0;
+    double cached_re_ = 0.0, cached_im_ = 0.0;
 
     // Detector.
+    DetectorSquares squares_;
     bool in_sync_ = false;
     std::vector<SyncTransitionRecord> transitions_;
 

@@ -1,12 +1,16 @@
-// Allocation budgets of a PM kernel trial on each queue and of a
-// shared-LAN scenario run.
+// Allocation budgets of a PM kernel trial on each queue, of a monitored
+// one and of a shared-LAN scenario run.
 //
 // Once a small-n trial has reached its working size, its steady state —
 // timer fires, busy checks (queued or run inline), re-arms and the
 // ClusterTracker feed — must not touch the heap. A calendar-queue trial
 // returns a drained bucket larger than kPmBucketRetainEvents and re-grows
 // it on the cluster's next day, so its count is not zero but stated: each
-// shape's count over a fixed window is pinned. Likewise a shared-LAN run
+// shape's count over a fixed window is pinned. A monitored trial feeds a
+// SyncMonitor too, whose per-re-arm update allocates nothing; only its
+// growth may: a new coupling edge (the edge list, and the table once it
+// is half full) or a detector crossing (the transition record). Its
+// counts are pinned beside the edges and crossings. Likewise a shared-LAN run
 // allocates only while it is built: its packet FIFOs are PacketRings
 // sized at construction, and its engine, packet pool and tracker keep
 // what they reach. This binary replaces the global operator new with a
@@ -20,6 +24,7 @@
 #include <string>
 
 #include "core/core.hpp"
+#include "obs/sync_monitor.hpp"
 #include "obs/trace_sink.hpp"
 #include "obs/tracer.hpp"
 #include "scenarios/shared_lan_scenario.hpp"
@@ -144,6 +149,61 @@ TEST(AllocBudget, CalendarTrialAllocationsArePinned) {
 
         EXPECT_EQ(allocations, shape.allocations) << where;
         EXPECT_EQ(rounds, shape.rounds) << where;
+    }
+}
+
+TEST(AllocBudget, MonitoredSortedRunTrialAllocationsArePinned) {
+    // Figure 13's monitored trials at Tc = 0.11 s on the sorted run: N =
+    // 10, 20 and 30, Tr = 0.6 Tc, 0.9 Tc and 8 Tc, unsynchronized starts.
+    // The kernel feeds the tracker and the monitor as direct sinks, as
+    // run_experiment wires a monitored trial. 2·10^4 s of warm-up, then
+    // the allocations of 2·10^4 .. 10^5 s, with the coupling edges and
+    // detector crossings that window added: windows that add neither
+    // allocate nothing, and every count is deterministic.
+    struct Shape {
+        int n;
+        double tr;
+        std::uint64_t allocations;
+        std::uint64_t new_edges;
+        std::uint64_t crossings;
+    };
+    const Shape shapes[] = {
+        {10, 0.066, 0, 0, 0},   {10, 0.1, 0, 2, 0},    {10, 0.88, 2, 10, 0},
+        {20, 0.066, 9, 378, 1}, {20, 0.1, 2, 27, 0},   {20, 0.88, 2, 67, 0},
+        {30, 0.066, 3, 515, 1}, {30, 0.1, 0, 335, 0},  {30, 0.88, 2, 118, 0},
+    };
+    for (const Shape& shape : shapes) {
+        const std::string where =
+            "n=" + std::to_string(shape.n) + " tr=" + std::to_string(shape.tr);
+        core::ModelParams p;
+        p.n = shape.n;
+        p.tc = sim::SimTime::seconds(0.11);
+        p.tr = sim::SimTime::seconds(shape.tr);
+        p.seed = 0xa110c + static_cast<std::uint64_t>(shape.n);
+        core::PmKernel kernel{p};
+        ASSERT_FALSE(kernel.calendar_queue()) << where;
+        core::ClusterTracker tracker{shape.n, kernel.round_length()};
+        tracker.record_rounds(false);
+        tracker.record_round_sizes(true);
+        obs::SyncMonitor monitor{obs::SyncMonitorConfig{
+            .n = shape.n, .period_sec = kernel.round_length().sec()}};
+        kernel.set_tracker_sink(&tracker);
+        kernel.set_monitor_sink(&monitor);
+        kernel.run_until(sim::SimTime::seconds(2e4));
+
+        const std::uint64_t tx_before = kernel.total_transmissions();
+        const std::size_t edges_before = monitor.coupling().edge_count();
+        const std::uint64_t crossings_before = monitor.report().transitions;
+        const std::uint64_t before = g_allocations.load();
+        kernel.run_until(sim::SimTime::seconds(1e5));
+        const std::uint64_t allocations = g_allocations.load() - before;
+
+        EXPECT_EQ(allocations, shape.allocations) << where;
+        EXPECT_EQ(monitor.coupling().edge_count() - edges_before, shape.new_edges) << where;
+        EXPECT_EQ(monitor.report().transitions - crossings_before, shape.crossings)
+            << where;
+        EXPECT_GT(kernel.total_transmissions(), tx_before + 1000) << where;
+        EXPECT_EQ(monitor.report().transmissions, kernel.total_transmissions()) << where;
     }
 }
 

@@ -31,6 +31,7 @@
 
 #include "core/core.hpp"
 #include "obs/profiler.hpp"
+#include "obs/sync_monitor.hpp"
 #include "obs/trace_sink.hpp"
 #include "obs/tracer.hpp"
 #include "sim/sim.hpp"
@@ -1447,6 +1448,12 @@ TEST(PmKernel, PlainRunFollowsTheModelAndItsWatchers) {
     kernel.on_timer_set = [](int, sim::SimTime) {};
     EXPECT_FALSE(kernel.plain_run());
     kernel.set_tracker_sink(&tracker); // takes on_timer_set's place
+    EXPECT_TRUE(kernel.plain_run());
+    obs::SyncMonitor monitor{
+        obs::SyncMonitorConfig{.n = p.n, .period_sec = kernel.round_length().sec()}};
+    kernel.set_monitor_sink(&monitor);
+    EXPECT_FALSE(kernel.plain_run());
+    kernel.set_monitor_sink(nullptr);
     EXPECT_TRUE(kernel.plain_run());
     {
         obs::Profiler profiler;

@@ -3,8 +3,11 @@
 // parameter, detector, entropy, and coupling graph — plus the headline
 // determinism contracts:
 //
+//   * the monitor, which reuses a re-arm instant's phasor and runs its
+//     detector on |sum|^2, matches a fresh-phasor-per-re-arm reference
+//     bit for bit on bursty streams;
 //   * the engine and the PmKernel produce bit-identical sync reports
-//     over randomized configs;
+//     over randomized configs, also at calendar-queue size;
 //   * core::replay_trace over a run's own trace reproduces the live
 //     monitor exactly (r series endpoints, transitions, coupling graph);
 //   * merged sync.* metrics are byte-identical across --jobs settings;
@@ -12,10 +15,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <climits>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <map>
+#include <numbers>
 #include <random>
 #include <set>
 #include <string>
@@ -126,6 +132,206 @@ TEST(SyncMonitorTest, ConstructorValidates) {
     cfg.threshold = 0.5;
     cfg.hysteresis = 0.6; // >= threshold
     EXPECT_THROW(obs::SyncMonitor{cfg}, std::invalid_argument);
+}
+
+// ---- differential: the monitor vs its per-re-arm reference ---------------
+
+/// The monitor's update as it was before it reused phasors and compared
+/// squared sums: a fresh phase reduction, sincos and sqrt on every re-arm,
+/// and the detector on r itself. Built from a live monitor's config, so
+/// both run on the same quantized hysteresis.
+class ReferenceMonitor {
+public:
+    explicit ReferenceMonitor(const obs::SyncMonitorConfig& config)
+        : config_{config},
+          inv_n_{1.0 / static_cast<double>(config.n)},
+          inv_period_{1.0 / config.period_sec},
+          re_(static_cast<std::size_t>(config.n), 0.0),
+          im_(static_cast<std::size_t>(config.n), 0.0) {}
+
+    void on_transmit(int node) { last_tx_ = node; }
+
+    void on_timer_set(int node, sim::SimTime t) {
+        coupling.add_edge(last_tx_ >= 0 ? last_tx_ : node, node);
+        const double off =
+            t.mod(sim::SimTime::seconds(config_.period_sec)).sec();
+        const double theta = 2.0 * std::numbers::pi * (off * inv_period_);
+        const double re = std::cos(theta);
+        const double im = std::sin(theta);
+        const auto idx = static_cast<std::size_t>(node);
+        sum_re_ -= re_[idx];
+        sum_im_ -= im_[idx];
+        re_[idx] = re;
+        im_[idx] = im;
+        sum_re_ += re;
+        sum_im_ += im;
+        r = std::sqrt(sum_re_ * sum_re_ + sum_im_ * sum_im_) * inv_n_;
+        if (r > r_max) {
+            r_max = r;
+        }
+        if (!in_sync_ && r >= config_.threshold) {
+            in_sync_ = true;
+            transitions.push_back(obs::SyncTransitionRecord{t, true, r});
+            if (time_to_sync_sec < 0.0) {
+                time_to_sync_sec = t.sec();
+            }
+        } else if (in_sync_ && r < config_.threshold - config_.hysteresis) {
+            in_sync_ = false;
+            transitions.push_back(obs::SyncTransitionRecord{t, false, r});
+        }
+    }
+
+    double r = 0.0;
+    double r_max = 0.0;
+    double time_to_sync_sec = -1.0;
+    std::vector<obs::SyncTransitionRecord> transitions;
+    obs::CouplingGraph coupling;
+
+private:
+    obs::SyncMonitorConfig config_;
+    double inv_n_;
+    double inv_period_;
+    std::vector<double> re_, im_;
+    double sum_re_ = 0.0, sum_im_ = 0.0;
+    int last_tx_ = -1;
+    bool in_sync_ = false;
+};
+
+std::uint64_t bits_of(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// True when `q` is the least double whose r = sqrt(q) / n reaches `level`.
+bool least_square_reaching(double q, double level, int n) {
+    const double inv_n = 1.0 / static_cast<double>(n);
+    const auto reaches = [level, inv_n](double x) {
+        return std::sqrt(x) * inv_n >= level;
+    };
+    return reaches(q) &&
+           !reaches(std::nextafter(q, -std::numeric_limits<double>::infinity()));
+}
+
+void expect_least_squares(const obs::SyncMonitor& mon, const std::string& where) {
+    const obs::SyncMonitorConfig& c = mon.config();
+    const obs::SyncMonitor::DetectorSquares sq = mon.detector_squares();
+    EXPECT_TRUE(least_square_reaching(sq.up, c.threshold, c.n)) << where;
+    const double down = c.threshold - c.hysteresis;
+    EXPECT_TRUE(least_square_reaching(sq.down, down, c.n)) << where;
+}
+
+/// Feeds `mon` and a ReferenceMonitor one seeded stream of rounds. In each
+/// round a share of the re-arming nodes (swinging between none and all
+/// over the stream) re-arm together at one bit-equal time, the rest at
+/// random phases; transmissions interleave. Returns the re-arms fed.
+std::uint64_t feed_bursty_stream(obs::SyncMonitor& mon, ReferenceMonitor& ref,
+                                 std::uint64_t seed, int rounds) {
+    const int n = mon.config().n;
+    const double period = mon.config().period_sec;
+    std::mt19937_64 gen{seed};
+    std::uniform_real_distribution<double> u01{0.0, 1.0};
+    std::uint64_t rearms = 0;
+    std::vector<std::pair<double, int>> arms;
+    for (int round = 0; round < rounds; ++round) {
+        const double together = 0.5 - 0.5 * std::cos(round * 0.2);
+        const double base = period * round;
+        // Every third round's burst sits at the round start itself: on a
+        // power-of-two period, a phase of exactly 0 and a sum of exactly n.
+        const double common = round % 3 == 0 ? 0.0 : period * u01(gen);
+        arms.clear();
+        for (int node = 0; node < n; ++node) {
+            if (u01(gen) < 0.1) {
+                continue; // sits this round out
+            }
+            const double phase = u01(gen) < together ? common : period * u01(gen);
+            arms.emplace_back(base + phase, node);
+        }
+        std::sort(arms.begin(), arms.end());
+        for (const auto& [t, node] : arms) {
+            if (u01(gen) < 0.5) {
+                const int tx = static_cast<int>(gen() % static_cast<std::uint64_t>(n));
+                mon.on_transmit(tx, sim::SimTime::seconds(t));
+                ref.on_transmit(tx);
+            }
+            mon.on_timer_set(node, sim::SimTime::seconds(t));
+            ref.on_timer_set(node, sim::SimTime::seconds(t));
+            ++rearms;
+            if (bits_of(mon.r()) != bits_of(ref.r)) {
+                ADD_FAILURE() << "r differs: seed " << seed << " round " << round
+                              << " node " << node;
+                return rearms;
+            }
+        }
+    }
+    return rearms;
+}
+
+TEST(SyncMonitorReference, MatchesFreshPhasorPerRearmBitForBit) {
+    const struct {
+        double threshold;
+        double hysteresis;
+    } levels[] = {{0.95, 0.02}, {1.0, 0.0}, {0.5, 0.3}, {0.8, 0.0}, {0.3, 0.29}};
+    std::size_t transitions_seen = 0;
+    std::size_t unity_transitions = 0;
+    for (const int n : {1, 2, 20, 300}) {
+        for (const double period : {8.0, 121.11}) {
+            for (const auto& level : levels) {
+                const std::uint64_t seed =
+                    static_cast<std::uint64_t>(n) * 1000 +
+                    static_cast<std::uint64_t>(period) +
+                    static_cast<std::uint64_t>(level.threshold * 100.0);
+                const std::string where =
+                    "n=" + std::to_string(n) + " period=" + std::to_string(period) +
+                    " threshold=" + std::to_string(level.threshold);
+                obs::SyncMonitor mon{obs::SyncMonitorConfig{
+                    .n = n,
+                    .period_sec = period,
+                    .threshold = level.threshold,
+                    .hysteresis = level.hysteresis}};
+                expect_least_squares(mon, where);
+                ReferenceMonitor ref{mon.config()};
+                const int rounds = n >= 300 ? 40 : 200;
+                const std::uint64_t rearms = feed_bursty_stream(mon, ref, seed, rounds);
+                mon.finish(sim::SimTime::seconds(period * rounds));
+
+                const obs::SyncReport& got = mon.report();
+                EXPECT_EQ(got.rearms, rearms) << where;
+                EXPECT_EQ(bits_of(got.r_last), bits_of(ref.r)) << where;
+                EXPECT_EQ(bits_of(got.r_max), bits_of(ref.r_max)) << where;
+                EXPECT_EQ(bits_of(got.time_to_sync_sec), bits_of(ref.time_to_sync_sec))
+                    << where;
+                EXPECT_TRUE(mon.coupling() == ref.coupling) << where;
+                ASSERT_EQ(mon.transitions().size(), ref.transitions.size()) << where;
+                EXPECT_EQ(got.transitions, ref.transitions.size()) << where;
+                for (std::size_t k = 0; k < ref.transitions.size(); ++k) {
+                    const obs::SyncTransitionRecord& a = mon.transitions()[k];
+                    const obs::SyncTransitionRecord& b = ref.transitions[k];
+                    EXPECT_EQ(bits_of(a.time.sec()), bits_of(b.time.sec())) << where;
+                    EXPECT_EQ(a.up, b.up) << where;
+                    EXPECT_EQ(bits_of(a.r), bits_of(b.r)) << where;
+                }
+                transitions_seen += ref.transitions.size();
+                if (level.threshold == 1.0) {
+                    unity_transitions += ref.transitions.size();
+                }
+            }
+        }
+    }
+    // The streams must cross the detector both ways, at r = 1 too: a
+    // comparison where nothing crosses would pass vacuously.
+    EXPECT_GT(transitions_seen, 100U);
+    EXPECT_GT(unity_transitions, 10U);
+}
+
+TEST(SyncMonitorReference, DetectorSquaresAreTheLeastThatReachTheirLevels) {
+    std::mt19937_64 gen{2026};
+    std::uniform_real_distribution<double> u01{0.0, 1.0};
+    for (int k = 0; k < 2000; ++k) {
+        const int n = 1 + static_cast<int>(gen() % (k % 2 == 0 ? 50 : 100000));
+        const double threshold = k % 10 == 0 ? 1.0 : 1e-3 + (1.0 - 1e-3) * u01(gen);
+        const double hysteresis = k % 7 == 0 ? 0.0 : threshold * 0.99 * u01(gen);
+        const obs::SyncMonitor mon{obs::SyncMonitorConfig{
+            .n = n, .period_sec = 1.0, .threshold = threshold, .hysteresis = hysteresis}};
+        expect_least_squares(mon, "n=" + std::to_string(n) +
+                                      " threshold=" + std::to_string(threshold));
+    }
 }
 
 // ---- unit: per-round entropy --------------------------------------------
@@ -436,6 +642,65 @@ TEST(SyncMonitorDifferentialTest, BackendsAgreeOnRandomizedConfigs) {
     // The randomized thresholds must actually exercise the detector —
     // a sweep where nothing ever crosses would be a vacuous pass.
     EXPECT_GT(transitions_seen, 0u);
+}
+
+/// A monitored config at calendar-queue size (n = 200-400), with a
+/// trigger_all_at wave in most configs and stop_on_full_sync in half.
+core::ExperimentConfig random_calendar_config(std::uint64_t seed_base,
+                                              std::size_t i) {
+    rng::DefaultEngine gen{parallel::derive_seed(seed_base, i)};
+    core::ExperimentConfig cfg;
+    cfg.params.n = 200 + static_cast<int>(rng::uniform_real(gen, 0.0, 201.0));
+    cfg.params.tp = sim::SimTime::seconds(121);
+    cfg.params.tc = sim::SimTime::seconds(0.11);
+    cfg.params.tr = sim::SimTime::seconds(rng::uniform_real(gen, 0.02, 0.4));
+    if (i % 3 == 2) {
+        cfg.params.start = core::StartCondition::Synchronized;
+    }
+    cfg.params.seed = parallel::derive_seed(seed_base + 1, i);
+    cfg.max_time = sim::SimTime::seconds(rng::uniform_real(gen, 2e3, 4e3));
+    cfg.stop_on_full_sync = i % 2 == 0;
+    if (i % 4 != 3) {
+        cfg.trigger_all_at = sim::SimTime::seconds(rng::uniform_real(gen, 300.0, 1500.0));
+    }
+    cfg.monitor = true;
+    cfg.sync_threshold = rng::uniform_real(gen, 0.5, 0.95);
+    cfg.sync_hysteresis = rng::uniform_real(gen, 0.0, 0.2);
+    return cfg;
+}
+
+TEST(SyncMonitorDifferentialTest, BackendsAgreeAtCalendarSize) {
+    std::size_t transitions_seen = 0;
+    std::size_t stopped_at_full_sync = 0;
+    for (std::size_t i = 0; i < 8; ++i) {
+        const core::ExperimentConfig cfg = random_calendar_config(4242, i);
+        const std::string where = "config " + std::to_string(i) +
+                                  " n=" + std::to_string(cfg.params.n);
+        ASSERT_GE(cfg.params.n, core::kPmCalendarMinNodes) << where;
+        std::uint64_t digests[2] = {};
+        core::ExperimentResult results[2];
+        const core::ExperimentBackend backends[] = {core::ExperimentBackend::Engine,
+                                                    core::ExperimentBackend::FastKernel};
+        for (int b = 0; b < 2; ++b) {
+            obs::RunContext ctx;
+            ctx.set_sink(std::make_unique<obs::HashingSink>());
+            core::ExperimentConfig run = cfg;
+            run.backend = backends[b];
+            run.obs = &ctx;
+            results[b] = core::run_experiment(run);
+            digests[b] = static_cast<const obs::HashingSink*>(ctx.sink())->digest();
+        }
+        expect_sync_identical(results[0], results[1], where.c_str());
+        EXPECT_EQ(digests[0], digests[1]) << where;
+        EXPECT_EQ(results[0].events_processed, results[1].events_processed) << where;
+        EXPECT_EQ(results[0].end_time_sec, results[1].end_time_sec) << where;
+        transitions_seen += results[1].sync->transitions;
+        stopped_at_full_sync += results[1].end_time_sec < cfg.max_time.sec() ? 1 : 0;
+    }
+    // The waves synchronize the population, so the detector crosses and
+    // some stop_on_full_sync runs end early: neither side is vacuous.
+    EXPECT_GT(transitions_seen, 0U);
+    EXPECT_GT(stopped_at_full_sync, 0U);
 }
 
 // ---- differential: live monitor vs trace replay --------------------------

@@ -228,6 +228,7 @@ int cmd_sweep(const Args& args) {
     // task set; the results come back in submission (grid-major) order,
     // so the CSV is byte-identical for every --jobs value.
     std::vector<double> sim_frac(grid.size(), 0.0);
+    double sim_seconds = 0.0; // the trials' end times, summed
     if (sim_trials > 0) {
         const auto trials = static_cast<std::size_t>(sim_trials);
         parallel::SweepScheduler scheduler{{.jobs = jobs}};
@@ -253,6 +254,9 @@ int cmd_sweep(const Args& args) {
                 }
             }
             sim_frac[i] = total / static_cast<double>(trials);
+        }
+        for (const core::ExperimentResult& r : sims) {
+            sim_seconds += r.end_time_sec;
         }
     }
     std::printf(sim_trials > 0
@@ -293,9 +297,9 @@ int cmd_sweep(const Args& args) {
             m.set_config("sim_max_time_sec", sim_max_time);
         }
         if (out.empty()) {
-            ctx.finish(0.0);
+            ctx.finish(sim_seconds);
         } else {
-            ctx.write_manifest(out, 0.0);
+            ctx.write_manifest(out, sim_seconds);
         }
     }
     return 0;
